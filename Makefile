@@ -3,9 +3,9 @@
 
 GO ?= go
 
-.PHONY: check fmt vet staticcheck build test race faults bench bench-smoke bench-gate
+.PHONY: check fmt vet staticcheck build test race faults bench bench-smoke bench-gate bench-test
 
-check: fmt vet staticcheck build race faults bench-smoke bench-gate
+check: fmt vet staticcheck build race faults bench-smoke bench-gate bench-test
 
 fmt:
 	@out="$$(gofmt -l .)"; \
@@ -56,3 +56,8 @@ bench-smoke:
 # committed BENCH_*.json (>20% MB/s loss fails; see cmd/benchgate).
 bench-gate:
 	$(GO) run ./cmd/benchgate
+
+# The end-to-end benchmark (bench/, BENCHMARK.json) is its own Go module,
+# which `go test ./...` at the root does not reach; this runs its tests.
+bench-test:
+	cd bench && $(GO) test ./...

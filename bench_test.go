@@ -505,15 +505,15 @@ func BenchmarkChunkerGearMulti(b *testing.B) {
 	}
 }
 
-// --- Restore pipeline benchmarks (PR 3): BenchmarkRestoreSerial is the
-// --- chunk-at-a-time baseline; BenchmarkRestoreParallel fans container
-// --- fetch+decrypt out to GOMAXPROCS workers, swept across restore
-// --- container-cache sizes (0 = uncached, 1 = single buffer, 64 = the
-// --- whole working set).
+// --- Restore benchmarks: one planned restore path (plan, prefetch window,
+// --- slab decrypt, in-order write). BenchmarkRestoreSerial runs it with
+// --- one worker and BenchmarkRestoreParallel with GOMAXPROCS, both on an
+// --- in-memory store, where a container read copies nothing;
+// --- BenchmarkRestoreFile restores from a file-backed store, so its B/op
+// --- includes every container the restore reads.
 
-func benchRestore(b *testing.B, workers, cacheContainers int) {
+func benchRestore(b *testing.B, store *Store, workers int) {
 	data := benchStream(16 << 20)
-	store := NewStore(0)
 	backup, err := NewClient(store, ClientConfig{})
 	if err != nil {
 		b.Fatal(err)
@@ -522,10 +522,10 @@ func benchRestore(b *testing.B, workers, cacheContainers int) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	client, err := NewClient(store, ClientConfig{
-		Workers:                workers,
-		RestoreCacheContainers: cacheContainers,
-	})
+	if err := store.Sync(); err != nil {
+		b.Fatal(err)
+	}
+	client, err := NewClient(store, ClientConfig{Workers: workers})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -539,14 +539,17 @@ func benchRestore(b *testing.B, workers, cacheContainers int) {
 	}
 }
 
-func BenchmarkRestoreSerial(b *testing.B) { benchRestore(b, 1, 0) }
+func BenchmarkRestoreSerial(b *testing.B) { benchRestore(b, NewStore(0), 1) }
 
-func BenchmarkRestoreParallel(b *testing.B) {
-	for _, cache := range []int{0, 1, 64} {
-		b.Run(fmt.Sprintf("cache=%d", cache), func(b *testing.B) {
-			benchRestore(b, runtime.GOMAXPROCS(0), cache)
-		})
+func BenchmarkRestoreParallel(b *testing.B) { benchRestore(b, NewStore(0), runtime.GOMAXPROCS(0)) }
+
+func BenchmarkRestoreFile(b *testing.B) {
+	store, err := CreateStore(b.TempDir(), 0, 16)
+	if err != nil {
+		b.Fatal(err)
 	}
+	defer store.Close()
+	benchRestore(b, store, runtime.GOMAXPROCS(0))
 }
 
 // benchServerBackup measures the multi-tenant network path end to end:

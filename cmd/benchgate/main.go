@@ -6,7 +6,7 @@
 // The stable tier is the allowlist of benchmarks measured stable enough
 // to block a PR: the chunker ingest stage, the backup pipeline, the
 // multi-tenant server path (BenchmarkServerBackup's loopback client
-// sweep), the restore pipeline, the sharded store, and the persistent
+// sweep), the planned restore, the sharded store, and the persistent
 // fingerprint index (BenchmarkRepositoryOpen's open-throughput sweep and
 // BenchmarkIndexLookup's hit/miss paths). Everything else in the
 // baselines is reported as an informational delta but never gates —
@@ -67,7 +67,7 @@ var stableTier = []*regexp.Regexp{
 	regexp.MustCompile(`^BenchmarkChunker`),
 	regexp.MustCompile(`^BenchmarkBackup(Serial|Parallel)$`),
 	regexp.MustCompile(`^BenchmarkServerBackup`),
-	regexp.MustCompile(`^BenchmarkRestore(Serial|Parallel)`),
+	regexp.MustCompile(`^BenchmarkRestore(Serial|Parallel|File)$`),
 	regexp.MustCompile(`^BenchmarkStoreShards`),
 	regexp.MustCompile(`^BenchmarkRepositoryOpen`),
 	regexp.MustCompile(`^BenchmarkIndexLookup`),
@@ -75,7 +75,7 @@ var stableTier = []*regexp.Regexp{
 
 // benchPattern is the -bench regexp handed to go test for the fresh run:
 // the stable tier only, so the gate stays fast enough to block on.
-const benchPattern = `BenchmarkChunker|BenchmarkBackupSerial|BenchmarkBackupParallel|BenchmarkServerBackup|BenchmarkRestoreSerial|BenchmarkRestoreParallel|BenchmarkStoreShards|BenchmarkRepositoryOpen|BenchmarkIndexLookup`
+const benchPattern = `BenchmarkChunker|BenchmarkBackupSerial|BenchmarkBackupParallel|BenchmarkServerBackup|BenchmarkRestoreSerial|BenchmarkRestoreParallel|BenchmarkRestoreFile|BenchmarkStoreShards|BenchmarkRepositoryOpen|BenchmarkIndexLookup`
 
 func inStableTier(name string) bool {
 	for _, re := range stableTier {

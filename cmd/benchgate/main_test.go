@@ -25,7 +25,7 @@ func TestStableTier(t *testing.T) {
 	for _, name := range []string{
 		"BenchmarkChunkerCDC", "BenchmarkChunkerGear",
 		"BenchmarkBackupSerial", "BenchmarkBackupParallel",
-		"BenchmarkRestoreSerial", "BenchmarkRestoreParallel/cache=64",
+		"BenchmarkRestoreSerial", "BenchmarkRestoreParallel", "BenchmarkRestoreFile",
 		"BenchmarkStoreShards/shards=4",
 	} {
 		if !inStableTier(name) {

@@ -13,8 +13,8 @@
 // bounds backup throughput. -restore drives the repository round trip
 // end to end: CreateRepository under -dir, Backup (sealed recipe into the
 // crash-safe snapshot catalog), close, OpenRepository (catalog replayed,
-// refcounts restored), Verify, and a parallel-pipeline Restore with
-// SHA-256 verification. Ctrl-C cancels the in-flight stage cleanly
+// refcounts restored), Verify, and a planned Restore with SHA-256
+// verification. Ctrl-C cancels the in-flight stage cleanly
 // through the context plumbing.
 //
 // -attack benchmarks the streaming attack engine: sharded two-pass
@@ -28,7 +28,7 @@
 //	ddfsbench -chunker -mb 256
 //	ddfsbench -chunker -gear -mb 256          # gear-hash chunk format
 //	ddfsbench -chunker -gear -chunkworkers 4  # multi-stream gear scan
-//	ddfsbench -restore -mb 64 -workers 0 -cachecontainers 64
+//	ddfsbench -restore -mb 64 -workers 0
 //	ddfsbench -restore -dir /tmp/ddfs-store   # keep the repository around
 //	ddfsbench -attack -mb 256 -shards 16 -workers 0
 //	ddfsbench -attack -workload database -mb 64
@@ -84,7 +84,7 @@ func main() {
 	chunkWorkers := flag.Int("chunkworkers", 0,
 		"multi-stream chunking workers for -chunker -gear (0 or 1 = serial scan)")
 	restoreMode := flag.Bool("restore", false,
-		"benchmark backup-to-disk, reopen, and parallel restore end to end")
+		"benchmark backup-to-disk, reopen, and restore end to end")
 	attackMode := flag.Bool("attack", false,
 		"benchmark the streaming attack engine's sharded parallel counting")
 	faultsMode := flag.Bool("faults", false,
@@ -101,8 +101,6 @@ func main() {
 	shards := flag.Int("shards", dedup.DefaultShards, "store shard count (1 = serial engine layout)")
 	workers := flag.Int("workers", 0, "encrypt/restore workers per client (0 = GOMAXPROCS)")
 	clients := flag.Int("clients", 1, "concurrent backup clients sharing one store")
-	cacheContainers := flag.Int("cachecontainers", 64,
-		"restore container-cache capacity in containers (0 = uncached)")
 	workloadName := flag.String("workload", "",
 		"registered workload for the -attack trace (empty = classic synthetic; see tracegen -list)")
 	flag.Parse()
@@ -114,7 +112,7 @@ func main() {
 		return
 	}
 	if *restoreMode {
-		if err := runRestore(*streamMB, *shards, *workers, *cacheContainers, *dir); err != nil {
+		if err := runRestore(*streamMB, *shards, *workers, *dir); err != nil {
 			fatal(err)
 		}
 		return
@@ -258,18 +256,18 @@ func (w *countingHashWriter) Write(p []byte) (int, error) {
 // runRestore drives the full repository loop: back a pseudo-random
 // stream up through Repository.Backup (snapshot sealed into the durable
 // catalog), close, OpenRepository (catalog replayed, reference counts
-// restored), Verify the store, and Restore through the parallel container
-// pipeline, checking the restored bytes hash-identical to the input.
+// restored), Verify the store, and Restore, checking the restored bytes
+// hash-identical to the input.
 // Ctrl-C cancels whichever stage is in flight via its context.
-func runRestore(streamMB, shards, workers, cacheContainers int, dir string) error {
+func runRestore(streamMB, shards, workers int, dir string) error {
 	if streamMB <= 0 {
 		return fmt.Errorf("stream size must be positive")
 	}
 	if shards < 0 || shards > 256 {
 		return fmt.Errorf("-shards must be in [1, 256] (0 selects the default), got %d", shards)
 	}
-	if workers < 0 || cacheContainers < 0 {
-		return fmt.Errorf("-workers and -cachecontainers must be non-negative")
+	if workers < 0 {
+		return fmt.Errorf("-workers must be non-negative")
 	}
 	if dir == "" {
 		tmp, err := os.MkdirTemp("", "ddfsbench-store-*")
@@ -293,13 +291,12 @@ func runRestore(streamMB, shards, workers, cacheContainers int, dir string) erro
 	repo, err := freqdedup.CreateRepository(dir,
 		freqdedup.WithShards(shards),
 		freqdedup.WithWorkers(workers),
-		freqdedup.WithRestoreCache(cacheContainers),
 	)
 	if err != nil {
 		return err
 	}
-	fmt.Printf("restore: %d MiB via %s, %d shard(s), %d worker(s), cache %d container(s), GOMAXPROCS=%d\n",
-		streamMB, dir, shards, workers, cacheContainers, runtime.GOMAXPROCS(0))
+	fmt.Printf("restore: %d MiB via %s, %d shard(s), %d worker(s), GOMAXPROCS=%d\n",
+		streamMB, dir, shards, workers, runtime.GOMAXPROCS(0))
 
 	start := time.Now()
 	snap, err := repo.Backup(ctx, "bench", bytes.NewReader(data))
@@ -316,7 +313,6 @@ func runRestore(streamMB, shards, workers, cacheContainers int, dir string) erro
 	start = time.Now()
 	reopened, err := freqdedup.OpenRepository(dir,
 		freqdedup.WithWorkers(workers),
-		freqdedup.WithRestoreCache(cacheContainers),
 	)
 	if err != nil {
 		return err

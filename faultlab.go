@@ -124,7 +124,6 @@ func (sc CrashScenario) repoOptions(m *faultio.MemFS) []RepositoryOption {
 		WithShards(sc.Shards),
 		WithContainerBytes(sc.ContainerBytes),
 		WithWorkers(2),
-		WithRestoreCache(2),
 		WithUploadObserver(nil), // durable adversary tap on
 	}
 	if sc.GroupCommitWindow > 0 {

@@ -275,11 +275,14 @@ var ErrChunkNotFound = dedup.ErrNotFound
 // corruption surfaces as an error, never as silent wrong bytes.
 var ErrStoreCorrupt = container.ErrCorrupt
 
-// NewClient returns a backup/restore client for a store. Restores run as
-// a parallel container pipeline (ClientConfig.Workers fetch+decrypt
-// goroutines over a ClientConfig.RestoreCacheContainers-bounded LRU
-// container cache) whose output is bit-for-bit identical to a serial
-// restore at every setting.
+// NewClient returns a backup/restore client for a store. A restore is
+// planned from its recipe: every chunk's container is resolved up front,
+// ClientConfig.Workers goroutines prefetch the containers in first-use
+// order into a byte-bounded window (twice shards × container capacity;
+// past it the container whose next use is farthest is evicted and read
+// again later), runs of entries are decrypted into MiB slabs, and the
+// slabs are written in stream order. The output is bit-for-bit identical
+// to a chunk-at-a-time restore at every worker count.
 //
 // Deprecated: use Repository.Backup and Repository.Restore, which manage
 // recipes, sealing, and retention for you and accept a context.

@@ -21,8 +21,8 @@ var ErrNotFound = errors.New("container: not found")
 // satisfies len(Entry.Data) == Entry.Size.
 //
 // Implementations must be safe for concurrent use across shards and for
-// concurrent Load/Scan with Seal on the same shard (the parallel restore
-// pipeline reads sealed containers while backups append).
+// concurrent Load/Scan with Seal on the same shard (restores read sealed
+// containers while backups append).
 type Backend interface {
 	// Seal persists a freshly sealed container for a shard. The container's
 	// ID must be exactly the number of containers already sealed for that

@@ -185,7 +185,7 @@ func (s *Store) Container(id int) (*Container, error) {
 // Current returns the in-progress container, or nil if none is open. The
 // caller must hold whatever lock guards the Store and must not mutate the
 // container; the sharded dedup store uses it to snapshot open-container
-// entries for the restore pipeline without a backend read.
+// entries for a restore without a backend read.
 func (s *Store) Current() *Container { return s.current }
 
 // Sealed returns the number of sealed (durable) containers — also the

@@ -3,8 +3,8 @@
 // multi-megabyte containers, the basic read/write units, in logical order.
 // Grouping logically-adjacent chunks per container is what lets the DDFS
 // prefetching strategy (load a whole container's fingerprints on an index
-// hit) exploit chunk locality — and what the parallel restore pipeline's
-// container cache exploits on the read path.
+// hit) exploit chunk locality — and what restore's container window
+// exploits on the read path.
 //
 // # Architecture
 //

@@ -136,7 +136,7 @@ func TestBackupCancelWhileReaderBlocked(t *testing.T) {
 func TestRestoreCancelDrainsPooledBuffers(t *testing.T) {
 	data := randData(42, 4<<20)
 	store := NewStoreWithShards(64<<10, DefaultShards)
-	client, err := NewClient(store, Config{Workers: 4, RestoreCacheContainers: 8})
+	client, err := NewClient(store, Config{Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,7 +157,7 @@ func TestRestoreCancelDrainsPooledBuffers(t *testing.T) {
 			t.Fatalf("cancelAt=%d: %d pooled restore buffers outstanding, want %d", cancelAt, got, baseline)
 		}
 	}
-	// The pipeline still restores cleanly afterwards.
+	// A clean restore still works afterwards.
 	var out bytes.Buffer
 	if err := client.Restore(recipe, &out); err != nil {
 		t.Fatal(err)

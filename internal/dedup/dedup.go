@@ -68,19 +68,12 @@ type Config struct {
 	// deterministic store layouts.
 	ScrambleSeed int64
 	// Workers is the number of encrypt+fingerprint workers Backup fans
-	// out to (the MLE hot path) and the number of container fetch+decrypt
-	// workers Restore fans out to. 0 selects GOMAXPROCS; 1 runs the
+	// out to (the MLE hot path) and the number of container read+decrypt
+	// workers Restore fans out to. 0 selects GOMAXPROCS; 1 runs Backup's
 	// stages inline. Recipes, store contents, and restored bytes are
 	// identical for every worker count: parallelism changes wall-clock
 	// time only.
 	Workers int
-	// RestoreCacheContainers bounds the parallel restore pipeline's
-	// container cache, in containers (the cache-size semantics of
-	// ddfs.ContainerSpread): a backup whose adjacent chunks were stored
-	// into the same containers is restored with few container reads. 0
-	// disables the cache — every read batch fetches its container from
-	// the store. Restored bytes are identical at every setting.
-	RestoreCacheContainers int
 	// DegradedRestore turns unrecoverable chunks into zero-filled holes
 	// instead of failing the restore: when a chunk is missing or its
 	// container is corrupt, Restore writes zeros for the chunk's range,
@@ -120,6 +113,12 @@ type Client struct {
 	store   *Store
 	rng     *rand.Rand
 	obsRefs []trace.ChunkRef // reused observation window (tap enabled only)
+
+	// Test hooks of the restore window (restore_test.go): windowBudget,
+	// when positive, replaces the budget derived from store geometry, and
+	// windowPeak is the last restore's high-water mark of retained bytes.
+	windowBudget int64
+	windowPeak   int64
 }
 
 // NewClient returns a client uploading to store.
@@ -165,9 +164,6 @@ func NewClient(store *Store, cfg Config) (*Client, error) {
 			return nil, fmt.Errorf("dedup: multi-stream chunking needs Chunking.Min >= %d, got %d",
 				chunker.GearWindow, cfg.Chunking.Min)
 		}
-	}
-	if cfg.RestoreCacheContainers < 0 {
-		return nil, fmt.Errorf("dedup: negative restore cache size %d", cfg.RestoreCacheContainers)
 	}
 	if cfg.Workers == 0 {
 		cfg.Workers = runtime.GOMAXPROCS(0)

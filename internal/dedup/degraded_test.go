@@ -104,17 +104,17 @@ func checkDegradedOutput(t *testing.T, data, out []byte, lost []LostRange) {
 }
 
 // TestRestoreCorruptContainerStrict: without DegradedRestore, a corrupt
-// container mid-stream fails both restore paths with an error wrapping
-// container.ErrCorrupt, the parallel pipeline drains without deadlock,
-// and every pooled buffer comes back (run under -race, this is the
-// satellite's propagation proof).
+// container mid-stream fails the restore, with one worker and with many,
+// with an error wrapping container.ErrCorrupt, the workers drain without
+// deadlock, and every pooled buffer comes back (run under -race, this is
+// the propagation proof).
 func TestRestoreCorruptContainerStrict(t *testing.T) {
 	for _, mode := range []struct {
 		name string
 		cfg  Config
 	}{
 		{"serial", Config{Workers: 1}},
-		{"parallel", Config{Workers: 8, RestoreCacheContainers: 4}},
+		{"parallel", Config{Workers: 8}},
 	} {
 		t.Run(mode.name, func(t *testing.T) {
 			client, recipe, _, _ := degradedFixture(t, mode.cfg)
@@ -135,21 +135,26 @@ func TestRestoreCorruptContainerStrict(t *testing.T) {
 	}
 }
 
-// TestRestoreDegraded: with DegradedRestore, both restore paths complete
-// with zero-filled holes exactly at the corrupted container's chunks,
-// report them through an errors.As-retrievable *DegradedError in stream
-// order, and leak no pooled buffers.
+// TestRestoreDegraded: with DegradedRestore, the restore completes — with
+// one worker, with many, and with the window forced down to one container
+// at a time ("NoCache") — with zero-filled holes exactly at the corrupted
+// container's chunks, reports them through an errors.As-retrievable
+// *DegradedError in stream order, and leaks no pooled buffers.
 func TestRestoreDegraded(t *testing.T) {
 	for _, mode := range []struct {
-		name string
-		cfg  Config
+		name     string
+		cfg      Config
+		noWindow bool
 	}{
-		{"serial", Config{Workers: 1, DegradedRestore: true}},
-		{"parallel", Config{Workers: 8, RestoreCacheContainers: 4, DegradedRestore: true}},
-		{"parallelNoCache", Config{Workers: 4, DegradedRestore: true}},
+		{"serial", Config{Workers: 1, DegradedRestore: true}, false},
+		{"parallel", Config{Workers: 8, DegradedRestore: true}, false},
+		{"parallelNoCache", Config{Workers: 4, DegradedRestore: true}, true},
 	} {
 		t.Run(mode.name, func(t *testing.T) {
 			client, recipe, data, lost := degradedFixture(t, mode.cfg)
+			if mode.noWindow {
+				forceWindow(client, 0)
+			}
 			baseline := RestoreBufsOutstanding()
 			var out bytes.Buffer
 			err := client.Restore(recipe, &out)
@@ -174,13 +179,12 @@ func TestRestoreDegraded(t *testing.T) {
 }
 
 // TestRestoreDegradedMissingChunk: a chunk absent from the index entirely
-// (deleted by repair, never uploaded) zero-fills the same way — including
-// through the parallel planner, which cannot batch a location it does not
-// have.
+// (deleted by repair, never uploaded) zero-fills the same way: the plan
+// has no container for it, so its slab resolves it by point lookup.
 func TestRestoreDegradedMissingChunk(t *testing.T) {
 	data := randData(23, 256<<10)
 	store := NewStoreWithShards(32<<10, DefaultShards)
-	client, err := NewClient(store, Config{Workers: 4, RestoreCacheContainers: 4, DegradedRestore: true})
+	client, err := NewClient(store, Config{Workers: 4, DegradedRestore: true})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -32,16 +32,23 @@
 //     those configurations buffer the chunk list and fix the upload plan
 //     up front on one goroutine, then run the same windowed fan-out over
 //     the plan.
-//   - Client.Restore is a container-granular parallel pipeline. The
-//     recipe is planned into container read batches (maximal runs of
-//     adjacent chunks stored in the same container); Config.Workers
-//     goroutines fetch each batch's container — through an LRU container
-//     cache bounded by Config.RestoreCacheContainers — and decrypt into
-//     pooled buffers; an in-order writer reassembles the stream,
-//     returning each buffer to the pool as it is written. With one
-//     worker and no cache the serial chunk-at-a-time path runs instead.
-//     On any failure the pipeline drains: every in-flight pooled buffer
-//     is handed back, mirroring Backup's drain-on-error contract.
+//   - Client.Restore is planned from the recipe, which tells it its whole
+//     future. Plan: every entry's container is resolved up front and each
+//     container learns its first, next and last use. Prefetch window:
+//     Config.Workers goroutines read the containers in first-use order,
+//     whole and CRC-verified, each once, into a window bounded in bytes
+//     (twice shards × container capacity — derived, not configured); a
+//     container is dropped the moment its last referencing entry is
+//     decrypted. Slab decrypt: runs of consecutive entries decrypt into
+//     pooled MiB slabs. In-order write: one Write per slab. One
+//     coordinator goroutine owns all window state and hands the workers
+//     self-contained read and decrypt jobs, so there is no lock. Past
+//     the budget the container with the farthest next use is evicted and
+//     read again later; retained bytes stay within budget plus one
+//     container, and which containers are read, in which order, depends
+//     on the plan alone, never on timing. On any failure the restore
+//     drains: every in-flight pooled buffer is handed back, mirroring
+//     Backup's drain-on-error contract.
 //   - Retention (RegisterBackup / DeleteBackup / GC, see gc.go) is
 //     store-level under its own lock; GC additionally takes every shard
 //     lock in index order, the package's global lock order.
@@ -88,8 +95,8 @@
 //   - With a single shard (NewStoreWithShards(n, 1)) and any worker count,
 //     chunk placement — container IDs, entry order, sealing boundaries —
 //     is bit-for-bit identical to the original serial engine.
-//   - Restore output is byte-identical to the serial restore for every
-//     encryption/defense mode at every worker count and cache size, and
+//   - Restore output is byte-identical to a chunk-at-a-time restore for
+//     every encryption/defense mode at every worker count and window size, and
 //     a file-backed store reopened with Open restores the same bytes.
 //   - A Store is safe for concurrent use; a Client is not (its scrambling
 //     RNG is stateful). Run one Client per goroutine.

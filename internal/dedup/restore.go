@@ -10,31 +10,38 @@ import (
 	"sync/atomic"
 
 	"freqdedup/internal/container"
-	"freqdedup/internal/lru"
 	"freqdedup/internal/mle"
 )
+
+// restoreSlabBytes is the plaintext a restore decrypts and writes at a
+// time: runs of consecutive recipe entries are decrypted into one pooled
+// buffer of this size and handed to the writer with a single Write.
+const restoreSlabBytes = 1 << 20
 
 // Restore reconstructs the original stream described by recipe, writing it
 // to w. Chunks are fetched by ciphertext fingerprint and decrypted with
 // the per-chunk keys; recipe order restores the pre-scrambling layout.
 //
-// Restore is a container-granular parallel pipeline: the recipe is planned
-// into container read batches (maximal runs of adjacent chunks stored in
-// the same container), Config.Workers goroutines fetch and decrypt the
-// batches — reading whole containers through an LRU container cache of
-// Config.RestoreCacheContainers buffers — and an in-order writer
-// reassembles the stream. The restored bytes are identical to the serial
-// chunk-at-a-time restore at every worker count and cache size; with
-// Workers == 1 and no cache the serial path runs directly. Peak decrypted
-// plaintext held for reordering is bounded by roughly 2×Workers
-// containers.
+// Restore is planned from the recipe, which tells it its entire future:
+// every entry's container is resolved up front, Config.Workers goroutines
+// prefetch the needed containers in first-use order — each read whole and
+// CRC-verified, once — into a byte-bounded window, runs of consecutive
+// entries are decrypted into MiB-scale pooled slabs, and the slabs are
+// written in stream order, one Write each. A container leaves the window
+// the moment its last referencing entry is decrypted, so memory follows
+// the stream's live set, not the snapshot's size. The window's budget
+// comes from the store's geometry (twice shards × container capacity: the
+// containers a stream-ordered backup had open at once, double-buffered);
+// a restore whose live set exceeds it evicts the container whose next use
+// is farthest away and reads that one again when the stream returns to
+// it. The restored bytes are identical at every worker count.
 func (c *Client) Restore(recipe *mle.Recipe, w io.Writer) error {
 	return c.RestoreContext(context.Background(), recipe, w)
 }
 
 // RestoreContext is Restore with cancellation: when ctx is cancelled the
-// pipeline stops promptly between chunks — the fetch+decrypt workers abort,
-// the in-order writer stops writing, and every pooled plaintext buffer
+// restore stops promptly — no further container is read or slab
+// decrypted, the writer stops writing, and every pooled plaintext buffer
 // still in flight is handed back to the pool before RestoreContext returns
 // ctx.Err(). Bytes written to w before the cancellation stay written; the
 // output is a strict prefix of the stream.
@@ -42,379 +49,530 @@ func (c *Client) RestoreContext(ctx context.Context, recipe *mle.Recipe, w io.Wr
 	if err := ctx.Err(); err != nil {
 		return err
 	}
-	if c.cfg.Workers <= 1 && c.cfg.RestoreCacheContainers == 0 {
-		return c.restoreSerial(ctx, recipe, w)
-	}
-	return c.restoreParallel(ctx, recipe, w)
-}
-
-// restoreSerial is the chunk-at-a-time restore loop: one store lookup and
-// one decrypt per recipe entry, in order. It is the oracle the parallel
-// pipeline is proven against and the path Restore takes for the
-// single-worker, uncached configuration.
-func (c *Client) restoreSerial(ctx context.Context, recipe *mle.Recipe, w io.Writer) error {
-	var offset uint64
-	var lost []LostRange
-	for i, e := range recipe.Entries {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		ct, err := c.store.Get(e.Fingerprint)
-		if err != nil {
-			if c.cfg.DegradedRestore && lostable(err) {
-				if err := writeZeros(w, int(e.Size)); err != nil {
-					return err
-				}
-				lost = append(lost, LostRange{Offset: offset, Length: uint64(e.Size), Fingerprint: e.Fingerprint})
-				offset += uint64(e.Size)
-				continue
-			}
-			return fmt.Errorf("dedup: restore: chunk %d (%v): %w", i, e.Fingerprint, err)
-		}
-		plain := mle.DecryptDeterministic(e.Key, ct)
-		if len(plain) != int(e.Size) {
-			return fmt.Errorf("dedup: restore: chunk %d size %d, recipe says %d", i, len(plain), e.Size)
-		}
-		if _, err := w.Write(plain); err != nil {
-			return fmt.Errorf("dedup: restore: write: %w", err)
-		}
-		offset += uint64(e.Size)
-	}
-	if len(lost) > 0 {
-		return &DegradedError{Ranges: lost}
-	}
-	return nil
-}
-
-// writeZeros writes n zero bytes through a pooled buffer.
-func writeZeros(w io.Writer, n int) error {
-	buf := restoreBufGet(n)
-	zeroFill(buf)
-	_, err := w.Write(buf)
-	restoreBufPut(buf)
-	if err != nil {
-		return fmt.Errorf("dedup: restore: write: %w", err)
-	}
-	return nil
-}
-
-// restoreBatch is one unit of the parallel restore plan: a maximal run of
-// adjacent recipe entries whose chunks live in the same container, so the
-// run costs one container fetch.
-type restoreBatch struct {
-	ref   containerRef
-	start int // first recipe entry index
-	n     int // number of entries
-}
-
-// restoreResult is one decrypted batch heading to the in-order writer:
-// pooled plaintext buffers in recipe order, or the batch's error. In
-// degraded mode a batch may also carry the lost ranges it zero-filled.
-type restoreResult struct {
-	idx  int
-	bufs [][]byte
-	lost []LostRange
-	err  error
-}
-
-// restoreCache is the shared container cache of one Restore call: an LRU
-// of whole-container entry sets, bounded in containers, behind a mutex so
-// fetch workers share hits.
-type restoreCache struct {
-	mu sync.Mutex
-	c  *lru.Cache[containerRef, []container.Entry]
-}
-
-func (rc *restoreCache) get(ref containerRef) ([]container.Entry, bool) {
-	rc.mu.Lock()
-	defer rc.mu.Unlock()
-	return rc.c.Get(ref)
-}
-
-func (rc *restoreCache) put(ref containerRef, entries []container.Entry) {
-	rc.mu.Lock()
-	defer rc.mu.Unlock()
-	rc.c.Put(ref, entries, 1)
-}
-
-// restoreParallel plans, fans out, and reassembles. Batches are handed to
-// Config.Workers fetch+decrypt goroutines through a bounded window
-// (2×workers batches in flight), and the caller's goroutine writes
-// finished batches in plan order, releasing each pooled plaintext buffer
-// as soon as it is written. On any error — a missing chunk, a corrupt
-// container, a failing writer — the pipeline drains: in-flight batches
-// finish or abort, and every pooled buffer is handed back (the drain
-// contract mirrors the backup pipeline's).
-func (c *Client) restoreParallel(ctx context.Context, recipe *mle.Recipe, w io.Writer) error {
-	entries := recipe.Entries
-	if len(entries) == 0 {
+	if len(recipe.Entries) == 0 {
 		return nil
 	}
+	plan, err := c.planRestore(recipe.Entries)
+	if err != nil {
+		return err
+	}
+	return c.runRestore(ctx, plan, w)
+}
 
-	// Plan the recipe into container read batches. Locations are kept so
-	// workers can resolve entries within a fetched container without
-	// searching; they are verified against the fingerprint at use (a
-	// concurrent GC may move chunks) with a point-lookup fallback.
-	locs := make([]container.Location, len(entries))
-	offsets := make([]uint64, len(entries))
-	var off uint64
-	var batches []restoreBatch
+// restorePlan is what a restore knows before it reads a byte: where every
+// entry lives and, per container, every entry that will need it.
+type restorePlan struct {
+	entries []mle.RecipeEntry
+	// cidx[i] indexes containers for entry i's chunk and lidx[i] is the
+	// chunk's position inside it. cidx[i] < 0 marks an entry the index
+	// could not resolve (degraded mode only).
+	cidx, lidx []int
+	// containers lists the referenced containers in first-use order.
+	containers []planContainer
+	// nominal bounds one container's data bytes from above — the store's
+	// container capacity, or the largest chunk when one outgrew it (such
+	// a chunk sits alone in its container). It is what an in-flight read
+	// is assumed to cost until its real size is known.
+	nominal int64
+}
+
+// planContainer is one container of the plan and the recipe entries stored
+// in it, ascending: its first, every next and its last use.
+type planContainer struct {
+	ref  containerRef
+	uses []int
+}
+
+// planRestore resolves every entry's location. Locations are verified
+// against the fingerprint at use (a concurrent GC may move chunks) with a
+// point-lookup fallback.
+func (c *Client) planRestore(entries []mle.RecipeEntry) (*restorePlan, error) {
+	p := &restorePlan{
+		entries: entries,
+		cidx:    make([]int, len(entries)),
+		lidx:    make([]int, len(entries)),
+		nominal: int64(c.store.containerBytes),
+	}
+	byRef := make(map[containerRef]int)
 	for i, e := range entries {
-		offsets[i] = off
-		off += uint64(e.Size)
-		ref, loc, ok, lerr := c.store.locate(e.Fingerprint)
-		if lerr != nil && !c.cfg.DegradedRestore {
-			return fmt.Errorf("dedup: restore: chunk %d: %w", i, lerr)
+		if int64(e.Size) > p.nominal {
+			p.nominal = int64(e.Size)
 		}
-		if !ok || lerr != nil {
+		ref, loc, ok, err := c.store.locate(e.Fingerprint)
+		if err != nil && !c.cfg.DegradedRestore {
+			return nil, fmt.Errorf("dedup: restore: chunk %d: %w", i, err)
+		}
+		if !ok || err != nil {
 			if !c.cfg.DegradedRestore {
-				return fmt.Errorf("dedup: restore: chunk %d (%v): %w", i, e.Fingerprint, ErrNotFound)
+				return nil, fmt.Errorf("dedup: restore: chunk %d (%v): %w", i, e.Fingerprint, ErrNotFound)
 			}
-			// Degraded mode: plan the missing chunk into a container-less
-			// batch (adjacent missing chunks share one); the worker's
-			// point-lookup fallback re-checks the store and zero-fills.
-			ref = containerRef{shard: -1, id: -1}
-			loc = container.Location{Index: -1}
+			// Degraded mode: the entry's point lookup at decrypt time
+			// re-checks the store and zero-fills.
+			p.cidx[i] = -1
+			continue
 		}
-		locs[i] = loc
-		if n := len(batches); n > 0 && batches[n-1].ref == ref {
-			batches[n-1].n++
-		} else {
-			batches = append(batches, restoreBatch{ref: ref, start: i, n: 1})
+		k, seen := byRef[ref]
+		if !seen {
+			k = len(p.containers)
+			byRef[ref] = k
+			p.containers = append(p.containers, planContainer{ref: ref})
 		}
+		p.cidx[i], p.lidx[i] = k, loc.Index
+		p.containers[k].uses = append(p.containers[k].uses, i)
 	}
+	return p, nil
+}
 
-	var cache *restoreCache
-	if c.cfg.RestoreCacheContainers > 0 {
-		cache = &restoreCache{c: lru.New[containerRef, []container.Entry](uint64(c.cfg.RestoreCacheContainers), nil)}
+// restoreBudget is the window's byte budget: twice what a stream-ordered
+// backup kept open at once (one container per shard), so the containers
+// the stream is in and the ones it enters next fit together.
+func (c *Client) restoreBudget() int64 {
+	if c.windowBudget > 0 {
+		return c.windowBudget
 	}
+	return 2 * int64(len(c.store.shards)) * int64(c.store.containerBytes)
+}
 
-	workers := c.cfg.Workers
-	if workers < 1 {
-		workers = 1
+// windowSlot is the window's state for one plan container. The
+// coordinator goroutine owns it; workers never see it.
+type windowSlot struct {
+	entries []container.Entry // the container's chunks while held
+	bytes   int64             // their data bytes, counted in retained while held
+	held    bool              // read and not yet dropped
+	// cached: at the admission frontier the container is in the window,
+	// neither evicted nor past its last use. liveIdx is its index in
+	// restoreRun.live while cached.
+	cached  bool
+	liveIdx int
+	// next indexes the container's first use the frontier has not passed.
+	next int
+	// outstanding counts uses the frontier has passed that are not yet
+	// decrypted; the container's bytes cannot be dropped before it is 0.
+	outstanding int
+}
+
+// restoreSlab is one decrypt job: a run of consecutive recipe entries,
+// their resolved ciphertexts, and the pooled buffer they decrypt into.
+type restoreSlab struct {
+	seq        int
+	start, end int      // recipe entries [start, end)
+	offset     uint64   // stream offset of entry start
+	bytes      int      // plaintext length
+	cts        [][]byte // per entry; nil = resolve by point lookup
+	buf        []byte
+	lost       []LostRange
+	err        error
+}
+
+// loadResult is one finished container read.
+type loadResult struct {
+	k       int
+	entries []container.Entry
+	err     error
+}
+
+// restoreRun is one restore's coordinator state. All of it belongs to the
+// goroutine running runRestore: it advances the plan, hands reads and
+// decrypts to the workers as self-contained jobs, and writes finished
+// slabs in order.
+//
+// Two cursors walk the recipe. The admission frontier (adm) decides, entry
+// by entry, that the entry's container is in the window — issuing its read
+// on a miss and choosing what to evict when the budget is hit — and runs
+// ahead of the slab builder (pos) for as long as reads are guaranteed to
+// fit, which is the prefetch. Every decision it takes depends only on the
+// plan and on container sizes, never on timing, so the sequence of reads
+// is that of a farthest-next-use cache stepping through the recipe.
+type restoreRun struct {
+	c      *Client
+	plan   *restorePlan
+	w      io.Writer
+	jobCtx context.Context // cancelled on the first error: queued jobs skip their work
+	slots  []windowSlot
+	budget int64
+
+	adm, pos int
+	live     []int // cached containers, the eviction candidates
+	// retained is the data bytes of every held container, reserved is
+	// nominal per read in flight, cachedBytes is the held part of live.
+	retained, reserved, cachedBytes int64
+	peak                            int64 // high-water mark of retained
+	// syncLoad is the container being read with the frontier stopped
+	// behind it because its size decides what to evict; -1 otherwise.
+	syncLoad int
+
+	cur       *restoreSlab // under construction
+	nextSeq   int
+	streamOff uint64 // stream offset of the next slab
+
+	maxLoads, maxSlabs int // bounds on loadsOut, slabsOut
+	loadsOut, slabsOut int // jobs handed out and not yet taken back
+	jobs               chan func()
+	loadsDone          chan loadResult
+	slabsDone          chan *restoreSlab
+
+	pending   map[int]*restoreSlab // decrypted, waiting for their turn
+	nextWrite int
+	lost      []LostRange
+}
+
+// runRestore executes the plan; see restoreRun.
+func (c *Client) runRestore(ctx context.Context, plan *restorePlan, w io.Writer) error {
+	workers := c.cfg.Workers // NewClient made it at least 1
+	jobCtx, cancel := context.WithCancel(ctx)
+	defer cancel()
+	r := &restoreRun{
+		c:        c,
+		plan:     plan,
+		slots:    make([]windowSlot, len(plan.containers)),
+		budget:   c.restoreBudget(),
+		syncLoad: -1,
+		maxLoads: workers,
+		maxSlabs: 2 * workers,
+		pending:  make(map[int]*restoreSlab),
+		jobCtx:   jobCtx,
+		w:        w,
 	}
-	if workers > len(batches) {
-		workers = len(batches)
-	}
-	inflight := 2 * workers
+	// Every channel holds the most its senders can have outstanding
+	// (maxLoads reads + maxSlabs decrypts), so neither the coordinator
+	// nor a worker ever blocks on a send.
+	r.jobs = make(chan func(), r.maxLoads+r.maxSlabs)
+	r.loadsDone = make(chan loadResult, r.maxLoads)
+	r.slabsDone = make(chan *restoreSlab, r.maxSlabs)
 
-	jobs := make(chan int)
-	results := make(chan restoreResult, inflight)
-	done := make(chan struct{})
-	sem := make(chan struct{}, inflight)
-
-	// Dispatcher: feeds batch indexes, throttled by the in-flight window
-	// so reordering memory stays bounded. Cancellation stops the feed; the
-	// workers then drain jobs and exit.
-	go func() {
-		defer close(jobs)
-		for bi := range batches {
-			select {
-			case sem <- struct{}{}:
-			case <-done:
-				return
-			case <-ctx.Done():
-				return
-			}
-			select {
-			case jobs <- bi:
-			case <-done:
-				return
-			case <-ctx.Done():
-				return
-			}
-		}
-	}()
-
-	// Fetch+decrypt workers. Each checks for cancellation before starting
-	// a batch, so a cancelled restore stops decrypting within one batch.
 	var wg sync.WaitGroup
 	wg.Add(workers)
-	for k := 0; k < workers; k++ {
+	for i := 0; i < workers; i++ {
 		go func() {
 			defer wg.Done()
-			for bi := range jobs {
-				if ctx.Err() != nil {
-					return
-				}
-				res := c.processRestoreBatch(entries, locs, offsets, batches[bi], cache)
-				res.idx = bi
-				select {
-				case results <- res:
-				case <-done:
-					releaseRestoreBufs(res.bufs)
-					return
-				case <-ctx.Done():
-					releaseRestoreBufs(res.bufs)
-					return
-				}
+			for job := range r.jobs {
+				job()
 			}
 		}()
 	}
-	go func() {
-		wg.Wait()
-		close(results)
-	}()
-
-	// In-order writer: reassemble batches in plan order; after the first
-	// error keep draining so every worker exits and every pooled buffer
-	// comes back. Cancellation is just another first error: the workers
-	// stop on their own, results closes, and the drain below releases
-	// whatever they had produced.
-	pending := make(map[int]restoreResult, inflight)
-	next := 0
-	var firstErr error
-	var lostAll []LostRange
-	fail := func(err error) {
-		firstErr = err
-		close(done)
-	}
-	for res := range results {
-		if firstErr == nil {
-			if err := ctx.Err(); err != nil {
-				fail(err)
+	err := r.loop(ctx)
+	if err != nil {
+		// Stop the workers' remaining jobs short, then take back every
+		// pooled buffer: in flight, decrypted but unwritten, and none is
+		// left behind.
+		cancel()
+		for r.loadsOut > 0 || r.slabsOut > 0 {
+			select {
+			case <-r.loadsDone:
+				r.loadsOut--
+			case s := <-r.slabsDone:
+				r.slabsOut--
+				restoreBufPut(s.buf)
 			}
 		}
-		if firstErr != nil {
-			releaseRestoreBufs(res.bufs)
-			continue
-		}
-		if res.err != nil {
-			fail(res.err)
-			continue
-		}
-		pending[res.idx] = res
-		for {
-			r, ok := pending[next]
-			if !ok {
-				break
-			}
-			delete(pending, next)
-			if err := writeRestoreBufs(w, r.bufs); err != nil {
-				fail(err)
-				break
-			}
-			// Lost ranges are appended in plan (stream) order, because
-			// batches are written in plan order.
-			lostAll = append(lostAll, r.lost...)
-			<-sem
-			next++
+		for _, s := range r.pending {
+			restoreBufPut(s.buf)
 		}
 	}
-	for _, r := range pending {
-		releaseRestoreBufs(r.bufs)
+	close(r.jobs)
+	wg.Wait()
+	c.windowPeak = r.peak
+	if err == nil && len(r.lost) > 0 {
+		return &DegradedError{Ranges: r.lost}
 	}
-	if firstErr == nil {
-		// The pipeline may have shut down on cancellation before the
-		// writer saw a single result; never report a truncated restore as
-		// success.
-		firstErr = ctx.Err()
-	}
-	if firstErr == nil && len(lostAll) > 0 {
-		return &DegradedError{Ranges: lostAll}
-	}
-	return firstErr
+	return err
 }
 
-// processRestoreBatch fetches the batch's container (through the cache,
-// when one is configured) and decrypts its entries into pooled buffers.
-// In degraded mode, unrecoverable chunks become zero-filled buffers with
-// their ranges recorded instead of aborting the batch.
-func (c *Client) processRestoreBatch(entries []mle.RecipeEntry, locs []container.Location, offsets []uint64, b restoreBatch, cache *restoreCache) restoreResult {
-	var centries []container.Entry
-	if b.ref.shard >= 0 {
-		var ok bool
-		if cache != nil {
-			centries, ok = cache.get(b.ref)
+// loop drives the restore to completion or its first error.
+func (r *restoreRun) loop(ctx context.Context) error {
+	for {
+		if err := ctx.Err(); err != nil {
+			return err
 		}
-		if !ok {
-			var err error
-			centries, err = c.store.readContainer(b.ref)
-			switch {
-			case errors.Is(err, container.ErrNotFound):
-				// The planned container vanished (a concurrent GC compacted
-				// the shard); every chunk is still live, so fall through with
-				// no container — each entry below takes the point-lookup
-				// fallback.
-				centries = nil
-			case c.cfg.DegradedRestore && lostable(err):
-				// A corrupt container in degraded mode: fall through with no
-				// container, so each entry's point lookup decides its fate
-				// individually (it fails the same way and zero-fills).
-				centries = nil
-			case err != nil:
-				return restoreResult{err: fmt.Errorf("dedup: restore: container %d (shard %d): %w", b.ref.id, b.ref.shard, err)}
-			default:
-				if cache != nil {
-					cache.put(b.ref, centries)
-				}
+		r.advance()
+		if r.pos == len(r.plan.entries) && r.cur == nil && r.slabsOut == 0 && len(r.pending) == 0 {
+			return nil
+		}
+		if r.loadsOut == 0 && r.slabsOut == 0 {
+			panic("dedup: restore scheduler stalled with nothing in flight")
+		}
+		select {
+		case res := <-r.loadsDone:
+			r.loadsOut--
+			if err := r.loaded(res); err != nil {
+				return err
+			}
+		case s := <-r.slabsDone:
+			r.slabsOut--
+			if err := r.decrypted(s); err != nil {
+				return err
+			}
+		case <-ctx.Done():
+		}
+	}
+}
+
+// advance does everything that can be done without waiting: admit
+// entries, issue reads, build and dispatch slabs.
+func (r *restoreRun) advance() {
+	n := len(r.plan.entries)
+	for r.adm < n && r.syncLoad < 0 {
+		k := r.plan.cidx[r.adm]
+		if k >= 0 {
+			s := &r.slots[k]
+			if !s.cached && !r.admit(k) {
+				break
+			}
+			s.next++
+			s.outstanding++
+			if s.next == len(r.plan.containers[k].uses) {
+				r.uncache(k) // past its last use
 			}
 		}
+		r.adm++
 	}
-	bufs := make([][]byte, 0, b.n)
-	var lost []LostRange
-	abort := func(err error) restoreResult {
-		releaseRestoreBufs(bufs)
-		return restoreResult{err: err}
-	}
-	for i := b.start; i < b.start+b.n; i++ {
-		e := entries[i]
+	for r.pos < r.adm && r.slabsOut < r.maxSlabs {
+		e := &r.plan.entries[r.pos]
+		k := r.plan.cidx[r.pos]
+		if k >= 0 && !r.slots[k].held {
+			break // its read is still in flight
+		}
+		if r.cur != nil && r.cur.bytes+int(e.Size) > restoreSlabBytes {
+			r.dispatch()
+			continue
+		}
+		if r.cur == nil {
+			r.cur = r.newSlab()
+		}
 		var ct []byte
-		if idx := locs[i].Index; idx >= 0 && idx < len(centries) && centries[idx].FP == e.Fingerprint {
-			ct = centries[idx].Data
-		} else {
-			// The planned location went stale (a GC pass moved survivors
-			// mid-restore) or was never resolved; fall back to a point
-			// lookup.
-			var err error
-			ct, err = c.store.Get(e.Fingerprint)
-			if err != nil {
-				if c.cfg.DegradedRestore && lostable(err) {
-					buf := restoreBufGet(int(e.Size))
-					zeroFill(buf)
-					bufs = append(bufs, buf)
-					lost = append(lost, LostRange{Offset: offsets[i], Length: uint64(e.Size), Fingerprint: e.Fingerprint})
-					continue
-				}
-				return abort(fmt.Errorf("dedup: restore: chunk %d (%v): %w", i, e.Fingerprint, err))
+		if k >= 0 {
+			// A planned location can go stale (a GC pass moved survivors
+			// mid-restore); the fingerprint decides.
+			if ents, i := r.slots[k].entries, r.plan.lidx[r.pos]; i >= 0 && i < len(ents) && ents[i].FP == e.Fingerprint {
+				ct = ents[i].Data
 			}
 		}
-		if len(ct) != int(e.Size) {
-			return abort(fmt.Errorf("dedup: restore: chunk %d size %d, recipe says %d", i, len(ct), e.Size))
-		}
-		buf := restoreBufGet(len(ct))
-		mle.DecryptDeterministicInto(e.Key, ct, buf)
-		bufs = append(bufs, buf)
+		r.cur.cts = append(r.cur.cts, ct)
+		r.cur.bytes += int(e.Size)
+		r.pos++
+		r.cur.end = r.pos
 	}
-	return restoreResult{bufs: bufs, lost: lost}
+	// A slab ends where the builder has to wait, so what is ready decrypts
+	// (and releases its containers) meanwhile.
+	if r.cur != nil && r.slabsOut < r.maxSlabs {
+		r.dispatch()
+	}
 }
 
-// writeRestoreBufs writes a batch's buffers in order, releasing each to
-// the pool as it is consumed; on a write error the unwritten remainder is
-// released too.
-func writeRestoreBufs(w io.Writer, bufs [][]byte) error {
-	for i, buf := range bufs {
-		if _, err := w.Write(buf); err != nil {
-			releaseRestoreBufs(bufs[i:])
-			return fmt.Errorf("dedup: restore: write: %w", err)
-		}
-		restoreBufPut(buf)
+// admit brings container k into the window for the entry at the frontier,
+// or reports that it cannot yet.
+func (r *restoreRun) admit(k int) bool {
+	s := &r.slots[k]
+	if s.held {
+		// Evicted, with earlier uses still being decrypted: it is read
+		// again once they are done, as if it had been dropped on eviction.
+		return false
 	}
+	if r.loadsOut >= r.maxLoads {
+		return false
+	}
+	if r.retained+r.reserved+r.plan.nominal > r.budget {
+		// The read may not fit. What to evict depends on its size, so it
+		// goes alone: nothing else in flight, the window within budget
+		// (which may take decrypts still running), and the frontier stopped
+		// until it is in.
+		if r.reserved > 0 {
+			return false
+		}
+		r.shrink(-1)
+		if r.retained > r.budget {
+			return false
+		}
+		r.syncLoad = k
+	}
+	s.cached, s.liveIdx = true, len(r.live)
+	r.live = append(r.live, k)
+	r.reserved += r.plan.nominal
+	r.loadsOut++
+	ref := r.plan.containers[k].ref
+	r.jobs <- func() {
+		res := loadResult{k: k, err: r.jobCtx.Err()}
+		if res.err == nil {
+			res.entries, res.err = r.c.store.readContainer(ref)
+		}
+		r.loadsDone <- res
+	}
+	return true
+}
+
+// loaded takes a finished read into the window.
+func (r *restoreRun) loaded(res loadResult) error {
+	switch {
+	case res.err == nil:
+	case errors.Is(res.err, container.ErrNotFound):
+		// The planned container vanished (a concurrent GC compacted the
+		// shard); every chunk is still live, so hold it empty and each
+		// entry takes the point-lookup fallback.
+	case r.c.cfg.DegradedRestore && lostable(res.err):
+		// A corrupt container in degraded mode: hold it empty, so each
+		// entry's point lookup decides its fate individually (it fails
+		// the same way and zero-fills).
+	default:
+		ref := r.plan.containers[res.k].ref
+		return fmt.Errorf("dedup: restore: container %d (shard %d): %w", ref.id, ref.shard, res.err)
+	}
+	s := &r.slots[res.k]
+	s.entries, s.bytes = res.entries, 0
+	for _, e := range res.entries {
+		s.bytes += int64(len(e.Data))
+	}
+	s.held = true
+	r.reserved -= r.plan.nominal
+	r.retained += s.bytes
+	if r.retained > r.peak {
+		r.peak = r.retained
+	}
+	if s.cached {
+		r.cachedBytes += s.bytes
+	}
+	if res.k == r.syncLoad {
+		r.syncLoad = -1
+		r.shrink(res.k)
+	}
+	r.drop(res.k)
 	return nil
 }
 
-// releaseRestoreBufs hands a batch's remaining buffers back to the pool.
-func releaseRestoreBufs(bufs [][]byte) {
-	for _, buf := range bufs {
-		if buf != nil {
-			restoreBufPut(buf)
+// shrink evicts cached containers, farthest next use first, until the
+// cached bytes are within budget or only spare is left.
+func (r *restoreRun) shrink(spare int) {
+	for r.cachedBytes > r.budget {
+		victim, far := -1, -1
+		for _, k := range r.live {
+			if k == spare {
+				continue
+			}
+			if nu := r.plan.containers[k].uses[r.slots[k].next]; nu > far {
+				victim, far = k, nu
+			}
 		}
+		if victim < 0 {
+			return
+		}
+		r.uncache(victim)
+		r.drop(victim)
 	}
 }
 
-// restorePool recycles plaintext buffers across restore batches, so a
-// long restore allocates a steady-state set of buffers instead of one per
-// chunk. Buffers are pow2-capacity so pooled capacities cluster.
+// uncache takes k out of the cached set: evicted, or past its last use.
+func (r *restoreRun) uncache(k int) {
+	s := &r.slots[k]
+	last := r.live[len(r.live)-1]
+	r.live[s.liveIdx] = last
+	r.slots[last].liveIdx = s.liveIdx
+	r.live = r.live[:len(r.live)-1]
+	s.cached = false
+	if s.held {
+		r.cachedBytes -= s.bytes
+	}
+}
+
+// drop releases k's bytes if nothing needs them any more.
+func (r *restoreRun) drop(k int) {
+	s := &r.slots[k]
+	if s.held && !s.cached && s.outstanding == 0 {
+		r.retained -= s.bytes
+		s.entries, s.held = nil, false
+	}
+}
+
+// newSlab starts a slab at the builder's position.
+func (r *restoreRun) newSlab() *restoreSlab {
+	s := &restoreSlab{seq: r.nextSeq, start: r.pos, end: r.pos, offset: r.streamOff}
+	r.nextSeq++
+	return s
+}
+
+// dispatch hands the slab under construction to the workers.
+func (r *restoreRun) dispatch() {
+	s := r.cur
+	r.cur = nil
+	r.streamOff += uint64(s.bytes)
+	s.buf = restoreBufGet(s.bytes)
+	r.slabsOut++
+	r.jobs <- func() {
+		if s.err = r.jobCtx.Err(); s.err == nil {
+			r.c.decryptSlab(r.plan.entries, s)
+		}
+		r.slabsDone <- s
+	}
+}
+
+// decryptSlab fills s.buf with the plaintext of the slab's entries. In
+// degraded mode unrecoverable chunks become zeros with their ranges
+// recorded instead of failing the slab.
+func (c *Client) decryptSlab(entries []mle.RecipeEntry, s *restoreSlab) {
+	off := 0
+	for i := s.start; i < s.end; i++ {
+		e := &entries[i]
+		dst := s.buf[off : off+int(e.Size)]
+		ct := s.cts[i-s.start]
+		if ct == nil {
+			// The planned location went stale or was never resolved; fall
+			// back to a point lookup.
+			var err error
+			ct, err = c.store.Get(e.Fingerprint)
+			if err != nil {
+				if !c.cfg.DegradedRestore || !lostable(err) {
+					s.err = fmt.Errorf("dedup: restore: chunk %d (%v): %w", i, e.Fingerprint, err)
+					return
+				}
+				zeroFill(dst)
+				s.lost = append(s.lost, LostRange{Offset: s.offset + uint64(off), Length: uint64(e.Size), Fingerprint: e.Fingerprint})
+				off += int(e.Size)
+				continue
+			}
+		}
+		if len(ct) != int(e.Size) {
+			s.err = fmt.Errorf("dedup: restore: chunk %d size %d, recipe says %d", i, len(ct), e.Size)
+			return
+		}
+		mle.DecryptDeterministicInto(e.Key, ct, dst)
+		off += int(e.Size)
+	}
+}
+
+// decrypted takes a finished slab: its containers lose their uses, and
+// every slab whose turn has come is written.
+func (r *restoreRun) decrypted(s *restoreSlab) error {
+	if s.err != nil {
+		restoreBufPut(s.buf)
+		return s.err
+	}
+	for i := s.start; i < s.end; i++ {
+		if k := r.plan.cidx[i]; k >= 0 {
+			r.slots[k].outstanding--
+			r.drop(k)
+		}
+	}
+	r.pending[s.seq] = s
+	for {
+		s, ok := r.pending[r.nextWrite]
+		if !ok {
+			return nil
+		}
+		delete(r.pending, r.nextWrite)
+		r.nextWrite++
+		_, err := r.w.Write(s.buf)
+		restoreBufPut(s.buf)
+		if err != nil {
+			return fmt.Errorf("dedup: restore: write: %w", err)
+		}
+		// Slabs are written in stream order, so lost ranges accumulate in
+		// stream order too.
+		r.lost = append(r.lost, s.lost...)
+	}
+}
+
+// restorePool recycles slab buffers across restores, so a long restore
+// allocates a steady-state set of buffers instead of one per slab. Every
+// buffer holds at least a full slab (a larger one only for a chunk that
+// outgrew it, pow2-rounded so capacities cluster).
 var restorePool sync.Pool
 
 // restoreBufsOutstanding counts pool buffers currently handed out; the
@@ -437,8 +595,8 @@ func restoreBufGet(n int) []byte {
 			return buf[:n]
 		}
 	}
-	capacity := 1
-	if n > 1 {
+	capacity := restoreSlabBytes
+	if n > capacity {
 		capacity = 1 << bits.Len(uint(n-1))
 	}
 	return make([]byte, n, capacity)

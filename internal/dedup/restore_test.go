@@ -2,7 +2,6 @@ package dedup
 
 import (
 	"bytes"
-	"context"
 	"errors"
 	"fmt"
 	"os"
@@ -26,18 +25,49 @@ func restoreModes(t *testing.T) map[string]Config {
 	}
 }
 
-// TestParallelRestoreMatchesSerial is the pipeline's bit-for-bit
-// guarantee: for every Config mode, the parallel restore pipeline
-// produces output identical to the serial chunk-at-a-time restore — and
-// to the original stream — at workers ∈ {1, 4, 16} and container cache
-// sizes ∈ {0, 1, 64}. Run under -race, it is also the pipeline's
+// restoreSerial is the chunk-at-a-time restore: one store lookup and one
+// decrypt per recipe entry, in order. It is the oracle the planned restore
+// is proven against.
+func restoreSerial(t *testing.T, store *Store, recipe *mle.Recipe) []byte {
+	t.Helper()
+	var out bytes.Buffer
+	for i, e := range recipe.Entries {
+		ct, err := store.Get(e.Fingerprint)
+		if err != nil {
+			t.Fatalf("oracle: chunk %d (%v): %v", i, e.Fingerprint, err)
+		}
+		plain := mle.DecryptDeterministic(e.Key, ct)
+		if len(plain) != int(e.Size) {
+			t.Fatalf("oracle: chunk %d size %d, recipe says %d", i, len(plain), e.Size)
+		}
+		out.Write(plain)
+	}
+	return out.Bytes()
+}
+
+// forceWindow sets the restore window's budget to the given number of
+// containers; 0 forces a single byte, so the window holds one container at
+// a time and every change of container in the recipe is a read.
+func forceWindow(c *Client, containers int) {
+	c.windowBudget = int64(containers) * int64(c.store.containerBytes)
+	if containers == 0 {
+		c.windowBudget = 1
+	}
+}
+
+// TestParallelRestoreMatchesSerial is the restore's bit-for-bit
+// guarantee: for every Config mode, the planned restore produces output
+// identical to the serial chunk-at-a-time oracle — and to the original
+// stream — at workers ∈ {1, 4, 16} with the window forced to {0, 1, 64}
+// containers ("cache="): one container at a time, deep in eviction, and
+// everything resident. Run under -race, it is also the restore's
 // concurrency proof.
 func TestParallelRestoreMatchesSerial(t *testing.T) {
 	data := randData(91, 1<<20)
 	for mode, cfg := range restoreModes(t) {
 		t.Run(mode, func(t *testing.T) {
 			// Small containers so the recipe spans many of them and the
-			// read plan has real batch structure.
+			// window has real work to do.
 			store := NewStoreWithShards(32<<10, DefaultShards)
 			cfg := cfg
 			cfg.Workers = 4
@@ -49,29 +79,26 @@ func TestParallelRestoreMatchesSerial(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			var serial bytes.Buffer
-			if err := client.restoreSerial(context.Background(), recipe, &serial); err != nil {
-				t.Fatalf("serial restore: %v", err)
-			}
-			if !bytes.Equal(serial.Bytes(), data) {
+			serial := restoreSerial(t, store, recipe)
+			if !bytes.Equal(serial, data) {
 				t.Fatal("serial restore does not reproduce the original stream")
 			}
 			for _, workers := range []int{1, 4, 16} {
-				for _, cacheSize := range []int{0, 1, 64} {
-					t.Run(fmt.Sprintf("workers=%d/cache=%d", workers, cacheSize), func(t *testing.T) {
+				for _, window := range []int{0, 1, 64} {
+					t.Run(fmt.Sprintf("workers=%d/cache=%d", workers, window), func(t *testing.T) {
 						rcfg := cfg
 						rcfg.Workers = workers
-						rcfg.RestoreCacheContainers = cacheSize
 						rc, err := NewClient(store, rcfg)
 						if err != nil {
 							t.Fatal(err)
 						}
+						forceWindow(rc, window)
 						var out bytes.Buffer
-						if err := rc.restoreParallel(context.Background(), recipe, &out); err != nil {
-							t.Fatalf("parallel restore: %v", err)
+						if err := rc.Restore(recipe, &out); err != nil {
+							t.Fatalf("planned restore: %v", err)
 						}
-						if !bytes.Equal(out.Bytes(), serial.Bytes()) {
-							t.Fatal("parallel restore differs from serial restore")
+						if !bytes.Equal(out.Bytes(), serial) {
+							t.Fatal("planned restore differs from serial restore")
 						}
 					})
 				}
@@ -80,12 +107,12 @@ func TestParallelRestoreMatchesSerial(t *testing.T) {
 	}
 }
 
-// TestRestoreDispatch checks the public Restore entry point in both its
-// regimes: the serial fast path (workers=1, no cache) and the pipeline.
+// TestRestoreDispatch checks the public Restore entry point at the worker
+// counts a caller can ask for: one, several, and 0 (GOMAXPROCS).
 func TestRestoreDispatch(t *testing.T) {
 	data := randData(92, 512<<10)
 	store := NewStoreWithShards(32<<10, 4)
-	client, err := NewClient(store, Config{Workers: 2, RestoreCacheContainers: 8})
+	client, err := NewClient(store, Config{Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,11 +120,7 @@ func TestRestoreDispatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, cfg := range []Config{
-		{Workers: 1},                            // serial path
-		{Workers: 0, RestoreCacheContainers: 8}, // pipeline, GOMAXPROCS workers
-		{Workers: 1, RestoreCacheContainers: 1}, // pipeline, single worker
-	} {
+	for _, cfg := range []Config{{Workers: 1}, {Workers: 0}, {Workers: 3}} {
 		rc, err := NewClient(store, cfg)
 		if err != nil {
 			t.Fatal(err)
@@ -115,7 +138,7 @@ func TestRestoreDispatch(t *testing.T) {
 // TestFileBackedRestoreAfterReopen proves the persistence round trip of
 // the acceptance criteria: backup into a file-backed store, close the
 // process's store object, Open the directory again, and restore the same
-// bytes through the parallel pipeline.
+// bytes through the planned restore.
 func TestFileBackedRestoreAfterReopen(t *testing.T) {
 	dir := t.TempDir()
 	data := randData(93, 1<<20)
@@ -145,10 +168,7 @@ func TestFileBackedRestoreAfterReopen(t *testing.T) {
 	if got := reopened.UniqueChunks(); got != beforeUnique {
 		t.Fatalf("reopened store has %d unique chunks, want %d", got, beforeUnique)
 	}
-	for _, cfg := range []Config{
-		{Workers: 1},                             // serial
-		{Workers: 4, RestoreCacheContainers: 16}, // pipeline
-	} {
+	for _, cfg := range []Config{{Workers: 1}, {Workers: 4}} {
 		rc, err := NewClient(reopened, cfg)
 		if err != nil {
 			t.Fatal(err)
@@ -223,7 +243,7 @@ func TestFileBackedGCThenRestore(t *testing.T) {
 		t.Fatalf("open after GC rewrite: %v", err)
 	}
 	defer reopened.Close()
-	rc, err := NewClient(reopened, Config{Workers: 4, RestoreCacheContainers: 8})
+	rc, err := NewClient(reopened, Config{Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -255,8 +275,8 @@ func corruptShardFile(t *testing.T, dir string, shard int) {
 }
 
 // TestRestoreCorruptContainerOnDisk flips a byte in a persisted container
-// and checks that both restore paths surface container.ErrCorrupt instead
-// of returning wrong bytes.
+// and checks that restore surfaces container.ErrCorrupt at every worker
+// count instead of returning wrong bytes.
 func TestRestoreCorruptContainerOnDisk(t *testing.T) {
 	dir := t.TempDir()
 	data := randData(96, 256<<10)
@@ -282,10 +302,7 @@ func TestRestoreCorruptContainerOnDisk(t *testing.T) {
 		t.Fatalf("Open validates structure only, should succeed: %v", err)
 	}
 	defer reopened.Close()
-	for _, cfg := range []Config{
-		{Workers: 1},                            // serial
-		{Workers: 4, RestoreCacheContainers: 4}, // pipeline
-	} {
+	for _, cfg := range []Config{{Workers: 1}, {Workers: 4}} {
 		rc, err := NewClient(reopened, cfg)
 		if err != nil {
 			t.Fatal(err)
@@ -336,7 +353,7 @@ func TestOpenTruncatedStoreDir(t *testing.T) {
 	if err != nil {
 		t.Fatalf("open after torn tail should recover: %v", err)
 	}
-	rc, err := NewClient(reopened, Config{Workers: 4, RestoreCacheContainers: 4})
+	rc, err := NewClient(reopened, Config{Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -373,12 +390,12 @@ func (w *failAfterWriter) Write(p []byte) (int, error) {
 
 // TestRestoreWriterErrorReleasesPooledBuffers mirrors the backup
 // pipeline's drain-on-error contract: a mid-restore writer failure must
-// stop the pipeline, propagate the error, and hand every pooled plaintext
-// buffer back (in-flight batches included).
+// stop the restore, propagate the error, and hand every pooled plaintext
+// buffer back (in-flight slabs included).
 func TestRestoreWriterErrorReleasesPooledBuffers(t *testing.T) {
 	data := randData(98, 1<<20)
 	store := NewStoreWithShards(32<<10, DefaultShards)
-	client, err := NewClient(store, Config{Workers: 8, RestoreCacheContainers: 4})
+	client, err := NewClient(store, Config{Workers: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -414,7 +431,7 @@ func TestRestoreWriterErrorReleasesPooledBuffers(t *testing.T) {
 // fingerprint fails the plan with ErrNotFound before any worker runs.
 func TestRestoreMissingChunkParallel(t *testing.T) {
 	store := NewStore(0)
-	client, err := NewClient(store, Config{Workers: 4, RestoreCacheContainers: 4})
+	client, err := NewClient(store, Config{Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -474,7 +491,7 @@ func TestRestoreConcurrentWithGC(t *testing.T) {
 		}
 	}()
 	for i := 0; i < 8; i++ {
-		rc, err := NewClient(store, Config{Workers: 4, RestoreCacheContainers: 4})
+		rc, err := NewClient(store, Config{Workers: 4})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -528,7 +545,7 @@ func TestRestoreConcurrentWithBackups(t *testing.T) {
 		}
 	}()
 	for i := 0; i < 5; i++ {
-		rc, err := NewClient(store, Config{Workers: 4, RestoreCacheContainers: 8})
+		rc, err := NewClient(store, Config{Workers: 4})
 		if err != nil {
 			t.Fatal(err)
 		}

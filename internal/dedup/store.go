@@ -723,8 +723,8 @@ func (s *Store) getSealed(sh *shard, fp fphash.Fingerprint, loc container.Locati
 	return e.Data, nil
 }
 
-// containerRef names one container of one shard: the parallel restore
-// pipeline's read unit and cache key.
+// containerRef names one container of one shard: the restore window's
+// read unit.
 type containerRef struct {
 	shard int
 	id    int
@@ -749,7 +749,7 @@ func (s *Store) locate(fp fphash.Fingerprint) (containerRef, container.Location,
 	return containerRef{shard: si, id: loc.Container}, loc, true, nil
 }
 
-// readContainer fetches one container's entries for the restore pipeline.
+// readContainer fetches one container's entries for a restore.
 // The open container is snapshotted under the shard lock; sealed
 // containers are immutable and read from the backend outside it (backends
 // are safe for concurrent use), so container reads on different shards —

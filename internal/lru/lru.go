@@ -1,14 +1,13 @@
 // Package lru provides a least-recently-used cache with a generic
 // comparable key. It serves two roles in the reproduction: keyed by chunk
 // fingerprints it is the in-memory fingerprint cache of the DDFS-like
-// prototype (Section 7.4, steps S1 and S4), and keyed by container IDs it
-// is the container read cache of the parallel restore pipeline — both
-// evict the least-recently-used entries when full.
+// prototype (Section 7.4, steps S1 and S4), and keyed by run block it is
+// the persistent fingerprint index's hot-block cache — both evict the
+// least-recently-used entries when full.
 //
 // The cache tracks an abstract cost per entry so it can be bounded by
 // total metadata bytes (the paper bounds the fingerprint cache at 512 MB or
-// 4 GB of 32-byte metadata entries) or, with unit costs, by entry count
-// (the restore pipeline bounds its cache in containers).
+// 4 GB of 32-byte metadata entries) or, with unit costs, by entry count.
 package lru
 
 import (

@@ -152,9 +152,9 @@ func TestUnboundedNeverEvicts(t *testing.T) {
 	}
 }
 
-// TestNonFingerprintKey exercises the generic key parameter with the
-// restore pipeline's key shape: a (shard, container) pair with unit costs,
-// bounding the cache by entry count.
+// TestNonFingerprintKey exercises the generic key parameter with a
+// composite key — a (shard, container) pair — and unit costs, bounding the
+// cache by entry count.
 func TestNonFingerprintKey(t *testing.T) {
 	type containerKey struct{ shard, id int }
 	c := New[containerKey, []byte](2, nil)

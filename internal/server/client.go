@@ -503,11 +503,13 @@ func (c *Client) runBackupPipeline(name string, src io.Reader, windowChunks int,
 	if err := c.wc.Send(wire.TBackupCommit, commit); err != nil {
 		return wire.SnapshotInfo{}, err
 	}
+	// The receiver delivers BackupDone and exits in one step, so both
+	// channels can be ready at once: the result decides, not the select.
+	<-shared.recvDone
 	select {
 	case info := <-shared.doneCh:
-		<-shared.recvDone
 		return info, nil
-	case <-shared.recvDone:
+	default:
 		return wire.SnapshotInfo{}, recvErr()
 	}
 }

@@ -666,7 +666,10 @@ func (c *serverConn) dispatch(bs *backupState, typ uint32, p []byte) (*backupSta
 		if err != nil {
 			return fail("malformed RestoreReq")
 		}
-		w := &restoreWriter{c: c}
+		w := &restoreWriter{sendFrame: func(p []byte) error {
+			c.limiter.waitN(len(p))
+			return c.wc.Send(wire.TRestoreData, p)
+		}}
 		if err := c.srv.cfg.Backend.Restore(c.srv.baseCtx, c.qualified(name), w); err != nil {
 			// The client sees data frames followed by TError and discards
 			// the partial restore.
@@ -748,24 +751,39 @@ func (c *serverConn) sendBackendErr(err error) {
 	}
 }
 
-// restoreWriter frames Backend.Restore's output into TRestoreData frames,
-// buffered to restoreFrameBytes and rate-shaped like uploads.
+// restoreWriter frames Backend.Restore's output into TRestoreData frames
+// of at most restoreFrameBytes, rate-shaped like uploads. Restore writes
+// MiB-scale slabs: whole frames are sent straight from the caller's slice
+// and only a sub-frame tail is copied, to lead the next Write's first
+// frame.
 type restoreWriter struct {
-	c      *serverConn
-	buf    []byte
-	total  uint64
-	failed bool // a frame send failed; the connection is done
+	sendFrame func(p []byte) error // rate-shapes and sends one frame
+	buf       []byte               // the tail, shorter than a frame
+	total     uint64
+	failed    bool // a frame send failed; the connection is done
 }
 
 func (w *restoreWriter) Write(p []byte) (int, error) {
 	w.total += uint64(len(p))
-	w.buf = append(w.buf, p...)
-	for len(w.buf) >= restoreFrameBytes {
-		if err := w.send(w.buf[:restoreFrameBytes]); err != nil {
+	rest := p
+	if len(w.buf) > 0 {
+		n := min(restoreFrameBytes-len(w.buf), len(rest))
+		w.buf = append(w.buf, rest[:n]...)
+		rest = rest[n:]
+		if len(w.buf) < restoreFrameBytes {
+			return len(p), nil
+		}
+		if err := w.flush(); err != nil {
 			return 0, err
 		}
-		w.buf = w.buf[:copy(w.buf, w.buf[restoreFrameBytes:])]
 	}
+	for len(rest) >= restoreFrameBytes {
+		if err := w.send(rest[:restoreFrameBytes]); err != nil {
+			return 0, err
+		}
+		rest = rest[restoreFrameBytes:]
+	}
+	w.buf = append(w.buf, rest...)
 	return len(p), nil
 }
 
@@ -779,8 +797,7 @@ func (w *restoreWriter) flush() error {
 }
 
 func (w *restoreWriter) send(p []byte) error {
-	w.c.limiter.waitN(len(p))
-	if err := w.c.wc.Send(wire.TRestoreData, p); err != nil {
+	if err := w.sendFrame(p); err != nil {
 		w.failed = true
 		return err
 	}

@@ -269,18 +269,10 @@ func WithScramble(seed int64) RepositoryOption {
 }
 
 // WithWorkers sets how many goroutines the backup encrypt stage and the
-// restore fetch+decrypt stage fan out to (GOMAXPROCS if unset; 1 runs the
-// pipelines inline). Results are identical at every worker count.
+// restore's container reads and decrypts fan out to (GOMAXPROCS if unset).
+// Results are identical at every worker count.
 func WithWorkers(n int) RepositoryOption {
 	return func(o *repoOptions) { o.cfg.Workers = n }
-}
-
-// WithRestoreCache bounds the parallel restore pipeline's LRU container
-// cache, in containers (0, the default, disables it). Restored bytes are
-// identical at every setting; on a file-backed repository the cache is
-// what turns restore from one read per chunk into one read per container.
-func WithRestoreCache(containers int) RepositoryOption {
-	return func(o *repoOptions) { o.cfg.RestoreCacheContainers = containers }
 }
 
 // UploadObserver observes the post-encryption upload stream of every
@@ -771,10 +763,11 @@ func (r *Repository) Backup(ctx context.Context, name string, src io.Reader) (Sn
 	}, nil
 }
 
-// Restore writes the named snapshot's original bytes to w, fetching and
-// decrypting through the parallel restore pipeline. Cancelling ctx stops
-// the pipeline promptly with ctx.Err(); bytes already written to w stay
-// written (the output is a strict prefix).
+// Restore writes the named snapshot's original bytes to w: the restore is
+// planned from the recipe, reads each container it needs once into a
+// bounded window, and writes MiB-scale slabs in stream order (see
+// dedup.Client.Restore). Cancelling ctx stops it promptly with ctx.Err();
+// bytes already written to w stay written (the output is a strict prefix).
 func (r *Repository) Restore(ctx context.Context, name string, w io.Writer) error {
 	rec, ok := r.catalog.Get(name)
 	if !ok {

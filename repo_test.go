@@ -337,7 +337,7 @@ func (w *cancelAfterWriter) Write(p []byte) (int, error) {
 // TestRepositoryRestoreCancel: cancelling mid-Restore surfaces ctx.Err()
 // through the front door.
 func TestRepositoryRestoreCancel(t *testing.T) {
-	repo, err := CreateRepository(t.TempDir(), WithWorkers(4), WithRestoreCache(8), WithContainerBytes(64<<10))
+	repo, err := CreateRepository(t.TempDir(), WithWorkers(4), WithContainerBytes(64<<10))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,7 +1,7 @@
 #!/bin/sh
 # Benchmark baseline runner: runs the throughput-critical benchmark suite
 # (backup pipeline, the multi-tenant server's loopback client sweep,
-# restore pipeline with its container-cache sweep,
+# planned restore on an in-memory and a file-backed store,
 # sharded store, chunker, Rabin primitives, legacy and streaming attack
 # engines — BenchmarkAttackStreaming's shard sweep and the trace-log
 # ingest/replay MB/s — plus the per-workload trace generators,
@@ -35,7 +35,7 @@ set -eu
 
 cd "$(dirname "$0")/.."
 
-PATTERN='BenchmarkBackup|BenchmarkServerBackup|BenchmarkRestoreSerial|BenchmarkRestoreParallel|BenchmarkStoreShards|BenchmarkRepositoryOpen|BenchmarkIndexLookup|BenchmarkChunker|BenchmarkRabin|BenchmarkContentDefined|BenchmarkFixed|BenchmarkBasicAttackFSL|BenchmarkLocalityAttackFSL|BenchmarkAdvancedAttackFSL|BenchmarkBasicAttackStreamFSL|BenchmarkLocalityAttackStreamFSL|BenchmarkAdvancedAttackStreamFSL|BenchmarkAttackStreaming|BenchmarkTraceLogIngest|BenchmarkTraceLogReplay|BenchmarkWorkloadGenerate'
+PATTERN='BenchmarkBackup|BenchmarkServerBackup|BenchmarkRestoreSerial|BenchmarkRestoreParallel|BenchmarkRestoreFile|BenchmarkStoreShards|BenchmarkRepositoryOpen|BenchmarkIndexLookup|BenchmarkChunker|BenchmarkRabin|BenchmarkContentDefined|BenchmarkFixed|BenchmarkBasicAttackFSL|BenchmarkLocalityAttackFSL|BenchmarkAdvancedAttackFSL|BenchmarkBasicAttackStreamFSL|BenchmarkLocalityAttackStreamFSL|BenchmarkAdvancedAttackStreamFSL|BenchmarkAttackStreaming|BenchmarkTraceLogIngest|BenchmarkTraceLogReplay|BenchmarkWorkloadGenerate'
 PKGS='. ./internal/chunker ./internal/rabin ./internal/attack ./internal/tracelog ./internal/workload'
 
 if [ "${1:-}" = "--smoke" ]; then

@@ -9,6 +9,9 @@
 # skip the bench smoke stage (CI runs it as a separate non-blocking job),
 # CHECK_SKIP_BENCHGATE=1 to skip the stable-tier performance-regression
 # gate (cmd/benchgate; CI runs it as its own blocking job),
+# CHECK_SKIP_BENCHTESTS=1 to skip the end-to-end benchmark module's own
+# tests (bench/ is a separate Go module that `go test ./...` at the root
+# does not reach),
 # CHECK_SKIP_SCENARIOS=1 to skip the workload scenario-matrix smoke,
 # CHECK_SKIP_SERVER=1 to skip the multi-tenant server smoke (loopback
 # clients through the wire protocol via ddfsbench -server),
@@ -74,6 +77,11 @@ fi
 if [ "${CHECK_SKIP_BENCHGATE:-0}" != "1" ]; then
 	echo "== bench gate (stable tier vs committed BENCH_*.json baselines)"
 	go run ./cmd/benchgate || fail "bench gate (stable-tier throughput regression)"
+fi
+
+if [ "${CHECK_SKIP_BENCHTESTS:-0}" != "1" ]; then
+	echo "== bench tests (the bench/ module's own go test)"
+	(cd bench && go test ./...) || fail "bench tests"
 fi
 
 if [ "${CHECK_SKIP_SCENARIOS:-0}" != "1" ]; then
