@@ -101,6 +101,34 @@ func TestCrashSweepPersistentIndex(t *testing.T) {
 	t.Logf("swept %d persistent-index sync-point crashes across %d mutating ops", len(res.PointsTested), res.TotalOps)
 }
 
+// TestCrashSweepDefended reruns the sync-point sweep with MinHash
+// encryption and scrambling on. The invariant set is unchanged: recipes
+// carry per-chunk keys, so whatever order the scrambled uploads reached
+// the containers in before the crash, every acknowledged snapshot must
+// list, restore byte-identically, keep its committed adversary trace, and
+// survive a GC.
+func TestCrashSweepDefended(t *testing.T) {
+	maxPoints := 24
+	if testing.Short() {
+		maxPoints = 8
+	}
+	res, err := ExploreCrashPoints(CrashSweepOptions{
+		Scenario:       CrashScenario{Seed: 9, Defended: true},
+		SyncPointsOnly: true,
+		MaxPoints:      maxPoints,
+	})
+	if err != nil {
+		t.Fatalf("sweep: %v", err)
+	}
+	if res.TotalOps == 0 || len(res.SyncPoints) == 0 || len(res.PointsTested) == 0 {
+		t.Fatalf("sweep explored nothing: %+v", res)
+	}
+	for _, f := range res.Failures {
+		t.Errorf("crash at op %d/%d: %v", f.Op, res.TotalOps, f.Err)
+	}
+	t.Logf("swept %d defended sync-point crashes across %d mutating ops", len(res.PointsTested), res.TotalOps)
+}
+
 // TestCrashSweepFull explores EVERY mutating operation as a crash point —
 // minutes of work, so it only runs when FAULTS_FULL is set (`make
 // faults`).
@@ -166,6 +194,24 @@ func TestCrashSweepFullPersistentIndex(t *testing.T) {
 		t.Errorf("crash at op %d/%d: %v", f.Op, res.TotalOps, f.Err)
 	}
 	t.Logf("swept all %d mutating ops on the persistent index (%d sync points)", res.TotalOps, len(res.SyncPoints))
+}
+
+// TestCrashSweepFullDefended is the exhaustive sweep under the paper's
+// combined defence. Gated like TestCrashSweepFull.
+func TestCrashSweepFullDefended(t *testing.T) {
+	if os.Getenv("FAULTS_FULL") == "" {
+		t.Skip("set FAULTS_FULL=1 (or run `make faults`) for the exhaustive crash sweep")
+	}
+	res, err := ExploreCrashPoints(CrashSweepOptions{
+		Scenario: CrashScenario{Seed: 9, Defended: true},
+	})
+	if err != nil {
+		t.Fatalf("sweep: %v", err)
+	}
+	for _, f := range res.Failures {
+		t.Errorf("crash at op %d/%d: %v", f.Op, res.TotalOps, f.Err)
+	}
+	t.Logf("swept all %d mutating ops under the defence (%d sync points)", res.TotalOps, len(res.SyncPoints))
 }
 
 // TestCrashSweepDeterministic: the same scenario seed maps to the same

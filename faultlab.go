@@ -72,6 +72,11 @@ type CrashScenario struct {
 	// inside run flushes, compactions, and the GC layout-change marker
 	// protocol — not just the container and catalog paths.
 	PersistentIndex bool
+	// Defended runs the scenario under the paper's combined defence:
+	// MinHash encryption with a local deriver plus scrambling seeded from
+	// Seed, so the operation sequence stays deterministic. At the default
+	// SnapshotBytes each snapshot is one segment: one key, one shuffle.
+	Defended bool
 }
 
 func (sc CrashScenario) withDefaults() CrashScenario {
@@ -149,6 +154,12 @@ func (sc CrashScenario) repoOptions(m *faultio.MemFS) []RepositoryOption {
 				ExpectedChunks:  1 << 12,
 				SyncCompaction:  true,
 			}))
+	}
+	if sc.Defended {
+		opts = append(opts,
+			WithEncryption(EncMinHash),
+			WithKeyDeriver(NewLocalDeriver([]byte("crash explorer secret"))),
+			WithScramble(sc.Seed|1)) // odd, so never the random-seed zero
 	}
 	return opts
 }

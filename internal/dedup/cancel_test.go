@@ -5,10 +5,12 @@ import (
 	"context"
 	"errors"
 	"io"
+	"sync"
 	"testing"
 	"time"
 
 	"freqdedup/internal/chunker"
+	"freqdedup/internal/mle"
 )
 
 // waitForBufs polls until the chunker pool's outstanding-buffer count
@@ -60,21 +62,34 @@ func (c *ctxCancellingReader) Read(p []byte) (int, error) {
 	return n, nil
 }
 
-// TestBackupCancelDrainsPooledBuffers cancels mid-Backup on both pipeline
-// paths — streaming (convergent) and planned (scramble) — at several
-// worker counts, asserting a prompt ctx.Err() return and that every
-// pooled chunk buffer comes back to the pool. Run under -race: the
-// producer, the encrypt fan-out, and the cancellation all overlap.
+// cancelConfigs are the pipeline shapes cancellation is tested on: no
+// segment stage (convergent encryption, at two worker counts), scrambling
+// alone, and the paper's combined defence.
+var cancelConfigs = []struct {
+	name string
+	cfg  Config
+}{
+	{"streaming-1w", Config{Workers: 1}},
+	{"streaming-4w", Config{Workers: 4}},
+	{"scramble-4w", Config{Workers: 4, Scramble: true, ScrambleSeed: 5}},
+	{"minhash-scramble-4w", Config{
+		Workers:      4,
+		Encryption:   EncMinHash,
+		Deriver:      mle.NewLocalDeriver([]byte("cancel")),
+		Scramble:     true,
+		ScrambleSeed: 5,
+	}},
+}
+
+// TestBackupCancelDrainsPooledBuffers cancels mid-Backup with and without
+// the segment stage, at several worker counts, asserting a prompt
+// ctx.Err() return and that every pooled chunk buffer comes back to the
+// pool — the gathered chunks, the open segment's, and the closed ones not
+// yet uploaded. Run under -race: the producer, the fingerprint and encrypt
+// fan-outs, and the cancellation all overlap.
 func TestBackupCancelDrainsPooledBuffers(t *testing.T) {
 	data := randData(41, 16<<20)
-	for _, tc := range []struct {
-		name string
-		cfg  Config
-	}{
-		{"streaming-1w", Config{Workers: 1}},
-		{"streaming-4w", Config{Workers: 4}},
-		{"planned-scramble-4w", Config{Workers: 4, Scramble: true, ScrambleSeed: 5}},
-	} {
+	for _, tc := range cancelConfigs {
 		t.Run(tc.name, func(t *testing.T) {
 			baseline := chunker.BufsOutstanding()
 			client, err := NewClient(NewStore(0), tc.cfg)
@@ -95,40 +110,61 @@ func TestBackupCancelDrainsPooledBuffers(t *testing.T) {
 // blockingReader parks Read until released, simulating a stalled source
 // (a dead NFS mount, a wedged pipe).
 type blockingReader struct {
+	entered sync.Once
+	parked  chan struct{} // closed once the first Read is parked
 	release chan struct{}
 }
 
 func (b *blockingReader) Read(p []byte) (int, error) {
+	b.entered.Do(func() { close(b.parked) })
 	<-b.release
 	return 0, io.EOF
 }
 
 // TestBackupCancelWhileReaderBlocked: cancellation must not wait for the
-// stalled read — the consumer returns promptly while the producer is
-// still parked, and once the reader finally returns, the producer drains
-// without leaking its buffers.
+// stalled read in any configuration — the consumer returns promptly while
+// the producer is still parked, and once the reader finally returns, the
+// producer drains without leaking its buffers.
 func TestBackupCancelWhileReaderBlocked(t *testing.T) {
-	baseline := chunker.BufsOutstanding()
-	client, err := NewClient(NewStore(0), Config{Workers: 2})
-	if err != nil {
-		t.Fatal(err)
+	for _, tc := range cancelConfigs {
+		t.Run(tc.name, func(t *testing.T) {
+			baseline := chunker.BufsOutstanding()
+			client, err := NewClient(NewStore(0), tc.cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			src := &blockingReader{parked: make(chan struct{}), release: make(chan struct{})}
+			// Release the reader on every exit, so a Backup that ignores the
+			// cancellation fails the test instead of wedging it.
+			var once sync.Once
+			release := func() { once.Do(func() { close(src.release) }) }
+			defer release()
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			errc := make(chan error, 1)
+			go func() {
+				_, err := client.BackupContext(ctx, src)
+				errc <- err
+			}()
+			select {
+			case <-src.parked:
+			case err := <-errc:
+				t.Fatalf("BackupContext returned %v before reading", err)
+			}
+			cancel()
+			select {
+			case err := <-errc:
+				if !errors.Is(err, context.Canceled) {
+					t.Fatalf("BackupContext err = %v, want context.Canceled", err)
+				}
+			case <-time.After(2 * time.Second):
+				release()
+				t.Fatalf("cancelled Backup still blocked on the stalled reader after 2s (then returned %v)", <-errc)
+			}
+			release() // let the parked producer exit and drain
+			waitForBufs(t, baseline)
+		})
 	}
-	src := &blockingReader{release: make(chan struct{})}
-	ctx, cancel := context.WithCancel(context.Background())
-	go func() {
-		time.Sleep(10 * time.Millisecond)
-		cancel()
-	}()
-	start := time.Now()
-	_, err = client.BackupContext(ctx, src)
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("BackupContext err = %v, want context.Canceled", err)
-	}
-	if elapsed := time.Since(start); elapsed > 2*time.Second {
-		t.Fatalf("cancelled Backup took %v with a blocked reader; want a prompt return", elapsed)
-	}
-	close(src.release) // let the parked producer exit and drain
-	waitForBufs(t, baseline)
 }
 
 // TestRestoreCancelDrainsPooledBuffers cancels mid-Restore and asserts

@@ -179,52 +179,47 @@ func NewClient(store *Store, cfg Config) (*Client, error) {
 	return &Client{cfg: cfg, store: store, rng: rand.New(rand.NewSource(seed))}, nil
 }
 
-// encJob is one chunk's slot in an encrypt window: the chunk to encrypt
-// and, for EncMinHash, the precomputed segment key.
+// encJob is one chunk's slot in the pipeline: the chunk, its position in
+// the recipe and, for EncMinHash, its segment's key.
 type encJob struct {
 	chunk  chunker.Chunk
+	idx    int
 	segKey mle.Key
 }
 
-// uploadResult is a worker's output for one job: the ciphertext chunk,
-// its fingerprint, and the key that must go into the recipe.
-type uploadResult struct {
-	ct  []byte
-	cfp fphash.Fingerprint
-	key mle.Key
-}
-
-// uploadWindowChunks bounds how many chunks Backup encrypts and uploads at
-// a time: ~8 MiB of ciphertext at the default 8 KiB average chunk size,
-// and still hundreds of jobs per window so the worker fan-out stays
-// saturated.
+// uploadWindowChunks bounds how many chunks Backup gathers, encrypts and
+// uploads at a time: ~8 MiB of ciphertext at the default 8 KiB average
+// chunk size, and still hundreds of jobs per window so the worker fan-out
+// stays saturated.
 const uploadWindowChunks = 1024
 
-// chunkQueueDepth is the capacity of the streaming producer's chunk
-// channel: enough lookahead that the chunker keeps running while a window
-// is being encrypted, small enough that resident plaintext stays bounded
-// (depth + window chunks).
+// chunkQueueDepth is how many chunks the producer's channel holds: enough
+// lookahead that the chunker keeps running while a window is being
+// encrypted, small enough that resident plaintext stays bounded.
 const chunkQueueDepth = 256
 
 // Backup chunks, encrypts, and uploads the stream, returning the recipe
 // needed to restore it. The recipe must be sealed with the user's key
 // before being stored anywhere untrusted (mle.Recipe.Seal).
 //
-// Backup is a streaming pipeline. A producer goroutine runs the
-// content-defined chunker (deferring plaintext SHA-256 out of the serial
-// path) and feeds a bounded channel; the consumer gathers fixed-size
-// windows and fans each one out to Config.Workers goroutines that derive
-// keys, encrypt, and fingerprint ciphertexts, then uploads the window with
-// one PutBatch and releases the plaintext buffers back to the chunker
-// pool. At most chunkQueueDepth + uploadWindowChunks plaintext chunks are
-// resident regardless of stream length.
+// Backup is one streaming pipeline in every configuration. A producer
+// goroutine runs the content-defined chunker (deferring plaintext SHA-256
+// out of the serial path) and feeds a bounded channel; the consumer
+// gathers up to uploadWindowChunks chunks, fans them out to Config.Workers
+// goroutines that derive keys, encrypt, and fingerprint ciphertexts, then
+// uploads each window with one PutBatch and releases the plaintext buffers
+// back to the chunker pool.
 //
-// Scrambling and MinHash encryption need whole-stream segmentation (the
-// segment divisor depends on the stream's mean chunk size), so those
-// configurations buffer the chunk list and build the upload plan up front,
-// exactly like the pre-streaming engine — results are bit-for-bit
-// identical to it in every mode, and independent of the worker and shard
-// counts.
+// Scrambling and MinHash encryption put a segment stage between gather and
+// encrypt: the gathered chunks are fingerprinted and fed to a
+// segment.Splitter whose divisor configuration fixes (segment.Divisor of
+// Config.Segments and Config.Chunking.Avg); each segment that closes gets
+// its MinHash key and scrambled order and joins the upload, and the open
+// one is carried into the next gather. Resident plaintext is at most
+// chunkQueueDepth + chunkBatch + uploadWindowChunks chunks plus one open
+// segment (Segments.MaxBytes / Chunking.Min chunks) whatever the length,
+// and recipe, store layout and upload order do not depend on the worker
+// and shard counts or on where the gathers fall.
 //
 // If Backup returns an error, the chunking goroutine may still be
 // completing one final in-progress read of r before it shuts down. Do not
@@ -236,7 +231,7 @@ func (c *Client) Backup(r io.Reader) (*mle.Recipe, error) {
 
 // BackupContext is Backup with cancellation: when ctx is cancelled the
 // pipeline stops promptly — the consumer returns ctx.Err() without waiting
-// for an in-progress read of r, the encrypt fan-out aborts between chunks,
+// for an in-progress read of r, the worker fan-outs abort between chunks,
 // and every pooled chunk buffer still in flight is handed back to the pool
 // (the same drain contract as any other mid-backup error). Chunks uploaded
 // before the cancellation remain in the store, where they deduplicate a
@@ -259,62 +254,75 @@ func (c *Client) BackupContext(ctx context.Context, r io.Reader) (*mle.Recipe, e
 	if err != nil {
 		return nil, err
 	}
-	if c.cfg.Scramble || c.cfg.Encryption == EncMinHash {
-		return c.backupPlanned(ctx, cdc)
-	}
 	return c.backupStreaming(ctx, cdc)
 }
 
-// closeChunker winds down chunkers that own pipeline goroutines and
-// pooled buffers (the multi-stream gear chunker); serial chunkers have
-// nothing to release. It must not race the chunker's Next.
-func closeChunker(c chunker.Chunker) {
-	if mc, ok := c.(interface{ Close() error }); ok {
-		_ = mc.Close()
+// chunkBatch is how many chunks the producer hands over at a time: the
+// consumer outruns the chunker, so each handoff wakes it from a park, and a
+// wake-up per chunk cost a tenth of the pipeline's CPU time.
+const chunkBatch = 32
+
+// chunkMsg is one producer-to-consumer handoff: a batch of chunks, and the
+// chunking error that ended it.
+type chunkMsg struct {
+	chunks [chunkBatch]chunker.Chunk
+	n      int
+	err    error
+}
+
+func (m *chunkMsg) release() {
+	for i := 0; i < m.n; i++ {
+		m.chunks[i].Release()
 	}
 }
 
-// chunkMsg is one producer-to-consumer handoff: a chunk or a chunking
-// error.
-type chunkMsg struct {
-	chunk chunker.Chunk
-	err   error
-}
-
-// backupStreaming is the bounded streaming path for configurations whose
-// upload order is the chunk order (no scrambling, no segment keys): chunks
-// flow from the producer goroutine through window-sized encrypt fan-outs
-// straight into the store, and never accumulate beyond the pipeline bound.
+// backupStreaming is the backup pipeline: producer goroutine, gather,
+// segment stage when the configuration has one, encrypt fan-out, store.
+// Chunks never accumulate beyond the bound in Backup's doc.
 func (c *Client) backupStreaming(ctx context.Context, cdc chunker.Chunker) (*mle.Recipe, error) {
-	chunks := make(chan chunkMsg, chunkQueueDepth)
+	chunks := make(chan chunkMsg, chunkQueueDepth/chunkBatch)
 	done := make(chan struct{})
-	window := make([]encJob, 0, uploadWindowChunks)
+	// Every chunk the consumer holds is in exactly one of two slices: pend,
+	// in stream order, has the open segment's chunks (the first seen) and
+	// then the gathered ones the splitter has not seen; ready has the
+	// closed segments' jobs in upload order and is empty between drains.
+	var (
+		pend  = make([]encJob, 0, uploadWindowChunks)
+		seen  int
+		ready []encJob
+	)
 	// On any return, stop the producer and hand every chunk still in
-	// flight — buffered in the channel or gathered in an unflushed window —
-	// back to the chunker pool, so repeated failing backups stay as
-	// allocation-lean as successful ones. The channel is drained on a
-	// goroutine: the producer may be blocked in a stalled Read, and an
-	// error return must not wait for it. On the success path the channel
-	// is already closed and drained and the window is empty, so this is a
-	// no-op.
+	// flight — buffered in the channel, pending or ready — back to the
+	// chunker pool, so repeated failing backups stay as allocation-lean as
+	// successful ones. The channel is drained on a goroutine: the producer
+	// may be blocked in a stalled Read, and an error return must not wait
+	// for it. On the success path the channel is already closed and drained
+	// and both slices are empty, so this is a no-op.
 	defer func() {
 		close(done)
 		go func() {
 			for msg := range chunks {
-				msg.chunk.Release()
+				msg.release()
 			}
 		}()
-		for i := range window {
-			window[i].chunk.Release()
+		for _, held := range [][]encJob{pend, ready} {
+			for i := range held {
+				held[i].chunk.Release()
+			}
 		}
 	}()
 	go func() {
 		defer close(chunks)
 		// The producer is the chunker's sole consumer, so it owns the
-		// teardown: for a multi-stream chunker this reclaims the pipeline's
-		// goroutines and pooled segment buffers. An error return of Backup
-		// does not wait for it (see Backup's doc on in-flight reads).
-		defer closeChunker(cdc)
+		// teardown, which must not race Next: a multi-stream chunker has
+		// goroutines and pooled segment buffers to reclaim, a serial one
+		// nothing. An error return of Backup does not wait for it (see
+		// Backup's doc on in-flight reads).
+		if closer, ok := cdc.(io.Closer); ok {
+			defer closer.Close()
+		}
+		var msg chunkMsg
+		defer func() { msg.release() }() // a batch the consumer bailed on
 		for {
 			// Stop before touching the reader again once the consumer has
 			// bailed: the drain goroutine keeps the send case below ready,
@@ -329,63 +337,156 @@ func (c *Client) backupStreaming(ctx context.Context, cdc chunker.Chunker) (*mle
 			default:
 			}
 			ch, err := cdc.Next()
-			if errors.Is(err, io.EOF) {
+			switch {
+			case err == nil:
+				msg.chunks[msg.n] = ch
+				if msg.n++; msg.n < chunkBatch {
+					continue
+				}
+			case !errors.Is(err, io.EOF):
+				msg.err = fmt.Errorf("dedup: chunking: %w", err)
+			case msg.n == 0:
 				return
-			}
-			var msg chunkMsg
-			if err != nil {
-				msg = chunkMsg{err: fmt.Errorf("dedup: chunking: %w", err)}
-			} else {
-				msg = chunkMsg{chunk: ch}
 			}
 			select {
 			case chunks <- msg:
 			case <-done:
-				// The consumer bailed; reclaim the undelivered chunk
-				// (Release on the zero chunk of an error message is a
-				// no-op).
-				ch.Release()
 				return
 			}
+			msg = chunkMsg{}
 			if err != nil {
 				return
 			}
 		}
 	}()
 
+	// Recipe entries are in stream order — each job fills the entry it was
+	// gathered at — while uploads may be scrambled.
 	recipe := &mle.Recipe{}
-	results := make([]uploadResult, uploadWindowChunks)
-	batch := make([]PutChunk, 0, uploadWindowChunks)
-	flush := func() error {
-		if len(window) == 0 {
-			return nil
-		}
-		res := results[:len(window)]
-		if err := c.runEncryptStage(ctx, window, res); err != nil {
+	batch := make([]PutChunk, uploadWindowChunks)
+	upload := func(window []encJob) error {
+		// Each job fills its own batch slot and recipe entry, whatever the
+		// scheduling.
+		puts := batch[:len(window)]
+		if err := c.parallelFor(ctx, len(window), func(i int) error {
+			return c.encryptOne(window[i], &puts[i], &recipe.Entries[window[i].idx])
+		}); err != nil {
 			return err
-		}
-		batch = batch[:0]
-		for _, r := range res {
-			batch = append(batch, PutChunk{FP: r.cfp, Data: r.ct})
-			recipe.Entries = append(recipe.Entries, mle.RecipeEntry{
-				Fingerprint: r.cfp,
-				Key:         r.key,
-				Size:        uint32(len(r.ct)),
-			})
 		}
 		// Ownership transfer: the ciphertexts were freshly allocated by the
 		// encrypt stage and are never touched again, so the store may keep
-		// them without its defensive copy.
-		if _, err := c.store.PutBatchOwned(batch); err != nil {
+		// them without its defensive copy. It preserves batch order within a
+		// shard, so window boundaries do not show in the layout.
+		if _, err := c.store.PutBatchOwned(puts); err != nil {
 			return fmt.Errorf("dedup: upload: %w", err)
 		}
-		if err := c.observeWindow(res); err != nil {
+		if err := c.observeWindow(window, recipe.Entries); err != nil {
 			return err
 		}
 		for i := range window {
 			window[i].chunk.Release()
 		}
-		window = window[:0]
+		return nil
+	}
+
+	// The segment stage (Section 7.1), for the configurations that need
+	// segments; without it a gather is uploaded as it stands.
+	var (
+		split   *segment.Splitter
+		minhash *mle.MinHash
+		fps     []fphash.Fingerprint
+	)
+	if c.cfg.Scramble || c.cfg.Encryption == EncMinHash {
+		split = segment.NewSplitter(c.cfg.Segments, segment.Divisor(c.cfg.Segments, c.cfg.Chunking.Avg))
+	}
+	if c.cfg.Encryption == EncMinHash {
+		minhash = mle.NewMinHash(c.cfg.Deriver)
+	}
+	// closeSegment moves pend[:n] to ready as one segment, under its MinHash
+	// key and in scrambled order. The fallible key derivation comes first,
+	// so the move cannot fail half way; the RNG is drawn on this goroutine
+	// in stream order, so the order is a function of input, config and seed.
+	closeSegment := func(n int) error {
+		seg := pend[:n]
+		if minhash != nil && n > 0 {
+			fps = fps[:0]
+			for i := range seg {
+				fps = append(fps, seg[i].chunk.Fingerprint)
+			}
+			key, err := minhash.SegmentKey(fps)
+			if err != nil {
+				return err
+			}
+			for i := range seg {
+				seg[i].segKey = key
+			}
+		}
+		if c.cfg.Scramble {
+			for _, i := range scrambleOrder(n, c.rng) {
+				ready = append(ready, seg[i])
+			}
+		} else {
+			ready = append(ready, seg...)
+		}
+		pend, seen = pend[n:], seen-n
+		return nil
+	}
+	// drain pushes the gathered chunks through the segment stage and
+	// uploads what closed, in windows; at eof the open segment closes too.
+	// Both slices are consumed from the front, and slide back to the start
+	// of their buffers once only the open segment is left.
+	drain := func(eof bool) error {
+		if split == nil {
+			if len(pend) > 0 {
+				if err := upload(pend); err != nil {
+					return err
+				}
+			}
+			pend = pend[:0]
+			return nil
+		}
+		pendBuf := pend[:0]
+		// Plaintext fingerprints were deferred out of the chunker;
+		// segmentation and MinHash need them.
+		fresh := pend[seen:]
+		if err := c.parallelFor(ctx, len(fresh), func(i int) error {
+			fresh[i].chunk.Fingerprint = fphash.FromBytes(fresh[i].chunk.Data)
+			return nil
+		}); err != nil {
+			return err
+		}
+		for seen < len(pend) {
+			ch := pend[seen].chunk
+			before, after := split.Add(trace.ChunkRef{FP: ch.Fingerprint, Size: uint32(ch.Size())})
+			if before {
+				if err := closeSegment(seen); err != nil {
+					return err
+				}
+			}
+			seen++
+			if after {
+				if err := closeSegment(seen); err != nil {
+					return err
+				}
+			}
+		}
+		if eof {
+			if err := closeSegment(seen); err != nil {
+				return err
+			}
+		}
+		readyBuf := ready[:0]
+		for len(ready) > 0 {
+			n := len(ready)
+			if n > uploadWindowChunks {
+				n = uploadWindowChunks
+			}
+			if err := upload(ready[:n]); err != nil {
+				return err
+			}
+			ready = ready[n:]
+		}
+		pend, ready = append(pendBuf, pend...), readyBuf
 		return nil
 	}
 	// Receive with a cancellation arm: when ctx fires the consumer must
@@ -403,173 +504,21 @@ func (c *Client) backupStreaming(ctx context.Context, cdc chunker.Chunker) (*mle
 		if !ok {
 			break
 		}
+		for _, ch := range msg.chunks[:msg.n] {
+			pend = append(pend, encJob{chunk: ch, idx: len(recipe.Entries)})
+			recipe.Entries = append(recipe.Entries, mle.RecipeEntry{})
+		}
 		if msg.err != nil {
 			return nil, msg.err
 		}
-		window = append(window, encJob{chunk: msg.chunk})
-		if len(window) == uploadWindowChunks {
-			if err := flush(); err != nil {
+		if len(pend)-seen >= uploadWindowChunks {
+			if err := drain(false); err != nil {
 				return nil, err
 			}
 		}
 	}
-	if err := flush(); err != nil {
+	if err := drain(true); err != nil {
 		return nil, err
-	}
-	return recipe, nil
-}
-
-// backupPlanned is the whole-stream planning path for scrambling and
-// MinHash encryption: drain the chunker, fingerprint the plaintext chunks
-// with the worker pool, segment, fix the upload plan (consuming the
-// scrambling RNG on this goroutine so the plan is a deterministic function
-// of input, config, and seed), then encrypt and upload in bounded windows
-// of the plan.
-func (c *Client) backupPlanned(ctx context.Context, cdc chunker.Chunker) (*mle.Recipe, error) {
-	var chunks []chunker.Chunk
-	// Wind the chunker down on every exit. After a complete drain this is
-	// synchronous (the chunker has already stopped); on an early error the
-	// teardown runs on a goroutine, because a multi-stream chunker's Close
-	// waits out an in-flight read of r that an error return must not wait
-	// for (see Backup's doc).
-	drained := false
-	defer func() {
-		if drained {
-			closeChunker(cdc)
-		} else {
-			go closeChunker(cdc)
-		}
-	}()
-	// On any error return — including cancellation mid-drain — hand back
-	// every chunk the upload loop has not yet released (released chunks
-	// are marked by a nil Data, for which Release is a no-op): the planned
-	// path holds the whole stream's chunks, so a failed backup would
-	// otherwise abandon all of them to the GC. On the success path
-	// everything is already released.
-	defer func() {
-		for i := range chunks {
-			chunks[i].Release()
-		}
-	}()
-	// Drain the chunker serially (the plan needs the whole stream),
-	// checking for cancellation between chunks.
-	for {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		ch, err := cdc.Next()
-		if errors.Is(err, io.EOF) {
-			break
-		}
-		if err != nil {
-			return nil, fmt.Errorf("dedup: chunking: %w", err)
-		}
-		chunks = append(chunks, ch)
-	}
-	drained = true
-	if len(chunks) == 0 {
-		return &mle.Recipe{}, nil
-	}
-
-	// Plaintext fingerprints were deferred out of the chunker; compute
-	// them with the worker fan-out (segmentation and MinHash need them).
-	if err := c.parallelFor(ctx, len(chunks), func(i int) error {
-		chunks[i].Fingerprint = fphash.FromBytes(chunks[i].Data)
-		return nil
-	}); err != nil {
-		return nil, err
-	}
-
-	// Recipe entries are in original chunk order; uploads may be
-	// scrambled.
-	recipe := &mle.Recipe{Entries: make([]mle.RecipeEntry, len(chunks))}
-
-	refs := make([]trace.ChunkRef, len(chunks))
-	for i, ch := range chunks {
-		refs[i] = trace.ChunkRef{FP: ch.Fingerprint, Size: uint32(ch.Size())}
-	}
-	segs, err := segment.Split(refs, c.cfg.Segments)
-	if err != nil {
-		return nil, err
-	}
-
-	// Build the upload plan: per-segment keys (MinHash) and the exact
-	// chunk order the store will see.
-	type planEntry struct {
-		chunkIdx int
-		segKey   mle.Key
-	}
-	plan := make([]planEntry, 0, len(chunks))
-	for _, s := range segs {
-		var segKey mle.Key
-		if c.cfg.Encryption == EncMinHash {
-			fps := make([]fphash.Fingerprint, 0, s.Len())
-			for _, ref := range refs[s.Start:s.End] {
-				fps = append(fps, ref.FP)
-			}
-			segKey, err = mle.NewMinHash(c.cfg.Deriver).SegmentKey(fps)
-			if err != nil {
-				return nil, err
-			}
-		}
-
-		order := make([]int, s.Len())
-		for i := range order {
-			order[i] = s.Start + i
-		}
-		if c.cfg.Scramble {
-			order = scrambleOrder(order, c.rng)
-		}
-		for _, idx := range order {
-			plan = append(plan, planEntry{chunkIdx: idx, segKey: segKey})
-		}
-	}
-
-	// Encrypt and upload in bounded windows of the plan, so at most one
-	// window of ciphertext is resident alongside the plaintext chunks
-	// (CTR is length-preserving; an unbounded batch would double peak
-	// memory). Windows run in plan order and each PutBatch preserves
-	// batch order within a shard, so the store sees exactly the serial
-	// sequence regardless of window boundaries.
-	window := make([]encJob, 0, uploadWindowChunks)
-	results := make([]uploadResult, uploadWindowChunks)
-	batch := make([]PutChunk, 0, uploadWindowChunks)
-	for lo := 0; lo < len(plan); lo += uploadWindowChunks {
-		hi := lo + uploadWindowChunks
-		if hi > len(plan) {
-			hi = len(plan)
-		}
-		window = window[:0]
-		for _, pe := range plan[lo:hi] {
-			window = append(window, encJob{chunk: chunks[pe.chunkIdx], segKey: pe.segKey})
-		}
-		res := results[:len(window)]
-		if err := c.runEncryptStage(ctx, window, res); err != nil {
-			return nil, err
-		}
-		batch = batch[:0]
-		for p, r := range res {
-			batch = append(batch, PutChunk{FP: r.cfp, Data: r.ct})
-			recipe.Entries[plan[lo+p].chunkIdx] = mle.RecipeEntry{
-				Fingerprint: r.cfp,
-				Key:         r.key,
-				Size:        uint32(len(r.ct)),
-			}
-		}
-		if _, err := c.store.PutBatchOwned(batch); err != nil {
-			return nil, fmt.Errorf("dedup: upload: %w", err)
-		}
-		if err := c.observeWindow(res); err != nil {
-			return nil, err
-		}
-		// Each chunk appears in exactly one plan slot, so this window's
-		// plaintext buffers are dead once encrypted and uploaded. Release
-		// through the chunks slice and nil the Data there so the deferred
-		// error-path cleanup never double-releases.
-		for _, pe := range plan[lo:hi] {
-			chunks[pe.chunkIdx].Release()
-			chunks[pe.chunkIdx].Data = nil
-		}
 	}
 	return recipe, nil
 }
@@ -637,16 +586,16 @@ func (c *Client) parallelFor(ctx context.Context, n int, fn func(i int) error) e
 // observer: ciphertext fingerprints and ciphertext sizes in upload order.
 // The scratch slice is reused across windows; the observer only borrows
 // it. A nil observer costs one branch.
-func (c *Client) observeWindow(res []uploadResult) error {
+func (c *Client) observeWindow(window []encJob, entries []mle.RecipeEntry) error {
 	if c.cfg.Observer == nil {
 		return nil
 	}
-	if cap(c.obsRefs) < len(res) {
-		c.obsRefs = make([]trace.ChunkRef, len(res))
+	if cap(c.obsRefs) < len(window) {
+		c.obsRefs = make([]trace.ChunkRef, len(window))
 	}
-	refs := c.obsRefs[:len(res)]
-	for i, r := range res {
-		refs[i] = trace.ChunkRef{FP: r.cfp, Size: uint32(len(r.ct))}
+	refs := c.obsRefs[:len(window)]
+	for i, job := range window {
+		refs[i] = trace.ChunkRef{FP: entries[job.idx].Fingerprint, Size: entries[job.idx].Size}
 	}
 	if err := c.cfg.Observer.ObserveUpload(refs); err != nil {
 		return fmt.Errorf("dedup: upload observer: %w", err)
@@ -654,22 +603,12 @@ func (c *Client) observeWindow(res []uploadResult) error {
 	return nil
 }
 
-// runEncryptStage executes the fan-out stage of the backup pipeline:
-// Workers goroutines pull jobs from the window, derive the chunk key,
-// encrypt, and fingerprint the ciphertext. Results land at their window
-// position, so the output order is independent of goroutine scheduling.
-func (c *Client) runEncryptStage(ctx context.Context, jobs []encJob, results []uploadResult) error {
-	return c.parallelFor(ctx, len(jobs), func(i int) error {
-		return c.encryptOne(jobs[i], &results[i])
-	})
-}
-
 // encryptOne processes one job: key derivation, deterministic encryption,
 // and ciphertext fingerprinting for one chunk. Plaintext fingerprinting
 // was deferred out of the chunker, so modes that need it (server-aided key
 // derivation) compute it here, inside the worker fan-out; convergent
 // encryption never needs it at all.
-func (c *Client) encryptOne(job encJob, res *uploadResult) error {
+func (c *Client) encryptOne(job encJob, put *PutChunk, entry *mle.RecipeEntry) error {
 	ch := job.chunk
 	var key mle.Key
 	switch c.cfg.Encryption {
@@ -689,22 +628,22 @@ func (c *Client) encryptOne(job encJob, res *uploadResult) error {
 		key = job.segKey
 	}
 	ct := mle.EncryptDeterministic(key, ch.Data)
-	*res = uploadResult{ct: ct, cfp: fphash.FromBytes(ct), key: key}
+	*put = PutChunk{FP: fphash.FromBytes(ct), Data: ct}
+	*entry = mle.RecipeEntry{Fingerprint: put.FP, Key: key, Size: uint32(len(ct))}
 	return nil
 }
 
-// scrambleOrder applies Algorithm 5's front/back shuffle to a slice of
-// indices.
-func scrambleOrder(in []int, rng *rand.Rand) []int {
-	n := len(in)
+// scrambleOrder draws Algorithm 5's front/back shuffle of a segment's n
+// chunk positions.
+func scrambleOrder(n int, rng *rand.Rand) []int {
 	buf := make([]int, 2*n)
 	front, back := n, n
-	for _, v := range in {
+	for i := 0; i < n; i++ {
 		if rng.Intn(2) == 1 {
 			front--
-			buf[front] = v
+			buf[front] = i
 		} else {
-			buf[back] = v
+			buf[back] = i
 			back++
 		}
 	}

@@ -18,20 +18,24 @@
 //     and locks each shard once. Each shard has its own open container, so
 //     container packing is append-safe under concurrent writers without a
 //     global packer lock.
-//   - Client.Backup is a bounded streaming pipeline. A producer goroutine
-//     runs the content-defined chunker (batch Rabin scanning over a fixed
-//     lookahead buffer, plaintext SHA-256 deferred out of the serial path)
-//     and feeds a bounded channel; the consumer gathers fixed windows and
-//     fans each out to Config.Workers goroutines that derive keys, encrypt
-//     (AES-256-CTR, the hot path), and fingerprint ciphertexts, then
-//     uploads the window with one PutBatch and releases the plaintext
-//     buffers to the chunker pool. Resident plaintext is bounded by the
-//     queue depth plus one window, regardless of stream length.
-//   - Scrambling and MinHash encryption need whole-stream segmentation
-//     (the segment divisor depends on the stream's mean chunk size), so
-//     those configurations buffer the chunk list and fix the upload plan
-//     up front on one goroutine, then run the same windowed fan-out over
-//     the plan.
+//   - Client.Backup is one bounded streaming pipeline. A producer
+//     goroutine runs the content-defined chunker (batch Rabin scanning
+//     over a fixed lookahead buffer, plaintext SHA-256 deferred out of the
+//     serial path) and feeds a bounded channel; the consumer gathers up to
+//     a window of chunks and fans them out to Config.Workers goroutines
+//     that derive keys, encrypt (AES-256-CTR, the hot path), and
+//     fingerprint ciphertexts, then uploads each window with one PutBatch
+//     and releases the plaintext buffers to the chunker pool.
+//   - Scrambling and MinHash encryption add a segment stage between
+//     gather and encrypt: gathered chunks are fingerprinted and fed to a
+//     segment.Splitter whose divisor comes from configuration
+//     (segment.Divisor of Config.Segments and Config.Chunking.Avg), never
+//     from the stream, so segments close while the stream is arriving.
+//     A closed segment gets its MinHash key and scrambled order (drawn on
+//     the consumer goroutine, in stream order) and joins the upload; the
+//     open one is carried into the next gather. Resident plaintext is
+//     bounded by the queue depth plus one window plus one open segment,
+//     regardless of stream length.
 //   - Client.Restore is planned from the recipe, which tells it its whole
 //     future. Plan: every entry's container is resolved up front and each
 //     container learns its first, next and last use. Prefetch window:
@@ -90,8 +94,10 @@
 //     exact regardless of shard count, and dedup statistics (Stats) are
 //     identical for every shard count.
 //   - Recipes returned by Backup are bit-for-bit independent of
-//     Config.Workers: encryption is deterministic MLE and every result is
-//     slotted by plan position, not completion order.
+//     Config.Workers and of where gathers and upload windows fall:
+//     encryption is deterministic MLE, results are slotted by recipe
+//     index, not completion order, and segment boundaries depend on chunk
+//     content and configuration alone.
 //   - With a single shard (NewStoreWithShards(n, 1)) and any worker count,
 //     chunk placement — container IDs, entry order, sealing boundaries —
 //     is bit-for-bit identical to the original serial engine.

@@ -192,6 +192,7 @@ func TestConcurrentPutGetPutBatch(t *testing.T) {
 type refStore struct {
 	index      map[fphash.Fingerprint]container.Location
 	containers *container.Store
+	order      []fphash.Fingerprint // every put, duplicates included
 }
 
 func newRefStore(containerBytes int) *refStore {
@@ -205,6 +206,7 @@ func newRefStore(containerBytes int) *refStore {
 }
 
 func (s *refStore) put(fp fphash.Fingerprint, data []byte) {
+	s.order = append(s.order, fp)
 	if _, ok := s.index[fp]; ok {
 		return
 	}
@@ -217,9 +219,32 @@ func (s *refStore) put(fp fphash.Fingerprint, data []byte) {
 	s.index[fp] = loc
 }
 
-// refBackup replicates the original serial Client.Backup loop: chunk,
-// segment, scramble with the same RNG consumption, encrypt, and upload
-// one chunk at a time.
+// refSegments segments a whole chunk list the way the live pipeline does:
+// with the divisor the configuration fixes, not one measured on the stream.
+func refSegments(refs []trace.ChunkRef, cfg Config) []segment.Segment {
+	sp := segment.NewSplitter(cfg.Segments, segment.Divisor(cfg.Segments, cfg.Chunking.Avg))
+	var segs []segment.Segment
+	start := 0
+	for i, ref := range refs {
+		before, after := sp.Add(ref)
+		if before {
+			segs = append(segs, segment.Segment{Start: start, End: i})
+			start = i
+		}
+		if after {
+			segs = append(segs, segment.Segment{Start: start, End: i + 1})
+			start = i + 1
+		}
+	}
+	if start < len(refs) {
+		segs = append(segs, segment.Segment{Start: start, End: len(refs)})
+	}
+	return segs
+}
+
+// refBackup replicates the original serial Client.Backup loop: chunk the
+// whole stream, segment, scramble with the same RNG consumption, encrypt,
+// and upload one chunk at a time.
 func refBackup(t *testing.T, s *refStore, cfg Config, data []byte, rng *rand.Rand) *mle.Recipe {
 	t.Helper()
 	cdc, err := chunker.NewContentDefined(bytes.NewReader(data), cfg.Chunking)
@@ -235,11 +260,7 @@ func refBackup(t *testing.T, s *refStore, cfg Config, data []byte, rng *rand.Ran
 	for i, ch := range chunks {
 		refs[i] = trace.ChunkRef{FP: ch.Fingerprint, Size: uint32(ch.Size())}
 	}
-	segs, err := segment.Split(refs, cfg.Segments)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, sg := range segs {
+	for _, sg := range refSegments(refs, cfg) {
 		var segKey mle.Key
 		if cfg.Encryption == EncMinHash {
 			fps := make([]fphash.Fingerprint, 0, sg.Len())
@@ -253,12 +274,13 @@ func refBackup(t *testing.T, s *refStore, cfg Config, data []byte, rng *rand.Ran
 		}
 		order := make([]int, sg.Len())
 		for i := range order {
-			order[i] = sg.Start + i
+			order[i] = i
 		}
 		if cfg.Scramble {
-			order = scrambleOrder(order, rng)
+			order = scrambleOrder(sg.Len(), rng)
 		}
-		for _, idx := range order {
+		for _, at := range order {
+			idx := sg.Start + at
 			ch := chunks[idx]
 			var key mle.Key
 			switch cfg.Encryption {

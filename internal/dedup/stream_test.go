@@ -60,9 +60,10 @@ func (f *failAfterReader) Read(p []byte) (int, error) {
 	return n, nil
 }
 
-// TestStreamingBackupMatchesPlannedResults: the streaming path must produce
-// the same recipe and store contents as a fragmented or whole-buffer read,
-// at several worker counts, and restore bit-for-bit. Run under -race: the
+// TestStreamingBackupMatchesPlannedResults: the pipeline must produce the
+// same recipe and store contents from a fragmented read at several worker
+// counts, with and without the segment stage, and restore bit-for-bit (the
+// name predates the single pipeline). Run under -race: the
 // producer goroutine, the encrypt fan-out, and the consumer all touch the
 // pipeline concurrently.
 func TestStreamingBackupMatchesPlannedResults(t *testing.T) {
@@ -92,9 +93,9 @@ func TestStreamingBackupMatchesPlannedResults(t *testing.T) {
 		}
 	}
 
-	// Scramble routes through backupPlanned; scrambling reorders uploads,
-	// not recipe entries, so the planned path's recipe must match the
-	// streaming path's bit for bit.
+	// Scramble adds the segment stage; scrambling reorders uploads, not
+	// recipe entries, so the scrambled recipe must match the unscrambled
+	// one bit for bit.
 	store := NewStoreWithShards(64<<10, 1)
 	client, err := NewClient(store, Config{Workers: 2, Scramble: true, ScrambleSeed: 1})
 	if err != nil {
@@ -105,30 +106,32 @@ func TestStreamingBackupMatchesPlannedResults(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(recipe, wantRecipe) {
-		t.Fatal("planned-path (scramble) recipe differs from streaming recipe")
+		t.Fatal("scrambled recipe differs from unscrambled recipe")
 	}
 	var out bytes.Buffer
 	if err := client.Restore(recipe, &out); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(out.Bytes(), data) {
-		t.Fatal("planned-path restore mismatch")
+		t.Fatal("scrambled backup restore mismatch")
 	}
 }
 
 // TestStreamingBackupEmptyStream: the empty stream yields an empty recipe,
-// identical to the planned path's.
+// with and without the segment stage.
 func TestStreamingBackupEmptyStream(t *testing.T) {
-	client, err := NewClient(NewStore(0), Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	recipe, err := client.Backup(bytes.NewReader(nil))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(recipe.Entries) != 0 {
-		t.Fatalf("empty stream produced %d entries", len(recipe.Entries))
+	for _, cfg := range []Config{{}, {Scramble: true}} {
+		client, err := NewClient(NewStore(0), cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		recipe, err := client.Backup(bytes.NewReader(nil))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(recipe.Entries) != 0 {
+			t.Fatalf("scramble=%v: empty stream produced %d entries", cfg.Scramble, len(recipe.Entries))
+		}
 	}
 }
 

@@ -7,7 +7,13 @@
 //
 // Segmentation is content-defined at the chunk-fingerprint level, so
 // similar backup streams produce aligned segments — the property MinHash
-// encryption's effectiveness (Broder's theorem) depends on.
+// encryption's effectiveness (Broder's theorem) depends on. It holds only
+// while the streams share a divisor, so the divisor is pre-defined, as in
+// Sparse Indexing: Divisor works it out from the segment sizes and an
+// expected chunk size. The live backup pipeline (internal/dedup) passes
+// its configured average chunk size, which no edit of the data can move;
+// the trace-level lab (internal/defense, via Split) has traces but no
+// chunker configuration, and uses the trace's measured mean.
 package segment
 
 import (
@@ -51,10 +57,60 @@ type Segment struct {
 // Len returns the number of chunks in the segment.
 func (s Segment) Len() int { return s.End - s.Start }
 
-// Split partitions the chunk stream into segments. The divisor that
-// realizes the average segment size is derived from the stream's mean
-// chunk size; the boundary test itself depends only on chunk content
-// (fingerprint), so identical sub-streams segment identically.
+// Divisor returns the boundary divisor that realizes p's average segment
+// size for chunks of about chunkBytes: once MinBytes have accumulated each
+// chunk ends the segment with probability 1/divisor, adding an expected
+// divisor*chunkBytes bytes — max(1, (AvgBytes-MinBytes)/chunkBytes).
+func Divisor(p Params, chunkBytes int) uint64 {
+	if chunkBytes < 1 {
+		chunkBytes = 1
+	}
+	if d := uint64(p.AvgBytes-p.MinBytes) / uint64(chunkBytes); d > 1 {
+		return d
+	}
+	return 1
+}
+
+// Splitter segments a chunk stream one chunk at a time, so a consumer can
+// close segments while the stream is still arriving. Its whole state is
+// the open segment's size: rule (ii) tests the incoming chunk, so it needs
+// no lookahead.
+type Splitter struct {
+	p       Params
+	divisor uint64
+	bytes   int
+	open    bool // the open segment holds at least one chunk
+}
+
+// NewSplitter returns a Splitter for valid parameters p and a divisor from
+// Divisor.
+func NewSplitter(p Params, divisor uint64) *Splitter {
+	return &Splitter{p: p, divisor: divisor}
+}
+
+// Add accounts for the stream's next chunk and reports the boundaries it
+// places: before — c does not fit the open segment (rule ii), which ends
+// with the previous chunk while c opens the next one; after — the segment
+// holding c ends with c (rule i). Both can hold for one oversized chunk.
+// The chunks after the last boundary form the stream's final segment.
+func (s *Splitter) Add(c trace.ChunkRef) (before, after bool) {
+	if s.open && s.bytes+int(c.Size) > s.p.MaxBytes {
+		before = true
+		s.bytes = 0
+	}
+	s.bytes += int(c.Size)
+	s.open = true
+	if s.bytes >= s.p.MinBytes && c.FP.Uint64()%s.divisor == s.divisor-1 {
+		after = true
+		s.bytes, s.open = 0, false
+	}
+	return before, after
+}
+
+// Split partitions a whole chunk stream into segments with the divisor its
+// own mean chunk size gives. The boundary test itself depends only on
+// chunk content (fingerprint), so identical sub-streams segment
+// identically.
 func Split(chunks []trace.ChunkRef, p Params) ([]Segment, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
@@ -62,50 +118,33 @@ func Split(chunks []trace.ChunkRef, p Params) ([]Segment, error) {
 	if len(chunks) == 0 {
 		return nil, nil
 	}
-	divisor := divisorFor(chunks, p)
+	var total uint64
+	for _, c := range chunks {
+		total += uint64(c.Size)
+	}
+	return split(chunks, p, Divisor(p, int(total/uint64(len(chunks))))), nil
+}
 
+// split runs a Splitter over the whole of chunks.
+func split(chunks []trace.ChunkRef, p Params, divisor uint64) []Segment {
+	sp := NewSplitter(p, divisor)
 	var segs []Segment
 	start := 0
-	var bytes int
 	for i, c := range chunks {
-		bytes += int(c.Size)
-		boundary := false
-		if bytes >= p.MinBytes && c.FP.Uint64()%divisor == divisor-1 {
-			boundary = true
+		before, after := sp.Add(c)
+		if before {
+			segs = append(segs, Segment{Start: start, End: i})
+			start = i
 		}
-		if i+1 < len(chunks) && bytes+int(chunks[i+1].Size) > p.MaxBytes {
-			boundary = true
-		}
-		if boundary {
+		if after {
 			segs = append(segs, Segment{Start: start, End: i + 1})
 			start = i + 1
-			bytes = 0
 		}
 	}
 	if start < len(chunks) {
 		segs = append(segs, Segment{Start: start, End: len(chunks)})
 	}
-	return segs, nil
-}
-
-// divisorFor computes the boundary divisor so that the expected segment
-// size is p.AvgBytes: after MinBytes accumulate, each chunk ends the
-// segment with probability 1/divisor, contributing divisor*meanChunk
-// expected additional bytes.
-func divisorFor(chunks []trace.ChunkRef, p Params) uint64 {
-	var total uint64
-	for _, c := range chunks {
-		total += uint64(c.Size)
-	}
-	mean := total / uint64(len(chunks))
-	if mean == 0 {
-		mean = 1
-	}
-	d := uint64(p.AvgBytes-p.MinBytes) / mean
-	if d < 1 {
-		d = 1
-	}
-	return d
+	return segs
 }
 
 // MinFingerprint returns the minimum chunk fingerprint within the segment,

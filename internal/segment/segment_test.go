@@ -194,3 +194,189 @@ func TestSplitDeterministic(t *testing.T) {
 		}
 	}
 }
+
+// refSplit is the whole-stream formulation of the two boundary rules, with
+// rule (ii) looking one chunk ahead — the oracle the streaming Splitter,
+// which never sees the next chunk, is held to.
+func refSplit(chunks []trace.ChunkRef, p Params, divisor uint64) []Segment {
+	var segs []Segment
+	start := 0
+	var bytes int
+	for i, c := range chunks {
+		bytes += int(c.Size)
+		boundary := bytes >= p.MinBytes && c.FP.Uint64()%divisor == divisor-1
+		if i+1 < len(chunks) && bytes+int(chunks[i+1].Size) > p.MaxBytes {
+			boundary = true
+		}
+		if boundary {
+			segs = append(segs, Segment{Start: start, End: i + 1})
+			start = i + 1
+			bytes = 0
+		}
+	}
+	if start < len(chunks) {
+		segs = append(segs, Segment{Start: start, End: len(chunks)})
+	}
+	return segs
+}
+
+func sameSegments(a, b []Segment) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if a[i] != b[i] {
+			return false
+		}
+	}
+	return true
+}
+
+// TestSplitterMatchesWholeStreamRule: on random streams — including empty
+// chunks, chunks larger than MaxBytes and runs that only rule (ii) can
+// end — the Splitter fed one chunk at a time places exactly the lookahead
+// formulation's boundaries, at any divisor, and Split is that with the
+// measured mean's divisor.
+func TestSplitterMatchesWholeStreamRule(t *testing.T) {
+	p := Params{MinBytes: 10 << 10, AvgBytes: 20 << 10, MaxBytes: 40 << 10}
+	for seed := int64(0); seed < 200; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		chunks := make([]trace.ChunkRef, rng.Intn(400))
+		var total uint64
+		for i := range chunks {
+			size := uint32(rng.Intn(4 << 10))
+			switch rng.Intn(20) {
+			case 0:
+				size = 0
+			case 1:
+				size = uint32(p.MaxBytes + rng.Intn(p.MaxBytes))
+			}
+			chunks[i] = trace.ChunkRef{FP: fphash.FromUint64(rng.Uint64()), Size: size}
+			total += uint64(size)
+		}
+		for _, divisor := range []uint64{1, 2, 5, 1 << 40} {
+			if got, want := split(chunks, p, divisor), refSplit(chunks, p, divisor); !sameSegments(got, want) {
+				t.Fatalf("seed %d divisor %d: Splitter placed %v, whole-stream rule %v", seed, divisor, got, want)
+			}
+		}
+		if len(chunks) == 0 {
+			continue
+		}
+		got, err := Split(chunks, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := refSplit(chunks, p, Divisor(p, int(total/uint64(len(chunks))))); !sameSegments(got, want) {
+			t.Fatalf("seed %d: Split placed %v, whole-stream rule with the measured mean %v", seed, got, want)
+		}
+	}
+}
+
+func TestDivisor(t *testing.T) {
+	p := DefaultParams()
+	for _, tc := range []struct {
+		chunkBytes int
+		want       uint64
+	}{
+		{8192, 64}, {8193, 63}, {9050, 57}, {10240, 51}, {4096, 128},
+		{p.AvgBytes, 1}, // never below 1
+		{0, uint64(p.AvgBytes - p.MinBytes)},
+	} {
+		if got := Divisor(p, tc.chunkBytes); got != tc.want {
+			t.Errorf("Divisor(default, %d) = %d, want %d", tc.chunkBytes, got, tc.want)
+		}
+	}
+}
+
+// TestPredefinedDivisorStableAcrossMeanDrift is the reason the live
+// pipeline fixes its divisor from configuration. Two streams differ by an
+// edit of 1 % of their chunks that nudges the mean chunk size across an
+// (Avg-Min)/mean rounding step, 8192 -> 8193 B. Under a pre-defined
+// divisor every boundary before the edit, and every boundary more than
+// resyncChunks chunks past it, falls on the same chunk of both streams;
+// under Split's measured mean the divisor flips 64 -> 63 and the two
+// segmentations share almost nothing.
+func TestPredefinedDivisorStableAcrossMeanDrift(t *testing.T) {
+	p := DefaultParams()
+	const (
+		n        = 20000
+		editAt   = 9000
+		editLen  = n / 100
+		meanSize = 8192
+	)
+	// After the edit the streams are the same chunks again, and the two
+	// segmentations rejoin at the first rule-(i) chunk both have MinBytes
+	// for. Three maximum-size segments is a generous bound on that for
+	// these seeds; the streams run 40 segments past it.
+	resyncChunks := 3 * p.MaxBytes / meanSize
+
+	rng := rand.New(rand.NewSource(42))
+	a := make([]trace.ChunkRef, n)
+	for i := 0; i < n; i += 2 {
+		// Sizes vary in pairs around the mean, so it is exactly 8192.
+		d := uint32(rng.Intn(4096))
+		a[i] = trace.ChunkRef{FP: fphash.FromUint64(rng.Uint64()), Size: meanSize + d}
+		a[i+1] = trace.ChunkRef{FP: fphash.FromUint64(rng.Uint64()), Size: meanSize - d}
+	}
+	b := append([]trace.ChunkRef(nil), a...)
+	for i := editAt; i < editAt+editLen; i++ {
+		// New content, 100 B larger per chunk: the mean rises by 1 B.
+		b[i] = trace.ChunkRef{FP: fphash.FromUint64(rng.Uint64()), Size: a[i].Size + 100}
+	}
+	mean := func(chunks []trace.ChunkRef) int {
+		var total uint64
+		for _, c := range chunks {
+			total += uint64(c.Size)
+		}
+		return int(total / uint64(len(chunks)))
+	}
+	if da, db := Divisor(p, mean(a)), Divisor(p, mean(b)); da != 64 || db != 63 {
+		t.Fatalf("fixture: measured-mean divisors %d and %d do not straddle the 64/63 step", da, db)
+	}
+
+	ends := func(segs []Segment) map[int]bool {
+		m := make(map[int]bool, len(segs))
+		for _, s := range segs {
+			m[s.End] = true
+		}
+		return m
+	}
+	fixed := Divisor(p, meanSize)
+	endsA, endsB := ends(split(a, p, fixed)), ends(split(b, p, fixed))
+	outside := 0
+	for _, side := range []struct{ in, other map[int]bool }{{endsA, endsB}, {endsB, endsA}} {
+		for end := range side.in {
+			if end > editAt && end <= editAt+editLen+resyncChunks {
+				continue
+			}
+			outside++
+			if !side.other[end] {
+				t.Errorf("pre-defined divisor: boundary at chunk %d, outside the edit's neighbourhood [%d, %d], is in one stream only",
+					end, editAt, editAt+editLen+resyncChunks)
+			}
+		}
+	}
+	if outside < 2*100 {
+		t.Fatalf("fixture: only %d boundaries outside the edit's neighbourhood", outside)
+	}
+
+	segsA, err := Split(a, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	segsB, err := Split(b, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	shared, measuredB := 0, ends(segsB)
+	for end := range ends(segsA) {
+		if end < n && measuredB[end] {
+			shared++
+		}
+	}
+	t.Logf("pre-defined divisor: %d boundaries outside the neighbourhood all shared; measured mean: %d of %d shared",
+		outside/2, shared, len(segsA))
+	if shared*10 > len(segsA) {
+		t.Fatalf("measured mean: %d of %d boundaries shared across the divisor flip; the fixture no longer shows the instability", shared, len(segsA))
+	}
+}
