@@ -31,8 +31,11 @@ build:
 test:
 	$(GO) test ./...
 
+# The second line is scripts/check.sh's flake guard on the remote Backup's
+# sender/receiver handoff: those tests, five times over.
 race:
 	$(GO) test -race ./...
+	$(GO) test -race -count=5 -run 'RoundTrip|Cancel|EmptyBackup|Inflight' ./internal/server/
 
 # Exhaustive crash-point sweep under the race detector: crash the
 # scripted backup/delete/GC/backup scenario at EVERY mutating filesystem

@@ -104,13 +104,24 @@ type UploadObserver interface {
 	ObserveUpload(refs []trace.ChunkRef) error
 }
 
+// Sink is where the backup pipeline uploads: one PutBatchOwned call per
+// upload window, from the pipeline's consumer goroutine, in upload order.
+// The call owns every chunk's Data (freshly allocated ciphertext the
+// pipeline never touches again) but only borrows the chunks slice. The
+// []bool result is ignored. *Store is the in-process sink; the network
+// client's sink negotiates each window with a server instead.
+type Sink interface {
+	PutBatchOwned(chunks []PutChunk) ([]bool, error)
+}
+
 // Client is the client side of Figure 2: chunk, encrypt, upload. A Client
 // is not safe for concurrent use (its scrambling RNG is stateful); run one
 // Client per goroutine against a shared Store instead — that is the
 // multi-client architecture the store's sharding is built for.
 type Client struct {
 	cfg     Config
-	store   *Store
+	sink    Sink   // where Backup uploads
+	store   *Store // what Restore reads; nil for a NewSinkClient client
 	rng     *rand.Rand
 	obsRefs []trace.ChunkRef // reused observation window (tap enabled only)
 
@@ -121,10 +132,25 @@ type Client struct {
 	windowPeak   int64
 }
 
-// NewClient returns a client uploading to store.
+// NewClient returns a client uploading to and restoring from store.
 func NewClient(store *Store, cfg Config) (*Client, error) {
 	if store == nil {
 		return nil, errors.New("dedup: nil store")
+	}
+	c, err := NewSinkClient(store, cfg)
+	if err != nil {
+		return nil, err
+	}
+	c.store = store
+	return c, nil
+}
+
+// NewSinkClient returns a backup-only client whose pipeline uploads to
+// sink; it validates cfg exactly as NewClient does. Its Restore fails:
+// there is no store to read from.
+func NewSinkClient(sink Sink, cfg Config) (*Client, error) {
+	if sink == nil {
+		return nil, errors.New("dedup: nil sink")
 	}
 	if cfg.Chunking == (chunker.Params{}) {
 		cfg.Chunking = chunker.DefaultParams()
@@ -176,7 +202,7 @@ func NewClient(store *Store, cfg Config) (*Client, error) {
 		}
 		seed = int64(binary.LittleEndian.Uint64(b[:]))
 	}
-	return &Client{cfg: cfg, store: store, rng: rand.New(rand.NewSource(seed))}, nil
+	return &Client{cfg: cfg, sink: sink, rng: rand.New(rand.NewSource(seed))}, nil
 }
 
 // encJob is one chunk's slot in the pipeline: the chunk, its position in
@@ -207,8 +233,8 @@ const chunkQueueDepth = 256
 // out of the serial path) and feeds a bounded channel; the consumer
 // gathers up to uploadWindowChunks chunks, fans them out to Config.Workers
 // goroutines that derive keys, encrypt, and fingerprint ciphertexts, then
-// uploads each window with one PutBatch and releases the plaintext buffers
-// back to the chunker pool.
+// hands each window to the Sink with one PutBatchOwned and releases the
+// plaintext buffers back to the chunker pool.
 //
 // Scrambling and MinHash encryption put a segment stage between gather and
 // encrypt: the gathered chunks are fingerprinted and fed to a
@@ -375,9 +401,9 @@ func (c *Client) backupStreaming(ctx context.Context, cdc chunker.Chunker) (*mle
 		}
 		// Ownership transfer: the ciphertexts were freshly allocated by the
 		// encrypt stage and are never touched again, so the store may keep
-		// them without its defensive copy. It preserves batch order within a
-		// shard, so window boundaries do not show in the layout.
-		if _, err := c.store.PutBatchOwned(puts); err != nil {
+		// them without its defensive copy. The store preserves batch order
+		// within a shard, so window boundaries do not show in the layout.
+		if _, err := c.sink.PutBatchOwned(puts); err != nil {
 			return fmt.Errorf("dedup: upload: %w", err)
 		}
 		if err := c.observeWindow(window, recipe.Entries); err != nil {

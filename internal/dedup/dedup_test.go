@@ -3,6 +3,7 @@ package dedup
 import (
 	"bytes"
 	"fmt"
+	"io"
 	"math/rand"
 	"testing"
 
@@ -264,6 +265,57 @@ func TestNewClientValidation(t *testing.T) {
 	bad.Avg = 12345 // not a power of two
 	if _, err := NewClient(store, Config{Chunking: bad}); err == nil {
 		t.Fatal("invalid chunking accepted")
+	}
+}
+
+// recordingSink keeps every upload window it is handed.
+type recordingSink struct{ windows [][]PutChunk }
+
+func (s *recordingSink) PutBatchOwned(chunks []PutChunk) ([]bool, error) {
+	s.windows = append(s.windows, append([]PutChunk(nil), chunks...))
+	return nil, nil
+}
+
+// TestSinkClient: a NewSinkClient pipeline produces the recipe a store
+// client does and hands its sink the ciphertexts in full windows of
+// uploadWindowChunks (the network client's window boundaries depend on
+// it), in recipe order; with no store it has nothing to restore from.
+func TestSinkClient(t *testing.T) {
+	if _, err := NewSinkClient(nil, Config{}); err == nil {
+		t.Fatal("nil sink accepted")
+	}
+	data := randData(61, 12<<20)
+	_, want := backupRestore(t, Config{Workers: 2}, data)
+	sink := &recordingSink{}
+	client, err := NewSinkClient(sink, Config{Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	recipe, err := client.Backup(bytes.NewReader(data))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(recipe.Entries) != len(want.Entries) || len(recipe.Entries) <= uploadWindowChunks {
+		t.Fatalf("%d recipe entries, store client %d (need more than one window)", len(recipe.Entries), len(want.Entries))
+	}
+	n := 0
+	for wi, w := range sink.windows {
+		if len(w) > uploadWindowChunks || (wi < len(sink.windows)-1 && len(w) != uploadWindowChunks) {
+			t.Fatalf("window %d of %d has %d chunks", wi, len(sink.windows), len(w))
+		}
+		for _, ch := range w {
+			e := recipe.Entries[n]
+			if e != want.Entries[n] || ch.FP != e.Fingerprint || fphash.FromBytes(ch.Data) != ch.FP || len(ch.Data) != int(e.Size) {
+				t.Fatalf("chunk %d: uploaded %v (%d B), recipe %+v, store client %+v", n, ch.FP, len(ch.Data), e, want.Entries[n])
+			}
+			n++
+		}
+	}
+	if n != len(recipe.Entries) {
+		t.Fatalf("sink got %d chunks, recipe has %d", n, len(recipe.Entries))
+	}
+	if err := client.Restore(recipe, io.Discard); err == nil {
+		t.Fatal("restore without a store succeeded")
 	}
 }
 

@@ -24,8 +24,16 @@
 //     serial path) and feeds a bounded channel; the consumer gathers up to
 //     a window of chunks and fans them out to Config.Workers goroutines
 //     that derive keys, encrypt (AES-256-CTR, the hot path), and
-//     fingerprint ciphertexts, then uploads each window with one PutBatch
-//     and releases the plaintext buffers to the chunker pool.
+//     fingerprint ciphertexts, then uploads each window with one call to
+//     the client's Sink and releases the plaintext buffers to the chunker
+//     pool.
+//   - The Sink is the pipeline's only seam: a one-method interface
+//     (PutBatchOwned) with two implementations. *Store is the in-process
+//     sink (NewClient). The network client in internal/server is the
+//     other (NewSinkClient): its sink turns each window into a
+//     fingerprint negotiation with the server and uploads only the
+//     misses, so local and remote backups run one pipeline — only
+//     EncConvergent goes over the wire.
 //   - Scrambling and MinHash encryption add a segment stage between
 //     gather and encrypt: gathered chunks are fingerprinted and fed to a
 //     segment.Splitter whose divisor comes from configuration

@@ -49,6 +49,9 @@ func (c *Client) RestoreContext(ctx context.Context, recipe *mle.Recipe, w io.Wr
 	if err := ctx.Err(); err != nil {
 		return err
 	}
+	if c.store == nil {
+		return errors.New("dedup: restore: client has no store (NewSinkClient)")
+	}
 	if len(recipe.Entries) == 0 {
 		return nil
 	}

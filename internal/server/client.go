@@ -6,20 +6,19 @@ import (
 	"fmt"
 	"io"
 	"net"
-	"runtime"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"freqdedup/internal/chunker"
 	"freqdedup/internal/dedup"
-	"freqdedup/internal/fphash"
-	"freqdedup/internal/mle"
 	"freqdedup/internal/trace"
 	"freqdedup/internal/wire"
 )
 
-// DialConfig configures a Client session.
+// DialConfig configures a Client session. Chunking, ChunkWorkers and
+// Workers configure the client's backup pipeline — dedup's, under
+// convergent encryption — and are validated exactly as dedup.NewClient
+// validates them, before Dial connects.
 type DialConfig struct {
 	// Tenant is the session's namespace; required.
 	Tenant string
@@ -30,26 +29,29 @@ type DialConfig struct {
 	// repository's other clients use, or cross-client dedup degrades to
 	// nothing — the server never sees plaintext, so it cannot check.
 	Chunking chunker.Params
-	// ChunkWorkers enables multi-stream chunking (gear only), exactly as
-	// in the in-process pipeline.
+	// ChunkWorkers enables multi-stream chunking (gear only), as
+	// dedup.Config.ChunkWorkers.
 	ChunkWorkers int
-	// Workers is the encrypt+fingerprint fan-out (GOMAXPROCS if 0).
+	// Workers is the encrypt+fingerprint fan-out (GOMAXPROCS if 0), as
+	// dedup.Config.Workers.
 	Workers int
 	// DialTimeout bounds connect + handshake (30s if zero).
 	DialTimeout time.Duration
 }
 
-// Client is the network counterpart of the in-process backup client: it
-// chunks and convergently encrypts locally, negotiates fingerprints with
-// the server, uploads only the misses, and hands the recipe to the server
-// to seal — the full Backup/Restore/Snapshots/Delete surface over one
-// authenticated TCP session.
+// Client is the network counterpart of the in-process backup client, and
+// runs the same backup pipeline: a dedup.Client (chunk, convergently
+// encrypt, window) whose sink is the wire — each upload window becomes a
+// negotiation round with the server, which asks for the chunks its store
+// is missing, and the recipe goes to the server to seal. Restore,
+// Snapshots, Delete and Stats complete the surface over one authenticated
+// TCP session.
 //
 // A Client is NOT safe for concurrent use: it multiplexes one connection
 // and runs one operation at a time (operations serialize internally).
 // Run one Client per goroutine for concurrent sessions — that is the
 // multi-tenant architecture the server is built for. Only convergent
-// encryption (EncConvergent) is spoken on the wire; the server-aided and
+// encryption (EncConvergent) goes over the wire; the server-aided and
 // MinHash schemes remain in-process.
 //
 // After a transport or mid-pipeline failure the session state is
@@ -59,24 +61,34 @@ type DialConfig struct {
 type Client struct {
 	nc     net.Conn
 	wc     *wire.Conn
-	cfg    DialConfig
 	limits wire.HelloOK
+	pipe   *dedup.Client // the backup pipeline, uploading to sink
+	sink   wireSink
 
 	mu     sync.Mutex
 	broken bool
 	closed bool
 }
 
-// Dial connects, authenticates, and negotiates limits with a server.
+// Dial validates the pipeline configuration, then connects,
+// authenticates, and negotiates limits with a server.
 func Dial(addr string, cfg DialConfig) (*Client, error) {
 	if err := validTenant(cfg.Tenant); err != nil {
 		return nil, fmt.Errorf("server: dial: %w", err)
 	}
+	c := &Client{}
+	pipe, err := dedup.NewSinkClient(&c.sink, dedup.Config{
+		Chunking:     cfg.Chunking,
+		ChunkWorkers: cfg.ChunkWorkers,
+		Workers:      cfg.Workers,
+		Encryption:   dedup.EncConvergent,
+	})
+	if err != nil {
+		return nil, fmt.Errorf("server: dial: %w", err)
+	}
+	c.pipe = pipe
 	if cfg.Chunking == (chunker.Params{}) {
 		cfg.Chunking = chunker.DefaultParams()
-	}
-	if err := cfg.Chunking.Validate(); err != nil {
-		return nil, err
 	}
 	timeout := cfg.DialTimeout
 	if timeout == 0 {
@@ -86,7 +98,7 @@ func Dial(addr string, cfg DialConfig) (*Client, error) {
 	if err != nil {
 		return nil, err
 	}
-	c := &Client{nc: nc, wc: wire.NewConn(nc), cfg: cfg}
+	c.nc, c.wc = nc, wire.NewConn(nc)
 	if err := nc.SetDeadline(time.Now().Add(timeout)); err != nil {
 		nc.Close()
 		return nil, err
@@ -117,6 +129,11 @@ func Dial(addr string, cfg DialConfig) (*Client, error) {
 		nc.Close()
 		return nil, fmt.Errorf("server: chunking max %d exceeds the server's chunk limit %d",
 			cfg.Chunking.Max, c.limits.MaxChunkBytes)
+	}
+	if c.limits.WindowChunks == 0 || c.limits.MaxInflight == 0 {
+		nc.Close()
+		return nil, fmt.Errorf("server: unusable window limits (window %d, inflight %d)",
+			c.limits.WindowChunks, c.limits.MaxInflight)
 	}
 	if err := nc.SetDeadline(time.Time{}); err != nil {
 		nc.Close()
@@ -220,8 +237,8 @@ type cwindow struct {
 	cts  [][]byte // ciphertexts, freed once the data frame is written
 }
 
-// backupShared is the state the Backup sender and receiver goroutines
-// share.
+// backupShared is the state the Backup sender (the pipeline's consumer,
+// through wireSink) and receiver goroutines share.
 type backupShared struct {
 	c       *Client
 	mu      sync.Mutex
@@ -234,6 +251,55 @@ type backupShared struct {
 	doneCh   chan wire.SnapshotInfo // TBackupDone payload
 	recvDone chan struct{}          // receiver exited
 	err      error                  // first receiver error, set before recvDone closes
+
+	// Sender-only: the next window's sequence number and the reused
+	// TNegotiate payload.
+	seq    uint32
+	negPay []byte
+}
+
+// recvErr is why the receiver exited; valid once recvDone is closed.
+func (s *backupShared) recvErr() error {
+	if s.err != nil {
+		return s.err
+	}
+	return errors.New("server: connection closed during backup")
+}
+
+// wireSink is the backup pipeline's sink: it puts each upload window on
+// the wire as negotiation rounds of the backup in progress, cur.
+type wireSink struct{ cur *backupShared }
+
+// PutBatchOwned splits the window at the server's window limit and, for
+// each part, takes an in-flight slot, records the refs and ciphertexts the
+// receiver answers the server's reply from, and sends TNegotiate. The
+// ciphertexts are kept until their TChunkData frame is written; chunks
+// itself is only borrowed.
+func (w *wireSink) PutBatchOwned(chunks []dedup.PutChunk) ([]bool, error) {
+	s := w.cur
+	for len(chunks) > 0 {
+		part := chunks[:min(len(chunks), int(s.c.limits.WindowChunks))]
+		chunks = chunks[len(part):]
+		win := &cwindow{refs: make([]trace.ChunkRef, len(part)), cts: make([][]byte, len(part))}
+		for i, ch := range part {
+			win.refs[i] = trace.ChunkRef{FP: ch.FP, Size: uint32(len(ch.Data))}
+			win.cts[i] = ch.Data
+		}
+		select {
+		case s.slots <- struct{}{}:
+		case <-s.recvDone:
+			return nil, s.recvErr()
+		}
+		s.mu.Lock()
+		s.pending[s.seq] = win
+		s.mu.Unlock()
+		s.negPay = wire.AppendNegotiate(s.negPay[:0], s.seq, win.refs)
+		s.seq++
+		if err := s.c.wc.Send(wire.TNegotiate, s.negPay); err != nil {
+			return nil, err
+		}
+	}
+	return nil, nil
 }
 
 // recvLoop is Backup's receiver: it answers negotiate replies with the
@@ -318,15 +384,24 @@ func (s *backupShared) recvLoop() {
 	}
 }
 
-// Backup chunks and convergently encrypts src locally, negotiates each
-// window's fingerprints with the server, uploads only the chunks the
-// shared store is missing, and commits the recipe — returning once the
-// server acknowledges the snapshot durable. Windows pipeline: up to the
-// server-advertised in-flight limit of windows may be unacknowledged at
-// once, so encryption, negotiation, and upload overlap.
+// Backup runs the in-process backup pipeline (dedup.Client.BackupContext)
+// over src with the wire as its sink: src is chunked on a producer
+// goroutine and convergently encrypted by the Workers fan-out, each upload
+// window's fingerprints are negotiated with the server, only the chunks
+// the shared store is missing are uploaded, and the recipe is committed —
+// Backup returns once the server acknowledges the snapshot durable. Up to
+// the server-advertised in-flight limit of windows may be unacknowledged
+// at once, so encryption, negotiation, and upload overlap.
 //
-// Cancelling ctx abandons the session (the connection is closed and the
-// server aborts: no snapshot appears).
+// Cancelling ctx abandons the session promptly, even while a read of src
+// is stalled: the connection is closed and the server aborts, so no
+// snapshot appears, and every pooled chunk buffer is handed back.
+//
+// If Backup returns an error, the chunking goroutine may still be
+// completing one final in-progress read of src before it shuts down. Do
+// not reuse, reset, or close a non-thread-safe src immediately after a
+// failed Backup; readers that tolerate concurrent use (*os.File) are
+// unaffected.
 func (c *Client) Backup(ctx context.Context, name string, src io.Reader) (wire.SnapshotInfo, error) {
 	if err := c.begin(); err != nil {
 		return wire.SnapshotInfo{}, err
@@ -335,8 +410,9 @@ func (c *Client) Backup(ctx context.Context, name string, src io.Reader) (wire.S
 		return wire.SnapshotInfo{}, err
 	}
 	ctxFired := c.watchCtx(ctx)
-	info, broken, err := c.backup(name, src)
-	if ctxFired() {
+	info, broken, err := c.backup(ctx, name, src)
+	// The pipeline may see the cancellation before the watcher does.
+	if ctxFired() || (err != nil && ctx.Err() != nil) {
 		err = ctx.Err()
 		broken = true
 	} else if err == nil {
@@ -352,7 +428,7 @@ func (c *Client) Backup(ctx context.Context, name string, src io.Reader) (wire.S
 
 // backup is Backup's body; broken reports whether the session state is
 // unrecoverable (mid-pipeline failure) as opposed to a clean rejection.
-func (c *Client) backup(name string, src io.Reader) (info wire.SnapshotInfo, broken bool, err error) {
+func (c *Client) backup(ctx context.Context, name string, src io.Reader) (info wire.SnapshotInfo, broken bool, err error) {
 	payload, err := wire.AppendName(nil, name)
 	if err != nil {
 		return wire.SnapshotInfo{}, false, err
@@ -367,10 +443,6 @@ func (c *Client) backup(name string, src io.Reader) (info wire.SnapshotInfo, bro
 		return wire.SnapshotInfo{}, !clean, err
 	}
 
-	windowChunks := int(c.limits.WindowChunks)
-	if windowChunks > DefaultWindowChunks {
-		windowChunks = DefaultWindowChunks
-	}
 	shared := &backupShared{
 		c:        c,
 		pending:  make(map[uint32]*cwindow),
@@ -381,7 +453,9 @@ func (c *Client) backup(name string, src io.Reader) (info wire.SnapshotInfo, bro
 	go shared.recvLoop()
 	// From here on every failure is mid-pipeline: the receiver may have
 	// frames in flight, so the session cannot be reused.
-	info, err = c.runBackupPipeline(name, src, windowChunks, shared)
+	c.sink.cur = shared
+	info, err = c.runBackupPipeline(ctx, src, shared)
+	c.sink.cur = nil
 	if err != nil {
 		// Unblock and collect the receiver before returning: markBroken
 		// closes the conn, which ends it.
@@ -392,111 +466,24 @@ func (c *Client) backup(name string, src io.Reader) (info wire.SnapshotInfo, bro
 	return info, false, nil
 }
 
-// runBackupPipeline is the sender side: chunk, encrypt, negotiate,
-// commit.
-func (c *Client) runBackupPipeline(name string, src io.Reader, windowChunks int, shared *backupShared) (wire.SnapshotInfo, error) {
-	params := c.cfg.Chunking
-	params.DeferFingerprint = true
-	var (
-		cdc chunker.Chunker
-		err error
-	)
-	if c.cfg.ChunkWorkers > 1 && params.Algorithm == chunker.AlgoGear {
-		cdc, err = chunker.NewMultiGear(src, params, c.cfg.ChunkWorkers)
-	} else {
-		cdc, err = chunker.New(src, params)
-	}
+// runBackupPipeline is the sender side: the pipeline negotiates every
+// window through the sink, then the client waits out the in-flight windows
+// and commits the recipe.
+func (c *Client) runBackupPipeline(ctx context.Context, src io.Reader, shared *backupShared) (wire.SnapshotInfo, error) {
+	recipe, err := c.pipe.BackupContext(ctx, src)
 	if err != nil {
 		return wire.SnapshotInfo{}, err
 	}
-	defer func() {
-		if mc, ok := cdc.(interface{ Close() error }); ok {
-			_ = mc.Close()
-		}
-	}()
-
-	recvErr := func() error {
-		if shared.err != nil {
-			return shared.err
-		}
-		return errors.New("server: connection closed during backup")
-	}
-
-	var (
-		entries []mle.RecipeEntry
-		window  []chunker.Chunk
-		seq     uint32
-		negPay  []byte
-	)
-	flush := func() error {
-		if len(window) == 0 {
-			return nil
-		}
-		refs, cts, werr := c.encryptWindow(window)
-		if werr != nil {
-			return werr
-		}
-		for i, r := range refs {
-			entries = append(entries, mle.RecipeEntry{Fingerprint: r.FP, Key: cts.keys[i], Size: r.Size})
-		}
-		select {
-		case shared.slots <- struct{}{}:
-		case <-shared.recvDone:
-			return recvErr()
-		}
-		w := &cwindow{refs: refs, cts: cts.data}
-		shared.mu.Lock()
-		shared.pending[seq] = w
-		shared.mu.Unlock()
-		negPay = wire.AppendNegotiate(negPay[:0], seq, refs)
-		seq++
-		if serr := c.wc.Send(wire.TNegotiate, negPay); serr != nil {
-			return serr
-		}
-		for i := range window {
-			window[i].Release()
-		}
-		window = window[:0]
-		return nil
-	}
-	for {
-		ch, cerr := cdc.Next()
-		if errors.Is(cerr, io.EOF) {
-			break
-		}
-		if cerr != nil {
-			for i := range window {
-				window[i].Release()
-			}
-			return wire.SnapshotInfo{}, fmt.Errorf("server: chunking: %w", cerr)
-		}
-		window = append(window, ch)
-		if len(window) == windowChunks {
-			if err := flush(); err != nil {
-				for i := range window {
-					window[i].Release()
-				}
-				return wire.SnapshotInfo{}, err
-			}
-		}
-	}
-	if err := flush(); err != nil {
-		for i := range window {
-			window[i].Release()
-		}
-		return wire.SnapshotInfo{}, err
-	}
-
 	// Quiesce: once the sender holds every slot, every window is
 	// acknowledged and the store holds all our chunks.
 	for i := 0; i < cap(shared.slots); i++ {
 		select {
 		case shared.slots <- struct{}{}:
 		case <-shared.recvDone:
-			return wire.SnapshotInfo{}, recvErr()
+			return wire.SnapshotInfo{}, shared.recvErr()
 		}
 	}
-	commit, err := wire.AppendCommit(nil, entries)
+	commit, err := wire.AppendCommit(nil, recipe.Entries)
 	if err != nil {
 		return wire.SnapshotInfo{}, err
 	}
@@ -510,66 +497,8 @@ func (c *Client) runBackupPipeline(name string, src io.Reader, windowChunks int,
 	case info := <-shared.doneCh:
 		return info, nil
 	default:
-		return wire.SnapshotInfo{}, recvErr()
+		return wire.SnapshotInfo{}, shared.recvErr()
 	}
-}
-
-// windowCiphertexts is encryptWindow's result: parallel slices in window
-// order.
-type windowCiphertexts struct {
-	data [][]byte
-	keys []mle.Key
-}
-
-// encryptWindow convergently encrypts one window with the worker fan-out:
-// key from the plaintext, deterministic CTR encryption, ciphertext
-// fingerprint — bit-identical to the in-process pipeline's EncConvergent
-// path, which is what makes cross-client dedup work.
-func (c *Client) encryptWindow(window []chunker.Chunk) ([]trace.ChunkRef, windowCiphertexts, error) {
-	refs := make([]trace.ChunkRef, len(window))
-	cts := windowCiphertexts{data: make([][]byte, len(window)), keys: make([]mle.Key, len(window))}
-	err := parallelFor(c.cfg.Workers, len(window), func(i int) {
-		key := mle.ConvergentKey(window[i].Data)
-		ct := mle.EncryptDeterministic(key, window[i].Data)
-		refs[i] = trace.ChunkRef{FP: fphash.FromBytes(ct), Size: uint32(len(ct))}
-		cts.data[i] = ct
-		cts.keys[i] = key
-	})
-	return refs, cts, err
-}
-
-// parallelFor runs fn(0..n-1) across workers goroutines (GOMAXPROCS if
-// 0), inline when 1.
-func parallelFor(workers, n int, fn func(i int)) error {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			fn(i)
-		}
-		return nil
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				fn(i)
-			}
-		}()
-	}
-	wg.Wait()
-	return nil
 }
 
 // Restore streams the named snapshot's plaintext to w. Bytes written to w

@@ -25,14 +25,17 @@ import (
 // DialServer returns the matching network client. See internal/wire's
 // package documentation for the frame format and session flow.
 type (
-	// RemoteClient is the network backup client: it chunks and
-	// convergently encrypts locally, negotiates fingerprints with the
-	// server, uploads only the misses, and restores over the same
+	// RemoteClient is the network backup client. Its Backup is the
+	// in-process backup pipeline with the wire as its sink: chunking and
+	// convergent encryption run locally, each upload window's fingerprints
+	// are negotiated with the server, and only the misses are uploaded.
+	// Only convergent encryption goes over the wire. Restores use the same
 	// connection. One RemoteClient serves one tenant session; run one per
 	// goroutine for concurrency.
 	RemoteClient = server.Client
-	// RemoteClientConfig configures DialServer (tenant, token, chunking,
-	// worker fan-out).
+	// RemoteClientConfig configures DialServer: tenant and token, plus the
+	// pipeline's chunking and worker fan-out, which DialServer validates
+	// as NewClient does before it connects.
 	RemoteClientConfig = server.DialConfig
 	// RemoteSnapshot describes one snapshot as reported over the wire.
 	RemoteSnapshot = wire.SnapshotInfo

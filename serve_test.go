@@ -645,59 +645,117 @@ func TestServerSealBatchingUnderWindow(t *testing.T) {
 	}
 }
 
-// TestRecipeEntriesMatchRemote: a remote backup's sealed recipe opens
-// with the repository key and matches what an in-process backup of the
-// same bytes produces — the server-side sealing deviation is invisible
-// to OpenRepository and Restore.
+// TestRecipeEntriesMatchRemote: the remote client runs the in-process
+// backup pipeline with the wire as its sink, so under every window
+// geometry a remote backup's sealed recipe (opened with the repository
+// key) matches an in-process backup of the same bytes entry for entry,
+// and the negotiation transcript's query stream matches the in-process
+// upload tap chunk for chunk. 10 MiB is over one 1024-chunk pipeline
+// window, so the 100-chunk server splits windows with a remainder.
 func TestRecipeEntriesMatchRemote(t *testing.T) {
-	var key Key
-	copy(key[:], "recipe parity key")
-	repoA, err := CreateRepository("", WithRepositoryKey(key))
-	if err != nil {
-		t.Fatal(err)
+	gear := DefaultChunkingParams()
+	gear.Algorithm = AlgoGear
+	cases := []struct {
+		name   string
+		server ServerConfig
+		remote RemoteClientConfig
+		local  []RepositoryOption
+	}{
+		{name: "defaults"},
+		{
+			name:   "gear-2-chunk-workers",
+			remote: RemoteClientConfig{Chunking: gear, ChunkWorkers: 2},
+			local:  []RepositoryOption{WithChunking(gear), WithChunkWorkers(2)},
+		},
+		{
+			name:   "1-worker",
+			remote: RemoteClientConfig{Workers: 1},
+			local:  []RepositoryOption{WithWorkers(1)},
+		},
+		{
+			name:   "server-window-100-inflight-1",
+			server: ServerConfig{WindowChunks: 100, MaxInflight: 1},
+		},
 	}
-	defer repoA.Close()
-	repoB, err := CreateRepository("", WithRepositoryKey(key))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer repoB.Close()
-	_, addr := startRepoServer(t, repoA, ServerConfig{})
-
-	data := repoData(55, 3<<20)
-	c, err := DialServer(addr, RemoteClientConfig{Tenant: "x"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
+	data := repoData(55, 10<<20)
 	ctx := context.Background()
-	if _, err := c.Backup(ctx, "snap", bytes.NewReader(data)); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := repoB.Backup(ctx, "snap", bytes.NewReader(data)); err != nil {
-		t.Fatal(err)
-	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			var key Key
+			copy(key[:], "recipe parity key")
+			repoA, err := CreateRepository("", WithRepositoryKey(key))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer repoA.Close()
+			repoB, err := CreateRepository("", append([]RepositoryOption{WithRepositoryKey(key), WithUploadObserver(nil)}, tc.local...)...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer repoB.Close()
+			rs, addr := startRepoServer(t, repoA, tc.server)
 
-	open := func(r *Repository, name string) *mle.Recipe {
-		t.Helper()
-		rec, ok := r.catalog.Get(name)
-		if !ok {
-			t.Fatalf("snapshot %q missing", name)
-		}
-		recipe, err := mle.OpenRecipe(rec.SealedRecipe, key)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return recipe
-	}
-	remote := open(repoA, "x/snap")
-	local := open(repoB, "snap")
-	if len(remote.Entries) != len(local.Entries) {
-		t.Fatalf("remote recipe has %d entries, local %d", len(remote.Entries), len(local.Entries))
-	}
-	for i := range remote.Entries {
-		if remote.Entries[i] != local.Entries[i] {
-			t.Fatalf("entry %d: remote %+v, local %+v", i, remote.Entries[i], local.Entries[i])
-		}
+			cfg := tc.remote
+			cfg.Tenant = "x"
+			c, err := DialServer(addr, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer c.Close()
+			if _, err := c.Backup(ctx, "snap", bytes.NewReader(data)); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := repoB.Backup(ctx, "snap", bytes.NewReader(data)); err != nil {
+				t.Fatal(err)
+			}
+
+			open := func(r *Repository, name string) *mle.Recipe {
+				t.Helper()
+				rec, ok := r.catalog.Get(name)
+				if !ok {
+					t.Fatalf("snapshot %q missing", name)
+				}
+				recipe, err := mle.OpenRecipe(rec.SealedRecipe, key)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return recipe
+			}
+			remote := open(repoA, "x/snap")
+			local := open(repoB, "snap")
+			if len(remote.Entries) != len(local.Entries) {
+				t.Fatalf("remote recipe has %d entries, local %d", len(remote.Entries), len(local.Entries))
+			}
+			for i := range remote.Entries {
+				if remote.Entries[i] != local.Entries[i] {
+					t.Fatalf("entry %d: remote %+v, local %+v", i, remote.Entries[i], local.Entries[i])
+				}
+			}
+
+			materialize := func(log *TraceLog, label string) []trace.ChunkRef {
+				t.Helper()
+				for _, b := range log.Backups() {
+					if b.Label == label {
+						m, err := b.Materialize()
+						if err != nil {
+							t.Fatal(err)
+						}
+						return m.Chunks
+					}
+				}
+				t.Fatalf("no trace labeled %q", label)
+				return nil
+			}
+			queries := materialize(rs.NegotiationLog(), "x/snap")
+			tapped := materialize(repoB.TraceLog(), "snap")
+			if len(queries) != len(tapped) || len(tapped) != len(local.Entries) {
+				t.Fatalf("%d negotiated chunks, %d tapped, %d recipe entries", len(queries), len(tapped), len(local.Entries))
+			}
+			for i := range queries {
+				if queries[i] != tapped[i] {
+					t.Fatalf("chunk %d: negotiation %v, tap %v", i, queries[i], tapped[i])
+				}
+			}
+		})
 	}
 }
