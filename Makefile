@@ -31,11 +31,13 @@ build:
 test:
 	$(GO) test ./...
 
-# The second line is scripts/check.sh's flake guard on the remote Backup's
-# sender/receiver handoff: those tests, five times over.
+# The second and third lines are scripts/check.sh's flake guards, five
+# runs each: the remote Backup's sender/receiver handoff, and the backup
+# pipeline's worker pool (teardown, determinism, sinks, streaming).
 race:
 	$(GO) test -race ./...
 	$(GO) test -race -count=5 -run 'RoundTrip|Cancel|EmptyBackup|Inflight' ./internal/server/
+	$(GO) test -race -count=5 -run 'Cancel|Deterministic|Sink|Streaming|Teardown' ./internal/dedup/
 
 # Exhaustive crash-point sweep under the race detector: crash the
 # scripted backup/delete/GC/backup scenario at EVERY mutating filesystem

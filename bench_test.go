@@ -18,6 +18,7 @@ import (
 	"runtime"
 	"sync"
 	"sync/atomic"
+	"syscall"
 	"testing"
 
 	"freqdedup/internal/attack"
@@ -354,11 +355,14 @@ func benchStream(n int) []byte {
 	return data
 }
 
+// benchBackup reports, besides MB/s, how many cores the pipeline kept
+// busy: process CPU seconds over wall seconds.
 func benchBackup(b *testing.B, workers int) {
 	data := benchStream(16 << 20)
 	b.SetBytes(int64(len(data)))
 	b.ReportAllocs()
 	b.ResetTimer()
+	cpu0 := processCPUSeconds()
 	for i := 0; i < b.N; i++ {
 		store := NewStore(0)
 		client, err := NewClient(store, ClientConfig{Workers: workers})
@@ -369,6 +373,17 @@ func benchBackup(b *testing.B, workers int) {
 			b.Fatal(err)
 		}
 	}
+	b.ReportMetric((processCPUSeconds()-cpu0)/b.Elapsed().Seconds(), "cores")
+}
+
+// processCPUSeconds is the process's user+system CPU time so far.
+func processCPUSeconds() float64 {
+	var ru syscall.Rusage
+	if err := syscall.Getrusage(syscall.RUSAGE_SELF, &ru); err != nil {
+		return 0
+	}
+	tv := func(t syscall.Timeval) float64 { return float64(t.Sec) + float64(t.Usec)/1e6 }
+	return tv(ru.Utime) + tv(ru.Stime)
 }
 
 func BenchmarkBackupSerial(b *testing.B)   { benchBackup(b, 1) }

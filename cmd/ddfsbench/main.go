@@ -82,7 +82,7 @@ func main() {
 	gear := flag.Bool("gear", false,
 		"use the gear-hash chunk format in -chunker mode (NOT cut-compatible with the default Rabin format)")
 	chunkWorkers := flag.Int("chunkworkers", 0,
-		"multi-stream chunking workers for -chunker -gear (0 or 1 = serial scan)")
+		"multi-stream chunking workers for -chunker -gear (0 or 1 = serial scan; gear only: no multi-stream Rabin scanner exists)")
 	restoreMode := flag.Bool("restore", false,
 		"benchmark backup-to-disk, reopen, and restore end to end")
 	attackMode := flag.Bool("attack", false,

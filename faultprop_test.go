@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 
@@ -163,4 +165,98 @@ func TestBackupNotAckedOnSyncFailure(t *testing.T) {
 			mustRestore(t, repo2, "snap-retry", data)
 		})
 	}
+}
+
+// TestSealFaultInSyncPass: Store.Sync seals the shards one after another,
+// in shard order, so the crash sweep sees the same operations every run.
+// A failed seal of shard 7 of 16 must fail the whole barrier with shard
+// 7's error and seal no shard after it; the backup acknowledges nothing —
+// neither live nor in the crash image — and a retried backup succeeds and
+// restores.
+func TestSealFaultInSyncPass(t *testing.T) {
+	data := repoData(72, 1<<20)
+	var key Key
+	copy(key[:], "seal fault key")
+	opts := func(fs FileSystem) []RepositoryOption {
+		// A container holds a whole shard's share of the backup, so each
+		// shard's one seal of the backup is the one Store.Sync runs.
+		return []RepositoryOption{
+			WithFileSystem(fs), WithRepositoryKey(key),
+			WithShards(16), WithContainerBytes(4 << 20),
+		}
+	}
+	ctx := context.Background()
+	shardFile := func(i int) string { return fmt.Sprintf("shard-%04d.fdc", i) }
+
+	// Calibration pass: how many syncs each shard's file sees before the
+	// backup, and that the backup seals every shard exactly once.
+	calib := newCountingFS(faultio.NewMemFS())
+	repo, err := CreateRepository("repo", opts(calib)...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pre := make([]int, 16)
+	for i := range pre {
+		pre[i] = calib.count(shardFile(i))
+	}
+	if _, err := repo.Backup(ctx, "snap", bytes.NewReader(data)); err != nil {
+		t.Fatalf("calibration backup: %v", err)
+	}
+	for i := range pre {
+		if got := calib.count(shardFile(i)) - pre[i]; got != 1 {
+			t.Fatalf("calibration: backup synced %s %d times, want its one seal", shardFile(i), got)
+		}
+	}
+	repo.Close()
+
+	m := faultio.NewMemFSPlan(faultio.Plan{Seed: 72, Rules: []faultio.Rule{{
+		Op: faultio.OpSync, PathGlob: shardFile(7), Nth: pre[7] + 1,
+	}}})
+	counted := newCountingFS(m)
+	repo, err = CreateRepository("repo", opts(counted)...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = repo.Backup(ctx, "snap", bytes.NewReader(data))
+	if !errors.Is(err, faultio.ErrInjected) || !strings.Contains(err.Error(), "sync shard 7:") {
+		t.Fatalf("backup with a failed shard 7 seal: err = %v, want shard 7's injected seal failure", err)
+	}
+	// Counted before Close, which seals the containers the pass left open.
+	// Shard 7 itself also syncs the truncate that discards its torn append.
+	for i := range pre {
+		switch got := counted.count(shardFile(i)); {
+		case i < 7 && got != pre[i]+1:
+			t.Errorf("%s synced %d times by the failed pass, want its one seal", shardFile(i), got-pre[i])
+		case i > 7 && got != pre[i]:
+			t.Errorf("%s synced %d times after shard 7's seal failed, want none", shardFile(i), got-pre[i])
+		}
+	}
+	if len(repo.Snapshots()) != 0 {
+		t.Fatalf("snapshot acked live despite a failed seal: %+v", repo.Snapshots())
+	}
+	repo.Close()
+
+	reopened, err := OpenRepository("repo", opts(m.CrashImage())...)
+	if err != nil {
+		t.Fatalf("reopen after failed seal: %v", err)
+	}
+	if n := len(reopened.Snapshots()); n != 0 {
+		t.Fatalf("%d snapshots survived a crash despite the failed seal", n)
+	}
+	if err := reopened.Verify(ctx); err != nil {
+		t.Fatalf("verify after failed-seal crash: %v", err)
+	}
+	reopened.Close()
+
+	// The rule fired its once: a retried backup on the live filesystem
+	// seals every shard and restores.
+	repo2, err := OpenRepository("repo", opts(m)...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer repo2.Close()
+	if _, err := repo2.Backup(ctx, "snap-retry", bytes.NewReader(data)); err != nil {
+		t.Fatalf("retried backup after a one-shot seal fault: %v", err)
+	}
+	mustRestore(t, repo2, "snap-retry", data)
 }

@@ -5,11 +5,14 @@ import (
 	"context"
 	"errors"
 	"io"
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"freqdedup/internal/chunker"
+	"freqdedup/internal/fphash"
 	"freqdedup/internal/mle"
 )
 
@@ -85,8 +88,8 @@ var cancelConfigs = []struct {
 // the segment stage, at several worker counts, asserting a prompt
 // ctx.Err() return and that every pooled chunk buffer comes back to the
 // pool — the gathered chunks, the open segment's, and the closed ones not
-// yet uploaded. Run under -race: the producer, the fingerprint and encrypt
-// fan-outs, and the cancellation all overlap.
+// yet uploaded. Run under -race: the producer, the worker pool's
+// fingerprint and encrypt batches, and the cancellation all overlap.
 func TestBackupCancelDrainsPooledBuffers(t *testing.T) {
 	data := randData(41, 16<<20)
 	for _, tc := range cancelConfigs {
@@ -104,6 +107,85 @@ func TestBackupCancelDrainsPooledBuffers(t *testing.T) {
 			}
 			waitForBufs(t, baseline)
 		})
+	}
+}
+
+// waitForGoroutines polls until the goroutine count is back at or below
+// want: Backup joins its worker pool before returning, and its producer
+// and drain goroutines exit once the reader has nothing more to give.
+func waitForGoroutines(t *testing.T, want int) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		got := runtime.NumGoroutine()
+		if got <= want {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines running, want %d (a backup goroutine outlived Backup)", got, want)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// failingDeriver derives keys until it has served n, then fails every
+// call — an encryption-stage failure that lands mid-stream.
+func failingDeriver(n int64, err error) mle.KeyDeriver {
+	var calls atomic.Int64
+	inner := mle.NewLocalDeriver([]byte("teardown"))
+	return mle.KeyDeriverFunc(func(fp fphash.Fingerprint) (mle.Key, error) {
+		if calls.Add(1) > n {
+			return mle.Key{}, err
+		}
+		return inner.DeriveKey(fp)
+	})
+}
+
+// TestBackupTeardown: whether a backup succeeds, fails in its encrypt
+// stage or is cancelled, nothing of it survives the return — the worker
+// pool is joined, the producer and drain goroutines exit, and every
+// pooled chunk buffer is back. Every cancelConfigs shape is covered; the
+// encrypt failure is a key deriver that gives out mid-stream (per chunk
+// on the pool for server-aided rows, per segment on the consumer for the
+// MinHash row).
+func TestBackupTeardown(t *testing.T) {
+	data := randData(44, 6<<20)
+	boom := errors.New("deriver down")
+	for _, tc := range cancelConfigs {
+		for _, outcome := range []string{"success", "encrypt-error", "cancel"} {
+			t.Run(tc.name+"/"+outcome, func(t *testing.T) {
+				goroutines, bufs := runtime.NumGoroutine(), chunker.BufsOutstanding()
+				cfg := tc.cfg
+				ctx, cancel := context.WithCancel(context.Background())
+				defer cancel()
+				var src io.Reader = bytes.NewReader(data)
+				var want error
+				switch outcome {
+				case "encrypt-error":
+					// A few hundred chunk keys, or two segment keys.
+					served := int64(300)
+					if cfg.Encryption == EncMinHash {
+						served = 2
+					} else {
+						cfg.Encryption = EncServerAided
+					}
+					cfg.Deriver = failingDeriver(served, boom)
+					want = boom
+				case "cancel":
+					src = &ctxCancellingReader{data: data, cancelAt: 3 << 20, cancel: cancel}
+					want = context.Canceled
+				}
+				client, err := NewClient(NewStore(0), cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if _, err := client.BackupContext(ctx, src); !errors.Is(err, want) {
+					t.Fatalf("BackupContext err = %v, want %v", err, want)
+				}
+				waitForGoroutines(t, goroutines)
+				waitForBufs(t, bufs)
+			})
+		}
 	}
 }
 

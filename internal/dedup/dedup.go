@@ -45,8 +45,10 @@ type Config struct {
 	// with deterministic cut-point stitching — the chunk sequence is
 	// bit-identical to serial gear chunking at any worker count. 0 and 1
 	// chunk serially. Requires Chunking.Min >= chunker.GearWindow and is
-	// rejected for AlgoRabin (its rolling hash carries unbounded history,
-	// so segments cannot be scanned independently).
+	// rejected for AlgoRabin: only the gear scanner has a multi-stream
+	// implementation (chunker.NewMultiGear). Rabin's hash, like gear's,
+	// depends only on a bounded sliding window (48 bytes), so one could
+	// be written.
 	ChunkWorkers int
 	// Encryption selects the MLE scheme (EncConvergent if zero).
 	Encryption Encryption
@@ -67,12 +69,14 @@ type Config struct {
 	// config, and seed — for tests and experiments that need bit-for-bit
 	// deterministic store layouts.
 	ScrambleSeed int64
-	// Workers is the number of encrypt+fingerprint workers Backup fans
-	// out to (the MLE hot path) and the number of container read+decrypt
-	// workers Restore fans out to. 0 selects GOMAXPROCS; 1 runs Backup's
-	// stages inline. Recipes, store contents, and restored bytes are
-	// identical for every worker count: parallelism changes wall-clock
-	// time only.
+	// Workers is the size of the worker pool each Backup starts for the
+	// MLE hot path — plaintext fingerprints, key derivation, encryption,
+	// ciphertext fingerprints — and the number of container read+decrypt
+	// workers Restore fans out to. 0 selects GOMAXPROCS. Backup's pool
+	// runs beside the chunking goroutine and the consumer even at 1, so
+	// encryption always overlaps chunking. Recipes, store contents, and
+	// restored bytes are identical for every worker count: parallelism
+	// changes wall-clock time only.
 	Workers int
 	// DegradedRestore turns unrecoverable chunks into zero-filled holes
 	// instead of failing the restore: when a chunk is missing or its
@@ -213,55 +217,65 @@ type encJob struct {
 	segKey mle.Key
 }
 
-// uploadWindowChunks bounds how many chunks Backup gathers, encrypts and
-// uploads at a time: ~8 MiB of ciphertext at the default 8 KiB average
-// chunk size, and still hundreds of jobs per window so the worker fan-out
-// stays saturated.
+// uploadWindowChunks is how many chunks Backup hands the Sink at a time:
+// ~8 MiB of ciphertext at the default 8 KiB average chunk size. The window
+// is the unit of PutBatchOwned, of the upload observer and of the network
+// client's negotiation, so its boundaries are a function of the chunk
+// stream alone.
 const uploadWindowChunks = 1024
 
 // chunkQueueDepth is how many chunks the producer's channel holds: enough
 // lookahead that the chunker keeps running while a window is being
-// encrypted, small enough that resident plaintext stays bounded.
+// uploaded, small enough that resident plaintext stays bounded.
 const chunkQueueDepth = 256
 
 // Backup chunks, encrypts, and uploads the stream, returning the recipe
 // needed to restore it. The recipe must be sealed with the user's key
 // before being stored anywhere untrusted (mle.Recipe.Seal).
 //
-// Backup is one streaming pipeline in every configuration. A producer
-// goroutine runs the content-defined chunker (deferring plaintext SHA-256
-// out of the serial path) and feeds a bounded channel; the consumer
-// gathers up to uploadWindowChunks chunks, fans them out to Config.Workers
-// goroutines that derive keys, encrypt, and fingerprint ciphertexts, then
-// hands each window to the Sink with one PutBatchOwned and releases the
+// Backup is one streaming pipeline in every configuration, and it keeps
+// three kinds of goroutine busy at once. A producer goroutine runs the
+// content-defined chunker (deferring plaintext SHA-256 out of the serial
+// path) and hands over batches of chunkBatch chunks through a bounded
+// channel. A pool of Config.Workers goroutines, started once per backup
+// and joined before it returns, derives keys, encrypts and fingerprints
+// ciphertexts: the consumer passes each batch to the pool the moment it
+// arrives, so encryption runs while the chunker is still reading. The
+// consumer fills upload windows of uploadWindowChunks chunks; when one is
+// full (or the stream ends) it waits for that window's own batches only,
+// hands the window to the Sink with one PutBatchOwned and releases the
 // plaintext buffers back to the chunker pool.
 //
-// Scrambling and MinHash encryption put a segment stage between gather and
-// encrypt: the gathered chunks are fingerprinted and fed to a
-// segment.Splitter whose divisor configuration fixes (segment.Divisor of
-// Config.Segments and Config.Chunking.Avg); each segment that closes gets
-// its MinHash key and scrambled order and joins the upload, and the open
-// one is carried into the next gather. Resident plaintext is at most
-// chunkQueueDepth + chunkBatch + uploadWindowChunks chunks plus one open
-// segment (Segments.MaxBytes / Chunking.Min chunks) whatever the length,
-// and recipe, store layout and upload order do not depend on the worker
-// and shard counts or on where the gathers fall.
+// Scrambling and MinHash encryption put a segment stage between the
+// handoff and the upload window: the pool fingerprints each batch's
+// plaintexts as it arrives, and once a gather of uploadWindowChunks
+// chunks is in, the consumer feeds them to a segment.Splitter whose
+// divisor configuration fixes (segment.Divisor of Config.Segments and
+// Config.Chunking.Avg); each segment that closes gets its MinHash key and
+// scrambled order, and joins the upload windows, which the pool encrypts;
+// the open segment is carried into the next gather. Resident plaintext is
+// at most chunkQueueDepth + chunkBatch + uploadWindowChunks chunks plus
+// one open segment (Segments.MaxBytes / Chunking.Min chunks) whatever the
+// length, and recipe, store layout, upload order and upload windows do
+// not depend on the worker and shard counts, on how the reader fragments
+// the stream, or on where the gathers fall.
 //
 // If Backup returns an error, the chunking goroutine may still be
 // completing one final in-progress read of r before it shuts down. Do not
 // reuse, reset, or close a non-thread-safe r immediately after a failed
 // Backup; readers that tolerate concurrent use (*os.File) are unaffected.
+// The worker pool never outlives Backup.
 func (c *Client) Backup(r io.Reader) (*mle.Recipe, error) {
 	return c.BackupContext(context.Background(), r)
 }
 
 // BackupContext is Backup with cancellation: when ctx is cancelled the
 // pipeline stops promptly — the consumer returns ctx.Err() without waiting
-// for an in-progress read of r, the worker fan-outs abort between chunks,
-// and every pooled chunk buffer still in flight is handed back to the pool
-// (the same drain contract as any other mid-backup error). Chunks uploaded
-// before the cancellation remain in the store, where they deduplicate a
-// retried backup or are reclaimed by the next GC.
+// for an in-progress read of r, the pool's workers stop between chunks and
+// are joined, and every pooled chunk buffer still in flight is handed back
+// to the pool (the same drain contract as any other mid-backup error).
+// Chunks uploaded before the cancellation remain in the store, where they
+// deduplicate a retried backup or are reclaimed by the next GC.
 func (c *Client) BackupContext(ctx context.Context, r io.Reader) (*mle.Recipe, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -302,36 +316,45 @@ func (m *chunkMsg) release() {
 	}
 }
 
-// backupStreaming is the backup pipeline: producer goroutine, gather,
-// segment stage when the configuration has one, encrypt fan-out, store.
+// backupStreaming is the backup pipeline: producer goroutine, worker pool,
+// segment stage when the configuration has one, upload window, sink.
 // Chunks never accumulate beyond the bound in Backup's doc.
 func (c *Client) backupStreaming(ctx context.Context, cdc chunker.Chunker) (*mle.Recipe, error) {
 	chunks := make(chan chunkMsg, chunkQueueDepth/chunkBatch)
 	done := make(chan struct{})
-	// Every chunk the consumer holds is in exactly one of two slices: pend,
-	// in stream order, has the open segment's chunks (the first seen) and
-	// then the gathered ones the splitter has not seen; ready has the
-	// closed segments' jobs in upload order and is empty between drains.
+	pool := c.startPool(ctx)
+	// Every chunk the consumer holds is in exactly one of five slices. in
+	// has the last handoff's chunks not yet placed; win is the upload
+	// window, in upload order. The segment stage adds three: gather has the
+	// chunks received since the last drain, in stream order, while the pool
+	// fingerprints them; pend, in stream order, has the open segment's
+	// chunks (the first seen) and then the drained ones the splitter has
+	// not seen; ready has the closed segments' jobs in upload order and is
+	// empty between drains.
 	var (
-		pend  = make([]encJob, 0, uploadWindowChunks)
-		seen  int
-		ready []encJob
+		inBuf               [chunkBatch]encJob
+		in                  []encJob
+		win                 = newUploadWindow()
+		gather, pend, ready []encJob
 	)
-	// On any return, stop the producer and hand every chunk still in
-	// flight — buffered in the channel, pending or ready — back to the
-	// chunker pool, so repeated failing backups stay as allocation-lean as
-	// successful ones. The channel is drained on a goroutine: the producer
-	// may be blocked in a stalled Read, and an error return must not wait
-	// for it. On the success path the channel is already closed and drained
-	// and both slices are empty, so this is a no-op.
+	// On any return, stop the producer, then join the pool (a worker may
+	// still be reading a chunk of a failed window), and only then hand
+	// every chunk still in flight, buffered in the channel or held in a
+	// slice, back to the chunker pool, so repeated failing backups stay as
+	// allocation-lean as successful ones. The channel is drained on a
+	// goroutine: the producer may be blocked in a stalled Read, and an
+	// error return must not wait for it. On the success path the channel
+	// is already closed and drained and every slice is empty, so only the
+	// pool's join is left.
 	defer func() {
 		close(done)
+		pool.stop()
 		go func() {
 			for msg := range chunks {
 				msg.release()
 			}
 		}()
-		for _, held := range [][]encJob{pend, ready} {
+		for _, held := range [][]encJob{in, win.jobs, gather, pend, ready} {
 			for i := range held {
 				held[i].chunk.Release()
 			}
@@ -386,37 +409,59 @@ func (c *Client) backupStreaming(ctx context.Context, cdc chunker.Chunker) (*mle
 		}
 	}()
 
-	// Recipe entries are in stream order — each job fills the entry it was
-	// gathered at — while uploads may be scrambled.
+	// Recipe entries are in stream order — each job's entry is copied to
+	// the index it was received at once its window is done — while uploads
+	// may be scrambled. Only this goroutine touches recipe.Entries.
 	recipe := &mle.Recipe{}
-	batch := make([]PutChunk, uploadWindowChunks)
-	upload := func(window []encJob) error {
-		// Each job fills its own batch slot and recipe entry, whatever the
-		// scheduling.
-		puts := batch[:len(window)]
-		if err := c.parallelFor(ctx, len(window), func(i int) error {
-			return c.encryptOne(window[i], &puts[i], &recipe.Entries[window[i].idx])
-		}); err != nil {
+	// flush uploads the window once the pool has finished its batches.
+	flush := func() error {
+		if len(win.jobs) == 0 {
+			return nil
+		}
+		win.pending.Wait()
+		if err := pool.err(); err != nil {
 			return err
 		}
+		n := len(win.jobs)
 		// Ownership transfer: the ciphertexts were freshly allocated by the
 		// encrypt stage and are never touched again, so the store may keep
 		// them without its defensive copy. The store preserves batch order
 		// within a shard, so window boundaries do not show in the layout.
-		if _, err := c.sink.PutBatchOwned(puts); err != nil {
+		if _, err := c.sink.PutBatchOwned(win.puts[:n]); err != nil {
 			return fmt.Errorf("dedup: upload: %w", err)
 		}
-		if err := c.observeWindow(window, recipe.Entries); err != nil {
+		for i, job := range win.jobs {
+			recipe.Entries[job.idx] = win.entries[i]
+		}
+		if err := c.observeWindow(win.entries[:n]); err != nil {
 			return err
 		}
-		for i := range window {
-			window[i].chunk.Release()
+		for i := range win.jobs {
+			win.jobs[i].chunk.Release()
+		}
+		win.jobs = win.jobs[:0]
+		return nil
+	}
+	// fill moves jobs into upload windows, flushing each one that fills.
+	// On an error return *jobs holds exactly the jobs not yet moved, so
+	// the deferred release sees every chunk once.
+	fill := func(jobs *[]encJob) error {
+		for len(*jobs) > 0 {
+			n := min(len(*jobs), uploadWindowChunks-len(win.jobs))
+			win.add(pool, (*jobs)[:n])
+			*jobs = (*jobs)[n:]
+			if len(win.jobs) == uploadWindowChunks {
+				if err := flush(); err != nil {
+					return err
+				}
+			}
 		}
 		return nil
 	}
 
 	// The segment stage (Section 7.1), for the configurations that need
-	// segments; without it a gather is uploaded as it stands.
+	// segments; without it the handoff batches go straight into the upload
+	// windows.
 	var (
 		split   *segment.Splitter
 		minhash *mle.MinHash
@@ -454,33 +499,34 @@ func (c *Client) backupStreaming(ctx context.Context, cdc chunker.Chunker) (*mle
 		} else {
 			ready = append(ready, seg...)
 		}
-		pend, seen = pend[n:], seen-n
+		pend = pend[n:]
 		return nil
+	}
+	// gathered counts the pool's outstanding fingerprint batches of gather.
+	// Plaintext fingerprints were deferred out of the chunker; segmentation
+	// and MinHash need them, so the pool computes them as batches arrive,
+	// in place: gather never grows past its capacity (a drain empties it
+	// once uploadWindowChunks are in, before another batch can arrive), so
+	// it is never reallocated under a worker.
+	var gathered sync.WaitGroup
+	if split != nil {
+		gather = make([]encJob, 0, uploadWindowChunks+chunkBatch)
 	}
 	// drain pushes the gathered chunks through the segment stage and
 	// uploads what closed, in windows; at eof the open segment closes too.
-	// Both slices are consumed from the front, and slide back to the start
-	// of their buffers once only the open segment is left.
+	// pend and ready are consumed from the front, and slide back to the
+	// start of their buffers once only the open segment is left.
 	drain := func(eof bool) error {
-		if split == nil {
-			if len(pend) > 0 {
-				if err := upload(pend); err != nil {
-					return err
-				}
-			}
-			pend = pend[:0]
-			return nil
-		}
-		pendBuf := pend[:0]
-		// Plaintext fingerprints were deferred out of the chunker;
-		// segmentation and MinHash need them.
-		fresh := pend[seen:]
-		if err := c.parallelFor(ctx, len(fresh), func(i int) error {
-			fresh[i].chunk.Fingerprint = fphash.FromBytes(fresh[i].chunk.Data)
-			return nil
-		}); err != nil {
+		gathered.Wait()
+		if err := pool.err(); err != nil {
 			return err
 		}
+		// Between drains pend holds only the open segment, which the
+		// splitter has seen.
+		seen := len(pend)
+		pend = append(pend, gather...)
+		gather = gather[:0]
+		pendBuf := pend[:0]
 		for seen < len(pend) {
 			ch := pend[seen].chunk
 			before, after := split.Add(trace.ChunkRef{FP: ch.Fingerprint, Size: uint32(ch.Size())})
@@ -488,12 +534,14 @@ func (c *Client) backupStreaming(ctx context.Context, cdc chunker.Chunker) (*mle
 				if err := closeSegment(seen); err != nil {
 					return err
 				}
+				seen = 0
 			}
 			seen++
 			if after {
 				if err := closeSegment(seen); err != nil {
 					return err
 				}
+				seen = 0
 			}
 		}
 		if eof {
@@ -502,15 +550,13 @@ func (c *Client) backupStreaming(ctx context.Context, cdc chunker.Chunker) (*mle
 			}
 		}
 		readyBuf := ready[:0]
-		for len(ready) > 0 {
-			n := len(ready)
-			if n > uploadWindowChunks {
-				n = uploadWindowChunks
-			}
-			if err := upload(ready[:n]); err != nil {
-				return err
-			}
-			ready = ready[n:]
+		// Each drain's closed segments start a fresh window and end with a
+		// partial one, so the windows depend on the stream alone.
+		if err := fill(&ready); err != nil {
+			return err
+		}
+		if err := flush(); err != nil {
+			return err
 		}
 		pend, ready = append(pendBuf, pend...), readyBuf
 		return nil
@@ -530,98 +576,182 @@ func (c *Client) backupStreaming(ctx context.Context, cdc chunker.Chunker) (*mle
 		if !ok {
 			break
 		}
+		in = inBuf[:0]
 		for _, ch := range msg.chunks[:msg.n] {
-			pend = append(pend, encJob{chunk: ch, idx: len(recipe.Entries)})
+			in = append(in, encJob{chunk: ch, idx: len(recipe.Entries)})
 			recipe.Entries = append(recipe.Entries, mle.RecipeEntry{})
 		}
 		if msg.err != nil {
 			return nil, msg.err
 		}
-		if len(pend)-seen >= uploadWindowChunks {
+		if split == nil {
+			if err := fill(&in); err != nil {
+				return nil, err
+			}
+			continue
+		}
+		lo := len(gather)
+		gather, in = append(gather, in...), nil
+		pool.submit(gather[lo:], nil, nil, &gathered)
+		if len(gather) >= uploadWindowChunks {
 			if err := drain(false); err != nil {
 				return nil, err
 			}
 		}
 	}
-	if err := drain(true); err != nil {
+	if split == nil {
+		if err := flush(); err != nil {
+			return nil, err
+		}
+	} else if err := drain(true); err != nil {
 		return nil, err
 	}
 	return recipe, nil
 }
 
-// parallelFor runs fn(0..n-1) on min(Config.Workers, n) goroutines pulling
-// indexes from a shared atomic counter. The first error stops the fan-out
-// and is returned; a cancelled ctx stops it between items and returns
-// ctx.Err(). With one worker (or one item) it runs inline.
-func (c *Client) parallelFor(ctx context.Context, n int, fn func(i int) error) error {
-	workers := c.cfg.Workers
-	if workers > n {
-		workers = n
+// uploadWindow is the upload window being filled: its jobs in upload
+// order, and the window-local slots the pool encrypts them into — the
+// ciphertexts for the Sink and the recipe entries. The slices are
+// allocated once at their full size and jobs never grows past it, so no
+// worker ever writes into a slice the consumer may reallocate.
+type uploadWindow struct {
+	jobs    []encJob
+	puts    []PutChunk
+	entries []mle.RecipeEntry
+	pending sync.WaitGroup // the window's batches the pool has not finished
+}
+
+func newUploadWindow() *uploadWindow {
+	return &uploadWindow{
+		jobs:    make([]encJob, 0, uploadWindowChunks),
+		puts:    make([]PutChunk, uploadWindowChunks),
+		entries: make([]mle.RecipeEntry, uploadWindowChunks),
 	}
-	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-			if err := fn(i); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	var (
-		next     atomic.Int64
-		failed   atomic.Bool
-		errMu    sync.Mutex
-		firstErr error
-		wg       sync.WaitGroup
-	)
-	record := func(err error) {
-		errMu.Lock()
-		if firstErr == nil {
-			firstErr = err
-		}
-		errMu.Unlock()
-		failed.Store(true)
-	}
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
+}
+
+// add appends jobs (at most the window's free room) and hands them to the
+// pool to encrypt.
+func (w *uploadWindow) add(p *workerPool, jobs []encJob) {
+	lo := len(w.jobs)
+	w.jobs = append(w.jobs, jobs...)
+	hi := len(w.jobs)
+	p.submit(w.jobs[lo:], w.puts[lo:hi], w.entries[lo:hi], &w.pending)
+}
+
+// workerPool is the backup pipeline's one fan-out mechanism: Config.Workers
+// goroutines, started with the backup and joined before it returns, that
+// work through batches of at most chunkBatch jobs in the order the
+// consumer submits them. The first error — an encryption failure, or ctx's
+// once it is cancelled — is kept, and every later batch is skipped; the
+// consumer reads it after waiting for the batches it needs.
+type workerPool struct {
+	c      *Client
+	ctx    context.Context
+	tasks  chan poolTask
+	wg     sync.WaitGroup
+	failed atomic.Bool
+	mu     sync.Mutex
+	first  error
+}
+
+// poolTask is one batch: with puts nil the worker fingerprints each job's
+// plaintext in place; otherwise it encrypts jobs[i] into puts[i] and
+// entries[i]. done counts the batch until the worker is through with it.
+type poolTask struct {
+	jobs    []encJob
+	puts    []PutChunk
+	entries []mle.RecipeEntry
+	done    *sync.WaitGroup
+}
+
+// startPool starts the backup's workers. The task queue holds a whole
+// window's batches, so the consumer rarely waits to submit.
+func (c *Client) startPool(ctx context.Context) *workerPool {
+	p := &workerPool{c: c, ctx: ctx, tasks: make(chan poolTask, uploadWindowChunks/chunkBatch)}
+	p.wg.Add(c.cfg.Workers)
+	for w := 0; w < c.cfg.Workers; w++ {
 		go func() {
-			defer wg.Done()
-			for !failed.Load() {
-				if err := ctx.Err(); err != nil {
-					record(err)
-					return
+			defer p.wg.Done()
+			for t := range p.tasks {
+				if !p.failed.Load() {
+					if err := p.run(t); err != nil {
+						p.fail(err)
+					}
 				}
-				i := int(next.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				if err := fn(i); err != nil {
-					record(err)
-					return
-				}
+				t.done.Done()
 			}
 		}()
 	}
-	wg.Wait()
-	return firstErr
+	return p
+}
+
+func (p *workerPool) run(t poolTask) error {
+	for i := range t.jobs {
+		if err := p.ctx.Err(); err != nil {
+			return err
+		}
+		if t.puts == nil {
+			ch := &t.jobs[i].chunk
+			ch.Fingerprint = fphash.FromBytes(ch.Data)
+		} else if err := p.c.encryptOne(t.jobs[i], &t.puts[i], &t.entries[i]); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// submit hands jobs to the workers in batches of at most chunkBatch (see
+// poolTask), counting each batch on done. A send never waits long: the
+// workers block on nothing but the queue, and skip batches once failed.
+func (p *workerPool) submit(jobs []encJob, puts []PutChunk, entries []mle.RecipeEntry, done *sync.WaitGroup) {
+	for lo := 0; lo < len(jobs); lo += chunkBatch {
+		hi := min(lo+chunkBatch, len(jobs))
+		t := poolTask{jobs: jobs[lo:hi], done: done}
+		if puts != nil {
+			t.puts, t.entries = puts[lo:hi], entries[lo:hi]
+		}
+		done.Add(1)
+		p.tasks <- t
+	}
+}
+
+func (p *workerPool) fail(err error) {
+	p.mu.Lock()
+	if p.first == nil {
+		p.first = err
+	}
+	p.mu.Unlock()
+	p.failed.Store(true)
+}
+
+// err returns the pool's first error; call it after waiting for batches.
+func (p *workerPool) err() error {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.first
+}
+
+// stop makes the workers skip whatever is still queued and joins them.
+func (p *workerPool) stop() {
+	p.failed.Store(true)
+	close(p.tasks)
+	p.wg.Wait()
 }
 
 // observeWindow feeds one acknowledged upload window to the configured
-// observer: ciphertext fingerprints and ciphertext sizes in upload order.
-// The scratch slice is reused across windows; the observer only borrows
-// it. A nil observer costs one branch.
-func (c *Client) observeWindow(window []encJob, entries []mle.RecipeEntry) error {
+// observer: ciphertext fingerprints and ciphertext sizes in upload order,
+// from the window's recipe entries. The scratch slice is reused across
+// windows; the observer only borrows it. A nil observer costs one branch.
+func (c *Client) observeWindow(entries []mle.RecipeEntry) error {
 	if c.cfg.Observer == nil {
 		return nil
 	}
-	if cap(c.obsRefs) < len(window) {
-		c.obsRefs = make([]trace.ChunkRef, len(window))
+	if cap(c.obsRefs) < len(entries) {
+		c.obsRefs = make([]trace.ChunkRef, len(entries))
 	}
-	refs := c.obsRefs[:len(window)]
-	for i, job := range window {
-		refs[i] = trace.ChunkRef{FP: entries[job.idx].Fingerprint, Size: entries[job.idx].Size}
+	refs := c.obsRefs[:len(entries)]
+	for i, e := range entries {
+		refs[i] = trace.ChunkRef{FP: e.Fingerprint, Size: e.Size}
 	}
 	if err := c.cfg.Observer.ObserveUpload(refs); err != nil {
 		return fmt.Errorf("dedup: upload observer: %w", err)
@@ -632,8 +762,8 @@ func (c *Client) observeWindow(window []encJob, entries []mle.RecipeEntry) error
 // encryptOne processes one job: key derivation, deterministic encryption,
 // and ciphertext fingerprinting for one chunk. Plaintext fingerprinting
 // was deferred out of the chunker, so modes that need it (server-aided key
-// derivation) compute it here, inside the worker fan-out; convergent
-// encryption never needs it at all.
+// derivation) compute it here, on the worker pool; convergent encryption
+// never needs it at all.
 func (c *Client) encryptOne(job encJob, put *PutChunk, entry *mle.RecipeEntry) error {
 	ch := job.chunk
 	var key mle.Key

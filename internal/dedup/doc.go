@@ -18,15 +18,19 @@
 //     and locks each shard once. Each shard has its own open container, so
 //     container packing is append-safe under concurrent writers without a
 //     global packer lock.
-//   - Client.Backup is one bounded streaming pipeline. A producer
-//     goroutine runs the content-defined chunker (batch Rabin scanning
-//     over a fixed lookahead buffer, plaintext SHA-256 deferred out of the
-//     serial path) and feeds a bounded channel; the consumer gathers up to
-//     a window of chunks and fans them out to Config.Workers goroutines
-//     that derive keys, encrypt (AES-256-CTR, the hot path), and
-//     fingerprint ciphertexts, then uploads each window with one call to
-//     the client's Sink and releases the plaintext buffers to the chunker
-//     pool.
+//   - Client.Backup is one bounded streaming pipeline that keeps every
+//     stage busy at once. A producer goroutine runs the content-defined
+//     chunker (batch Rabin scanning over a fixed lookahead buffer,
+//     plaintext SHA-256 deferred out of the serial path) and hands over
+//     batches of 32 chunks through a bounded channel. A pool of
+//     Config.Workers goroutines, started once per backup and joined before
+//     it returns, is the pipeline's one fan-out: the consumer passes it
+//     each batch as it arrives, and the workers derive keys, encrypt
+//     (AES-256-CTR, the hot path) and fingerprint ciphertexts into the
+//     slots of the current upload window while the chunker reads on. When
+//     a window of 1024 chunks is full the consumer waits for that window's
+//     own batches, uploads it with one call to the client's Sink, and
+//     releases the plaintext buffers to the chunker pool.
 //   - The Sink is the pipeline's only seam: a one-method interface
 //     (PutBatchOwned) with two implementations. *Store is the in-process
 //     sink (NewClient). The network client in internal/server is the
@@ -34,16 +38,18 @@
 //     fingerprint negotiation with the server and uploads only the
 //     misses, so local and remote backups run one pipeline — only
 //     EncConvergent goes over the wire.
-//   - Scrambling and MinHash encryption add a segment stage between
-//     gather and encrypt: gathered chunks are fingerprinted and fed to a
-//     segment.Splitter whose divisor comes from configuration
-//     (segment.Divisor of Config.Segments and Config.Chunking.Avg), never
-//     from the stream, so segments close while the stream is arriving.
-//     A closed segment gets its MinHash key and scrambled order (drawn on
-//     the consumer goroutine, in stream order) and joins the upload; the
-//     open one is carried into the next gather. Resident plaintext is
-//     bounded by the queue depth plus one window plus one open segment,
-//     regardless of stream length.
+//   - Scrambling and MinHash encryption add a segment stage between the
+//     handoff and the upload window: the pool fingerprints each batch's
+//     plaintexts as it arrives, and each gather of a window's worth of
+//     chunks is fed to a segment.Splitter whose divisor comes from
+//     configuration (segment.Divisor of Config.Segments and
+//     Config.Chunking.Avg), never from the stream, so segments close while
+//     the stream is arriving. A closed segment gets its MinHash key and
+//     scrambled order (drawn on the consumer goroutine, in stream order)
+//     and joins the upload windows, which the pool encrypts; the open one
+//     is carried into the next gather. Resident plaintext is bounded by
+//     the queue depth plus one window plus one open segment, regardless of
+//     stream length.
 //   - Client.Restore is planned from the recipe, which tells it its whole
 //     future. Plan: every entry's container is resolved up front and each
 //     container learns its first, next and last use. Prefetch window:
@@ -67,7 +73,7 @@
 //   - Cancellation. BackupContext, RestoreContext, and GCContext thread a
 //     context through every pipeline: the backup consumer returns
 //     promptly even while the producer is parked in a stalled Read, the
-//     worker fan-outs stop between items, and the GC sweep stops between
+//     worker pools stop between items, and the GC sweep stops between
 //     shards (already-swept shards keep their atomic rewrites). A
 //     cancelled pipeline drains exactly like a failed one — every pooled
 //     buffer is handed back before the ctx.Err() return.
@@ -103,9 +109,11 @@
 //     identical for every shard count.
 //   - Recipes returned by Backup are bit-for-bit independent of
 //     Config.Workers and of where gathers and upload windows fall:
-//     encryption is deterministic MLE, results are slotted by recipe
-//     index, not completion order, and segment boundaries depend on chunk
-//     content and configuration alone.
+//     encryption is deterministic MLE, results are slotted by window
+//     position and recipe index, not completion order, and segment
+//     boundaries depend on chunk content and configuration alone. The
+//     upload windows themselves — their sizes and their order — depend on
+//     the chunk stream alone, however the reader fragments it.
 //   - With a single shard (NewStoreWithShards(n, 1)) and any worker count,
 //     chunk placement — container IDs, entry order, sealing boundaries —
 //     is bit-for-bit identical to the original serial engine.

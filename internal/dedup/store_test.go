@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"io"
 	"math/rand"
 	"reflect"
 	"sync"
@@ -399,39 +400,92 @@ func TestShardCount1MatchesSerialEngine(t *testing.T) {
 	}
 }
 
+// windowSink forwards every upload window to a store and records the
+// window sizes.
+type windowSink struct {
+	*Store
+	sizes []int
+}
+
+func (s *windowSink) PutBatchOwned(chunks []PutChunk) ([]bool, error) {
+	s.sizes = append(s.sizes, len(chunks))
+	return s.Store.PutBatchOwned(chunks)
+}
+
 // TestBackupDeterministicAcrossWorkerCounts checks the worker-count
-// invariant on a default (multi-shard) store: identical recipes and
-// identical stats for 1, 2, and GOMAXPROCS workers.
+// invariant on a default (multi-shard) store, with and without the
+// segment stage: at 1, 2 and 8 workers, from a whole-buffer reader and
+// from one that trickles 5000 bytes per Read, the recipe, the stats, every
+// shard's container layout, the observed upload stream and the sequence of
+// PutBatchOwned window sizes are all identical. The pool encrypts batches
+// in whatever order it schedules them; none of that may show.
 func TestBackupDeterministicAcrossWorkerCounts(t *testing.T) {
-	data := randData(123, 4<<20)
-	var wantRecipe *mle.Recipe
-	var wantStats trace.DedupStats
-	for i, workers := range []int{1, 2, 0} {
-		store := NewStore(0)
-		client, err := NewClient(store, Config{
+	data := randData(123, 10<<20) // one full upload window and a partial one
+	for name, base := range map[string]Config{
+		"convergent": {},
+		"minhash-scramble": {
 			Encryption:   EncMinHash,
 			Deriver:      mle.NewLocalDeriver([]byte("k")),
 			Scramble:     true,
 			ScrambleSeed: 3,
-			Workers:      workers,
+		},
+	} {
+		t.Run(name, func(t *testing.T) {
+			var (
+				wantRecipe *mle.Recipe
+				wantStats  trace.DedupStats
+				wantStore  *Store
+				wantOrder  []trace.ChunkRef
+				wantSizes  []int
+			)
+			for _, workers := range []int{1, 2, 8} {
+				for _, slow := range []bool{false, true} {
+					cfg := base
+					cfg.Workers = workers
+					var order []trace.ChunkRef
+					cfg.Observer = observerFunc(func(refs []trace.ChunkRef) error {
+						order = append(order, refs...)
+						return nil
+					})
+					sink := &windowSink{Store: NewStore(0)}
+					client, err := NewSinkClient(sink, cfg)
+					if err != nil {
+						t.Fatal(err)
+					}
+					var src io.Reader = bytes.NewReader(data)
+					if slow {
+						src = &slowReader{data: data, max: 5000}
+					}
+					recipe, err := client.Backup(src)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if wantRecipe == nil {
+						wantRecipe, wantStats, wantStore, wantOrder, wantSizes = recipe, sink.Stats(), sink.Store, order, sink.sizes
+						if len(wantSizes) < 2 {
+							t.Fatalf("%d upload windows: the stream must span several", len(wantSizes))
+						}
+						continue
+					}
+					run := fmt.Sprintf("workers=%d slow=%v", workers, slow)
+					if !reflect.DeepEqual(recipe, wantRecipe) {
+						t.Fatalf("%s: recipe differs from workers=1", run)
+					}
+					if sink.Stats() != wantStats {
+						t.Fatalf("%s: stats differ from workers=1", run)
+					}
+					for i := range wantStore.shards {
+						sameLayout(t, sink.shards[i].containers, wantStore.shards[i].containers)
+					}
+					if !reflect.DeepEqual(order, wantOrder) {
+						t.Fatalf("%s: observed upload stream differs from workers=1", run)
+					}
+					if !reflect.DeepEqual(sink.sizes, wantSizes) {
+						t.Fatalf("%s: upload windows %v, want %v", run, sink.sizes, wantSizes)
+					}
+				}
+			}
 		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		recipe, err := client.Backup(bytes.NewReader(data))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if i == 0 {
-			wantRecipe, wantStats = recipe, store.Stats()
-			continue
-		}
-		if !reflect.DeepEqual(recipe, wantRecipe) {
-			t.Fatalf("workers=%d: recipe differs from workers=1", workers)
-		}
-		if store.Stats() != wantStats {
-			t.Fatalf("workers=%d: stats differ from workers=1", workers)
-		}
 	}
 }
 

@@ -29,11 +29,12 @@ type DialConfig struct {
 	// repository's other clients use, or cross-client dedup degrades to
 	// nothing — the server never sees plaintext, so it cannot check.
 	Chunking chunker.Params
-	// ChunkWorkers enables multi-stream chunking (gear only), as
-	// dedup.Config.ChunkWorkers.
+	// ChunkWorkers enables multi-stream chunking, as
+	// dedup.Config.ChunkWorkers: gear only, the one scanner with a
+	// multi-stream implementation.
 	ChunkWorkers int
-	// Workers is the encrypt+fingerprint fan-out (GOMAXPROCS if 0), as
-	// dedup.Config.Workers.
+	// Workers is the size of each backup's encrypt+fingerprint worker
+	// pool (GOMAXPROCS if 0), as dedup.Config.Workers.
 	Workers int
 	// DialTimeout bounds connect + handshake (30s if zero).
 	DialTimeout time.Duration
@@ -386,7 +387,7 @@ func (s *backupShared) recvLoop() {
 
 // Backup runs the in-process backup pipeline (dedup.Client.BackupContext)
 // over src with the wire as its sink: src is chunked on a producer
-// goroutine and convergently encrypted by the Workers fan-out, each upload
+// goroutine and convergently encrypted by the Workers pool, each upload
 // window's fingerprints are negotiated with the server, only the chunks
 // the shared store is missing are uploaded, and the recipe is committed —
 // Backup returns once the server acknowledges the snapshot durable. Up to

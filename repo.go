@@ -227,8 +227,8 @@ func WithChunking(p ChunkingParams) RepositoryOption {
 // stream across n chunking workers with deterministic cut-point
 // stitching, so the chunk sequence — and therefore recipes, dedup ratios,
 // and store contents — is bit-identical to serial chunking at any worker
-// count. Requires AlgoGear chunking with Min >= 64; 0 and 1 chunk
-// serially.
+// count. Requires AlgoGear chunking with Min >= 64: only the gear scanner
+// has a multi-stream implementation. 0 and 1 chunk serially.
 func WithChunkWorkers(n int) RepositoryOption {
 	return func(o *repoOptions) { o.cfg.ChunkWorkers = n }
 }
@@ -268,9 +268,9 @@ func WithScramble(seed int64) RepositoryOption {
 	}
 }
 
-// WithWorkers sets how many goroutines the backup encrypt stage and the
-// restore's container reads and decrypts fan out to (GOMAXPROCS if unset).
-// Results are identical at every worker count.
+// WithWorkers sets the size of each backup's encrypt worker pool and how
+// many goroutines the restore's container reads and decrypts fan out to
+// (GOMAXPROCS if unset). Results are identical at every worker count.
 func WithWorkers(n int) RepositoryOption {
 	return func(o *repoOptions) { o.cfg.Workers = n }
 }

@@ -65,6 +65,13 @@ go build ./... || fail "go build"
 echo "== go test -race"
 go test -race ./... || fail "go test -race"
 
+# The backup pipeline's worker pool, producer and consumer hand chunks,
+# batches and windows to each other; run the tests that drive those
+# handoffs (teardown, determinism across worker counts, sinks, streaming
+# readers, cancellation) five times over.
+echo "== backup pipeline flake guard (-race -count=5)"
+go test -race -count=5 -run 'Cancel|Deterministic|Sink|Streaming|Teardown' ./internal/dedup/ || fail "backup pipeline flake guard"
+
 if [ "${CHECK_SKIP_FAULTS:-0}" != "1" ]; then
 	echo "== crash-point sweep (exhaustive, -race)"
 	FAULTS_FULL=1 go test -race -run 'TestCrashSweep' . || fail "crash-point sweep"
