@@ -22,7 +22,7 @@ import (
 	"testing"
 
 	"freqdedup/internal/attack"
-	"freqdedup/internal/core"
+	"freqdedup/internal/dedup"
 	"freqdedup/internal/defense"
 	"freqdedup/internal/eval"
 	"freqdedup/internal/fphash"
@@ -177,7 +177,7 @@ func BenchmarkAttackScaling(b *testing.B) {
 	}
 }
 
-// --- Micro-benchmarks of the core attack and defense primitives on the
+// --- Micro-benchmarks of the attack and defense primitives on the
 // --- FSL dataset's most recent (aux, target) pair.
 
 func fslPair(b *testing.B) (aux, target *trace.Backup) {
@@ -186,43 +186,8 @@ func fslPair(b *testing.B) (aux, target *trace.Backup) {
 	return d.Backups[len(d.Backups)-2], d.Backups[len(d.Backups)-1]
 }
 
-func BenchmarkBasicAttackFSL(b *testing.B) {
-	aux, target := fslPair(b)
-	enc := defense.EncryptMLE(target)
-	b.ResetTimer()
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		core.BasicAttack(enc.Backup, aux)
-	}
-}
-
-func BenchmarkLocalityAttackFSL(b *testing.B) {
-	aux, target := fslPair(b)
-	enc := defense.EncryptMLE(target)
-	cfg := core.DefaultLocalityConfig()
-	b.ResetTimer()
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		core.LocalityAttack(enc.Backup, aux, cfg)
-	}
-}
-
-func BenchmarkAdvancedAttackFSL(b *testing.B) {
-	aux, target := fslPair(b)
-	enc := defense.EncryptMLE(target)
-	cfg := core.DefaultLocalityConfig()
-	cfg.SizeAware = true
-	b.ResetTimer()
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		core.LocalityAttack(enc.Backup, aux, cfg)
-	}
-}
-
-// The streaming-engine counterparts of the three attack benchmarks
-// above: same FSL trace pair, so time/op and allocs/op are directly
-// comparable to the legacy flat-arena engine's numbers.
-
+// benchStreamAttack times one attack on the FSL trace pair at the
+// engine's default parallelism.
 func benchStreamAttack(b *testing.B, a attack.Attack) {
 	b.Helper()
 	aux, target := fslPair(b)
@@ -364,8 +329,8 @@ func benchBackup(b *testing.B, workers int) {
 	b.ResetTimer()
 	cpu0 := processCPUSeconds()
 	for i := 0; i < b.N; i++ {
-		store := NewStore(0)
-		client, err := NewClient(store, ClientConfig{Workers: workers})
+		store := dedup.NewStore(0)
+		client, err := dedup.NewClient(store, ClientConfig{Workers: workers})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -527,9 +492,9 @@ func BenchmarkChunkerGearMulti(b *testing.B) {
 // --- BenchmarkRestoreFile restores from a file-backed store, so its B/op
 // --- includes every container the restore reads.
 
-func benchRestore(b *testing.B, store *Store, workers int) {
+func benchRestore(b *testing.B, store *dedup.Store, workers int) {
 	data := benchStream(16 << 20)
-	backup, err := NewClient(store, ClientConfig{})
+	backup, err := dedup.NewClient(store, ClientConfig{})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -540,7 +505,7 @@ func benchRestore(b *testing.B, store *Store, workers int) {
 	if err := store.Sync(); err != nil {
 		b.Fatal(err)
 	}
-	client, err := NewClient(store, ClientConfig{Workers: workers})
+	client, err := dedup.NewClient(store, ClientConfig{Workers: workers})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -554,12 +519,14 @@ func benchRestore(b *testing.B, store *Store, workers int) {
 	}
 }
 
-func BenchmarkRestoreSerial(b *testing.B) { benchRestore(b, NewStore(0), 1) }
+func BenchmarkRestoreSerial(b *testing.B) { benchRestore(b, dedup.NewStore(0), 1) }
 
-func BenchmarkRestoreParallel(b *testing.B) { benchRestore(b, NewStore(0), runtime.GOMAXPROCS(0)) }
+func BenchmarkRestoreParallel(b *testing.B) {
+	benchRestore(b, dedup.NewStore(0), runtime.GOMAXPROCS(0))
+}
 
 func BenchmarkRestoreFile(b *testing.B) {
-	store, err := CreateStore(b.TempDir(), 0, 16)
+	store, err := dedup.Create(b.TempDir(), 0, 16)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -671,7 +638,7 @@ func populateRepoChunks(b *testing.B, repo *Repository, n int) {
 	b.Helper()
 	const perBatch = 512
 	data := benchStream(64)
-	batch := make([]StoreChunk, 0, perBatch)
+	batch := make([]dedup.PutChunk, 0, perBatch)
 	flush := func() {
 		if len(batch) == 0 {
 			return
@@ -683,7 +650,7 @@ func populateRepoChunks(b *testing.B, repo *Repository, n int) {
 	}
 	for i := 0; i < n; i++ {
 		fp := fphash.FromUint64(fphash.FromUint64(uint64(i) + 1).Mix(1))
-		batch = append(batch, StoreChunk{FP: fp, Data: data})
+		batch = append(batch, dedup.PutChunk{FP: fp, Data: data})
 		if len(batch) == perBatch {
 			flush()
 		}
@@ -830,7 +797,7 @@ func BenchmarkStoreShards(b *testing.B) {
 	)
 	for _, shards := range []int{1, 4, 16, 64} {
 		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
-			store := NewStoreWithShards(0, shards)
+			store := dedup.NewStoreWithShards(0, shards)
 			// Pin the GC pacing target to this benchmark's own live heap:
 			// with pinned 10x iterations, throughput otherwise swings ~3x
 			// depending on how much heap earlier benchmarks left behind.
@@ -845,7 +812,7 @@ func BenchmarkStoreShards(b *testing.B) {
 				// varies chunk to chunk; a plain counter would pin each
 				// goroutine's entire namespace to a single shard.
 				base := uint64(worker.Add(1)) << 32
-				batch := make([]StoreChunk, perBatch)
+				batch := make([]dedup.PutChunk, perBatch)
 				data := benchStream(chunkSize)
 				var n uint64
 				for pb.Next() {
@@ -853,7 +820,7 @@ func BenchmarkStoreShards(b *testing.B) {
 						for i := range batch {
 							n++
 							fp := fphash.FromUint64(base + n)
-							batch[i] = StoreChunk{FP: fphash.FromUint64(fp.Mix(0)), Data: data}
+							batch[i] = dedup.PutChunk{FP: fphash.FromUint64(fp.Mix(0)), Data: data}
 						}
 						if _, err := store.PutBatch(batch); err != nil {
 							b.Fatal(err)

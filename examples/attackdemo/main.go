@@ -27,7 +27,7 @@ func main() {
 	// The streaming attack engine: each attack consumes replayable
 	// chunk sources (here in-memory backups; a repository's .fdt trace
 	// logs work identically) through sharded parallel counters.
-	cfg := freqdedup.DefaultLocalityConfig()
+	cfg := freqdedup.DefaultAttackConfig()
 	run := func(a freqdedup.Attack, aux *freqdedup.Backup) float64 {
 		res, err := a.Run(
 			freqdedup.BackupAttackSource(enc.Backup),

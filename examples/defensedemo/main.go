@@ -34,15 +34,17 @@ func main() {
 			log.Fatal(err)
 		}
 		leaked := freqdedup.SampleLeaked(enc.Backup, enc.Truth, leakage, 42)
-		cfg := freqdedup.LocalityConfig{
+		advanced := freqdedup.NewAdvancedAttack(freqdedup.AttackConfig{
 			U: 1, V: 15, W: 500000,
-			Mode:      freqdedup.KnownPlaintext,
-			Leaked:    leaked,
-			SizeAware: true, // advanced attack
+			Mode:   freqdedup.KnownPlaintext,
+			Leaked: leaked,
+		})
+		res, err := advanced.Run(freqdedup.BackupAttackSource(enc.Backup),
+			freqdedup.BackupAttackSource(aux), freqdedup.AttackParams{})
+		if err != nil {
+			log.Fatal(err)
 		}
-		rate := freqdedup.InferenceRate(
-			freqdedup.LocalityAttack(enc.Backup, aux, cfg), enc.Truth, enc.Backup)
-		fmt.Printf("%-22s | %12.3f%%\n", scheme, rate*100)
+		fmt.Printf("%-22s | %12.3f%%\n", scheme, res.InferenceRate(enc.Truth)*100)
 	}
 
 	fmt.Println("\nStorage saving after all backups:")

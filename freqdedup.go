@@ -13,17 +13,17 @@
 //   - Repository: the system front door. CreateRepository and
 //     OpenRepository give a durable, snapshot-granular encrypted dedup
 //     store — Backup/Restore/Snapshots/Delete/GC/Verify with a crash-safe
-//     snapshot catalog and context-aware (cancellable) pipelines. Start
-//     here; the lower-level Store/Client pair remains for research rigs
-//     that need to wire the stages by hand.
-//   - Attacks: BasicAttack, LocalityAttack (with LocalityConfig;
-//     SizeAware selects the advanced variant), scored by InferenceRate.
+//     snapshot catalog and context-aware (cancellable) pipelines. It is
+//     the one entry point for storage.
+//   - Attacks: NewBasicAttack, NewLocalityAttack and NewAdvancedAttack
+//     (with AttackConfig), run over AttackSource streams and scored by
+//     AttackResult.InferenceRate.
 //   - Defenses: EncryptMLE / EncryptMinHash / scheme-driven Encrypt, plus
 //     StorageSavings for the efficiency evaluation.
 //   - Workloads: Dataset / Backup and the three generators
 //     (GenerateFSL, GenerateSynthetic, GenerateVM).
-//   - Byte-level pipeline: the Store / Client pair backing Repository;
-//     NewKeyServer / DialKeyManager provide server-aided MLE over TCP.
+//   - Byte-level building blocks: chunkers, MLE schemes, and
+//     NewKeyServer / DialKeyManager for server-aided MLE over TCP.
 //   - Experiments: the eval runners regenerate each of the paper's
 //     figures (see package internal/eval via the Fig* wrappers).
 //
@@ -34,7 +34,6 @@ import (
 	"freqdedup/internal/attack"
 	"freqdedup/internal/chunker"
 	"freqdedup/internal/container"
-	"freqdedup/internal/core"
 	"freqdedup/internal/dedup"
 	"freqdedup/internal/defense"
 	"freqdedup/internal/eval"
@@ -168,28 +167,11 @@ var NewTokenBucket = keymgr.NewTokenBucket
 // throttles a key request.
 var ErrRateLimited = keymgr.ErrRateLimited
 
-// Deduplicated storage (byte-level pipeline of Figure 2).
-type (
-	// Store is a deduplicated ciphertext-chunk store, lock-striped into
-	// shards keyed by fingerprint prefix so concurrent clients rarely
-	// contend. It is safe for concurrent use.
-	Store = dedup.Store
-	// StoreChunk is one chunk of a batched Store.PutBatch upload (or a
-	// Store.PutBatchOwned ownership-transfer upload).
-	StoreChunk = dedup.PutChunk
-	// Client chunks, encrypts, and uploads backup streams through a
-	// bounded streaming pipeline: a producer goroutine runs the
-	// content-defined chunker while ClientConfig.Workers goroutines
-	// encrypt and fingerprint, so resident plaintext stays bounded
-	// regardless of stream length. A Client is not safe for concurrent
-	// use; run one per goroutine against a shared Store.
-	Client = dedup.Client
-	// ClientConfig configures a Client (chunking, MLE scheme, defenses,
-	// and the backup pipeline's worker count).
-	ClientConfig = dedup.Config
-)
+// ClientConfig configures a repository's backup pipeline (chunking, MLE
+// scheme, defenses, and the worker count).
+type ClientConfig = dedup.Config
 
-// Client encryption pipeline selectors.
+// Encryption pipeline selectors (WithEncryption).
 const (
 	// EncConvergent encrypts each chunk under its content hash.
 	EncConvergent = dedup.EncConvergent
@@ -200,29 +182,14 @@ const (
 	EncMinHash = dedup.EncMinHash
 )
 
-// DefaultStoreShards is the shard count NewStore uses.
+// DefaultStoreShards is a repository's index shard count when WithShards
+// is not given.
 const DefaultStoreShards = dedup.DefaultShards
-
-// NewStore returns an empty deduplicated store with DefaultStoreShards
-// index shards.
-//
-// Deprecated: use CreateRepository(""). The Repository front door adds a
-// durable snapshot catalog, context-aware pipelines, and Verify; the raw
-// Store keeps retention state only in memory.
-var NewStore = dedup.NewStore
-
-// NewStoreWithShards returns an empty deduplicated store with an explicit
-// shard count in [1, 256]. Shard count 1 reproduces the serial engine's
-// container layout bit for bit; dedup statistics are identical for every
-// shard count.
-//
-// Deprecated: use CreateRepository("", WithShards(n)).
-var NewStoreWithShards = dedup.NewStoreWithShards
 
 // Persistence: sealed containers live behind a pluggable storage backend
 // (see internal/container's package documentation for the on-disk
-// format). The seal is the durability boundary; Store.Close seals open
-// containers on shutdown.
+// format). The seal is the durability boundary; Repository.Close seals
+// open containers on shutdown.
 type (
 	// StoreBackend is pluggable persistent storage for sealed containers.
 	StoreBackend = container.Backend
@@ -234,7 +201,7 @@ type (
 )
 
 // NewMemStoreBackend returns an in-memory StoreBackend with the given
-// shard count — for Repository's WithBackend and NewStoreWithBackend.
+// shard count — for Repository's WithBackend.
 var NewMemStoreBackend = container.NewMemBackend
 
 // CreateFileStoreBackend initializes a new file-backed StoreBackend
@@ -246,47 +213,13 @@ var CreateFileStoreBackend = container.CreateFileBackend
 // crash-torn tail.
 var OpenFileStoreBackend = container.OpenFileBackend
 
-// NewStoreWithBackend returns a store persisting sealed containers
-// through the given backend, rebuilding the fingerprint index if the
-// backend already holds containers.
-//
-// Deprecated: use CreateRepository / OpenRepository with WithBackend.
-var NewStoreWithBackend = dedup.NewStoreWithBackend
-
-// CreateStore initializes a new file-backed store directory.
-//
-// Deprecated: use CreateRepository — it adds the snapshot catalog beside
-// the container shards, which is what makes GC after a reopen safe.
-var CreateStore = dedup.Create
-
-// OpenStore reopens a file-backed store directory created by CreateStore,
-// rebuilding the fingerprint index from container index headers. Note
-// that a reopened raw store has no retention state: GC before
-// re-registering every backup reclaims everything.
-//
-// Deprecated: use OpenRepository, which replays the snapshot catalog and
-// restores the reference counts.
-var OpenStore = dedup.Open
-
-// ErrChunkNotFound is returned by Store.Get for unknown fingerprints.
+// ErrChunkNotFound is wrapped by a restore whose recipe references a
+// chunk the store does not hold.
 var ErrChunkNotFound = dedup.ErrNotFound
 
 // ErrStoreCorrupt is wrapped by reads of a damaged store file: data
 // corruption surfaces as an error, never as silent wrong bytes.
 var ErrStoreCorrupt = container.ErrCorrupt
-
-// NewClient returns a backup/restore client for a store. A restore is
-// planned from its recipe: every chunk's container is resolved up front,
-// ClientConfig.Workers goroutines prefetch the containers in first-use
-// order into a byte-bounded window (twice shards × container capacity;
-// past it the container whose next use is farthest is evicted and read
-// again later), runs of entries are decrypted into MiB slabs, and the
-// slabs are written in stream order. The output is bit-for-bit identical
-// to a chunk-at-a-time restore at every worker count.
-//
-// Deprecated: use Repository.Backup and Repository.Restore, which manage
-// recipes, sealing, and retention for you and accept a context.
-var NewClient = dedup.NewClient
 
 // GCStats reports what a garbage-collection pass reclaimed.
 type GCStats = dedup.GCStats
@@ -313,19 +246,16 @@ var (
 	WriteDataset           = trace.Write
 )
 
-// Attacks (Section 4). The streaming engine (internal/attack) is the
-// primary implementation: pluggable Attack values consuming replayable
-// AttackSource streams through sharded, parallel, two-pass counters, so
-// the same attacks run on in-memory generator traces and on repository
-// trace logs far larger than RAM, with results bit-identical at every
-// shard and worker count.
+// Attacks (Section 4), run by the streaming engine (internal/attack):
+// pluggable Attack values consuming replayable AttackSource streams
+// through sharded, parallel, two-pass counters, so the same attacks run
+// on in-memory generator traces and on repository trace logs far larger
+// than RAM, with results bit-identical at every shard and worker count.
 type (
 	// Pair is one inferred ciphertext-plaintext chunk pair.
 	Pair = attack.Pair
-	// LocalityConfig parameterizes the attacks (it is the streaming
-	// engine's Config; the legacy name is kept for compatibility).
-	LocalityConfig = attack.Config
-	// AttackConfig is LocalityConfig under the streaming engine's name.
+	// AttackConfig parameterizes the attacks; SizeAware selects the
+	// advanced variant.
 	AttackConfig = attack.Config
 	// GroundTruth maps ciphertext to true plaintext fingerprints.
 	GroundTruth = attack.GroundTruth
@@ -368,20 +298,9 @@ var (
 	// trace logs implement AttackSource directly (see TapBackup).
 	BackupAttackSource = attack.BackupSource
 	SampleLeaked       = attack.SampleLeaked
-)
-
-// Legacy materialized-slice attack entry points.
-//
-// Deprecated: use the streaming engine (NewBasicAttack /
-// NewLocalityAttack / NewAdvancedAttack with BackupAttackSource) — its
-// results are proven bit-identical and it also runs on repository trace
-// logs. These remain for compatibility and as the golden reference.
-var (
-	BasicAttack             = core.BasicAttack
-	LocalityAttack          = core.LocalityAttack
-	LocalityAttackWithStats = core.LocalityAttackWithStats
-	DefaultLocalityConfig   = core.DefaultLocalityConfig
-	InferenceRate           = core.InferenceRate
+	// DefaultAttackConfig returns the paper's locality parameters (u=1,
+	// v=15, w=200,000, ciphertext-only).
+	DefaultAttackConfig = attack.DefaultConfig
 )
 
 // Defenses (Section 6), simulated at trace level as in Section 7.1.

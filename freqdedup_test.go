@@ -11,6 +11,17 @@ import (
 	"freqdedup"
 )
 
+// attackRate runs a with aux as the auxiliary backup and scores it
+// against truth.
+func attackRate(t *testing.T, a freqdedup.Attack, target, aux *freqdedup.Backup, truth freqdedup.GroundTruth) float64 {
+	t.Helper()
+	res, err := a.Run(freqdedup.BackupAttackSource(target), freqdedup.BackupAttackSource(aux), freqdedup.AttackParams{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res.InferenceRate(truth)
+}
+
 func randBytes(seed int64, n int) []byte {
 	rng := rand.New(rand.NewSource(seed))
 	b := make([]byte, n)
@@ -76,14 +87,12 @@ func TestByteLevelEndToEndAttack(t *testing.T) {
 		truth[cfp] = ch.Fingerprint
 	}
 
-	cfg := freqdedup.DefaultLocalityConfig()
-	pairs := freqdedup.LocalityAttack(target, aux, cfg)
-	rate := freqdedup.InferenceRate(pairs, truth, target)
+	rate := attackRate(t, freqdedup.NewLocalityAttack(freqdedup.DefaultAttackConfig()), target, aux, truth)
 	if rate < 0.5 {
 		t.Fatalf("byte-level locality attack inferred only %.1f%% of the target", rate*100)
 	}
 
-	basic := freqdedup.InferenceRate(freqdedup.BasicAttack(target, aux), truth, target)
+	basic := attackRate(t, freqdedup.NewBasicAttack(freqdedup.AttackConfig{}), target, aux, truth)
 	if basic >= rate {
 		t.Fatalf("basic attack (%.3f) should not beat the locality attack (%.3f)", basic, rate)
 	}
@@ -109,13 +118,12 @@ func TestFacadeDefensePipeline(t *testing.T) {
 			t.Fatal(err)
 		}
 		leaked := freqdedup.SampleLeaked(enc.Backup, enc.Truth, 0.002, 1)
-		cfg := freqdedup.LocalityConfig{
+		cfg := freqdedup.AttackConfig{
 			U: 1, V: 15, W: 500000,
 			Mode:   freqdedup.KnownPlaintext,
 			Leaked: leaked,
 		}
-		rates[scheme] = freqdedup.InferenceRate(
-			freqdedup.LocalityAttack(enc.Backup, aux, cfg), enc.Truth, enc.Backup)
+		rates[scheme] = attackRate(t, freqdedup.NewLocalityAttack(cfg), enc.Backup, aux, enc.Truth)
 	}
 	if rates[freqdedup.SchemeMLE] < 0.05 {
 		t.Fatalf("undefended baseline too weak for a meaningful test: %.3f", rates[freqdedup.SchemeMLE])
@@ -194,9 +202,9 @@ func TestFacadeDatasetCodec(t *testing.T) {
 	}
 }
 
-// ExampleBasicAttack demonstrates classical frequency analysis on a toy
+// ExampleNewBasicAttack demonstrates classical frequency analysis on a toy
 // stream (the paper's Figure 3 setting).
-func ExampleBasicAttack() {
+func ExampleNewBasicAttack() {
 	fp := func(b byte) freqdedup.Fingerprint { return freqdedup.FingerprintOf([]byte{b}) }
 	mk := func(ids ...byte) *freqdedup.Backup {
 		b := &freqdedup.Backup{}
@@ -209,7 +217,11 @@ func ExampleBasicAttack() {
 	// chunk pairs correctly.
 	m := mk(1, 2, 1, 2, 3, 4, 2, 3, 4)
 	c := mk(11, 12, 15, 12, 11, 12, 13, 14, 12, 13, 14, 14)
-	pairs := freqdedup.BasicAttack(c, m)
-	fmt.Println(len(pairs) > 0 && pairs[0].C == fp(12) && pairs[0].M == fp(2))
+	res, err := freqdedup.NewBasicAttack(freqdedup.AttackConfig{}).Run(
+		freqdedup.BackupAttackSource(c), freqdedup.BackupAttackSource(m), freqdedup.AttackParams{})
+	if err != nil {
+		panic(err)
+	}
+	fmt.Println(len(res.Pairs) > 0 && res.Pairs[0].C == fp(12) && res.Pairs[0].M == fp(2))
 	// Output: true
 }

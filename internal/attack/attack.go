@@ -140,9 +140,9 @@ type Stats struct {
 
 // Result is one attack run's output.
 type Result struct {
-	// Pairs are the inferred ciphertext-plaintext pairs, sorted by
-	// ciphertext fingerprint. Every C fingerprint occurs in the target
-	// stream.
+	// Pairs are the inferred ciphertext-plaintext pairs: sorted by
+	// ciphertext fingerprint for the locality attacks, in rank order for
+	// basic. Every C fingerprint occurs in the target stream.
 	Pairs []Pair
 	// Stats are the run's internals.
 	Stats Stats
@@ -154,8 +154,8 @@ type Result struct {
 
 // InferenceRate computes the paper's severity metric: correctly inferred
 // unique ciphertext chunks over total unique ciphertext chunks in the
-// target stream. It equals the legacy core scoring because every inferred
-// pair's ciphertext chunk occurs in the target stream by construction.
+// target stream. Every pair counts, because every inferred pair's
+// ciphertext chunk occurs in the target stream by construction.
 func (r Result) InferenceRate(truth GroundTruth) float64 {
 	if r.UniqueTarget == 0 {
 		return 0

@@ -2,10 +2,9 @@
 // paper's primary contribution (Sections 3-5) rebuilt to run against what
 // the real storage stack emits, at trace sizes far beyond RAM.
 //
-// Where the legacy package core consumes materialized *trace.Backup
-// slices, this engine consumes ChunkSource: a replayable stream of
-// (fingerprint, size) chunk references. Sources exist for in-memory
-// backups (BackupSource — the trace generators and defense simulations)
+// The engine consumes ChunkSource: a replayable stream of (fingerprint,
+// size) chunk references. Sources exist for in-memory backups
+// (BackupSource — the trace generators and defense simulations)
 // and for a repository's durable .fdt adversary trace log
 // (internal/tracelog.BackupTrace), so the same attacks score synthetic
 // workloads and real tapped upload histories.
@@ -35,24 +34,9 @@
 // every ranking uses a total order (count, then first position where
 // position ties are enabled, then fingerprint) — the ranked order is
 // independent of arena concatenation order. The golden-equivalence suite
-// (attack_test.go) holds this engine to bit-identical pairs, stats, and
-// inference rates against the legacy core engine on the FSL, VM, and
-// synthetic generator traces for all three attacks in both modes.
-//
-// # Migration from internal/core
-//
-//	internal/core (deprecated)            internal/attack
-//	------------------------------------  -----------------------------------------
-//	core.BasicAttack(c, m)                NewBasic(Config{}).Run(BackupSource(c), BackupSource(m), Params{})
-//	core.LocalityAttack(c, m, cfg)        NewLocality(cfg).Run(...)  (cfg fields are identical)
-//	cfg.SizeAware = true (advanced)       NewAdvanced(cfg).Run(...)
-//	core.LocalityAttackWithStats          Result.Stats
-//	core.InferenceRate(pairs, truth, c)   Result.InferenceRate(truth)
-//	core.SampleLeaked                     SampleLeaked (same seeds, same samples)
-//	core.Pair / GroundTruth / Mode        Pair / GroundTruth / Mode (core's are aliases)
-//	(whole stream in memory)              ChunkSource / ChunkReader (streaming)
-//	(single-threaded tables)              Params{Shards, Workers}
-//
-// Package core remains as the frozen reference implementation the golden
-// tests compare against; new code should use this package.
+// (golden_test.go) holds this engine, at three shard/worker settings, to a
+// recorded table of the materialized-slice reference engine's outputs —
+// pair count, pair-list hash, stats, and the counts behind the inference
+// rate — on the FSL, VM, and synthetic generator traces for all three
+// attacks in both modes.
 package attack

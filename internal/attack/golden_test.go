@@ -1,19 +1,25 @@
 package attack_test
 
-// The golden-equivalence suite: the streaming sharded engine
-// (internal/attack) must produce bit-identical inference pairs, run
-// stats, and inference rates to the frozen reference engine
-// (internal/core) on the FSL, VM, and synthetic generator traces, for
+// The golden-equivalence suite: the streaming sharded engine must
+// reproduce, bit for bit, what the materialized-slice reference engine it
+// replaced produced on the FSL, VM, and synthetic generator traces, for
 // all three attacks in both modes, at every shard/worker combination.
-// This is the contract that lets the rest of the system retarget onto
-// the streaming engine without re-validating a single figure.
+// This is the contract that lets the rest of the system run on the
+// streaming engine without re-validating a single figure.
+//
+// The reference engine is gone; its outputs stay, recorded in goldenTable
+// from internal/core at commit 4aafda9 (core.BasicAttack and
+// core.LocalityAttackWithStats on exactly the inputs built below, passed
+// through summarize). A change that moves a row changes every figure: it
+// needs a reason, not a re-record.
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"fmt"
 	"testing"
 
 	"freqdedup/internal/attack"
-	"freqdedup/internal/core"
 	"freqdedup/internal/defense"
 	"freqdedup/internal/trace"
 )
@@ -41,6 +47,79 @@ func goldenDatasets() []*trace.Dataset {
 	}
 }
 
+// goldenOut is one attack run's recorded output: the pair count, a SHA-256
+// over the pairs (C then M fingerprint bytes, in the order Run returns
+// them — sorted by C for the locality attacks, rank order for basic), the
+// run stats, and the correct and unique counts whose quotient is the
+// inference rate, kept as integers so they compare exactly.
+type goldenOut struct {
+	pairs   int
+	sha256  string
+	stats   attack.Stats
+	correct int
+	unique  int
+}
+
+func summarize(res attack.Result, truth attack.GroundTruth) goldenOut {
+	h := sha256.New()
+	correct := 0
+	for _, p := range res.Pairs {
+		h.Write(p.C[:])
+		h.Write(p.M[:])
+		if truth[p.C] == p.M {
+			correct++
+		}
+	}
+	return goldenOut{len(res.Pairs), hex.EncodeToString(h.Sum(nil)), res.Stats, correct, res.UniqueTarget}
+}
+
+// goldenTable holds the reference engine's outputs, one row per dataset ×
+// attack × mode of TestGoldenEquivalence. The reference basic attack
+// reported no stats; its rows hold what a basic Run reports, Inferred =
+// the pair count.
+var goldenTable = []struct {
+	dataset, attack string
+	mode            attack.Mode
+	want            goldenOut
+}{
+	{"fsl", "basic", attack.CiphertextOnly, goldenOut{574, "a539261e7ad91c39b1058927b4971aa186c10762dd92fb72b8a7b18c3c2cfd68", attack.Stats{Inferred: 574}, 0, 806}},
+	{"fsl", "locality", attack.CiphertextOnly, goldenOut{206, "e6f342f1f8f114501c8c2ff40308f207a0a08a33828b53f82375529833a80cfb", attack.Stats{Seeds: 2, Iterations: 206, PeakQueue: 5, Inferred: 206}, 0, 806}},
+	{"fsl", "advanced", attack.CiphertextOnly, goldenOut{199, "e6aca12af1dd65c137dfa8cbac1a505dca4ffaf297e35fc959f94651f31a5ea6", attack.Stats{Seeds: 58, Iterations: 199, PeakQueue: 58, Inferred: 199}, 150, 806}},
+	{"fsl", "basic", attack.KnownPlaintext, goldenOut{574, "a539261e7ad91c39b1058927b4971aa186c10762dd92fb72b8a7b18c3c2cfd68", attack.Stats{Inferred: 574}, 0, 806}},
+	{"fsl", "locality", attack.KnownPlaintext, goldenOut{0, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", attack.Stats{}, 0, 806}},
+	{"fsl", "advanced", attack.KnownPlaintext, goldenOut{0, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", attack.Stats{}, 0, 806}},
+	{"synthetic", "basic", attack.CiphertextOnly, goldenOut{416, "a827da6230e486d59db68bf2635111de0036e45eb73167820afe0e4daeb896b0", attack.Stats{Inferred: 416}, 3, 459}},
+	{"synthetic", "locality", attack.CiphertextOnly, goldenOut{416, "21b59f6f4bc88a064f96b8b544f9b0ac5cb98927479d8aca5ad6fe8cf5200ee0", attack.Stats{Seeds: 2, Iterations: 416, PeakQueue: 6, Inferred: 416}, 369, 459}},
+	{"synthetic", "advanced", attack.CiphertextOnly, goldenOut{100, "a791a5cf1573ad6d2259ad78be743f753a2852ae96b9b54916b8b5d703462aed", attack.Stats{Seeds: 57, Iterations: 100, PeakQueue: 56, Inferred: 100}, 42, 459}},
+	{"synthetic", "basic", attack.KnownPlaintext, goldenOut{416, "a827da6230e486d59db68bf2635111de0036e45eb73167820afe0e4daeb896b0", attack.Stats{Inferred: 416}, 3, 459}},
+	{"synthetic", "locality", attack.KnownPlaintext, goldenOut{0, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", attack.Stats{}, 0, 459}},
+	{"synthetic", "advanced", attack.KnownPlaintext, goldenOut{0, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", attack.Stats{}, 0, 459}},
+	{"vm", "basic", attack.CiphertextOnly, goldenOut{324, "a7eae1a6d8367eac087e1477070ab2588f96c4c8da363a07058b426a98253f44", attack.Stats{Inferred: 324}, 2, 643}},
+	{"vm", "locality", attack.CiphertextOnly, goldenOut{461, "7f88c78a0e2bffa6571d04b14da69bde40d059f4ae81341bcbb8cade4757d0d8", attack.Stats{Seeds: 2, Iterations: 461, PeakQueue: 8, Inferred: 461}, 45, 643}},
+	{"vm", "advanced", attack.CiphertextOnly, goldenOut{461, "7f88c78a0e2bffa6571d04b14da69bde40d059f4ae81341bcbb8cade4757d0d8", attack.Stats{Seeds: 2, Iterations: 461, PeakQueue: 8, Inferred: 461}, 45, 643}},
+	{"vm", "basic", attack.KnownPlaintext, goldenOut{324, "a7eae1a6d8367eac087e1477070ab2588f96c4c8da363a07058b426a98253f44", attack.Stats{Inferred: 324}, 2, 643}},
+	{"vm", "locality", attack.KnownPlaintext, goldenOut{461, "84873b96f385b7a24efe3392a8842c399d24f5702ecc6f69e48890143b790e6d", attack.Stats{Seeds: 1, Iterations: 461, PeakQueue: 6, Inferred: 461}, 14, 643}},
+	{"vm", "advanced", attack.KnownPlaintext, goldenOut{461, "84873b96f385b7a24efe3392a8842c399d24f5702ecc6f69e48890143b790e6d", attack.Stats{Seeds: 1, Iterations: 461, PeakQueue: 6, Inferred: 461}, 14, 643}},
+}
+
+// goldenTies is the reference output of TestGoldenEquivalenceArbitraryTies.
+var goldenTies = goldenOut{394, "5afafea1d93c274b4155ed1f264dfd7ec95bc35ed66936e56e88386bf48a0204", attack.Stats{Seeds: 1, Iterations: 394, PeakQueue: 4, Inferred: 394}, 0, 806}
+
+// checkGolden runs a at p and holds its output to the recorded want.
+func checkGolden(t *testing.T, name string, a attack.Attack, enc defense.Encrypted, aux *trace.Backup, p attack.Params, want goldenOut) {
+	t.Helper()
+	res, err := a.Run(attack.BackupSource(enc.Backup), attack.BackupSource(aux), p)
+	if err != nil {
+		t.Fatalf("%s: %v", name, err)
+	}
+	if got := summarize(res, enc.Truth); got != want {
+		t.Fatalf("%s: got %+v, reference recorded %+v", name, got, want)
+	}
+	if got, rate := res.InferenceRate(enc.Truth), float64(want.correct)/float64(want.unique); got != rate {
+		t.Fatalf("%s: rate %v, reference recorded %d/%d", name, got, want.correct, want.unique)
+	}
+}
+
 func TestGoldenEquivalence(t *testing.T) {
 	params := []attack.Params{
 		{Shards: 1, Workers: 1},
@@ -59,56 +138,32 @@ func TestGoldenEquivalence(t *testing.T) {
 				t.Fatalf("no leaked pairs drawn — dataset too small for the KP mode test")
 			}
 
-			for _, mode := range []attack.Mode{attack.CiphertextOnly, attack.KnownPlaintext} {
-				cfg := attack.Config{U: 2, V: 5, W: 200, Mode: mode}
-				if mode == attack.KnownPlaintext {
+			rows := 0
+			for _, row := range goldenTable {
+				if row.dataset != d.Name {
+					continue
+				}
+				rows++
+				cfg := attack.Config{U: 2, V: 5, W: 200, Mode: row.mode}
+				if row.mode == attack.KnownPlaintext {
 					cfg.Leaked = leaked
 				}
-
-				// Reference results from the frozen core engine.
-				basicRef := core.BasicAttack(enc.Backup, aux)
-				locCfg := cfg
-				locRef, locStats := core.LocalityAttackWithStats(enc.Backup, aux, locCfg)
-				advCfg := cfg
-				advCfg.SizeAware = true
-				advRef, advStats := core.LocalityAttackWithStats(enc.Backup, aux, advCfg)
-
-				cases := []struct {
-					atk       attack.Attack
-					wantPairs []attack.Pair
-					wantStats *attack.Stats
-				}{
-					{attack.NewBasic(cfg), basicRef, nil},
-					{attack.NewLocality(locCfg), locRef, &locStats},
-					{attack.NewAdvanced(cfg), advRef, &advStats},
-				}
-				for _, tc := range cases {
-					wantRate := core.InferenceRate(tc.wantPairs, enc.Truth, enc.Backup)
-					for _, p := range params {
-						name := fmt.Sprintf("%s/%s/shards=%d,workers=%d", tc.atk.Name(), mode, p.Shards, p.Workers)
-						res, err := tc.atk.Run(attack.BackupSource(enc.Backup), attack.BackupSource(aux), p)
-						if err != nil {
-							t.Fatalf("%s: %v", name, err)
-						}
-						if len(res.Pairs) != len(tc.wantPairs) {
-							t.Fatalf("%s: %d pairs, core has %d", name, len(res.Pairs), len(tc.wantPairs))
-						}
-						for i := range res.Pairs {
-							if res.Pairs[i] != tc.wantPairs[i] {
-								t.Fatalf("%s: pair %d = %v, core has %v", name, i, res.Pairs[i], tc.wantPairs[i])
-							}
-						}
-						if tc.wantStats != nil && res.Stats != *tc.wantStats {
-							t.Fatalf("%s: stats %+v, core has %+v", name, res.Stats, *tc.wantStats)
-						}
-						if got := res.InferenceRate(enc.Truth); got != wantRate {
-							t.Fatalf("%s: rate %v, core computes %v", name, got, wantRate)
-						}
-						if res.UniqueTarget != enc.Backup.UniqueCount() {
-							t.Fatalf("%s: UniqueTarget %d, want %d", name, res.UniqueTarget, enc.Backup.UniqueCount())
-						}
+				var atk attack.Attack
+				for _, a := range attack.Suite(cfg) {
+					if a.Name() == row.attack {
+						atk = a
 					}
 				}
+				if atk == nil {
+					t.Fatalf("no attack named %q", row.attack)
+				}
+				for _, p := range params {
+					name := fmt.Sprintf("%s/%s/shards=%d,workers=%d", row.attack, row.mode, p.Shards, p.Workers)
+					checkGolden(t, name, atk, enc, aux, p, row.want)
+				}
+			}
+			if rows != 6 {
+				t.Fatalf("%d recorded rows for %s, want 3 attacks × 2 modes", rows, d.Name)
 			}
 		})
 	}
@@ -121,17 +176,5 @@ func TestGoldenEquivalenceArbitraryTies(t *testing.T) {
 	aux, target := d.Backups[0], d.Backups[len(d.Backups)-1]
 	enc := defense.EncryptMLE(target)
 	cfg := attack.Config{U: 1, V: 15, W: 1000, ArbitraryTies: true}
-	ref := core.LocalityAttack(enc.Backup, aux, cfg)
-	res, err := attack.NewLocality(cfg).Run(attack.BackupSource(enc.Backup), attack.BackupSource(aux), attack.Params{Shards: 8, Workers: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Pairs) != len(ref) {
-		t.Fatalf("%d pairs, core has %d", len(res.Pairs), len(ref))
-	}
-	for i := range ref {
-		if res.Pairs[i] != ref[i] {
-			t.Fatalf("pair %d = %v, core has %v", i, res.Pairs[i], ref[i])
-		}
-	}
+	checkGolden(t, "locality/arbitrary-ties", attack.NewLocality(cfg), enc, aux, attack.Params{Shards: 8, Workers: 4}, goldenTies)
 }

@@ -3,10 +3,9 @@ package attack
 import "slices"
 
 // This file is the frequency-analysis kernel shared by every attack:
-// ranking and rank-matching, operating on flat value entries. It mirrors
-// the legacy core engine's semantics exactly — comparator, tie orders,
-// and the index-sort threshold — because the golden-equivalence suite
-// holds the two engines to bit-identical output.
+// ranking and rank-matching, operating on flat value entries. Its
+// comparator and tie orders decide every inferred pair, so the
+// golden-equivalence suite's recorded outputs pin them.
 
 // rankCompare orders entries by descending frequency. When posTies is
 // set, ties break by first stream occurrence (neighbor-table analyses);

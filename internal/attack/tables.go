@@ -11,8 +11,7 @@ import (
 
 // stat is one chunk's (or neighbor pair's) frequency record: its
 // occurrence count and the stream position of its first occurrence (for
-// tie-breaking). Identical to the legacy core layout, which the golden
-// tests hold this engine to.
+// tie-breaking).
 type stat struct {
 	count int32
 	first int32
@@ -28,16 +27,15 @@ type freqEntry struct {
 
 // freqShard is one fingerprint-prefix shard of a whole-stream frequency
 // table: a flat entry arena in first-occurrence order plus a
-// fingerprint-to-index map, exactly the flat-arena layout the legacy
-// engine uses for its single table.
+// fingerprint-to-index map.
 type freqShard struct {
 	idx     map[fphash.Fingerprint]int32
 	entries []freqEntry
 }
 
 // bump counts one occurrence of fp at global stream position pos.
-// Size is recorded at first occurrence (first-wins, the same canonical
-// rule as the legacy engine).
+// Size is recorded at first occurrence (first-wins), so a chunk's size
+// does not depend on how the stream is sharded.
 func (s *freqShard) bump(fp fphash.Fingerprint, pos int, size uint32) {
 	if i, ok := s.idx[fp]; ok {
 		s.entries[i].stat.count++
@@ -90,9 +88,9 @@ const neighborRowHint = 4
 // tables holds one stream's counted state, sharded by fingerprint prefix
 // (fphash.Fingerprint.Shard — the same lock-free partitioning key as the
 // dedup store): per-shard flat frequency arenas and per-shard L/R
-// neighbor tables. The merged view is semantically identical to the
-// legacy engine's unsharded tables, which is why attack results are
-// independent of the shard and worker counts.
+// neighbor tables. The merged view equals one unsharded table counted
+// serially, which is why attack results are independent of the shard and
+// worker counts.
 type tables struct {
 	shards int
 	freq   []freqShard
@@ -112,8 +110,7 @@ const presizeCapRefs = 1 << 20
 // newTables pre-sizes each shard's frequency table for a stream of hint
 // chunks (0 = unknown): fingerprints distribute uniformly over shards,
 // so hint/shards entries per shard avoids incremental map rehashes and
-// arena growth — the streaming counterpart of the legacy engine's
-// stream-length pre-sizing, capped so a huge hint cannot balloon memory.
+// arena growth, capped so a huge hint cannot balloon memory.
 func newTables(shards int, hint int64) *tables {
 	if hint > presizeCapRefs {
 		hint = presizeCapRefs

@@ -493,7 +493,7 @@ func (c *Client) backupStreaming(ctx context.Context, cdc chunker.Chunker) (*mle
 			}
 		}
 		if c.cfg.Scramble {
-			for _, i := range scrambleOrder(n, c.rng) {
+			for _, i := range segment.ScrambleOrder(n, c.rng) {
 				ready = append(ready, seg[i])
 			}
 		} else {
@@ -787,21 +787,4 @@ func (c *Client) encryptOne(job encJob, put *PutChunk, entry *mle.RecipeEntry) e
 	*put = PutChunk{FP: fphash.FromBytes(ct), Data: ct}
 	*entry = mle.RecipeEntry{Fingerprint: put.FP, Key: key, Size: uint32(len(ct))}
 	return nil
-}
-
-// scrambleOrder draws Algorithm 5's front/back shuffle of a segment's n
-// chunk positions.
-func scrambleOrder(n int, rng *rand.Rand) []int {
-	buf := make([]int, 2*n)
-	front, back := n, n
-	for i := 0; i < n; i++ {
-		if rng.Intn(2) == 1 {
-			front--
-			buf[front] = i
-		} else {
-			buf[back] = i
-			back++
-		}
-	}
-	return buf[front:back]
 }

@@ -278,7 +278,7 @@ func refBackup(t *testing.T, s *refStore, cfg Config, data []byte, rng *rand.Ran
 			order[i] = i
 		}
 		if cfg.Scramble {
-			order = scrambleOrder(sg.Len(), rng)
+			order = segment.ScrambleOrder(sg.Len(), rng)
 		}
 		for _, at := range order {
 			idx := sg.Start + at

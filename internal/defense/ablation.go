@@ -58,15 +58,13 @@ func EncryptScrambleOnly(b *trace.Backup, opt Options) (Encrypted, error) {
 		return cfp
 	}
 	for _, s := range segs {
-		orig := b.Chunks[s.Start:s.End]
-		for _, c := range scramble(orig, rng) {
+		seg := len(recipe)
+		for _, c := range b.Chunks[s.Start:s.End] {
 			cfp := cfpOf(c.FP)
-			out.Chunks = append(out.Chunks, trace.ChunkRef{FP: cfp, Size: c.Size})
+			recipe = append(recipe, trace.ChunkRef{FP: cfp, Size: c.Size})
 			truth[cfp] = c.FP
 		}
-		for _, c := range orig {
-			recipe = append(recipe, trace.ChunkRef{FP: cfpOf(c.FP), Size: c.Size})
-		}
+		out.Chunks = appendUpload(out.Chunks, recipe[seg:], true, rng)
 	}
 	return Encrypted{Backup: out, Truth: truth, RecipeOrder: recipe}, nil
 }

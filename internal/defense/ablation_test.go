@@ -3,7 +3,7 @@ package defense
 import (
 	"testing"
 
-	"freqdedup/internal/core"
+	"freqdedup/internal/attack"
 	"freqdedup/internal/fphash"
 	"freqdedup/internal/trace"
 )
@@ -66,10 +66,10 @@ func TestScrambleOnlySuppressesLocalityNotBasic(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	cfg := core.DefaultLocalityConfig()
+	cfg := attack.DefaultConfig()
 	cfg.W = 50000
-	mleRate := core.InferenceRate(core.LocalityAttack(mle.Backup, aux, cfg), mle.Truth, mle.Backup)
-	soRate := core.InferenceRate(core.LocalityAttack(so.Backup, aux, cfg), so.Truth, so.Backup)
+	mleRate := inferenceRate(t, attack.NewLocality(cfg), mle, aux)
+	soRate := inferenceRate(t, attack.NewLocality(cfg), so, aux)
 	if mleRate < 0.02 {
 		t.Skipf("baseline too weak on this reduced dataset: %.4f", mleRate)
 	}
@@ -79,8 +79,8 @@ func TestScrambleOnlySuppressesLocalityNotBasic(t *testing.T) {
 	}
 
 	// The basic attack sees identical frequency distributions either way.
-	basicMLE := core.InferenceRate(core.BasicAttack(mle.Backup, aux), mle.Truth, mle.Backup)
-	basicSO := core.InferenceRate(core.BasicAttack(so.Backup, aux), so.Truth, so.Backup)
+	basicMLE := inferenceRate(t, attack.NewBasic(attack.Config{}), mle, aux)
+	basicSO := inferenceRate(t, attack.NewBasic(attack.Config{}), so, aux)
 	if diff := basicMLE - basicSO; diff > 0.01 || diff < -0.01 {
 		t.Fatalf("scramble-only should not change the basic attack much: %.4f vs %.4f", basicMLE, basicSO)
 	}
@@ -100,9 +100,9 @@ func TestRCEEquivalentToMLEForTheAdversary(t *testing.T) {
 	}
 	// ...but the attack results are identical: same frequencies, same
 	// neighbor structure, same sizes.
-	cfg := core.DefaultLocalityConfig()
-	mleRate := core.InferenceRate(core.LocalityAttack(mle.Backup, aux, cfg), mle.Truth, mle.Backup)
-	rceRate := core.InferenceRate(core.LocalityAttack(rce.Backup, aux, cfg), rce.Truth, rce.Backup)
+	cfg := attack.DefaultConfig()
+	mleRate := inferenceRate(t, attack.NewLocality(cfg), mle, aux)
+	rceRate := inferenceRate(t, attack.NewLocality(cfg), rce, aux)
 	if mleRate != rceRate {
 		t.Fatalf("RCE tags must leak exactly like MLE: %.4f vs %.4f", mleRate, rceRate)
 	}

@@ -124,47 +124,31 @@ func EncryptMinHash(b *trace.Backup, opt Options) (Encrypted, error) {
 	truth := make(attack.GroundTruth, len(b.Chunks))
 	recipe := make([]trace.ChunkRef, 0, len(b.Chunks))
 	for _, s := range segs {
-		orig := b.Chunks[s.Start:s.End]
-		seg := orig
-		if opt.Scramble {
-			seg = scramble(seg, rng)
-		}
-		// The segment minimum is invariant under scrambling, so computing
-		// it after scrambling matches Algorithm 4 applied to the scrambled
-		// stream.
-		min := segment.MinFingerprint(seg, segment.Segment{Start: 0, End: len(seg)})
-		for _, c := range seg {
+		// The segment key comes from the segment minimum, which does not
+		// depend on the order: the recipe (original order) and the upload
+		// (scrambled order) reference the same ciphertext chunks.
+		min := segment.MinFingerprint(b.Chunks, s)
+		seg := len(recipe)
+		for _, c := range b.Chunks[s.Start:s.End] {
 			cfp := deriveCipherFP(min.FP, c.FP)
-			out.Chunks = append(out.Chunks, trace.ChunkRef{FP: cfp, Size: c.Size})
+			recipe = append(recipe, trace.ChunkRef{FP: cfp, Size: c.Size})
 			truth[cfp] = c.FP
 		}
-		// The file recipe references the same ciphertext chunks in the
-		// original order; the segment key does not depend on the order.
-		for _, c := range orig {
-			recipe = append(recipe, trace.ChunkRef{FP: deriveCipherFP(min.FP, c.FP), Size: c.Size})
-		}
+		out.Chunks = appendUpload(out.Chunks, recipe[seg:], opt.Scramble, rng)
 	}
 	return Encrypted{Backup: out, Truth: truth, RecipeOrder: recipe}, nil
 }
 
-// scramble implements Algorithm 5 on one segment: each chunk is appended
-// to either the front or the back of the output with equal probability.
-func scramble(seg []trace.ChunkRef, rng *rand.Rand) []trace.ChunkRef {
-	// Build in a deque laid out in a slice: front grows left from mid,
-	// back grows right.
-	n := len(seg)
-	buf := make([]trace.ChunkRef, 2*n)
-	front, back := n, n // [front, back) holds the current S'
-	for _, c := range seg {
-		if rng.Intn(2) == 1 {
-			front--
-			buf[front] = c
-		} else {
-			buf[back] = c
-			back++
-		}
+// appendUpload appends one segment's ciphertext chunks to the upload
+// stream, in Algorithm 5's scrambled order when scramble is set.
+func appendUpload(upload, seg []trace.ChunkRef, scramble bool, rng *rand.Rand) []trace.ChunkRef {
+	if !scramble {
+		return append(upload, seg...)
 	}
-	return buf[front:back]
+	for _, i := range segment.ScrambleOrder(len(seg), rng) {
+		upload = append(upload, seg[i])
+	}
+	return upload
 }
 
 // deriveCipherFP derives the ciphertext fingerprint for a plaintext chunk

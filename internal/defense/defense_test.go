@@ -1,13 +1,23 @@
 package defense
 
 import (
-	"math/rand"
 	"testing"
 
-	"freqdedup/internal/core"
+	"freqdedup/internal/attack"
 	"freqdedup/internal/fphash"
 	"freqdedup/internal/trace"
 )
+
+// inferenceRate runs a against enc with aux as the auxiliary backup and
+// scores it.
+func inferenceRate(t *testing.T, a attack.Attack, enc Encrypted, aux *trace.Backup) float64 {
+	t.Helper()
+	res, err := a.Run(attack.BackupSource(enc.Backup), attack.BackupSource(aux), attack.Params{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res.InferenceRate(enc.Truth)
+}
 
 func synthetic(t *testing.T) *trace.Dataset {
 	t.Helper()
@@ -188,73 +198,21 @@ func TestScrambleChangesOrder(t *testing.T) {
 	}
 }
 
-func TestScrambleDeque(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	seg := make([]trace.ChunkRef, 64)
-	for i := range seg {
-		seg[i] = trace.ChunkRef{FP: fphash.FromUint64(uint64(i + 1)), Size: 1}
-	}
-	out := scramble(seg, rng)
-	if len(out) != len(seg) {
-		t.Fatal("scramble changed length")
-	}
-	seen := make(map[fphash.Fingerprint]bool)
-	for _, c := range out {
-		if seen[c.FP] {
-			t.Fatal("scramble duplicated a chunk")
-		}
-		seen[c.FP] = true
-	}
-	// Algorithm 5 structure: chunks sent to the front appear in reverse
-	// input order before the chunks sent to the back in input order. Verify
-	// the output is such a front/back split of the input.
-	if err := checkFrontBackSplit(seg, out); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func checkFrontBackSplit(in, out []trace.ChunkRef) error {
-	pos := make(map[fphash.Fingerprint]int, len(in))
-	for i, c := range in {
-		pos[c.FP] = i
-	}
-	// Find the pivot: the longest strictly-decreasing (by input position)
-	// prefix of out is the reversed "front" half; the rest must be strictly
-	// increasing.
-	i := 1
-	for i < len(out) && pos[out[i].FP] < pos[out[i-1].FP] {
-		i++
-	}
-	for j := i + 1; j < len(out); j++ {
-		if pos[out[j].FP] < pos[out[j-1].FP] {
-			return errOrder
-		}
-	}
-	return nil
-}
-
-var errOrder = &orderError{}
-
-type orderError struct{}
-
-func (*orderError) Error() string { return "output is not a front/back deque split of the input" }
-
 func TestCombinedDefeatsLocalityAttack(t *testing.T) {
 	d := synthetic(t)
 	aux := d.Backups[len(d.Backups)-2]
 	target := d.Backups[len(d.Backups)-1]
 
-	cfg := core.DefaultLocalityConfig()
+	cfg := attack.DefaultConfig()
 	cfg.W = 50000
 
-	mle := EncryptMLE(target)
-	mleRate := core.InferenceRate(core.LocalityAttack(mle.Backup, aux, cfg), mle.Truth, mle.Backup)
+	mleRate := inferenceRate(t, attack.NewLocality(cfg), EncryptMLE(target), aux)
 
 	comb, err := Encrypt(target, SchemeCombined, 99)
 	if err != nil {
 		t.Fatal(err)
 	}
-	combRate := core.InferenceRate(core.LocalityAttack(comb.Backup, aux, cfg), comb.Truth, comb.Backup)
+	combRate := inferenceRate(t, attack.NewLocality(cfg), comb, aux)
 
 	if mleRate < 0.02 {
 		t.Fatalf("MLE baseline inference rate %.4f too low for a meaningful comparison", mleRate)

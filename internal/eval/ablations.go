@@ -124,7 +124,7 @@ func combinedSavingWith(ds Datasets, opt defense.Options) (float64, error) {
 }
 
 // AblationTieBreaking quantifies the attack-implementation choice
-// documented in package core: breaking per-neighbor frequency ties by
+// behind attack.Config.ArbitraryTies: breaking per-neighbor frequency ties by
 // first stream position versus arbitrarily (by fingerprint), on the
 // ciphertext-only locality attack.
 func AblationTieBreaking(ds Datasets) Figure {

@@ -14,11 +14,16 @@
 // its configured average chunk size, which no edit of the data can move;
 // the trace-level lab (internal/defense, via Split) has traces but no
 // chunker configuration, and uses the trace's measured mean.
+//
+// ScrambleOrder is the paper's scrambling (Algorithm 5), which permutes
+// each segment's upload order; the live pipeline and the trace lab both
+// draw it from here.
 package segment
 
 import (
 	"errors"
 	"fmt"
+	"math/rand"
 
 	"freqdedup/internal/trace"
 )
@@ -161,4 +166,24 @@ func MinFingerprint(chunks []trace.ChunkRef, s Segment) trace.ChunkRef {
 		}
 	}
 	return min
+}
+
+// ScrambleOrder draws Algorithm 5's scrambled upload order of a segment's
+// n chunks: each chunk in turn goes to the front or the back of the output
+// with equal probability, one rng.Intn(2) draw per chunk in segment order.
+// The result lists segment positions in upload order — the chunks sent to
+// the front in reverse, then those sent to the back.
+func ScrambleOrder(n int, rng *rand.Rand) []int {
+	buf := make([]int, 2*n)
+	front, back := n, n // [front, back) holds the order so far
+	for i := 0; i < n; i++ {
+		if rng.Intn(2) == 1 {
+			front--
+			buf[front] = i
+		} else {
+			buf[back] = i
+			back++
+		}
+	}
+	return buf[front:back]
 }

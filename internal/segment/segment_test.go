@@ -380,3 +380,42 @@ func TestPredefinedDivisorStableAcrossMeanDrift(t *testing.T) {
 		t.Fatalf("measured mean: %d of %d boundaries shared across the divisor flip; the fixture no longer shows the instability", shared, len(segsA))
 	}
 }
+
+// TestScrambleDeque checks Algorithm 5's structure: the order is a
+// permutation of the segment's positions, with the chunks sent to the front
+// in reverse input order before the chunks sent to the back in input order.
+func TestScrambleDeque(t *testing.T) {
+	const n = 64
+	order := ScrambleOrder(n, rand.New(rand.NewSource(1)))
+	if len(order) != n {
+		t.Fatalf("scramble returned %d positions, want %d", len(order), n)
+	}
+	seen := make([]bool, n)
+	for _, i := range order {
+		if i < 0 || i >= n || seen[i] {
+			t.Fatalf("position %d out of range or repeated in %v", i, order)
+		}
+		seen[i] = true
+	}
+	// The longest strictly-decreasing prefix is the reversed front half;
+	// the rest must be strictly increasing.
+	k := 1
+	for k < n && order[k] < order[k-1] {
+		k++
+	}
+	for j := k + 1; j < n; j++ {
+		if order[j] < order[j-1] {
+			t.Fatalf("order %v is not a front/back deque split of the segment", order)
+		}
+	}
+	// Exactly one rng.Intn(2) per chunk, which is what keeps uploads and
+	// recipes the same per seed on every path that scrambles.
+	rng, ref := rand.New(rand.NewSource(1)), rand.New(rand.NewSource(1))
+	ScrambleOrder(n, rng)
+	for i := 0; i < n; i++ {
+		ref.Intn(2)
+	}
+	if rng.Int63() != ref.Int63() {
+		t.Fatal("ScrambleOrder drew other than one rng.Intn(2) per chunk")
+	}
+}

@@ -19,7 +19,7 @@ import (
 
 // Repository is the system front door: a long-lived encrypted
 // deduplication store with a durable, snapshot-granular catalog. Where the
-// low-level Store/Client pair asks callers to wire chunking, encryption,
+// internal dedup Store/Client pair asks callers to wire chunking, encryption,
 // upload, recipe handling, and retention registration by hand — and keeps
 // retention state only in memory — a Repository owns the whole lifecycle:
 //
@@ -30,7 +30,7 @@ import (
 //   - OpenRepository replays the catalog, restoring the snapshot list and
 //     the per-chunk reference counts, so GC after a reopen reclaims
 //     exactly the chunks no snapshot references — not everything, which is
-//     what the raw Store's "unregistered = unreferenced" rule does to a
+//     what the raw dedup Store's "unregistered = unreferenced" rule does to a
 //     reopened process that forgets to re-register.
 //   - Every data-path method takes a context.Context; cancellation stops
 //     the backup, restore, GC, and verify pipelines promptly and hands

@@ -35,7 +35,7 @@ set -eu
 
 cd "$(dirname "$0")/.."
 
-PATTERN='BenchmarkBackup|BenchmarkServerBackup|BenchmarkRestoreSerial|BenchmarkRestoreParallel|BenchmarkRestoreFile|BenchmarkStoreShards|BenchmarkRepositoryOpen|BenchmarkIndexLookup|BenchmarkChunker|BenchmarkRabin|BenchmarkContentDefined|BenchmarkFixed|BenchmarkBasicAttackFSL|BenchmarkLocalityAttackFSL|BenchmarkAdvancedAttackFSL|BenchmarkBasicAttackStreamFSL|BenchmarkLocalityAttackStreamFSL|BenchmarkAdvancedAttackStreamFSL|BenchmarkAttackStreaming|BenchmarkTraceLogIngest|BenchmarkTraceLogReplay|BenchmarkWorkloadGenerate'
+PATTERN='BenchmarkBackup|BenchmarkServerBackup|BenchmarkRestoreSerial|BenchmarkRestoreParallel|BenchmarkRestoreFile|BenchmarkStoreShards|BenchmarkRepositoryOpen|BenchmarkIndexLookup|BenchmarkChunker|BenchmarkRabin|BenchmarkContentDefined|BenchmarkFixed|BenchmarkBasicAttackStreamFSL|BenchmarkLocalityAttackStreamFSL|BenchmarkAdvancedAttackStreamFSL|BenchmarkAttackStreaming|BenchmarkTraceLogIngest|BenchmarkTraceLogReplay|BenchmarkWorkloadGenerate'
 PKGS='. ./internal/chunker ./internal/rabin ./internal/attack ./internal/tracelog ./internal/workload'
 
 if [ "${1:-}" = "--smoke" ]; then

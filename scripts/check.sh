@@ -97,6 +97,10 @@ if [ "${CHECK_SKIP_SCENARIOS:-0}" != "1" ]; then
 	go run ./cmd/defend -fig scenarios -tiny || fail "scenario matrix smoke"
 fi
 
+echo "== examples smoke (attackdemo, defensedemo)"
+go run ./examples/attackdemo >/dev/null || fail "examples smoke (attackdemo)"
+go run ./examples/defensedemo >/dev/null || fail "examples smoke (defensedemo)"
+
 if [ "${CHECK_SKIP_SERVER:-0}" != "1" ]; then
 	echo "== server smoke (2 loopback tenants through the wire protocol)"
 	go run ./cmd/ddfsbench -server -clients 2 -mb 2 || fail "server smoke"

@@ -35,7 +35,7 @@ type (
 	RemoteClient = server.Client
 	// RemoteClientConfig configures DialServer: tenant and token, plus the
 	// pipeline's chunking and worker fan-out, which DialServer validates
-	// as NewClient does before it connects.
+	// as the local pipeline's dedup.NewClient does, before it connects.
 	RemoteClientConfig = server.DialConfig
 	// RemoteSnapshot describes one snapshot as reported over the wire.
 	RemoteSnapshot = wire.SnapshotInfo
