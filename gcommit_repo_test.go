@@ -162,12 +162,17 @@ func TestConcurrentBackupsGroupCommitCrash(t *testing.T) {
 		t.Fatalf("op clock did not advance past creation: create=%d total=%d", createOps, totalOps)
 	}
 
-	// Crash at a spread of points inside the backup phase. The concurrent
-	// op interleaving is not deterministic, so each point is a sample of
-	// the one-directional property, not a replay.
-	span := totalOps - createOps
-	for _, num := range []int64{1, 2, 3} {
-		k := createOps + span*num/4
+	// Crash at every op of the backup phase. The concurrent op interleaving
+	// is not deterministic (the clean span varies by a few ops run to run),
+	// so each point is a sample of the one-directional property, not a
+	// replay. The sweep covers a fixed span, not the clean pass's, so the
+	// subtest names are the same every run; points past a run's last op
+	// crash nothing and check that every backup acks and restores.
+	const sweepOps = 64
+	if span := totalOps - createOps; span > sweepOps {
+		t.Fatalf("backup phase took %d ops; the crash sweep covers only %d", span, sweepOps)
+	}
+	for k := createOps + 1; k <= createOps+sweepOps; k++ {
 		t.Run(fmt.Sprintf("crashAtOp%d", k), func(t *testing.T) {
 			m := faultio.NewMemFSPlan(faultio.Plan{Seed: 9, CrashAtOp: k})
 			errs := runBackups(m)

@@ -179,8 +179,8 @@ type Params struct {
 	// at 64 bytes by construction).
 	Window int
 	// Algorithm selects the rolling-hash family. The zero value is
-	// AlgoRabin, the original format; AlgoGear is roughly 3x faster but
-	// cuts at different boundaries (see Algorithm).
+	// AlgoRabin, the original format; AlgoGear is faster but cuts at
+	// different boundaries (see Algorithm).
 	Algorithm Algorithm
 	// DeferFingerprint leaves Chunk.Fingerprint zero so callers can hash
 	// chunk contents out of band (e.g. in a worker pool) instead of paying
@@ -295,6 +295,15 @@ func (l *lookahead) consume(n int) {
 // rolling Rabin fingerprint: a boundary is declared at the first position
 // past Min where fp mod Avg == Avg-1 (the paper's "fingerprint modulo a
 // pre-defined divisor equals some constant"), or at Max bytes.
+//
+// The hash restarts at every chunk start, but once a full window has
+// rolled in, the fingerprint at a position depends only on the window
+// ending there. So positions at least a window into the lookahead's
+// unconsumed bytes are tested once, as they are buffered, by
+// rabin.Hash.Matches, and queued as candidate cuts; a chunk ends at the
+// first queued candidate in [start+Min, start+Max], else at start+Max —
+// MultiGear's stitch rule. Only when Min < window do the few positions
+// less than a window into a chunk need a roll of their own.
 type ContentDefined struct {
 	la     lookahead
 	p      Params
@@ -302,6 +311,17 @@ type ContentDefined struct {
 	magic  uint64
 	window int
 	hash   *rabin.Hash
+	// cands[head:] are the queued candidate cuts, ascending, as indices
+	// into la.buf laid out as at the last scan, when buf[0] sat at stream
+	// offset base. scanned is the first stream position Matches has not
+	// yet tested.
+	cands   []int
+	head    int
+	base    int64
+	scanned int64
+	// candBuf backs cands until more than 64 candidates are pending at
+	// once, so the queue costs a new chunker no allocation of its own.
+	candBuf [64]int
 }
 
 var _ Chunker = (*ContentDefined)(nil)
@@ -315,49 +335,77 @@ func NewContentDefined(r io.Reader, p Params) (*ContentDefined, error) {
 	if window == 0 {
 		window = rabin.DefaultWindow
 	}
-	return &ContentDefined{
+	c := &ContentDefined{
 		la:     newLookahead(r, lookaheadSize(p.Max)),
 		p:      p,
 		mask:   uint64(p.Avg - 1),
 		magic:  uint64(p.Avg - 1),
 		window: window,
 		hash:   rabin.New(window),
-	}, nil
+	}
+	c.cands = c.candBuf[:0]
+	return c, nil
 }
 
-// findCut returns the boundary position within data (1 <= cut <= len(data)),
-// assuming data is either Max bytes long or the final remainder of the
-// stream. Boundaries match the reference byte-at-a-time algorithm exactly:
-// the rolling hash restarts at the chunk's first byte, and the first
-// position at or past Min whose fingerprint matches cuts the chunk.
+// scan runs Matches once over the bytes buffered since the last scan and
+// queues the candidate cuts it finds. A position less than a window past
+// the first unconsumed byte is skipped: its fingerprint depends on where
+// its chunk starts, so findCut rolls such positions itself.
+func (c *ContentDefined) scan() {
+	la := &c.la
+	base := la.offset - int64(la.start)
+	if shift := int(base - c.base); shift != 0 {
+		// fill has compacted the buffer since the last scan: move the
+		// queued indices with the bytes.
+		for i := c.head; i < len(c.cands); i++ {
+			c.cands[i] -= shift
+		}
+		c.base = base
+	}
+	end := base + int64(la.end)
+	from := max(c.scanned, la.offset+int64(c.window))
+	if from > end {
+		return
+	}
+	c.cands = c.cands[:copy(c.cands, c.cands[c.head:])]
+	c.head = 0
+	c.cands = c.hash.Matches(la.buf[:la.end], int(from-base), c.mask, c.magic, c.cands)
+	c.scanned = end + 1
+}
+
+// findCut returns the boundary position within data (1 <= cut <=
+// len(data)), where data starts at the lookahead's first unconsumed byte
+// and is either Max bytes long or the final remainder of the stream.
+// Boundaries match the reference byte-at-a-time algorithm exactly: the
+// rolling hash restarts at the chunk's first byte, and the first position
+// at or past Min whose fingerprint matches cuts the chunk.
 func (c *ContentDefined) findCut(data []byte) int {
 	if len(data) <= c.p.Min {
 		return len(data)
 	}
-	c.hash.Reset()
-	// The fingerprint at any position depends only on the trailing window
-	// bytes, so positions before Min need only the window preceding Min to
-	// be rolled in — bytes before Min-window are never hashed.
-	pre := c.p.Min - c.window
-	if pre < 0 {
-		pre = 0
-	}
-	if fp := c.hash.Update(data[pre:c.p.Min]); fp&c.mask == c.magic {
-		return c.p.Min
-	}
-	if c.p.Min >= c.window {
-		// The whole window at every scan position lies inside data, so the
-		// contiguous scan applies: the departing byte is read straight from
-		// data and the circular window buffer is never touched.
-		cut, ok := c.hash.ScanContig(data, c.p.Min, c.mask, c.magic)
-		if ok {
-			return cut
+	if c.p.Min < c.window {
+		// Positions less than a window into the chunk hash a shorter
+		// prefix of it, so they depend on the chunk start: roll them from
+		// a reset hash.
+		c.hash.Reset()
+		fp := c.hash.Update(data[:c.p.Min])
+		for cut := c.p.Min; ; cut++ {
+			if fp&c.mask == c.magic {
+				return cut
+			}
+			if cut == len(data) || cut+1 == c.window {
+				break
+			}
+			fp = c.hash.Roll(data[cut])
 		}
-		return len(data)
 	}
-	n, ok := c.hash.Scan(data[c.p.Min:], c.mask, c.magic)
-	if ok {
-		return c.p.Min + n
+	start := c.la.start
+	lo := start + max(c.p.Min, c.window)
+	for c.head < len(c.cands) && c.cands[c.head] < lo {
+		c.head++
+	}
+	if c.head < len(c.cands) && c.cands[c.head] <= start+len(data) {
+		return c.cands[c.head] - start
 	}
 	return len(data)
 }
@@ -369,6 +417,7 @@ func (c *ContentDefined) Next() (Chunk, error) {
 	if err != nil {
 		return Chunk{}, err
 	}
+	c.scan()
 	cut := c.findCut(window)
 	data := getBuf(cut)
 	copy(data, window[:cut])

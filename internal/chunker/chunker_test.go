@@ -364,6 +364,38 @@ func TestCDCTinyInput(t *testing.T) {
 	}
 }
 
+// TestCDCSteadyStateAllocs: once warm, a released chunk stream allocates
+// nothing — not per chunk, and not per lookahead refill, where the Rabin
+// scan runs. Each measured run drains a whole lookahead buffer's worth of
+// chunks, so a per-scan allocation shows up as at least one per run.
+func TestCDCSteadyStateAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops Puts under the race detector")
+	}
+	p := DefaultParams()
+	la := lookaheadSize(p.Max)
+	const runs = 4
+	data := randBytes(41, (runs+2)*la)
+	c, err := NewContentDefined(bytes.NewReader(data), p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var chunked int
+	allocs := testing.AllocsPerRun(runs, func() {
+		for stop := chunked + la; chunked < stop; {
+			ch, err := c.Next()
+			if err != nil {
+				t.Fatal(err)
+			}
+			chunked += ch.Size()
+			ch.Release()
+		}
+	})
+	if allocs > 0 {
+		t.Fatalf("%.0f allocations per lookahead buffer of chunks, want 0", allocs)
+	}
+}
+
 func BenchmarkContentDefined(b *testing.B) {
 	data := randBytes(9, 4<<20)
 	b.SetBytes(int64(len(data)))

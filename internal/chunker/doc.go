@@ -15,15 +15,22 @@
 //
 // # Ingest path
 //
-// ContentDefined reads directly into a fixed lookahead buffer and scans it
-// with the bulk Rabin APIs (rabin.Hash.Update / rabin.Hash.Scan), keeping
-// the fingerprint and window state in registers for whole buffer slices
-// instead of making one method call per byte. Because the rolling hash is
-// reset at every chunk start and a boundary is only legal after Min bytes,
-// the bytes before Min-window need never be hashed at all — the fingerprint
-// at any position depends only on the trailing window. Each emitted chunk
-// is copied exactly once, from the lookahead buffer into its own buffer;
-// the seed implementation's second copy (reader to lookahead) is gone.
+// ContentDefined reads directly into a fixed lookahead buffer. Although the
+// rolling hash restarts at every chunk start, the fingerprint at a position
+// a full window into its chunk depends only on the window ending there, not
+// on where the chunk began. So each newly buffered stretch is scanned once,
+// chunk boundaries unknown, by rabin.Hash.Matches, which runs four
+// independent rolling states over four quarters of the stretch to overlap
+// their table-lookup latency; the positions it reports are queued as
+// candidate cuts, and a chunk ends at the first candidate in
+// [start+Min, start+Max], else at start+Max. This hashes the positions
+// before Min too, which a per-chunk scan could skip, but the overlapped
+// lanes more than pay for them. Only when Min is below the window do the
+// positions less than a window into a chunk get a short roll of their own
+// from a reset hash.
+// Each emitted chunk is copied exactly once, from the lookahead buffer into
+// its own buffer; the seed implementation's second copy (reader to
+// lookahead) is gone.
 //
 // # Buffer ownership and pooling
 //

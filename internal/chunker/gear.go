@@ -19,9 +19,10 @@ const (
 	// freqdedup format; see ContentDefined).
 	AlgoRabin Algorithm = iota
 	// AlgoGear cuts with a gear hash (FastCDC-style): one table lookup,
-	// one shift, and one add per byte, roughly 3x the rolling speed of
-	// Rabin. Explicitly a new format — cut points are NOT compatible with
-	// AlgoRabin.
+	// one shift, and one add per byte, plus cut-point skipping, for about
+	// 1.6x the chunking speed of Rabin's four-lane scan
+	// (BenchmarkChunkerGear vs BenchmarkChunkerCDC). Explicitly a new
+	// format — cut points are NOT compatible with AlgoRabin.
 	AlgoGear
 )
 

@@ -3,6 +3,7 @@ package chunker
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"io"
 	"testing"
 
@@ -104,11 +105,19 @@ func (c *referenceCDC) Next() (Chunk, error) {
 // on the first divergence in offset, size, content, or fingerprint.
 func compareAgainstReference(t *testing.T, data []byte, p Params) {
 	t.Helper()
+	compareReaderAgainstReference(t, data, p, bytes.NewReader(data))
+}
+
+// compareReaderAgainstReference is compareAgainstReference with the
+// optimized chunker reading data through r, so a reader that fragments or
+// trickles its reads can drive its lookahead refills.
+func compareReaderAgainstReference(t *testing.T, data []byte, p Params, r io.Reader) {
+	t.Helper()
 	ref, err := newReferenceCDC(bytes.NewReader(data), p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	opt, err := NewContentDefined(bytes.NewReader(data), p)
+	opt, err := NewContentDefined(r, p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,74 +171,57 @@ func TestCDCGoldenAgainstReference(t *testing.T) {
 	compareAgainstReference(t, pat, DefaultParams())
 }
 
-// TestCDCGoldenFragmentedReader runs the golden comparison with a reader
-// that trickles bytes, so buffer refill and compaction paths are crossed
-// mid-chunk.
+// TestCDCGoldenFragmentedReader runs the golden comparison with readers
+// that fragment or trickle their reads, so the candidate queue is crossed
+// by lookahead compaction (the input is two lookahead buffers long) and
+// by scans of a handful of bytes — around the window size, and down to a
+// byte at a time — under parameters with Min below, equal to and above
+// the window.
 func TestCDCGoldenFragmentedReader(t *testing.T) {
 	data := randBytes(77, 512*1024)
-	ref, err := newReferenceCDC(bytes.NewReader(data), DefaultParams())
-	if err != nil {
-		t.Fatal(err)
+	params := []struct {
+		name string
+		p    Params
+	}{
+		{"default", DefaultParams()},
+		{"min-below-window", Params{Min: 16, Avg: 64, Max: 256}},
+		{"min-equals-window", Params{Min: rabin.DefaultWindow, Avg: 256, Max: 1024}},
+		{"window-16", Params{Min: 2048, Avg: 8192, Max: 16384, Window: 16}},
 	}
-	opt, err := NewContentDefined(iotest{r: bytes.NewReader(data), max: 1013}, DefaultParams())
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := All(ref)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := All(opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != len(want) {
-		t.Fatalf("fragmented reader: %d chunks, reference %d", len(got), len(want))
-	}
-	for i := range got {
-		if got[i].Offset != want[i].Offset || got[i].Fingerprint != want[i].Fingerprint {
-			t.Fatalf("fragmented reader: chunk %d diverges from reference", i)
+	for _, pc := range params {
+		for _, size := range []int{1, 7, 47, 48, 49, 1013, 64*1024 + 3} {
+			t.Run(fmt.Sprintf("%s/read=%d", pc.name, size), func(t *testing.T) {
+				compareReaderAgainstReference(t, data, pc.p, iotest{r: bytes.NewReader(data), max: size})
+			})
 		}
 	}
 }
 
 // FuzzCDCMatchesReference fuzzes arbitrary inputs through both
-// implementations. Run with `go test -fuzz=FuzzCDCMatchesReference`; under
-// plain `go test` the seed corpus doubles as extra golden cases.
+// implementations, with the optimized chunker reading through a reader
+// that returns at most readSize bytes per call (0: unlimited). Run with
+// `go test -fuzz=FuzzCDCMatchesReference`; under plain `go test` the seed
+// corpus doubles as extra golden cases.
 func FuzzCDCMatchesReference(f *testing.F) {
-	f.Add([]byte{}, uint8(0))
-	f.Add([]byte("tiny"), uint8(1))
-	f.Add(randBytes(21, 70000), uint8(0))
-	f.Add(bytes.Repeat([]byte{0xAB, 0}, 9000), uint8(2))
-	f.Fuzz(func(t *testing.T, data []byte, sel uint8) {
+	f.Add([]byte{}, uint8(0), uint16(0))
+	f.Add([]byte("tiny"), uint8(1), uint16(1))
+	f.Add(randBytes(21, 70000), uint8(0), uint16(0))
+	f.Add(bytes.Repeat([]byte{0xAB, 0}, 9000), uint8(2), uint16(7))
+	// Longer than the 256 KiB lookahead, so refills compact the buffer
+	// under a queue of pending candidates.
+	f.Add(randBytes(22, 300*1024), uint8(0), uint16(4093))
+	f.Fuzz(func(t *testing.T, data []byte, sel uint8, readSize uint16) {
 		params := []Params{
 			DefaultParams(),
 			{Min: 64, Avg: 256, Max: 1024},
 			{Min: 16, Avg: 32, Max: 48, Window: 8},
 		}
 		p := params[int(sel)%len(params)]
-		ref, err := newReferenceCDC(bytes.NewReader(data), p)
-		if err != nil {
-			t.Fatal(err)
+		var r io.Reader = bytes.NewReader(data)
+		if readSize > 0 {
+			r = iotest{r: r, max: int(readSize)}
 		}
-		opt, err := NewContentDefined(bytes.NewReader(data), p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for {
-			want, wantErr := ref.Next()
-			got, gotErr := opt.Next()
-			if (wantErr != nil) != (gotErr != nil) {
-				t.Fatalf("errors diverge: ref %v, opt %v", wantErr, gotErr)
-			}
-			if wantErr != nil {
-				return
-			}
-			if got.Offset != want.Offset || got.Fingerprint != want.Fingerprint ||
-				!bytes.Equal(got.Data, want.Data) {
-				t.Fatalf("chunk at offset %d diverges from reference", want.Offset)
-			}
-		}
+		compareReaderAgainstReference(t, data, p, r)
 	})
 }
 

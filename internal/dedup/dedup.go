@@ -46,9 +46,11 @@ type Config struct {
 	// bit-identical to serial gear chunking at any worker count. 0 and 1
 	// chunk serially. Requires Chunking.Min >= chunker.GearWindow and is
 	// rejected for AlgoRabin: only the gear scanner has a multi-stream
-	// implementation (chunker.NewMultiGear). Rabin's hash, like gear's,
-	// depends only on a bounded sliding window (48 bytes), so one could
-	// be written.
+	// implementation (chunker.NewMultiGear). Rabin's candidate scan,
+	// rabin.Hash.Matches, is position-pure too — a position's result
+	// depends only on the window ending there, which is how its four lanes
+	// split one buffer — so segments could be scanned by several workers
+	// with the same stitch rule.
 	ChunkWorkers int
 	// Encryption selects the MLE scheme (EncConvergent if zero).
 	Encryption Encryption

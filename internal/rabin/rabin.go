@@ -9,7 +9,10 @@
 // with a precomputed "pop" table.
 package rabin
 
-import "sync"
+import (
+	"slices"
+	"sync"
+)
 
 // Poly is an irreducible polynomial of degree 64 over GF(2), represented by
 // its low 64 coefficient bits (the x^64 term is implicit). This particular
@@ -26,9 +29,20 @@ type tables struct {
 	// mod[b] is the reduction of polynomial b(x)*x^64 modulo P, used when
 	// shifting a new byte in: fp' = ((fp << 8) | in) reduced via mod[fp>>56].
 	mod [256]uint64
-	// pop[b] is the contribution of byte b multiplied by x^(8*(window-1)),
-	// i.e. the value to XOR out when byte b leaves the window.
+	// pop[b] is the reduction of b(x)*x^(8*window) modulo P: the
+	// contribution byte b would make after a shift that pushes it out of
+	// the window, i.e. the value to XOR out as b leaves.
 	pop [256]uint64
+}
+
+// fingerprint shifts every byte of p into an all-zero state with no byte
+// leaving: the fingerprint of p as one whole window.
+func (t *tables) fingerprint(p []byte) uint64 {
+	var fp uint64
+	for _, b := range p {
+		fp = fp<<8 ^ uint64(b) ^ t.mod[fp>>56]
+	}
+	return fp
 }
 
 var shared = newTables(DefaultWindow)
@@ -68,11 +82,14 @@ func newTables(window int) *tables {
 		t.mod[b] = v
 	}
 	// pop table: the contribution of a byte that entered the window
-	// window-1 rolls ago, i.e. b(x) * x^(8*(window-1)) mod P. Roll XORs it
-	// out immediately before shifting the window forward.
+	// window rolls ago, i.e. b(x) * x^(8*window) mod P. Shifting by one byte
+	// is multiplication by x^8, which is linear over GF(2), so XORing the
+	// departing byte out after the shift equals XORing b(x)*x^(8*(window-1))
+	// out before it — and keeps the pop lookup off the chain from one
+	// byte's fingerprint to the next.
 	for b := 0; b < 256; b++ {
 		v := uint64(b)
-		for i := 0; i < window-1; i++ {
+		for i := 0; i < window; i++ {
 			v = (v << 8) ^ t.mod[v>>56]
 		}
 		t.pop[b] = v
@@ -118,16 +135,14 @@ func (h *Hash) Roll(b byte) uint64 {
 	if h.pos == h.window {
 		h.pos = 0
 	}
-	h.fp ^= h.tab.pop[out]
-	h.fp = (h.fp << 8) ^ uint64(b) ^ h.tab.mod[h.fp>>56]
+	h.fp = h.fp<<8 ^ uint64(b) ^ h.tab.pop[out] ^ h.tab.mod[h.fp>>56]
 	return h.fp
 }
 
 // Update rolls the window forward over every byte of p in one call and
 // returns the final fingerprint. It is equivalent to calling Roll for each
 // byte but keeps the fingerprint, window position, and table pointers in
-// locals for the whole scan, which is what makes the chunker's bulk path
-// fast.
+// locals for the whole call.
 func (h *Hash) Update(p []byte) uint64 {
 	fp, pos := h.fp, h.pos
 	buf := h.buf
@@ -140,97 +155,126 @@ func (h *Hash) Update(p []byte) uint64 {
 		if pos == window {
 			pos = 0
 		}
-		fp ^= pop[out]
-		fp = (fp << 8) ^ uint64(b) ^ mod[fp>>56]
+		fp = fp<<8 ^ uint64(b) ^ pop[out] ^ mod[fp>>56]
 	}
 	h.fp, h.pos = fp, pos
 	return fp
 }
 
-// Scan rolls the window forward through p until the fingerprint after some
-// byte satisfies fp&mask == magic. It returns the number of bytes consumed
-// and whether the last consumed byte produced a match; consumed == len(p)
-// with matched == false means p was exhausted without a match. Like Update,
-// the whole scan runs on locals — this is the content-defined chunker's
-// inner loop.
-func (h *Hash) Scan(p []byte, mask, magic uint64) (consumed int, matched bool) {
-	fp, pos := h.fp, h.pos
-	buf := h.buf
-	window := h.window
-	mod, pop := &h.tab.mod, &h.tab.pop
-	// Process p in runs bounded by the distance to the circular buffer's
-	// wrap point, so the inner loop carries no wrap branch and indexes both
-	// slices with the same induction variable (bounds checks hoist).
-	for len(p) > 0 {
-		run := window - pos
-		if run > len(p) {
-			run = len(p)
-		}
-		seg := p[:run]
-		win := buf[pos : pos+run]
-		for i := 0; i < len(seg); i++ {
-			b := seg[i]
-			out := win[i]
-			win[i] = b
-			fp ^= pop[out]
-			fp = (fp << 8) ^ uint64(b) ^ mod[fp>>56]
-			if fp&mask == magic {
-				pos += i + 1
-				if pos == window {
-					pos = 0
-				}
-				h.fp, h.pos = fp, pos
-				return consumed + i + 1, true
-			}
-		}
-		consumed += run
-		p = p[run:]
-		pos += run
-		if pos == window {
-			pos = 0
-		}
-	}
-	h.fp, h.pos = fp, pos
-	return consumed, false
+// minLane is the fewest positions Matches gives each of its four lanes;
+// shorter ranges run in one lane, where priming three more lanes would cost
+// more than their overlap saves.
+const minLane = 64
+
+// splitAt returns the fewest positions a Matches range must span to be
+// split across four lanes: every lane gets at least minLane positions and
+// at least one window, the bytes it primes on.
+func splitAt(window int) int {
+	return 4 * max(minLane, window)
 }
 
-// ScanContig scans data[from:] for a position whose rolling fingerprint
-// satisfies fp&mask == magic, exploiting that in a contiguous buffer the
-// byte leaving the window at position j is simply data[j-window] — no
-// circular window buffer is read or written at all. The caller must have
-// established h's state over data[from-window:from] (e.g. with Update from
-// a Reset hash), and from must be >= window. It returns the first matching
-// position's end offset (cut, such that data[:cut] ends at the match) and
-// whether a match occurred; without a match it returns len(data), false.
+// Matches appends to out every position p in [from, len(data)], in
+// ascending order, at which the fingerprint of the window ending there,
+// data[p-window:p], satisfies fp&mask == magic, and returns the extended
+// slice. from must be at least the window size.
 //
-// ScanContig does not maintain the window buffer, so after it returns only
-// a Reset (or a fresh chunk-start Update) may follow; Roll would observe a
-// stale window. The content-defined chunker, which resets per chunk, is
-// the intended caller.
-func (h *Hash) ScanContig(data []byte, from int, mask, magic uint64) (cut int, matched bool) {
-	if from < h.window {
-		panic("rabin: ScanContig needs from >= window")
+// A position's fingerprint is a pure function of the window ending there,
+// so the range splits into four quarters scanned by four independent
+// rolling states. A single rolling state is bound by latency — each byte's
+// reduction lookup waits on the previous byte's result — and four
+// interleaved ones overlap those waits. Matches uses only h's tables,
+// never its rolling state, which it leaves untouched.
+func (h *Hash) Matches(data []byte, from int, mask, magic uint64, out []int) []int {
+	w := h.window
+	if from < w {
+		panic("rabin: Matches needs from >= window")
 	}
-	fp := h.fp
-	mod, pop := &h.tab.mod, &h.tab.pop
-	// Two views of data offset by the window width, trimmed to equal
-	// length so the single induction variable needs no bounds checks: the
-	// byte entering the window is lead[i], the byte leaving is lag[i].
-	lead := data[from:]
-	lag := data[from-h.window:]
-	lag = lag[:len(lead)]
-	for i := 0; i < len(lead); i++ {
-		b := lead[i]
-		out := lag[i]
-		fp ^= pop[out]
-		fp = (fp << 8) ^ uint64(b) ^ mod[fp>>56]
+	n := len(data) + 1 - from // positions from..len(data)
+	if n <= 0 {
+		return out
+	}
+	if n < splitAt(w) {
+		fp := h.tab.fingerprint(data[from-w : from])
 		if fp&mask == magic {
-			h.fp = fp
-			return from + i + 1, true
+			out = append(out, from)
+		}
+		return h.roll(data, from, fp, mask, magic, out)
+	}
+
+	// Lane k starts at position from+k*q and rolls q-1 steps in roll4;
+	// lane 3 then rolls on through the n-4q positions left over. After step
+	// i, lane k's window ends at position start[k]+i+1: win[k][i] is the
+	// byte leaving it and win[k][i+w] the one entering. Hits are appended
+	// as the lanes find them, four sorted runs interleaved, and sorted once
+	// at the end, so Matches needs no per-lane buffers.
+	q := n / 4
+	var (
+		start [4]int
+		win   [4][]byte
+		fp    [4]uint64
+	)
+	first := len(out)
+	for k := range start {
+		a := from + k*q
+		start[k] = a
+		win[k] = data[a-w : a-1+q]
+		fp[k] = h.tab.fingerprint(data[a-w : a])
+		if fp[k]&mask == magic {
+			out = append(out, a)
 		}
 	}
-	h.fp = fp
-	return len(data), false
+	for i := 0; ; i++ {
+		if i = h.tab.roll4(&win, w, &fp, i, mask, magic); i == q-1 {
+			break
+		}
+		for k := range fp {
+			if fp[k]&mask == magic {
+				out = append(out, start[k]+i+1)
+			}
+		}
+	}
+	out = h.roll(data, start[3]+q-1, fp[3], mask, magic, out)
+	slices.Sort(out[first:])
+	return out
+}
+
+// roll4 advances the four lanes' fingerprints from step i until a step
+// after which some lane matches, returning that step, or the step count
+// len(win[0])-w when none does. Nothing in its loop calls, so the four
+// states keep to registers.
+func (t *tables) roll4(win *[4][]byte, w int, fp *[4]uint64, i int, mask, magic uint64) int {
+	mod, pop := &t.mod, &t.pop
+	w0, w1, w2, w3 := win[0], win[1], win[2], win[3]
+	w1, w2, w3 = w1[:len(w0)], w2[:len(w0)], w3[:len(w0)]
+	fp0, fp1, fp2, fp3 := fp[0], fp[1], fp[2], fp[3]
+	for ; i+w < len(w0); i++ {
+		j := i + w
+		fp0 = fp0<<8 ^ uint64(w0[j]) ^ pop[w0[i]] ^ mod[fp0>>56]
+		fp1 = fp1<<8 ^ uint64(w1[j]) ^ pop[w1[i]] ^ mod[fp1>>56]
+		fp2 = fp2<<8 ^ uint64(w2[j]) ^ pop[w2[i]] ^ mod[fp2>>56]
+		fp3 = fp3<<8 ^ uint64(w3[j]) ^ pop[w3[i]] ^ mod[fp3>>56]
+		if fp0&mask == magic || fp1&mask == magic || fp2&mask == magic || fp3&mask == magic {
+			break
+		}
+	}
+	*fp = [4]uint64{fp0, fp1, fp2, fp3}
+	return i
+}
+
+// roll advances fp, the fingerprint of the window ending at position a,
+// through positions a+1..len(data), appending each match to out.
+func (h *Hash) roll(data []byte, a int, fp, mask, magic uint64, out []int) []int {
+	mod, pop := &h.tab.mod, &h.tab.pop
+	in := data[a:]
+	lag := data[a-h.window:]
+	lag = lag[:len(in)]
+	for i := range in {
+		fp = fp<<8 ^ uint64(in[i]) ^ pop[lag[i]] ^ mod[fp>>56]
+		if fp&mask == magic {
+			out = append(out, a+i+1)
+		}
+	}
+	return out
 }
 
 // Sum64 returns the current fingerprint of the window contents.
@@ -243,10 +287,5 @@ func (h *Hash) Window() int { return h.window }
 // window covered the entire input. It is primarily a reference for testing
 // the rolling update.
 func Fingerprint(data []byte) uint64 {
-	t := shared
-	var fp uint64
-	for _, b := range data {
-		fp = (fp << 8) ^ uint64(b) ^ t.mod[fp>>56]
-	}
-	return fp
+	return shared.fingerprint(data)
 }

@@ -184,90 +184,75 @@ func TestUpdateMatchesRoll(t *testing.T) {
 	}
 }
 
-// TestScanMatchesRollLoop: Scan must consume exactly as many bytes as a
-// Roll loop testing fp&mask == magic after each byte, and leave identical
-// state.
-func TestScanMatchesRollLoop(t *testing.T) {
-	const window = DefaultWindow
-	rng := rand.New(rand.NewSource(13))
-	data := make([]byte, 64*1024)
-	for i := range data {
-		data[i] = byte(rng.Intn(256))
-	}
-	for _, avg := range []uint64{256, 4096} {
-		mask, magic := avg-1, avg-1
-		hs, hr := New(window), New(window)
-		consumed, matched := hs.Scan(data, mask, magic)
-
-		wantConsumed, wantMatched := len(data), false
-		for i, b := range data {
-			if hr.Roll(b)&mask == magic {
-				wantConsumed, wantMatched = i+1, true
-				break
-			}
-		}
-		if consumed != wantConsumed || matched != wantMatched {
-			t.Fatalf("avg=%d: Scan = (%d, %v), Roll loop = (%d, %v)",
-				avg, consumed, matched, wantConsumed, wantMatched)
-		}
-		if hs.Sum64() != hr.Sum64() {
-			t.Fatalf("avg=%d: Scan state %#x differs from Roll state %#x",
-				avg, hs.Sum64(), hr.Sum64())
-		}
-	}
-}
-
-// TestScanContigMatchesRollLoop: the contiguous scan must cut exactly
-// where a Roll loop over the same data cuts, for several starting offsets.
-func TestScanContigMatchesRollLoop(t *testing.T) {
-	const window = DefaultWindow
+// TestMatchesAgreesWithRoll: Matches reports a position if and only if a
+// byte-at-a-time Roll loop's fingerprint there matches, for range lengths
+// from empty to past the lane-split threshold, several starting offsets
+// and every mask width the chunker can use.
+func TestMatchesAgreesWithRoll(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
-	data := make([]byte, 32*1024)
-	for i := range data {
-		data[i] = byte(rng.Intn(256))
-	}
-	for _, from := range []int{window, window + 1, 2048} {
-		for _, avg := range []uint64{512, 4096, 1 << 62} {
-			mask := avg - 1
-			magic := avg - 1
-			if avg == 1<<62 {
-				magic = avg // impossible: forces a full no-match scan
+	for _, window := range []int{1, 8, 16, DefaultWindow, 64} {
+		froms := []int{window, window + 1, window + rng.Intn(200)}
+		split := splitAt(window)
+		data := make([]byte, froms[2]+split+4096)
+		for i := range data {
+			data[i] = byte(rng.Intn(256))
+		}
+		// fps[p] is the Roll fingerprint after data[p-1], i.e. of the window
+		// ending at position p.
+		fps := make([]uint64, len(data)+1)
+		hr := New(window)
+		for i, b := range data {
+			fps[i+1] = hr.Roll(b)
+		}
+		h := New(window)
+		h.Update([]byte("rolling state Matches must not touch"))
+		state := h.Sum64()
+		prefix := []int{-1, -2}
+		for _, from := range froms {
+			lengths := []int{from + split + 1000, len(data)}
+			for n := 0; n <= split+8; n++ {
+				lengths = append(lengths, from-1+n) // n positions in range
 			}
-			hc := New(window)
-			hc.Update(data[from-window : from])
-			cut, matched := hc.ScanContig(data, from, mask, magic)
-
-			hr := New(window)
-			var fp uint64
-			for _, b := range data[from-window : from] {
-				fp = hr.Roll(b)
-			}
-			wantCut, wantMatched := len(data), false
-			for j := from; j < len(data); j++ {
-				fp = hr.Roll(data[j])
-				if fp&mask == magic {
-					wantCut, wantMatched = j+1, true
-					break
+			for _, end := range lengths {
+				for k := 0; k <= 13; k++ {
+					mask := uint64(1)<<k - 1
+					got := h.Matches(data[:end], from, mask, mask, append([]int(nil), prefix...))
+					var want []int
+					for p := from; p <= end; p++ {
+						if fps[p]&mask == mask {
+							want = append(want, p)
+						}
+					}
+					if len(got) != len(prefix)+len(want) || got[0] != prefix[0] || got[1] != prefix[1] {
+						t.Fatalf("window=%d from=%d end=%d k=%d: %d matches, Roll has %d (or prefix lost)",
+							window, from, end, k, len(got)-len(prefix), len(want))
+					}
+					for i, p := range want {
+						if got[len(prefix)+i] != p {
+							t.Fatalf("window=%d from=%d end=%d k=%d: match %d at %d, Roll at %d",
+								window, from, end, k, i, got[len(prefix)+i], p)
+						}
+					}
+				}
+				// A magic outside the mask never matches.
+				if got := h.Matches(data[:end], from, 0xFFF, 0x1FFF, nil); len(got) != 0 {
+					t.Fatalf("window=%d from=%d end=%d: impossible magic matched %v", window, from, end, got)
 				}
 			}
-			if cut != wantCut || matched != wantMatched {
-				t.Fatalf("from=%d avg=%d: ScanContig = (%d, %v), Roll loop = (%d, %v)",
-					from, avg, cut, matched, wantCut, wantMatched)
-			}
-			if hc.Sum64() != fp {
-				t.Fatalf("from=%d avg=%d: fp %#x, Roll fp %#x", from, avg, hc.Sum64(), fp)
-			}
+		}
+		if h.Sum64() != state {
+			t.Fatalf("window=%d: Matches moved the rolling state", window)
 		}
 	}
 }
 
-func TestScanContigPanicsOnShortPrefix(t *testing.T) {
+func TestMatchesPanicsOnShortPrefix(t *testing.T) {
 	defer func() {
 		if recover() == nil {
-			t.Fatal("ScanContig with from < window did not panic")
+			t.Fatal("Matches with from < window did not panic")
 		}
 	}()
-	New(DefaultWindow).ScanContig(make([]byte, 100), 10, 1, 1)
+	New(DefaultWindow).Matches(make([]byte, 100), 10, 1, 1, nil)
 }
 
 // TestTablesCached: non-default windows reuse cached tables across New
@@ -314,35 +299,19 @@ func BenchmarkRabinUpdate(b *testing.B) {
 	}
 }
 
-func BenchmarkRabinScanContig(b *testing.B) {
+// BenchmarkRabinMatches is the content-defined chunker's kernel: every
+// candidate cut in a 64 KiB buffer at the default 8 KiB average.
+func BenchmarkRabinMatches(b *testing.B) {
 	h := New(DefaultWindow)
 	data := make([]byte, 64*1024)
 	rng := rand.New(rand.NewSource(5))
 	for i := range data {
 		data[i] = byte(rng.Intn(256))
 	}
+	var out []int
 	b.SetBytes(int64(len(data) - DefaultWindow))
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		h.Reset()
-		h.Update(data[:DefaultWindow])
-		// Impossible magic forces a full scan (mask has low bits only).
-		h.ScanContig(data, DefaultWindow, 0xFFF, 0x1FFF)
-	}
-}
-
-func BenchmarkRabinScan(b *testing.B) {
-	h := New(DefaultWindow)
-	data := make([]byte, 64*1024)
-	rng := rand.New(rand.NewSource(4))
-	for i := range data {
-		data[i] = byte(rng.Intn(256))
-	}
-	b.SetBytes(int64(len(data)))
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		// An impossible magic value (mask has low bits only) forces a full
-		// scan of the buffer, measuring sustained scan throughput.
-		h.Scan(data, 0xFFF, 0x1FFF)
+		out = h.Matches(data, DefaultWindow, 0x1FFF, 0x1FFF, out[:0])
 	}
 }

@@ -72,8 +72,12 @@ if [ -x /usr/bin/time ] && /usr/bin/time -v true 2>/dev/null; then
 	runner="/usr/bin/time -v -o $rsslog"
 fi
 BENCH_REPEAT="${BENCH_REPEAT:-3}"
+# -p 1: go test otherwise builds and runs several packages' test binaries
+# at once, so one package's benchmarks would time against another's (or
+# against the compiler) and record a contended floor; cmd/benchgate's
+# fresh runs time one package alone.
 # shellcheck disable=SC2086
-if ! FPBENCH_10M=1 $runner go test -run=NONE -bench "$PATTERN" -benchmem -benchtime "$BENCHTIME" \
+if ! FPBENCH_10M=1 $runner go test -p 1 -run=NONE -bench "$PATTERN" -benchmem -benchtime "$BENCHTIME" \
 	$PKGS >"$tmp" 2>&1; then
 	cat "$tmp"
 	echo "bench: FAILED, no baseline written" >&2
@@ -83,7 +87,7 @@ i=2
 while [ "$i" -le "$BENCH_REPEAT" ]; do
 	echo "bench: floor repeat $i/$BENCH_REPEAT" >&2
 	# shellcheck disable=SC2086
-	if ! go test -run=NONE -bench "$PATTERN" -benchmem -benchtime "$BENCHTIME" \
+	if ! go test -p 1 -run=NONE -bench "$PATTERN" -benchmem -benchtime "$BENCHTIME" \
 		$PKGS >>"$tmp" 2>&1; then
 		cat "$tmp"
 		echo "bench: FAILED, no baseline written" >&2
