@@ -26,8 +26,7 @@
 //	ddfsbench -cache 0.25
 //	ddfsbench -pipeline -mb 64 -shards 16 -workers 0
 //	ddfsbench -chunker -mb 256
-//	ddfsbench -chunker -gear -mb 256          # gear-hash chunk format
-//	ddfsbench -chunker -gear -chunkworkers 4  # multi-stream gear scan
+//	ddfsbench -chunker -gear -mb 256   # gear-hash chunk format
 //	ddfsbench -restore -mb 64 -workers 0
 //	ddfsbench -restore -dir /tmp/ddfs-store   # keep the repository around
 //	ddfsbench -attack -mb 256 -shards 16 -workers 0
@@ -81,8 +80,6 @@ func main() {
 		"benchmark the streaming content-defined chunker alone (the ingest stage)")
 	gear := flag.Bool("gear", false,
 		"use the gear-hash chunk format in -chunker mode (NOT cut-compatible with the default Rabin format)")
-	chunkWorkers := flag.Int("chunkworkers", 0,
-		"multi-stream chunking workers for -chunker -gear (0 or 1 = serial scan; gear only: no multi-stream Rabin scanner exists)")
 	restoreMode := flag.Bool("restore", false,
 		"benchmark backup-to-disk, reopen, and restore end to end")
 	attackMode := flag.Bool("attack", false,
@@ -106,7 +103,7 @@ func main() {
 	flag.Parse()
 
 	if *chunkerOnly {
-		if err := runChunker(*streamMB, *gear, *chunkWorkers); err != nil {
+		if err := runChunker(*streamMB, *gear); err != nil {
 			fatal(err)
 		}
 		return
@@ -685,9 +682,8 @@ func runIndex(chunks, shards int, dir string) error {
 // chunker in its backup-pipeline configuration (pooled buffers released
 // after each chunk, plaintext fingerprinting deferred) and reports the
 // ingest throughput and chunk-size distribution. -gear switches to the
-// gear-hash format; -chunkworkers > 1 adds multi-stream scanning (gear
-// only, bit-identical output to the serial gear chunker).
-func runChunker(streamMB int, gear bool, chunkWorkers int) error {
+// gear-hash format.
+func runChunker(streamMB int, gear bool) error {
 	if streamMB <= 0 {
 		return fmt.Errorf("stream size must be positive")
 	}
@@ -698,25 +694,10 @@ func runChunker(streamMB int, gear bool, chunkWorkers int) error {
 	}
 	params := chunker.DefaultParams()
 	params.DeferFingerprint = true
-	var (
-		cdc  chunker.Chunker
-		err  error
-		mode = "rabin"
-	)
-	switch {
-	case gear && chunkWorkers > 1:
+	if gear {
 		params.Algorithm = chunker.AlgoGear
-		cdc, err = chunker.NewMultiGear(bytes.NewReader(data), params, chunkWorkers)
-		mode = fmt.Sprintf("gear x%d streams", chunkWorkers)
-	case gear:
-		params.Algorithm = chunker.AlgoGear
-		cdc, err = chunker.NewGear(bytes.NewReader(data), params)
-		mode = "gear"
-	case chunkWorkers > 1:
-		return fmt.Errorf("-chunkworkers requires -gear (multi-stream chunking is gear-only)")
-	default:
-		cdc, err = chunker.NewContentDefined(bytes.NewReader(data), params)
 	}
+	cdc, err := chunker.New(bytes.NewReader(data), params)
 	if err != nil {
 		return err
 	}
@@ -745,14 +726,9 @@ func runChunker(streamMB int, gear bool, chunkWorkers int) error {
 		}
 		ch.Release()
 	}
-	if c, ok := cdc.(interface{ Close() error }); ok {
-		if err := c.Close(); err != nil {
-			return err
-		}
-	}
 	elapsed := time.Since(start)
 	mb := float64(consumed) / (1 << 20)
-	fmt.Printf("chunker (%s): %.0f MiB in %v: %.1f MB/s\n", mode, mb, elapsed.Round(time.Millisecond),
+	fmt.Printf("chunker (%s): %.0f MiB in %v: %.1f MB/s\n", params.Algorithm, mb, elapsed.Round(time.Millisecond),
 		mb/elapsed.Seconds())
 	fmt.Printf("chunks: %d (avg %.0f B, min %d, max %d)\n",
 		chunks, float64(consumed)/float64(chunks), minSize, maxSize)

@@ -36,7 +36,7 @@ func TestCrashSweepSyncPoints(t *testing.T) {
 
 // TestCrashSweepGroupCommit reruns the sync-point sweep with the batched
 // durability paths enabled: group-commit straggler window on the catalog
-// and trace log, gear chunking, and multi-stream chunk workers. The
+// and trace log, and gear chunking. The
 // invariant set is unchanged — in particular invariant 2 ("the snapshot
 // list equals exactly the acknowledged state") asserts at every crash
 // point that no Backup was acknowledged before the group-committed fsync
@@ -51,7 +51,6 @@ func TestCrashSweepGroupCommit(t *testing.T) {
 			Seed:              3,
 			GroupCommitWindow: 2 * time.Millisecond,
 			GearChunking:      true,
-			ChunkWorkers:      2,
 		},
 		SyncPointsOnly: true,
 		MaxPoints:      maxPoints,
@@ -149,7 +148,7 @@ func TestCrashSweepFull(t *testing.T) {
 }
 
 // TestCrashSweepFullGroupCommit is the exhaustive sweep with group commit
-// (plus gear multi-stream chunking) enabled — every mutating op is a crash
+// (plus gear chunking) enabled — every mutating op is a crash
 // point on the batched durability paths. Gated like TestCrashSweepFull.
 func TestCrashSweepFullGroupCommit(t *testing.T) {
 	if os.Getenv("FAULTS_FULL") == "" {
@@ -160,7 +159,6 @@ func TestCrashSweepFullGroupCommit(t *testing.T) {
 			Seed:              3,
 			GroupCommitWindow: time.Millisecond,
 			GearChunking:      true,
-			ChunkWorkers:      2,
 		},
 	})
 	if err != nil {

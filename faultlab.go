@@ -63,9 +63,6 @@ type CrashScenario struct {
 	// covering the gear format's pooled-buffer and recipe paths under
 	// crash injection.
 	GearChunking bool
-	// ChunkWorkers enables multi-stream chunking (WithChunkWorkers);
-	// meaningful only with GearChunking.
-	ChunkWorkers int
 	// PersistentIndex runs the scenario on the bloom-fronted on-disk
 	// fingerprint index (WithIndex(IndexPersistent)) with a deliberately
 	// tiny memtable and synchronous compaction, so crash points land
@@ -138,9 +135,6 @@ func (sc CrashScenario) repoOptions(m *faultio.MemFS) []RepositoryOption {
 		p := DefaultChunkingParams()
 		p.Algorithm = AlgoGear
 		opts = append(opts, WithChunking(p))
-		if sc.ChunkWorkers > 1 {
-			opts = append(opts, WithChunkWorkers(sc.ChunkWorkers))
-		}
 	}
 	if sc.PersistentIndex {
 		opts = append(opts,

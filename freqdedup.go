@@ -74,8 +74,8 @@ const (
 	// AlgoRabin cuts with the rolling Rabin fingerprint — the original
 	// freqdedup format and the default.
 	AlgoRabin = chunker.AlgoRabin
-	// AlgoGear cuts with a gear hash (FastCDC-style), roughly 3x the
-	// rolling speed of Rabin. A new format: NOT cut-point compatible with
+	// AlgoGear cuts with a gear hash (FastCDC-style), about 1.6x the
+	// chunking speed of Rabin. A new format: NOT cut-point compatible with
 	// AlgoRabin.
 	AlgoGear = chunker.AlgoGear
 )
@@ -95,13 +95,6 @@ var NewChunker = chunker.New
 // NewGearChunker returns a gear-hash content-defined chunker (AlgoGear's
 // concrete type).
 var NewGearChunker = chunker.NewGear
-
-// NewMultiGearChunker returns a multi-stream gear chunker: the input is
-// split across worker goroutines (0 selects GOMAXPROCS) and the cut
-// points are stitched deterministically, emitting the exact serial
-// AlgoGear chunk sequence at any worker count. Requires Min >= 64; call
-// Close when abandoning the stream before EOF.
-var NewMultiGearChunker = chunker.NewMultiGear
 
 // DefaultChunkingParams mirrors the paper's FSL chunking configuration.
 var DefaultChunkingParams = chunker.DefaultParams

@@ -301,9 +301,9 @@ func (l *lookahead) consume(n int) {
 // ending there. So positions at least a window into the lookahead's
 // unconsumed bytes are tested once, as they are buffered, by
 // rabin.Hash.Matches, and queued as candidate cuts; a chunk ends at the
-// first queued candidate in [start+Min, start+Max], else at start+Max —
-// MultiGear's stitch rule. Only when Min < window do the few positions
-// less than a window into a chunk need a roll of their own.
+// first queued candidate in [start+Min, start+Max], else at start+Max.
+// Only when Min < window do the few positions less than a window into a
+// chunk need a roll of their own.
 type ContentDefined struct {
 	la     lookahead
 	p      Params

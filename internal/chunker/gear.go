@@ -56,12 +56,6 @@ func New(r io.Reader, p Params) (Chunker, error) {
 // 64 bytes (fewer within the first 64 bytes of a chunk).
 const gearWindow = 64
 
-// GearWindow is the gear hash's effective window in bytes. Multi-stream
-// gear chunking (NewMultiGear) requires Params.Min >= GearWindow: past
-// that age every position's hash is independent of where its chunk
-// started, which is what lets segments be scanned in parallel.
-const GearWindow = gearWindow
-
 // gearTable is the byte-to-noise table of the gear hash. It is generated
 // by a fixed splitmix64 sequence so the table — which IS the chunk-cut
 // format — is deterministic across builds and platforms.

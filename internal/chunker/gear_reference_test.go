@@ -10,10 +10,10 @@ import (
 )
 
 // referenceGear is the naive byte-at-a-time gear chunker, the golden
-// oracle for the optimized implementations: the hash restarts at zero at
-// every chunk start and rolls through EVERY byte of the chunk (no
-// cut-point skipping, no lookahead buffer, no parallelism). Gear and
-// MultiGear must emit byte-identical cut points and fingerprints.
+// oracle for Gear: the hash restarts at zero at every chunk start and
+// rolls through EVERY byte of the chunk (no cut-point skipping, no
+// lookahead buffer). Gear must emit byte-identical cut points and
+// fingerprints.
 type referenceGear struct {
 	r       io.Reader
 	p       Params
@@ -237,9 +237,7 @@ func TestGearDiffersFromRabin(t *testing.T) {
 }
 
 // FuzzGearMatchesReference fuzzes arbitrary inputs through the reference
-// and both optimized gear implementations (serial with cut-point
-// skipping, and the multi-stream stitcher at 2 workers with a small
-// segment size so fuzz inputs cross segment boundaries). Run with `go
+// and Gear, with Min below, at and above the gear window. Run with `go
 // test -fuzz=FuzzGearMatchesReference`; under plain `go test` the seed
 // corpus doubles as extra golden cases.
 func FuzzGearMatchesReference(f *testing.F) {
@@ -259,14 +257,6 @@ func FuzzGearMatchesReference(f *testing.F) {
 			t.Fatal(err)
 		}
 		compareGearAgainstReference(t, data, p, g)
-		if p.Min >= gearWindow {
-			mg, err := newMultiGear(bytes.NewReader(data), p, 2, 4096)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer mg.Close()
-			compareGearAgainstReference(t, data, p, mg)
-		}
 	})
 }
 

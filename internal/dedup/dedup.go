@@ -40,18 +40,6 @@ type Config struct {
 	// faster AlgoGear. The two produce different cut points — a store's
 	// dedup ratio is only preserved against backups chunked the same way.
 	Chunking chunker.Params
-	// ChunkWorkers enables multi-stream chunking: with a value above 1 and
-	// AlgoGear, Backup splits the input across that many chunking workers
-	// with deterministic cut-point stitching — the chunk sequence is
-	// bit-identical to serial gear chunking at any worker count. 0 and 1
-	// chunk serially. Requires Chunking.Min >= chunker.GearWindow and is
-	// rejected for AlgoRabin: only the gear scanner has a multi-stream
-	// implementation (chunker.NewMultiGear). Rabin's candidate scan,
-	// rabin.Hash.Matches, is position-pure too — a position's result
-	// depends only on the window ending there, which is how its four lanes
-	// split one buffer — so segments could be scanned by several workers
-	// with the same stitch rule.
-	ChunkWorkers int
 	// Encryption selects the MLE scheme (EncConvergent if zero).
 	Encryption Encryption
 	// Deriver supplies keys for EncServerAided and EncMinHash. It must be
@@ -185,18 +173,6 @@ func NewSinkClient(sink Sink, cfg Config) (*Client, error) {
 	if cfg.Workers < 0 {
 		return nil, fmt.Errorf("dedup: negative worker count %d", cfg.Workers)
 	}
-	if cfg.ChunkWorkers < 0 {
-		return nil, fmt.Errorf("dedup: negative chunk worker count %d", cfg.ChunkWorkers)
-	}
-	if cfg.ChunkWorkers > 1 {
-		if cfg.Chunking.Algorithm != chunker.AlgoGear {
-			return nil, errors.New("dedup: multi-stream chunking requires the gear algorithm (chunker.AlgoGear)")
-		}
-		if cfg.Chunking.Min < chunker.GearWindow {
-			return nil, fmt.Errorf("dedup: multi-stream chunking needs Chunking.Min >= %d, got %d",
-				chunker.GearWindow, cfg.Chunking.Min)
-		}
-	}
 	if cfg.Workers == 0 {
 		cfg.Workers = runtime.GOMAXPROCS(0)
 	}
@@ -284,15 +260,7 @@ func (c *Client) BackupContext(ctx context.Context, r io.Reader) (*mle.Recipe, e
 	}
 	params := c.cfg.Chunking
 	params.DeferFingerprint = true
-	var (
-		cdc chunker.Chunker
-		err error
-	)
-	if c.cfg.ChunkWorkers > 1 && params.Algorithm == chunker.AlgoGear {
-		cdc, err = chunker.NewMultiGear(r, params, c.cfg.ChunkWorkers)
-	} else {
-		cdc, err = chunker.New(r, params)
-	}
+	cdc, err := chunker.New(r, params)
 	if err != nil {
 		return nil, err
 	}
@@ -364,14 +332,6 @@ func (c *Client) backupStreaming(ctx context.Context, cdc chunker.Chunker) (*mle
 	}()
 	go func() {
 		defer close(chunks)
-		// The producer is the chunker's sole consumer, so it owns the
-		// teardown, which must not race Next: a multi-stream chunker has
-		// goroutines and pooled segment buffers to reclaim, a serial one
-		// nothing. An error return of Backup does not wait for it (see
-		// Backup's doc on in-flight reads).
-		if closer, ok := cdc.(io.Closer); ok {
-			defer closer.Close()
-		}
 		var msg chunkMsg
 		defer func() { msg.release() }() // a batch the consumer bailed on
 		for {

@@ -15,8 +15,8 @@ import (
 	"freqdedup/internal/wire"
 )
 
-// DialConfig configures a Client session. Chunking, ChunkWorkers and
-// Workers configure the client's backup pipeline — dedup's, under
+// DialConfig configures a Client session. Chunking and Workers
+// configure the client's backup pipeline — dedup's, under
 // convergent encryption — and are validated exactly as dedup.NewClient
 // validates them, before Dial connects.
 type DialConfig struct {
@@ -29,10 +29,6 @@ type DialConfig struct {
 	// repository's other clients use, or cross-client dedup degrades to
 	// nothing — the server never sees plaintext, so it cannot check.
 	Chunking chunker.Params
-	// ChunkWorkers enables multi-stream chunking, as
-	// dedup.Config.ChunkWorkers: gear only, the one scanner with a
-	// multi-stream implementation.
-	ChunkWorkers int
 	// Workers is the size of each backup's encrypt+fingerprint worker
 	// pool (GOMAXPROCS if 0), as dedup.Config.Workers.
 	Workers int
@@ -79,10 +75,9 @@ func Dial(addr string, cfg DialConfig) (*Client, error) {
 	}
 	c := &Client{}
 	pipe, err := dedup.NewSinkClient(&c.sink, dedup.Config{
-		Chunking:     cfg.Chunking,
-		ChunkWorkers: cfg.ChunkWorkers,
-		Workers:      cfg.Workers,
-		Encryption:   dedup.EncConvergent,
+		Chunking:   cfg.Chunking,
+		Workers:    cfg.Workers,
+		Encryption: dedup.EncConvergent,
 	})
 	if err != nil {
 		return nil, fmt.Errorf("server: dial: %w", err)

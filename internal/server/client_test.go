@@ -106,15 +106,13 @@ func TestDialRejectsInvalidConfig(t *testing.T) {
 		Backend: newFakeBackend(),
 		Auth:    func(string, []byte) bool { hellos.Add(1); return true },
 	})
-	narrowGear := chunker.Params{Algorithm: chunker.AlgoGear, Min: chunker.GearWindow / 2, Avg: 1024, Max: 4096}
 	for _, tc := range []struct {
 		name string
 		cfg  DialConfig
 	}{
-		{"rabin-4-chunk-workers", DialConfig{ChunkWorkers: 4}},
-		{"negative-chunk-workers", DialConfig{ChunkWorkers: -1}},
+		{"avg-not-power-of-two", DialConfig{Chunking: chunker.Params{Min: 1024, Avg: 3000, Max: 8192}}},
+		{"unknown-algorithm", DialConfig{Chunking: chunker.Params{Min: 1024, Avg: 4096, Max: 8192, Algorithm: 99}}},
 		{"negative-workers", DialConfig{Workers: -1}},
-		{"gear-min-below-window", DialConfig{Chunking: narrowGear, ChunkWorkers: 2}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			tc.cfg.Tenant = "alice"

@@ -223,16 +223,6 @@ func WithChunking(p ChunkingParams) RepositoryOption {
 	return func(o *repoOptions) { o.cfg.Chunking = p }
 }
 
-// WithChunkWorkers enables multi-stream chunking: Backup splits the input
-// stream across n chunking workers with deterministic cut-point
-// stitching, so the chunk sequence — and therefore recipes, dedup ratios,
-// and store contents — is bit-identical to serial chunking at any worker
-// count. Requires AlgoGear chunking with Min >= 64: only the gear scanner
-// has a multi-stream implementation. 0 and 1 chunk serially.
-func WithChunkWorkers(n int) RepositoryOption {
-	return func(o *repoOptions) { o.cfg.ChunkWorkers = n }
-}
-
 // WithGroupCommit sets the group-commit straggler window for the snapshot
 // catalog, the trace log, and the store's container seal passes: a commit
 // leading an fsync waits up to window for concurrent Backups to join the

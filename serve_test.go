@@ -663,9 +663,9 @@ func TestRecipeEntriesMatchRemote(t *testing.T) {
 	}{
 		{name: "defaults"},
 		{
-			name:   "gear-2-chunk-workers",
-			remote: RemoteClientConfig{Chunking: gear, ChunkWorkers: 2},
-			local:  []RepositoryOption{WithChunking(gear), WithChunkWorkers(2)},
+			name:   "gear",
+			remote: RemoteClientConfig{Chunking: gear},
+			local:  []RepositoryOption{WithChunking(gear)},
 		},
 		{
 			name:   "1-worker",
