@@ -10,11 +10,13 @@ package freqdedup
 import (
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"io"
 	"math/rand"
 	"net"
 	"os"
+	"path/filepath"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -362,6 +364,52 @@ func BenchmarkBackupParallel(b *testing.B) { benchBackup(b, runtime.GOMAXPROCS(0
 // does not carry over whole, because the chunker shares the cores with
 // the encrypt pool.
 func BenchmarkBackupGear(b *testing.B) { benchBackup(b, runtime.GOMAXPROCS(0), AlgoGear) }
+
+// BenchmarkBackupConcurrentCommit runs four Backups at once into a fresh
+// file-backed repository on the real disk, so the commit path — seal
+// pass, trace log, catalog, each group-committed by absorption — is paid
+// for real. It reports, besides MB/s, the fsyncs per backup, the number a
+// per-session commit has to bring down.
+func BenchmarkBackupConcurrentCommit(b *testing.B) {
+	const tenants = 4
+	ctx := context.Background()
+	datas := make([][]byte, tenants)
+	for i := range datas {
+		datas[i] = repoData(int64(500+i), 2<<20)
+	}
+	b.SetBytes(int64(tenants * len(datas[0])))
+	syncs := 0
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		cfs := newCountingFS(OSFileSystem)
+		repo, err := CreateRepository(filepath.Join(b.TempDir(), "repo"), WithFileSystem(cfs), WithUploadObserver(nil))
+		if err != nil {
+			b.Fatal(err)
+		}
+		pre := cfs.count("*")
+		b.StartTimer()
+		var wg sync.WaitGroup
+		errs := make([]error, tenants)
+		for k := range datas {
+			wg.Add(1)
+			go func(k int) {
+				defer wg.Done()
+				_, errs[k] = repo.Backup(ctx, fmt.Sprintf("t%d", k), bytes.NewReader(datas[k]))
+			}(k)
+		}
+		wg.Wait()
+		b.StopTimer()
+		syncs += cfs.count("*") - pre
+		if err := errors.Join(errs...); err != nil {
+			b.Fatal(err)
+		}
+		if err := repo.Close(); err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
+	}
+	b.ReportMetric(float64(syncs)/float64(b.N*tenants), "fsyncs/backup")
+}
 
 // BenchmarkChunkerCDC measures the ingest path in its backup-pipeline
 // configuration: content-defined chunking over a pooled, released chunk

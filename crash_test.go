@@ -4,7 +4,6 @@ import (
 	"os"
 	"reflect"
 	"testing"
-	"time"
 )
 
 // TestCrashSweepSyncPoints is the CI-bounded crash-point sweep: the
@@ -34,24 +33,16 @@ func TestCrashSweepSyncPoints(t *testing.T) {
 	t.Logf("swept %d sync-point crashes across %d mutating ops", len(res.PointsTested), res.TotalOps)
 }
 
-// TestCrashSweepGroupCommit reruns the sync-point sweep with the batched
-// durability paths enabled: group-commit straggler window on the catalog
-// and trace log, and gear chunking. The
-// invariant set is unchanged — in particular invariant 2 ("the snapshot
-// list equals exactly the acknowledged state") asserts at every crash
-// point that no Backup was acknowledged before the group-committed fsync
-// covering its records returned.
-func TestCrashSweepGroupCommit(t *testing.T) {
+// TestCrashSweepGear reruns the sync-point sweep with gear chunking, so
+// the gear format's pooled-buffer and recipe paths are crashed at every
+// acknowledged-sync boundary too. The invariant set is unchanged.
+func TestCrashSweepGear(t *testing.T) {
 	maxPoints := 24
 	if testing.Short() {
 		maxPoints = 8
 	}
 	res, err := ExploreCrashPoints(CrashSweepOptions{
-		Scenario: CrashScenario{
-			Seed:              3,
-			GroupCommitWindow: 2 * time.Millisecond,
-			GearChunking:      true,
-		},
+		Scenario:       CrashScenario{Seed: 3, GearChunking: true},
 		SyncPointsOnly: true,
 		MaxPoints:      maxPoints,
 	})
@@ -64,7 +55,7 @@ func TestCrashSweepGroupCommit(t *testing.T) {
 	for _, f := range res.Failures {
 		t.Errorf("crash at op %d/%d: %v", f.Op, res.TotalOps, f.Err)
 	}
-	t.Logf("swept %d group-commit sync-point crashes across %d mutating ops", len(res.PointsTested), res.TotalOps)
+	t.Logf("swept %d gear sync-point crashes across %d mutating ops", len(res.PointsTested), res.TotalOps)
 }
 
 // TestCrashSweepPersistentIndex reruns the sync-point sweep with the
@@ -147,19 +138,14 @@ func TestCrashSweepFull(t *testing.T) {
 	t.Logf("swept all %d mutating ops (%d sync points)", res.TotalOps, len(res.SyncPoints))
 }
 
-// TestCrashSweepFullGroupCommit is the exhaustive sweep with group commit
-// (plus gear chunking) enabled — every mutating op is a crash
-// point on the batched durability paths. Gated like TestCrashSweepFull.
-func TestCrashSweepFullGroupCommit(t *testing.T) {
+// TestCrashSweepFullGear is the exhaustive sweep on gear chunking —
+// every mutating op is a crash point. Gated like TestCrashSweepFull.
+func TestCrashSweepFullGear(t *testing.T) {
 	if os.Getenv("FAULTS_FULL") == "" {
 		t.Skip("set FAULTS_FULL=1 (or run `make faults`) for the exhaustive crash sweep")
 	}
 	res, err := ExploreCrashPoints(CrashSweepOptions{
-		Scenario: CrashScenario{
-			Seed:              3,
-			GroupCommitWindow: time.Millisecond,
-			GearChunking:      true,
-		},
+		Scenario: CrashScenario{Seed: 3, GearChunking: true},
 	})
 	if err != nil {
 		t.Fatalf("sweep: %v", err)
@@ -167,7 +153,7 @@ func TestCrashSweepFullGroupCommit(t *testing.T) {
 	for _, f := range res.Failures {
 		t.Errorf("crash at op %d/%d: %v", f.Op, res.TotalOps, f.Err)
 	}
-	t.Logf("swept all %d mutating ops with group commit (%d sync points)", res.TotalOps, len(res.SyncPoints))
+	t.Logf("swept all %d mutating ops on gear chunking (%d sync points)", res.TotalOps, len(res.SyncPoints))
 }
 
 // TestCrashSweepFullPersistentIndex is the exhaustive sweep on the

@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"math/rand"
 	"sort"
-	"time"
 
 	"freqdedup/internal/chunker"
 	"freqdedup/internal/dedup"
@@ -52,13 +51,6 @@ type CrashScenario struct {
 	ContainerBytes int
 	// Shards is the store's shard count (2 if zero).
 	Shards int
-	// GroupCommitWindow enables the catalog/trace-log group-commit
-	// straggler window (WithGroupCommit). The scenario is serial, so the
-	// window changes timing but not the operation sequence — the sweep
-	// stays deterministic while every crash point exercises the batched
-	// commit path, proving no Backup acks before its covering fsync even
-	// when the fsync is a shared, delayed group commit.
-	GroupCommitWindow time.Duration
 	// GearChunking switches the scenario's backups to AlgoGear chunking,
 	// covering the gear format's pooled-buffer and recipe paths under
 	// crash injection.
@@ -127,9 +119,6 @@ func (sc CrashScenario) repoOptions(m *faultio.MemFS) []RepositoryOption {
 		WithContainerBytes(sc.ContainerBytes),
 		WithWorkers(2),
 		WithUploadObserver(nil), // durable adversary tap on
-	}
-	if sc.GroupCommitWindow > 0 {
-		opts = append(opts, WithGroupCommit(sc.GroupCommitWindow))
 	}
 	if sc.GearChunking {
 		p := DefaultChunkingParams()

@@ -10,6 +10,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"freqdedup/internal/faultio"
 	"freqdedup/internal/vfs"
@@ -17,11 +18,14 @@ import (
 
 // countingFS wraps a vfs.FS and counts Sync calls per file base name, so
 // a test can learn deterministically how many syncs a setup phase costs
-// and arm a fault at exactly the next one.
+// and arm a fault at exactly the next one. A nonzero syncDelay stretches
+// every Sync, as a slow disk would, so concurrent commits pile up behind
+// an in-flight fsync.
 type countingFS struct {
 	vfs.FS
-	mu    sync.Mutex
-	syncs map[string]int
+	syncDelay time.Duration
+	mu        sync.Mutex
+	syncs     map[string]int
 }
 
 func newCountingFS(inner vfs.FS) *countingFS {
@@ -70,6 +74,7 @@ type countingFile struct {
 
 func (f countingFile) Sync() error {
 	f.fs.synced(f.name)
+	time.Sleep(f.fs.syncDelay)
 	return f.File.Sync()
 }
 

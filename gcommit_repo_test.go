@@ -11,39 +11,40 @@ import (
 	"freqdedup/internal/faultio"
 )
 
-// Repository-level properties of group-commit durability (WithGroupCommit):
-// concurrent Backups share fsyncs, a lone Backup pays at most the straggler
-// window per commit layer, and under crash injection an acknowledged Backup
-// is always covered by a completed fsync — even when that fsync was a
-// shared group commit.
+// Repository-level properties of group-commit durability: there is no
+// batching knob, only absorption — a commit that arrives while an fsync
+// is in flight rides the next round. So concurrent Backups share fsyncs
+// on every commit layer (container seal pass, trace log, catalog), a
+// lone Backup pays exactly one round per layer and never waits, and
+// under crash injection an acknowledged Backup is always covered by a
+// completed fsync — even when that fsync was a shared group commit.
 
-func gcTestOptions(fs FileSystem, window time.Duration) []RepositoryOption {
+func gcTestOptions(fs FileSystem) []RepositoryOption {
 	var key Key
 	copy(key[:], "group commit key")
-	opts := []RepositoryOption{
+	return []RepositoryOption{
 		WithFileSystem(fs), WithRepositoryKey(key),
 		WithShards(2), WithContainerBytes(16 << 10),
 		WithUploadObserver(nil),
 	}
-	if window > 0 {
-		opts = append(opts, WithGroupCommit(window))
-	}
-	return opts
 }
 
-// TestGroupCommitBatchesSyncs: N concurrent Backups under a group-commit
-// window must share durability fsyncs — strictly fewer catalog and trace-log
-// syncs than backups — while every backup still acks and restores.
+// TestGroupCommitBatchesSyncs: N concurrent Backups against a slow disk
+// must share durability rounds by absorption alone — strictly fewer seal
+// passes, catalog fsyncs and trace-log fsyncs than backups — while every
+// backup still acks and restores.
 func TestGroupCommitBatchesSyncs(t *testing.T) {
 	const n = 8
 	ctx := context.Background()
 	cfs := newCountingFS(faultio.NewMemFS())
-	repo, err := CreateRepository("repo", gcTestOptions(cfs, 20*time.Millisecond)...)
+	cfs.syncDelay = 5 * time.Millisecond
+	repo, err := CreateRepository("repo", gcTestOptions(cfs)...)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer repo.Close()
 
+	preSeal := repo.store.SealSyncs()
 	preCat := cfs.count("catalog.fdr")
 	preTrace := cfs.count("traces.fdt")
 
@@ -67,44 +68,50 @@ func TestGroupCommitBatchesSyncs(t *testing.T) {
 		}
 	}
 
-	if d := cfs.count("catalog.fdr") - preCat; d >= n {
-		t.Errorf("catalog fsyncs not batched: %d syncs for %d concurrent backups", d, n)
-	} else {
-		t.Logf("catalog: %d fsyncs for %d concurrent backups", d, n)
-	}
-	if d := cfs.count("traces.fdt") - preTrace; d >= n {
-		t.Errorf("trace-log fsyncs not batched: %d syncs for %d concurrent backups", d, n)
+	for _, layer := range []struct {
+		name string
+		d    int
+	}{
+		{"seal passes", int(repo.store.SealSyncs() - preSeal)},
+		{"catalog fsyncs", cfs.count("catalog.fdr") - preCat},
+		{"trace-log fsyncs", cfs.count("traces.fdt") - preTrace},
+	} {
+		if layer.d >= n {
+			t.Errorf("%s not batched: %d for %d concurrent backups", layer.name, layer.d, n)
+		} else {
+			t.Logf("%s: %d for %d concurrent backups", layer.name, layer.d, n)
+		}
 	}
 	for i := range datas {
 		mustRestore(t, repo, fmt.Sprintf("snap-%d", i), datas[i])
 	}
 }
 
-// TestLoneBackupLatencyWindow: the straggler window is a bounded wait, not
-// an unbounded batch hold — a lone Backup with nobody to batch against
-// completes after at most a few windows (one per commit layer: trace log
-// and catalog), and the window is genuinely active (the backup is not
-// faster than a single window).
-func TestLoneBackupLatencyWindow(t *testing.T) {
-	const window = 75 * time.Millisecond
+// TestLoneBackupOneSyncPerLayer: with nobody to batch against, a Backup
+// leads exactly one round on each commit layer — one seal pass, one
+// trace-log fsync, one catalog fsync — and is not held back waiting for
+// company.
+func TestLoneBackupOneSyncPerLayer(t *testing.T) {
 	ctx := context.Background()
-	repo, err := CreateRepository("repo", gcTestOptions(faultio.NewMemFS(), window)...)
+	cfs := newCountingFS(faultio.NewMemFS())
+	repo, err := CreateRepository("repo", gcTestOptions(cfs)...)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer repo.Close()
 
+	preSeal := repo.store.SealSyncs()
+	preCat := cfs.count("catalog.fdr")
+	preTrace := cfs.count("traces.fdt")
 	data := repoData(5, 64<<10)
-	start := time.Now()
 	if _, err := repo.Backup(ctx, "lone", bytes.NewReader(data)); err != nil {
 		t.Fatalf("backup: %v", err)
 	}
-	elapsed := time.Since(start)
-	if elapsed < window {
-		t.Errorf("lone backup took %v — group-commit window (%v) appears inactive", elapsed, window)
-	}
-	if elapsed > 8*window {
-		t.Errorf("lone backup delayed %v; must be bounded by a few straggler windows of %v", elapsed, window)
+	seal := repo.store.SealSyncs() - preSeal
+	cat := cfs.count("catalog.fdr") - preCat
+	trace := cfs.count("traces.fdt") - preTrace
+	if seal != 1 || cat != 1 || trace != 1 {
+		t.Errorf("lone backup ran %d seal passes, %d catalog and %d trace-log fsyncs; want 1 each", seal, cat, trace)
 	}
 	mustRestore(t, repo, "lone", data)
 }
@@ -125,7 +132,11 @@ func TestConcurrentBackupsGroupCommitCrash(t *testing.T) {
 	}
 
 	runBackups := func(m *faultio.MemFS) []error {
-		repo, err := CreateRepository("repo", gcTestOptions(m, 2*time.Millisecond)...)
+		// A 2 ms fsync keeps a round in flight long enough for the other
+		// Backups to be absorbed into the next one.
+		slow := newCountingFS(m)
+		slow.syncDelay = 2 * time.Millisecond
+		repo, err := CreateRepository("repo", gcTestOptions(slow)...)
 		if err != nil {
 			t.Fatalf("create: %v", err)
 		}
@@ -146,7 +157,7 @@ func TestConcurrentBackupsGroupCommitCrash(t *testing.T) {
 	// Clean pass: learn the op-clock span of creation and the backups.
 	clean := faultio.NewMemFS()
 	cleanCreate := faultio.NewMemFS()
-	if r, err := CreateRepository("repo", gcTestOptions(cleanCreate, 0)...); err != nil {
+	if r, err := CreateRepository("repo", gcTestOptions(cleanCreate)...); err != nil {
 		t.Fatal(err)
 	} else {
 		r.Close()
@@ -178,7 +189,7 @@ func TestConcurrentBackupsGroupCommitCrash(t *testing.T) {
 			errs := runBackups(m)
 
 			img := m.CrashImage()
-			reopened, err := OpenRepository("repo", gcTestOptions(img, 0)...)
+			reopened, err := OpenRepository("repo", gcTestOptions(img)...)
 			if err != nil {
 				t.Fatalf("reopen after crash: %v", err)
 			}

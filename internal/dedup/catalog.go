@@ -9,7 +9,6 @@ import (
 	"path/filepath"
 	"sort"
 	"sync"
-	"time"
 
 	"freqdedup/internal/gcommit"
 	"freqdedup/internal/vfs"
@@ -138,25 +137,6 @@ func (c *Catalog) initCommitter() {
 		}
 		return c.f.Sync()
 	}, true)
-}
-
-// SetGroupCommitWindow sets the straggler window for catalog group
-// commit: a leader delays its fsync this long so concurrent mutations can
-// join the round. Zero (the default) syncs immediately.
-func (c *Catalog) SetGroupCommitWindow(d time.Duration) {
-	if c.gc != nil {
-		c.gc.SetWindow(d)
-	}
-}
-
-// CommitSyncs returns how many catalog fsync rounds have run — with
-// concurrent mutations this is less than the mutation count, the batching
-// ratio group commit exists to win.
-func (c *Catalog) CommitSyncs() int64 {
-	if c.gc == nil {
-		return 0
-	}
-	return c.gc.Syncs()
 }
 
 // NewMemCatalog returns a catalog kept only in memory — the

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"freqdedup/internal/container"
 	"freqdedup/internal/fphash"
@@ -459,13 +458,6 @@ func (s *Store) syncAllShards() error {
 // SealSyncs returns how many coalesced flush passes have run — with
 // concurrent Syncs this is less than the call count.
 func (s *Store) SealSyncs() int64 { return s.syncGC.Syncs() }
-
-// SetSealCommitWindow sets the group-commit straggler window for seal
-// flush passes: a Sync leading a pass waits up to window for concurrent
-// Syncs to join the same pass, on top of the always-on absorption
-// coalescing. Zero (the default) flushes immediately. Set it before the
-// store sees concurrent Syncs.
-func (s *Store) SetSealCommitWindow(window time.Duration) { s.syncGC.SetWindow(window) }
 
 // Contains reports whether the store holds a chunk with the given
 // fingerprint. It is an index lookup only; with the persistent index a

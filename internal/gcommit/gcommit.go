@@ -2,10 +2,11 @@
 // append records to a shared durable file, then each calls Commit with
 // its append's sequence number; one of them becomes the leader, runs the
 // file's fsync once, and that single sync acknowledges every append that
-// landed before the leader captured its target. Under concurrency, N
-// commits collapse into far fewer syncs; a lone commit degenerates to
-// exactly the old fsync-per-mutation behavior (plus an optional bounded
-// straggler window).
+// landed before the leader captured its target. Batching comes only from
+// absorption: commits that arrive while a sync is in flight ride the next
+// round together, so under concurrency N commits collapse into far fewer
+// syncs, while a lone commit never waits — it syncs at once, exactly the
+// fsync-per-mutation behavior.
 //
 // The invariant the package exists to keep: Commit(seq) returns nil only
 // after a sync that covers seq — one whose fsync call started after the
@@ -13,10 +14,7 @@
 // acknowledged ahead of its durability barrier.
 package gcommit
 
-import (
-	"sync"
-	"time"
-)
+import "sync"
 
 // Committer coordinates group commit over one durable resource. The
 // caller owns a monotonically increasing sequence counter: it assigns
@@ -35,13 +33,10 @@ type Committer struct {
 	// later commits retry with fresh rounds (idempotent barriers like
 	// container-seal passes).
 	sticky bool
-	// sleep is the straggler timer; a test seam.
-	sleep func(time.Duration)
 
-	window      time.Duration
 	appended    int64 // highest sequence any Commit has announced
 	durable     int64 // highest sequence covered by a successful sync
-	syncing     bool  // a leader is inside the window/sync
+	syncing     bool  // a leader is inside the sync
 	err         error // sticky poison (sticky mode only)
 	round       int64 // completed sync rounds
 	failedRound int64 // round id of the most recent failed round
@@ -51,28 +46,9 @@ type Committer struct {
 
 // New returns a Committer running syncFn as its durability barrier.
 func New(syncFn func() error, sticky bool) *Committer {
-	c := &Committer{syncFn: syncFn, sticky: sticky, sleep: time.Sleep}
+	c := &Committer{syncFn: syncFn, sticky: sticky}
 	c.cond = sync.NewCond(&c.mu)
 	return c
-}
-
-// SetWindow sets the straggler window: a leader waits this long before
-// capturing its target and syncing, letting concurrent commits pile into
-// the same round. Zero (the default) syncs immediately — batching then
-// comes only from absorption, commits that arrive while a sync is in
-// flight. A lone committer is delayed by at most the window plus one
-// sync.
-func (c *Committer) SetWindow(d time.Duration) {
-	c.mu.Lock()
-	c.window = d
-	c.mu.Unlock()
-}
-
-// Window returns the configured straggler window.
-func (c *Committer) Window() time.Duration {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.window
 }
 
 // Err returns the sticky poison error, if a sticky committer has seen a
@@ -144,13 +120,6 @@ func (c *Committer) Commit(seq int64) error {
 		}
 		// Lead a round.
 		c.syncing = true
-		if w := c.window; w > 0 {
-			// Straggler window: let concurrent commits append and join
-			// this round before the barrier runs.
-			c.mu.Unlock()
-			c.sleep(w)
-			c.mu.Lock()
-		}
 		// Capture the target BEFORE the sync: fsync only guarantees
 		// writes issued before the call, so sequences appended while the
 		// sync is in flight wait for the next round.

@@ -181,48 +181,3 @@ func TestMarkDurable(t *testing.T) {
 	}
 	close(block)
 }
-
-// TestLoneCommitLatencyWindow: the straggler window bounds a lone
-// commit's extra latency — it is delayed by roughly the window, not
-// more.
-func TestLoneCommitLatencyWindow(t *testing.T) {
-	const window = 50 * time.Millisecond
-	c := New(func() error { return nil }, true)
-	c.SetWindow(window)
-	start := time.Now()
-	if err := c.Commit(1); err != nil {
-		t.Fatal(err)
-	}
-	elapsed := time.Since(start)
-	if elapsed < window {
-		t.Fatalf("lone commit returned in %v, before the %v straggler window", elapsed, window)
-	}
-	if elapsed > 10*window {
-		t.Fatalf("lone commit took %v, far beyond the %v straggler window", elapsed, window)
-	}
-}
-
-// TestWindowBatches: with a straggler window, commits arriving within
-// the window share one sync round.
-func TestWindowBatches(t *testing.T) {
-	const n = 8
-	var syncs atomic.Int64
-	slept := make(chan struct{})
-	c := New(func() error { syncs.Add(1); return nil }, true)
-	c.sleep = func(time.Duration) { close(slept); time.Sleep(30 * time.Millisecond) }
-	c.SetWindow(time.Millisecond) // any positive value routes through c.sleep
-	errs := make(chan error, n)
-	go func() { errs <- c.Commit(1) }()
-	<-slept
-	for i := 2; i <= n; i++ {
-		go func(seq int64) { errs <- c.Commit(seq) }(int64(i))
-	}
-	for i := 0; i < n; i++ {
-		if err := <-errs; err != nil {
-			t.Fatal(err)
-		}
-	}
-	if got := syncs.Load(); got > 2 {
-		t.Fatalf("%d windowed commits took %d syncs, want at most 2", n, got)
-	}
-}

@@ -45,7 +45,6 @@ import (
 	"os"
 	"path/filepath"
 	"sync"
-	"time"
 
 	"freqdedup/internal/attack"
 	"freqdedup/internal/fphash"
@@ -141,24 +140,6 @@ func (l *Log) initCommitter() {
 		}
 		return l.f.Sync()
 	}, true)
-}
-
-// SetGroupCommitWindow sets the straggler window for the end-record group
-// commit: a leader delays its fsync this long so concurrent session
-// commits can join the round. Zero (the default) syncs immediately.
-func (l *Log) SetGroupCommitWindow(d time.Duration) {
-	if l.gc != nil {
-		l.gc.SetWindow(d)
-	}
-}
-
-// CommitSyncs returns how many end-record fsync rounds have run — with
-// concurrent sessions this is less than the session count.
-func (l *Log) CommitSyncs() int64 {
-	if l.gc == nil {
-		return 0
-	}
-	return l.gc.Syncs()
 }
 
 // NewMem returns a log kept only in memory — the tap used by in-memory

@@ -127,7 +127,6 @@ type repoOptions struct {
 	observer       UploadObserver
 	fsys           vfs.FS
 	salvage        bool
-	gcWindow       time.Duration
 	indexMode      IndexMode
 	indexTuning    IndexTuning
 }
@@ -221,19 +220,6 @@ func WithIndexTuning(t IndexTuning) RepositoryOption {
 // algorithm.
 func WithChunking(p ChunkingParams) RepositoryOption {
 	return func(o *repoOptions) { o.cfg.Chunking = p }
-}
-
-// WithGroupCommit sets the group-commit straggler window for the snapshot
-// catalog, the trace log, and the store's container seal passes: a commit
-// leading an fsync waits up to window for concurrent Backups to join the
-// same fsync round. Zero (the default)
-// syncs immediately — concurrent commits still share fsyncs through
-// absorption (a commit arriving while a sync is in flight rides the next
-// round), which is always on; the window only adds bounded latency in
-// exchange for larger batches under light concurrency. A lone Backup is
-// delayed by at most the window per commit layer, never indefinitely.
-func WithGroupCommit(window time.Duration) RepositoryOption {
-	return func(o *repoOptions) { o.gcWindow = window }
 }
 
 // WithEncryption selects the chunk-encryption scheme (EncConvergent if
@@ -375,16 +361,6 @@ func newRepoStore(path string, backend container.Backend, containerBytes int, o 
 func buildRepo(store *dedup.Store, catalog *dedup.Catalog, tapLog *tracelog.Log, o *repoOptions) (*Repository, error) {
 	if _, err := dedup.NewClient(store, o.cfg); err != nil {
 		return nil, err
-	}
-	if o.gcWindow > 0 {
-		catalog.SetGroupCommitWindow(o.gcWindow)
-		if tapLog != nil {
-			tapLog.SetGroupCommitWindow(o.gcWindow)
-		}
-		// Container seal passes batch under the same window, so concurrent
-		// Backups — in particular concurrent server sessions — share seal
-		// fsyncs instead of each paying a whole-store flush.
-		store.SetSealCommitWindow(o.gcWindow)
 	}
 	return &Repository{
 		store:   store,

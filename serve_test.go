@@ -595,17 +595,16 @@ func TestTenantStatsAccounting(t *testing.T) {
 	}
 }
 
-// TestServerSealBatchingUnderWindow: concurrent remote commits under a
-// group-commit window share container seal passes — strictly fewer
-// store-level sync passes than backups (ROADMAP item: store-level
-// straggler window).
-func TestServerSealBatchingUnderWindow(t *testing.T) {
+// TestServerSealBatching: concurrent remote commits against a slow disk
+// share container seal passes by absorption alone — strictly fewer
+// store-level flush passes than backups.
+func TestServerSealBatching(t *testing.T) {
 	const n = 8
-	m := faultio.NewMemFS()
+	cfs := newCountingFS(faultio.NewMemFS())
+	cfs.syncDelay = 5 * time.Millisecond
 	var key Key
 	copy(key[:], "seal batching key")
-	repo, err := CreateRepository("repo",
-		WithFileSystem(m), WithRepositoryKey(key), WithGroupCommit(25*time.Millisecond))
+	repo, err := CreateRepository("repo", WithFileSystem(cfs), WithRepositoryKey(key))
 	if err != nil {
 		t.Fatal(err)
 	}
