@@ -365,6 +365,49 @@ func BenchmarkBackupParallel(b *testing.B) { benchBackup(b, runtime.GOMAXPROCS(0
 // the encrypt pool.
 func BenchmarkBackupGear(b *testing.B) { benchBackup(b, runtime.GOMAXPROCS(0), AlgoGear) }
 
+// BenchmarkBackupIncremental times the backup a backup system mostly
+// runs: a child generation that repeats over 90 % of its parent's chunks,
+// into a fresh file-backed repository holding only the parent, which is
+// backed up untimed. Under convergent encryption the repeated chunks are
+// found in the parent's recipe and never encrypted, so allocs/op sit far
+// below BenchmarkBackupParallel's. It reports MB/s of the child and, like
+// benchBackup, the cores the timed backups kept busy.
+func BenchmarkBackupIncremental(b *testing.B) {
+	ctx := context.Background()
+	parent := benchStream(16 << 20)
+	child := append([]byte(nil), parent...)
+	rng := rand.New(rand.NewSource(7))
+	for i := 0; i < 40; i++ {
+		at := rng.Intn(len(child) - 16<<10)
+		rng.Read(child[at : at+16<<10])
+	}
+	b.SetBytes(int64(len(child)))
+	b.ReportAllocs()
+	var cpu float64
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		repo, err := CreateRepository(filepath.Join(b.TempDir(), "repo"))
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := repo.Backup(ctx, "parent", bytes.NewReader(parent)); err != nil {
+			b.Fatal(err)
+		}
+		cpu0 := processCPUSeconds()
+		b.StartTimer()
+		if _, err := repo.Backup(ctx, "child", bytes.NewReader(child)); err != nil {
+			b.Fatal(err)
+		}
+		b.StopTimer()
+		cpu += processCPUSeconds() - cpu0
+		if err := repo.Close(); err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
+	}
+	b.ReportMetric(cpu/b.Elapsed().Seconds(), "cores")
+}
+
 // BenchmarkBackupConcurrentCommit runs four Backups at once into a fresh
 // file-backed repository on the real disk, so the commit path — seal
 // pass, trace log, catalog, each group-committed by absorption — is paid

@@ -104,9 +104,23 @@ type UploadObserver interface {
 // pipeline never touches again) but only borrows the chunks slice. The
 // []bool result is ignored. *Store is the in-process sink; the network
 // client's sink negotiates each window with a server instead.
+//
+// A window may hold reference-only chunks (PutChunk.Ref): the chunks of a
+// client given a ParentTable whose keys hit it, which were never
+// encrypted and carry only fingerprint and size. A sink must either count
+// each against a chunk it already holds or fail the call; the network
+// sink, which cannot yet negotiate a reference, always fails it.
 type Sink interface {
 	PutBatchOwned(chunks []PutChunk) ([]bool, error)
 }
+
+// ParentTable is a convergent backup's dedup-before-encrypt table: the
+// recipe entries of a parent snapshot whose chunks the store holds, keyed
+// by chunk key. Under convergent encryption the key is the plaintext's
+// SHA-256, so it alone fixes the ciphertext, its fingerprint and its
+// size; a chunk whose key is in the table is uploaded as a reference-only
+// chunk, without encrypting or hashing it. Store.ParentTable builds one.
+type ParentTable map[mle.Key]mle.RecipeEntry
 
 // Client is the client side of Figure 2: chunk, encrypt, upload. A Client
 // is not safe for concurrent use (its scrambling RNG is stateful); run one
@@ -118,6 +132,7 @@ type Client struct {
 	store   *Store // what Restore reads; nil for a NewSinkClient client
 	rng     *rand.Rand
 	obsRefs []trace.ChunkRef // reused observation window (tap enabled only)
+	parent  ParentTable      // dedup-before-encrypt table; see SetParent
 
 	// Test hooks of the restore window (restore_test.go): windowBudget,
 	// when positive, replaces the budget derived from store geometry, and
@@ -186,6 +201,15 @@ func NewSinkClient(sink Sink, cfg Config) (*Client, error) {
 	}
 	return &Client{cfg: cfg, sink: sink, rng: rand.New(rand.NewSource(seed))}, nil
 }
+
+// SetParent gives the client's convergent backups a dedup-before-encrypt
+// table (nil removes it). Only EncConvergent consults it. Every chunk it
+// names must stay in the sink until the backups that use it finish: a
+// reference to a chunk the store no longer holds fails the backup with an
+// error wrapping ErrNotFound. Recipes, upload windows, the upload
+// observer's stream and the store's contents are identical with and
+// without the table; only the encryption work of the hits is saved.
+func (c *Client) SetParent(t ParentTable) { c.parent = t }
 
 // encJob is one chunk's slot in the pipeline: the chunk, its position in
 // the recipe and, for EncMinHash, its segment's key.
@@ -725,13 +749,22 @@ func (c *Client) observeWindow(entries []mle.RecipeEntry) error {
 // and ciphertext fingerprinting for one chunk. Plaintext fingerprinting
 // was deferred out of the chunker, so modes that need it (server-aided key
 // derivation) compute it here, on the worker pool; convergent encryption
-// never needs it at all.
+// never needs it at all. A convergent key found in the parent table (see
+// SetParent) skips the rest: the slot gets the table's recipe entry and a
+// reference-only put, with no encryption, no ciphertext hash and no
+// ciphertext buffer. Every put overwrites its whole slot, so no Data of an
+// earlier window survives into a reference.
 func (c *Client) encryptOne(job encJob, put *PutChunk, entry *mle.RecipeEntry) error {
 	ch := job.chunk
 	var key mle.Key
 	switch c.cfg.Encryption {
 	case EncConvergent:
 		key = mle.ConvergentKey(ch.Data)
+		if e, ok := c.parent[key]; ok {
+			*put = PutChunk{FP: e.Fingerprint, Ref: true, Size: e.Size}
+			*entry = e
+			return nil
+		}
 	case EncServerAided:
 		fp := ch.Fingerprint
 		if fp.IsZero() {

@@ -11,6 +11,7 @@ import (
 	"freqdedup/internal/fphash"
 	"freqdedup/internal/fpindex"
 	"freqdedup/internal/gcommit"
+	"freqdedup/internal/mle"
 	"freqdedup/internal/trace"
 	"freqdedup/internal/vfs"
 )
@@ -46,31 +47,41 @@ type shard struct {
 }
 
 // put is the single-shard Put body; the caller holds s.mu. When owned is
-// true the store takes ownership of data and stores it without the
+// true the store takes ownership of c.Data and stores it without the
 // defensive copy. On a backend write error nothing is recorded and the
-// chunk is reported as an upload failure.
-func (s *shard) put(fp fphash.Fingerprint, data []byte, owned bool) (duplicate bool, err error) {
+// chunk is reported as an upload failure. A reference-only chunk is a
+// duplicate if the index holds its fingerprint; otherwise put fails
+// closed with an error wrapping ErrNotFound and records nothing.
+func (s *shard) put(c PutChunk, owned bool) (duplicate bool, err error) {
 	// A lookup error (a corrupt index block) degrades to a miss: the
 	// chunk is stored again and the insert repoints the index at the
-	// fresh copy — correctness over dedup ratio.
-	if _, ok, lerr := s.index.lookup(fp); lerr == nil && ok {
+	// fresh copy — correctness over dedup ratio. A reference has no bytes
+	// to store again, so for it the miss is an error.
+	if _, ok, lerr := s.index.lookup(c.FP); lerr == nil && ok {
+		size := uint64(len(c.Data))
+		if c.Ref {
+			size = uint64(c.Size)
+		}
 		s.logicalChunks++
-		s.logicalBytes += uint64(len(data))
+		s.logicalBytes += size
 		return true, nil
 	}
-	buf := data
-	if !owned {
-		buf = make([]byte, len(data))
-		copy(buf, data)
+	if c.Ref {
+		return false, fmt.Errorf("%w: reference-only chunk %v", ErrNotFound, c.FP)
 	}
-	loc, err := s.containers.Append(container.Entry{FP: fp, Size: uint32(len(data)), Data: buf})
+	buf := c.Data
+	if !owned {
+		buf = make([]byte, len(c.Data))
+		copy(buf, c.Data)
+	}
+	loc, err := s.containers.Append(container.Entry{FP: c.FP, Size: uint32(len(buf)), Data: buf})
 	if err != nil {
 		return false, err
 	}
-	s.index.insert(fp, loc)
+	s.index.insert(c.FP, loc)
 	s.logicalChunks++
-	s.logicalBytes += uint64(len(data))
-	s.physicalBytes += uint64(len(data))
+	s.logicalBytes += uint64(len(buf))
+	s.physicalBytes += uint64(len(buf))
 	return false, nil
 }
 
@@ -558,20 +569,48 @@ func (s *Store) Put(fp fphash.Fingerprint, data []byte) (duplicate bool, err err
 	sh := s.shardFor(fp)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	dup, err := sh.put(fp, data, false)
+	dup, err := sh.put(PutChunk{FP: fp, Data: data}, false)
 	if err == nil {
 		err = sh.index.maybeFlush(sh.containers.Sealed())
 	}
 	return dup, err
 }
 
-// PutChunk is one chunk of a PutBatch upload.
+// ParentTable builds a convergent backup's dedup-before-encrypt table
+// from a parent snapshot's recipe (see Client.SetParent): every entry
+// whose fingerprint the store holds right now, keyed by chunk key. An
+// index lookup error counts as not held, so such a chunk is encrypted and
+// stored again, as any put with a failed lookup would store it. The
+// caller must keep GC from reclaiming the entries' chunks for as long as
+// the table is in use.
+func (s *Store) ParentTable(recipe *mle.Recipe) ParentTable {
+	t := make(ParentTable, len(recipe.Entries))
+	for _, e := range recipe.Entries {
+		if s.Contains(e.Fingerprint) {
+			t[e.Key] = e
+		}
+	}
+	return t
+}
+
+// PutChunk is one chunk of a PutBatch upload: either the chunk's bytes,
+// or, with Ref set, a reference-only chunk that names a chunk the store
+// already holds by fingerprint and size and carries no bytes at all.
 type PutChunk struct {
 	// FP is the chunk's (ciphertext) fingerprint.
 	FP fphash.Fingerprint
 	// Data is the chunk content. The store copies it; the caller keeps
-	// ownership.
+	// ownership. It is ignored for a reference-only chunk.
 	Data []byte
+	// Ref marks a reference-only chunk: the store counts it as a
+	// duplicate of the chunk its index holds under FP, or, if the index
+	// does not hold FP, fails the put with an error wrapping ErrNotFound
+	// and records nothing for it. A reference is only ever this explicit
+	// marker — never an empty Data, which is a zero-length chunk.
+	Ref bool
+	// Size is a reference-only chunk's ciphertext size, the logical bytes
+	// it adds; for a chunk with bytes it is ignored and len(Data) counts.
+	Size uint32
 }
 
 // PutBatch stores a batch of ciphertext chunks, deduplicating each, and
@@ -579,8 +618,9 @@ type PutChunk struct {
 // Chunks are grouped by shard so each shard is locked once per batch
 // rather than once per chunk; within a shard, chunks are stored in batch
 // order, so with a single shard the container layout is identical to
-// issuing the Puts sequentially. On error, chunks stored before the
-// failing one remain stored (re-uploading them deduplicates).
+// issuing the Puts sequentially. Shards are visited in index order. On
+// error, the chunks of earlier shards and those of the failing chunk's
+// shard before it remain stored (re-uploading them deduplicates).
 func (s *Store) PutBatch(chunks []PutChunk) ([]bool, error) {
 	return s.putBatch(chunks, false)
 }
@@ -589,7 +629,9 @@ func (s *Store) PutBatch(chunks []PutChunk) ([]bool, error) {
 // Data slices of non-duplicate chunks instead of copying them, so the
 // caller must not read or write any chunk's Data after the call. The
 // backup pipeline uses it for freshly encrypted ciphertexts it never
-// touches again; callers that reuse their buffers must use PutBatch.
+// touches again, and for the reference-only chunks of a convergent backup
+// that found a chunk's key in its parent snapshot's recipe and so never
+// encrypted it; callers that reuse their buffers must use PutBatch.
 func (s *Store) PutBatchOwned(chunks []PutChunk) ([]bool, error) {
 	return s.putBatch(chunks, true)
 }
@@ -605,25 +647,30 @@ func (s *Store) putBatch(chunks []PutChunk, owned bool) ([]bool, error) {
 		defer sh.mu.Unlock()
 		for i, c := range chunks {
 			var err error
-			if dups[i], err = sh.put(c.FP, c.Data, owned); err != nil {
+			if dups[i], err = sh.put(c, owned); err != nil {
 				return dups, err
 			}
 		}
 		return dups, sh.index.maybeFlush(sh.containers.Sealed())
 	}
 	// Group chunk indexes by shard, preserving batch order within each
-	// group to keep per-shard placement deterministic.
-	groups := make(map[int][]int)
+	// group to keep per-shard placement deterministic. Shards are visited
+	// in index order, so what a failed batch leaves stored is
+	// deterministic too.
+	groups := make([][]int, len(s.shards))
 	for i, c := range chunks {
 		si := c.FP.Shard(len(s.shards))
 		groups[si] = append(groups[si], i)
 	}
 	for si, idxs := range groups {
+		if len(idxs) == 0 {
+			continue
+		}
 		sh := s.shards[si]
 		sh.mu.Lock()
 		for _, i := range idxs {
 			var err error
-			if dups[i], err = sh.put(chunks[i].FP, chunks[i].Data, owned); err != nil {
+			if dups[i], err = sh.put(chunks[i], owned); err != nil {
 				sh.mu.Unlock()
 				return dups, err
 			}

@@ -270,8 +270,15 @@ type wireSink struct{ cur *backupShared }
 // each part, takes an in-flight slot, records the refs and ciphertexts the
 // receiver answers the server's reply from, and sends TNegotiate. The
 // ciphertexts are kept until their TChunkData frame is written; chunks
-// itself is only borrowed.
+// itself is only borrowed. A reference-only chunk has no ciphertext to
+// send should the server answer miss, so a window holding one fails
+// before anything is sent.
 func (w *wireSink) PutBatchOwned(chunks []dedup.PutChunk) ([]bool, error) {
+	for _, ch := range chunks {
+		if ch.Ref {
+			return nil, fmt.Errorf("server: reference-only chunk %v: the wire sink uploads ciphertext only", ch.FP)
+		}
+	}
 	s := w.cur
 	for len(chunks) > 0 {
 		part := chunks[:min(len(chunks), int(s.c.limits.WindowChunks))]

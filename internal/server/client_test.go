@@ -5,12 +5,15 @@ import (
 	"errors"
 	"io"
 	"net"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"freqdedup/internal/chunker"
+	"freqdedup/internal/dedup"
+	"freqdedup/internal/fphash"
 	"freqdedup/internal/wire"
 )
 
@@ -172,5 +175,24 @@ func TestDialRejectsUnusableLimits(t *testing.T) {
 		}
 		ln.Close()
 		<-served
+	}
+}
+
+// TestWireSinkRejectsReferenceOnlyChunks holds the wire sink to its guard:
+// a reference-only chunk has no ciphertext to send if the server answers
+// miss, and negotiating it as a zero-size chunk would be silently wrong,
+// so a window holding one fails before any of it reaches the wire.
+func TestWireSinkRejectsReferenceOnlyChunks(t *testing.T) {
+	ct := []byte("ciphertext")
+	window := []dedup.PutChunk{
+		{FP: fphash.FromBytes(ct), Data: ct},
+		{FP: fphash.FromBytes([]byte("held elsewhere")), Ref: true, Size: 14},
+	}
+	// No backup is in progress: a sink that got past the guard would
+	// dereference the nil session.
+	sink := &wireSink{}
+	dups, err := sink.PutBatchOwned(window)
+	if err == nil || !strings.Contains(err.Error(), "reference-only") {
+		t.Fatalf("PutBatchOwned = %v, %v; want a reference-only error", dups, err)
 	}
 }

@@ -683,6 +683,7 @@ func (r *Repository) Backup(ctx context.Context, name string, src io.Reader) (Sn
 	if err != nil {
 		return abortTap(err)
 	}
+	client.SetParent(r.parentTable(name))
 	recipe, err := client.BackupContext(ctx, src)
 	if err != nil {
 		return abortTap(err)
@@ -727,6 +728,44 @@ func (r *Repository) Backup(ctx context.Context, name string, src io.Reader) (Sn
 		LogicalBytes: rec.LogicalBytes,
 		Chunks:       len(recipe.Entries),
 	}, nil
+}
+
+// parentTable returns the dedup-before-encrypt table of a convergent
+// Backup named name (see dedup.Client.SetParent): the recipe of its
+// parent, the newest snapshot by (CreatedUnix, Name) in name's own tenant
+// namespace, restricted to the chunks the store holds. Keeping to the
+// namespace means a recipe a network tenant committed never vouches for
+// another namespace's chunks. It is nil for a non-convergent repository,
+// when no snapshot qualifies and when the parent's recipe does not open:
+// the table only saves work, so it never fails a backup. The caller holds
+// gcMu's read side, which keeps GC and Repair from dropping the table's
+// chunks until the backup is registered.
+func (r *Repository) parentTable(name string) dedup.ParentTable {
+	if r.cfg.Encryption != 0 && r.cfg.Encryption != dedup.EncConvergent {
+		return nil
+	}
+	var parent *dedup.SnapshotRecord
+	tenant := tenantOf(name)
+	recs := r.catalog.List()
+	for i := range recs {
+		rec := &recs[i]
+		if tenantOf(rec.Name) != tenant {
+			continue
+		}
+		// List is sorted by name, so a tie on CreatedUnix goes to the
+		// later one.
+		if parent == nil || rec.CreatedUnix >= parent.CreatedUnix {
+			parent = rec
+		}
+	}
+	if parent == nil {
+		return nil
+	}
+	recipe, err := mle.OpenRecipe(parent.SealedRecipe, r.key)
+	if err != nil {
+		return nil
+	}
+	return r.store.ParentTable(recipe)
 }
 
 // Restore writes the named snapshot's original bytes to w: the restore is
