@@ -124,7 +124,7 @@ func repoDataset(dir, view string) (*trace.Dataset, error) {
 	default:
 		return nil, fmt.Errorf("unknown adversary view %q (want tap or negotiation)", view)
 	}
-	log, err := tracelog.OpenReadOnly(logPath)
+	log, err := tracelog.OpenReadOnlyFS(freqdedup.OSFileSystem, logPath)
 	if err != nil {
 		return nil, err
 	}

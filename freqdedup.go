@@ -186,16 +186,10 @@ const DefaultStoreShards = dedup.DefaultShards
 type (
 	// StoreBackend is pluggable persistent storage for sealed containers.
 	StoreBackend = container.Backend
-	// MemBackend keeps sealed containers in memory (the default backend).
-	MemBackend = container.MemBackend
 	// FileBackend persists sealed containers in per-shard append-only
 	// files with crash-safe seals and atomic GC rewrites.
 	FileBackend = container.FileBackend
 )
-
-// NewMemStoreBackend returns an in-memory StoreBackend with the given
-// shard count — for Repository's WithBackend.
-var NewMemStoreBackend = container.NewMemBackend
 
 // CreateFileStoreBackend initializes a new file-backed StoreBackend
 // directory with the given shard count and container capacity.

@@ -56,7 +56,7 @@ type Backend interface {
 // sealed-container count and total data bytes without a metadata scan.
 // It is what makes a persistent-index store open in O(metadata): the
 // packer recovers its counters from here instead of re-reading every
-// record's index header. FileBackend and MemBackend implement it.
+// record's index header. FileBackend implements it.
 type SealedStater interface {
 	SealedStats(shard int) (containers int, bytes int64, err error)
 }
@@ -180,39 +180,6 @@ func (b *MemBackend) Scan(shard int, withData bool, fn func(*Container) error) e
 	b.mu.RLock()
 	b.checkShard(shard)
 	cs := b.shards[shard]
-	b.mu.RUnlock()
-	for _, c := range cs {
-		if err := fn(c); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// SealedStats reports the shard's sealed-container count and data bytes.
-func (b *MemBackend) SealedStats(shard int) (int, int64, error) {
-	b.mu.RLock()
-	defer b.mu.RUnlock()
-	b.checkShard(shard)
-	var bytes int64
-	for _, c := range b.shards[shard] {
-		bytes += int64(c.Bytes)
-	}
-	return len(b.shards[shard]), bytes, nil
-}
-
-// ScanFrom visits the shard's sealed containers with ID >= from.
-func (b *MemBackend) ScanFrom(shard, from int, withData bool, fn func(*Container) error) error {
-	b.mu.RLock()
-	b.checkShard(shard)
-	cs := b.shards[shard]
-	if from < 0 {
-		from = 0
-	}
-	if from > len(cs) {
-		from = len(cs)
-	}
-	cs = cs[from:]
 	b.mu.RUnlock()
 	for _, c := range cs {
 		if err := fn(c); err != nil {

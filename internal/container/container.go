@@ -35,8 +35,8 @@ type Container struct {
 // Store accumulates chunks into fixed-capacity containers. The one open
 // (in-progress) container lives in memory; the moment a container seals it
 // is handed to the Backend, which owns sealed-container storage — in
-// memory (MemBackend, the default) or on disk (FileBackend). The zero
-// value is not usable; construct with New or NewWithBackend.
+// memory (MemBackend, New's private backend) or in files (FileBackend).
+// The zero value is not usable; construct with New or NewWithBackend.
 //
 // A Store is not safe for concurrent use: it is a single packer with one
 // open container, and callers own its locking. The sharded dedup store

@@ -12,11 +12,13 @@
 // memory and seals full containers through a pluggable Backend, the
 // persistent side of the abstraction. Two backends exist:
 //
-//   - MemBackend keeps sealed containers in memory — the original engine's
-//     behavior and the default. It never fails.
 //   - FileBackend persists each shard's containers in an append-only file,
 //     fsyncing on every seal, and is what makes a dedup store survive a
-//     process restart (dedup.NewStoreWithBackend / dedup.Open).
+//     process restart (dedup.NewStoreWithBackend / dedup.Open). Every
+//     repository uses it — an in-memory one over a vfs.Mem.
+//   - MemBackend keeps sealed containers in memory — the original engine's
+//     behavior, kept for New's private packer, dedup.NewStore and test
+//     doubles. It never fails.
 //
 // The durability boundary is the seal: once Store.Flush (or an Append that
 // sealed a full container) returns nil, that container is as durable as

@@ -91,12 +91,12 @@ type SnapshotRecord struct {
 }
 
 // Catalog is a durable snapshot catalog. The zero value is not usable;
-// construct with CreateCatalog, OpenCatalog, or NewMemCatalog. A Catalog
-// is safe for concurrent use.
+// construct with CreateCatalogFS or OpenCatalogFS. A Catalog is safe for
+// concurrent use.
 type Catalog struct {
 	mu         sync.Mutex
-	fsys       vfs.FS   // nil for a memory-only catalog
-	f          vfs.File // nil for a memory-only catalog
+	fsys       vfs.FS
+	f          vfs.File
 	path       string
 	closed     bool
 	size       int64
@@ -132,27 +132,12 @@ func (c *Catalog) initCommitter() {
 	c.gc = gcommit.New(func() error {
 		c.syncMu.Lock()
 		defer c.syncMu.Unlock()
-		if c.f == nil {
-			return errors.New("dedup: catalog is closed")
-		}
 		return c.f.Sync()
 	}, true)
 }
 
-// NewMemCatalog returns a catalog kept only in memory — the
-// backendless-repository counterpart of MemBackend. Nothing survives the
-// process.
-func NewMemCatalog() *Catalog {
-	return &Catalog{live: make(map[string]SnapshotRecord)}
-}
-
-// CreateCatalog initializes a new, empty catalog file. It fails if the
-// file already exists.
-func CreateCatalog(path string) (*Catalog, error) {
-	return CreateCatalogFS(vfs.OS, path)
-}
-
-// CreateCatalogFS is CreateCatalog against an explicit filesystem.
+// CreateCatalogFS initializes a new, empty catalog file on fsys. It fails
+// if the file already exists.
 func CreateCatalogFS(fsys vfs.FS, path string) (*Catalog, error) {
 	f, err := fsys.OpenFile(path, os.O_RDWR|os.O_CREATE|os.O_EXCL, 0o644)
 	if err != nil {
@@ -186,16 +171,11 @@ func CreateCatalogFS(fsys vfs.FS, path string) (*Catalog, error) {
 	return c, nil
 }
 
-// OpenCatalog opens an existing catalog file and replays its records. A
-// record torn by a mid-append crash — an incomplete tail, or a final
-// record whose checksum fails — is discarded by truncating the file back
-// to the last acknowledged record. Structural damage anywhere else
+// OpenCatalogFS opens an existing catalog file on fsys and replays its
+// records. A record torn by a mid-append crash — an incomplete tail, or a
+// final record whose checksum fails — is discarded by truncating the file
+// back to the last acknowledged record. Structural damage anywhere else
 // returns ErrCatalogCorrupt.
-func OpenCatalog(path string) (*Catalog, error) {
-	return OpenCatalogFS(vfs.OS, path)
-}
-
-// OpenCatalogFS is OpenCatalog against an explicit filesystem.
 func OpenCatalogFS(fsys vfs.FS, path string) (*Catalog, error) {
 	f, err := fsys.OpenFile(path, os.O_RDWR, 0)
 	if err != nil {
@@ -225,7 +205,7 @@ func (s CatalogSalvageStats) Damaged() bool {
 }
 
 // OpenCatalogSalvage opens a catalog whose file may be damaged mid-file —
-// the fsck path for catalogs OpenCatalog rejects with ErrCatalogCorrupt.
+// the fsck path for catalogs OpenCatalogFS rejects with ErrCatalogCorrupt.
 // Unparseable or checksum-failing records are skipped (the replay
 // re-synchronizes on the next record whose header parses and whose CRC
 // verifies); a tombstone for a snapshot whose add record was lost is
@@ -534,7 +514,7 @@ func (c *Catalog) truncateToDurableLocked(d int64) {
 	if boundary < c.size {
 		c.size = boundary
 	}
-	if c.f != nil && c.f.Truncate(c.size) == nil {
+	if c.f.Truncate(c.size) == nil {
 		_ = c.f.Sync()
 	}
 }
@@ -572,11 +552,6 @@ func (c *Catalog) Add(rec SnapshotRecord) error {
 	}
 	stored := rec
 	stored.SealedRecipe = append([]byte(nil), rec.SealedRecipe...)
-	if c.f == nil {
-		c.live[rec.Name] = stored
-		c.mu.Unlock()
-		return nil
-	}
 	buf := c.buildRecord(catKindAdd, rec.Name, encodeMeta(rec), rec.SealedRecipe)
 	seq, err := c.appendRecordLocked(buf)
 	if err != nil {
@@ -608,12 +583,6 @@ func (c *Catalog) Delete(name string) error {
 		c.mu.Unlock()
 		return fmt.Errorf("%w: %q", ErrSnapshotNotFound, name)
 	}
-	if c.f == nil {
-		delete(c.live, name)
-		c.tombstones++
-		c.mu.Unlock()
-		return nil
-	}
 	seq, err := c.appendRecordLocked(c.buildRecord(catKindDelete, name, nil, nil))
 	if err != nil {
 		c.mu.Unlock()
@@ -630,7 +599,7 @@ func (c *Catalog) Delete(name string) error {
 		return err
 	}
 	c.mu.Lock()
-	if c.f != nil && !c.closed && c.tombstones >= 8 && c.tombstones > len(c.live) {
+	if !c.closed && c.tombstones >= 8 && c.tombstones > len(c.live) {
 		// Compaction is an optimization: the log already replays to the
 		// right state, so a failed compaction only means the log stays
 		// long. Do not fail the delete over it.
@@ -670,13 +639,12 @@ func (c *Catalog) Len() int {
 // Compact rewrites the catalog to hold only the live snapshots: the
 // records are written to a fresh file, fsynced, and atomically renamed
 // over the old one, so a crash mid-compaction leaves the previous catalog
-// intact. A memory catalog compacts to a no-op.
+// intact.
 func (c *Catalog) Compact() error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.f == nil {
-		c.tombstones = 0
-		return nil
+	if c.closed {
+		return errors.New("dedup: catalog is closed")
 	}
 	return c.compactLocked()
 }
@@ -733,9 +701,7 @@ func (c *Catalog) compactLocked() error {
 	// far — including tentative ones awaiting their group commit — is now
 	// durable through the rewrite. Release their waiters without a sync.
 	c.pending = c.pending[:0]
-	if c.gc != nil {
-		c.gc.MarkDurable(c.seq)
-	}
+	c.gc.MarkDurable(c.seq)
 	_ = vfs.SyncDir(c.fsys, filepath.Dir(c.path))
 	return nil
 }
@@ -745,13 +711,11 @@ func (c *Catalog) compactLocked() error {
 func (c *Catalog) Close() error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.closed = true
-	if c.f == nil {
+	if c.closed {
 		return nil
 	}
+	c.closed = true
 	c.syncMu.Lock()
-	err := c.f.Close()
-	c.f = nil
-	c.syncMu.Unlock()
-	return err
+	defer c.syncMu.Unlock()
+	return c.f.Close()
 }

@@ -7,6 +7,8 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+
+	"freqdedup/internal/vfs"
 )
 
 func testRecord(name string, seq byte) SnapshotRecord {
@@ -26,7 +28,7 @@ func catalogPath(t *testing.T) string {
 
 func TestCatalogRoundTrip(t *testing.T) {
 	path := catalogPath(t)
-	c, err := CreateCatalog(path)
+	c, err := CreateCatalogFS(vfs.OS, path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,7 +46,7 @@ func TestCatalogRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	reopened, err := OpenCatalog(path)
+	reopened, err := OpenCatalogFS(vfs.OS, path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,7 +67,7 @@ func TestCatalogRoundTrip(t *testing.T) {
 
 func TestCatalogDeleteSurvivesReopen(t *testing.T) {
 	path := catalogPath(t)
-	c, err := CreateCatalog(path)
+	c, err := CreateCatalogFS(vfs.OS, path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,7 +84,7 @@ func TestCatalogDeleteSurvivesReopen(t *testing.T) {
 	}
 	c.Close()
 
-	reopened, err := OpenCatalog(path)
+	reopened, err := OpenCatalogFS(vfs.OS, path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,7 +105,7 @@ func TestCatalogDeleteSurvivesReopen(t *testing.T) {
 // appends afterwards.
 func TestCatalogTornTail(t *testing.T) {
 	path := catalogPath(t)
-	c, err := CreateCatalog(path)
+	c, err := CreateCatalogFS(vfs.OS, path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,7 +128,7 @@ func TestCatalogTornTail(t *testing.T) {
 		if err := os.WriteFile(tornPath, data[:cut], 0o644); err != nil {
 			t.Fatal(err)
 		}
-		tc, err := OpenCatalog(tornPath)
+		tc, err := OpenCatalogFS(vfs.OS, tornPath)
 		if err != nil {
 			t.Fatalf("cut=%d: %v", cut, err)
 		}
@@ -138,7 +140,7 @@ func TestCatalogTornTail(t *testing.T) {
 			t.Fatalf("cut=%d: append after torn-tail recovery: %v", cut, err)
 		}
 		tc.Close()
-		tc2, err := OpenCatalog(tornPath)
+		tc2, err := OpenCatalogFS(vfs.OS, tornPath)
 		if err != nil {
 			t.Fatalf("cut=%d: reopen after recovery append: %v", cut, err)
 		}
@@ -154,7 +156,7 @@ func TestCatalogTornTail(t *testing.T) {
 // discarded like a torn tail, not reported as corruption.
 func TestCatalogTailChecksumTreatedAsTorn(t *testing.T) {
 	path := catalogPath(t)
-	c, err := CreateCatalog(path)
+	c, err := CreateCatalogFS(vfs.OS, path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,7 +179,7 @@ func TestCatalogTailChecksumTreatedAsTorn(t *testing.T) {
 	}
 	f.Close()
 
-	reopened, err := OpenCatalog(path)
+	reopened, err := OpenCatalogFS(vfs.OS, path)
 	if err != nil {
 		t.Fatalf("tail checksum failure should recover, got %v", err)
 	}
@@ -191,7 +193,7 @@ func TestCatalogTailChecksumTreatedAsTorn(t *testing.T) {
 // corruption, not crash recovery — it must surface as ErrCatalogCorrupt.
 func TestCatalogMidFileCorruptionDetected(t *testing.T) {
 	path := catalogPath(t)
-	c, err := CreateCatalog(path)
+	c, err := CreateCatalogFS(vfs.OS, path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -214,7 +216,7 @@ func TestCatalogMidFileCorruptionDetected(t *testing.T) {
 	}
 	f.Close()
 
-	if _, err := OpenCatalog(path); !errors.Is(err, ErrCatalogCorrupt) {
+	if _, err := OpenCatalogFS(vfs.OS, path); !errors.Is(err, ErrCatalogCorrupt) {
 		t.Fatalf("err = %v, want ErrCatalogCorrupt", err)
 	}
 }
@@ -224,7 +226,7 @@ func TestCatalogMidFileCorruptionDetected(t *testing.T) {
 // and has shed the dead records.
 func TestCatalogCompaction(t *testing.T) {
 	path := catalogPath(t)
-	c, err := CreateCatalog(path)
+	c, err := CreateCatalogFS(vfs.OS, path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -257,7 +259,7 @@ func TestCatalogCompaction(t *testing.T) {
 		t.Fatal(err)
 	}
 	c.Close()
-	reopened, err := OpenCatalog(path)
+	reopened, err := OpenCatalogFS(vfs.OS, path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -273,18 +275,24 @@ func TestCatalogCompaction(t *testing.T) {
 
 func TestCatalogCreateRefusesExisting(t *testing.T) {
 	path := catalogPath(t)
-	c, err := CreateCatalog(path)
+	c, err := CreateCatalogFS(vfs.OS, path)
 	if err != nil {
 		t.Fatal(err)
 	}
 	c.Close()
-	if _, err := CreateCatalog(path); err == nil {
-		t.Fatal("CreateCatalog over an existing catalog succeeded")
+	if _, err := CreateCatalogFS(vfs.OS, path); err == nil {
+		t.Fatal("CreateCatalogFS over an existing catalog succeeded")
 	}
 }
 
+// TestMemCatalog runs the catalog's whole lifecycle over an in-memory
+// filesystem, the one an in-memory repository uses.
 func TestMemCatalog(t *testing.T) {
-	c := NewMemCatalog()
+	fsys := vfs.NewMem()
+	c, err := CreateCatalogFS(fsys, "repo/"+CatalogName)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if err := c.Add(testRecord("a", 1)); err != nil {
 		t.Fatal(err)
 	}
@@ -308,5 +316,16 @@ func TestMemCatalog(t *testing.T) {
 	}
 	if err := c.Add(testRecord("c", 3)); err == nil {
 		t.Fatal("Add after Close succeeded")
+	}
+	if err := c.Compact(); err == nil {
+		t.Fatal("Compact after Close succeeded")
+	}
+	c, err = OpenCatalogFS(fsys, "repo/"+CatalogName)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	if got := c.List(); len(got) != 1 || got[0].Name != "b" {
+		t.Fatalf("List() after reopen = %v", got)
 	}
 }

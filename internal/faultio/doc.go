@@ -4,11 +4,13 @@
 //
 //   - The file seam: MemFS implements vfs.FS, the interface every durable
 //     format (the .fdc container shards, the .fdr snapshot catalog, the
-//     .fdt trace log) performs its file operations through. MemFS models
-//     durability explicitly: writes land in a volatile view, Sync copies
-//     it to a durable view, and CrashImage materializes only the durable
-//     view — so "crash" means exactly what it means on real hardware:
-//     everything not fsynced is gone.
+//     .fdt trace log) performs its file operations through. MemFS is
+//     vfs.Mem — the plain in-memory filesystem an in-memory repository
+//     runs on — plus the injector and a durability model: writes land in
+//     the vfs.Mem (the volatile view), Sync copies a file to its durable
+//     view, and CrashImage materializes only the durable view — so
+//     "crash" means exactly what it means on real hardware: everything
+//     not fsynced is gone.
 //   - The backend seam: FaultBackend wraps any container.Backend,
 //     injecting faults at the Seal/Load/Scan/Rewrite granularity — the
 //     failure model of a future network backend.

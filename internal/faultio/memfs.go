@@ -1,33 +1,32 @@
 package faultio
 
 import (
-	"errors"
 	"fmt"
 	"io"
 	"io/fs"
 	"math/rand"
 	"os"
 	"path/filepath"
-	"sort"
 	"sync"
-	"time"
 
 	"freqdedup/internal/vfs"
 )
 
-// MemFS is an in-memory vfs.FS with an explicit durability model and a
-// fault injector — the substrate of the crash-point explorer. Every file
+// MemFS is a vfs.Mem with an explicit durability model and a fault
+// injector — the substrate of the crash-point explorer. Every file
 // carries two states:
 //
-//   - data: the volatile view, what reads observe — page cache.
+//   - the vfs.Mem file: the volatile view, what reads observe — page
+//     cache.
 //   - synced: the durable view, what survives a crash — the content at
 //     the last acknowledged Sync (nil if never synced).
 //
-// Writes mutate only data; Sync copies data to synced. A file that was
-// never synced does not exist in the crash image at all. Rename and
-// Remove take durable effect immediately (the model of a journaling
-// filesystem where the stack syncs files before renaming them, which all
-// three freqdedup formats do); a renamed file keeps its synced state.
+// Writes mutate only the volatile view; Sync copies it to the durable
+// one. A file that was never synced does not exist in the crash image at
+// all. Rename and Remove take durable effect immediately (the model of a
+// journaling filesystem where the stack syncs files before renaming
+// them, which all three freqdedup formats do); a renamed file keeps its
+// synced state.
 //
 // CrashImage materializes the durable view as a fresh MemFS: reopening
 // the stack against it simulates a machine that lost power after the
@@ -36,13 +35,13 @@ import (
 // MemFS is safe for concurrent use.
 type MemFS struct {
 	mu    sync.Mutex
-	files map[string]*memFile
-	dirs  map[string]bool
+	mem   *vfs.Mem
+	files map[string]*memFile // durable state of each of mem's files
 	inj   *Injector
 }
 
+// memFile is one file's durable view, shared by every handle open on it.
 type memFile struct {
-	data   []byte
 	synced []byte // nil = never synced: absent from the crash image
 }
 
@@ -51,11 +50,7 @@ func NewMemFS() *MemFS { return NewMemFSPlan(Plan{}) }
 
 // NewMemFSPlan returns an empty MemFS armed with the fault plan.
 func NewMemFSPlan(plan Plan) *MemFS {
-	return &MemFS{
-		files: make(map[string]*memFile),
-		dirs:  map[string]bool{".": true},
-		inj:   NewInjector(plan),
-	}
+	return &MemFS{mem: vfs.NewMem(), files: make(map[string]*memFile), inj: NewInjector(plan)}
 }
 
 // Injector returns the filesystem's injector, for reading the op counter
@@ -76,62 +71,37 @@ func (m *MemFS) observe(op Op, path string, mutating bool) (Fault, error) {
 	return f, m.inj.fire(f)
 }
 
-func clean(name string) string { return filepath.Clean(name) }
-
 // CrashImage returns the durable view as a fresh, fault-free MemFS: only
 // files that were synced at least once, each with its last-synced
 // content. Directories survive (metadata journaling).
 func (m *MemFS) CrashImage() *MemFS {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	img := NewMemFS()
+	img := &MemFS{mem: m.mem.Clone(), files: make(map[string]*memFile), inj: NewInjector(Plan{})}
+	// The clone holds every name in m.files, so none of these vfs.Mem
+	// calls can fail.
 	for name, f := range m.files {
 		if f.synced == nil {
+			img.mem.Remove(name)
 			continue
 		}
-		img.files[name] = &memFile{
-			data:   append([]byte(nil), f.synced...),
-			synced: append([]byte(nil), f.synced...),
-		}
-	}
-	for d := range m.dirs {
-		img.dirs[d] = true
+		h, _ := img.mem.OpenFile(name, os.O_RDWR|os.O_TRUNC, 0)
+		h.WriteAt(f.synced, 0)
+		h.Close()
+		img.files[name] = &memFile{synced: append([]byte(nil), f.synced...)}
 	}
 	return img
 }
 
-// Corrupt flips one seeded-random bit in the named file's durable
-// (synced) content — injected post-fsync media corruption. It returns the
-// corrupted byte offset. The volatile view is corrupted identically, as a
-// real media error would surface through the page cache after eviction.
-func (m *MemFS) Corrupt(name string) (int64, error) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	f, ok := m.files[clean(name)]
-	if !ok {
-		return 0, fmt.Errorf("faultio: corrupt %s: %w", name, fs.ErrNotExist)
-	}
-	if f.synced == nil || len(f.synced) == 0 {
-		return 0, fmt.Errorf("faultio: corrupt %s: no durable bytes", name)
-	}
-	var off int64
-	m.inj.random(func(rng *rand.Rand) {
-		off = rng.Int63n(int64(len(f.synced)))
-		mask := byte(1 << rng.Intn(8))
-		f.synced[off] ^= mask
-		if int(off) < len(f.data) {
-			f.data[off] ^= mask
-		}
-	})
-	return off, nil
-}
-
 // CorruptAt flips the given bit mask at a byte offset of the named file's
-// durable content (and the volatile view), for precisely aimed damage.
+// durable content (and the volatile view, as a real media error would
+// surface through the page cache after eviction), for precisely aimed
+// post-fsync damage.
 func (m *MemFS) CorruptAt(name string, off int64, mask byte) error {
+	name = filepath.Clean(name)
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	f, ok := m.files[clean(name)]
+	f, ok := m.files[name]
 	if !ok {
 		return fmt.Errorf("faultio: corrupt %s: %w", name, fs.ErrNotExist)
 	}
@@ -139,35 +109,30 @@ func (m *MemFS) CorruptAt(name string, off int64, mask byte) error {
 		return fmt.Errorf("faultio: corrupt %s: offset %d outside durable bytes", name, off)
 	}
 	f.synced[off] ^= mask
-	if int(off) < len(f.data) {
-		f.data[off] ^= mask
+	h, err := m.mem.OpenFile(name, os.O_RDWR, 0)
+	if err != nil {
+		return err
 	}
+	defer h.Close()
+	flipVolatile(h, off, mask)
 	return nil
 }
 
-// Files returns the names of all files in the volatile view, sorted.
-func (m *MemFS) Files() []string {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	names := make([]string, 0, len(m.files))
-	for name := range m.files {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	return names
-}
-
-func (m *MemFS) mkParents(name string) {
-	for d := filepath.Dir(name); d != "." && d != "/" && !m.dirs[d]; d = filepath.Dir(d) {
-		m.dirs[d] = true
+// flipVolatile flips mask at off in the volatile view, if the file
+// reaches that far.
+func flipVolatile(h vfs.File, off int64, mask byte) {
+	var b [1]byte
+	if _, err := h.ReadAt(b[:], off); err == nil {
+		b[0] ^= mask
+		h.WriteAt(b[:], off)
 	}
 }
 
 // OpenFile implements vfs.FS.
 func (m *MemFS) OpenFile(name string, flag int, perm os.FileMode) (vfs.File, error) {
-	name = clean(name)
+	name = filepath.Clean(name)
 	m.mu.Lock()
-	f, exists := m.files[name]
+	_, exists := m.files[name]
 	m.mu.Unlock()
 
 	op := OpOpen
@@ -181,41 +146,32 @@ func (m *MemFS) OpenFile(name string, flag int, perm os.FileMode) (vfs.File, err
 
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	// Re-check under the lock; the observe window is unlocked.
-	f, exists = m.files[name]
-	switch {
-	case !exists && flag&os.O_CREATE == 0:
-		return nil, &os.PathError{Op: "open", Path: name, Err: fs.ErrNotExist}
-	case exists && flag&os.O_CREATE != 0 && flag&os.O_EXCL != 0:
-		return nil, &os.PathError{Op: "open", Path: name, Err: fs.ErrExist}
-	case !exists:
+	inner, err := m.mem.OpenFile(name, flag, perm)
+	if err != nil {
+		return nil, err
+	}
+	f, ok := m.files[name]
+	if !ok {
 		f = &memFile{}
 		m.files[name] = f
-		m.mkParents(name)
 	}
-	if flag&os.O_TRUNC != 0 {
-		f.data = f.data[:0]
-	}
-	return &memHandle{fs: m, name: name, f: f, writable: flag&(os.O_WRONLY|os.O_RDWR) != 0}, nil
+	return &memHandle{File: inner, fs: m, f: f}, nil
 }
 
 // Open implements vfs.FS. Opening a directory returns a handle usable
 // only for Sync and Close, as with package os.
 func (m *MemFS) Open(name string) (vfs.File, error) {
-	name = clean(name)
+	name = filepath.Clean(name)
 	if _, err := m.observe(OpOpen, name, false); err != nil {
 		return nil, wrapPathErr("open", name, err)
 	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if m.dirs[name] {
-		return &memHandle{fs: m, name: name, dir: true}, nil
+	inner, err := m.mem.Open(name)
+	if err != nil {
+		return nil, err
 	}
-	f, ok := m.files[name]
-	if !ok {
-		return nil, &os.PathError{Op: "open", Path: name, Err: fs.ErrNotExist}
-	}
-	return &memHandle{fs: m, name: name, f: f}, nil
+	return &memHandle{File: inner, fs: m, f: m.files[name]}, nil
 }
 
 // Rename implements vfs.FS. The rename takes durable effect immediately;
@@ -223,32 +179,30 @@ func (m *MemFS) Open(name string) (vfs.File, error) {
 // renaming, and the model charges directory-metadata journaling to the
 // filesystem).
 func (m *MemFS) Rename(oldpath, newpath string) error {
-	oldpath, newpath = clean(oldpath), clean(newpath)
+	oldpath, newpath = filepath.Clean(oldpath), filepath.Clean(newpath)
 	if _, err := m.observe(OpRename, newpath, true); err != nil {
 		return wrapPathErr("rename", newpath, err)
 	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	f, ok := m.files[oldpath]
-	if !ok {
-		return &os.PathError{Op: "rename", Path: oldpath, Err: fs.ErrNotExist}
+	if err := m.mem.Rename(oldpath, newpath); err != nil {
+		return err
 	}
+	m.files[newpath] = m.files[oldpath]
 	delete(m.files, oldpath)
-	m.files[newpath] = f
-	m.mkParents(newpath)
 	return nil
 }
 
 // Remove implements vfs.FS; durable immediately, like Rename.
 func (m *MemFS) Remove(name string) error {
-	name = clean(name)
+	name = filepath.Clean(name)
 	if _, err := m.observe(OpRemove, name, true); err != nil {
 		return wrapPathErr("remove", name, err)
 	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if _, ok := m.files[name]; !ok {
-		return &os.PathError{Op: "remove", Path: name, Err: fs.ErrNotExist}
+	if err := m.mem.Remove(name); err != nil {
+		return err
 	}
 	delete(m.files, name)
 	return nil
@@ -256,115 +210,51 @@ func (m *MemFS) Remove(name string) error {
 
 // Stat implements vfs.FS.
 func (m *MemFS) Stat(name string) (os.FileInfo, error) {
-	name = clean(name)
+	name = filepath.Clean(name)
 	if _, err := m.observe(OpStat, name, false); err != nil {
 		return nil, wrapPathErr("stat", name, err)
 	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if m.dirs[name] {
-		return memInfo{name: filepath.Base(name), dir: true}, nil
-	}
-	f, ok := m.files[name]
-	if !ok {
-		return nil, &os.PathError{Op: "stat", Path: name, Err: fs.ErrNotExist}
-	}
-	return memInfo{name: filepath.Base(name), size: int64(len(f.data))}, nil
+	return m.mem.Stat(name)
 }
 
 // Glob implements vfs.FS.
-func (m *MemFS) Glob(pattern string) ([]string, error) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	var out []string
-	for name := range m.files {
-		ok, err := filepath.Match(pattern, name)
-		if err != nil {
-			return nil, err
-		}
-		if ok {
-			out = append(out, name)
-		}
-	}
-	sort.Strings(out)
-	return out, nil
-}
+func (m *MemFS) Glob(pattern string) ([]string, error) { return m.mem.Glob(pattern) }
 
 // MkdirAll implements vfs.FS.
-func (m *MemFS) MkdirAll(path string, perm os.FileMode) error {
-	path = clean(path)
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.dirs[path] = true
-	m.mkParents(filepath.Join(path, "x"))
-	return nil
-}
+func (m *MemFS) MkdirAll(path string, perm os.FileMode) error { return m.mem.MkdirAll(path, perm) }
 
-// memHandle is one open MemFS file (or directory).
+// memHandle is one open MemFS file (or directory, with a nil f): the
+// vfs.Mem handle under the injector, with the durable view beside it.
 type memHandle struct {
-	fs       *MemFS
-	name     string
-	f        *memFile
-	dir      bool
-	writable bool
-	pos      int64 // sequential-Write position
-	closed   bool
-}
-
-func (h *memHandle) Name() string { return h.name }
-
-func (h *memHandle) Close() error {
-	h.closed = true
-	return nil
-}
-
-func (h *memHandle) Stat() (os.FileInfo, error) {
-	if h.dir {
-		return memInfo{name: filepath.Base(h.name), dir: true}, nil
-	}
-	h.fs.mu.Lock()
-	defer h.fs.mu.Unlock()
-	return memInfo{name: filepath.Base(h.name), size: int64(len(h.f.data))}, nil
+	vfs.File
+	fs  *MemFS
+	f   *memFile
+	pos int64 // sequential-Write position
 }
 
 func (h *memHandle) ReadAt(p []byte, off int64) (int, error) {
-	if h.dir {
-		return 0, &os.PathError{Op: "read", Path: h.name, Err: errors.New("is a directory")}
+	if h.f == nil {
+		return h.File.ReadAt(p, off) // a directory: fails without an op
 	}
-	if _, err := h.fs.observe(OpRead, h.name, false); err != nil {
-		return 0, wrapPathErr("read", h.name, err)
+	if _, err := h.fs.observe(OpRead, h.Name(), false); err != nil {
+		return 0, wrapPathErr("read", h.Name(), err)
 	}
-	h.fs.mu.Lock()
-	defer h.fs.mu.Unlock()
-	if h.closed {
-		return 0, os.ErrClosed
-	}
-	if off >= int64(len(h.f.data)) {
-		return 0, io.EOF
-	}
-	n := copy(p, h.f.data[off:])
-	if n < len(p) {
-		return n, io.EOF
-	}
-	return n, nil
+	return h.File.ReadAt(p, off)
 }
 
-// writeAt applies one (possibly faulted) write to the volatile view.
-func (h *memHandle) writeAt(p []byte, off int64) (int, error) {
-	fault, err := h.fs.observe(OpWrite, h.name, true)
+// WriteAt applies one (possibly faulted) write to the volatile view.
+func (h *memHandle) WriteAt(p []byte, off int64) (int, error) {
+	fault, err := h.fs.observe(OpWrite, h.Name(), true)
 	if err != nil {
 		// A failing write may still tear a prefix into the page cache.
 		if fault.ShortWrite && len(p) > 0 {
 			var n int
 			h.fs.inj.random(func(rng *rand.Rand) { n = rng.Intn(len(p)) })
 			h.fs.mu.Lock()
-			if !h.closed {
-				h.f.extend(off + int64(n))
-				copy(h.f.data[off:], p[:n])
-			}
+			h.File.WriteAt(p[:n], off)
 			h.fs.mu.Unlock()
 		}
-		return 0, wrapPathErr("write", h.name, err)
+		return 0, wrapPathErr("write", h.Name(), err)
 	}
 	if fault.FlipBit && len(p) > 0 {
 		// Corrupt one bit in flight: the caller's buffer is only
@@ -375,109 +265,66 @@ func (h *memHandle) writeAt(p []byte, off int64) (int, error) {
 		})
 		p = q
 	}
+	// fs.mu keeps a concurrent Sync's copy of the volatile view atomic.
 	h.fs.mu.Lock()
 	defer h.fs.mu.Unlock()
-	if h.closed {
-		return 0, os.ErrClosed
-	}
-	h.f.extend(off + int64(len(p)))
-	copy(h.f.data[off:], p)
-	return len(p), nil
+	return h.File.WriteAt(p, off)
 }
 
-func (h *memHandle) WriteAt(p []byte, off int64) (int, error) {
-	if !h.writable {
-		return 0, &os.PathError{Op: "write", Path: h.name, Err: os.ErrPermission}
-	}
-	return h.writeAt(p, off)
-}
-
+// Write keeps its own position: a failed write, torn or not, does not
+// advance it.
 func (h *memHandle) Write(p []byte) (int, error) {
-	if !h.writable {
-		return 0, &os.PathError{Op: "write", Path: h.name, Err: os.ErrPermission}
-	}
-	n, err := h.writeAt(p, h.pos)
+	n, err := h.WriteAt(p, h.pos)
 	h.pos += int64(n)
 	return n, err
 }
 
 func (h *memHandle) Truncate(size int64) error {
-	if !h.writable {
-		return &os.PathError{Op: "truncate", Path: h.name, Err: os.ErrPermission}
-	}
-	if _, err := h.fs.observe(OpTruncate, h.name, true); err != nil {
-		return wrapPathErr("truncate", h.name, err)
+	if _, err := h.fs.observe(OpTruncate, h.Name(), true); err != nil {
+		return wrapPathErr("truncate", h.Name(), err)
 	}
 	h.fs.mu.Lock()
 	defer h.fs.mu.Unlock()
-	if h.closed {
-		return os.ErrClosed
-	}
-	if size <= int64(len(h.f.data)) {
-		h.f.data = h.f.data[:size]
-	} else {
-		h.f.extend(size)
-	}
-	return nil
+	return h.File.Truncate(size)
 }
 
 func (h *memHandle) Sync() error {
-	if h.dir {
+	fault, err := h.fs.observe(OpSync, h.Name(), true)
+	if err != nil {
+		return wrapPathErr("sync", h.Name(), err)
+	}
+	if h.f == nil {
 		// Directory sync: metadata is already durable in this model, but
 		// the op still ticks the crash clock like a real fdatasync would.
-		_, err := h.fs.observe(OpSync, h.name, true)
-		if err != nil {
-			return wrapPathErr("sync", h.name, err)
-		}
 		return nil
-	}
-	fault, err := h.fs.observe(OpSync, h.name, true)
-	if err != nil {
-		return wrapPathErr("sync", h.name, err)
 	}
 	h.fs.mu.Lock()
 	defer h.fs.mu.Unlock()
-	if h.closed {
-		return os.ErrClosed
+	if err := h.File.Sync(); err != nil {
+		return err // closed
 	}
-	h.f.synced = append(h.f.synced[:0], h.f.data...)
-	if fault.FlipBit && len(h.f.synced) > 0 {
+	st, err := h.File.Stat()
+	if err != nil {
+		return err
+	}
+	data := make([]byte, st.Size())
+	if _, err := h.File.ReadAt(data, 0); err != nil && err != io.EOF {
+		return err
+	}
+	synced := append(h.f.synced[:0], data...)
+	h.f.synced = synced
+	if fault.FlipBit && len(synced) > 0 {
 		// Post-fsync corruption: the sync is acknowledged, the media lies.
 		h.fs.inj.random(func(rng *rand.Rand) {
-			off := rng.Intn(len(h.f.synced))
+			off := rng.Intn(len(synced))
 			mask := byte(1 << rng.Intn(8))
-			h.f.synced[off] ^= mask
-			h.f.data[off] ^= mask
+			synced[off] ^= mask
+			flipVolatile(h.File, int64(off), mask)
 		})
 	}
 	return nil
 }
 
-func (f *memFile) extend(size int64) {
-	if n := size - int64(len(f.data)); n > 0 {
-		f.data = append(f.data, make([]byte, n)...)
-	}
-}
-
 func wrapPathErr(op, path string, err error) error {
 	return &os.PathError{Op: op, Path: path, Err: err}
 }
-
-// memInfo is MemFS's os.FileInfo.
-type memInfo struct {
-	name string
-	size int64
-	dir  bool
-}
-
-func (i memInfo) Name() string { return i.name }
-func (i memInfo) Size() int64  { return i.size }
-func (i memInfo) Mode() os.FileMode {
-	if i.dir {
-		return os.ModeDir | 0o755
-	}
-	return 0o644
-}
-func (i memInfo) ModTime() time.Time { return time.Time{} }
-func (i memInfo) IsDir() bool        { return i.dir }
-func (i memInfo) Sys() any           { return nil }

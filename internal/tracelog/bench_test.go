@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"freqdedup/internal/trace"
+	"freqdedup/internal/vfs"
 )
 
 // benchRefs is one backup's worth of observation windows: 64 windows of
@@ -39,7 +40,7 @@ func BenchmarkTraceLogIngest(b *testing.B) {
 	for _, w := range windows {
 		payload += int64(len(w) * refLen)
 	}
-	l, err := Create(filepath.Join(b.TempDir(), LogName))
+	l, err := CreateFS(vfs.OS, filepath.Join(b.TempDir(), LogName))
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -67,7 +68,7 @@ func BenchmarkTraceLogIngest(b *testing.B) {
 // CRC-verified replay of a committed trace per op.
 func BenchmarkTraceLogReplay(b *testing.B) {
 	windows := benchRefs()
-	l, err := Create(filepath.Join(b.TempDir(), LogName))
+	l, err := CreateFS(vfs.OS, filepath.Join(b.TempDir(), LogName))
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -93,14 +93,13 @@ type extent struct {
 }
 
 // Log is an adversary trace log: a sequence of committed backup traces.
-// The zero value is not usable; construct with Create, Open, or NewMem.
+// The zero value is not usable; construct with CreateFS or OpenFS.
 // A Log is safe for concurrent use — concurrent backup sessions
 // interleave records under one lock, and committed traces may be read
 // while new ones are appended.
 type Log struct {
 	mu       sync.Mutex
-	fsys     vfs.FS   // nil for a memory-only log
-	f        vfs.File // nil for a memory-only log
+	f        vfs.File
 	path     string
 	readOnly bool
 	size     int64
@@ -135,25 +134,12 @@ func (l *Log) initCommitter() {
 	l.gc = gcommit.New(func() error {
 		l.syncMu.Lock()
 		defer l.syncMu.Unlock()
-		if l.f == nil {
-			return errors.New("tracelog: log is closed")
-		}
 		return l.f.Sync()
 	}, true)
 }
 
-// NewMem returns a log kept only in memory — the tap used by in-memory
-// repositories and by the replay-equivalence tests. Nothing survives the
-// process.
-func NewMem() *Log { return &Log{} }
-
-// Create initializes a new, empty trace log file. It fails if the file
-// already exists.
-func Create(path string) (*Log, error) {
-	return CreateFS(vfs.OS, path)
-}
-
-// CreateFS is Create against an explicit filesystem.
+// CreateFS initializes a new, empty trace log file on fsys. It fails if
+// the file already exists.
 func CreateFS(fsys vfs.FS, path string) (*Log, error) {
 	f, err := fsys.OpenFile(path, os.O_RDWR|os.O_CREATE|os.O_EXCL, 0o644)
 	if err != nil {
@@ -176,29 +162,24 @@ func CreateFS(fsys vfs.FS, path string) (*Log, error) {
 		fsys.Remove(path)
 		return nil, err
 	}
-	l := &Log{fsys: fsys, f: f, path: path, size: logHeaderLen}
+	l := &Log{f: f, path: path, size: logHeaderLen}
 	l.initCommitter()
 	return l, nil
 }
 
-// Open opens an existing trace log and replays its records, recovering
-// the committed backup traces. A record torn by a mid-append crash is
-// discarded by truncating the file back to the last complete record;
-// traces whose backup never committed (no end record) are dropped. Open
-// is for the log's owner (the repository); replay-only consumers must
-// use OpenReadOnly — Open's tail truncation would corrupt a log another
-// process is still appending to.
-func Open(path string) (*Log, error) {
-	return OpenFS(vfs.OS, path)
-}
-
-// OpenFS is Open against an explicit filesystem.
+// OpenFS opens an existing trace log on fsys and replays its records,
+// recovering the committed backup traces. A record torn by a mid-append
+// crash is discarded by truncating the file back to the last complete
+// record; traces whose backup never committed (no end record) are
+// dropped. OpenFS is for the log's owner (the repository); replay-only
+// consumers must use OpenReadOnlyFS — OpenFS's tail truncation would
+// corrupt a log another process is still appending to.
 func OpenFS(fsys vfs.FS, path string) (*Log, error) {
 	f, err := fsys.OpenFile(path, os.O_RDWR, 0)
 	if err != nil {
 		return nil, fmt.Errorf("tracelog: open: %w", err)
 	}
-	l := &Log{fsys: fsys, f: f, path: path}
+	l := &Log{f: f, path: path}
 	l.initCommitter()
 	if err := l.replay(); err != nil {
 		f.Close()
@@ -207,23 +188,18 @@ func OpenFS(fsys vfs.FS, path string) (*Log, error) {
 	return l, nil
 }
 
-// OpenReadOnly opens a trace log for replay without taking ownership:
-// the file is opened read-only, an incomplete tail (which may simply be
-// another process's in-flight append, not crash damage) is ignored
-// rather than truncated, and Begin is refused. This is the mode for
-// inspection tools (`defend attack -repo`, `-dataset repo:`) pointed at
-// a repository that may still be live.
-func OpenReadOnly(path string) (*Log, error) {
-	return OpenReadOnlyFS(vfs.OS, path)
-}
-
-// OpenReadOnlyFS is OpenReadOnly against an explicit filesystem.
+// OpenReadOnlyFS opens a trace log on fsys for replay without taking
+// ownership: the file is opened read-only, an incomplete tail (which may
+// simply be another process's in-flight append, not crash damage) is
+// ignored rather than truncated, and Begin is refused. This is the mode
+// for inspection tools (`defend attack -repo`, `-dataset repo:`) pointed
+// at a repository that may still be live.
 func OpenReadOnlyFS(fsys vfs.FS, path string) (*Log, error) {
 	f, err := fsys.Open(path)
 	if err != nil {
 		return nil, fmt.Errorf("tracelog: open: %w", err)
 	}
-	l := &Log{fsys: fsys, f: f, path: path, readOnly: true}
+	l := &Log{f: f, path: path, readOnly: true}
 	if err := l.replay(); err != nil {
 		f.Close()
 		return nil, err
@@ -373,7 +349,7 @@ func (l *Log) Backups() []*BackupTrace {
 	return out
 }
 
-// Path returns the log's file path ("" for a memory log).
+// Path returns the log's file path.
 func (l *Log) Path() string { return l.path }
 
 // Close releases the log's file handle. Every committed trace is already
@@ -381,15 +357,13 @@ func (l *Log) Path() string { return l.path }
 func (l *Log) Close() error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	l.closed = true
-	if l.f == nil {
+	if l.closed {
 		return nil
 	}
+	l.closed = true
 	l.syncMu.Lock()
-	err := l.f.Close()
-	l.f = nil
-	l.syncMu.Unlock()
-	return err
+	defer l.syncMu.Unlock()
+	return l.f.Close()
 }
 
 // buildRecord serializes one record into l.scratch (callers hold l.mu).
@@ -451,7 +425,7 @@ func (l *Log) truncateToDurableLocked(d int64) {
 	if boundary < l.size {
 		l.size = boundary
 	}
-	if l.f != nil && l.f.Truncate(l.size) == nil {
+	if l.f.Truncate(l.size) == nil {
 		_ = l.f.Sync()
 	}
 }
@@ -474,10 +448,8 @@ func (l *Log) Begin(label string) (*Session, error) {
 	}
 	s := &Session{log: l, label: label, sid: l.nextSID}
 	l.nextSID++
-	if l.f != nil {
-		if _, err := l.appendRecord(kindBegin, s.sid, []byte(label)); err != nil {
-			return nil, err
-		}
+	if _, err := l.appendRecord(kindBegin, s.sid, []byte(label)); err != nil {
+		return nil, err
 	}
 	return s, nil
 }
@@ -503,7 +475,6 @@ type Session struct {
 	sid     uint32
 	count   int64
 	extents []extent
-	mem     []trace.ChunkRef // memory-log accumulation
 	done    bool
 	buf     []byte // encoded refs not yet spilled to the file
 }
@@ -518,19 +489,8 @@ func (s *Session) ObserveUpload(refs []trace.ChunkRef) error {
 	if s.done {
 		return errors.New("tracelog: session already committed or aborted")
 	}
-	l := s.log
-	if l.fsys == nil {
-		l.mu.Lock()
-		defer l.mu.Unlock()
-		if l.closed {
-			return errors.New("tracelog: log is closed")
-		}
-		s.mem = append(s.mem, refs...)
-		s.count += int64(len(refs))
-		return nil
-	}
-	// File-backed: encode into the session-local buffer, no log lock and
-	// no I/O unless the spill threshold is crossed.
+	// Encode into the session-local buffer: no log lock and no I/O
+	// unless the spill threshold is crossed.
 	off := len(s.buf)
 	s.buf = append(s.buf, make([]byte, len(refs)*refLen)...)
 	for _, ref := range refs {
@@ -542,8 +502,8 @@ func (s *Session) ObserveUpload(refs []trace.ChunkRef) error {
 	if len(s.buf) < sessionSpillBytes {
 		return nil
 	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
+	s.log.mu.Lock()
+	defer s.log.mu.Unlock()
 	return s.spillLocked()
 }
 
@@ -581,13 +541,6 @@ func (s *Session) Commit() error {
 	if l.closed {
 		l.mu.Unlock()
 		return errors.New("tracelog: log is closed")
-	}
-	if l.f == nil {
-		l.backups = append(l.backups, &BackupTrace{
-			Label: s.label, Chunks: s.count, log: l, mem: s.mem,
-		})
-		l.mu.Unlock()
-		return nil
 	}
 	if err := s.spillLocked(); err != nil {
 		l.mu.Unlock()
@@ -629,14 +582,13 @@ func (s *Session) Commit() error {
 // crash mid-backup leaves behind.
 func (s *Session) Abort() {
 	s.done = true
-	s.mem = nil
 	s.buf = nil
 }
 
 // BackupTrace is one committed backup's observed upload stream. It
 // implements attack.ChunkSource: Open returns a streaming reader over the
-// log file (or the in-memory records for a memory log), so a trace larger
-// than RAM feeds the attack engine without being materialized.
+// log file, so a trace larger than RAM feeds the attack engine without
+// being materialized.
 type BackupTrace struct {
 	// Label is the backup's name as recorded at Begin.
 	Label string
@@ -645,7 +597,6 @@ type BackupTrace struct {
 
 	log     *Log
 	extents []extent
-	mem     []trace.ChunkRef
 }
 
 // ChunkCount reports the trace's length, implementing the attack
@@ -662,12 +613,8 @@ func (t *BackupTrace) Open() (attack.ChunkReader, error) {
 	l.mu.Lock()
 	f, closed := l.f, l.closed
 	l.mu.Unlock()
-	if f == nil {
-		if closed {
-			return nil, errors.New("tracelog: log is closed")
-		}
-		r, err := attack.SliceSource(t.mem).Open()
-		return r, err
+	if closed {
+		return nil, errors.New("tracelog: log is closed")
 	}
 	return &traceReader{t: t, f: f}, nil
 }

@@ -11,6 +11,7 @@ import (
 
 	"freqdedup/internal/fphash"
 	"freqdedup/internal/trace"
+	"freqdedup/internal/vfs"
 )
 
 func testRefs(seed, n int) []trace.ChunkRef {
@@ -33,7 +34,7 @@ func logPath(t *testing.T) string {
 // refs) into a fresh log at path and returns the committed streams.
 func writeTraces(t *testing.T, path string, w int, sizes ...int) [][]trace.ChunkRef {
 	t.Helper()
-	l, err := Create(path)
+	l, err := CreateFS(vfs.OS, path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,7 +91,7 @@ func refsEqual(a, b []trace.ChunkRef) bool {
 func TestRoundTrip(t *testing.T) {
 	path := logPath(t)
 	want := writeTraces(t, path, 100, 250, 1, 777)
-	l, err := Open(path)
+	l, err := OpenFS(vfs.OS, path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,7 +126,7 @@ func TestTornTailEveryBoundary(t *testing.T) {
 		if err := os.WriteFile(path, full[:cut], 0o644); err != nil {
 			t.Fatal(err)
 		}
-		l, err := Open(path)
+		l, err := OpenFS(vfs.OS, path)
 		if err != nil {
 			t.Fatalf("cut=%d: %v", cut, err)
 		}
@@ -163,7 +164,7 @@ func TestBadCRCTailTruncated(t *testing.T) {
 	if err := os.WriteFile(path, mut, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	l, err := Open(path)
+	l, err := OpenFS(vfs.OS, path)
 	if err != nil {
 		t.Fatalf("bad-CRC tail must be recovered, got %v", err)
 	}
@@ -174,7 +175,7 @@ func TestBadCRCTailTruncated(t *testing.T) {
 
 	// The log must have been truncated back past the bad record, so a
 	// fresh session appends at a clean boundary.
-	l, err = Open(path)
+	l, err = OpenFS(vfs.OS, path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -189,7 +190,7 @@ func TestBadCRCTailTruncated(t *testing.T) {
 		t.Fatal(err)
 	}
 	l.Close()
-	l, err = Open(path)
+	l, err = OpenFS(vfs.OS, path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -204,7 +205,7 @@ func TestBadCRCTailTruncated(t *testing.T) {
 	if err := os.WriteFile(path, mut, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Open(path); !errors.Is(err, ErrCorrupt) {
+	if _, err := OpenFS(vfs.OS, path); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("mid-file corruption: err = %v, want ErrCorrupt", err)
 	}
 }
@@ -214,7 +215,7 @@ func TestBadCRCTailTruncated(t *testing.T) {
 // survives — including with interleaved concurrent sessions.
 func TestUncommittedSessionDropped(t *testing.T) {
 	path := logPath(t)
-	l, err := Create(path)
+	l, err := CreateFS(vfs.OS, path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -240,7 +241,7 @@ func TestUncommittedSessionDropped(t *testing.T) {
 	}
 	// "Crash": never commit the second session, drop the handle, reopen.
 	l.Close()
-	l, err = Open(path)
+	l, err = OpenFS(vfs.OS, path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -258,63 +259,47 @@ func TestUncommittedSessionDropped(t *testing.T) {
 	}
 }
 
-// TestReplayEquivalentToMemoryTap is the crash-replay acceptance check:
-// feeding identical windows to a file log and a memory log, then
-// reopening the file log cold (as after a crash plus restart), must
-// replay streams identical to the in-memory tap's.
-func TestReplayEquivalentToMemoryTap(t *testing.T) {
+// TestReplayEquivalentToInput is the crash-replay acceptance check:
+// after feeding windows to a file log, reopening it cold (as after a
+// crash plus restart) must replay exactly the windows fed in, in order.
+func TestReplayEquivalentToInput(t *testing.T) {
 	path := logPath(t)
-	file, err := Create(path)
+	file, err := CreateFS(vfs.OS, path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	mem := NewMem()
-
+	var want [][]trace.ChunkRef
 	for i, n := range []int{300, 42, 1000} {
 		fs, err := file.Begin(fmt.Sprintf("b%d", i))
 		if err != nil {
 			t.Fatal(err)
 		}
-		ms, err := mem.Begin(fmt.Sprintf("b%d", i))
-		if err != nil {
-			t.Fatal(err)
-		}
 		refs := testRefs(i+7, n)
 		for lo := 0; lo < len(refs); lo += 128 {
-			hi := lo + 128
-			if hi > len(refs) {
-				hi = len(refs)
-			}
-			if err := fs.ObserveUpload(refs[lo:hi]); err != nil {
-				t.Fatal(err)
-			}
-			if err := ms.ObserveUpload(refs[lo:hi]); err != nil {
+			if err := fs.ObserveUpload(refs[lo:min(lo+128, len(refs))]); err != nil {
 				t.Fatal(err)
 			}
 		}
 		if err := fs.Commit(); err != nil {
 			t.Fatal(err)
 		}
-		if err := ms.Commit(); err != nil {
-			t.Fatal(err)
-		}
+		want = append(want, refs)
 	}
 	// Crash-restart the file log: no Close, fresh Open of the same path.
-	reopened, err := Open(path)
+	reopened, err := OpenFS(vfs.OS, path)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer reopened.Close()
 	defer file.Close()
 
-	fileTraces := materializeAll(t, reopened)
-	memTraces := materializeAll(t, mem)
-	if len(fileTraces) != len(memTraces) {
-		t.Fatalf("file log replayed %d traces, memory tap has %d", len(fileTraces), len(memTraces))
+	got := materializeAll(t, reopened)
+	if len(got) != len(want) {
+		t.Fatalf("file log replayed %d traces, fed %d", len(got), len(want))
 	}
-	for i := range memTraces {
-		if !refsEqual(fileTraces[i], memTraces[i]) {
-			t.Fatalf("trace %d: file replay differs from the in-memory tap", i)
+	for i := range want {
+		if !refsEqual(got[i], want[i]) {
+			t.Fatalf("trace %d: file replay differs from the windows fed in", i)
 		}
 	}
 }
@@ -324,7 +309,7 @@ func TestReplayEquivalentToMemoryTap(t *testing.T) {
 // replays intact.
 func TestConcurrentSessionsAndReaders(t *testing.T) {
 	path := logPath(t)
-	l, err := Create(path)
+	l, err := CreateFS(vfs.OS, path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -399,7 +384,7 @@ func TestConcurrentSessionsAndReaders(t *testing.T) {
 func TestStreamingReaderAgainstMaterialize(t *testing.T) {
 	path := logPath(t)
 	want := writeTraces(t, path, 33, 500)
-	l, err := Open(path)
+	l, err := OpenFS(vfs.OS, path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -444,7 +429,7 @@ func TestOpenReadOnly(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	l, err := OpenReadOnly(path)
+	l, err := OpenReadOnlyFS(vfs.OS, path)
 	if err != nil {
 		t.Fatal(err)
 	}

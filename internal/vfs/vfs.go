@@ -7,9 +7,9 @@
 // mocked-out formats.
 //
 // OS is the production implementation: a zero-cost passthrough to package
-// os. The interface is deliberately minimal — exactly the operations the
-// storage stack uses, nothing speculative — so alternative
-// implementations stay small and honest.
+// os. Mem is the in-memory one, which internal/faultio extends. The
+// interface is deliberately minimal — exactly the operations the storage
+// stack uses, nothing speculative — so implementations stay small.
 package vfs
 
 import (

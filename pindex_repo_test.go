@@ -141,14 +141,44 @@ func TestRepositoryPersistentIndexCrashReopen(t *testing.T) {
 	mustRestore(t, repo, "b", v2)
 }
 
-// TestRepositoryPersistentIndexRequiresPath documents that persistent
-// mode needs a real repository directory: an in-memory repository cannot
-// host run files.
-func TestRepositoryPersistentIndexRequiresPath(t *testing.T) {
+// TestRepositoryPersistentIndexInMemory runs the persistent index in an
+// in-memory repository, whose run files live on its private filesystem:
+// back up, restore byte-identically, delete, GC, and Verify.
+func TestRepositoryPersistentIndexInMemory(t *testing.T) {
+	ctx := context.Background()
 	var key Key
-	copy(key[:], "memory no index key")
-	_, err := CreateRepository("", WithRepositoryKey(key), WithIndex(IndexPersistent))
-	if err == nil {
-		t.Fatal("CreateRepository(\"\") with IndexPersistent succeeded")
+	copy(key[:], "memory index key")
+	repo, err := CreateRepository("",
+		WithRepositoryKey(key),
+		WithContainerBytes(256<<10),
+		WithIndex(IndexPersistent),
+		WithIndexTuning(IndexTuning{MemtableEntries: 64, SyncCompaction: true}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer repo.Close()
+	v1 := repoData(43, 2<<20)
+	v2 := repoMutate(v1, 44)
+	mustBackup(t, repo, "mon", v1)
+	mustBackup(t, repo, "tue", v2)
+	if st := repo.Stats(); st.PhysicalBytes >= st.LogicalBytes {
+		t.Fatalf("no dedup through persistent index: physical %d >= logical %d",
+			st.PhysicalBytes, st.LogicalBytes)
+	}
+	mustRestore(t, repo, "mon", v1)
+	mustRestore(t, repo, "tue", v2)
+	if err := repo.Delete(ctx, "mon"); err != nil {
+		t.Fatal(err)
+	}
+	gc, err := repo.GC(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if gc.ChunksReclaimed == 0 {
+		t.Fatal("GC reclaimed nothing after deleting a snapshot with unique chunks")
+	}
+	mustRestore(t, repo, "tue", v2)
+	if err := repo.Verify(ctx); err != nil {
+		t.Fatalf("Verify: %v", err)
 	}
 }

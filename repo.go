@@ -167,6 +167,10 @@ const (
 // persistent fingerprint index's run files and manifests.
 const IndexDirName = "fpindex"
 
+// memRepoPath is where CreateRepository("") lays out its files on its
+// private in-memory filesystem.
+const memRepoPath = "mem"
+
 // RepositoryOption configures CreateRepository and OpenRepository.
 type RepositoryOption func(*repoOptions)
 
@@ -185,18 +189,18 @@ func WithContainerBytes(n int) RepositoryOption {
 }
 
 // WithBackend stores sealed containers through a custom StoreBackend
-// instead of the path-derived default (FileBackend for a non-empty path,
-// MemBackend otherwise). The snapshot catalog still lives at the
-// repository path; a custom-backend repository opened later must be given
-// the same path and backend.
+// instead of the default FileBackend under the repository path. The
+// snapshot catalog still lives at the repository path (in memory for an
+// empty path); a custom-backend repository opened later must be given the
+// same path and backend.
 func WithBackend(b StoreBackend) RepositoryOption {
 	return func(o *repoOptions) { o.backend = b }
 }
 
 // WithIndex selects the fingerprint-index implementation (IndexMap if
-// unset). IndexPersistent requires a file-backed repository (a non-empty
-// path); the index lives under <path>/fpindex. Like the trace log, the
-// choice is sticky: a repository that ever ran IndexPersistent keeps
+// unset). IndexPersistent keeps the index under <path>/fpindex (on the
+// private in-memory filesystem for an empty path). Like the trace log,
+// the choice is sticky: a repository that ever ran IndexPersistent keeps
 // using it after a plain OpenRepository — the existing fpindex directory
 // re-selects the mode, so an open never silently pays a full container
 // scan the previous process had already made unnecessary.
@@ -268,12 +272,12 @@ type TapBackup = tracelog.BackupTrace
 // WithUploadObserver enables the adversary observation tap (Section 3.3):
 // every Backup's post-encryption upload stream — ciphertext fingerprint,
 // ciphertext size, upload order; nothing else — is recorded in an
-// append-only trace log (traces.fdt beside the snapshot catalog on a
-// file-backed repository; in memory otherwise) and, when obs is non-nil,
-// forwarded to obs as it streams. The trace of an acknowledged snapshot
-// is committed and fsynced before Backup returns; a crashed or failed
-// backup leaves no committed trace. OpenRepository replays the log, so
-// real backup histories can be fed to the attack engine via TraceLog.
+// append-only trace log (traces.fdt beside the snapshot catalog) and,
+// when obs is non-nil, forwarded to obs as it streams. The trace of an
+// acknowledged snapshot is committed and fsynced before Backup returns; a
+// crashed or failed backup leaves no committed trace. OpenRepository
+// replays the log, so real backup histories can be fed to the attack
+// engine via TraceLog.
 //
 // A repository that ever had the tap enabled keeps tapping after a plain
 // OpenRepository: an existing traces.fdt re-enables the tap, keeping the
@@ -285,21 +289,21 @@ func WithUploadObserver(obs UploadObserver) RepositoryOption {
 	}
 }
 
-// FileSystem is the file-operations interface a file-backed repository
-// runs against — see the vfs package. The default is the real filesystem;
+// FileSystem is the file-operations interface a repository runs against
+// — see the vfs package. The default is the real filesystem;
 // fault-injection harnesses substitute faultio implementations.
 type FileSystem = vfs.FS
 
 // OSFileSystem is the production FileSystem: package os, unwrapped.
 var OSFileSystem = vfs.OS
 
-// WithFileSystem routes every file operation of a file-backed repository
-// — container shards, snapshot catalog, trace log — through fs instead of
-// the real filesystem. This is the fault-injection seam: a
-// faultio.FaultFS injects errors, torn writes, and crash points under the
-// exact production code paths. Ignored by repositories using a custom
-// WithBackend for container storage (the catalog and trace log still go
-// through fs then).
+// WithFileSystem routes every file operation of a repository — container
+// shards, snapshot catalog, trace log — through fs instead of the real
+// filesystem. This is the fault-injection seam: a faultio.MemFS injects
+// errors, torn writes, and crash points under the exact production code
+// paths. Ignored by CreateRepository("") (which uses a private in-memory
+// filesystem) and, for container storage, by repositories using a custom
+// WithBackend (the catalog and trace log still go through fs then).
 func WithFileSystem(fs FileSystem) RepositoryOption {
 	return func(o *repoOptions) { o.fsys = fs }
 }
@@ -341,9 +345,6 @@ func WithRepositoryKey(k Key) RepositoryOption {
 func newRepoStore(path string, backend container.Backend, containerBytes int, o *repoOptions, rebuild bool) (*dedup.Store, error) {
 	opts := dedup.StoreOptions{ContainerBytes: containerBytes}
 	if o.indexMode == IndexPersistent {
-		if path == "" {
-			return nil, errors.New("freqdedup: IndexPersistent requires a file-backed repository path")
-		}
 		opts.Index = dedup.IndexPersistent
 		opts.IndexDir = filepath.Join(path, IndexDirName)
 		opts.FS = o.fsys
@@ -373,17 +374,22 @@ func buildRepo(store *dedup.Store, catalog *dedup.Catalog, tapLog *tracelog.Log,
 	}, nil
 }
 
-// CreateRepository initializes a new repository. With a non-empty path it
-// is file-backed: container shards and the snapshot catalog are created
-// under the directory, and everything a returned Backup acknowledged
-// survives a crash. With an empty path (and no WithBackend) the
-// repository lives entirely in memory — the same API for tests and
+// CreateRepository initializes a new repository: container shards, the
+// snapshot catalog and (with the tap) the trace log are created under the
+// directory, and everything a returned Backup acknowledged survives a
+// crash. With an empty path the repository lives entirely in memory: the
+// same files, written to a private in-memory filesystem instead of
+// WithFileSystem's — the same code and formats for tests and
 // experiments, durable as nothing.
 //
 // It fails if the directory already holds a repository; use
 // OpenRepository for that.
 func CreateRepository(path string, opts ...RepositoryOption) (*Repository, error) {
 	o := applyOptions(opts)
+	if path == "" {
+		o.fsys = vfs.NewMem()
+		path = memRepoPath
+	}
 	if o.shards < 0 || o.shards > 256 {
 		// Checked before any file is created: a late validation failure
 		// must not leave a half-initialized directory behind.
@@ -417,58 +423,35 @@ func CreateRepository(path string, opts ...RepositoryOption) (*Repository, error
 		return nil, err
 	}
 	if backend == nil {
-		if path == "" {
-			backend = container.NewMemBackend(shards)
-		} else {
-			fb, err := container.CreateFileBackendFS(o.fsys, path, shards, containerBytes)
-			if err != nil {
-				return nil, err
-			}
-			backend = fb
-			removeShards = true
+		fb, err := container.CreateFileBackendFS(o.fsys, path, shards, containerBytes)
+		if err != nil {
+			return nil, err
 		}
+		backend = fb
+		removeShards = true
 	}
 
-	var catalog *dedup.Catalog
-	catalogPath := ""
-	if path == "" {
-		catalog = dedup.NewMemCatalog()
-	} else {
-		catalogPath = filepath.Join(path, dedup.CatalogName)
-		var err error
-		catalog, err = dedup.CreateCatalogFS(o.fsys, catalogPath)
-		if err != nil {
-			backend.Close()
-			return fail(err)
-		}
+	catalogPath := filepath.Join(path, dedup.CatalogName)
+	catalog, err := dedup.CreateCatalogFS(o.fsys, catalogPath)
+	if err != nil {
+		backend.Close()
+		return fail(err)
 	}
 	var tapLog *tracelog.Log
-	tapPath := ""
+	tapPath := filepath.Join(path, tracelog.LogName)
 	failClosing := func(err error) (*Repository, error) {
 		if tapLog != nil {
 			tapLog.Close()
+			o.fsys.Remove(tapPath)
 		}
 		catalog.Close()
 		backend.Close()
-		if catalogPath != "" {
-			o.fsys.Remove(catalogPath)
-		}
-		if tapPath != "" {
-			o.fsys.Remove(tapPath)
-		}
+		o.fsys.Remove(catalogPath)
 		return fail(err)
 	}
 	if o.tap {
-		if path == "" {
-			tapLog = tracelog.NewMem()
-		} else {
-			tapPath = filepath.Join(path, tracelog.LogName)
-			var terr error
-			tapLog, terr = tracelog.CreateFS(o.fsys, tapPath)
-			if terr != nil {
-				tapPath = ""
-				return failClosing(terr)
-			}
+		if tapLog, err = tracelog.CreateFS(o.fsys, tapPath); err != nil {
+			return failClosing(err)
 		}
 	}
 
@@ -631,9 +614,8 @@ func applyOptions(opts []RepositoryOption) *repoOptions {
 // Backup reads src to EOF, deduplicating its chunks into the repository,
 // and records the result as a snapshot under the given name. The recipe
 // is sealed under the repository key and persisted in the snapshot
-// catalog before Backup returns, and on a file-backed repository the
-// written containers are synced first — an acknowledged snapshot survives
-// a crash.
+// catalog before Backup returns, and the written containers are synced
+// first — an acknowledged snapshot survives a crash.
 //
 // Cancelling ctx stops the pipeline promptly with ctx.Err(); no snapshot
 // is recorded, and chunks uploaded before the cancellation either
@@ -843,8 +825,8 @@ func (r *Repository) GC(ctx context.Context) (GCStats, error) {
 }
 
 // Verify checks the whole repository: every stored chunk's bytes against
-// its fingerprint (and, on a file-backed repository, every container
-// record's checksum), then every snapshot's sealed recipe against the
+// its fingerprint (and, in FileBackend containers, every record's
+// checksum), then every snapshot's sealed recipe against the
 // repository key and every recipe entry against the store's index — so a
 // nil return means every snapshot is restorable as written. Cancelling
 // ctx stops the scan with ctx.Err().

@@ -7,7 +7,9 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
+	"time"
 
 	"freqdedup/internal/dedup"
 )
@@ -440,5 +442,82 @@ func TestRepositoryCustomBackend(t *testing.T) {
 	mustRestore(t, reopened, "snap", data)
 	if gc, err := reopened.GC(context.Background()); err != nil || gc.ChunksReclaimed != 0 {
 		t.Fatalf("GC on reopened custom-backend repo: %+v, %v", gc, err)
+	}
+}
+
+// TestMemoryRepositoryMatchesFileBacked runs the same three generations
+// through an in-memory and a file-backed repository under the paper's
+// defence (MinHash keys, seeded scrambling) with the tap on: both run one
+// storage path, so their dedup stats, snapshot metadata, adversary traces
+// and restores must agree exactly.
+func TestMemoryRepositoryMatchesFileBacked(t *testing.T) {
+	var key Key
+	copy(key[:], "memory equals file key")
+	opts := func() []RepositoryOption {
+		return []RepositoryOption{
+			WithRepositoryKey(key),
+			WithContainerBytes(256 << 10),
+			WithEncryption(EncMinHash),
+			WithKeyDeriver(NewLocalDeriver([]byte("equivalence secret"))),
+			WithScramble(17),
+			WithUploadObserver(nil),
+		}
+	}
+	mem, err := CreateRepository("", opts()...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer mem.Close()
+	file, err := CreateRepository(filepath.Join(t.TempDir(), "repo"), opts()...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer file.Close()
+
+	gens := [][]byte{repoData(61, 3<<20)}
+	gens = append(gens, repoMutate(gens[0], 62))
+	gens = append(gens, repoMutate(gens[1], 63))
+	for i, data := range gens {
+		name := string(rune('a' + i))
+		mustBackup(t, mem, name, data)
+		mustBackup(t, file, name, data)
+	}
+
+	if m, f := mem.Stats(), file.Stats(); m != f {
+		t.Fatalf("Stats differ:\nmemory %+v\nfile   %+v", m, f)
+	}
+	ms, fs := mem.Snapshots(), file.Snapshots()
+	if len(ms) != len(gens) || len(fs) != len(gens) {
+		t.Fatalf("snapshot counts %d (memory), %d (file), want %d", len(ms), len(fs), len(gens))
+	}
+	for i := range ms {
+		// CreatedAt is wall-clock seconds; the two backups of a
+		// generation may straddle a second.
+		ms[i].CreatedAt, fs[i].CreatedAt = time.Time{}, time.Time{}
+		if ms[i] != fs[i] {
+			t.Fatalf("snapshot %d differs: memory %+v, file %+v", i, ms[i], fs[i])
+		}
+	}
+	mt, ft := mem.TraceLog().Backups(), file.TraceLog().Backups()
+	if len(mt) != len(gens) || len(ft) != len(gens) {
+		t.Fatalf("trace counts %d (memory), %d (file), want %d", len(mt), len(ft), len(gens))
+	}
+	for i := range mt {
+		mb, err := mt[i].Materialize()
+		if err != nil {
+			t.Fatal(err)
+		}
+		fb, err := ft[i].Materialize()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if mb.Label != fb.Label || !reflect.DeepEqual(mb.Chunks, fb.Chunks) {
+			t.Fatalf("trace %d differs between memory and file", i)
+		}
+	}
+	for i, data := range gens {
+		name := string(rune('a' + i))
+		mustRestore(t, mem, name, data)
+		mustRestore(t, file, name, data)
 	}
 }

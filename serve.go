@@ -90,11 +90,11 @@ type ServerConfig struct {
 // Serving also records the negotiation transcript — the new adversary
 // view this deployment model creates. Every session's fingerprint queries
 // (in order, pre-acknowledgment) and the server's miss answers are
-// appended to a trace log (negotiation.fdt beside the catalog on a
-// file-backed repository; in memory otherwise), committed even when the
-// session aborts: the adversary on the wire saw them regardless of
-// whether a snapshot appeared. Feed it to the attack engine exactly like
-// the upload tap — see NegotiationLog and cmd/defend's -view flag.
+// appended to a trace log (negotiation.fdt beside the catalog), committed
+// even when the session aborts: the adversary on the wire saw them
+// regardless of whether a snapshot appeared. Feed it to the attack engine
+// exactly like the upload tap — see NegotiationLog and cmd/defend's -view
+// flag.
 type RepoServer struct {
 	repo *Repository
 	neg  *tracelog.Log
@@ -109,18 +109,14 @@ type RepoServer struct {
 func NewRepositoryServer(repo *Repository, cfg ServerConfig) (*RepoServer, error) {
 	var neg *tracelog.Log
 	var err error
-	if repo.path == "" {
-		neg = tracelog.NewMem()
+	negPath := filepath.Join(repo.path, NegotiationLogName)
+	if _, statErr := repo.fsys.Stat(negPath); statErr == nil {
+		neg, err = tracelog.OpenFS(repo.fsys, negPath)
 	} else {
-		negPath := filepath.Join(repo.path, NegotiationLogName)
-		if _, statErr := repo.fsys.Stat(negPath); statErr == nil {
-			neg, err = tracelog.OpenFS(repo.fsys, negPath)
-		} else {
-			neg, err = tracelog.CreateFS(repo.fsys, negPath)
-		}
-		if err != nil {
-			return nil, err
-		}
+		neg, err = tracelog.CreateFS(repo.fsys, negPath)
+	}
+	if err != nil {
+		return nil, err
 	}
 	var auth func(tenant string, token []byte) bool
 	if cfg.Auth != nil {

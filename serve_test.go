@@ -12,6 +12,7 @@ import (
 	"context"
 	"fmt"
 	"net"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -383,6 +384,43 @@ func TestServerAbortCommitsNegotiationTranscript(t *testing.T) {
 	}
 	if !sawQuery {
 		t.Fatal("aborted session left no negotiation transcript")
+	}
+}
+
+// TestInMemoryServerRecordsNegotiationLog: an in-memory repository's
+// server writes negotiation.fdt like a file-backed one's, to the
+// repository's private filesystem, and a remote backup's queries and
+// misses land in it.
+func TestInMemoryServerRecordsNegotiationLog(t *testing.T) {
+	repo, err := CreateRepository("")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer repo.Close()
+	rs, addr := startRepoServer(t, repo, ServerConfig{})
+	c, err := DialServer(addr, RemoteClientConfig{Tenant: "t"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap, err := c.Backup(context.Background(), "snap", bytes.NewReader(repoData(111, 1<<20)))
+	c.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	neg := rs.NegotiationLog()
+	if filepath.Base(neg.Path()) != NegotiationLogName {
+		t.Fatalf("negotiation log path %q, want a %s file", neg.Path(), NegotiationLogName)
+	}
+	if st, err := repo.fsys.Stat(neg.Path()); err != nil || st.Size() == 0 {
+		t.Fatalf("negotiation log on the repository's filesystem: %v", err)
+	}
+	counts := map[string]int64{}
+	for _, b := range neg.Backups() {
+		counts[b.Label] = b.Chunks
+	}
+	if counts["t/snap"] != int64(snap.Chunks) || counts["t/snap"+NegotiationMissSuffix] == 0 {
+		t.Fatalf("negotiation traces %v, want %d queries and some misses for t/snap", counts, snap.Chunks)
 	}
 }
 
