@@ -3,8 +3,8 @@
 // data series on the laptop-scale datasets and reports headline values as
 // custom metrics, so `go test -bench=. -benchmem` both times the
 // reproduction and surfaces the reproduced numbers. The full rendered
-// tables are printed by `go run ./cmd/attack -fig all`,
-// `go run ./cmd/defend -fig all`, and `go run ./cmd/ddfsbench`.
+// tables are printed by `go run ./cmd/attack -fig all` and
+// `go run ./cmd/defend -fig all`.
 package freqdedup
 
 import (
@@ -804,11 +804,14 @@ func BenchmarkRepositoryOpen(b *testing.B) {
 }
 
 // BenchmarkIndexLookup measures single-fingerprint lookups through the
-// persistent index's full read stack — memtable, block cache, bloom
-// filters, run files — on a store too big for its memtable. hit probes
-// stored fingerprints (run-block reads, mostly cache-served); miss
+// persistent index's read stack. hit probes stored fingerprints; miss
 // probes absent ones (the bloom filters answer; disk stays cold).
 // Bytes/op is one fingerprint, so MB/s is gateable lookup throughput.
+// Each sub-benchmark also reports where its lookups were answered, per
+// op: bloom negatives, memtable hits, block-cache hits and disk probes.
+// At 200k chunks the default memtables (16 shards x 32k entries) still
+// hold every stored fingerprint, so hit reads 1 memtable hit per op and
+// no run block.
 func BenchmarkIndexLookup(b *testing.B) {
 	const n = 200_000
 	dir := b.TempDir()
@@ -820,18 +823,29 @@ func BenchmarkIndexLookup(b *testing.B) {
 	fpAt := func(i int) fphash.Fingerprint {
 		return fphash.FromUint64(fphash.FromUint64(uint64(i) + 1).Mix(1))
 	}
+	reportCounters := func(b *testing.B, before trace.DedupStats) {
+		after := repo.store.Stats()
+		perOp := func(v uint64) float64 { return float64(v) / float64(b.N) }
+		b.ReportMetric(perOp(after.IndexBloomNegative-before.IndexBloomNegative), "bloom_neg/op")
+		b.ReportMetric(perOp(after.IndexMemtableHits-before.IndexMemtableHits), "memtable_hits/op")
+		b.ReportMetric(perOp(after.IndexBlockCacheHits-before.IndexBlockCacheHits), "cache_hits/op")
+		b.ReportMetric(perOp(after.IndexDiskProbes-before.IndexDiskProbes), "disk_probes/op")
+	}
 	b.Run("hit", func(b *testing.B) {
 		b.SetBytes(fphash.Size)
 		b.ReportAllocs()
+		before := repo.store.Stats()
 		for i := 0; i < b.N; i++ {
 			if !repo.store.Contains(fpAt(i % n)) {
 				b.Fatal("stored fingerprint not found")
 			}
 		}
+		reportCounters(b, before)
 	})
 	b.Run("miss", func(b *testing.B) {
 		b.SetBytes(fphash.Size)
 		b.ReportAllocs()
+		before := repo.store.Stats()
 		// Mix is a bijective finalizer, so probing counters past n is
 		// guaranteed disjoint from the stored set.
 		for i := 0; i < b.N; i++ {
@@ -839,6 +853,7 @@ func BenchmarkIndexLookup(b *testing.B) {
 				b.Fatal("absent fingerprint found")
 			}
 		}
+		reportCounters(b, before)
 	})
 	if err := repo.Close(); err != nil {
 		b.Fatal(err)

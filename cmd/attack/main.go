@@ -26,7 +26,7 @@ import (
 )
 
 func main() {
-	figFlag := flag.String("fig", "", "reproduce figures: 1, 4, 5, 6, 7, 8, 9, scaling, or all")
+	figFlag := flag.String("fig", "", "reproduce figures: "+figUsage)
 	tracePath := flag.String("trace", "", "trace file to attack (single-run mode)")
 	attackName := flag.String("attack", "locality", "attack: basic, locality, or advanced")
 	auxIdx := flag.Int("aux", 0, "auxiliary backup index")
@@ -36,6 +36,10 @@ func main() {
 	v := flag.Int("v", 15, "pairs per neighbor analysis (parameter v)")
 	w := flag.Int("w", 200000, "inferred-set bound (parameter w, 0 = unbounded)")
 	flag.Parse()
+	if *figFlag != "" && !validFig(*figFlag) {
+		fmt.Fprintf(os.Stderr, "attack: unknown -fig %q (want %s)\n", *figFlag, figUsage)
+		os.Exit(2)
+	}
 
 	switch {
 	case *figFlag != "":
@@ -48,37 +52,42 @@ func main() {
 	}
 }
 
+// figures are the -fig values, in the order -fig all renders them.
+var figures = []struct {
+	name string
+	run  func(eval.Datasets) []eval.Figure
+}{
+	{"1", eval.Fig1FrequencyDistribution},
+	{"4", eval.Fig4ParamSweep},
+	{"5", eval.Fig5VaryAux},
+	{"6", eval.Fig6VaryTarget},
+	{"7", eval.Fig7SlidingWindow},
+	{"8", func(ds eval.Datasets) []eval.Figure { return []eval.Figure{eval.Fig8KnownPlaintext(ds)} }},
+	{"9", eval.Fig9KPVaryAux},
+	{"scaling", func(ds eval.Datasets) []eval.Figure { return []eval.Figure{eval.AttackScaling(ds.FSL)} }},
+}
+
+const figUsage = "1, 4, 5, 6, 7, 8, 9, scaling, or all"
+
+func validFig(which string) bool {
+	for _, f := range figures {
+		if f.name == which {
+			return true
+		}
+	}
+	return which == "all"
+}
+
 func runFigures(which string) {
 	ds := eval.Generate()
-	emit := func(figs ...eval.Figure) {
+	for _, f := range figures {
+		if which != "all" && which != f.name {
+			continue
+		}
+		figs := f.run(ds)
 		for i := range figs {
 			figs[i].Render(os.Stdout)
 		}
-	}
-	all := which == "all"
-	if all || which == "1" {
-		emit(eval.Fig1FrequencyDistribution(ds)...)
-	}
-	if all || which == "4" {
-		emit(eval.Fig4ParamSweep(ds)...)
-	}
-	if all || which == "5" {
-		emit(eval.Fig5VaryAux(ds)...)
-	}
-	if all || which == "6" {
-		emit(eval.Fig6VaryTarget(ds)...)
-	}
-	if all || which == "7" {
-		emit(eval.Fig7SlidingWindow(ds)...)
-	}
-	if all || which == "8" {
-		emit(eval.Fig8KnownPlaintext(ds))
-	}
-	if all || which == "9" {
-		emit(eval.Fig9KPVaryAux(ds)...)
-	}
-	if all || which == "scaling" {
-		emit(eval.AttackScaling(ds.FSL))
 	}
 }
 

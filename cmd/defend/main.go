@@ -4,6 +4,12 @@
 //
 //	defend -fig 10          # defense effectiveness vs leakage rate
 //	defend -fig 11          # storage saving MLE vs combined
+//	defend -fig 13          # metadata access overhead, fingerprint cache
+//	                        # too small for the index (Sec 7.4)
+//	defend -fig 14          # the same with a cache that holds every
+//	                        # fingerprint
+//	defend -fig restore     # restore locality: container reads per
+//	                        # restore, MLE vs combined (Sec 6.2)
 //	defend -fig scenarios   # workload scenario matrix: every registered
 //	                        # workload through the full stack (repository
 //	                        # backup, upload tap, .fdt replay, attacks)
@@ -55,7 +61,7 @@ func main() {
 		runFsckCmd(os.Args[2:])
 		return
 	}
-	figFlag := flag.String("fig", "", "reproduce figures: 10, 11, ablations, scenarios, or all")
+	figFlag := flag.String("fig", "", "reproduce figures: "+figUsage)
 	dataset := flag.String("dataset", "", `figure dataset: empty = built-in generators, "repo:<dir>" = a repository's replayed trace logs, "workload:<name>" = a registered workload, else a tracegen file`)
 	tiny := flag.Bool("tiny", false, "run -fig scenarios at tiny smoke-test scale")
 	tracePath := flag.String("trace", "", "trace file to evaluate (single-run mode)")
@@ -63,6 +69,10 @@ func main() {
 	repoPath := flag.String("repo", "", "repository directory to inspect (snapshot list, savings, verify)")
 	repoKey := flag.String("key", "", "repository key for -repo (raw bytes, zero-padded; empty = zero key)")
 	flag.Parse()
+	if *figFlag != "" && !validFig(*figFlag) {
+		fmt.Fprintf(os.Stderr, "defend: unknown -fig %q (want %s)\n", *figFlag, figUsage)
+		os.Exit(2)
+	}
 
 	switch {
 	case *repoPath != "":
@@ -358,11 +368,52 @@ func runRepo(path, keyStr string) {
 		time.Since(start).Round(time.Millisecond))
 }
 
+// figures are the -fig values drawn from the evaluation datasets, in the
+// order -fig all renders them (after the scenario matrix).
+var figures = []struct {
+	name string
+	run  func(eval.Datasets) ([]eval.Figure, error)
+}{
+	{"10", eval.Fig10Defense},
+	{"11", eval.Fig11StorageSaving},
+	{"ablations", func(ds eval.Datasets) ([]eval.Figure, error) {
+		a1, err := eval.AblationDefenseComponents(ds)
+		if err != nil {
+			return nil, err
+		}
+		a2, err := eval.AblationSegmentSize(ds)
+		if err != nil {
+			return nil, err
+		}
+		return []eval.Figure{a1, a2, eval.AblationTieBreaking(ds)}, nil
+	}},
+	{"13", eval.Fig13Metadata512},
+	{"14", eval.Fig14Metadata4G},
+	{"restore", func(ds eval.Datasets) ([]eval.Figure, error) {
+		f, err := eval.RestoreLocality(ds)
+		return []eval.Figure{f}, err
+	}},
+}
+
+const figUsage = "10, 11, ablations, 13, 14, restore, scenarios, or all"
+
+func validFig(which string) bool {
+	if which == "scenarios" || which == "all" {
+		return true
+	}
+	for _, f := range figures {
+		if f.name == which {
+			return true
+		}
+	}
+	return false
+}
+
 func runFigures(which, dataset string, tiny bool) {
 	all := which == "all"
 	if all || which == "scenarios" {
 		runScenarioMatrix(tiny)
-		if which == "scenarios" {
+		if !all {
 			return
 		}
 	}
@@ -378,37 +429,17 @@ func runFigures(which, dataset string, tiny bool) {
 		// runners deduplicate, so each figure is produced once.
 		ds = eval.SingleDataset(d)
 	}
-	if all || which == "10" {
-		figs, err := eval.Fig10Defense(ds)
+	for _, f := range figures {
+		if !all && which != f.name {
+			continue
+		}
+		figs, err := f.run(ds)
 		if err != nil {
 			fatal(err)
 		}
 		for i := range figs {
 			figs[i].Render(os.Stdout)
 		}
-	}
-	if all || which == "11" {
-		figs, err := eval.Fig11StorageSaving(ds)
-		if err != nil {
-			fatal(err)
-		}
-		for i := range figs {
-			figs[i].Render(os.Stdout)
-		}
-	}
-	if all || which == "ablations" {
-		a1, err := eval.AblationDefenseComponents(ds)
-		if err != nil {
-			fatal(err)
-		}
-		a1.Render(os.Stdout)
-		a2, err := eval.AblationSegmentSize(ds)
-		if err != nil {
-			fatal(err)
-		}
-		a2.Render(os.Stdout)
-		a3 := eval.AblationTieBreaking(ds)
-		a3.Render(os.Stdout)
 	}
 }
 

@@ -198,6 +198,32 @@ func TestCrashSweepFullDefended(t *testing.T) {
 	t.Logf("swept all %d mutating ops under the defence (%d sync points)", res.TotalOps, len(res.SyncPoints))
 }
 
+// TestCrashSoak runs the exhaustive sweep over scenario seeds 1..50, so
+// the scripted backup/delete/GC/backup run crashes at every mutating op
+// under fifty different data streams and dedup overlaps. A failure names
+// the seed and op that replay it. Gated like TestCrashSweepFull; its name
+// stays outside `make faults`' TestCrashSweep pattern because the nightly
+// soak runs it on its own.
+func TestCrashSoak(t *testing.T) {
+	if os.Getenv("FAULTS_FULL") == "" {
+		t.Skip("set FAULTS_FULL=1 for the 50-seed crash soak")
+	}
+	var points int
+	for seed := int64(1); seed <= 50; seed++ {
+		res, err := ExploreCrashPoints(CrashSweepOptions{
+			Scenario: CrashScenario{Seed: seed},
+		})
+		if err != nil {
+			t.Fatalf("seed %d: sweep: %v", seed, err)
+		}
+		for _, f := range res.Failures {
+			t.Errorf("seed %d: crash at op %d/%d: %v", seed, f.Op, res.TotalOps, f.Err)
+		}
+		points += len(res.PointsTested)
+	}
+	t.Logf("swept %d crash points across 50 scenario seeds", points)
+}
+
 // TestCrashSweepDeterministic: the same scenario seed maps to the same
 // op count and sync points — the property the whole sweep's
 // reproducibility rests on.

@@ -2,7 +2,7 @@
 // 5 (attack evaluation) and 7 (defense evaluation) has a runner that
 // regenerates its data series on the laptop-scale datasets. The runners
 // are shared by the benchmark harness (bench_test.go) and the command-line
-// tools (cmd/attack, cmd/defend, cmd/ddfsbench).
+// tools (cmd/attack, cmd/defend).
 package eval
 
 import (

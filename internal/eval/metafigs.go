@@ -119,13 +119,6 @@ func figsMetadata(ds Datasets, figID string, cacheFrac float64) ([]Figure, error
 	}, nil
 }
 
-// MetadataWithCacheFrac runs the Section 7.4 experiment with a custom
-// fingerprint-cache size, expressed as a fraction of the dataset's total
-// fingerprint metadata.
-func MetadataWithCacheFrac(ds Datasets, frac float64) ([]Figure, error) {
-	return figsMetadata(ds, fmt.Sprintf("Sec 7.4 (cache %.0f%%)", frac*100), frac)
-}
-
 // Fig13Metadata512 reproduces Figure 13: metadata access overhead when the
 // fingerprint cache is insufficient (the paper's 512 MB regime, scaled to
 // 25% of the dataset's fingerprint metadata).

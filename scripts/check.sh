@@ -14,7 +14,8 @@
 # does not reach),
 # CHECK_SKIP_SCENARIOS=1 to skip the workload scenario-matrix smoke,
 # CHECK_SKIP_SERVER=1 to skip the multi-tenant server smoke (loopback
-# clients through the wire protocol via ddfsbench -server) and the
+# TCP tenants through the wire protocol, checked against a serial run by
+# TestServerConcurrentTenantsMatchSerial) and the
 # remote Backup's sender/receiver flake guard,
 # CHECK_SKIP_FAULTS=1 to skip the exhaustive crash-point sweep (the
 # bounded sweep still runs inside go test -race),
@@ -102,8 +103,8 @@ go run ./examples/attackdemo >/dev/null || fail "examples smoke (attackdemo)"
 go run ./examples/defensedemo >/dev/null || fail "examples smoke (defensedemo)"
 
 if [ "${CHECK_SKIP_SERVER:-0}" != "1" ]; then
-	echo "== server smoke (2 loopback tenants through the wire protocol)"
-	go run ./cmd/ddfsbench -server -clients 2 -mb 2 || fail "server smoke"
+	echo "== server smoke (4 loopback tenants through the wire protocol)"
+	go test -count=1 -run '^TestServerConcurrentTenantsMatchSerial$' . || fail "server smoke"
 	# The remote Backup's sender (the pipeline's consumer) and receiver
 	# hand windows, slots and the final TBackupDone to each other; a race
 	# there has shown up in 1 run of 15, so run the handoff tests 5 times.
