@@ -685,9 +685,9 @@ func BenchmarkServerBackup(b *testing.B) {
 // cycles — a single-batch iteration is ~130µs and its timing is GC
 // lottery, which made the benchmark too noisy for cmd/benchgate's
 // pinned-iteration regression gate.
-// --- Persistent fingerprint index benchmarks (billion-chunk index PR):
-// --- repository open cost against chunk count for both index modes, and
-// --- single-lookup latency through the bloom/memtable/run stack.
+// --- Fingerprint index benchmarks: repository open cost against chunk
+// --- count, and single-lookup latency through the memtable/filter/run
+// --- stack.
 
 // populateRepoChunks pushes n synthetic fixed-size chunks through the
 // store's batch write path, bypassing chunking and encryption so chunk
@@ -722,14 +722,12 @@ func populateRepoChunks(b *testing.B, repo *Repository, n int) {
 
 // benchRepositoryOpen measures a cold OpenRepository of a repository
 // holding `chunks` fingerprints. Bytes/op counts 16 bytes of index
-// metadata per chunk, so the reported MB/s is metadata throughput:
-// roughly flat across chunk counts for mode=map (every open rescans all
-// container metadata), and rising linearly for mode=fpindex (the open
-// reads run footers and filters, not the chunks).
-func benchRepositoryOpen(b *testing.B, mode IndexMode, chunks int) {
+// metadata per chunk, so the reported MB/s is metadata throughput: it
+// rises linearly with chunk count, because the open reads run footers
+// and filters, not the chunks.
+func benchRepositoryOpen(b *testing.B, chunks int) {
 	dir := b.TempDir()
-	opts := []RepositoryOption{WithIndex(mode)}
-	repo, err := CreateRepository(dir, opts...)
+	repo, err := CreateRepository(dir)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -741,7 +739,7 @@ func benchRepositoryOpen(b *testing.B, mode IndexMode, chunks int) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		r, err := OpenRepository(dir, opts...)
+		r, err := OpenRepository(dir)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -750,9 +748,8 @@ func benchRepositoryOpen(b *testing.B, mode IndexMode, chunks int) {
 		}
 		b.StopTimer()
 		if i == b.N-1 {
-			// Residency of an open repository, while it is still open: for
-			// mode=map this grows with chunk count, for mode=fpindex it
-			// stays bounded by the memtable + cache + filters.
+			// Residency of an open repository, while it is still open: it
+			// stays bounded by the memtables + cache + run filters.
 			runtime.GC()
 			var ms runtime.MemStats
 			runtime.ReadMemStats(&ms)
@@ -765,47 +762,42 @@ func benchRepositoryOpen(b *testing.B, mode IndexMode, chunks int) {
 	}
 	b.StopTimer()
 	// Collapse the GC pacing target now that the repository is closed: the
-	// 1M/10M map points otherwise leave a heap goal of hundreds of MB
-	// behind, so whether they ran (-short, FPBENCH_10M) would change the
-	// GC frequency — and the measured throughput — of later benchmarks in
-	// the same process.
+	// 1M/10M points' setup otherwise leaves a large heap goal behind, so
+	// whether they ran (-short, FPBENCH_10M) would change the GC frequency
+	// — and the measured throughput — of later benchmarks in the same
+	// process.
 	runtime.GC()
 }
 
-// BenchmarkRepositoryOpen is the tentpole's acceptance benchmark:
-// chunks=100k always runs; chunks=1M is skipped under -short; the
-// chunks=10M point needs FPBENCH_10M=1 (it writes ~1 GiB of containers
-// in setup). Compare MB/s across rows — map-mode stays flat (open time
-// grows with chunk count), fpindex-mode climbs (open time is O(metadata)).
+// BenchmarkRepositoryOpen measures cold opens: chunks=100k always runs;
+// chunks=1M is skipped under -short; the chunks=10M point needs
+// FPBENCH_10M=1 (it writes ~1 GiB of containers in setup). MB/s climbs
+// across rows because open time is O(metadata). The mode=fpindex level
+// keeps the names the committed BENCH_*.json floors are recorded under.
 func BenchmarkRepositoryOpen(b *testing.B) {
-	modes := []struct {
-		name string
-		mode IndexMode
-	}{{"map", IndexMap}, {"fpindex", IndexPersistent}}
 	sizes := []struct {
 		name   string
 		chunks int
 	}{{"chunks=100k", 100_000}, {"chunks=1M", 1_000_000}, {"chunks=10M", 10_000_000}}
-	for _, m := range modes {
-		b.Run("mode="+m.name, func(b *testing.B) {
-			for _, s := range sizes {
-				b.Run(s.name, func(b *testing.B) {
-					if s.chunks > 100_000 && testing.Short() {
-						b.Skip("-short: 100k-chunk point only")
-					}
-					if s.chunks >= 10_000_000 && os.Getenv("FPBENCH_10M") == "" {
-						b.Skip("set FPBENCH_10M=1 for the 10M-chunk open benchmark")
-					}
-					benchRepositoryOpen(b, m.mode, s.chunks)
-				})
-			}
-		})
-	}
+	b.Run("mode=fpindex", func(b *testing.B) {
+		for _, s := range sizes {
+			b.Run(s.name, func(b *testing.B) {
+				if s.chunks > 100_000 && testing.Short() {
+					b.Skip("-short: 100k-chunk point only")
+				}
+				if s.chunks >= 10_000_000 && os.Getenv("FPBENCH_10M") == "" {
+					b.Skip("set FPBENCH_10M=1 for the 10M-chunk open benchmark")
+				}
+				benchRepositoryOpen(b, s.chunks)
+			})
+		}
+	})
 }
 
 // BenchmarkIndexLookup measures single-fingerprint lookups through the
-// persistent index's read stack. hit probes stored fingerprints; miss
-// probes absent ones (the bloom filters answer; disk stays cold).
+// index's read stack. hit probes stored fingerprints; miss probes absent
+// ones (the memtable misses and each run's own Bloom filter rules the
+// fingerprint out, so no run block is read).
 // Bytes/op is one fingerprint, so MB/s is gateable lookup throughput.
 // Each sub-benchmark also reports where its lookups were answered, per
 // op: bloom negatives, memtable hits, block-cache hits and disk probes.
@@ -815,7 +807,7 @@ func BenchmarkRepositoryOpen(b *testing.B) {
 func BenchmarkIndexLookup(b *testing.B) {
 	const n = 200_000
 	dir := b.TempDir()
-	repo, err := CreateRepository(dir, WithIndex(IndexPersistent))
+	repo, err := CreateRepository(dir)
 	if err != nil {
 		b.Fatal(err)
 	}

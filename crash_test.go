@@ -59,9 +59,9 @@ func TestCrashSweepGear(t *testing.T) {
 }
 
 // TestCrashSweepPersistentIndex reruns the sync-point sweep with the
-// bloom-fronted on-disk fingerprint index and a tiny memtable, so crash
-// points land inside run flushes, compactions, and the GC layout-change
-// marker protocol. The invariant set is unchanged: whatever the index
+// fingerprint index's memtable cut to 8 entries, so crash points land
+// inside run flushes and compactions during the backups, not only in the
+// index flush at Close and the GC layout-change marker protocol. The invariant set is unchanged: whatever the index
 // files say after a crash, every acknowledged snapshot must list,
 // restore byte-identically, and survive a GC — the containers are the
 // index's write-ahead log, so no index state is ever load-bearing for

@@ -55,11 +55,11 @@ type CrashScenario struct {
 	// covering the gear format's pooled-buffer and recipe paths under
 	// crash injection.
 	GearChunking bool
-	// PersistentIndex runs the scenario on the bloom-fronted on-disk
-	// fingerprint index (WithIndex(IndexPersistent)) with a deliberately
-	// tiny memtable and synchronous compaction, so crash points land
-	// inside run flushes, compactions, and the GC layout-change marker
-	// protocol — not just the container and catalog paths.
+	// PersistentIndex gives the scenario's fingerprint index a
+	// deliberately tiny 8-entry memtable and synchronous compaction, so
+	// crash points land inside run flushes and compactions during the
+	// backups, not only in the index flush at Close and the GC
+	// layout-change marker protocol that every scenario crosses.
 	PersistentIndex bool
 	// Defended runs the scenario under the paper's combined defence:
 	// MinHash encryption with a local deriver plus scrambling seeded from
@@ -126,17 +126,14 @@ func (sc CrashScenario) repoOptions(m *faultio.MemFS) []RepositoryOption {
 		opts = append(opts, WithChunking(p))
 	}
 	if sc.PersistentIndex {
-		opts = append(opts,
-			WithIndex(IndexPersistent),
-			// An 8-entry memtable makes every backup cross many run
-			// flushes and tiered compactions; synchronous compaction keeps
-			// the op sequence deterministic for the crash clock.
-			WithIndexTuning(IndexTuning{
-				MemtableEntries: 8,
-				CacheBytes:      1 << 20,
-				ExpectedChunks:  1 << 12,
-				SyncCompaction:  true,
-			}))
+		// An 8-entry memtable makes every backup cross many run flushes
+		// and tiered compactions; synchronous compaction keeps the op
+		// sequence deterministic for the crash clock.
+		opts = append(opts, WithIndexTuning(IndexTuning{
+			MemtableEntries: 8,
+			CacheBytes:      1 << 20,
+			SyncCompaction:  true,
+		}))
 	}
 	if sc.Defended {
 		opts = append(opts,

@@ -179,27 +179,6 @@ const (
 // is not given.
 const DefaultStoreShards = dedup.DefaultShards
 
-// Persistence: sealed containers live behind a pluggable storage backend
-// (see internal/container's package documentation for the on-disk
-// format). The seal is the durability boundary; Repository.Close seals
-// open containers on shutdown.
-type (
-	// StoreBackend is pluggable persistent storage for sealed containers.
-	StoreBackend = container.Backend
-	// FileBackend persists sealed containers in per-shard append-only
-	// files with crash-safe seals and atomic GC rewrites.
-	FileBackend = container.FileBackend
-)
-
-// CreateFileStoreBackend initializes a new file-backed StoreBackend
-// directory with the given shard count and container capacity.
-var CreateFileStoreBackend = container.CreateFileBackend
-
-// OpenFileStoreBackend reopens a directory created by
-// CreateFileStoreBackend, validating structure and recovering from a
-// crash-torn tail.
-var OpenFileStoreBackend = container.OpenFileBackend
-
 // ErrChunkNotFound is wrapped by a restore whose recipe references a
 // chunk the store does not hold.
 var ErrChunkNotFound = dedup.ErrNotFound

@@ -7,9 +7,8 @@ import (
 	"hash/crc32"
 )
 
-// Serialized filter layout (little-endian), used by the persistent
-// fingerprint index to store one filter per sorted run and the per-shard
-// aggregate filter inside the index manifest:
+// Serialized filter layout (little-endian), used by the fingerprint
+// index to store one filter per sorted run:
 //
 //	u32 magic "FDBL"
 //	u64 m      (bits)

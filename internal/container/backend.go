@@ -62,8 +62,8 @@ type SealedStater interface {
 }
 
 // RangeScanner is the optional backend capability of scanning a suffix of
-// a shard's sealed containers. The persistent fingerprint index uses it
-// to rescan only the containers past its durable watermark on open.
+// a shard's sealed containers. The fingerprint index uses it to rescan
+// only the containers past its durable watermark on open.
 type RangeScanner interface {
 	ScanFrom(shard, from int, withData bool, fn func(*Container) error) error
 }

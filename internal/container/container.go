@@ -87,7 +87,7 @@ func NewWithBackend(capacity int, b Backend, shard int, visit func(*Container) e
 	s := &Store{capacity: capacity, backend: b, shard: shard}
 	// With no visitor to feed, a backend that can report its sealed totals
 	// directly (SealedStater) spares the whole metadata scan — the fast
-	// path behind O(metadata) repository opens with a persistent index.
+	// path behind O(metadata) repository opens.
 	if visit == nil {
 		if ss, ok := b.(SealedStater); ok {
 			sealed, bytes, err := ss.SealedStats(shard)
@@ -189,8 +189,8 @@ func (s *Store) Container(id int) (*Container, error) {
 func (s *Store) Current() *Container { return s.current }
 
 // Sealed returns the number of sealed (durable) containers — also the
-// next container ID. The persistent fingerprint index flushes against
-// this count: only postings in containers below it are written to runs.
+// next container ID. The fingerprint index flushes against this count:
+// only postings in containers below it are written to runs.
 func (s *Store) Sealed() int { return s.sealed }
 
 // Count returns the number of containers, including a non-empty

@@ -691,7 +691,7 @@ func (b *FileBackend) SealedStats(shard int) (int, int64, error) {
 
 // ScanFrom visits the shard's sealed containers with ID >= from in ID
 // order, reading only from the watermark forward — the tail rescan a
-// persistent fingerprint index performs on open.
+// fingerprint index performs on open.
 func (b *FileBackend) ScanFrom(shard, from int, withData bool, fn func(*Container) error) error {
 	sf := b.shards[shard]
 	sf.mu.Lock()

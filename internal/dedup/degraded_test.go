@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"freqdedup/internal/container"
+	"freqdedup/internal/fphash"
 	"freqdedup/internal/mle"
 )
 
@@ -192,14 +193,32 @@ func TestRestoreDegradedMissingChunk(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Drop a mid-stream chunk from every shard index: simulate repair
-	// having removed it.
+	// Drop a mid-stream chunk from its shard's index, as repair would: a
+	// layout change whose live set leaves it out.
 	mid := len(recipe.Entries) / 2
 	fp := recipe.Entries[mid].Fingerprint
-	sh := store.shardFor(fp)
+	si := fp.Shard(store.ShardCount())
+	sh := store.shards[si]
 	sh.mu.Lock()
-	delete(sh.index.(*mapIndex).m, fp)
+	live := map[fphash.Fingerprint]container.Location{}
+	keep := func(c *container.Container) {
+		for j, e := range c.Entries {
+			if e.FP != fp {
+				live[e.FP] = container.Location{Container: c.ID, Index: j}
+			}
+		}
+	}
+	err = store.backend.Scan(si, false, func(c *container.Container) error { keep(c); return nil })
+	if cur := sh.containers.Current(); err == nil && cur != nil {
+		keep(cur)
+	}
+	if err == nil {
+		err = sh.index.CompleteLayoutChange(live, sh.containers.Sealed())
+	}
 	sh.mu.Unlock()
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	var lost []LostRange
 	var off uint64

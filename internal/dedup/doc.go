@@ -99,8 +99,9 @@
 // files (container.FileBackend) so the store survives process restarts.
 // The durability boundary is the container seal: a sealed container is
 // fsynced before the seal is acknowledged, Close seals the open
-// containers on shutdown, and Open rebuilds the fingerprint index from
-// the files' index headers without reading chunk data. GC compacts
+// containers on shutdown, and Open rebuilds the fingerprint index (kept
+// on a private in-memory filesystem unless StoreOptions.IndexDir names a
+// directory) from the files' index headers without reading chunk data. GC compacts
 // through the backend — each shard's rewrite is atomic (fresh file,
 // rename over). Reads of damaged files fail with container.ErrCorrupt
 // (records carry CRCs); they never return wrong bytes.

@@ -155,26 +155,26 @@ func (s *Store) GCContext(ctx context.Context) (GCStats, error) {
 		if err := ctx.Err(); err != nil {
 			return st, err
 		}
-		// A persistent index durably marks the layout change before the
-		// rewrite: run files record pre-compaction container IDs, so a
-		// crash between the container rewrite and the index rebuild must
-		// force a full rescan on the next open.
-		if err := sh.index.beginLayoutChange(); err != nil {
+		// The index durably marks the layout change before the rewrite:
+		// run files record pre-compaction container IDs, so a crash between
+		// the container rewrite and the index rebuild must force a full
+		// rescan on the next open.
+		if err := sh.index.BeginLayoutChange(); err != nil {
 			return st, fmt.Errorf("dedup: gc shard %d: mark index: %w", i, err)
 		}
-		newIndex := make(map[fphash.Fingerprint]container.Location, sh.index.count())
+		newIndex := make(map[fphash.Fingerprint]container.Location, sh.index.Count())
 		cst, err := sh.containers.Compact(live, func(e container.Entry, loc container.Location) {
 			newIndex[e.FP] = loc
 		})
 		if err != nil {
 			// The shard's rewrite is atomic, so a failure means the old
 			// layout is intact — the index can keep serving it.
-			if aerr := sh.index.abortLayoutChange(); aerr != nil {
+			if aerr := sh.index.AbortLayoutChange(); aerr != nil {
 				return st, fmt.Errorf("dedup: gc shard %d: %w (and unmark index: %v)", i, err, aerr)
 			}
 			return st, fmt.Errorf("dedup: gc shard %d: %w", i, err)
 		}
-		if err := sh.index.completeLayoutChange(newIndex, sh.containers.Sealed()); err != nil {
+		if err := sh.index.CompleteLayoutChange(newIndex, sh.containers.Sealed()); err != nil {
 			return st, fmt.Errorf("dedup: gc shard %d: rebuild index: %w", i, err)
 		}
 		sh.physicalBytes -= cst.BytesDropped

@@ -223,7 +223,7 @@ func TestParentTableFailsClosed(t *testing.T) {
 			if _, err := client.Backup(bytes.NewReader(gens[1])); !errors.Is(err, ErrNotFound) {
 				t.Fatalf("Backup with a dangling table entry = %v, want ErrNotFound", err)
 			}
-			if got, want := store.Stats(), want.Stats(); got != want {
+			if got, want := storedStats(store), storedStats(want); got != want {
 				t.Fatalf("stats after the failed backup %+v, want %+v", got, want)
 			}
 			if store.Contains(bogus.Fingerprint) {
@@ -249,7 +249,7 @@ func TestPutReferenceOnly(t *testing.T) {
 		if err != nil || !dups[0] {
 			t.Fatalf("shards=%d: held reference = %v, %v; want a duplicate", shards, dups, err)
 		}
-		held := s.Stats()
+		held := storedStats(s)
 		if held.LogicalChunks != 2 || held.LogicalBytes != 2*uint64(len(data)) || held.UniqueChunks != 1 {
 			t.Fatalf("shards=%d: stats after a held reference %+v", shards, held)
 		}
@@ -257,7 +257,7 @@ func TestPutReferenceOnly(t *testing.T) {
 		if _, err := s.PutBatchOwned([]PutChunk{{FP: missing, Ref: true, Size: 9}}); !errors.Is(err, ErrNotFound) {
 			t.Fatalf("shards=%d: dangling reference = %v, want ErrNotFound", shards, err)
 		}
-		if got := s.Stats(); got != held {
+		if got := storedStats(s); got != held {
 			t.Fatalf("shards=%d: a dangling reference changed the stats: %+v, want %+v", shards, got, held)
 		}
 		empty := fphash.FromBytes(nil)
@@ -285,4 +285,12 @@ func TestParentTableKeepsHeldChunksOnly(t *testing.T) {
 	if len(table) != 1 || table[held.Key] != held {
 		t.Fatalf("table %v, want only the held entry", table)
 	}
+}
+
+// storedStats is s.Stats() without the index lookup counters: they count
+// the lookups a failed put makes too, not what the store holds.
+func storedStats(s *Store) trace.DedupStats {
+	st := s.Stats()
+	return trace.DedupStats{LogicalBytes: st.LogicalBytes, PhysicalBytes: st.PhysicalBytes,
+		LogicalChunks: st.LogicalChunks, UniqueChunks: st.UniqueChunks}
 }

@@ -11,17 +11,15 @@ import (
 	"freqdedup/internal/mle"
 )
 
-// persistentOptions returns StoreOptions that exercise the fpindex paths
-// hard: a tiny memtable so ordinary tests cross flush and compaction
-// boundaries, and synchronous compaction so failures surface in the
-// calling test rather than at Close.
+// persistentOptions returns StoreOptions that keep the index on disk in
+// dir and exercise the fpindex paths hard: a tiny memtable so ordinary
+// tests cross flush and compaction boundaries, and synchronous compaction
+// so failures surface in the calling test rather than at Close.
 func persistentOptions(dir string) StoreOptions {
 	return StoreOptions{
-		Index:           IndexPersistent,
 		IndexDir:        filepath.Join(dir, "fpindex"),
 		MemtableEntries: 8,
 		CacheBytes:      1 << 20,
-		ExpectedChunks:  1 << 12,
 		SyncCompaction:  true,
 	}
 }
@@ -64,12 +62,14 @@ func testChunk(i int) (fphash.Fingerprint, []byte) {
 	return fphash.FromBytes(data), data
 }
 
-// TestPersistentIndexParity stores the same stream through a map-mode and
-// a persistent-mode store and demands identical dedup decisions, lookup
-// answers, and core statistics.
+// TestPersistentIndexParity stores the same stream through an in-memory
+// store and a file-backed store with an on-disk index and an 8-entry
+// memtable, and demands identical dedup decisions, lookup answers, and
+// core statistics.
 func TestPersistentIndexParity(t *testing.T) {
 	const n = 300
 	mapStore := NewStoreWithShards(4<<10, 4)
+	defer mapStore.Close()
 	perStore := createPersistentStore(t, t.TempDir(), 4, 4<<10)
 	defer perStore.Close()
 
@@ -105,9 +105,8 @@ func TestPersistentIndexParity(t *testing.T) {
 		ms.LogicalChunks != ps.LogicalChunks || ms.UniqueChunks != ps.UniqueChunks {
 		t.Fatalf("stats disagree: map %+v, persistent %+v", ms, ps)
 	}
-	c := perStore.IndexCounters()
-	if c.MemtableHits == 0 {
-		t.Fatalf("no memtable hits recorded: %+v", c)
+	if ps.IndexMemtableHits == 0 {
+		t.Fatalf("no memtable hits recorded: %+v", ps)
 	}
 }
 

@@ -49,11 +49,11 @@ func (s *Store) Repair(ctx context.Context) (RepairStats, error) {
 			return total, err
 		}
 		// Same layout-change protocol as GC: repair renumbers containers,
-		// so a persistent index marks the rewrite durably first.
-		if err := sh.index.beginLayoutChange(); err != nil {
+		// so the index marks the rewrite durably first.
+		if err := sh.index.BeginLayoutChange(); err != nil {
 			return total, fmt.Errorf("dedup: repair shard %d: mark index: %w", si, err)
 		}
-		oldCount := sh.index.count()
+		oldCount := sh.index.Count()
 		newIndex := make(map[fphash.Fingerprint]container.Location, oldCount)
 		var newBytes uint64
 		st, err := sh.containers.Repair(func(e container.Entry, loc container.Location) {
@@ -61,7 +61,7 @@ func (s *Store) Repair(ctx context.Context) (RepairStats, error) {
 			newBytes += uint64(e.Size)
 		})
 		if err != nil {
-			if aerr := sh.index.abortLayoutChange(); aerr != nil {
+			if aerr := sh.index.AbortLayoutChange(); aerr != nil {
 				return total, fmt.Errorf("dedup: repair shard %d: %w (and unmark index: %v)", si, err, aerr)
 			}
 			return total, fmt.Errorf("dedup: repair shard %d: %w", si, err)
@@ -69,18 +69,19 @@ func (s *Store) Repair(ctx context.Context) (RepairStats, error) {
 		// Chunks lost = index shrinkage, not the raw entry count: a
 		// duplicate entry dropped while another copy survives loses
 		// nothing.
-		lost := oldCount - len(newIndex)
+		survivors := len(newIndex)
+		lost := oldCount - survivors
 		if lost < 0 {
 			lost = 0
 		}
-		if err := sh.index.completeLayoutChange(newIndex, sh.containers.Sealed()); err != nil {
+		if err := sh.index.CompleteLayoutChange(newIndex, sh.containers.Sealed()); err != nil {
 			return total, fmt.Errorf("dedup: repair shard %d: rebuild index: %w", si, err)
 		}
 		// Post-repair statistics follow reopen semantics: each surviving
 		// unique chunk counts once; cross-repair logical history is gone.
 		sh.physicalBytes = newBytes
 		sh.logicalBytes = newBytes
-		sh.logicalChunks = len(newIndex)
+		sh.logicalChunks = survivors
 		total.ContainersQuarantined += st.ContainersQuarantined
 		total.ChunksLost += lost
 		total.BytesLost += st.BytesLost

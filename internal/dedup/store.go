@@ -30,15 +30,16 @@ const maxShards = 256
 // hold.
 var ErrNotFound = errors.New("dedup: chunk not found")
 
-// shard is one lock stripe of the store: a fingerprint index over its own
-// container packer, plus the shard's slice of the dedup statistics.
-// Every field is guarded by mu. A fingerprint is owned by exactly one
-// shard (fp.Shard), so per-shard indexes never disagree about whether a
-// chunk is stored, and per-shard open containers make packing append-safe
-// under concurrent writers without a global packer lock.
+// shard is one lock stripe of the store: its shard of the fingerprint
+// index over its own container packer, plus the shard's slice of the
+// dedup statistics. Every field is guarded by mu. A fingerprint is owned
+// by exactly one shard (fp.Shard), so per-shard indexes never disagree
+// about whether a chunk is stored, and per-shard open containers make
+// packing append-safe under concurrent writers without a global packer
+// lock.
 type shard struct {
 	mu         sync.Mutex
-	index      shardIndex
+	index      *fpindex.Shard
 	containers *container.Store
 
 	logicalBytes  uint64
@@ -57,7 +58,7 @@ func (s *shard) put(c PutChunk, owned bool) (duplicate bool, err error) {
 	// chunk is stored again and the insert repoints the index at the
 	// fresh copy — correctness over dedup ratio. A reference has no bytes
 	// to store again, so for it the miss is an error.
-	if _, ok, lerr := s.index.lookup(c.FP); lerr == nil && ok {
+	if _, ok, lerr := s.index.Lookup(c.FP); lerr == nil && ok {
 		size := uint64(len(c.Data))
 		if c.Ref {
 			size = uint64(c.Size)
@@ -78,15 +79,25 @@ func (s *shard) put(c PutChunk, owned bool) (duplicate bool, err error) {
 	if err != nil {
 		return false, err
 	}
-	s.index.insert(c.FP, loc)
+	s.index.Insert(c.FP, loc)
 	s.logicalChunks++
 	s.logicalBytes += uint64(len(buf))
 	s.physicalBytes += uint64(len(buf))
 	return false, nil
 }
 
+// maybeFlush spills the shard's index memtable to a run once it is full;
+// the caller holds s.mu. Only postings in sealed containers are persisted.
+func (s *shard) maybeFlush() error {
+	if !s.index.NeedsFlush() {
+		return nil
+	}
+	return s.index.Flush(s.containers.Sealed())
+}
+
 // Store is a deduplicated ciphertext-chunk store: one physical copy per
 // unique ciphertext chunk, packed into containers. The fingerprint index
+// (internal/fpindex: memtables over Bloom-fronted on-disk sorted runs)
 // and the container packer are split into lock-striped shards keyed by
 // fingerprint prefix, so concurrent clients (Figure 2's multi-client
 // architecture) contend only when their chunks collide on a shard.
@@ -94,18 +105,19 @@ func (s *shard) put(c PutChunk, owned bool) (duplicate bool, err error) {
 // Sealed containers live in a pluggable container.Backend: in memory by
 // default (NewStore, NewStoreWithShards), or in per-shard append-only
 // files via NewStoreWithBackend / Create / Open, which is what makes a
-// store survive a process restart. Backups can be registered for
-// retention management and reclaimed with GC (see gc.go). A Store is safe
-// for concurrent use.
+// store survive a process restart. The index lives in
+// StoreOptions.IndexDir, or on a private in-memory filesystem, rebuilt
+// from the containers on every open, when that is empty. Backups can be
+// registered for retention management and reclaimed with GC (see gc.go).
+// A Store is safe for concurrent use.
 type Store struct {
 	shards         []*shard
 	backend        container.Backend
 	containerBytes int
 
-	// fpidx is the persistent fingerprint index (nil in map mode). It
-	// owns the run files, block cache, and compaction worker shared by
-	// the per-shard fpIdx adapters.
-	fpidx *fpindex.Index
+	// index owns the run files, block cache and compaction worker behind
+	// every shard's *fpindex.Shard.
+	index *fpindex.Index
 
 	// Retention state (per-backup chunk references and per-chunk counts),
 	// guarded by retMu. It is store-level, not sharded: backups span
@@ -154,68 +166,56 @@ func NewStoreWithShards(containerBytes, shards int) *Store {
 // containerBytes is zero the backend's recorded capacity is used when it
 // has one (a FileBackend), container.DefaultBytes otherwise.
 //
-// If the backend already holds containers (a reopened store directory),
-// the fingerprint index is rebuilt from their index headers — chunk data
-// is not read — and new chunks pack after the existing containers.
+// The fingerprint index lives on a private in-memory filesystem. If the
+// backend already holds containers (a reopened store directory), the
+// index is rebuilt from their index headers — chunk data is not read —
+// and new chunks pack after the existing containers.
 // Dedup statistics of a reopened store count each pre-existing unique
 // chunk as stored once; cross-restart logical totals are not preserved.
 func NewStoreWithBackend(containerBytes int, backend container.Backend) (*Store, error) {
 	return NewStoreWithOptions(backend, StoreOptions{ContainerBytes: containerBytes})
 }
 
-// IndexMode selects the store's fingerprint-index implementation.
-type IndexMode int
-
-const (
-	// IndexMap keeps each shard's index as an in-memory map rebuilt from
-	// container metadata on every open — the original engine, bit-for-bit,
-	// with open cost and resident memory proportional to chunk count.
-	IndexMap IndexMode = iota
-	// IndexPersistent keeps each shard's index in bloom-fronted on-disk
-	// sorted runs (internal/fpindex): opens read run footers and filters
-	// plus the container tail past the index's durable watermark, and
-	// steady-state memory is the memtable plus filters plus a bounded
-	// block cache, independent of total chunk count.
-	IndexPersistent
-)
-
 // StoreOptions configures NewStoreWithOptions. The zero value reproduces
-// NewStoreWithBackend's behavior exactly (map index, backend-recorded
-// container capacity).
+// NewStoreWithBackend's behavior exactly (index on a private in-memory
+// filesystem, backend-recorded container capacity).
 type StoreOptions struct {
 	// ContainerBytes is the container capacity; zero uses the backend's
 	// recorded capacity when it has one, container.DefaultBytes otherwise.
 	ContainerBytes int
-	// Index selects the fingerprint-index implementation.
-	Index IndexMode
-	// IndexDir is the directory holding run files and manifests; required
-	// for IndexPersistent, ignored otherwise. It must not be the container
-	// store directory itself (the index glob would collide with shard
-	// files) — a subdirectory of it is the convention.
+	// IndexDir is the directory holding the fingerprint index's run files
+	// and manifests. Empty keeps the index on a private in-memory
+	// filesystem, rebuilt from the containers on every open. It must not
+	// be the container store directory itself (the index glob would
+	// collide with shard files) — a subdirectory of it is the convention.
 	IndexDir string
-	// FS is the filesystem the persistent index writes through (vfs.OS if
-	// nil). Fault-injection harnesses pass the same faulty FS the
-	// container backend uses.
+	// FS is the filesystem IndexDir lives on (vfs.OS if nil).
+	// Fault-injection harnesses pass the same faulty FS the container
+	// backend uses.
 	FS vfs.FS
-	// MemtableEntries, CacheBytes, ExpectedChunks, SyncCompaction tune
-	// the persistent index; zero values select fpindex defaults.
+	// MemtableEntries, CacheBytes, SyncCompaction tune the index; zero
+	// values select fpindex defaults.
 	MemtableEntries int
 	CacheBytes      int64
-	ExpectedChunks  uint64
 	SyncCompaction  bool
-	// RebuildIndex discards any existing persistent index state and
-	// rebuilds from container metadata — the recovery lever after
-	// external damage, and what repository open uses after a salvage.
+	// RebuildIndex discards any existing index state and rebuilds from
+	// container metadata — the recovery lever after external damage, and
+	// what repository open uses after a salvage.
 	RebuildIndex bool
 }
 
 // NewStoreWithOptions is NewStoreWithBackend with an options struct; see
-// StoreOptions. With IndexPersistent the fingerprint index lives in
-// opts.IndexDir and opening does no full container scan: each shard
-// recovers its packer counters from the backend's sealed stats, loads run
-// footers and bloom filters, and rescans only the container tail past the
-// index's durable watermark (the containers sealed since the last index
-// flush — the containers themselves are the write-ahead log).
+// StoreOptions. Opening does no full container scan of a persisted index:
+// each shard recovers its packer counters from the backend's sealed
+// stats, loads run footers and Bloom filters, and rescans only the
+// container tail past the index's durable watermark (the containers
+// sealed since the last index flush — the containers themselves are the
+// write-ahead log).
+//
+// If any shard's watermark exceeds the backend's sealed count, the index
+// belongs to a different container history (a restored or rolled-back
+// store directory), so the whole index is rebuilt from container metadata
+// instead of trusted.
 func NewStoreWithOptions(backend container.Backend, opts StoreOptions) (*Store, error) {
 	shards := backend.Shards()
 	if shards < 1 || shards > maxShards {
@@ -229,136 +229,85 @@ func NewStoreWithOptions(backend container.Backend, opts StoreOptions) (*Store, 
 			containerBytes = container.DefaultBytes
 		}
 	}
+	fsys, dir := opts.FS, opts.IndexDir
+	if dir == "" {
+		fsys, dir = vfs.NewMem(), "fpindex"
+	} else if fsys == nil {
+		fsys = vfs.OS
+	}
+	fpOpts := fpindex.Options{
+		Shards:          shards,
+		MemtableEntries: opts.MemtableEntries,
+		CacheBytes:      opts.CacheBytes,
+		SyncCompaction:  opts.SyncCompaction,
+		ForceRebuild:    opts.RebuildIndex,
+	}
 	s := &Store{
 		shards:         make([]*shard, shards),
 		backend:        backend,
 		containerBytes: containerBytes,
 	}
-	switch opts.Index {
-	case IndexMap:
-		for i := range s.shards {
-			sh := &shard{}
-			idx := newMapIndex()
-			// The packer's construction scan doubles as the fingerprint-index
-			// rebuild: one metadata pass per shard, no chunk data read.
-			cs, err := container.NewWithBackend(containerBytes, backend, i, func(c *container.Container) error {
-				for j, e := range c.Entries {
-					idx.m[e.FP] = container.Location{Container: c.ID, Index: j}
-					sh.physicalBytes += uint64(e.Size)
-					sh.logicalBytes += uint64(e.Size)
-					sh.logicalChunks++
-				}
-				return nil
-			})
-			if err != nil {
-				return nil, fmt.Errorf("dedup: rebuild shard %d index: %w", i, err)
-			}
-			sh.index = idx
-			sh.containers = cs
-			s.shards[i] = sh
+	for pass := 0; ; pass++ {
+		ix, err := fpindex.Open(fsys, dir, fpOpts)
+		if err != nil {
+			return nil, fmt.Errorf("dedup: open fingerprint index: %w", err)
 		}
-	case IndexPersistent:
-		if err := s.openPersistentIndex(backend, containerBytes, opts); err != nil {
+		stale, err := s.openShards(ix, backend, containerBytes)
+		if err != nil {
+			ix.Close()
 			return nil, err
 		}
-	default:
-		return nil, fmt.Errorf("dedup: unknown index mode %d", opts.Index)
+		if !stale {
+			s.index = ix
+			break
+		}
+		if err := ix.Close(); err != nil {
+			return nil, fmt.Errorf("dedup: close stale fingerprint index: %w", err)
+		}
+		if pass > 0 {
+			return nil, errors.New("dedup: fingerprint index watermark ahead of container store after rebuild")
+		}
+		fpOpts.ForceRebuild = true
 	}
 	s.syncGC = gcommit.New(s.syncAllShards, false)
 	return s, nil
 }
 
-// openPersistentIndex builds the shards in IndexPersistent mode: open the
-// fpindex (run footers and filters only), sanity-check its watermarks
-// against the backend, and tail-rescan each shard's containers past the
-// watermark into the memtable. If any shard's watermark exceeds the
-// backend's sealed count the index belongs to a different container
-// history (a restored or rolled-back store directory), so the whole index
-// is rebuilt from container metadata instead of trusted.
-func (s *Store) openPersistentIndex(backend container.Backend, containerBytes int, opts StoreOptions) error {
-	if opts.IndexDir == "" {
-		return errors.New("dedup: IndexPersistent requires IndexDir")
-	}
-	fsys := opts.FS
-	if fsys == nil {
-		fsys = vfs.OS
-	}
-	fpOpts := fpindex.Options{
-		Shards:          backend.Shards(),
-		MemtableEntries: opts.MemtableEntries,
-		CacheBytes:      opts.CacheBytes,
-		ExpectedChunks:  opts.ExpectedChunks,
-		SyncCompaction:  opts.SyncCompaction,
-		ForceRebuild:    opts.RebuildIndex,
-	}
-	fpx, err := fpindex.Open(fsys, opts.IndexDir, fpOpts)
-	if err != nil {
-		return fmt.Errorf("dedup: open fingerprint index: %w", err)
-	}
-	for pass := 0; ; pass++ {
-		stale := false
-		for i := range s.shards {
-			sh := &shard{}
-			cs, err := container.NewWithBackend(containerBytes, backend, i, nil)
-			if err != nil {
-				fpx.Close()
-				return fmt.Errorf("dedup: open shard %d containers: %w", i, err)
+// openShards builds every shard over ix: the container packer, plus a
+// rescan of the containers past the index shard's watermark into its
+// memtable. stale reports an index shard whose watermark is past the
+// backend's sealed count — an index from another container history.
+func (s *Store) openShards(ix *fpindex.Index, backend container.Backend, containerBytes int) (stale bool, err error) {
+	for i := range s.shards {
+		cs, err := container.NewWithBackend(containerBytes, backend, i, nil)
+		if err != nil {
+			return false, fmt.Errorf("dedup: open shard %d containers: %w", i, err)
+		}
+		fsh := ix.Shard(i)
+		if fsh.Watermark() > cs.Sealed() {
+			return true, nil
+		}
+		err = container.ScanFrom(backend, i, fsh.Watermark(), false, func(c *container.Container) error {
+			for j, e := range c.Entries {
+				fsh.Insert(e.FP, container.Location{Container: c.ID, Index: j})
 			}
-			fsh := fpx.Shard(i)
-			if fsh.Watermark() > cs.Sealed() {
-				stale = true
-				break
-			}
-			err = container.ScanFrom(backend, i, fsh.Watermark(), false, func(c *container.Container) error {
-				for j, e := range c.Entries {
-					fsh.Insert(e.FP, container.Location{Container: c.ID, Index: j})
-				}
-				return nil
-			})
-			if err != nil {
-				fpx.Close()
-				return fmt.Errorf("dedup: rescan shard %d tail: %w", i, err)
-			}
-			sh.index = &fpIdx{s: fsh}
-			sh.containers = cs
-			// Reopen semantics, like map mode: each pre-existing unique
-			// chunk counts once.
-			sh.physicalBytes = uint64(cs.Bytes())
-			sh.logicalBytes = sh.physicalBytes
-			sh.logicalChunks = fsh.Count()
-			s.shards[i] = sh
+			return nil
+		})
+		if err != nil {
+			return false, fmt.Errorf("dedup: rescan shard %d tail: %w", i, err)
 		}
-		if !stale {
-			break
-		}
-		if err := fpx.Close(); err != nil {
-			return fmt.Errorf("dedup: close stale fingerprint index: %w", err)
-		}
-		if pass > 0 {
-			return errors.New("dedup: fingerprint index watermark ahead of container store after rebuild")
-		}
-		fpOpts.ForceRebuild = true
-		if fpx, err = fpindex.Open(fsys, opts.IndexDir, fpOpts); err != nil {
-			return fmt.Errorf("dedup: rebuild fingerprint index: %w", err)
+		// Reopen semantics: each pre-existing unique chunk counts once.
+		physical := uint64(cs.Bytes())
+		s.shards[i] = &shard{
+			index:         fsh,
+			containers:    cs,
+			physicalBytes: physical,
+			logicalBytes:  physical,
+			logicalChunks: fsh.Count(),
 		}
 	}
-	s.fpidx = fpx
-	return nil
+	return false, nil
 }
-
-// IndexCounters reports the persistent index's lookup-path counters
-// (zero-valued in map mode): bloom-filter rejections, memtable hits,
-// block-cache hits, and disk probes since open.
-func (s *Store) IndexCounters() fpindex.Counters {
-	if s.fpidx == nil {
-		return fpindex.Counters{}
-	}
-	return s.fpidx.Counters()
-}
-
-// PersistentIndex reports whether the store runs the persistent
-// fingerprint index (IndexPersistent) rather than the in-memory map.
-func (s *Store) PersistentIndex() bool { return s.fpidx != nil }
 
 // Create initializes a new file-backed store directory with the given
 // container capacity (container.DefaultBytes if zero) and shard count
@@ -403,10 +352,9 @@ func Open(dir string) (*Store, error) {
 }
 
 // Close seals every shard's open container through the backend, flushes
-// the persistent fingerprint index (when one is in use) so the next open
-// rescans no container tail, and closes the backend. After a clean Close,
-// Open restores every stored chunk. The store must not be used
-// afterwards.
+// the fingerprint index so the next open rescans no container tail, and
+// closes the backend. After a clean Close, Open restores every stored
+// chunk. The store must not be used afterwards.
 func (s *Store) Close() error {
 	var first error
 	for _, sh := range s.shards {
@@ -415,20 +363,15 @@ func (s *Store) Close() error {
 		if err == nil {
 			// Flush the index only after a successful seal: the index may
 			// never claim coverage of containers that are not durable.
-			err = sh.index.flush(sh.containers.Sealed())
-		}
-		if cerr := sh.index.close(); err == nil {
-			err = cerr
+			err = sh.index.Flush(sh.containers.Sealed())
 		}
 		sh.mu.Unlock()
 		if err != nil && first == nil {
 			first = err
 		}
 	}
-	if s.fpidx != nil {
-		if err := s.fpidx.Close(); err != nil && first == nil {
-			first = err
-		}
+	if err := s.index.Close(); err != nil && first == nil {
+		first = err
 	}
 	if err := s.backend.Close(); err != nil && first == nil {
 		first = err
@@ -471,14 +414,15 @@ func (s *Store) syncAllShards() error {
 func (s *Store) SealSyncs() int64 { return s.syncGC.Syncs() }
 
 // Contains reports whether the store holds a chunk with the given
-// fingerprint. It is an index lookup only; with the persistent index a
-// negative answer usually costs one bloom-filter probe and no disk read.
+// fingerprint. It is an index lookup only; a negative answer usually
+// costs a memtable probe plus one Bloom-filter probe per run, and no
+// disk read.
 // An index read error reports the chunk as absent — the safe direction
 // for negotiation (the client re-uploads).
 func (s *Store) Contains(fp fphash.Fingerprint) bool {
 	sh := s.shardFor(fp)
 	sh.mu.Lock()
-	_, ok, err := sh.index.lookup(fp)
+	_, ok, err := sh.index.Lookup(fp)
 	sh.mu.Unlock()
 	return ok && err == nil
 }
@@ -505,7 +449,7 @@ func (s *Store) ContainsBatch(fps []fphash.Fingerprint, miss []bool) []bool {
 			sh.mu.Lock()
 			held = sh
 		}
-		_, ok, err := sh.index.lookup(fp)
+		_, ok, err := sh.index.Lookup(fp)
 		miss[i] = !ok || err != nil
 	}
 	if held != nil {
@@ -571,7 +515,7 @@ func (s *Store) Put(fp fphash.Fingerprint, data []byte) (duplicate bool, err err
 	defer sh.mu.Unlock()
 	dup, err := sh.put(PutChunk{FP: fp, Data: data}, false)
 	if err == nil {
-		err = sh.index.maybeFlush(sh.containers.Sealed())
+		err = sh.maybeFlush()
 	}
 	return dup, err
 }
@@ -651,7 +595,7 @@ func (s *Store) putBatch(chunks []PutChunk, owned bool) ([]bool, error) {
 				return dups, err
 			}
 		}
-		return dups, sh.index.maybeFlush(sh.containers.Sealed())
+		return dups, sh.maybeFlush()
 	}
 	// Group chunk indexes by shard, preserving batch order within each
 	// group to keep per-shard placement deterministic. Shards are visited
@@ -677,7 +621,7 @@ func (s *Store) putBatch(chunks []PutChunk, owned bool) ([]bool, error) {
 		}
 		// One spill check per shard per batch, not per chunk: the flush
 		// itself is amortized over a full memtable of inserts.
-		err := sh.index.maybeFlush(sh.containers.Sealed())
+		err := sh.maybeFlush()
 		sh.mu.Unlock()
 		if err != nil {
 			return dups, err
@@ -701,7 +645,7 @@ func (s *Store) putBatch(chunks []PutChunk, owned bool) ([]bool, error) {
 func (s *Store) Get(fp fphash.Fingerprint) ([]byte, error) {
 	sh := s.shardFor(fp)
 	sh.mu.Lock()
-	loc, ok, err := sh.index.lookup(fp)
+	loc, ok, err := sh.index.Lookup(fp)
 	if err != nil {
 		sh.mu.Unlock()
 		return nil, fmt.Errorf("dedup: index lookup %v: %w", fp, err)
@@ -740,7 +684,7 @@ func (s *Store) getSealed(sh *shard, fp fphash.Fingerprint, loc container.Locati
 	// lock for an authoritative view.
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	loc, ok, lerr := sh.index.lookup(fp)
+	loc, ok, lerr := sh.index.Lookup(fp)
 	if lerr != nil {
 		return nil, fmt.Errorf("dedup: index lookup %v: %w", fp, lerr)
 	}
@@ -777,7 +721,7 @@ func (s *Store) locate(fp fphash.Fingerprint) (containerRef, container.Location,
 	si := fp.Shard(len(s.shards))
 	sh := s.shards[si]
 	sh.mu.Lock()
-	loc, ok, err := sh.index.lookup(fp)
+	loc, ok, err := sh.index.Lookup(fp)
 	sh.mu.Unlock()
 	if err != nil {
 		return containerRef{}, container.Location{}, false, fmt.Errorf("dedup: index lookup %v: %w", fp, err)
@@ -822,16 +766,14 @@ func (s *Store) Stats() trace.DedupStats {
 		st.LogicalBytes += sh.logicalBytes
 		st.PhysicalBytes += sh.physicalBytes
 		st.LogicalChunks += sh.logicalChunks
-		st.UniqueChunks += sh.index.count()
+		st.UniqueChunks += sh.index.Count()
 		sh.mu.Unlock()
 	}
-	if s.fpidx != nil {
-		c := s.fpidx.Counters()
-		st.IndexBloomNegative = c.BloomNegative
-		st.IndexMemtableHits = c.MemtableHits
-		st.IndexBlockCacheHits = c.BlockCacheHits
-		st.IndexDiskProbes = c.DiskProbes
-	}
+	c := s.index.Counters()
+	st.IndexBloomNegative = c.BloomNegative
+	st.IndexMemtableHits = c.MemtableHits
+	st.IndexBlockCacheHits = c.BlockCacheHits
+	st.IndexDiskProbes = c.DiskProbes
 	return st
 }
 
@@ -840,7 +782,7 @@ func (s *Store) UniqueChunks() int {
 	var n int
 	for _, sh := range s.shards {
 		sh.mu.Lock()
-		n += sh.index.count()
+		n += sh.index.Count()
 		sh.mu.Unlock()
 	}
 	return n

@@ -1,10 +1,10 @@
-// Package fpindex is the persistent, memory-bounded fingerprint index:
-// the DDFS-style answer (Section 7.4) to an in-memory map that is rebuilt
-// by scanning every container on open. Each shard keeps a small memtable
-// of recent insertions over a set of immutable on-disk sorted runs; a
-// Bloom filter per run plus a per-shard aggregate filter (step S2: the
-// summary vector) means a lookup for a certainly-new chunk touches no
-// disk, and opening a repository reads only manifests, run footers,
+// Package fpindex is the fingerprint index, the only one the dedup store
+// has: the DDFS-style answer (Section 7.4) to an in-memory map that is
+// rebuilt by scanning every container on open. Each shard keeps a small
+// memtable of recent insertions over a set of immutable on-disk sorted
+// runs; each run's own Bloom filter (step S2: the summary vector, sized
+// by the run's count) means a lookup for a certainly-new chunk reads no
+// run block, and opening a repository reads only manifests, run footers,
 // fences, and filters — O(metadata), independent of chunk count. Resident
 // memory is bounded by the memtables, the filters, the fences, and a
 // shared LRU of hot run blocks, not by the number of unique chunks.
@@ -16,9 +16,13 @@
 // postings whose containers are sealed into a new level-0 run. When a
 // level accumulates Fanout runs, they are k-way merged into one run on
 // the next level — tiered compaction, performed off the shard lock so
-// lookups proceed while it runs. A lookup checks memtable, then the
-// aggregate filter, then each run newest-to-oldest (filter, fence, one
-// block read through the shared cache).
+// lookups proceed while it runs, by a worker goroutine started at the
+// first compaction. A lookup checks the memtable, then each run
+// newest-to-oldest (filter, fence, one block read through the shared
+// cache); a lookup that reads no block counts as a Bloom negative.
+//
+// A store without an index directory runs the same index on a private
+// in-memory filesystem, rebuilt from its containers on every open.
 //
 // The containers are the write-ahead log. The index is deliberately NOT
 // synced on the backup hot path: each shard's manifest records a
@@ -54,10 +58,21 @@
 //
 // # Manifest and commit protocol
 //
-// shard-SSSS.mf is the shard's committed state: run list (sequence,
-// level, count), watermark, next sequence number, and the aggregate
-// filter, CRC-trailed and replaced atomically (temp file, fsync, rename,
-// directory sync). Ordering makes every transition crash-atomic:
+// shard-SSSS.mf is the shard's committed state, CRC-trailed and replaced
+// atomically (temp file, fsync, rename, directory sync). Version 2, all
+// little-endian:
+//
+//	u32 magic "FDIM" (0x4644494d)  u32 version 2  u32 shard  u32 runCount
+//	u64 watermark  u64 nextSeq
+//	runCount × { u64 seq, u32 level, u64 count }   -- newest first
+//	u32 crc32  IEEE, over everything before it
+//
+// Version 1 carried a per-shard aggregate Bloom filter between the run
+// list and the CRC, sized for a fixed 4M chunks (~5 MB in all). Version 2
+// drops it; a version-1 manifest fails to decode, and its shard rebuilds
+// from its containers like a shard whose manifest is corrupt.
+//
+// Ordering makes every transition crash-atomic:
 //
 //   - Flush/compaction: write + fsync the new run, then commit the
 //     manifest, then delete superseded runs. A crash between steps leaves
@@ -77,7 +92,6 @@
 //   - Every structure is checksummed; a failed check surfaces as
 //     ErrCorrupt and the shard rebuilds from its containers — the index
 //     never serves a wrong Location and index loss never loses data.
-//   - The aggregate filter is a superset of the shard's fingerprints
-//     (deleted chunks linger until a layout change rebuilds it); false
-//     positives cost a run probe, never a wrong answer.
+//   - Each run's filter holds exactly the run's fingerprints; a false
+//     positive costs one block probe, never a wrong answer.
 package fpindex

@@ -15,17 +15,14 @@ import (
 )
 
 const (
-	// runFilterFPP sizes each run's Bloom filter (~9.6 bits/fingerprint).
+	// runFilterFPP sizes each run's Bloom filter (~9.6 bits/fingerprint):
+	// a negative proves the fingerprint is not in that run, so a lookup for
+	// a certainly-new chunk reads no run block.
 	runFilterFPP = 0.01
-	// aggFilterFPP sizes the per-shard aggregate filter that fronts every
-	// lookup: a negative here proves the fingerprint is in neither the
-	// memtable nor any run, so certainly-new chunks touch no disk.
-	aggFilterFPP = 0.01
 
 	// Option defaults.
 	defaultMemtableEntries = 1 << 15
 	defaultCacheBytes      = 8 << 20
-	defaultExpectedChunks  = 1 << 22
 	defaultFanout          = 4
 )
 
@@ -39,10 +36,6 @@ type Options struct {
 	MemtableEntries int
 	// CacheBytes bounds the shared hot-block LRU cache.
 	CacheBytes int64
-	// ExpectedChunks sizes the aggregate Bloom filters (store-wide
-	// estimate, split across shards). Undersizing only raises the
-	// false-positive rate; correctness is unaffected.
-	ExpectedChunks uint64
 	// SyncCompaction runs compaction inline on the flushing goroutine
 	// instead of in the background — deterministic, for crash sweeps.
 	SyncCompaction bool
@@ -65,9 +58,6 @@ func (o *Options) fill() {
 	if o.CacheBytes <= 0 {
 		o.CacheBytes = defaultCacheBytes
 	}
-	if o.ExpectedChunks == 0 {
-		o.ExpectedChunks = defaultExpectedChunks
-	}
 	if o.Fanout <= 1 {
 		o.Fanout = defaultFanout
 	}
@@ -75,8 +65,9 @@ func (o *Options) fill() {
 
 // Counters are cumulative lookup-path statistics across all shards.
 type Counters struct {
-	// BloomNegative counts lookups rejected by the aggregate filter
-	// without touching any run — the unique-chunk fast path.
+	// BloomNegative counts memtable misses that read no run block: every
+	// run's filter (or fence range) ruled the fingerprint out — the
+	// unique-chunk fast path.
 	BloomNegative uint64
 	// MemtableHits counts lookups answered by a shard's memtable.
 	MemtableHits uint64
@@ -96,9 +87,9 @@ type blockKey struct {
 }
 
 // Index is a persistent, memory-bounded fingerprint index: per-shard
-// memtables over immutable on-disk sorted runs, Bloom-fronted, with a
-// shared hot-block cache and tiered background compaction. See doc.go
-// for the on-disk format and crash-safety argument.
+// memtables over immutable on-disk sorted runs, each fronted by its own
+// Bloom filter, with a shared hot-block cache and tiered background
+// compaction. See doc.go for the on-disk format and crash-safety argument.
 type Index struct {
 	fsys   vfs.FS
 	dir    string
@@ -113,14 +104,17 @@ type Index struct {
 	cacheHits  atomic.Uint64
 	diskProbes atomic.Uint64
 
+	// The compaction worker starts on the first scheduleCompact, so an
+	// index that never compacts owns no goroutine.
 	compactMu sync.Mutex
 	compactCh chan *Shard
+	started   bool
 	closed    bool
 	wg        sync.WaitGroup
 }
 
-// Shard is one index shard: a memtable of recent insertions, the on-disk
-// runs (newest first), and the aggregate filter over both.
+// Shard is one index shard: a memtable of recent insertions over the
+// on-disk runs (newest first).
 type Shard struct {
 	ix *Index
 	id int
@@ -128,7 +122,6 @@ type Shard struct {
 	mu   sync.RWMutex
 	mem  map[fphash.Fingerprint]container.Location
 	runs []*run // newest first; level is non-decreasing along the slice
-	agg  *bloom.Filter
 	// watermark is how many sealed containers the runs fully cover;
 	// containers at or past it must be rescanned into the memtable on
 	// open.
@@ -141,8 +134,8 @@ type Shard struct {
 	compactErr error
 }
 
-// Open loads index state for every shard, reading only manifests, run
-// footers, fences, and filters — O(metadata), no posting blocks. A shard
+// Open loads index state for every shard, reading only manifests and
+// run footers, fences and filters — O(metadata), no posting blocks. A shard
 // whose marker is present or whose manifest or runs fail validation is
 // reset to watermark 0 (full container rescan by the caller); corruption
 // here never fails the open and never serves a wrong Location.
@@ -169,24 +162,7 @@ func Open(fsys vfs.FS, dir string, opts Options) (*Index, error) {
 		}
 		ix.shards[i] = s
 	}
-	if !opts.SyncCompaction {
-		ix.wg.Add(1)
-		go func() {
-			defer ix.wg.Done()
-			for s := range ix.compactCh {
-				s.compact()
-			}
-		}()
-	}
 	return ix, nil
-}
-
-func (ix *Index) shardFilter() *bloom.Filter {
-	per := ix.opts.ExpectedChunks / uint64(ix.opts.Shards)
-	if per < 1024 {
-		per = 1024
-	}
-	return bloom.NewWithEstimates(per, aggFilterFPP)
 }
 
 // openShard loads one shard, falling back to a clean rebuild state on a
@@ -206,7 +182,7 @@ func (ix *Index) openShard(id int) (*Shard, error) {
 		}
 	}
 	if m != nil && !rebuild {
-		s.watermark, s.nextSeq, s.agg = m.watermark, m.nextSeq, m.agg
+		s.watermark, s.nextSeq = m.watermark, m.nextSeq
 		s.runs = make([]*run, 0, len(m.runs))
 		for _, ref := range m.runs {
 			r, err := openRun(ix.fsys, ix.dir, id, ref.seq, ref.level, ref.count)
@@ -225,15 +201,11 @@ func (ix *Index) openShard(id int) (*Shard, error) {
 		s.closeRuns()
 		s.runs = nil
 		s.watermark = 0
-		s.agg = nil
 		// nextSeq survives a rebuild when the manifest was readable; when
 		// it was not, derive it from the stray files about to be removed.
 		if m != nil {
 			s.nextSeq = m.nextSeq
 		}
-	}
-	if s.agg == nil {
-		s.agg = ix.shardFilter()
 	}
 	if err := ix.cleanShardFiles(s, rebuild); err != nil {
 		s.closeRuns()
@@ -242,7 +214,7 @@ func (ix *Index) openShard(id int) (*Shard, error) {
 	if rebuild {
 		// Commit the clean state so a crash before the caller's container
 		// rescan finishes simply repeats the rescan at the next open.
-		if err := writeManifest(ix.fsys, ix.dir, id, &manifest{nextSeq: s.nextSeq, agg: s.agg}); err != nil {
+		if err := writeManifest(ix.fsys, ix.dir, id, &manifest{nextSeq: s.nextSeq}); err != nil {
 			s.closeRuns()
 			return nil, err
 		}
@@ -280,7 +252,11 @@ func (ix *Index) cleanShardFiles(s *Shard, rebuild bool) error {
 			return err
 		}
 	}
-	ix.fsys.Remove(filepath.Join(ix.dir, manifestName(s.id)+".tmp"))
+	// Stat first: opening a fresh index directory mutates nothing.
+	tmp := filepath.Join(ix.dir, manifestName(s.id)+".tmp")
+	if _, err := ix.fsys.Stat(tmp); err == nil {
+		ix.fsys.Remove(tmp)
+	}
 	return nil
 }
 
@@ -344,9 +320,9 @@ func (ix *Index) Close() error {
 	return first
 }
 
-// scheduleCompact queues a background compaction for s, or runs it
-// inline in SyncCompaction mode. Dropped sends are fine: the need is
-// re-detected at the next flush.
+// scheduleCompact queues a background compaction for s, starting the
+// worker on first use, or runs it inline in SyncCompaction mode. Dropped
+// sends are fine: the need is re-detected at the next flush.
 func (ix *Index) scheduleCompact(s *Shard) {
 	if ix.opts.SyncCompaction {
 		s.compact()
@@ -356,6 +332,16 @@ func (ix *Index) scheduleCompact(s *Shard) {
 	defer ix.compactMu.Unlock()
 	if ix.closed {
 		return
+	}
+	if !ix.started {
+		ix.started = true
+		ix.wg.Add(1)
+		go func() {
+			defer ix.wg.Done()
+			for s := range ix.compactCh {
+				s.compact()
+			}
+		}()
 	}
 	select {
 	case ix.compactCh <- s:
@@ -407,14 +393,14 @@ func (s *Shard) closeRunsLocked() error {
 func (s *Shard) Insert(fp fphash.Fingerprint, loc container.Location) {
 	s.mu.Lock()
 	s.mem[fp] = loc
-	s.agg.Add(fp)
 	s.mu.Unlock()
 }
 
-// Lookup finds fp, checking memtable, aggregate filter, then runs newest
-// to oldest. A lookup error means an index block failed its checksum —
-// the caller treats the fingerprint as missing (a spurious re-store
-// dedups at append time) rather than trusting a bad block.
+// Lookup finds fp, checking the memtable, then each run newest to oldest
+// (filter, fence, one block read through the shared cache). A lookup
+// error means an index block failed its checksum — the caller treats the
+// fingerprint as missing (a spurious re-store dedups at append time)
+// rather than trusting a bad block.
 func (s *Shard) Lookup(fp fphash.Fingerprint) (container.Location, bool, error) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
@@ -422,10 +408,7 @@ func (s *Shard) Lookup(fp fphash.Fingerprint) (container.Location, bool, error) 
 		s.ix.memHits.Add(1)
 		return loc, true, nil
 	}
-	if !s.agg.Contains(fp) {
-		s.ix.bloomNeg.Add(1)
-		return container.Location{}, false, nil
-	}
+	probed := false
 	for _, r := range s.runs {
 		if !r.filter.Contains(fp) {
 			continue
@@ -434,6 +417,7 @@ func (s *Shard) Lookup(fp fphash.Fingerprint) (container.Location, bool, error) 
 		if bi < 0 {
 			continue
 		}
+		probed = true
 		block, err := s.ix.cachedBlock(r, bi)
 		if err != nil {
 			return container.Location{}, false, err
@@ -441,6 +425,9 @@ func (s *Shard) Lookup(fp fphash.Fingerprint) (container.Location, bool, error) 
 		if loc, ok := searchBlock(block, fp); ok {
 			return loc, true, nil
 		}
+	}
+	if !probed {
+		s.ix.bloomNeg.Add(1)
 	}
 	return container.Location{}, false, nil
 }
@@ -553,7 +540,7 @@ func (s *Shard) flushLocked(sealed int) error {
 
 // manifestLocked snapshots the shard's committed state as a manifest.
 func (s *Shard) manifestLocked() *manifest {
-	m := &manifest{watermark: s.watermark, nextSeq: s.nextSeq, agg: s.agg, runs: make([]runRef, len(s.runs))}
+	m := &manifest{watermark: s.watermark, nextSeq: s.nextSeq, runs: make([]runRef, len(s.runs))}
 	for i, r := range s.runs {
 		m.runs[i] = runRef{seq: r.seq, level: r.level, count: r.count}
 	}
@@ -703,26 +690,24 @@ func (s *Shard) AbortLayoutChange() error {
 }
 
 // CompleteLayoutChange replaces the shard's entire state after container
-// renumbering: postings are ALL live postings under the new layout,
-// sealed is the new sealed-container count. Sealed postings become one
-// run on a fresh level 0; open-container postings form the new memtable.
-// On persist failure the in-memory index stays correct (everything in
-// the memtable) and the marker stays down, so the next open rebuilds.
-func (s *Shard) CompleteLayoutChange(postings []Posting, sealed int) error {
+// renumbering: live maps ALL live fingerprints to their locations under
+// the new layout, sealed is the new sealed-container count. Sealed
+// postings become one run on a fresh level 0; open-container postings
+// form the new memtable, which takes ownership of live. On persist
+// failure the in-memory index stays correct (everything in the memtable)
+// and the marker stays down, so the next open rebuilds.
+func (s *Shard) CompleteLayoutChange(live map[fphash.Fingerprint]container.Location, sealed int) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.layoutGen++
 	oldRuns := s.runs
 	s.runs = nil
-	s.mem = make(map[fphash.Fingerprint]container.Location, len(postings))
-	s.agg = s.ix.shardFilter()
+	s.mem = live
 	var sealedPs []Posting
-	for _, p := range postings {
-		s.agg.Add(p.FP)
-		if p.Loc.Container < sealed {
-			sealedPs = append(sealedPs, p)
-		} else {
-			s.mem[p.FP] = p.Loc
+	for fp, loc := range live {
+		if loc.Container < sealed {
+			sealedPs = append(sealedPs, Posting{FP: fp, Loc: loc})
+			delete(live, fp)
 		}
 	}
 	fail := func(err error) error {
@@ -737,7 +722,7 @@ func (s *Shard) CompleteLayoutChange(postings []Posting, sealed int) error {
 		return err
 	}
 	var newRuns []*run
-	m := &manifest{watermark: sealed, nextSeq: s.nextSeq, agg: s.agg}
+	m := &manifest{watermark: sealed, nextSeq: s.nextSeq}
 	if len(sealedPs) > 0 {
 		sortPostings(sealedPs)
 		r, err := writeRun(s.ix.fsys, s.ix.dir, s.id, s.nextSeq, 0, &sliceSource{ps: sealedPs})

@@ -20,7 +20,6 @@ func testOptions(shards int) Options {
 		Shards:          shards,
 		MemtableEntries: 16,
 		CacheBytes:      1 << 20,
-		ExpectedChunks:  1 << 12,
 		SyncCompaction:  true,
 		Fanout:          3,
 	}
@@ -315,15 +314,19 @@ func TestLayoutChangeRewritesPostings(t *testing.T) {
 		t.Fatal(err)
 	}
 	// GC-style renumbering: survivors move to fresh dense locations.
-	var survivors []Posting
+	survivors := map[fphash.Fingerprint]container.Location{}
 	for i := 0; i < 100; i += 2 {
 		fp, _ := testPosting(i)
-		survivors = append(survivors, Posting{FP: fp, Loc: container.Location{Container: i / 16, Index: i % 16 / 2}})
+		survivors[fp] = container.Location{Container: i / 16, Index: i % 16 / 2}
+	}
+	live := make(map[fphash.Fingerprint]container.Location, len(survivors))
+	for fp, loc := range survivors {
+		live[fp] = loc
 	}
 	if err := s.BeginLayoutChange(); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.CompleteLayoutChange(survivors, 5); err != nil {
+	if err := s.CompleteLayoutChange(live, 5); err != nil {
 		t.Fatal(err)
 	}
 	check := func(s *Shard) {
@@ -331,10 +334,10 @@ func TestLayoutChangeRewritesPostings(t *testing.T) {
 		if got := s.Count(); got != len(survivors) {
 			t.Fatalf("Count = %d, want %d", got, len(survivors))
 		}
-		for _, p := range survivors {
-			loc, ok, err := s.Lookup(p.FP)
-			if err != nil || !ok || loc != p.Loc {
-				t.Fatalf("Lookup(%v) = %v %v %v, want %v", p.FP, loc, ok, err, p.Loc)
+		for fp, want := range survivors {
+			loc, ok, err := s.Lookup(fp)
+			if err != nil || !ok || loc != want {
+				t.Fatalf("Lookup(%v) = %v %v %v, want %v", fp, loc, ok, err, want)
 			}
 		}
 		fp, _ := testPosting(1)
@@ -359,9 +362,9 @@ func TestLayoutChangeRewritesPostings(t *testing.T) {
 		t.Fatalf("Watermark after layout change = %d, want 5", got)
 	}
 	// Rescan the open-container tail (containers >= 5).
-	for _, p := range survivors {
-		if p.Loc.Container >= 5 {
-			s2.Insert(p.FP, p.Loc)
+	for fp, loc := range survivors {
+		if loc.Container >= 5 {
+			s2.Insert(fp, loc)
 		}
 	}
 	check(s2)

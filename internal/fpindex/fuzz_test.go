@@ -1,7 +1,10 @@
 package fpindex
 
 import (
+	"bytes"
+	"encoding/binary"
 	"errors"
+	"hash/crc32"
 	"io"
 	"os"
 	"path/filepath"
@@ -112,6 +115,43 @@ func FuzzRunFile(f *testing.F) {
 			break // one spot check per input keeps the fuzzer fast
 		}
 	})
+}
+
+// FuzzIndexManifest feeds arbitrary bytes to the manifest decoder that
+// every index open runs. The contract: an error wrapping ErrCorrupt, or a
+// manifest that re-encodes to exactly the input bytes — never a panic,
+// and never a manifest that silently drops or invents state.
+func FuzzIndexManifest(f *testing.F) {
+	m := &manifest{watermark: 7, nextSeq: 12, runs: []runRef{{seq: 11, level: 0, count: 300}, {seq: 9, level: 1, count: 4100}}}
+	v2 := m.encode(0)
+	f.Add(v2)
+	f.Add(manifestV1(v2))
+	f.Add((&manifest{nextSeq: 1}).encode(0))
+	f.Add(v2[:len(v2)/2])
+	f.Add([]byte{})
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		m, err := decodeManifest(data, 0)
+		if err != nil {
+			if !errors.Is(err, ErrCorrupt) {
+				t.Fatalf("decodeManifest failed with unexpected error class: %v", err)
+			}
+			return
+		}
+		if got := m.encode(0); !bytes.Equal(got, data) {
+			t.Fatalf("manifest decoded from %x re-encodes to %x", data, got)
+		}
+	})
+}
+
+// manifestV1 rewrites an encoded version-2 manifest in the version-1
+// layout: version 1, and the aggregate Bloom filter version 1 carried
+// between the run list and the CRC.
+func manifestV1(v2 []byte) []byte {
+	out := append([]byte(nil), v2[:len(v2)-4]...)
+	binary.LittleEndian.PutUint32(out[4:], 1)
+	out = bloom.NewWithEstimates(1024, 0.01).AppendBinary(out)
+	return binary.LittleEndian.AppendUint32(out, crc32.ChecksumIEEE(out))
 }
 
 // lookupRun searches one run directly (test helper mirroring the shard

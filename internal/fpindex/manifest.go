@@ -8,13 +8,12 @@ import (
 	"os"
 	"path/filepath"
 
-	"freqdedup/internal/bloom"
 	"freqdedup/internal/vfs"
 )
 
-// The manifest is one shard's committed index state: which runs exist,
-// how many sealed containers they collectively cover (the watermark), and
-// the shard's aggregate Bloom filter. It is rewritten whole on every
+// The manifest is one shard's committed index state: which runs exist and
+// how many sealed containers they collectively cover (the watermark). It
+// is rewritten whole on every
 // flush, compaction, and rebuild, committed by temp-write + fsync +
 // rename — the same atomic-replace discipline as the container shards'
 // GC rewrite. Run files are fsynced before the manifest that references
@@ -22,8 +21,11 @@ import (
 // run files the manifest does not reference are strays from an
 // interrupted flush or compaction and are removed on open.
 const (
-	manifestMagic   = 0x4644494d // "FDIM"
-	manifestVersion = 1
+	manifestMagic = 0x4644494d // "FDIM"
+	// manifestVersion 2 dropped version 1's trailing aggregate Bloom
+	// filter. A version-1 manifest fails to decode, and its shard rebuilds
+	// from its containers like a shard with a corrupt manifest.
+	manifestVersion = 2
 	// manifestHeaderLen is magic + version + shard + runCount (u32 each)
 	// + watermark + nextSeq (u64 each).
 	manifestHeaderLen = 32
@@ -54,12 +56,11 @@ type manifest struct {
 	watermark int    // sealed containers fully covered by the runs
 	nextSeq   uint64 // next run sequence number
 	runs      []runRef
-	agg       *bloom.Filter // aggregate filter over runs + memtable
 }
 
 // encode serializes the manifest.
 func (m *manifest) encode(shard int) []byte {
-	buf := make([]byte, 0, manifestHeaderLen+len(m.runs)*manifestRunLen+m.agg.MarshaledSize()+4)
+	buf := make([]byte, 0, manifestHeaderLen+len(m.runs)*manifestRunLen+4)
 	buf = binary.LittleEndian.AppendUint32(buf, manifestMagic)
 	buf = binary.LittleEndian.AppendUint32(buf, manifestVersion)
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(shard))
@@ -71,7 +72,6 @@ func (m *manifest) encode(shard int) []byte {
 		buf = binary.LittleEndian.AppendUint32(buf, uint32(r.level))
 		buf = binary.LittleEndian.AppendUint64(buf, r.count)
 	}
-	buf = m.agg.AppendBinary(buf)
 	return binary.LittleEndian.AppendUint32(buf, crc32.ChecksumIEEE(buf))
 }
 
@@ -93,8 +93,8 @@ func decodeManifest(data []byte, shard int) (*manifest, error) {
 		return nil, fmt.Errorf("%w: manifest labeled shard %d, want %d", ErrCorrupt, s, shard)
 	}
 	runCount := int(binary.LittleEndian.Uint32(data[12:]))
-	if runCount < 0 || manifestHeaderLen+runCount*manifestRunLen+4 > len(data) {
-		return nil, fmt.Errorf("%w: manifest declares %d runs beyond its size", ErrCorrupt, runCount)
+	if want := manifestHeaderLen + runCount*manifestRunLen + 4; runCount < 0 || want != len(data) {
+		return nil, fmt.Errorf("%w: manifest declares %d runs in %d bytes", ErrCorrupt, runCount, len(data))
 	}
 	m := &manifest{
 		watermark: int(binary.LittleEndian.Uint64(data[16:])),
@@ -108,14 +108,6 @@ func decodeManifest(data []byte, shard int) (*manifest, error) {
 		m.runs[i].count = binary.LittleEndian.Uint64(data[off+12:])
 		off += manifestRunLen
 	}
-	agg, consumed, err := bloom.Unmarshal(data[off:])
-	if err != nil {
-		return nil, fmt.Errorf("%w: manifest aggregate filter: %v", ErrCorrupt, err)
-	}
-	if off+consumed != len(data)-4 {
-		return nil, fmt.Errorf("%w: manifest has %d trailing bytes", ErrCorrupt, len(data)-4-off-consumed)
-	}
-	m.agg = agg
 	return m, nil
 }
 

@@ -2,7 +2,7 @@
 // comparable key. It serves two roles in the reproduction: keyed by chunk
 // fingerprints it is the in-memory fingerprint cache of the DDFS-like
 // prototype (Section 7.4, steps S1 and S4), and keyed by run block it is
-// the persistent fingerprint index's hot-block cache — both evict the
+// the fingerprint index's hot-block cache — both evict the
 // least-recently-used entries when full.
 //
 // The cache tracks an abstract cost per entry so it can be bounded by

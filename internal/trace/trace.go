@@ -79,12 +79,13 @@ type DedupStats struct {
 	LogicalChunks int
 	UniqueChunks  int
 
-	// Fingerprint-index lookup-path counters, populated only by stores
-	// running the persistent (bloom-fronted run) index; the trace-level
-	// simulation and map-mode stores leave them zero. They decompose
-	// where index lookups were answered: a bloom rejection touches no
-	// disk, a memtable or block-cache hit touches no disk, and only
-	// DiskProbes paid a run-file block read.
+	// Fingerprint-index lookup-path counters, cumulative since the
+	// store's open; the trace-level simulation leaves them zero. They
+	// decompose where index lookups were answered: IndexBloomNegative
+	// counts memtable misses that every run's own Bloom filter (or fence
+	// range) ruled out, so no run block was read; a memtable or
+	// block-cache hit touches no disk; only DiskProbes paid a run-file
+	// block read.
 	IndexBloomNegative  uint64
 	IndexMemtableHits   uint64
 	IndexBlockCacheHits uint64

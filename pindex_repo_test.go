@@ -2,16 +2,22 @@ package freqdedup
 
 import (
 	"context"
+	"encoding/binary"
+	"fmt"
+	"hash/crc32"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"testing"
+
+	"freqdedup/internal/bloom"
+	"freqdedup/internal/container"
 )
 
-// TestRepositoryPersistentIndex walks the repository lifecycle with the
-// persistent fingerprint index: create with WithIndex(IndexPersistent),
-// back up, close, reopen WITHOUT the option (the fpindex directory on
-// disk must re-select persistent mode), then restore, delete, and GC —
-// the layout-change path that rewrites every run file.
+// TestRepositoryPersistentIndex walks the repository lifecycle through
+// the on-disk fingerprint index: create, back up, close (which persists
+// the index under fpindex/), reopen, then restore, delete, and GC — the
+// layout-change path that rewrites every run file.
 func TestRepositoryPersistentIndex(t *testing.T) {
 	dir := t.TempDir()
 	var key Key
@@ -22,8 +28,7 @@ func TestRepositoryPersistentIndex(t *testing.T) {
 
 	repo, err := CreateRepository(dir,
 		WithRepositoryKey(key),
-		WithContainerBytes(256<<10),
-		WithIndex(IndexPersistent))
+		WithContainerBytes(256<<10))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,11 +49,9 @@ func TestRepositoryPersistentIndex(t *testing.T) {
 		t.Fatal(err)
 	}
 	if _, err := os.Stat(filepath.Join(dir, IndexDirName)); err != nil {
-		t.Fatalf("no %s directory after persistent-index Close: %v", IndexDirName, err)
+		t.Fatalf("no %s directory after Close: %v", IndexDirName, err)
 	}
 
-	// Reopen with a plain OpenRepository: the on-disk index directory is
-	// sticky, so persistent mode resumes without the option.
 	repo, err = OpenRepository(dir, WithRepositoryKey(key))
 	if err != nil {
 		t.Fatal(err)
@@ -111,8 +114,7 @@ func TestRepositoryPersistentIndexCrashReopen(t *testing.T) {
 
 	repo, err := CreateRepository(dir,
 		WithRepositoryKey(key),
-		WithContainerBytes(128<<10),
-		WithIndex(IndexPersistent))
+		WithContainerBytes(128<<10))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,8 +143,8 @@ func TestRepositoryPersistentIndexCrashReopen(t *testing.T) {
 	mustRestore(t, repo, "b", v2)
 }
 
-// TestRepositoryPersistentIndexInMemory runs the persistent index in an
-// in-memory repository, whose run files live on its private filesystem:
+// TestRepositoryPersistentIndexInMemory runs an in-memory repository
+// whose small memtable spills run files onto its private filesystem:
 // back up, restore byte-identically, delete, GC, and Verify.
 func TestRepositoryPersistentIndexInMemory(t *testing.T) {
 	ctx := context.Background()
@@ -151,7 +153,6 @@ func TestRepositoryPersistentIndexInMemory(t *testing.T) {
 	repo, err := CreateRepository("",
 		WithRepositoryKey(key),
 		WithContainerBytes(256<<10),
-		WithIndex(IndexPersistent),
 		WithIndexTuning(IndexTuning{MemtableEntries: 64, SyncCompaction: true}))
 	if err != nil {
 		t.Fatal(err)
@@ -180,5 +181,142 @@ func TestRepositoryPersistentIndexInMemory(t *testing.T) {
 	mustRestore(t, repo, "tue", v2)
 	if err := repo.Verify(ctx); err != nil {
 		t.Fatalf("Verify: %v", err)
+	}
+}
+
+// TestRepositoryUpgradesOldIndexOnOpen opens the two index layouts an
+// older repository can carry: no fpindex/ directory at all (a repository
+// that ran the in-memory map index) and version-1 shard manifests that
+// still hold an aggregate Bloom filter. Each must open, restore every
+// snapshot byte-identically, Verify, GC and Close, and leave an index
+// whose next open rescans no container tail: every shard's manifest is
+// version 2 with its watermark at the shard's sealed-container count.
+func TestRepositoryUpgradesOldIndexOnOpen(t *testing.T) {
+	ctx := context.Background()
+	var key Key
+	copy(key[:], "upgrade key")
+	opts := []RepositoryOption{WithRepositoryKey(key), WithShards(4), WithContainerBytes(64 << 10)}
+	base := t.TempDir()
+	repo, err := CreateRepository(base, opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	v1 := repoData(61, 1<<20)
+	gens := map[string][]byte{"mon": v1, "tue": repoMutate(v1, 62), "wed": repoData(63, 512<<10)}
+	for _, name := range []string{"mon", "tue", "wed"} {
+		mustBackup(t, repo, name, gens[name])
+	}
+	if err := repo.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	for _, tc := range []struct {
+		name string
+		age  func(t *testing.T, indexDir string)
+	}{
+		{"no-index-dir", func(t *testing.T, indexDir string) {
+			if err := os.RemoveAll(indexDir); err != nil {
+				t.Fatal(err)
+			}
+		}},
+		{"v1-manifests", func(t *testing.T, indexDir string) {
+			names, err := filepath.Glob(filepath.Join(indexDir, "shard-*.mf"))
+			if err != nil || len(names) != 4 {
+				t.Fatalf("shard manifests = %v, %v; want 4", names, err)
+			}
+			for _, name := range names {
+				data, err := os.ReadFile(name)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := os.WriteFile(name, manifestV1(data[:len(data)-4]), 0o644); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			copyDir(t, base, dir)
+			tc.age(t, filepath.Join(dir, IndexDirName))
+
+			repo, err := OpenRepository(dir, opts...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for name, data := range gens {
+				mustRestore(t, repo, name, data)
+			}
+			if err := repo.Verify(ctx); err != nil {
+				t.Fatalf("Verify: %v", err)
+			}
+			if _, err := repo.GC(ctx); err != nil {
+				t.Fatalf("GC: %v", err)
+			}
+			if err := repo.Close(); err != nil {
+				t.Fatal(err)
+			}
+
+			b, err := container.OpenFileBackend(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer b.Close()
+			for shard := 0; shard < b.Shards(); shard++ {
+				sealed, _, err := b.SealedStats(shard)
+				if err != nil {
+					t.Fatal(err)
+				}
+				data, err := os.ReadFile(filepath.Join(dir, IndexDirName, fmt.Sprintf("shard-%04d.mf", shard)))
+				if err != nil {
+					t.Fatalf("shard %d: no index manifest after Close: %v", shard, err)
+				}
+				if len(data) < 32 {
+					t.Fatalf("shard %d: manifest truncated (%d bytes)", shard, len(data))
+				}
+				version := binary.LittleEndian.Uint32(data[4:])
+				watermark := binary.LittleEndian.Uint64(data[16:])
+				if version != 2 || watermark != uint64(sealed) {
+					t.Fatalf("shard %d: manifest version %d watermark %d, want version 2 watermark %d (no tail rescan)",
+						shard, version, watermark, sealed)
+				}
+			}
+		})
+	}
+}
+
+// manifestV1 re-encodes a shard manifest body (without its CRC) in the
+// version-1 layout: the same header and run list, version 1, followed by
+// the aggregate Bloom filter version 1 carried, sized for 1<<22 chunks
+// across the 4 shards.
+func manifestV1(body []byte) []byte {
+	out := append([]byte(nil), body...)
+	binary.LittleEndian.PutUint32(out[4:], 1)
+	out = bloom.NewWithEstimates(1<<22/4, 0.01).AppendBinary(out)
+	return binary.LittleEndian.AppendUint32(out, crc32.ChecksumIEEE(out))
+}
+
+// copyDir copies the regular files under src into dst, keeping layout.
+func copyDir(t *testing.T, src, dst string) {
+	t.Helper()
+	err := filepath.WalkDir(src, func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		rel, err := filepath.Rel(src, path)
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			return os.MkdirAll(filepath.Join(dst, rel), 0o755)
+		}
+		data, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		return os.WriteFile(filepath.Join(dst, rel), data, 0o644)
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
 }

@@ -120,51 +120,35 @@ var ErrCatalogCorrupt = dedup.ErrCatalogCorrupt
 type repoOptions struct {
 	shards         int
 	containerBytes int
-	backend        StoreBackend
 	cfg            ClientConfig
 	key            Key
 	tap            bool
 	observer       UploadObserver
 	fsys           vfs.FS
 	salvage        bool
-	indexMode      IndexMode
 	indexTuning    IndexTuning
 }
 
-// IndexTuning adjusts the persistent fingerprint index's memory knobs;
-// see WithIndexTuning. Zero fields select fpindex defaults.
+// IndexTuning adjusts the fingerprint index's memory knobs; see
+// WithIndexTuning. Zero fields select fpindex defaults.
 type IndexTuning struct {
 	// MemtableEntries is the per-shard memtable capacity before a flush
 	// to an on-disk sorted run.
 	MemtableEntries int
 	// CacheBytes bounds the shared hot-block cache.
 	CacheBytes int64
-	// ExpectedChunks sizes the aggregate bloom filter.
-	ExpectedChunks uint64
 	// SyncCompaction runs compactions inline instead of in the
 	// background — deterministic, so fault harnesses use it.
 	SyncCompaction bool
 }
 
-// IndexMode selects the repository's fingerprint-index implementation;
-// see WithIndex.
-type IndexMode = dedup.IndexMode
-
-const (
-	// IndexMap rebuilds an in-memory fingerprint map from container
-	// metadata on every open — the original engine. Open cost and
-	// resident memory grow with chunk count.
-	IndexMap = dedup.IndexMap
-	// IndexPersistent keeps the fingerprint index in bloom-fronted
-	// on-disk sorted runs under <path>/fpindex: opens read run footers,
-	// filters, and only the container tail written since the last index
-	// flush, and steady-state memory is bounded regardless of how many
-	// chunks the repository holds.
-	IndexPersistent = dedup.IndexPersistent
-)
-
 // IndexDirName is the subdirectory of a repository path holding the
-// persistent fingerprint index's run files and manifests.
+// fingerprint index: per-shard memtables flushed to Bloom-fronted sorted
+// runs, so an open reads run footers and filters plus only the container
+// tail written since the last index flush, and steady-state memory is
+// bounded regardless of how many chunks the repository holds. A
+// repository without it (or with a damaged one) rebuilds it from its
+// containers on open.
 const IndexDirName = "fpindex"
 
 // memRepoPath is where CreateRepository("") lays out its files on its
@@ -188,30 +172,10 @@ func WithContainerBytes(n int) RepositoryOption {
 	return func(o *repoOptions) { o.containerBytes = n }
 }
 
-// WithBackend stores sealed containers through a custom StoreBackend
-// instead of the default FileBackend under the repository path. The
-// snapshot catalog still lives at the repository path (in memory for an
-// empty path); a custom-backend repository opened later must be given the
-// same path and backend.
-func WithBackend(b StoreBackend) RepositoryOption {
-	return func(o *repoOptions) { o.backend = b }
-}
-
-// WithIndex selects the fingerprint-index implementation (IndexMap if
-// unset). IndexPersistent keeps the index under <path>/fpindex (on the
-// private in-memory filesystem for an empty path). Like the trace log,
-// the choice is sticky: a repository that ever ran IndexPersistent keeps
-// using it after a plain OpenRepository — the existing fpindex directory
-// re-selects the mode, so an open never silently pays a full container
-// scan the previous process had already made unnecessary.
-func WithIndex(mode IndexMode) RepositoryOption {
-	return func(o *repoOptions) { o.indexMode = mode }
-}
-
-// WithIndexTuning adjusts the persistent index's memory and compaction
-// knobs (IndexPersistent only; ignored for IndexMap). Benchmarks and
-// fault harnesses shrink the memtable to force run flushes and
-// compactions; production repositories normally keep the defaults.
+// WithIndexTuning adjusts the fingerprint index's memory and compaction
+// knobs (see IndexDirName). Benchmarks and fault harnesses shrink the
+// memtable to force run flushes and compactions; production repositories
+// normally keep the defaults.
 func WithIndexTuning(t IndexTuning) RepositoryOption {
 	return func(o *repoOptions) { o.indexTuning = t }
 }
@@ -298,12 +262,11 @@ type FileSystem = vfs.FS
 var OSFileSystem = vfs.OS
 
 // WithFileSystem routes every file operation of a repository — container
-// shards, snapshot catalog, trace log — through fs instead of the real
-// filesystem. This is the fault-injection seam: a faultio.MemFS injects
-// errors, torn writes, and crash points under the exact production code
-// paths. Ignored by CreateRepository("") (which uses a private in-memory
-// filesystem) and, for container storage, by repositories using a custom
-// WithBackend (the catalog and trace log still go through fs then).
+// shards, snapshot catalog, trace log, fingerprint index — through fs
+// instead of the real filesystem. This is the fault-injection seam: a
+// faultio.MemFS injects errors, torn writes, and crash points under the
+// exact production code paths. Ignored by CreateRepository("") (which
+// uses a private in-memory filesystem).
 func WithFileSystem(fs FileSystem) RepositoryOption {
 	return func(o *repoOptions) { o.fsys = fs }
 }
@@ -338,23 +301,20 @@ func WithRepositoryKey(k Key) RepositoryOption {
 	return func(o *repoOptions) { o.key = k }
 }
 
-// newRepoStore builds a repository's dedup store, honoring the selected
-// index mode. rebuild forces the persistent index to discard its state
-// and rescan the containers — the salvage-open path, where containers
-// were renumbered and old run locations would be lies.
-func newRepoStore(path string, backend container.Backend, containerBytes int, o *repoOptions, rebuild bool) (*dedup.Store, error) {
-	opts := dedup.StoreOptions{ContainerBytes: containerBytes}
-	if o.indexMode == IndexPersistent {
-		opts.Index = dedup.IndexPersistent
-		opts.IndexDir = filepath.Join(path, IndexDirName)
-		opts.FS = o.fsys
-		opts.RebuildIndex = rebuild
-		opts.MemtableEntries = o.indexTuning.MemtableEntries
-		opts.CacheBytes = o.indexTuning.CacheBytes
-		opts.ExpectedChunks = o.indexTuning.ExpectedChunks
-		opts.SyncCompaction = o.indexTuning.SyncCompaction
-	}
-	return dedup.NewStoreWithOptions(backend, opts)
+// newRepoStore builds a repository's dedup store over its container
+// backend, with the fingerprint index under <path>/fpindex. rebuild forces
+// the index to discard its state and rescan the containers — the
+// salvage-open path, where containers were renumbered and old run
+// locations would be lies.
+func newRepoStore(path string, backend container.Backend, o *repoOptions, rebuild bool) (*dedup.Store, error) {
+	return dedup.NewStoreWithOptions(backend, dedup.StoreOptions{
+		IndexDir:        filepath.Join(path, IndexDirName),
+		FS:              o.fsys,
+		RebuildIndex:    rebuild,
+		MemtableEntries: o.indexTuning.MemtableEntries,
+		CacheBytes:      o.indexTuning.CacheBytes,
+		SyncCompaction:  o.indexTuning.SyncCompaction,
+	})
 }
 
 // buildRepo assembles a Repository once the backend and catalog exist and
@@ -407,28 +367,18 @@ func CreateRepository(path string, opts ...RepositoryOption) (*Repository, error
 	// On any failure past this point, close and REMOVE everything this
 	// call created (shard files, catalog), so a failed create leaves the
 	// directory as it found it instead of bricking both a retried Create
-	// (files exist) and Open (catalog missing). Files behind a
-	// caller-provided backend are the caller's; only the catalog is ours
-	// then.
-	backend := o.backend
-	removeShards := false
+	// (files exist) and Open (catalog missing).
+	backend, err := container.CreateFileBackendFS(o.fsys, path, shards, containerBytes)
+	if err != nil {
+		return nil, err
+	}
 	fail := func(err error) (*Repository, error) {
-		if removeShards {
-			if names, gerr := o.fsys.Glob(filepath.Join(path, "shard-*.fdc")); gerr == nil {
-				for _, name := range names {
-					o.fsys.Remove(name)
-				}
+		if names, gerr := o.fsys.Glob(filepath.Join(path, "shard-*.fdc")); gerr == nil {
+			for _, name := range names {
+				o.fsys.Remove(name)
 			}
 		}
 		return nil, err
-	}
-	if backend == nil {
-		fb, err := container.CreateFileBackendFS(o.fsys, path, shards, containerBytes)
-		if err != nil {
-			return nil, err
-		}
-		backend = fb
-		removeShards = true
 	}
 
 	catalogPath := filepath.Join(path, dedup.CatalogName)
@@ -455,7 +405,7 @@ func CreateRepository(path string, opts ...RepositoryOption) (*Repository, error
 		}
 	}
 
-	store, err := newRepoStore(path, backend, o.containerBytes, o, false)
+	store, err := newRepoStore(path, backend, o, false)
 	if err != nil {
 		return failClosing(err)
 	}
@@ -480,32 +430,23 @@ func OpenRepository(path string, opts ...RepositoryOption) (*Repository, error) 
 	}
 	o := applyOptions(opts)
 
-	backend := o.backend
-	cleanup := func() {}
-	// A file-backed store's capacity comes from its file headers —
-	// WithContainerBytes is documented as ignored on open, so new
-	// containers keep packing with the geometry the store was created
-	// with. A custom backend may not record one, so the option applies.
-	containerBytes := o.containerBytes
+	// The store's capacity comes from its file headers — WithContainerBytes
+	// is documented as ignored on open, so new containers keep packing with
+	// the geometry the store was created with.
+	var backend *container.FileBackend
 	var salvaged container.SalvageStats
 	var catSalvaged dedup.CatalogSalvageStats
-	if backend == nil {
-		var fb *container.FileBackend
-		var err error
-		if o.salvage {
-			fb, salvaged, err = container.OpenFileBackendSalvage(o.fsys, path)
-		} else {
-			fb, err = container.OpenFileBackendFS(o.fsys, path)
-		}
-		if err != nil {
-			return nil, err
-		}
-		backend = fb
-		containerBytes = 0
-		cleanup = func() { fb.Close() }
-	}
-	var catalog *dedup.Catalog
 	var err error
+	if o.salvage {
+		backend, salvaged, err = container.OpenFileBackendSalvage(o.fsys, path)
+	} else {
+		backend, err = container.OpenFileBackendFS(o.fsys, path)
+	}
+	if err != nil {
+		return nil, err
+	}
+	cleanup := func() { backend.Close() }
+	var catalog *dedup.Catalog
 	if o.salvage {
 		catalog, catSalvaged, err = dedup.OpenCatalogSalvage(o.fsys, filepath.Join(path, dedup.CatalogName))
 	} else {
@@ -531,15 +472,7 @@ func OpenRepository(path string, opts ...RepositoryOption) (*Repository, error) 
 		cleanup()
 		return nil, err
 	}
-	// The persistent index is sticky, like the trace log: an existing
-	// fpindex directory re-selects the mode even without WithIndex, so a
-	// later plain open never regresses to a full container scan.
-	if o.indexMode == IndexMap {
-		if _, statErr := o.fsys.Stat(filepath.Join(path, IndexDirName)); statErr == nil {
-			o.indexMode = IndexPersistent
-		}
-	}
-	store, err := newRepoStore(path, backend, containerBytes, o, o.salvage)
+	store, err := newRepoStore(path, backend, o, o.salvage)
 	if err != nil {
 		if tapLog != nil {
 			tapLog.Close()

@@ -411,40 +411,6 @@ func TestRepositoryCreateFailureLeavesNoDebris(t *testing.T) {
 	mustRestore(t, repo, "snap", data)
 }
 
-// TestRepositoryCustomBackend: WithBackend swaps container storage while
-// the catalog stays at the path, and reopening with an equivalent backend
-// setup works.
-func TestRepositoryCustomBackend(t *testing.T) {
-	dir := t.TempDir()
-	backend, err := CreateFileStoreBackend(filepath.Join(dir, "containers"), 4, 128<<10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	repo, err := CreateRepository(dir, WithBackend(backend))
-	if err != nil {
-		t.Fatal(err)
-	}
-	data := repoData(5, 512<<10)
-	mustBackup(t, repo, "snap", data)
-	if err := repo.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	backend2, err := OpenFileStoreBackend(filepath.Join(dir, "containers"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	reopened, err := OpenRepository(dir, WithBackend(backend2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer reopened.Close()
-	mustRestore(t, reopened, "snap", data)
-	if gc, err := reopened.GC(context.Background()); err != nil || gc.ChunksReclaimed != 0 {
-		t.Fatalf("GC on reopened custom-backend repo: %+v, %v", gc, err)
-	}
-}
-
 // TestMemoryRepositoryMatchesFileBacked runs the same three generations
 // through an in-memory and a file-backed repository under the paper's
 // defence (MinHash keys, seeded scrambling) with the tap on: both run one
