@@ -82,9 +82,12 @@ func DefaultConfig() Config {
 }
 
 // Params sets the engine's parallelism: how many fingerprint-prefix
-// shards the counting tables are split into and how many goroutines count
-// them. Attack results are bit-identical at every setting — sharding and
-// fan-out change wall-clock time and peak per-shard memory only.
+// shards the counting passes are partitioned into and how many
+// goroutines count them. Shards partition the counting only; the
+// neighbour rows and the walk are one table per stream, and resident
+// memory is the unique chunks plus the distinct adjacent pairs at every
+// setting. Attack results are bit-identical at every setting — sharding
+// and fan-out change wall-clock time only.
 type Params struct {
 	// Shards is the fingerprint-prefix shard count in [1, 256]
 	// (DefaultShards if zero).
@@ -218,7 +221,7 @@ func (a basicAttack) Run(c, m ChunkSource, p Params) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
-	tc, tm, err := buildTablePair(c, m, p, false)
+	tc, tm, err := buildTablePair(c, m, p, nil)
 	if err != nil {
 		return Result{}, err
 	}
@@ -248,71 +251,125 @@ func (a localityAttack) Run(c, m ChunkSource, p Params) (Result, error) {
 	if cfg.Mode == 0 {
 		cfg.Mode = CiphertextOnly
 	}
-	tc, tm, err := buildTablePair(c, m, p, true)
+	tc, tm, err := buildTablePair(c, m, p, &rowOrder{sizeAware: cfg.SizeAware, posTies: !cfg.ArbitraryTies})
 	if err != nil {
 		return Result{}, err
 	}
 
-	// Initialize the inferred set G (FIFO queue) and the result set T.
-	var g []Pair
+	// Initialize the inferred set G (FIFO queue of dense id pairs) and
+	// the result set T (ciphertext id -> plaintext id, -1 while unset).
+	var g []idPair
 	switch cfg.Mode {
 	case KnownPlaintext:
 		for _, pr := range cfg.Leaked {
-			if !tc.has(pr.C) || !tm.has(pr.M) {
-				continue
+			ci, okc := tc.id(pr.C)
+			mi, okm := tm.id(pr.M)
+			if okc && okm {
+				g = append(g, idPair{ci, mi})
 			}
-			g = append(g, pr)
 		}
 	default:
-		g = freqAnalysis(tc.flatAll(), tm.flatAll(), cfg.U, cfg.SizeAware, false)
+		for _, pr := range freqAnalysis(tc.flatAll(), tm.flatAll(), cfg.U, cfg.SizeAware, false) {
+			ci, _ := tc.id(pr.C)
+			mi, _ := tm.id(pr.M)
+			g = append(g, idPair{ci, mi})
+		}
 	}
 
 	stats := Stats{Seeds: len(g)}
 
-	t := make(map[fphash.Fingerprint]fphash.Fingerprint, len(g))
+	t := make([]int32, len(tc.ents))
+	for i := range t {
+		t[i] = -1
+	}
 	for _, pr := range g {
-		if _, ok := t[pr.C]; !ok {
-			t[pr.C] = pr.M
+		if t[pr.c] < 0 {
+			t[pr.c] = pr.m
+			stats.Inferred++
 		}
 	}
 
-	// Main loop: pop a pair, infer through left and right neighbors. The
-	// two flatten buffers are reused across all iterations.
-	var ecBuf, emBuf []freqEntry
-	for head := 0; head < len(g); head++ {
+	// Main loop: pop a pair, infer through its left and right neighbour
+	// rows. The rows are already ranked, so each analysis pairs them
+	// entry by entry.
+	var head int
+	infer := func(ci, mi int32) {
+		if t[ci] >= 0 {
+			return
+		}
+		t[ci] = mi
+		stats.Inferred++
+		if cfg.W <= 0 || len(g)-head <= cfg.W {
+			g = append(g, idPair{ci, mi})
+		} else {
+			stats.DroppedByW++
+		}
+	}
+	for ; head < len(g); head++ {
 		cur := g[head]
 		stats.Iterations++
-		ecBuf = tc.lrow(cur.C).flatInto(ecBuf, tc)
-		emBuf = tm.lrow(cur.M).flatInto(emBuf, tm)
-		tl := freqAnalysis(ecBuf, emBuf, cfg.V, cfg.SizeAware, !cfg.ArbitraryTies)
-		ecBuf = tc.rrow(cur.C).flatInto(ecBuf, tc)
-		emBuf = tm.rrow(cur.M).flatInto(emBuf, tm)
-		tr := freqAnalysis(ecBuf, emBuf, cfg.V, cfg.SizeAware, !cfg.ArbitraryTies)
-		for _, side := range [2][]Pair{tl, tr} {
-			for _, pr := range side {
-				if _, seen := t[pr.C]; seen {
-					continue
-				}
-				t[pr.C] = pr.M
-				if cfg.W <= 0 || len(g)-head <= cfg.W {
-					g = append(g, pr)
-				} else {
-					stats.DroppedByW++
-				}
-			}
-		}
+		matchRows(tc.l.row(cur.c), tm.l.row(cur.m), tc, tm, cfg.V, cfg.SizeAware, infer)
+		matchRows(tc.r.row(cur.c), tm.r.row(cur.m), tc, tm, cfg.V, cfg.SizeAware, infer)
 		if pending := len(g) - head - 1; pending > stats.PeakQueue {
 			stats.PeakQueue = pending
 		}
 	}
 
-	out := make([]Pair, 0, len(t))
-	for cf, mf := range t {
-		out = append(out, Pair{C: cf, M: mf})
+	out := make([]Pair, 0, stats.Inferred)
+	for ci, mi := range t {
+		if mi >= 0 {
+			out = append(out, Pair{C: tc.ents[ci].fp, M: tm.ents[mi].fp})
+		}
 	}
 	slices.SortFunc(out, func(a, b Pair) int { return a.C.Compare(b.C) })
-	stats.Inferred = len(out)
 	return Result{Pairs: out, Stats: stats, UniqueTarget: tc.unique()}, nil
+}
+
+// idPair is a ciphertext-plaintext pair of dense chunk ids.
+type idPair struct{ c, m int32 }
+
+// matchRows is FREQ-ANALYSIS on two ranked neighbour rows: it pairs the
+// i-th entry of rc with the i-th of rm, at most x pairs (x <= 0 means
+// unbounded), and hands each pair to infer. When sizeAware, the rows are
+// ranked by size class first and pairing happens within each class both
+// rows hold, classes in ascending order, at most x pairs per class —
+// exactly freqAnalysis's order on the same rows.
+func matchRows(rc, rm []nbr, tc, tm *tables, x int, sizeAware bool, infer func(c, m int32)) {
+	if !sizeAware {
+		n := min(len(rc), len(rm))
+		if x > 0 && x < n {
+			n = x
+		}
+		for i := 0; i < n; i++ {
+			infer(rc[i].id, rm[i].id)
+		}
+		return
+	}
+	class := func(t *tables, e nbr) uint32 { return blocks(t.ents[e.id].size) }
+	i, j := 0, 0
+	for i < len(rc) && j < len(rm) {
+		cc, cm := class(tc, rc[i]), class(tm, rm[j])
+		switch {
+		case cc < cm:
+			i++
+		case cc > cm:
+			j++
+		default:
+			for k := 0; i < len(rc) && j < len(rm) && class(tc, rc[i]) == cc && class(tm, rm[j]) == cc; k++ {
+				if x <= 0 || k < x {
+					infer(rc[i].id, rm[j].id)
+				}
+				i++
+				j++
+			}
+			for i < len(rc) && class(tc, rc[i]) == cc {
+				i++
+			}
+			for j < len(rm) && class(tm, rm[j]) == cc {
+				j++
+			}
+		}
+	}
 }
 
 // SampleLeaked draws leaked ciphertext-plaintext pairs for known-plaintext

@@ -407,6 +407,33 @@ func TestSourceErrorPropagates(t *testing.T) {
 	}
 }
 
+// replaySource serves a different stream on each Open, breaking the
+// ChunkSource contract that every pass sees the same stream.
+type replaySource struct{ opens *int }
+
+func (s replaySource) Open() (ChunkReader, error) {
+	*s.opens++
+	c, _, _ := paperExample()
+	if *s.opens > 1 {
+		c = stream("other", 4096, 1, 2, 6)
+	}
+	return BackupSource(c).Open()
+}
+
+// TestReplayMismatchFails: a chunk the neighbour pass meets that the
+// frequency pass never counted has no dense id, so the run must fail
+// instead of indexing the rows with it.
+func TestReplayMismatchFails(t *testing.T) {
+	_, m, _ := paperExample()
+	for _, workers := range []int{1, 4} {
+		opens := 0
+		_, err := NewLocality(DefaultConfig()).Run(replaySource{&opens}, BackupSource(m), Params{Shards: 4, Workers: workers})
+		if !errors.Is(err, errReplay) {
+			t.Fatalf("workers=%d: err = %v, want errReplay", workers, err)
+		}
+	}
+}
+
 // shortReadSource wraps a slice source but returns at most k refs per
 // Read, exercising the scan's batch-fill loop across read boundaries.
 type shortReadSource struct {

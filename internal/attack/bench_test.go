@@ -29,8 +29,9 @@ func benchStreams() (c, m *trace.Backup) {
 	return benchC, benchM
 }
 
-// BenchmarkAttackStreaming measures the sharded two-pass counting core —
-// the throughput floor of every attack — at increasing shard counts,
+// BenchmarkAttackStreaming measures the sharded two-pass counting core
+// and the ranked neighbour rows built from it — the throughput floor of
+// every locality attack — at increasing shard counts,
 // with the worker fan-out matched to the shards (capped by GOMAXPROCS
 // there is still one broadcast per batch, so single-core runs expose the
 // sharding overhead rather than hiding it). bytes/op is the logical
@@ -47,7 +48,7 @@ func BenchmarkAttackStreaming(b *testing.B) {
 			b.SetBytes(logical)
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, _, err := buildTablePair(BackupSource(c), BackupSource(m), p, true); err != nil {
+				if _, _, err := buildTablePair(BackupSource(c), BackupSource(m), p, &rowOrder{posTies: true}); err != nil {
 					b.Fatal(err)
 				}
 			}

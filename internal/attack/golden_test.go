@@ -102,6 +102,26 @@ var goldenTable = []struct {
 	{"vm", "advanced", attack.KnownPlaintext, goldenOut{461, "84873b96f385b7a24efe3392a8842c399d24f5702ecc6f69e48890143b790e6d", attack.Stats{Seeds: 1, Iterations: 461, PeakQueue: 6, Inferred: 461}, 14, 643}},
 }
 
+// goldenKPTable holds known-plaintext rows at the benchmark's attack
+// parameters (u=1, v=15, w=200,000, 2 % of the target's unique chunks
+// leaked, seed 42), one per dataset for each locality attack. goldenTable's
+// 0.2 % leak lands no pair whose plaintext is in the auxiliary backup on
+// fsl and synthetic, so its known-plaintext rows there are empty walks.
+// These rows were recorded from the fingerprint-keyed neighbour-map
+// engine at commit 4180fb2, before the neighbour rows became flat
+// arrays; the same rule holds as for goldenTable.
+var goldenKPTable = []struct {
+	dataset, attack string
+	want            goldenOut
+}{
+	{"fsl", "locality", goldenOut{758, "4a7321c81f3533cb3ae2399365e21341aa2abe7fca5aaee0a962a104044112da", attack.Stats{Seeds: 10, Iterations: 758, PeakQueue: 20, Inferred: 758}, 488, 806}},
+	{"fsl", "advanced", goldenOut{535, "f72a53fbf6ba30458095b4f1e67996fc6a624d9d05a828d677e47170ee6a761e", attack.Stats{Seeds: 10, Iterations: 535, PeakQueue: 20, Inferred: 535}, 534, 806}},
+	{"synthetic", "locality", goldenOut{416, "59fdbb8d883a74030a2c4ebbebb540ef7373fd558507f7a3a74abaed89f0dc4f", attack.Stats{Seeds: 8, Iterations: 416, PeakQueue: 14, Inferred: 416}, 401, 459}},
+	{"synthetic", "advanced", goldenOut{402, "b23d82e821ab0b09eaf7f58e8ba7de0e7adf1f037b1cd240b40b3277f885b016", attack.Stats{Seeds: 8, Iterations: 402, PeakQueue: 14, Inferred: 402}, 401, 459}},
+	{"vm", "locality", goldenOut{461, "3e5476ba365265ee9b9316ceec52670c98f5dc14c3eb97e702b11d739906e468", attack.Stats{Seeds: 6, Iterations: 461, PeakQueue: 12, Inferred: 461}, 121, 643}},
+	{"vm", "advanced", goldenOut{461, "3e5476ba365265ee9b9316ceec52670c98f5dc14c3eb97e702b11d739906e468", attack.Stats{Seeds: 6, Iterations: 461, PeakQueue: 12, Inferred: 461}, 121, 643}},
+}
+
 // goldenTies is the reference output of TestGoldenEquivalenceArbitraryTies.
 var goldenTies = goldenOut{394, "5afafea1d93c274b4155ed1f264dfd7ec95bc35ed66936e56e88386bf48a0204", attack.Stats{Seeds: 1, Iterations: 394, PeakQueue: 4, Inferred: 394}, 0, 806}
 
@@ -164,6 +184,27 @@ func TestGoldenEquivalence(t *testing.T) {
 			}
 			if rows != 6 {
 				t.Fatalf("%d recorded rows for %s, want 3 attacks × 2 modes", rows, d.Name)
+			}
+
+			kp := attack.Config{U: 1, V: 15, W: 200000, Mode: attack.KnownPlaintext,
+				Leaked: attack.SampleLeaked(enc.Backup, enc.Truth, 0.02, 42)}
+			rows = 0
+			for _, row := range goldenKPTable {
+				if row.dataset != d.Name {
+					continue
+				}
+				rows++
+				atk := attack.NewLocality(kp)
+				if row.attack == "advanced" {
+					atk = attack.NewAdvanced(kp)
+				}
+				for _, p := range params {
+					name := fmt.Sprintf("%s/known-plaintext-2%%/shards=%d,workers=%d", row.attack, p.Shards, p.Workers)
+					checkGolden(t, name, atk, enc, aux, p, row.want)
+				}
+			}
+			if rows != 2 {
+				t.Fatalf("%d recorded 2 %% known-plaintext rows for %s, want 2", rows, d.Name)
 			}
 		})
 	}

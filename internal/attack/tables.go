@@ -1,7 +1,10 @@
 package attack
 
 import (
+	"cmp"
+	"errors"
 	"io"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -49,52 +52,69 @@ func (s *freqShard) bump(fp fphash.Fingerprint, pos int, size uint32) {
 	})
 }
 
-// counts is a value-struct frequency map — one neighbor-table row L_X[X] /
-// R_X[X] of the paper. Rows are small (backup streams are local).
-type counts map[fphash.Fingerprint]stat
+// pairShard is one shard of pass 2's adjacent-pair table: a flat arena
+// of distinct pairs (left, cur) in first-occurrence order plus a map from
+// the pair's packed dense ids to its arena index. A pair lives on cur's
+// shard. Its count serves both neighbour rows: the pair is one
+// occurrence of left in L[cur] and one of cur in R[left].
+type pairShard struct {
+	idx     map[uint64]int32
+	entries []pairEntry
+}
 
-// bump increments the count for fp, recording position pos on first sight.
-func (c counts) bump(fp fphash.Fingerprint, pos int) {
-	if s, ok := c[fp]; ok {
-		s.count++
-		c[fp] = s
+// pairEntry is one distinct adjacent pair of dense chunk ids and its
+// frequency record (the position is that of cur at the pair's first
+// occurrence).
+type pairEntry struct {
+	left, cur int32
+	stat      stat
+}
+
+// bump counts one occurrence of the pair (left, cur) at position pos.
+func (s *pairShard) bump(left, cur int32, pos int) {
+	k := uint64(uint32(left))<<32 | uint64(uint32(cur))
+	if i, ok := s.idx[k]; ok {
+		s.entries[i].stat.count++
 		return
 	}
-	c[fp] = stat{count: 1, first: int32(pos)}
+	s.idx[k] = int32(len(s.entries))
+	s.entries = append(s.entries, pairEntry{left: left, cur: cur, stat: stat{count: 1, first: int32(pos)}})
 }
 
-// flatInto flattens a neighbor row into rankable entries appended to
-// buf[:0], resolving each neighbor's chunk size from the stream's
-// sharded frequency table. The walk reuses two grow-only buffers across
-// its iterations (four flattens per iteration), which is safe because
-// frequency analysis only sorts the entries in place and returns fresh
-// pairs — nothing aliases the buffer after the call.
-func (c counts) flatInto(buf []freqEntry, sizes *tables) []freqEntry {
-	out := buf[:0]
-	for fp, s := range c {
-		out = append(out, freqEntry{fp: fp, stat: s, size: sizes.sizeOf(fp)})
-	}
-	return out
+// nbr is one entry of a neighbour row: the neighbour's dense id and the
+// pair's frequency record.
+type nbr struct {
+	id   int32
+	stat stat
 }
 
-// neighborShard maps each chunk of one fingerprint shard to the
-// co-occurrence counts of its left (or right) neighbors.
-type neighborShard map[fphash.Fingerprint]counts
+// rows is one neighbour table (L_X or R_X of the paper) in compressed
+// sparse row form: the row of chunk x is nbrs[start[x]:start[x+1]],
+// ranked in the run's matching order.
+type rows struct {
+	start []int32
+	nbrs  []nbr
+}
 
-// neighborRowHint sizes newly created neighbor rows: most chunks co-occur
-// with a handful of distinct neighbors.
-const neighborRowHint = 4
+func (r *rows) row(x int32) []nbr { return r.nbrs[r.start[x]:r.start[x+1]] }
+
+// rowOrder is the matching order a locality run ranks its neighbour rows
+// in: size class first when sizeAware, then rankCompare with posTies.
+type rowOrder struct{ sizeAware, posTies bool }
 
 // tables holds one stream's counted state, sharded by fingerprint prefix
 // (fphash.Fingerprint.Shard — the same lock-free partitioning key as the
-// dedup store): per-shard flat frequency arenas and per-shard L/R
-// neighbor tables. The merged view equals one unsharded table counted
-// serially, which is why attack results are independent of the shard and
-// worker counts.
+// dedup store): per-shard flat frequency arenas and, for the locality
+// attacks, the L/R neighbour rows over dense chunk ids. A chunk's dense
+// id is its index in ents, the shard arenas concatenated in shard order.
+// Ranked results equal one unsharded table counted serially, which is
+// why attack results are independent of the shard and worker counts.
 type tables struct {
 	shards int
 	freq   []freqShard
-	l, r   []neighborShard
+	off    []int32     // dense id of each shard's first arena entry
+	ents   []freqEntry // every unique chunk by dense id
+	l, r   rows
 }
 
 // presizeCapRefs bounds how much table capacity a source's length hint
@@ -126,17 +146,12 @@ func newTables(shards int, hint int64) *tables {
 	return t
 }
 
-func (t *tables) has(fp fphash.Fingerprint) bool {
-	_, ok := t.freq[fp.Shard(t.shards)].idx[fp]
-	return ok
-}
-
-func (t *tables) sizeOf(fp fphash.Fingerprint) uint32 {
-	s := &t.freq[fp.Shard(t.shards)]
-	if i, ok := s.idx[fp]; ok {
-		return s.entries[i].size
-	}
-	return 0
+// id returns the dense id of fp (valid once the neighbour pass has set
+// the shard offsets).
+func (t *tables) id(fp fphash.Fingerprint) (int32, bool) {
+	sh := fp.Shard(t.shards)
+	i, ok := t.freq[sh].idx[fp]
+	return t.off[sh] + i, ok
 }
 
 // unique returns the number of distinct fingerprints counted.
@@ -148,32 +163,16 @@ func (t *tables) unique() int {
 	return n
 }
 
-// flatAll concatenates every shard's arena into one rankable slice. The
-// concatenation order is irrelevant: ranking uses a total order (count,
-// then position where enabled, then fingerprint), so the ranked result is
-// the same at every shard count.
+// flatAll concatenates every shard's arena into one rankable slice, in
+// dense-id order. The order is irrelevant to ranking, which uses a total
+// order (count, then position where enabled, then fingerprint), so the
+// ranked result is the same at every shard count.
 func (t *tables) flatAll() []freqEntry {
 	out := make([]freqEntry, 0, t.unique())
 	for i := range t.freq {
 		out = append(out, t.freq[i].entries...)
 	}
 	return out
-}
-
-// lrow / rrow return a chunk's left / right neighbor row (nil for a chunk
-// with no recorded neighbors; counts(nil).flat is empty).
-func (t *tables) lrow(fp fphash.Fingerprint) counts {
-	if t.l == nil {
-		return nil
-	}
-	return t.l[fp.Shard(t.shards)][fp]
-}
-
-func (t *tables) rrow(fp fphash.Fingerprint) counts {
-	if t.r == nil {
-		return nil
-	}
-	return t.r[fp.Shard(t.shards)][fp]
 }
 
 // batchRefs is the streaming scan's batch size: large enough that the
@@ -308,50 +307,111 @@ func (t *tables) countFreq(src ChunkSource, workers int) error {
 	})
 }
 
-// countNeighbors runs the second counting pass: per-shard left/right
-// neighbor co-occurrence rows. An adjacent pair (left, cur) at position
-// pos contributes to L[cur][left] on cur's shard and R[left][cur] on
-// left's shard — each row is owned by exactly one worker. The pass is
-// separate from countFreq so the basic attack (frequencies only) never
-// pays for neighbor tables, and so the neighbor maps can be pre-sized
-// from the first pass's unique counts.
-func (t *tables) countNeighbors(src ChunkSource, workers int) error {
-	t.l = make([]neighborShard, t.shards)
-	t.r = make([]neighborShard, t.shards)
-	for i := range t.l {
-		t.l[i] = make(neighborShard, len(t.freq[i].entries))
-		t.r[i] = make(neighborShard, len(t.freq[i].entries))
+// errReplay reports a source whose second pass yields a chunk its first
+// pass did not: a ChunkSource must replay the same stream on every Open.
+var errReplay = errors.New("attack: chunk source replayed a different stream")
+
+// countNeighbors runs the second counting pass: every adjacent pair
+// (left, cur) of dense chunk ids is counted once, on cur's shard, so each
+// pair is owned by exactly one worker. The pass is separate from
+// countFreq so the basic attack (frequencies only) never pays for it, so
+// that every chunk already has its dense id, and so the pair tables can
+// be pre-sized from the first pass's unique counts.
+func (t *tables) countNeighbors(src ChunkSource, workers int) ([]pairShard, error) {
+	t.ents = t.flatAll()
+	t.off = make([]int32, t.shards)
+	pairs := make([]pairShard, t.shards)
+	var n int32
+	for i := range pairs {
+		t.off[i] = n
+		n += int32(len(t.freq[i].entries))
+		pairs[i].idx = make(map[uint64]int32, len(t.freq[i].entries))
+		pairs[i].entries = make([]pairEntry, 0, len(t.freq[i].entries))
 	}
 	w := workersFor(workers, t.shards)
-	return scan(src, w, func(worker int, refs []trace.ChunkRef, base int, prev trace.ChunkRef) {
+	bad := make([]bool, w)
+	err := scan(src, w, func(worker int, refs []trace.ChunkRef, base int, prev trace.ChunkRef) {
 		for j := range refs {
 			pos := base + j
-			if pos == 0 {
-				continue // the first chunk of the stream has no left neighbor
+			cur := refs[j].FP
+			sh := cur.Shard(t.shards)
+			if pos == 0 || sh%w != worker {
+				continue // the first chunk of the stream has no left neighbour
 			}
 			left := prev.FP
 			if j > 0 {
 				left = refs[j-1].FP
 			}
-			cur := refs[j].FP
-			if sh := cur.Shard(t.shards); sh%w == worker {
-				row := t.l[sh][cur]
-				if row == nil {
-					row = make(counts, neighborRowHint)
-					t.l[sh][cur] = row
-				}
-				row.bump(left, pos)
+			cid, okc := t.id(cur)
+			lid, okl := t.id(left)
+			if !okc || !okl {
+				bad[worker] = true
+				return
 			}
-			if sh := left.Shard(t.shards); sh%w == worker {
-				row := t.r[sh][left]
-				if row == nil {
-					row = make(counts, neighborRowHint)
-					t.r[sh][left] = row
-				}
-				row.bump(cur, pos)
-			}
+			pairs[sh].bump(lid, cid, pos)
 		}
 	})
+	if err != nil {
+		return nil, err
+	}
+	for _, b := range bad {
+		if b {
+			return nil, errReplay
+		}
+	}
+	return pairs, nil
+}
+
+// buildRows buckets the counted pairs into the L and R rows and ranks
+// every row once in order: L[cur] holds each left neighbour of cur and
+// R[left] each right neighbour of left, with the pair's count and first
+// position.
+func (t *tables) buildRows(pairs []pairShard, order rowOrder) {
+	n := len(t.ents)
+	t.l.start = make([]int32, n+1)
+	t.r.start = make([]int32, n+1)
+	total := 0
+	for i := range pairs {
+		total += len(pairs[i].entries)
+		for _, e := range pairs[i].entries {
+			t.l.start[e.cur+1]++
+			t.r.start[e.left+1]++
+		}
+	}
+	for x := 0; x < n; x++ {
+		t.l.start[x+1] += t.l.start[x]
+		t.r.start[x+1] += t.r.start[x]
+	}
+	t.l.nbrs = make([]nbr, total)
+	t.r.nbrs = make([]nbr, total)
+	lnext := slices.Clone(t.l.start[:n])
+	rnext := slices.Clone(t.r.start[:n])
+	for i := range pairs {
+		for _, e := range pairs[i].entries {
+			t.l.nbrs[lnext[e.cur]] = nbr{id: e.left, stat: e.stat}
+			lnext[e.cur]++
+			t.r.nbrs[rnext[e.left]] = nbr{id: e.cur, stat: e.stat}
+			rnext[e.left]++
+		}
+	}
+
+	ents := t.ents
+	byRank := func(a, b nbr) int {
+		ea, eb := &ents[a.id], &ents[b.id]
+		if order.sizeAware {
+			if d := cmp.Compare(blocks(ea.size), blocks(eb.size)); d != 0 {
+				return d
+			}
+		}
+		return rankCompare(freqEntry{fp: ea.fp, stat: a.stat}, freqEntry{fp: eb.fp, stat: b.stat}, order.posTies)
+	}
+	for _, tab := range [2]*rows{&t.l, &t.r} {
+		for x := 0; x < n; x++ {
+			if row := tab.row(int32(x)); len(row) > 1 {
+				slices.SortFunc(row, byRank)
+			}
+		}
+	}
 }
 
 // workersFor caps the worker fan-out at the shard count (a shard is owned
@@ -366,9 +426,10 @@ func workersFor(workers, shards int) int {
 	return workers
 }
 
-// buildTables counts one stream: always the frequency pass, plus the
-// neighbor pass when the attack walks locality.
-func buildTables(src ChunkSource, p Params, neighbors bool) (*tables, error) {
+// buildTables counts one stream: always the frequency pass, plus, when
+// the attack walks locality (order != nil), the neighbour pass and the
+// ranked rows.
+func buildTables(src ChunkSource, p Params, order *rowOrder) (*tables, error) {
 	var hint int64
 	if c, ok := src.(ChunkCounter); ok {
 		hint = c.ChunkCount()
@@ -377,24 +438,26 @@ func buildTables(src ChunkSource, p Params, neighbors bool) (*tables, error) {
 	if err := t.countFreq(src, p.Workers); err != nil {
 		return nil, err
 	}
-	if neighbors {
-		if err := t.countNeighbors(src, p.Workers); err != nil {
+	if order != nil {
+		pairs, err := t.countNeighbors(src, p.Workers)
+		if err != nil {
 			return nil, err
 		}
+		t.buildRows(pairs, *order)
 	}
 	return t, nil
 }
 
 // buildTablePair counts the ciphertext and plaintext streams
 // concurrently — together they are the setup cost of every attack run.
-func buildTablePair(c, m ChunkSource, p Params, neighbors bool) (tc, tm *tables, err error) {
+func buildTablePair(c, m ChunkSource, p Params, order *rowOrder) (tc, tm *tables, err error) {
 	var merr error
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		tm, merr = buildTables(m, p, neighbors)
+		tm, merr = buildTables(m, p, order)
 	}()
-	tc, err = buildTables(c, p, neighbors)
+	tc, err = buildTables(c, p, order)
 	<-done
 	if err == nil {
 		err = merr

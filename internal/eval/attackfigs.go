@@ -365,8 +365,12 @@ func Fig9KPVaryAux(ds Datasets) []Figure {
 	return out
 }
 
-// AttackScaling measures the locality attack's end-to-end cost on growing
-// stream lengths (Section 5.2's performance discussion).
+// AttackScaling reports how many pairs the ciphertext-only locality
+// attack infers as the target stream grows (the first quarter, half and
+// all of d's MLE-encrypted latest backup against its second-last backup;
+// Section 5.2's performance discussion). It records inferred pairs only, not time: the
+// attack's cost is the wall time and kchunks/s that `attack -trace`
+// prints, timed around Run alone.
 func AttackScaling(d *trace.Dataset) Figure {
 	fig := Figure{
 		ID:     "Sec 5.2",
