@@ -59,6 +59,26 @@ func TestUnknownFigExits2(t *testing.T) {
 	}
 }
 
+// TestMetadataFiguresGolden holds the §7.4 metadata-access figures and the
+// restore-locality table to their recorded output, byte for byte. The
+// goldens were recorded when the DDFS simulator still packed through
+// container.Store; they are a behaviour contract, never re-recorded.
+func TestMetadataFiguresGolden(t *testing.T) {
+	for _, fig := range []string{"13", "14", "restore"} {
+		want, err := os.ReadFile(filepath.Join("testdata", "fig-"+fig+".golden"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		out, code := runDefend(t, "-fig", fig)
+		if code != 0 {
+			t.Fatalf("defend -fig %s: exit %d; output:\n%s", fig, code, out)
+		}
+		if out != string(want) {
+			t.Errorf("defend -fig %s differs from testdata/fig-%s.golden:\n%s", fig, fig, out)
+		}
+	}
+}
+
 // TestFsckRepairsCorruptShard flips bytes in the middle of a sealed
 // shard: fsck must quarantine the damaged container, report which
 // snapshots lost what and exit 1, and a second run must quarantine

@@ -265,3 +265,116 @@ func TestSealFaultInSyncPass(t *testing.T) {
 	}
 	mustRestore(t, repo2, "snap-retry", data)
 }
+
+// TestFlipBitNeverRestoresWrongBytes flips one bit of a container shard
+// during a backup — in flight on a write, or on the media after an
+// acknowledged fsync — at each of the shard file's first writes and
+// syncs. The backup cannot notice; the reopened repository must. Each
+// case ends in exact bytes, in a loud ErrStoreCorrupt, or in a degraded
+// restore that reports the damaged ranges and is exact outside them —
+// never in wrong bytes passed off as the snapshot.
+func TestFlipBitNeverRestoresWrongBytes(t *testing.T) {
+	data := repoData(73, 192<<10)
+	var key Key
+	copy(key[:], "flip bit key")
+	opts := func(fs FileSystem, extra ...RepositoryOption) []RepositoryOption {
+		return append([]RepositoryOption{
+			WithFileSystem(fs), WithRepositoryKey(key),
+			WithShards(2), WithContainerBytes(16 << 10),
+		}, extra...)
+	}
+	ctx := context.Background()
+
+	// restore classifies one restore of "snap": exact bytes, a detected
+	// corruption, or a degraded restore with its damage reported.
+	restore := func(t *testing.T, repo *Repository) string {
+		t.Helper()
+		var out bytes.Buffer
+		err := repo.Restore(ctx, "snap", &out)
+		var de *DegradedError
+		switch {
+		case err == nil:
+			if !bytes.Equal(out.Bytes(), data) {
+				t.Fatal("restore returned wrong bytes without an error")
+			}
+			return "exact"
+		case errors.As(err, &de):
+			if len(de.Ranges) == 0 || out.Len() != len(data) {
+				t.Fatalf("degraded restore: %d ranges, %d of %d bytes", len(de.Ranges), out.Len(), len(data))
+			}
+			got := out.Bytes()
+			want := append([]byte(nil), data...)
+			for _, r := range de.Ranges {
+				for i := r.Offset; i < r.Offset+r.Length; i++ {
+					want[i] = 0
+				}
+			}
+			if !bytes.Equal(got, want) {
+				t.Fatal("degraded restore is wrong outside its reported ranges")
+			}
+			return "degraded"
+		case errors.Is(err, ErrStoreCorrupt):
+			return "corrupt"
+		default:
+			t.Fatalf("restore: %v, want exact bytes, ErrStoreCorrupt or a DegradedError", err)
+			return ""
+		}
+	}
+
+	for _, op := range []faultio.Op{faultio.OpWrite, faultio.OpSync} {
+		outcomes := make(map[string]int)
+		for nth := 1; nth <= 6; nth++ {
+			t.Run(fmt.Sprintf("%s-%d", op, nth), func(t *testing.T) {
+				m := faultio.NewMemFSPlan(faultio.Plan{Seed: int64(nth), Rules: []faultio.Rule{{
+					Op: op, PathGlob: "shard-0000.fdc", Nth: nth, Fault: faultio.Fault{FlipBit: true},
+				}}})
+				repo, err := CreateRepository("repo", opts(m)...)
+				if err != nil {
+					t.Fatal(err)
+				}
+				mustBackup(t, repo, "snap", data)
+				if err := repo.Close(); err != nil {
+					t.Fatal(err)
+				}
+
+				repo, err = OpenRepository("repo", opts(m)...)
+				if err != nil {
+					// The flip hit the file's structure: opening fails
+					// loudly, and a salvage open either restores degraded
+					// or, past a damaged file header, fails loudly too.
+					if !errors.Is(err, ErrStoreCorrupt) {
+						t.Fatalf("reopen: %v, want ErrStoreCorrupt", err)
+					}
+					repo, err = OpenRepository("repo", opts(m, WithSalvage(), WithDegradedRestore())...)
+					if err != nil {
+						if !errors.Is(err, ErrStoreCorrupt) {
+							t.Fatalf("salvage open: %v, want ErrStoreCorrupt", err)
+						}
+						outcomes["unsalvageable"]++
+						return
+					}
+					defer repo.Close()
+					outcomes["salvaged "+restore(t, repo)]++
+					return
+				}
+				got := restore(t, repo)
+				outcomes[got]++
+				repo.Close()
+				if got == "corrupt" {
+					repo, err = OpenRepository("repo", opts(m, WithDegradedRestore())...)
+					if err != nil {
+						t.Fatal(err)
+					}
+					defer repo.Close()
+					if d := restore(t, repo); d != "degraded" {
+						t.Fatalf("degraded restore of a corrupt snapshot: %s", d)
+					}
+				}
+			})
+		}
+		t.Logf("%s flips: %v", op, outcomes)
+		if outcomes["exact"] == 6 {
+			t.Errorf("no %s flip was ever detected: the cases never reached a container record", op)
+		}
+	}
+}

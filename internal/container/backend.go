@@ -69,9 +69,9 @@ type RangeScanner interface {
 }
 
 // ScanFrom visits the shard's sealed containers with ID >= from in ID
-// order, using the backend's RangeScanner when implemented and falling
-// back to a full Scan that skips earlier containers otherwise (wrappers
-// like fault-injection backends keep working, just without the seek).
+// order, using the backend's RangeScanner when implemented (FileBackend)
+// and falling back to a full Scan that skips earlier containers otherwise
+// (MemBackend, which has nothing to seek past).
 func ScanFrom(b Backend, shard, from int, withData bool, fn func(*Container) error) error {
 	if rs, ok := b.(RangeScanner); ok {
 		return rs.ScanFrom(shard, from, withData, fn)
@@ -126,11 +126,10 @@ func ScanShardTolerant(b Backend, shard int, fn func(id int, c *Container, err e
 	}
 }
 
-// MemBackend keeps sealed containers in memory: the original engine's
-// behavior, now behind the Backend interface. It is the default backend of
-// New and NewStoreWithShards-built dedup stores, and it never returns a
-// non-nil error — callers that only ever use MemBackend (the ddfs
-// metadata simulation) may treat backend errors as impossible.
+// MemBackend keeps sealed containers in memory, behind the Backend
+// interface: the backend of in-memory test stores (dedup.NewStore and
+// friends) and of the benchmark's stage replay. Its only errors are
+// contract violations (a Seal or Rewrite out of ID order).
 type MemBackend struct {
 	mu     sync.RWMutex
 	shards [][]*Container

@@ -10,9 +10,8 @@ import (
 // DefaultBytes is the paper's container size (4 MB).
 const DefaultBytes = 4 << 20
 
-// Entry is one chunk stored in a container. Data may be nil for
-// metadata-only simulations (package ddfs); Size is always set. Entries
-// with nil Data cannot be persisted through a FileBackend.
+// Entry is one chunk stored in a container: its fingerprint, its size and
+// its Size bytes of data.
 type Entry struct {
 	FP   fphash.Fingerprint
 	Size uint32
@@ -35,8 +34,8 @@ type Container struct {
 // Store accumulates chunks into fixed-capacity containers. The one open
 // (in-progress) container lives in memory; the moment a container seals it
 // is handed to the Backend, which owns sealed-container storage — in
-// memory (MemBackend, New's private backend) or in files (FileBackend).
-// The zero value is not usable; construct with New or NewWithBackend.
+// files (FileBackend) or in memory (MemBackend). The zero value is not
+// usable; construct with NewWithBackend.
 //
 // A Store is not safe for concurrent use: it is a single packer with one
 // open container, and callers own its locking. The sharded dedup store
@@ -51,21 +50,6 @@ type Store struct {
 	sealed      int // sealed containers so far; also the next container ID
 	sealedBytes int
 	current     *Container
-}
-
-// New returns a store with the given container byte capacity backed by a
-// private in-memory backend (the pre-persistence behavior). It panics if
-// capacity is not positive.
-func New(capacity int) *Store {
-	if capacity <= 0 {
-		panic(fmt.Sprintf("container: capacity must be positive, got %d", capacity))
-	}
-	s, err := NewWithBackend(capacity, NewMemBackend(1), 0, nil)
-	if err != nil {
-		// NewMemBackend cannot fail to scan an empty shard.
-		panic(fmt.Sprintf("container: %v", err))
-	}
-	return s
 }
 
 // NewWithBackend returns a store packing shard's containers through the
@@ -244,7 +228,8 @@ type RepairStats struct {
 // Repair rewrites the shard keeping every entry that can still be
 // trusted: containers that fail to read (checksum or structural damage)
 // are quarantined — their raw bytes preserved through the backend's
-// Quarantiner capability when present — and dropped; readable entries
+// Quarantiner capability when present, or the repair fails before it
+// rewrites anything — and dropped; readable entries
 // whose content hash no longer equals their recorded fingerprint are
 // dropped individually (in-flight corruption that a CRC computed after
 // the fact cannot catch). Survivors are repacked densely and renumbered
@@ -305,13 +290,16 @@ func (s *Store) Repair(moved func(Entry, Location)) (RepairStats, error) {
 		return RepairStats{}, err
 	}
 	// Quarantine before the rewrite below replaces the shard file — the
-	// damaged records' raw bytes only exist until then.
+	// damaged records' raw bytes only exist until then, so a record that
+	// cannot be preserved fails the repair with the shard untouched.
 	for _, id := range damaged {
 		st.ContainersQuarantined++
 		if q, ok := s.backend.(Quarantiner); ok {
-			if path, qerr := q.Quarantine(s.shard, id); qerr == nil {
-				st.QuarantinePaths = append(st.QuarantinePaths, path)
+			path, err := q.Quarantine(s.shard, id)
+			if err != nil {
+				return RepairStats{}, fmt.Errorf("container: quarantine container %d of shard %d: %w", id, s.shard, err)
 			}
+			st.QuarantinePaths = append(st.QuarantinePaths, path)
 		}
 		// The container's entry metadata may still be readable even
 		// though its data region is corrupt; count what can be counted

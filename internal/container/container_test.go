@@ -7,8 +7,15 @@ import (
 	"freqdedup/internal/fphash"
 )
 
-func entry(id uint64, size uint32) Entry {
-	return Entry{FP: fphash.FromUint64(id), Size: size}
+// newStore returns a one-shard store of the given capacity on a
+// MemBackend.
+func newStore(t *testing.T, capacity int) *Store {
+	t.Helper()
+	s, err := NewWithBackend(capacity, NewMemBackend(1), 0, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s
 }
 
 func mustAppend(t *testing.T, s *Store, e Entry) Location {
@@ -30,8 +37,8 @@ func mustFlush(t *testing.T, s *Store) *Container {
 }
 
 func TestAppendAndGet(t *testing.T) {
-	s := New(100)
-	loc := mustAppend(t, s, entry(1, 40))
+	s := newStore(t, 100)
+	loc := mustAppend(t, s, dataEntry(1, 40))
 	if loc.Container != 0 || loc.Index != 0 {
 		t.Fatalf("first location = %+v", loc)
 	}
@@ -42,9 +49,9 @@ func TestAppendAndGet(t *testing.T) {
 }
 
 func TestSealOnCapacity(t *testing.T) {
-	s := New(100)
-	mustAppend(t, s, entry(1, 60))
-	loc := mustAppend(t, s, entry(2, 60)) // does not fit: previous sealed
+	s := newStore(t, 100)
+	mustAppend(t, s, dataEntry(1, 60))
+	loc := mustAppend(t, s, dataEntry(2, 60)) // does not fit: previous sealed
 	if loc.Container != 1 {
 		t.Fatalf("second chunk in container %d, want 1", loc.Container)
 	}
@@ -58,23 +65,23 @@ func TestSealOnCapacity(t *testing.T) {
 }
 
 func TestOversizedEntryGetsOwnContainer(t *testing.T) {
-	s := New(100)
-	loc := mustAppend(t, s, entry(1, 500)) // larger than capacity: stored alone
+	s := newStore(t, 100)
+	loc := mustAppend(t, s, dataEntry(1, 500)) // larger than capacity: stored alone
 	if loc.Container != 0 {
 		t.Fatalf("oversized chunk location %+v", loc)
 	}
-	loc2 := mustAppend(t, s, entry(2, 10))
+	loc2 := mustAppend(t, s, dataEntry(2, 10))
 	if loc2.Container != 1 {
 		t.Fatalf("chunk after oversized should start container 1, got %d", loc2.Container)
 	}
 }
 
 func TestFlush(t *testing.T) {
-	s := New(1000)
+	s := newStore(t, 1000)
 	if mustFlush(t, s) != nil {
 		t.Fatal("flushing empty store should return nil")
 	}
-	mustAppend(t, s, entry(1, 10))
+	mustAppend(t, s, dataEntry(1, 10))
 	c := mustFlush(t, s)
 	if c == nil || c.ID != 0 || len(c.Entries) != 1 {
 		t.Fatalf("flushed container = %+v", c)
@@ -83,17 +90,17 @@ func TestFlush(t *testing.T) {
 		t.Fatal("double flush should return nil")
 	}
 	// New appends go into a fresh container.
-	loc := mustAppend(t, s, entry(2, 10))
+	loc := mustAppend(t, s, dataEntry(2, 10))
 	if loc.Container != 1 {
 		t.Fatalf("post-flush container = %d, want 1", loc.Container)
 	}
 }
 
 func TestLocationsStable(t *testing.T) {
-	s := New(256)
+	s := newStore(t, 256)
 	locs := make([]Location, 0, 100)
 	for i := uint64(0); i < 100; i++ {
-		locs = append(locs, mustAppend(t, s, entry(i, 32)))
+		locs = append(locs, mustAppend(t, s, dataEntry(i, 32)))
 	}
 	for i, loc := range locs {
 		got, err := s.Get(loc)
@@ -104,11 +111,11 @@ func TestLocationsStable(t *testing.T) {
 }
 
 func TestGetMissing(t *testing.T) {
-	s := New(100)
+	s := newStore(t, 100)
 	if _, err := s.Get(Location{Container: 5, Index: 0}); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("Get of absent container: %v, want ErrNotFound", err)
 	}
-	mustAppend(t, s, entry(1, 10))
+	mustAppend(t, s, dataEntry(1, 10))
 	if _, err := s.Get(Location{Container: 0, Index: 7}); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("Get of absent index: %v, want ErrNotFound", err)
 	}
@@ -118,26 +125,23 @@ func TestGetMissing(t *testing.T) {
 }
 
 func TestBytes(t *testing.T) {
-	s := New(100)
-	mustAppend(t, s, entry(1, 60))
-	mustAppend(t, s, entry(2, 60))
-	mustAppend(t, s, entry(3, 10))
+	s := newStore(t, 100)
+	mustAppend(t, s, dataEntry(1, 60))
+	mustAppend(t, s, dataEntry(2, 60))
+	mustAppend(t, s, dataEntry(3, 10))
 	if got := s.Bytes(); got != 130 {
 		t.Fatalf("Bytes = %d, want 130", got)
 	}
 }
 
-func TestNewPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("New(0) did not panic")
-		}
-	}()
-	New(0)
+func TestNewWithBackendRejectsBadCapacity(t *testing.T) {
+	if _, err := NewWithBackend(0, NewMemBackend(1), 0, nil); err == nil {
+		t.Fatal("NewWithBackend with capacity 0 succeeded")
+	}
 }
 
-// dataEntry builds an entry whose data matches its size, as the dedup
-// store stores them (required for file persistence).
+// dataEntry builds an entry whose data matches its size, as every store
+// holds them.
 func dataEntry(id uint64, size uint32) Entry {
 	data := make([]byte, size)
 	for i := range data {
@@ -147,7 +151,7 @@ func dataEntry(id uint64, size uint32) Entry {
 }
 
 func TestCompactDropsAndRenumbers(t *testing.T) {
-	s := New(100)
+	s := newStore(t, 100)
 	locs := map[uint64]Location{}
 	for i := uint64(0); i < 10; i++ {
 		locs[i] = mustAppend(t, s, dataEntry(i, 40))
@@ -200,7 +204,7 @@ func TestCompactDropsAndRenumbers(t *testing.T) {
 }
 
 func TestCompactKeepAllIsLayoutIdentity(t *testing.T) {
-	s := New(100)
+	s := newStore(t, 100)
 	for i := uint64(0); i < 7; i++ {
 		mustAppend(t, s, dataEntry(i, 40))
 	}

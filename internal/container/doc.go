@@ -9,16 +9,20 @@
 // # Architecture
 //
 // A Store is the packer: it accumulates entries into one open container in
-// memory and seals full containers through a pluggable Backend, the
-// persistent side of the abstraction. Two backends exist:
+// memory and seals full containers through a Backend, the persistent side
+// of the abstraction. Two backends exist:
 //
 //   - FileBackend persists each shard's containers in an append-only file,
 //     fsyncing on every seal, and is what makes a dedup store survive a
 //     process restart (dedup.NewStoreWithBackend / dedup.Open). Every
-//     repository uses it — an in-memory one over a vfs.Mem.
-//   - MemBackend keeps sealed containers in memory — the original engine's
-//     behavior, kept for New's private packer, dedup.NewStore and test
-//     doubles. It never fails.
+//     repository uses it — an in-memory one over a vfs.Mem — and the
+//     fault lab (faultio.MemFS) injects its faults under it, at the file
+//     seam.
+//   - MemBackend keeps sealed containers in memory, for in-memory test
+//     stores (dedup.NewStore) and the benchmark's stage replay.
+//
+// The ddfs metadata simulator keeps its own fingerprint-only containers
+// and does not use this package's packer.
 //
 // The durability boundary is the seal: once Store.Flush (or an Append that
 // sealed a full container) returns nil, that container is as durable as
@@ -55,8 +59,8 @@
 //   - Per shard, container IDs are dense and equal the record position in
 //     the file; Seal enforces arrival in ID order, and a GC Rewrite
 //     renumbers survivors densely from zero again.
-//   - Every persisted entry satisfies len(Data) == Size; metadata-only
-//     entries (nil Data, the ddfs simulation) are memory-only.
+//   - Every entry satisfies len(Data) == Size; FileBackend refuses to
+//     seal one that does not.
 //   - Sealed containers are immutable. The only mutation of a shard file
 //     is appending a record or atomically replacing the whole file
 //     (Rewrite writes a temporary file, fsyncs, and renames it over).

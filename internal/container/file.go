@@ -386,7 +386,7 @@ func (sf *shardFile) buildRecord(c *Container) ([]byte, error) {
 	dataBytes := 0
 	for _, e := range c.Entries {
 		if len(e.Data) != int(e.Size) {
-			return nil, fmt.Errorf("container: entry %v has %d data bytes, size says %d (metadata-only entries cannot be persisted)",
+			return nil, fmt.Errorf("container: entry %v has %d data bytes, size says %d",
 				e.FP, len(e.Data), e.Size)
 		}
 		dataBytes += int(e.Size)
@@ -568,8 +568,11 @@ func (b *FileBackend) ScanTolerant(shard int, fn func(id int, c *Container, err 
 // Quarantine copies the raw bytes of one container record into the
 // store's quarantine directory (quarantine/shard-SSSS-container-CCCC.rec)
 // for forensics, before a repair rewrite drops it from the shard. The
-// copy is byte-exact, damage included. It returns the quarantine file's
-// path.
+// copy is byte-exact, damage included. Repair renumbers containers from
+// zero, so a later repair can quarantine a different record under the
+// same ID: an existing file is never overwritten, and the copy takes the
+// first free name shard-SSSS-container-CCCC-N.rec (N = 1, 2, ...)
+// instead. It returns the quarantine file's path.
 func (b *FileBackend) Quarantine(shard, id int) (string, error) {
 	sf := b.shards[shard]
 	sf.mu.Lock()
@@ -590,8 +593,13 @@ func (b *FileBackend) Quarantine(shard, id int) (string, error) {
 	if err := b.fsys.MkdirAll(qdir, 0o755); err != nil {
 		return "", fmt.Errorf("container: quarantine dir: %w", err)
 	}
-	name := filepath.Join(qdir, fmt.Sprintf("shard-%04d-container-%04d.rec", shard, id))
-	qf, err := b.fsys.OpenFile(name, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
+	base := filepath.Join(qdir, fmt.Sprintf("shard-%04d-container-%04d", shard, id))
+	name := base + ".rec"
+	qf, err := b.fsys.OpenFile(name, os.O_WRONLY|os.O_CREATE|os.O_EXCL, 0o644)
+	for n := 1; errors.Is(err, os.ErrExist); n++ {
+		name = fmt.Sprintf("%s-%d.rec", base, n)
+		qf, err = b.fsys.OpenFile(name, os.O_WRONLY|os.O_CREATE|os.O_EXCL, 0o644)
+	}
 	if err != nil {
 		return "", fmt.Errorf("container: quarantine file: %w", err)
 	}

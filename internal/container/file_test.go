@@ -6,6 +6,8 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+
+	"freqdedup/internal/fphash"
 )
 
 func newFileStore(t *testing.T, capacity, shards int) (*FileBackend, string) {
@@ -314,10 +316,104 @@ func TestFileBackendRejectsMetadataOnlyEntries(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.Append(entry(1, 40)); err != nil {
+	if _, err := s.Append(Entry{FP: dataEntry(1, 40).FP, Size: 40}); err != nil {
 		t.Fatal(err) // append itself is fine, the entry sits in memory
 	}
 	if _, err := s.Flush(); err == nil {
 		t.Fatal("sealing a metadata-only entry through a FileBackend succeeded")
+	}
+}
+
+// TestRepairKeepsEarlierQuarantine runs two repairs that each drop a
+// damaged container numbered 1 — Repair renumbers survivors from zero, so
+// the second repair's victim is a different record under the same ID. The
+// second quarantine must not overwrite the first: both raw records stay
+// preserved, byte for byte.
+func TestRepairKeepsEarlierQuarantine(t *testing.T) {
+	// Repair keeps only entries whose content hashes to their fingerprint.
+	chunk := func(id uint64) Entry {
+		e := dataEntry(id, 40)
+		e.FP = fphash.FromBytes(e.Data)
+		return e
+	}
+	b, dir := newFileStore(t, 100, 1)
+	s, err := NewWithBackend(100, b, 0, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := uint64(0); i < 6; i++ {
+		mustAppend(t, s, chunk(i)) // 3 containers of 2
+	}
+	if _, err := s.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	b.Close()
+
+	name := filepath.Join(dir, shardFileName(0))
+	var want [][]byte
+	var paths []string
+	for round := 0; round < 2; round++ {
+		// Flip a data byte of container 1 and remember its damaged record.
+		rb, err := OpenFileBackend(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		start, end := rb.shards[0].offsets[1], rb.shards[0].offsets[2]
+		rb.Close()
+		raw, err := os.ReadFile(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		raw[end-10] ^= 0xff
+		if err := os.WriteFile(name, raw, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		want = append(want, append([]byte(nil), raw[start:end]...))
+
+		rb, err = OpenFileBackend(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rs, err := NewWithBackend(100, rb, 0, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		st, err := rs.Repair(nil)
+		if err != nil {
+			t.Fatalf("repair %d: %v", round, err)
+		}
+		if st.ContainersQuarantined != 1 || len(st.QuarantinePaths) != 1 {
+			t.Fatalf("repair %d: %+v, want one quarantined container", round, st)
+		}
+		paths = append(paths, st.QuarantinePaths[0])
+		if rs.Count() != 2 {
+			t.Fatalf("repair %d left %d containers, want 2", round, rs.Count())
+		}
+		if round == 0 {
+			// Top the shard back up to three containers for round two.
+			mustAppend(t, rs, chunk(10))
+			mustAppend(t, rs, chunk(11))
+			if _, err := rs.Flush(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		rb.Close()
+	}
+
+	files, err := filepath.Glob(filepath.Join(dir, QuarantineDir, "*"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(files) != 2 {
+		t.Fatalf("quarantine holds %v, want both repairs' records", files)
+	}
+	for i, f := range paths {
+		got, err := os.ReadFile(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want[i]) {
+			t.Fatalf("%s does not hold repair %d's damaged record", f, i)
+		}
 	}
 }

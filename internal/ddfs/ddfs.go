@@ -73,13 +73,20 @@ func (a *AccessStats) add(o AccessStats) {
 }
 
 // System is the DDFS-like deduplication prototype.
+//
+// Its containers hold metadata only: each sealed container is the list of
+// its chunks' fingerprints, densely numbered from 0 in seal order. The
+// open container seals by container.Store.Append's rule — when it is
+// non-empty and the next chunk would overflow ContainerBytes.
 type System struct {
 	cfg        Config
 	index      map[fphash.Fingerprint]int // on-disk fingerprint index: fp -> container ID
 	bloom      *bloom.Filter
 	cache      *lru.Cache[fphash.Fingerprint, int] // fingerprint cache: fp -> container ID
-	containers *container.Store
-	buffered   map[fphash.Fingerprint]struct{} // fps in the not-yet-flushed container
+	containers [][]fphash.Fingerprint              // sealed containers' fingerprints, by ID
+	open       []fphash.Fingerprint                // the open container's fingerprints
+	openBytes  int                                 // the open container's chunk bytes
+	buffered   map[fphash.Fingerprint]struct{}     // fps in the open container
 
 	total     AccessStats
 	dupHits   uint64 // duplicates detected (cache, buffer, or index)
@@ -87,9 +94,12 @@ type System struct {
 	cacheHits uint64 // duplicates resolved by the cache without disk access
 }
 
-// New returns an empty prototype. It panics on a non-positive container
-// size or an out-of-range Bloom FPP, mirroring the underlying constructors.
+// New returns an empty prototype. It panics on a negative container size
+// or an out-of-range Bloom FPP.
 func New(cfg Config) *System {
+	if cfg.ContainerBytes < 0 {
+		panic(fmt.Sprintf("ddfs: container size must not be negative, got %d", cfg.ContainerBytes))
+	}
 	if cfg.ContainerBytes == 0 {
 		cfg.ContainerBytes = container.DefaultBytes
 	}
@@ -105,12 +115,11 @@ func New(cfg Config) *System {
 	// datasets use, bound the count), so neither rehashes on the hot path.
 	bufferedHint := cfg.ContainerBytes / 4096
 	return &System{
-		cfg:        cfg,
-		index:      make(map[fphash.Fingerprint]int, cfg.ExpectedFingerprints),
-		bloom:      bloom.NewWithEstimates(cfg.ExpectedFingerprints, cfg.BloomFPP),
-		cache:      lru.New[fphash.Fingerprint, int](cfg.CacheBytes, nil),
-		containers: container.New(cfg.ContainerBytes),
-		buffered:   make(map[fphash.Fingerprint]struct{}, bufferedHint),
+		cfg:      cfg,
+		index:    make(map[fphash.Fingerprint]int, cfg.ExpectedFingerprints),
+		bloom:    bloom.NewWithEstimates(cfg.ExpectedFingerprints, cfg.BloomFPP),
+		cache:    lru.New[fphash.Fingerprint, int](cfg.CacheBytes, nil),
+		buffered: make(map[fphash.Fingerprint]struct{}, bufferedHint),
 	}
 }
 
@@ -121,9 +130,9 @@ func (s *System) StoreBackup(b *trace.Backup) AccessStats {
 	for _, c := range b.Chunks {
 		s.process(c, &st)
 	}
-	// Flush the trailing partial container so its index updates are
+	// Seal the trailing partial container so its index updates are
 	// attributed to this backup, as a backup completion would.
-	s.flushCurrent(&st)
+	s.seal(&st)
 	s.total.add(st)
 	return st
 }
@@ -161,60 +170,42 @@ func (s *System) process(c trace.ChunkRef, st *AccessStats) {
 }
 
 // storeUnique appends the chunk to the open container, updating the Bloom
-// filter; a full container is flushed to disk with its index updates.
+// filter; a full container is sealed first, with its index updates.
 func (s *System) storeUnique(c trace.ChunkRef, st *AccessStats) {
 	s.uniques++
 	s.bloom.Add(c.FP)
-	before := s.containers.Count()
-	// The metadata simulation runs on the in-memory backend, which never
-	// fails (see container.MemBackend).
-	if _, err := s.containers.Append(container.Entry{FP: c.FP, Size: c.Size}); err != nil {
-		panic(fmt.Sprintf("ddfs: append on memory backend: %v", err))
+	if s.openBytes > 0 && s.openBytes+int(c.Size) > s.cfg.ContainerBytes {
+		s.seal(st)
 	}
-	if s.containers.Count() > before && len(s.buffered) > 0 {
-		// Append sealed the previous container and opened a new one:
-		// account for the flushed container's index updates.
-		s.accountFlush(before-1, st)
-	}
+	s.open = append(s.open, c.FP)
+	s.openBytes += int(c.Size)
 	s.buffered[c.FP] = struct{}{}
 }
 
-// flushCurrent seals the in-progress container, if any.
-func (s *System) flushCurrent(st *AccessStats) {
-	c, err := s.containers.Flush()
-	if err != nil {
-		panic(fmt.Sprintf("ddfs: flush on memory backend: %v", err))
-	}
-	if c == nil {
+// seal closes the open container, if non-empty, as the next container ID:
+// its fingerprints are written to the on-disk index (update access).
+func (s *System) seal(st *AccessStats) {
+	if len(s.open) == 0 {
 		return
 	}
-	s.accountFlush(c.ID, st)
-}
-
-// accountFlush writes the flushed container's fingerprints to the on-disk
-// index (update access) and records their container ID.
-func (s *System) accountFlush(id int, st *AccessStats) {
-	c, err := s.containers.Container(id)
-	if err != nil {
-		panic(fmt.Sprintf("ddfs: flushed container %d missing: %v", id, err))
-	}
-	for _, e := range c.Entries {
-		s.index[e.FP] = id
-		delete(s.buffered, e.FP)
+	id := len(s.containers)
+	for _, fp := range s.open {
+		s.index[fp] = id
+		delete(s.buffered, fp)
 		st.UpdateBytes += EntryBytes
 	}
+	s.containers = append(s.containers, s.open)
+	s.open = nil
+	s.openBytes = 0
 }
 
 // loadContainer reads a container's fingerprints from disk into the cache
 // (loading access) — the paper's step S4.
 func (s *System) loadContainer(id int, st *AccessStats) {
-	c, err := s.containers.Container(id)
-	if err != nil {
-		panic(fmt.Sprintf("ddfs: indexed container %d missing: %v", id, err))
-	}
-	st.LoadingBytes += uint64(len(c.Entries)) * EntryBytes
-	for _, e := range c.Entries {
-		s.cache.Put(e.FP, id, EntryBytes)
+	fps := s.containers[id]
+	st.LoadingBytes += uint64(len(fps)) * EntryBytes
+	for _, fp := range fps {
+		s.cache.Put(fp, id, EntryBytes)
 	}
 }
 
@@ -238,4 +229,9 @@ func (s *System) CacheHitRate() float64 {
 
 // Containers returns the number of containers written (including the open
 // one, if non-empty).
-func (s *System) Containers() int { return s.containers.Count() }
+func (s *System) Containers() int {
+	if len(s.open) > 0 {
+		return len(s.containers) + 1
+	}
+	return len(s.containers)
+}

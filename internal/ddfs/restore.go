@@ -82,8 +82,8 @@ func (s *System) Locate(fp fphash.Fingerprint) (int, bool) {
 	}
 	// Chunks still buffered in the open container.
 	if _, ok := s.buffered[fp]; ok {
-		// The open container is the highest ID.
-		return s.containers.Count() - 1, true
+		// The open container takes the next ID.
+		return len(s.containers), true
 	}
 	return 0, false
 }

@@ -200,9 +200,13 @@ func newRefStore(containerBytes int) *refStore {
 	if containerBytes == 0 {
 		containerBytes = container.DefaultBytes
 	}
+	containers, err := container.NewWithBackend(containerBytes, container.NewMemBackend(1), 0, nil)
+	if err != nil {
+		panic(err)
+	}
 	return &refStore{
 		index:      make(map[fphash.Fingerprint]container.Location),
-		containers: container.New(containerBytes),
+		containers: containers,
 	}
 }
 

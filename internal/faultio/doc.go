@@ -1,19 +1,17 @@
 // Package faultio is the storage stack's fault-injection lab: a
 // deterministic, seeded, scriptable fault layer that slides under the
-// production code paths — never beside them — at two seams.
+// production code paths — never beside them — at one seam, the file
+// system.
 //
-//   - The file seam: MemFS implements vfs.FS, the interface every durable
-//     format (the .fdc container shards, the .fdr snapshot catalog, the
-//     .fdt trace log) performs its file operations through. MemFS is
-//     vfs.Mem — the plain in-memory filesystem an in-memory repository
-//     runs on — plus the injector and a durability model: writes land in
-//     the vfs.Mem (the volatile view), Sync copies a file to its durable
-//     view, and CrashImage materializes only the durable view — so
-//     "crash" means exactly what it means on real hardware: everything
-//     not fsynced is gone.
-//   - The backend seam: FaultBackend wraps any container.Backend,
-//     injecting faults at the Seal/Load/Scan/Rewrite granularity — the
-//     failure model of a future network backend.
+// MemFS implements vfs.FS, the interface every durable format (the .fdc
+// container shards, the .fdr snapshot catalog, the .fdt trace log, the
+// fingerprint index) performs its file operations through. MemFS is
+// vfs.Mem — the plain in-memory filesystem an in-memory repository runs
+// on — plus the injector and a durability model: writes land in the
+// vfs.Mem (the volatile view), Sync copies a file to its durable view,
+// and CrashImage materializes only the durable view — so "crash" means
+// exactly what it means on real hardware: everything not fsynced is
+// gone.
 //
 // # The fault-plan contract
 //
@@ -28,29 +26,19 @@
 // Rules are evaluated in order against each observed operation; the
 // first rule whose Op and PathGlob match fires (from its Nth matching
 // operation on, Count times). A firing fault either fails the operation
-// (Err, ShortWrite — always wrapping ErrInjected), corrupts silently
-// (FlipBit: in-flight on a write, post-fsync on a sync), or merely
-// delays it (Delay alone).
+// (Err, ShortWrite — always wrapping ErrInjected) or corrupts silently
+// (FlipBit: in-flight on a write, post-fsync on a sync).
 //
 // The crash clock counts mutating operations only (create, write,
-// truncate, sync, rename, remove at the file seam; seal and rewrite at
-// the backend seam): reads cannot advance a machine toward a crash.
-// When the clock reaches CrashAtOp, that operation and every later one
-// fail with ErrCrashed. The workload's error handling runs exactly as it
-// would on a dying machine; the harness then reopens the stack against
-// CrashImage() and asserts the recovery invariants.
+// truncate, sync, rename, remove): reads cannot advance a machine toward
+// a crash. When the clock reaches CrashAtOp, that operation and every
+// later one fail with ErrCrashed. The workload's error handling runs
+// exactly as it would on a dying machine; the harness then reopens the
+// stack against CrashImage() and asserts the recovery invariants.
 //
 // Injector.SyncPoints records the clock value of every acknowledged
 // sync. These are the interesting crash points — between two syncs the
 // durable state does not change, so a sweep over sync points (plus the
 // full-resolution sweep in `make faults`) covers every distinct
 // post-crash disk image the workload can produce.
-//
-// # Retry policy
-//
-// RetryBackend wraps a container.Backend with exponential backoff and
-// seeded full jitter, classifying errors as permanent (corrupt, not
-// found, salvaged, crashed, or explicitly marked non-transient) versus
-// transient (everything else). MarkTransient/IsTransient define the
-// marking protocol; injected faults set it via Fault.Transient.
 package faultio

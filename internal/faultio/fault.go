@@ -6,7 +6,6 @@ import (
 	"math/rand"
 	"path/filepath"
 	"sync"
-	"time"
 )
 
 // ErrInjected is the default error a firing fault rule returns. Every
@@ -18,15 +17,12 @@ var ErrInjected = errors.New("faultio: injected fault")
 // point: the simulated machine is down, and nothing volatile survives.
 var ErrCrashed = errors.New("faultio: crashed (simulated)")
 
-// Op names one operation class a Rule can match. File-level operations
-// (OpWrite..OpStat) are observed by MemFS; backend-level operations
-// (OpSeal..OpRewrite) by FaultBackend. OpAny matches everything.
+// Op names one operation class a Rule can match, as MemFS observes it.
+// OpAny matches everything.
 type Op string
 
 const (
-	OpAny Op = ""
-
-	// File-level operations.
+	OpAny      Op = ""
 	OpWrite    Op = "write" // Write and WriteAt
 	OpRead     Op = "read"  // ReadAt
 	OpSync     Op = "sync"
@@ -36,12 +32,6 @@ const (
 	OpRename   Op = "rename"
 	OpRemove   Op = "remove"
 	OpStat     Op = "stat"
-
-	// Backend-level operations.
-	OpSeal    Op = "seal"
-	OpLoad    Op = "load"
-	OpScan    Op = "scan"
-	OpRewrite Op = "rewrite"
 )
 
 // Fault is what happens when a Rule fires.
@@ -49,9 +39,6 @@ type Fault struct {
 	// Err is the error to return (ErrInjected if nil). The returned error
 	// always wraps ErrInjected.
 	Err error
-	// Transient marks the injected error as transient, so RetryBackend
-	// (and any other IsTransient caller) will retry it.
-	Transient bool
 	// ShortWrite applies only to write operations: a seeded-random prefix
 	// of the buffer is written before the error returns — a torn write.
 	ShortWrite bool
@@ -61,9 +48,6 @@ type Fault struct {
 	// corruption. The operation then succeeds with a nil error: silent
 	// corruption, the kind only checksums catch.
 	FlipBit bool
-	// Delay is slept before the operation proceeds (injected latency).
-	// With no Err/ShortWrite/FlipBit, the operation then runs normally.
-	Delay time.Duration
 }
 
 // Rule arms one fault: when an operation matching Op and PathGlob is
@@ -103,33 +87,7 @@ type Plan struct {
 	Rules []Rule
 }
 
-// transientErr wraps an injected error marked transient.
-type transientErr struct{ err error }
-
-func (t transientErr) Error() string { return t.err.Error() }
-func (t transientErr) Unwrap() error { return t.err }
-
-// Transient reports true, marking the error retryable — see IsTransient.
-func (t transientErr) Transient() bool { return true }
-
-// MarkTransient wraps err so IsTransient reports true for it.
-func MarkTransient(err error) error { return transientErr{err} }
-
-// IsTransient reports whether err is marked transient: it (or an error it
-// wraps) implements `Transient() bool` returning true. Unmarked errors
-// are not transient.
-func IsTransient(err error) bool {
-	for err != nil {
-		if t, ok := err.(interface{ Transient() bool }); ok {
-			return t.Transient()
-		}
-		err = errors.Unwrap(err)
-	}
-	return false
-}
-
-// Injector is the shared rule-matching engine behind MemFS and
-// FaultBackend: it counts operations, tracks rule matches, decides crash
+// Injector is MemFS's rule-matching engine: it counts operations, tracks rule matches, decides crash
 // points, and owns the plan's seeded randomness. An Injector is safe for
 // concurrent use.
 type Injector struct {
@@ -202,29 +160,17 @@ func (in *Injector) observe(op Op, path string, mutating bool) (Fault, bool, err
 	return Fault{}, false, nil
 }
 
-// fire turns a matched fault into its error (after sleeping any injected
-// latency). A FlipBit fault returns nil — the corruption is the caller's
-// to apply.
-func (in *Injector) fire(f Fault) error {
-	if f.Delay > 0 {
-		time.Sleep(f.Delay)
-	}
-	if f.FlipBit {
+// err turns a fired fault into the operation's error. A FlipBit fault
+// returns nil — the corruption is the caller's to apply.
+func (f Fault) err() error {
+	switch {
+	case f.FlipBit:
 		return nil
+	case f.Err == nil:
+		return ErrInjected
+	default:
+		return fmt.Errorf("%w: %w", ErrInjected, f.Err)
 	}
-	if f.Err == nil && f.Delay > 0 && !f.ShortWrite {
-		return nil // pure latency
-	}
-	err := f.Err
-	if err == nil {
-		err = ErrInjected
-	} else {
-		err = fmt.Errorf("%w: %w", ErrInjected, err)
-	}
-	if f.Transient {
-		err = MarkTransient(err)
-	}
-	return err
 }
 
 // rand runs fn with the injector's seeded rand under the lock.
@@ -253,11 +199,4 @@ func (in *Injector) SyncPoints() []int64 {
 	out := make([]int64, len(in.syncPoints))
 	copy(out, in.syncPoints)
 	return out
-}
-
-// Crashed reports whether the plan's crash point has been reached.
-func (in *Injector) Crashed() bool {
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	return in.crashed
 }

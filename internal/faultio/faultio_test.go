@@ -2,10 +2,8 @@ package faultio
 
 import (
 	"errors"
-	"fmt"
 	"os"
 	"testing"
-	"time"
 
 	"freqdedup/internal/container"
 	"freqdedup/internal/fphash"
@@ -201,62 +199,6 @@ func TestFileBackendOnMemFS(t *testing.T) {
 	}
 	if _, err := fb2.Load(0, 0); !errors.Is(err, container.ErrCorrupt) {
 		t.Fatalf("load of corrupted container = %v, want ErrCorrupt", err)
-	}
-}
-
-// RetryBackend retries transient faults with seeded backoff and returns
-// permanent errors immediately.
-func TestRetryBackend(t *testing.T) {
-	mem := container.NewMemBackend(1)
-	flaky := NewFaultBackend(mem, Plan{Seed: 7, Rules: []Rule{
-		{Op: OpSeal, Nth: 1, Count: 2, Fault: Fault{Transient: true}},
-	}})
-	var sleeps []time.Duration
-	rb := NewRetryBackend(flaky, RetryPolicy{
-		MaxRetries: 3,
-		BaseDelay:  8 * time.Millisecond,
-		Seed:       7,
-		Sleep:      func(d time.Duration) { sleeps = append(sleeps, d) },
-	})
-	if err := rb.Seal(0, testContainer(0, 9)); err != nil {
-		t.Fatalf("seal through two transient faults: %v", err)
-	}
-	if len(sleeps) != 2 {
-		t.Fatalf("retries = %d, want 2 (sleeps %v)", len(sleeps), sleeps)
-	}
-	for i, d := range sleeps {
-		if d <= 0 || d > time.Second {
-			t.Fatalf("sleep %d = %v out of range", i, d)
-		}
-	}
-	if _, err := rb.Load(0, 99); !errors.Is(err, container.ErrNotFound) {
-		t.Fatalf("load missing = %v, want ErrNotFound (unretried)", err)
-	}
-	if rb.Retries != 2 {
-		t.Fatalf("Retries = %d, want 2 (permanent error must not retry)", rb.Retries)
-	}
-}
-
-// A non-transient injected fault is permanent by default classification
-// only when marked; unmarked errors retry.
-func TestRetryClassification(t *testing.T) {
-	cases := []struct {
-		err       error
-		permanent bool
-	}{
-		{container.ErrCorrupt, true},
-		{container.ErrNotFound, true},
-		{container.ErrSalvaged, true},
-		{ErrCrashed, true},
-		{fmt.Errorf("wrapped: %w", container.ErrCorrupt), true},
-		{errors.New("io flake"), false},
-		{MarkTransient(errors.New("flake")), false},
-		{permanentErr{errors.New("gave up")}, true},
-	}
-	for _, c := range cases {
-		if got := Permanent(c.err); got != c.permanent {
-			t.Errorf("Permanent(%v) = %v, want %v", c.err, got, c.permanent)
-		}
 	}
 }
 

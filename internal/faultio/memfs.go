@@ -68,7 +68,7 @@ func (m *MemFS) observe(op Op, path string, mutating bool) (Fault, error) {
 	if !matched {
 		return Fault{}, nil
 	}
-	return f, m.inj.fire(f)
+	return f, f.err()
 }
 
 // CrashImage returns the durable view as a fresh, fault-free MemFS: only

@@ -157,6 +157,64 @@ func TestRepositoryRepairAfterCorruption(t *testing.T) {
 	}
 }
 
+// TestRepairFailsWhenQuarantineFails: the quarantine copy is the only
+// surviving record of a damaged container once the shard is rewritten.
+// If it cannot be written, Repair must fail with the write's error and
+// leave the shard file exactly as it was.
+func TestRepairFailsWhenQuarantineFails(t *testing.T) {
+	m := faultio.NewMemFSPlan(faultio.Plan{Seed: 74, Rules: []faultio.Rule{{
+		Op: faultio.OpCreate, PathGlob: "shard-*-container-*.rec", Count: -1,
+	}}})
+	var key Key
+	copy(key[:], "quarantine fault key")
+	opts := []RepositoryOption{
+		WithFileSystem(m), WithRepositoryKey(key),
+		WithShards(2), WithContainerBytes(32 << 10),
+	}
+	repo, err := CreateRepository("repo", opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mustBackup(t, repo, "mon", repoData(45, 512<<10))
+	if err := repo.Close(); err != nil {
+		t.Fatal(err)
+	}
+	const shard = "repo/shard-0000.fdc"
+	corruptShardMiddle(t, m, shard)
+	before := readMemFile(t, m, shard)
+
+	repo, err = OpenRepository("repo", append(opts, WithSalvage())...)
+	if err != nil {
+		t.Fatalf("salvage open: %v", err)
+	}
+	defer repo.Close()
+	if _, err := repo.Repair(context.Background()); !errors.Is(err, faultio.ErrInjected) {
+		t.Fatalf("repair with an unwritable quarantine: err = %v, want the injected create failure", err)
+	}
+	if after := readMemFile(t, m, shard); !bytes.Equal(after, before) {
+		t.Fatal("failed repair rewrote the shard holding the unquarantined record")
+	}
+}
+
+// readMemFile returns a file's current contents.
+func readMemFile(t *testing.T, m *faultio.MemFS, path string) []byte {
+	t.Helper()
+	f, err := m.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	st, err := f.Stat()
+	if err != nil {
+		t.Fatal(err)
+	}
+	buf := make([]byte, st.Size())
+	if _, err := f.ReadAt(buf, 0); err != nil {
+		t.Fatal(err)
+	}
+	return buf
+}
+
 // TestRepositoryCloseIdempotent: Close twice is a no-op the second time,
 // and a repository is safely closable right after a failed Backup.
 func TestRepositoryCloseIdempotent(t *testing.T) {

@@ -11,7 +11,7 @@
 # gate (cmd/benchgate; CI runs it as its own blocking job),
 # CHECK_SKIP_BENCHTESTS=1 to skip the end-to-end benchmark module's own
 # tests (bench/ is a separate Go module that `go test ./...` at the root
-# does not reach),
+# does not reach; its vet and build always run),
 # CHECK_SKIP_SCENARIOS=1 to skip the workload scenario-matrix smoke,
 # CHECK_SKIP_SERVER=1 to skip the multi-tenant server smoke (loopback
 # TCP tenants through the wire protocol, checked against a serial run by
@@ -62,6 +62,11 @@ fi
 
 echo "== go build"
 go build ./... || fail "go build"
+
+# bench/ is its own module, so the root vet and build never compile it,
+# and it is the only non-test caller of some library constructors.
+echo "== bench module vet + build"
+(cd bench && go vet ./... && go build ./...) || fail "bench module vet + build"
 
 echo "== go test -race"
 go test -race ./... || fail "go test -race"
