@@ -36,7 +36,7 @@ test:
 # pipeline's worker pool (teardown, determinism, sinks, streaming).
 race:
 	$(GO) test -race ./...
-	$(GO) test -race -count=5 -run 'RoundTrip|Cancel|EmptyBackup|Inflight' ./internal/server/
+	$(GO) test -race -count=5 -run 'RoundTrip|Cancel|EmptyBackup|Inflight|ParentHit' ./internal/server/
 	$(GO) test -race -count=5 -run 'Cancel|Deterministic|Sink|Streaming|Teardown' ./internal/dedup/
 
 # Exhaustive crash-point sweep under the race detector: crash the

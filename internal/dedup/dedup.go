@@ -107,9 +107,14 @@ type UploadObserver interface {
 //
 // A window may hold reference-only chunks (PutChunk.Ref): the chunks of a
 // client given a ParentTable whose keys hit it, which were never
-// encrypted and carry only fingerprint and size. A sink must either count
-// each against a chunk it already holds or fail the call; the network
-// sink, which cannot yet negotiate a reference, always fails it.
+// encrypted. Each carries the fingerprint and size its ciphertext would
+// have, and its plaintext (PutChunk.Plain), whose SHA-256 is its key. The
+// call owns every such plaintext from the moment it is made, whatever it
+// returns, and must release each one exactly once when it no longer needs
+// it; the pipeline never touches them again. *Store counts a reference
+// against the chunk its index holds, or fails closed; the network sink
+// negotiates it like any chunk and, if the server answers miss, encrypts
+// it then from its plaintext.
 type Sink interface {
 	PutBatchOwned(chunks []PutChunk) ([]bool, error)
 }
@@ -203,12 +208,14 @@ func NewSinkClient(sink Sink, cfg Config) (*Client, error) {
 }
 
 // SetParent gives the client's convergent backups a dedup-before-encrypt
-// table (nil removes it). Only EncConvergent consults it. Every chunk it
-// names must stay in the sink until the backups that use it finish: a
-// reference to a chunk the store no longer holds fails the backup with an
-// error wrapping ErrNotFound. Recipes, upload windows, the upload
-// observer's stream and the store's contents are identical with and
-// without the table; only the encryption work of the hits is saved.
+// table (nil removes it). Only EncConvergent consults it. With a *Store
+// sink, every chunk it names must stay in the store until the backups
+// that use it finish: a reference to a chunk the store no longer holds
+// fails the backup with an error wrapping ErrNotFound. The network sink
+// needs no such promise: it encrypts a hit the server reports missing.
+// Recipes, upload windows, the upload observer's stream and the store's
+// contents are identical with and without the table; only the encryption
+// work of the hits is saved.
 func (c *Client) SetParent(t ParentTable) { c.parent = t }
 
 // encJob is one chunk's slot in the pipeline: the chunk, its position in
@@ -246,7 +253,8 @@ const chunkQueueDepth = 256
 // consumer fills upload windows of uploadWindowChunks chunks; when one is
 // full (or the stream ends) it waits for that window's own batches only,
 // hands the window to the Sink with one PutBatchOwned and releases the
-// plaintext buffers back to the chunker pool.
+// plaintext buffers back to the chunker pool, all but the parent-table
+// hits', which the Sink owns from that call on.
 //
 // Scrambling and MinHash encryption put a segment stage between the
 // handoff and the upload window: the pool fingerprints each batch's
@@ -413,6 +421,15 @@ func (c *Client) backupStreaming(ctx context.Context, cdc chunker.Chunker) (*mle
 		// encrypt stage and are never touched again, so the store may keep
 		// them without its defensive copy. The store preserves batch order
 		// within a shard, so window boundaries do not show in the layout.
+		// A reference-only put carries its chunk's plaintext, which the
+		// sink owns from this call on, on every path: the window forgets
+		// it first, so neither the loop below nor the deferred cleanup
+		// releases it.
+		for i := range win.jobs {
+			if win.puts[i].Ref {
+				win.jobs[i].chunk = chunker.Chunk{}
+			}
+		}
 		if _, err := c.sink.PutBatchOwned(win.puts[:n]); err != nil {
 			return fmt.Errorf("dedup: upload: %w", err)
 		}
@@ -751,9 +768,9 @@ func (c *Client) observeWindow(entries []mle.RecipeEntry) error {
 // derivation) compute it here, on the worker pool; convergent encryption
 // never needs it at all. A convergent key found in the parent table (see
 // SetParent) skips the rest: the slot gets the table's recipe entry and a
-// reference-only put, with no encryption, no ciphertext hash and no
-// ciphertext buffer. Every put overwrites its whole slot, so no Data of an
-// earlier window survives into a reference.
+// reference-only put carrying the plaintext, with no encryption,
+// no ciphertext hash and no ciphertext buffer. Every put overwrites its
+// whole slot, so no Data of an earlier window survives into a reference.
 func (c *Client) encryptOne(job encJob, put *PutChunk, entry *mle.RecipeEntry) error {
 	ch := job.chunk
 	var key mle.Key
@@ -761,7 +778,7 @@ func (c *Client) encryptOne(job encJob, put *PutChunk, entry *mle.RecipeEntry) e
 	case EncConvergent:
 		key = mle.ConvergentKey(ch.Data)
 		if e, ok := c.parent[key]; ok {
-			*put = PutChunk{FP: e.Fingerprint, Ref: true, Size: e.Size}
+			*put = PutChunk{FP: e.Fingerprint, Ref: true, Size: e.Size, Plain: ch}
 			*entry = e
 			return nil
 		}

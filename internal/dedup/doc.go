@@ -37,20 +37,26 @@
 //     convergent key is its plaintext SHA-256, so when the worker finds
 //     the key in the table the table's recipe entry is the chunk's: the
 //     window slot gets that entry and a reference-only PutChunk (Ref,
-//     FP, Size, no Data) instead of an AES encryption, a ciphertext
-//     SHA-256 and a fresh ciphertext buffer. The store counts a
-//     reference as a duplicate only if its index holds the fingerprint
-//     and otherwise fails closed with ErrNotFound, recording nothing for
-//     it. Recipes, windows, the upload observer's stream and the
-//     containers are the same with and without the table.
+//     FP, Size, and the plaintext in Plain, no Data)
+//     instead of an AES encryption, a ciphertext SHA-256 and a fresh
+//     ciphertext buffer. The sink owns a reference's plaintext from the
+//     PutBatchOwned call on; the pipeline never releases it. The store
+//     counts a reference as a duplicate only if its index holds the
+//     fingerprint and otherwise fails closed with ErrNotFound, recording
+//     nothing for it; it releases the plaintext unread. Recipes, windows,
+//     the upload observer's stream and the containers are the same with
+//     and without the table.
 //   - The Sink is the pipeline's only seam: a one-method interface
 //     (PutBatchOwned) with two implementations. *Store is the in-process
 //     sink (NewClient). The network client in internal/server is the
 //     other (NewSinkClient): its sink turns each window into a
 //     fingerprint negotiation with the server and uploads only the
 //     misses, so local and remote backups run one pipeline — only
-//     EncConvergent goes over the wire, and never with a ParentTable: the
-//     wire sink refuses reference-only chunks.
+//     EncConvergent goes over the wire. The network client's table is
+//     the recipe of its session's last committed backup. Its sink
+//     negotiates a reference like any chunk, holds its plaintext until
+//     the server's reply, and encrypts it then if the server answers
+//     miss.
 //   - Scrambling and MinHash encryption add a segment stage between the
 //     handoff and the upload window: the pool fingerprints each batch's
 //     plaintexts as it arrives, and each gather of a window's worth of

@@ -7,6 +7,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"freqdedup/internal/chunker"
 	"freqdedup/internal/container"
 	"freqdedup/internal/fphash"
 	"freqdedup/internal/fpindex"
@@ -555,6 +556,13 @@ type PutChunk struct {
 	// Size is a reference-only chunk's ciphertext size, the logical bytes
 	// it adds; for a chunk with bytes it is ignored and len(Data) counts.
 	Size uint32
+	// Plain is a reference-only chunk's plaintext, as the chunker
+	// produced it: a sink that finds the chunk missing encrypts it under
+	// its convergent key, mle.ConvergentKey(Plain.Data). PutBatchOwned
+	// owns Plain and hands it back to the chunker pool once it no longer
+	// needs it, on every path; PutBatch only borrows it. It is zero for a
+	// chunk with bytes.
+	Plain chunker.Chunk
 }
 
 // PutBatch stores a batch of ciphertext chunks, deduplicating each, and
@@ -571,13 +579,18 @@ func (s *Store) PutBatch(chunks []PutChunk) ([]bool, error) {
 
 // PutBatchOwned is PutBatch with ownership transfer: the store keeps the
 // Data slices of non-duplicate chunks instead of copying them, so the
-// caller must not read or write any chunk's Data after the call. The
-// backup pipeline uses it for freshly encrypted ciphertexts it never
+// caller must not read or write any chunk's Data or Plain after the call.
+// The backup pipeline uses it for freshly encrypted ciphertexts it never
 // touches again, and for the reference-only chunks of a convergent backup
 // that found a chunk's key in its parent snapshot's recipe and so never
-// encrypted it; callers that reuse their buffers must use PutBatch.
+// encrypted it: the store counts those by fingerprint and releases their
+// plaintexts unread. Callers that reuse their buffers must use PutBatch.
 func (s *Store) PutBatchOwned(chunks []PutChunk) ([]bool, error) {
-	return s.putBatch(chunks, true)
+	dups, err := s.putBatch(chunks, true)
+	for _, c := range chunks {
+		c.Plain.Release()
+	}
+	return dups, err
 }
 
 func (s *Store) putBatch(chunks []PutChunk, owned bool) ([]bool, error) {

@@ -11,6 +11,7 @@ import (
 
 	"freqdedup/internal/chunker"
 	"freqdedup/internal/dedup"
+	"freqdedup/internal/mle"
 	"freqdedup/internal/trace"
 	"freqdedup/internal/wire"
 )
@@ -43,6 +44,14 @@ type DialConfig struct {
 // is missing, and the recipe goes to the server to seal. Restore,
 // Snapshots, Delete and Stats complete the surface over one authenticated
 // TCP session.
+//
+// After each committed backup the recipe the client just sent becomes
+// the pipeline's dedup.ParentTable (dedup.Client.SetParent), so the
+// session's next backup encrypts only what its last one did not hold: a
+// chunk whose key is in that recipe is negotiated with the fingerprint
+// and size its ciphertext has, and encrypted only if the server answers
+// miss. What the server sees — negotiations, uploads, the recipe — is the
+// same as without the table. The session's first backup has no parent.
 //
 // A Client is NOT safe for concurrent use: it multiplexes one connection
 // and runs one operation at a time (operations serialize internally).
@@ -227,10 +236,26 @@ func (c *Client) watchCtx(ctx context.Context) func() bool {
 	}
 }
 
-// cwindow is one in-flight backup window on the client side.
+// cwindow is one in-flight backup window on the client side: the refs it
+// negotiated, and each chunk's put — its ciphertext or, for a
+// parent-table hit, its plaintext — until the server's reply is handled.
 type cwindow struct {
 	refs []trace.ChunkRef
-	cts  [][]byte // ciphertexts, freed once the data frame is written
+	puts []dedup.PutChunk
+}
+
+// releasePlain hands a parent-table hit's plaintext back to the chunker
+// pool. Tests swap it to poison each buffer as it goes back.
+var releasePlain = func(ch chunker.Chunk) { ch.Release() }
+
+// release releases the hits' plaintexts in puts; the caller is the only
+// goroutine that can still read them.
+func release(puts []dedup.PutChunk) {
+	for _, p := range puts {
+		if p.Ref {
+			releasePlain(p.Plain)
+		}
+	}
 }
 
 // backupShared is the state the Backup sender (the pipeline's consumer,
@@ -266,43 +291,67 @@ func (s *backupShared) recvErr() error {
 // the wire as negotiation rounds of the backup in progress, cur.
 type wireSink struct{ cur *backupShared }
 
-// PutBatchOwned splits the window at the server's window limit and, for
-// each part, takes an in-flight slot, records the refs and ciphertexts the
-// receiver answers the server's reply from, and sends TNegotiate. The
-// ciphertexts are kept until their TChunkData frame is written; chunks
-// itself is only borrowed. A reference-only chunk has no ciphertext to
-// send should the server answer miss, so a window holding one fails
-// before anything is sent.
+// PutBatchOwned splits the window into negotiation windows and, for each,
+// takes an in-flight slot, records the refs and puts the receiver answers
+// the server's reply from, and sends TNegotiate. A parent-table hit is
+// negotiated with the fingerprint and size its ciphertext has, exactly
+// like an encrypted chunk. Each put is kept until the reply is handled:
+// a ciphertext until its TChunkData frame is written, a hit's plaintext
+// until it is encrypted for that frame or found held. chunks itself is
+// only borrowed; on an error return the hits' plaintexts not yet
+// recorded are released here, and the recorded ones once the receiver
+// has exited.
 func (w *wireSink) PutBatchOwned(chunks []dedup.PutChunk) ([]bool, error) {
-	for _, ch := range chunks {
-		if ch.Ref {
-			return nil, fmt.Errorf("server: reference-only chunk %v: the wire sink uploads ciphertext only", ch.FP)
-		}
-	}
 	s := w.cur
 	for len(chunks) > 0 {
-		part := chunks[:min(len(chunks), int(s.c.limits.WindowChunks))]
-		chunks = chunks[len(part):]
-		win := &cwindow{refs: make([]trace.ChunkRef, len(part)), cts: make([][]byte, len(part))}
+		part := chunks[:windowLen(chunks, int(s.c.limits.WindowChunks))]
+		win := &cwindow{refs: make([]trace.ChunkRef, len(part)), puts: make([]dedup.PutChunk, len(part))}
+		copy(win.puts, part)
 		for i, ch := range part {
-			win.refs[i] = trace.ChunkRef{FP: ch.FP, Size: uint32(len(ch.Data))}
-			win.cts[i] = ch.Data
+			win.refs[i] = trace.ChunkRef{FP: ch.FP, Size: chunkSize(ch)}
 		}
 		select {
 		case s.slots <- struct{}{}:
 		case <-s.recvDone:
+			release(chunks)
 			return nil, s.recvErr()
 		}
 		s.mu.Lock()
 		s.pending[s.seq] = win
 		s.mu.Unlock()
+		chunks = chunks[len(part):]
 		s.negPay = wire.AppendNegotiate(s.negPay[:0], s.seq, win.refs)
 		s.seq++
 		if err := s.c.wc.Send(wire.TNegotiate, s.negPay); err != nil {
+			release(chunks)
 			return nil, err
 		}
 	}
 	return nil, nil
+}
+
+// chunkSize is the size of ch's ciphertext, sent or not.
+func chunkSize(ch dedup.PutChunk) uint32 {
+	if ch.Ref {
+		return ch.Size
+	}
+	return uint32(len(ch.Data))
+}
+
+// windowLen is how many of chunks the next negotiation window takes: at
+// most the server's window limit, and no more than one TChunkData frame
+// holds should the server miss them all — its payload is 8 bytes plus 4
+// and the ciphertext per chunk (wire.AppendChunkData). A window always
+// takes at least one chunk.
+func windowLen(chunks []dedup.PutChunk, limit int) int {
+	n := min(len(chunks), limit)
+	payload := 8
+	for i, ch := range chunks[:n] {
+		if payload += 4 + int(chunkSize(ch)); payload > wire.MaxPayload && i > 0 {
+			return i
+		}
+	}
+	return n
 }
 
 // recvLoop is Backup's receiver: it answers negotiate replies with the
@@ -310,7 +359,7 @@ func (w *wireSink) PutBatchOwned(chunks []dedup.PutChunk) ([]bool, error) {
 // TBackupDone or any error.
 func (s *backupShared) recvLoop() {
 	defer close(s.recvDone)
-	var scratch []byte
+	var missed [][]byte
 	var miss []bool
 	fail := func(err error) { s.err = err }
 	for {
@@ -330,22 +379,35 @@ func (s *backupShared) recvLoop() {
 			s.mu.Lock()
 			w := s.pending[seq]
 			s.mu.Unlock()
-			if w == nil || len(m) != len(w.refs) {
+			// puts is nil once the window's reply is handled.
+			if w == nil || w.puts == nil || len(m) != len(w.refs) {
 				fail(fmt.Errorf("server: negotiate reply for unknown window %d", seq))
 				return
 			}
-			scratch = scratch[:0]
-			var chunks [][]byte
-			for i, missed := range m {
-				if missed {
-					chunks = append(chunks, w.cts[i])
+			for i := range w.puts {
+				p := &w.puts[i]
+				if !m[i] {
+					continue
 				}
+				if p.Ref {
+					// A parent-table hit the server no longer holds (GC
+					// reclaimed it since the parent backup): encrypt it now,
+					// as the pipeline would have. The wire carries only
+					// convergent encryption, so its key is its SHA-256.
+					plain := p.Plain.Data
+					p.Data = mle.EncryptDeterministic(mle.ConvergentKey(plain), plain)
+				}
+				missed = append(missed, p.Data)
 			}
-			scratch = wire.AppendChunkData(scratch, seq, chunks)
-			// The ciphertexts are dead after the frame is written: TCP
-			// owns delivery, and a lost connection fails the whole backup.
-			w.cts = nil
-			if err := s.c.wc.Send(wire.TChunkData, scratch); err != nil {
+			// Every plaintext is dead once the missed hits are encrypted,
+			// and the ciphertexts once the frame is written: TCP owns
+			// delivery, and a lost connection fails the whole backup.
+			release(w.puts)
+			w.puts = nil
+			err = s.c.wc.SendChunkData(seq, missed)
+			clear(missed)
+			missed = missed[:0]
+			if err != nil {
 				fail(err)
 				return
 			}
@@ -355,9 +417,13 @@ func (s *backupShared) recvLoop() {
 				fail(err)
 				return
 			}
+			// A window is acknowledged only after its reply; one acked
+			// early stays pending, so its plaintexts are released on exit.
 			s.mu.Lock()
-			_, ok := s.pending[seq]
-			delete(s.pending, seq)
+			w, ok := s.pending[seq]
+			if ok = ok && w.puts == nil; ok {
+				delete(s.pending, seq)
+			}
 			s.mu.Unlock()
 			if !ok {
 				fail(fmt.Errorf("server: ack for unknown window %d", seq))
@@ -389,9 +455,10 @@ func (s *backupShared) recvLoop() {
 
 // Backup runs the in-process backup pipeline (dedup.Client.BackupContext)
 // over src with the wire as its sink: src is chunked on a producer
-// goroutine and convergently encrypted by the Workers pool, each upload
-// window's fingerprints are negotiated with the server, only the chunks
-// the shared store is missing are uploaded, and the recipe is committed —
+// goroutine and convergently encrypted by the Workers pool (all but the
+// session's parent-table hits; see Client), each upload window's
+// fingerprints are negotiated with the server, only the chunks the shared
+// store is missing are uploaded, and the recipe is committed —
 // Backup returns once the server acknowledges the snapshot durable. Up to
 // the server-advertised in-flight limit of windows may be unacknowledged
 // at once, so encryption, negotiation, and upload overlap.
@@ -461,9 +528,14 @@ func (c *Client) backup(ctx context.Context, name string, src io.Reader) (info w
 	c.sink.cur = nil
 	if err != nil {
 		// Unblock and collect the receiver before returning: markBroken
-		// closes the conn, which ends it.
+		// closes the conn, which ends it. Only then are the plaintexts of
+		// windows whose reply it never handled released: until it exits,
+		// the receiver may be encrypting them.
 		c.nc.Close()
 		<-shared.recvDone
+		for _, w := range shared.pending {
+			release(w.puts)
+		}
 		return wire.SnapshotInfo{}, true, err
 	}
 	return info, false, nil
@@ -498,10 +570,24 @@ func (c *Client) runBackupPipeline(ctx context.Context, src io.Reader, shared *b
 	<-shared.recvDone
 	select {
 	case info := <-shared.doneCh:
+		c.pipe.SetParent(parentTable(recipe))
 		return info, nil
 	default:
 		return wire.SnapshotInfo{}, shared.recvErr()
 	}
+}
+
+// parentTable turns the recipe of the session's last committed backup
+// into the next backup's dedup-before-encrypt table. The client built the
+// recipe itself, so every key in it is its own; whether a hit is still
+// held is the server's answer to its negotiation, and a hit it answers
+// miss is encrypted then.
+func parentTable(recipe *mle.Recipe) dedup.ParentTable {
+	t := make(dedup.ParentTable, len(recipe.Entries))
+	for _, e := range recipe.Entries {
+		t[e.Key] = e
+	}
+	return t
 }
 
 // Restore streams the named snapshot's plaintext to w. Bytes written to w

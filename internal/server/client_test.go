@@ -1,9 +1,11 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"io"
+	"math/rand"
 	"net"
 	"strings"
 	"sync"
@@ -12,8 +14,6 @@ import (
 	"time"
 
 	"freqdedup/internal/chunker"
-	"freqdedup/internal/dedup"
-	"freqdedup/internal/fphash"
 	"freqdedup/internal/wire"
 )
 
@@ -178,21 +178,69 @@ func TestDialRejectsUnusableLimits(t *testing.T) {
 	}
 }
 
-// TestWireSinkRejectsReferenceOnlyChunks holds the wire sink to its guard:
-// a reference-only chunk has no ciphertext to send if the server answers
-// miss, and negotiating it as a zero-size chunk would be silently wrong,
-// so a window holding one fails before any of it reaches the wire.
-func TestWireSinkRejectsReferenceOnlyChunks(t *testing.T) {
-	ct := []byte("ciphertext")
-	window := []dedup.PutChunk{
-		{FP: fphash.FromBytes(ct), Data: ct},
-		{FP: fphash.FromBytes([]byte("held elsewhere")), Ref: true, Size: 14},
+// TestBackupRejectsRepeatedReply: a server that answers one window twice
+// gets a protocol error, not a crash of the client on the window it has
+// already retired, and every pooled chunk buffer comes back.
+func TestBackupRejectsRepeatedReply(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
 	}
-	// No backup is in progress: a sink that got past the guard would
-	// dereference the nil session.
-	sink := &wireSink{}
-	dups, err := sink.PutBatchOwned(window)
-	if err == nil || !strings.Contains(err.Error(), "reference-only") {
-		t.Fatalf("PutBatchOwned = %v, %v; want a reference-only error", dups, err)
+	defer ln.Close()
+	served := make(chan struct{})
+	go func() {
+		defer close(served)
+		nc, err := ln.Accept()
+		if err != nil {
+			return
+		}
+		defer nc.Close()
+		wc := wire.NewConn(nc)
+		if _, _, err := wc.Recv(); err != nil { // THello
+			return
+		}
+		_ = wc.Send(wire.THelloOK, wire.AppendHelloOK(nil, wire.HelloOK{
+			Version: wire.Version, WindowChunks: DefaultWindowChunks,
+			MaxInflight: DefaultMaxInflight, MaxChunkBytes: DefaultMaxChunkBytes,
+		}))
+		if _, _, err := wc.Recv(); err != nil { // TBackupBegin
+			return
+		}
+		_ = wc.Send(wire.TBackupReady, nil)
+		typ, p, err := wc.Recv()
+		if err != nil || typ != wire.TNegotiate {
+			return
+		}
+		seq, refs, err := wire.ParseNegotiate(p, nil)
+		if err != nil {
+			return
+		}
+		miss := make([]bool, len(refs))
+		for i := range miss {
+			miss[i] = true
+		}
+		reply := wire.AppendNegotiateReply(nil, seq, miss)
+		_ = wc.Send(wire.TNegotiateReply, reply)
+		_ = wc.Send(wire.TNegotiateReply, reply)
+		for { // until the client hangs up
+			if _, _, err := wc.Recv(); err != nil {
+				return
+			}
+		}
+	}()
+	c, err := Dial(ln.Addr().String(), DialConfig{Tenant: "alice"})
+	if err != nil {
+		t.Fatal(err)
 	}
+	defer c.Close()
+	baseline := chunker.BufsOutstanding()
+	data := make([]byte, 256<<10)
+	rand.New(rand.NewSource(3)).Read(data)
+	if _, err := c.Backup(context.Background(), "snap", bytes.NewReader(data)); err == nil ||
+		!strings.Contains(err.Error(), "unknown window") {
+		t.Fatalf("Backup err = %v, want a negotiate reply for an unknown window", err)
+	}
+	waitBufs(t, baseline)
+	c.Close()
+	<-served
 }

@@ -136,6 +136,14 @@ func (b *fakeBackend) TenantUsage(tenant string) (wire.TenantUsage, error) {
 	return wire.TenantUsage{Tenant: tenant, Snapshots: 7}, nil
 }
 
+// forget drops every stored chunk, as a GC of unreferenced chunks would
+// once every snapshot holding them is gone.
+func (b *fakeBackend) forget() {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	clear(b.store)
+}
+
 func (b *fakeBackend) putCount() int {
 	b.mu.Lock()
 	defer b.mu.Unlock()

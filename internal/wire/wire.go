@@ -168,15 +168,19 @@ type TenantUsage struct {
 	SharedBytes  uint64
 }
 
-// Conn frames an underlying stream. Send is safe for concurrent use (the
-// client's sender and receiver goroutines both write); Recv is not — one
-// goroutine owns the read side at a time. The payload returned by Recv is
-// valid only until the next Recv.
+// Conn frames an underlying stream. Send and SendChunkData are safe for
+// concurrent use (the client's sender and receiver goroutines both
+// write); Recv is not — one goroutine owns the read side at a time. The
+// payload returned by Recv is valid only until the next Recv.
 type Conn struct {
-	wmu sync.Mutex
-	bw  *bufio.Writer
-	br  *bufio.Reader
+	// The write side, under wmu: the buffer, and the checksum and scratch
+	// of the frame being written.
+	wmu  sync.Mutex
+	bw   *bufio.Writer
+	wcrc uint32
+	wtmp [HeaderLen]byte
 
+	br   *bufio.Reader
 	hdr  [HeaderLen]byte
 	rbuf []byte // reused Recv payload+crc buffer
 }
@@ -191,28 +195,77 @@ func NewConn(rw io.ReadWriter) *Conn {
 
 // Send writes and flushes one frame.
 func (c *Conn) Send(typ uint32, payload []byte) error {
-	if len(payload) > MaxPayload {
-		return fmt.Errorf("wire: payload %d exceeds limit %d", len(payload), MaxPayload)
+	if err := checkPayload(len(payload)); err != nil {
+		return err
 	}
 	c.wmu.Lock()
 	defer c.wmu.Unlock()
-	var hdr [HeaderLen]byte
-	binary.BigEndian.PutUint32(hdr[0:4], Magic)
-	binary.BigEndian.PutUint32(hdr[4:8], typ)
-	binary.BigEndian.PutUint32(hdr[8:12], uint32(len(payload)))
-	crc := crc32.ChecksumIEEE(hdr[:])
-	crc = crc32.Update(crc, crc32.IEEETable, payload)
-	var tail [4]byte
-	binary.BigEndian.PutUint32(tail[:], crc)
-	if _, err := c.bw.Write(hdr[:]); err != nil {
+	c.beginFrame(typ, len(payload))
+	c.writePiece(payload)
+	return c.endFrame()
+}
+
+// SendChunkData writes and flushes one TChunkData frame, byte for byte
+// the frame Send(TChunkData, AppendChunkData(nil, seq, chunks)) writes,
+// but straight from the chunk buffers: the checksum is updated as each
+// piece is written, and no payload is assembled. A chunk list whose
+// payload would exceed MaxPayload fails before any byte is written.
+func (c *Conn) SendChunkData(seq uint32, chunks [][]byte) error {
+	n := 8
+	for _, ch := range chunks {
+		n += 4 + len(ch)
+	}
+	if err := checkPayload(n); err != nil {
 		return err
 	}
-	if _, err := c.bw.Write(payload); err != nil {
-		return err
+	c.wmu.Lock()
+	defer c.wmu.Unlock()
+	c.beginFrame(TChunkData, n)
+	c.writeU32(seq)
+	c.writeU32(uint32(len(chunks)))
+	for _, ch := range chunks {
+		c.writeU32(uint32(len(ch)))
+		c.writePiece(ch)
 	}
-	if _, err := c.bw.Write(tail[:]); err != nil {
-		return err
+	return c.endFrame()
+}
+
+func checkPayload(n int) error {
+	if n > MaxPayload {
+		return fmt.Errorf("wire: payload %d exceeds limit %d", n, MaxPayload)
 	}
+	return nil
+}
+
+// The frame writers below run under wmu. A bufio.Writer's first error
+// sticks and every later write and Flush returns it, so only endFrame
+// reports one.
+
+// beginFrame writes the header of a frame of type typ with an n-byte
+// payload and starts its checksum.
+func (c *Conn) beginFrame(typ uint32, n int) {
+	binary.BigEndian.PutUint32(c.wtmp[0:4], Magic)
+	binary.BigEndian.PutUint32(c.wtmp[4:8], typ)
+	binary.BigEndian.PutUint32(c.wtmp[8:12], uint32(n))
+	c.wcrc = 0
+	c.writePiece(c.wtmp[:HeaderLen])
+}
+
+// writePiece writes p as the next bytes of the frame.
+func (c *Conn) writePiece(p []byte) {
+	c.wcrc = crc32.Update(c.wcrc, crc32.IEEETable, p)
+	_, _ = c.bw.Write(p)
+}
+
+func (c *Conn) writeU32(v uint32) {
+	binary.BigEndian.PutUint32(c.wtmp[:4], v)
+	c.writePiece(c.wtmp[:4])
+}
+
+// endFrame writes the checksum trailer and flushes the frame.
+func (c *Conn) endFrame() error {
+	binary.BigEndian.PutUint32(c.wtmp[:4], c.wcrc)
+	_, _ = c.bw.Write(c.wtmp[:4])
 	return c.bw.Flush()
 }
 

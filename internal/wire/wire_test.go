@@ -155,6 +155,88 @@ func TestChunkDataRoundTrip(t *testing.T) {
 	}
 }
 
+// countingRW counts the bytes written to it and discards them.
+type countingRW struct{ n int }
+
+func (w *countingRW) Write(p []byte) (int, error) { w.n += len(p); return len(p), nil }
+func (w *countingRW) Read([]byte) (int, error)    { return 0, io.EOF }
+
+// TestSendChunkDataMatchesSend holds the streamed TChunkData frame to the
+// assembled one: for no chunks, one chunk and many (an empty chunk, one
+// larger than the conn's 64 KiB buffer, and enough to flush it several
+// times), SendChunkData writes exactly the bytes Send(TChunkData,
+// AppendChunkData(…)) writes, and Recv parses them back.
+func TestSendChunkDataMatchesSend(t *testing.T) {
+	many := [][]byte{[]byte("alpha"), {}, bytes.Repeat([]byte{7}, 100<<10)}
+	for i := 0; i < 300; i++ {
+		many = append(many, bytes.Repeat([]byte{byte(i)}, 1+i*37%4096))
+	}
+	for _, tc := range []struct {
+		name   string
+		chunks [][]byte
+	}{
+		{"none", nil},
+		{"one", [][]byte{bytes.Repeat([]byte{9}, 8192)}},
+		{"many", many},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var want, got pipeConn
+			if err := NewConn(&want).Send(TChunkData, AppendChunkData(nil, 41, tc.chunks)); err != nil {
+				t.Fatal(err)
+			}
+			c := NewConn(&got)
+			if err := c.SendChunkData(41, tc.chunks); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got.Bytes(), want.Bytes()) {
+				t.Fatalf("streamed frame (%d bytes) differs from the assembled one (%d bytes)", got.Len(), want.Len())
+			}
+			typ, p, err := c.Recv()
+			if err != nil || typ != TChunkData {
+				t.Fatalf("Recv = %d, %v", typ, err)
+			}
+			seq, out, err := ParseChunkData(p, nil)
+			if err != nil || seq != 41 || len(out) != len(tc.chunks) {
+				t.Fatalf("ParseChunkData = %d, %d chunks, %v", seq, len(out), err)
+			}
+			for i := range out {
+				if !bytes.Equal(out[i], tc.chunks[i]) {
+					t.Fatalf("chunk %d differs", i)
+				}
+			}
+		})
+	}
+}
+
+// TestSendChunkDataLimit: a chunk list whose payload is exactly
+// MaxPayload goes out whole, and one byte more is rejected before any
+// byte reaches the conn.
+func TestSendChunkDataLimit(t *testing.T) {
+	mib := make([]byte, 1<<20)
+	chunks := make([][]byte, 64)
+	for i := range chunks {
+		chunks[i] = mib
+	}
+	// 8 + 64·4 + 64 MiB is 264 bytes over; shrink the last chunk to fit.
+	chunks[63] = mib[:len(mib)-264]
+	var w countingRW
+	if err := NewConn(&w).SendChunkData(1, chunks); err != nil {
+		t.Fatalf("payload of exactly MaxPayload: %v", err)
+	}
+	if want := HeaderLen + MaxPayload + 4; w.n != want {
+		t.Fatalf("wrote %d bytes, want %d", w.n, want)
+	}
+	chunks[63] = mib[:len(mib)-263]
+	w = countingRW{}
+	err := NewConn(&w).SendChunkData(1, chunks)
+	if err == nil {
+		t.Fatal("payload over MaxPayload accepted")
+	}
+	if w.n != 0 {
+		t.Fatalf("%d bytes reached the conn before the rejection (%v)", w.n, err)
+	}
+}
+
 func TestCommitRoundTrip(t *testing.T) {
 	entries := make([]mle.RecipeEntry, 50)
 	for i := range entries {

@@ -29,6 +29,8 @@ type (
 	// in-process backup pipeline with the wire as its sink: chunking and
 	// convergent encryption run locally, each upload window's fingerprints
 	// are negotiated with the server, and only the misses are uploaded.
+	// A session's later backups encrypt only the chunks its last committed
+	// backup did not hold, unless the server reports one missing.
 	// Only convergent encryption goes over the wire. Restores use the same
 	// connection. One RemoteClient serves one tenant session; run one per
 	// goroutine for concurrency.

@@ -10,9 +10,12 @@ package freqdedup
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
 	"fmt"
 	"net"
+	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -794,5 +797,100 @@ func TestRecipeEntriesMatchRemote(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestRemoteSessionParentInvisible holds the session's parent table to
+// the adversary's view: four generations backed up through one
+// RemoteClient, whose later backups negotiate parent-table hits it never
+// encrypts, must leave a repository indistinguishable from four backups
+// through four fresh clients, which encrypt everything. Each snapshot's
+// recipe entries, the negotiation.fdt bytes and every container file must
+// be identical both ways.
+func TestRemoteSessionParentInvisible(t *testing.T) {
+	gens := [][]byte{repoData(61, 2<<20)}
+	for g := 1; g < 4; g++ {
+		next := append([]byte(nil), gens[g-1]...)
+		copy(next[g*len(next)/5:], repoData(int64(61+g), 32<<10))
+		gens = append(gens, next)
+	}
+	var key Key
+	copy(key[:], "session parent key")
+	ctx := context.Background()
+	// run backs the generations up into a fresh repository, dialing once
+	// or once per generation, and returns the closed repository's path.
+	run := func(oneSession bool) string {
+		dir := t.TempDir()
+		repo, err := CreateRepository(dir, WithRepositoryKey(key))
+		if err != nil {
+			t.Fatal(err)
+		}
+		rs, addr := startRepoServer(t, repo, ServerConfig{})
+		var c *RemoteClient
+		for g, data := range gens {
+			if c == nil || !oneSession {
+				if c != nil {
+					c.Close()
+				}
+				if c, err = DialServer(addr, RemoteClientConfig{Tenant: "x"}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if _, err := c.Backup(ctx, fmt.Sprintf("g%d", g), bytes.NewReader(data)); err != nil {
+				t.Fatalf("generation %d: %v", g, err)
+			}
+		}
+		c.Close()
+		for g, data := range gens {
+			mustRestore(t, repo, fmt.Sprintf("x/g%d", g), data)
+		}
+		rs.Close()
+		if err := repo.Close(); err != nil {
+			t.Fatal(err)
+		}
+		return dir
+	}
+	session, fresh := run(true), run(false)
+
+	for g := range gens {
+		recipes := make([]*mle.Recipe, 2)
+		for i, dir := range []string{session, fresh} {
+			r, err := OpenRepository(dir, WithRepositoryKey(key))
+			if err != nil {
+				t.Fatal(err)
+			}
+			rec, ok := r.catalog.Get(fmt.Sprintf("x/g%d", g))
+			if !ok {
+				t.Fatalf("generation %d missing", g)
+			}
+			if recipes[i], err = mle.OpenRecipe(rec.SealedRecipe, key); err != nil {
+				t.Fatal(err)
+			}
+			r.Close()
+		}
+		if !reflect.DeepEqual(recipes[0], recipes[1]) {
+			t.Fatalf("generation %d: recipe differs between one session and one client per generation", g)
+		}
+	}
+	names, err := filepath.Glob(filepath.Join(fresh, "shard-*.fdc"))
+	if err != nil || len(names) == 0 {
+		t.Fatalf("no container files (%v)", err)
+	}
+	for _, name := range append(names, filepath.Join(fresh, NegotiationLogName)) {
+		base := filepath.Base(name)
+		want, err := os.ReadFile(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := os.ReadFile(filepath.Join(session, base))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if sha256.Sum256(got) != sha256.Sum256(want) {
+			t.Fatalf("%s differs between one session and one client per generation", base)
+		}
+	}
+	if more, _ := filepath.Glob(filepath.Join(session, "shard-*.fdc")); len(more) != len(names) {
+		t.Fatalf("%d container files with one session, %d with one client per generation", len(more), len(names))
 	}
 }
