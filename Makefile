@@ -31,13 +31,15 @@ build:
 test:
 	$(GO) test ./...
 
-# The second and third lines are scripts/check.sh's flake guards, five
-# runs each: the remote Backup's sender/receiver handoff, and the backup
-# pipeline's worker pool (teardown, determinism, sinks, streaming).
+# The second to fourth lines are scripts/check.sh's flake guards, five
+# runs each: the remote Backup's sender/receiver handoff, the backup
+# pipeline's worker pool (teardown, determinism, sinks, streaming), and
+# the chunker's parallel boundary scan against its references.
 race:
 	$(GO) test -race ./...
 	$(GO) test -race -count=5 -run 'RoundTrip|Cancel|EmptyBackup|Inflight|ParentHit' ./internal/server/
 	$(GO) test -race -count=5 -run 'Cancel|Deterministic|Sink|Streaming|Teardown' ./internal/dedup/
+	$(GO) test -race -count=5 -run 'ParallelScan|Reference' ./internal/chunker/
 
 # Exhaustive crash-point sweep under the race detector: crash the
 # scripted backup/delete/GC/backup scenario at EVERY mutating filesystem

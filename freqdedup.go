@@ -74,9 +74,9 @@ const (
 	// AlgoRabin cuts with the rolling Rabin fingerprint — the original
 	// freqdedup format and the default.
 	AlgoRabin = chunker.AlgoRabin
-	// AlgoGear cuts with a gear hash (FastCDC-style), about 1.6x the
-	// chunking speed of Rabin. A new format: NOT cut-point compatible with
-	// AlgoRabin.
+	// AlgoGear cuts with a gear hash (FastCDC-style), on half the CPU per
+	// byte of Rabin and, on two cores, about 1.3x its chunking speed. A
+	// new format: NOT cut-point compatible with AlgoRabin.
 	AlgoGear = chunker.AlgoGear
 )
 

@@ -246,10 +246,15 @@ func newLookahead(r io.Reader, size int) lookahead {
 	return lookahead{r: r, buf: make([]byte, size)}
 }
 
+// maxEmptyReads is how many reads in a row may return no data and no
+// error before take gives up with io.ErrNoProgress (bufio's limit).
+const maxEmptyReads = 100
+
 // fill reads more data directly into the lookahead buffer, compacting the
 // consumed prefix away when the remaining write space has become small.
-// It returns any read error; io.EOF is recorded in l.eof instead.
-func (l *lookahead) fill() error {
+// It returns how many bytes it read and any read error; io.EOF is
+// recorded in l.eof instead.
+func (l *lookahead) fill() (int, error) {
 	if len(l.buf)-l.end < minFillSpace && l.start > 0 {
 		l.end = copy(l.buf, l.buf[l.start:l.end])
 		l.start = 0
@@ -259,20 +264,33 @@ func (l *lookahead) fill() error {
 	if err != nil {
 		if errors.Is(err, io.EOF) {
 			l.eof = true
-			return nil
+			return n, nil
 		}
-		return fmt.Errorf("chunker: read: %w", err)
+		return n, fmt.Errorf("chunker: read: %w", err)
 	}
-	return nil
+	return n, nil
+}
+
+// full reports whether take(max) can return without reading.
+func (l *lookahead) full(max int) bool {
+	return l.end-l.start >= max || l.eof
 }
 
 // take returns the next up-to-max unconsumed bytes, reading until at
 // least max are buffered or the stream ends. It returns io.EOF when no
-// bytes remain. The returned slice is valid until the next consume call.
+// bytes remain, and io.ErrNoProgress when the reader returns nothing,
+// and no error, maxEmptyReads times in a row. The returned slice is
+// valid until the next consume call.
 func (l *lookahead) take(max int) ([]byte, error) {
-	for l.end-l.start < max && !l.eof {
-		if err := l.fill(); err != nil {
+	for empty := 0; !l.full(max); {
+		n, err := l.fill()
+		if err != nil {
 			return nil, err
+		}
+		if n > 0 || l.eof {
+			empty = 0
+		} else if empty++; empty == maxEmptyReads {
+			return nil, fmt.Errorf("chunker: read: %w", io.ErrNoProgress)
 		}
 	}
 	avail := l.end - l.start
@@ -302,8 +320,10 @@ func (l *lookahead) consume(n int) {
 // unconsumed bytes are tested once, as they are buffered, by
 // rabin.Hash.Matches, and queued as candidate cuts; a chunk ends at the
 // first queued candidate in [start+Min, start+Max], else at start+Max.
-// Only when Min < window do the few positions less than a window into a
-// chunk need a roll of their own.
+// Each refill is scanned in pieces, on every core that is free (see
+// parallelScan), and a piece's candidates are queued when a cut needs
+// them. Only when Min < window do the few positions less than a window
+// into a chunk need a roll of their own.
 type ContentDefined struct {
 	la     lookahead
 	p      Params
@@ -311,10 +331,11 @@ type ContentDefined struct {
 	magic  uint64
 	window int
 	hash   *rabin.Hash
+	par    *parallelScan
 	// cands[head:] are the queued candidate cuts, ascending, as indices
 	// into la.buf laid out as at the last scan, when buf[0] sat at stream
-	// offset base. scanned is the first stream position Matches has not
-	// yet tested.
+	// offset base. scanned is the first stream position no scan has
+	// covered; par may still hold the candidates of positions before it.
 	cands   []int
 	head    int
 	base    int64
@@ -335,22 +356,26 @@ func NewContentDefined(r io.Reader, p Params) (*ContentDefined, error) {
 	if window == 0 {
 		window = rabin.DefaultWindow
 	}
+	mask := uint64(p.Avg - 1)
+	hash := rabin.New(window)
 	c := &ContentDefined{
 		la:     newLookahead(r, lookaheadSize(p.Max)),
 		p:      p,
-		mask:   uint64(p.Avg - 1),
-		magic:  uint64(p.Avg - 1),
+		mask:   mask,
+		magic:  mask,
 		window: window,
-		hash:   rabin.New(window),
+		hash:   hash,
+		par:    newParallelScan(hash, mask, mask),
 	}
 	c.cands = c.candBuf[:0]
 	return c, nil
 }
 
-// scan runs Matches once over the bytes buffered since the last scan and
-// queues the candidate cuts it finds. A position less than a window past
-// the first unconsumed byte is skipped: its fingerprint depends on where
-// its chunk starts, so findCut rolls such positions itself.
+// scan starts a scan of the bytes buffered since the last one. A position
+// less than a window past the first unconsumed byte is skipped: its
+// fingerprint depends on where its chunk starts, so findCut rolls such
+// positions itself. No scan may be pending: the buffer it reads must not
+// have moved.
 func (c *ContentDefined) scan() {
 	la := &c.la
 	base := la.offset - int64(la.start)
@@ -369,7 +394,8 @@ func (c *ContentDefined) scan() {
 	}
 	c.cands = c.cands[:copy(c.cands, c.cands[c.head:])]
 	c.head = 0
-	c.cands = c.hash.Matches(la.buf[:la.end], int(from-base), c.mask, c.magic, c.cands)
+	lo := int(from - base)
+	c.par.start(la.buf[:la.end], lo, pieces(lo, la.end))
 	c.scanned = end + 1
 }
 
@@ -400,18 +426,33 @@ func (c *ContentDefined) findCut(data []byte) int {
 		}
 	}
 	start := c.la.start
-	lo := start + max(c.p.Min, c.window)
-	for c.head < len(c.cands) && c.cands[c.head] < lo {
-		c.head++
+	lo, hi := start+max(c.p.Min, c.window), start+len(data)
+	// Merge the scan's pieces only until the queue holds a candidate at or
+	// past lo, or has every candidate up to hi.
+	for {
+		for c.head < len(c.cands) && c.cands[c.head] < lo {
+			c.head++
+		}
+		if c.head < len(c.cands) {
+			if c.cands[c.head] <= hi {
+				return c.cands[c.head] - start
+			}
+			return len(data)
+		}
+		if !c.par.pending() || c.par.merged() > hi {
+			return len(data)
+		}
+		c.cands = c.par.mergeNext(c.cands)
 	}
-	if c.head < len(c.cands) && c.cands[c.head] <= start+len(data) {
-		return c.cands[c.head] - start
-	}
-	return len(data)
 }
 
 // Next implements Chunker.
 func (c *ContentDefined) Next() (Chunk, error) {
+	if !c.la.full(c.p.Max) {
+		// take is about to read, and may compact the buffer: the scan's
+		// pieces must all be done with it first.
+		c.cands = c.par.drain(c.cands)
+	}
 	// Ensure a full Max-sized lookahead (or the stream remainder).
 	window, err := c.la.take(c.p.Max)
 	if err != nil {

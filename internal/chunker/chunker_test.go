@@ -113,6 +113,30 @@ func TestCDCPropagatesReadError(t *testing.T) {
 	}
 }
 
+// zeroReader returns (0, nil) forever: a reader that makes no progress.
+type zeroReader struct{}
+
+func (zeroReader) Read([]byte) (int, error) { return 0, nil }
+
+// TestNoProgressReader: a reader that keeps returning (0, nil) ends the
+// stream with io.ErrNoProgress instead of spinning, in both content-defined
+// chunkers, whether it stalls at once or after some data.
+func TestNoProgressReader(t *testing.T) {
+	for _, algo := range []Algorithm{AlgoRabin, AlgoGear} {
+		for _, prefix := range []int{0, 5000} {
+			p := DefaultParams()
+			p.Algorithm = algo
+			c, err := New(io.MultiReader(bytes.NewReader(randBytes(93, prefix)), zeroReader{}), p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := c.Next(); !errors.Is(err, io.ErrNoProgress) {
+				t.Errorf("%v after %d bytes: Next err = %v, want io.ErrNoProgress", algo, prefix, err)
+			}
+		}
+	}
+}
+
 func TestParamsValidate(t *testing.T) {
 	cases := []struct {
 		name string

@@ -28,9 +28,26 @@
 // lanes more than pay for them. Only when Min is below the window do the
 // positions less than a window into a chunk get a short roll of their own
 // from a reset hash.
+//
+// The same independence lets a refill be scanned on several cores without
+// any stitching, in the two-stage shape of SS-CDC (Ni, Lin and Jiang,
+// SYSTOR 2019): candidates are found in parallel, cuts chosen serially.
+// A refill's new positions are cut into contiguous pieces, several per
+// core (a single piece when GOMAXPROCS is 1 or the refill is short), and
+// the pieces' candidate lists, taken in order, equal one Matches call over
+// the whole stretch. The caller of Next scans pieces from the front, each
+// only when a cut needs it, and helper goroutines started for the refill
+// scan pieces from the back and exit when none is left. The caller waits
+// only for a piece a helper has started, so where the helpers find no
+// free core the scan is as serial as before, and it never waits for a
+// helper to be scheduled. Every piece is done before the next refill may
+// move the buffer. A chunker its caller stops calling leaves only helpers
+// that scan the pieces still unclaimed and exit.
+//
 // Each emitted chunk is copied exactly once, from the lookahead buffer into
 // its own buffer; the seed implementation's second copy (reader to
-// lookahead) is gone.
+// lookahead) is gone. A reader that returns neither data nor an error 100
+// times in a row ends the stream with io.ErrNoProgress, as bufio does.
 //
 // # Buffer ownership and pooling
 //

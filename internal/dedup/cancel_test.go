@@ -6,6 +6,7 @@ import (
 	"errors"
 	"io"
 	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -186,6 +187,37 @@ func TestBackupTeardown(t *testing.T) {
 				waitForBufs(t, bufs)
 			})
 		}
+	}
+}
+
+// stalledReader delivers data, then returns (0, nil) forever.
+type stalledReader struct{ data []byte }
+
+func (s *stalledReader) Read(p []byte) (int, error) {
+	n := copy(p, s.data)
+	s.data = s.data[n:]
+	return n, nil
+}
+
+// TestBackupNoProgressReader: a source that stops making progress without
+// an error fails the backup with io.ErrNoProgress, reported as a chunking
+// error, instead of spinning the producer forever; the pipeline tears down
+// as on any other error.
+func TestBackupNoProgressReader(t *testing.T) {
+	for _, tc := range cancelConfigs {
+		t.Run(tc.name, func(t *testing.T) {
+			goroutines, bufs := runtime.NumGoroutine(), chunker.BufsOutstanding()
+			client, err := NewClient(NewStore(0), tc.cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, err = client.BackupContext(context.Background(), &stalledReader{data: randData(45, 1<<20)})
+			if !errors.Is(err, io.ErrNoProgress) || !strings.HasPrefix(err.Error(), "dedup: chunking: ") {
+				t.Fatalf("BackupContext err = %v, want io.ErrNoProgress wrapped as a chunking error", err)
+			}
+			waitForGoroutines(t, goroutines)
+			waitForBufs(t, bufs)
+		})
 	}
 }
 

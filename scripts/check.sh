@@ -78,6 +78,12 @@ go test -race ./... || fail "go test -race"
 echo "== backup pipeline flake guard (-race -count=5)"
 go test -race -count=5 -run 'Cancel|Deterministic|Sink|Streaming|Teardown' ./internal/dedup/ || fail "backup pipeline flake guard"
 
+# The chunker scans each lookahead refill in pieces on helper goroutines
+# that claim pieces against the caller; run the parallel scan's tests and
+# the reference comparisons, which drive it, five times over.
+echo "== parallel boundary scan flake guard (-race -count=5)"
+go test -race -count=5 -run 'ParallelScan|Reference' ./internal/chunker/ || fail "parallel boundary scan flake guard"
+
 if [ "${CHECK_SKIP_FAULTS:-0}" != "1" ]; then
 	echo "== crash-point sweep (exhaustive, -race)"
 	FAULTS_FULL=1 go test -race -run 'TestCrashSweep' . || fail "crash-point sweep"
