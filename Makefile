@@ -31,15 +31,18 @@ build:
 test:
 	$(GO) test ./...
 
-# The second to fourth lines are scripts/check.sh's flake guards, five
+# The second to fifth lines are scripts/check.sh's flake guards, five
 # runs each: the remote Backup's sender/receiver handoff, the backup
-# pipeline's worker pool (teardown, determinism, sinks, streaming), and
-# the chunker's parallel boundary scan against its references.
+# pipeline's worker pool (teardown, determinism, sinks, streaming), the
+# chunker's parallel boundary scan against its references, and the
+# overlapped seal pass (its fsyncs on the real disk, and its crash clock
+# on the fault filesystem).
 race:
 	$(GO) test -race ./...
 	$(GO) test -race -count=5 -run 'RoundTrip|Cancel|EmptyBackup|Inflight|ParentHit' ./internal/server/
 	$(GO) test -race -count=5 -run 'Cancel|Deterministic|Sink|Streaming|Teardown' ./internal/dedup/
 	$(GO) test -race -count=5 -run 'ParallelScan|Reference' ./internal/chunker/
+	$(GO) test -race -count=5 -run 'SealPass|CrashClock' .
 
 # Exhaustive crash-point sweep under the race detector: crash the
 # scripted backup/delete/GC/backup scenario at EVERY mutating filesystem

@@ -1,9 +1,14 @@
 package freqdedup
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
+	"fmt"
 	"os"
 	"reflect"
 	"testing"
+
+	"freqdedup/internal/faultio"
 )
 
 // TestCrashSweepSyncPoints is the CI-bounded crash-point sweep: the
@@ -244,4 +249,66 @@ func TestCrashSweepDeterministic(t *testing.T) {
 	if ops1 != ops2 || !reflect.DeepEqual(sp1, sp2) {
 		t.Fatalf("scenario not deterministic: ops %d vs %d, sync points %v vs %v", ops1, ops2, sp1, sp2)
 	}
+}
+
+// TestCrashClockPinned pins the crash clock of every sweep scenario: its
+// mutating-operation count and the op numbers of its acknowledged syncs,
+// recorded when Store.Sync still sealed the shards one Seal at a time.
+// The seal pass now overlaps its fsyncs on the real disk; on
+// faultio.MemFS, whose syncs are ordered, it must still perform exactly
+// those operations in exactly that order, so a sweep explores the same
+// crash images. The last scenario is the one whose seal pass crosses 16
+// shards; the sweeps above run 2. CreateRepository's own count is pinned
+// too: shard creation overlaps its header fsyncs the same way.
+func TestCrashClockPinned(t *testing.T) {
+	cases := []struct {
+		name       string
+		sc         CrashScenario
+		ops        int64
+		syncPoints int
+		sum        string // syncPointsSum of the sync points
+	}{
+		{"seed1", CrashScenario{Seed: 1}, 182, 63, "be99c3462737e830"},
+		{"gear", CrashScenario{Seed: 3, GearChunking: true}, 188, 64, "2bbbc9e0c4f06ddc"},
+		{"pindex", CrashScenario{Seed: 5, PersistentIndex: true}, 182, 60, "c1d805a1a17c4fc9"},
+		{"defended", CrashScenario{Seed: 9, Defended: true}, 178, 63, "3d95d6f5d47d99cb"},
+		{"16shards", CrashScenario{Seed: 1, Shards: 16, ContainerBytes: 4 << 20, SnapshotBytes: 1 << 20}, 745, 240, "cccae90502f26eb1"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			res, err := ExploreCrashPoints(CrashSweepOptions{Scenario: tc.sc, SyncPointsOnly: true, MaxPoints: 1})
+			if err != nil {
+				t.Fatalf("sweep: %v", err)
+			}
+			for _, f := range res.Failures {
+				t.Errorf("crash at op %d/%d: %v", f.Op, res.TotalOps, f.Err)
+			}
+			got := syncPointsSum(res.SyncPoints)
+			if res.TotalOps != tc.ops || len(res.SyncPoints) != tc.syncPoints || got != tc.sum {
+				t.Errorf("crash clock moved: %d ops / %d sync points (sum %s), pinned %d / %d (sum %s)",
+					res.TotalOps, len(res.SyncPoints), got, tc.ops, tc.syncPoints, tc.sum)
+			}
+		})
+	}
+	t.Run("create", func(t *testing.T) {
+		m := faultio.NewMemFS()
+		repo, err := CreateRepository("repo", CrashScenario{Seed: 1}.withDefaults().repoOptions(m)...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := m.Injector().OpCount(); got != 15 {
+			t.Errorf("CreateRepository took %d crash-clock ops, pinned 15", got)
+		}
+		repo.Close()
+	})
+}
+
+// syncPointsSum is a short SHA-256 of a sync-point list, which pins the
+// list without spelling it out.
+func syncPointsSum(points []int64) string {
+	h := sha256.New()
+	for _, p := range points {
+		fmt.Fprintf(h, "%d,", p)
+	}
+	return hex.EncodeToString(h.Sum(nil))[:16]
 }

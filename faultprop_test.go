@@ -48,6 +48,10 @@ func (c *countingFS) Open(name string) (vfs.File, error) {
 	return countingFile{File: f, fs: c, name: name}, nil
 }
 
+// SyncsOrdered forwards the wrapped filesystem's declaration, so a
+// countingFS over faultio.MemFS keeps the crash clock's sync order.
+func (c *countingFS) SyncsOrdered() bool { return vfs.SyncsOrdered(c.FS) }
+
 func (c *countingFS) synced(name string) {
 	c.mu.Lock()
 	c.syncs[filepath.Base(name)]++

@@ -26,7 +26,9 @@ var ErrNotFound = errors.New("container: not found")
 type Backend interface {
 	// Seal persists a freshly sealed container for a shard. The container's
 	// ID must be exactly the number of containers already sealed for that
-	// shard. When Seal returns nil the container is durable.
+	// shard. When Seal returns nil the container is durable. A seal
+	// touches one shard; a pass sealing many shards at once goes through
+	// BatchSealer where the backend offers it.
 	Seal(shard int, c *Container) error
 
 	// Load reads a sealed container, data included. It returns ErrNotFound
@@ -50,6 +52,17 @@ type Backend interface {
 	// Close releases backend resources. The backend must not be used
 	// afterwards.
 	Close() error
+}
+
+// BatchSealer is the optional backend capability of sealing one
+// container on each of many shards in one pass, so the pass can overlap
+// what one Seal per shard would do in turn. cs is indexed by shard (nil:
+// nothing to seal there), and errs[i] is nil exactly when cs[i] is nil or
+// now durable; a shard that failed, or that the pass did not reach after
+// an earlier failure, keeps its container unsealed. FileBackend
+// implements it; FlushAll falls back to Seal per shard.
+type BatchSealer interface {
+	SealAll(cs []*Container) (errs []error)
 }
 
 // SealedStater is the optional backend capability of reporting a shard's

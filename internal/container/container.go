@@ -133,10 +133,56 @@ func (s *Store) Flush() (*Container, error) {
 	if err := s.backend.Seal(s.shard, c); err != nil {
 		return nil, err
 	}
-	s.sealed++
-	s.sealedBytes += c.Bytes
-	s.current = nil
+	s.sealedCurrent()
 	return c, nil
+}
+
+// sealedCurrent records that the backend sealed the current container.
+func (s *Store) sealedCurrent() {
+	s.sealed++
+	s.sealedBytes += s.current.Bytes
+	s.current = nil
+}
+
+// FlushAll is Flush on every store of ss, which pack distinct shards of
+// one backend; the caller holds every store's lock. A BatchSealer backend
+// seals the open containers in one pass (FileBackend: written in shard
+// order, fsyncs overlapped); any other backend seals them one by one in
+// ss order, stopping at the first failure. FlushAll returns the lowest
+// failing shard and its error, or -1 and nil. A store whose container
+// was not sealed keeps it open, as after a failed Flush.
+func FlushAll(ss []*Store) (shard int, err error) {
+	if len(ss) == 0 {
+		return -1, nil
+	}
+	b := ss[0].backend
+	bs, ok := b.(BatchSealer)
+	if !ok {
+		for _, s := range ss {
+			if _, err := s.Flush(); err != nil {
+				return s.shard, err
+			}
+		}
+		return -1, nil
+	}
+	cs := make([]*Container, b.Shards())
+	for _, s := range ss {
+		if s.current != nil && len(s.current.Entries) > 0 {
+			cs[s.shard] = s.current
+		}
+	}
+	errs := bs.SealAll(cs)
+	shard = -1
+	for _, s := range ss {
+		switch {
+		case cs[s.shard] == nil:
+		case errs[s.shard] == nil:
+			s.sealedCurrent()
+		case shard < 0 || s.shard < shard:
+			shard, err = s.shard, errs[s.shard]
+		}
+	}
+	return shard, err
 }
 
 // Get returns the entry at loc, reading sealed containers through the

@@ -29,6 +29,17 @@
 // the backend makes it. Chunks still in the open container live only in
 // memory; dedup.Store.Close seals them before shutdown.
 //
+// FlushAll seals the open containers of many shards in one pass, the
+// barrier that ends every backup. FileBackend implements it
+// (BatchSealer.SealAll) by serializing the records concurrently into
+// pooled buffers, writing them in shard order, and starting each
+// record's fsync (vfs.StartSync) before the next shard's write; the pass
+// returns once every fsync it started has returned, and seals exactly the
+// shards whose fsync succeeded. On the fault lab's filesystem the fsyncs
+// are ordered, so the pass is op for op the serial one: one Seal per
+// shard, in shard order, stopping at the first failure. Store creation
+// writes the shard headers the same way.
+//
 // # Sealed-container file format
 //
 // A FileBackend directory holds one file per shard, shard-NNNN.fdc, all

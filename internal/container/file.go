@@ -7,8 +7,10 @@ import (
 	"hash/crc32"
 	"os"
 	"path/filepath"
+	"runtime"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"freqdedup/internal/fphash"
 	"freqdedup/internal/vfs"
@@ -63,7 +65,6 @@ type shardFile struct {
 	// at open and on every Seal/Rewrite — what lets SealedStats answer
 	// without a scan.
 	dataBytes int64
-	scratch   []byte // record serialization buffer, reused across Seals
 
 	// salvaged marks a shard opened by OpenFileBackendSalvage whose file
 	// held structural damage: container IDs are renumbered in memory and
@@ -77,8 +78,10 @@ type shardFile struct {
 // index header of fingerprints and sizes, then the chunk data, then a
 // CRC32) and fsyncs, so a container acknowledged as sealed survives a
 // crash; a record torn by a crash mid-append is detected and discarded on
-// Open. GC rewrites a shard by writing a fresh file and renaming it over
-// the old one, so compaction is atomic too.
+// Open. SealAll seals many shards in one pass whose fsyncs overlap each
+// other and the next shard's write. GC rewrites a shard by writing a
+// fresh file and renaming it over the old one, so compaction is atomic
+// too.
 //
 // All file operations go through the backend's vfs.FS (vfs.OS in
 // production), so fault-injection harnesses (internal/faultio) exercise
@@ -113,33 +116,51 @@ func CreateFileBackendFS(fsys vfs.FS, dir string, shards, containerBytes int) (*
 		return nil, fmt.Errorf("container: %s already holds a store (use OpenFileBackend)", dir)
 	}
 	b := &FileBackend{fsys: fsys, dir: dir, containerBytes: containerBytes, shards: make([]*shardFile, shards)}
-	var hdr [fileHeaderLen]byte
+	// The headers are written in shard order, each fsync started before
+	// the next shard's create, and the fsyncs awaited together.
+	var err error
+	var syncs []*vfs.PendingSync
 	for i := range b.shards {
-		binary.LittleEndian.PutUint32(hdr[0:], fileMagic)
-		binary.LittleEndian.PutUint32(hdr[4:], fileVersion)
-		binary.LittleEndian.PutUint32(hdr[8:], uint32(i))
-		binary.LittleEndian.PutUint32(hdr[12:], uint32(containerBytes))
-		f, err := fsys.OpenFile(filepath.Join(dir, shardFileName(i)), os.O_RDWR|os.O_CREATE|os.O_EXCL, 0o644)
+		var f vfs.File
+		f, err = fsys.OpenFile(filepath.Join(dir, shardFileName(i)), os.O_RDWR|os.O_CREATE|os.O_EXCL, 0o644)
 		if err != nil {
-			b.Close()
-			return nil, fmt.Errorf("container: create shard file: %w", err)
-		}
-		_, err = f.Write(hdr[:])
-		if err == nil {
-			err = f.Sync()
-		}
-		if err != nil {
-			f.Close()
-			b.Close()
-			return nil, fmt.Errorf("container: write shard header: %w", err)
+			err = fmt.Errorf("container: create shard file: %w", err)
+			break
 		}
 		b.shards[i] = &shardFile{f: f, size: fileHeaderLen}
+		hdr := fileHeader(i, containerBytes)
+		if _, err = f.Write(hdr[:]); err != nil {
+			err = fmt.Errorf("container: write shard header: %w", err)
+			break
+		}
+		syncs = append(syncs, vfs.StartSync(fsys, f))
+		if syncs[i].Failed() {
+			break // reported below
+		}
 	}
-	if err := vfs.SyncDir(fsys, dir); err != nil {
+	for _, p := range syncs {
+		if serr := p.Wait(); serr != nil && err == nil {
+			err = fmt.Errorf("container: write shard header: %w", serr)
+		}
+	}
+	if err == nil {
+		err = vfs.SyncDir(fsys, dir)
+	}
+	if err != nil {
 		b.Close()
 		return nil, err
 	}
 	return b, nil
+}
+
+// fileHeader returns a shard file's header.
+func fileHeader(shard, containerBytes int) [fileHeaderLen]byte {
+	var hdr [fileHeaderLen]byte
+	binary.LittleEndian.PutUint32(hdr[0:], fileMagic)
+	binary.LittleEndian.PutUint32(hdr[4:], fileVersion)
+	binary.LittleEndian.PutUint32(hdr[8:], uint32(shard))
+	binary.LittleEndian.PutUint32(hdr[12:], uint32(containerBytes))
+	return hdr
 }
 
 // OpenFileBackend opens an existing store directory, validating every
@@ -381,8 +402,15 @@ func resyncRecord(f vfs.File, pos, size int64, lastID int) (at int64, id int, en
 	return 0, 0, 0, 0, false
 }
 
-// buildRecord serializes c into sf.scratch as one container record.
-func (sf *shardFile) buildRecord(c *Container) ([]byte, error) {
+// recordPool holds record serialization buffers (*[]byte). A seal or a
+// rewrite borrows one for the span of its write, so the buffers are
+// shared by every shard and backend instead of each shard keeping its
+// largest record alive.
+var recordPool sync.Pool
+
+// buildRecord serializes c as one container record into a buffer from
+// recordPool; the caller puts it back once the record is written.
+func buildRecord(c *Container) (*[]byte, error) {
 	dataBytes := 0
 	for _, e := range c.Entries {
 		if len(e.Data) != int(e.Size) {
@@ -392,10 +420,13 @@ func (sf *shardFile) buildRecord(c *Container) ([]byte, error) {
 		dataBytes += int(e.Size)
 	}
 	n := recordHeaderLen + len(c.Entries)*entryMetaLen + dataBytes + recordTrailerLen
-	if cap(sf.scratch) < n {
-		sf.scratch = make([]byte, n)
+	bp, _ := recordPool.Get().(*[]byte)
+	if bp == nil || cap(*bp) < n {
+		b := make([]byte, n)
+		bp = &b
 	}
-	buf := sf.scratch[:n]
+	buf := (*bp)[:n]
+	*bp = buf
 	binary.LittleEndian.PutUint32(buf[0:], recordMagic)
 	binary.LittleEndian.PutUint32(buf[4:], uint32(c.ID))
 	binary.LittleEndian.PutUint32(buf[8:], uint32(len(c.Entries)))
@@ -411,7 +442,7 @@ func (sf *shardFile) buildRecord(c *Container) ([]byte, error) {
 		off += len(e.Data)
 	}
 	binary.LittleEndian.PutUint32(buf[off:], crc32.ChecksumIEEE(buf[:off]))
-	return buf, nil
+	return bp, nil
 }
 
 // Seal appends the container's record to the shard file and fsyncs;
@@ -420,26 +451,153 @@ func (b *FileBackend) Seal(shard int, c *Container) error {
 	sf := b.shards[shard]
 	sf.mu.Lock()
 	defer sf.mu.Unlock()
+	if err := sf.checkSeal(shard, c); err != nil {
+		return err
+	}
+	bp, err := buildRecord(c)
+	if err != nil {
+		return err
+	}
+	n := int64(len(*bp))
+	err = sf.appendRecord(c, *bp)
+	recordPool.Put(bp)
+	if err != nil {
+		return err
+	}
+	return sf.settle(c, n, sf.f.Sync())
+}
+
+// errSealSkipped is SealAll's error for a shard it did not write because
+// an earlier shard of the pass had already failed.
+var errSealSkipped = errors.New("container: seal skipped: an earlier shard of the pass failed")
+
+// SealAll seals cs[i] on shard i for every non-nil cs[i], in one pass
+// that overlaps the shards' fsyncs: the records are serialized
+// concurrently, then written in shard order, each record's fsync started
+// with vfs.StartSync before the next shard's write, and SealAll returns
+// only after every fsync it started has returned. errs[i] is nil exactly
+// when cs[i] is nil or now durable. A shard whose append or fsync failed
+// has its tail discarded and its container unsealed, as after a failed
+// Seal. Once the pass knows of a failure it writes no further shard;
+// those report an error too. On a filesystem whose syncs are ordered
+// (faultio.MemFS) each fsync completes before the next shard's write, so
+// the pass performs exactly the operations of one Seal per shard in
+// shard order, and a failed fsync stops it where it fails.
+func (b *FileBackend) SealAll(cs []*Container) []error {
+	errs := make([]error, len(cs))
+	var todo []int
+	for i, c := range cs {
+		if c != nil {
+			todo = append(todo, i)
+		}
+	}
+	// Index order is the backend's lock order; every other method holds
+	// one shard lock at a time.
+	for _, i := range todo {
+		sf := b.shards[i]
+		sf.mu.Lock()
+		defer sf.mu.Unlock()
+	}
+	var builders sync.WaitGroup
+	defer builders.Wait()
+	built := buildRecords(cs, todo, &builders)
+	syncs := make([]*vfs.PendingSync, len(cs))
+	lens := make([]int64, len(cs))
+	stopped := false
+	for k, i := range todo {
+		r := <-built[k]
+		sf, c := b.shards[i], cs[i]
+		switch {
+		case stopped:
+			errs[i] = errSealSkipped
+		case r.err != nil:
+			errs[i] = r.err
+		default:
+			errs[i] = sf.checkSeal(i, c)
+			if errs[i] == nil {
+				lens[i] = int64(len(*r.buf))
+				errs[i] = sf.appendRecord(c, *r.buf)
+			}
+		}
+		if r.buf != nil {
+			recordPool.Put(r.buf)
+		}
+		if errs[i] != nil {
+			stopped = true
+			continue
+		}
+		syncs[i] = vfs.StartSync(b.fsys, sf.f)
+		stopped = syncs[i].Failed()
+	}
+	for _, i := range todo {
+		if syncs[i] != nil {
+			errs[i] = b.shards[i].settle(cs[i], lens[i], syncs[i].Wait())
+		}
+	}
+	return errs
+}
+
+// builtRecord is one record serialized by buildRecords.
+type builtRecord struct {
+	buf *[]byte // from recordPool; nil on error
+	err error
+}
+
+// buildRecords serializes cs[todo[k]] into out[k] for every k, on up to
+// GOMAXPROCS goroutines that claim the records in order, so the first
+// records are ready first. wg is done once every goroutine has exited.
+func buildRecords(cs []*Container, todo []int, wg *sync.WaitGroup) []chan builtRecord {
+	out := make([]chan builtRecord, len(todo))
+	for k := range out {
+		out[k] = make(chan builtRecord, 1)
+	}
+	var next atomic.Int64
+	for w := min(runtime.GOMAXPROCS(0), len(todo)); w > 0; w-- {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for k := int(next.Add(1) - 1); k < len(todo); k = int(next.Add(1) - 1) {
+				buf, err := buildRecord(cs[todo[k]])
+				out[k] <- builtRecord{buf: buf, err: err}
+			}
+		}()
+	}
+	return out
+}
+
+// checkSeal refuses a seal the shard cannot take: a salvaged shard, or a
+// container out of ID order. The caller holds sf.mu.
+func (sf *shardFile) checkSeal(shard int, c *Container) error {
 	if sf.salvaged {
 		return fmt.Errorf("%w (shard %d)", ErrSalvaged, shard)
 	}
 	if c.ID != len(sf.offsets) {
 		return fmt.Errorf("container: seal of container %d on shard %d, want %d", c.ID, shard, len(sf.offsets))
 	}
-	buf, err := sf.buildRecord(c)
-	if err != nil {
-		return err
-	}
-	if _, err := sf.f.WriteAt(buf, sf.size); err != nil {
+	return nil
+}
+
+// appendRecord writes c's record at the end of the shard file,
+// discarding whatever a failed write left behind. The caller holds
+// sf.mu.
+func (sf *shardFile) appendRecord(c *Container, rec []byte) error {
+	if _, err := sf.f.WriteAt(rec, sf.size); err != nil {
 		sf.discardTail()
 		return fmt.Errorf("container: append container %d: %w", c.ID, err)
 	}
-	if err := sf.f.Sync(); err != nil {
+	return nil
+}
+
+// settle finishes the seal of c, whose n-byte record was appended, with
+// the result of its fsync: on success the record joins the shard's
+// index; on failure the tail is discarded. The caller holds sf.mu.
+func (sf *shardFile) settle(c *Container, n int64, syncErr error) error {
+	if syncErr != nil {
 		sf.discardTail()
-		return fmt.Errorf("container: sync container %d: %w", c.ID, err)
+		return fmt.Errorf("container: sync container %d: %w", c.ID, syncErr)
 	}
 	sf.offsets = append(sf.offsets, sf.size)
-	sf.size += int64(len(buf))
+	sf.size += n
 	sf.dataBytes += int64(c.Bytes)
 	return nil
 }
@@ -637,11 +795,7 @@ func (b *FileBackend) Rewrite(shard int, cs []*Container) error {
 		b.fsys.Remove(tmpName)
 		return err
 	}
-	var hdr [fileHeaderLen]byte
-	binary.LittleEndian.PutUint32(hdr[0:], fileMagic)
-	binary.LittleEndian.PutUint32(hdr[4:], fileVersion)
-	binary.LittleEndian.PutUint32(hdr[8:], uint32(shard))
-	binary.LittleEndian.PutUint32(hdr[12:], uint32(b.containerBytes))
+	hdr := fileHeader(shard, b.containerBytes)
 	if _, err := tmp.Write(hdr[:]); err != nil {
 		return abort(err)
 	}
@@ -652,15 +806,18 @@ func (b *FileBackend) Rewrite(shard int, cs []*Container) error {
 		if c.ID != i {
 			return abort(fmt.Errorf("container: rewrite container ID %d at position %d", c.ID, i))
 		}
-		buf, err := sf.buildRecord(c)
+		bp, err := buildRecord(c)
 		if err != nil {
 			return abort(err)
 		}
-		if _, err := tmp.Write(buf); err != nil {
+		n := int64(len(*bp))
+		_, err = tmp.Write(*bp)
+		recordPool.Put(bp)
+		if err != nil {
 			return abort(err)
 		}
 		offsets = append(offsets, size)
-		size += int64(len(buf))
+		size += n
 		for _, e := range c.Entries {
 			dataBytes += int64(e.Size)
 		}

@@ -3,11 +3,14 @@ package container
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
 
+	"freqdedup/internal/faultio"
 	"freqdedup/internal/fphash"
+	"freqdedup/internal/vfs"
 )
 
 func newFileStore(t *testing.T, capacity, shards int) (*FileBackend, string) {
@@ -415,5 +418,73 @@ func TestRepairKeepsEarlierQuarantine(t *testing.T) {
 		if !bytes.Equal(got, want[i]) {
 			t.Fatalf("%s does not hold repair %d's damaged record", f, i)
 		}
+	}
+}
+
+// unorderedFS hides its filesystem's sync-order declaration, so
+// vfs.StartSync runs its fsyncs on goroutines, as on the real disk.
+type unorderedFS struct{ vfs.FS }
+
+// TestFlushAllSealPass: FlushAll seals every shard's open container in
+// one pass. With ordered syncs (faultio.MemFS) a failed fsync stops the
+// pass where it fails: the earlier shards are sealed, the failing one
+// keeps its container open with its torn tail discarded, and the later
+// ones are not written. With overlapped fsyncs every shard but the
+// failing one is sealed. Either way a retry seals the rest, and a
+// reopen reads every container back.
+func TestFlushAllSealPass(t *testing.T) {
+	const shards, failing = 4, 2
+	for _, ordered := range []bool{true, false} {
+		t.Run(fmt.Sprintf("ordered=%v", ordered), func(t *testing.T) {
+			// A shard file's first sync is its header's, at creation.
+			m := faultio.NewMemFSPlan(faultio.Plan{Rules: []faultio.Rule{{
+				Op: faultio.OpSync, PathGlob: shardFileName(failing), Nth: 2,
+			}}})
+			var fsys vfs.FS = m
+			if !ordered {
+				fsys = unorderedFS{m}
+			}
+			b, err := CreateFileBackendFS(fsys, "store", shards, 1<<10)
+			if err != nil {
+				t.Fatal(err)
+			}
+			stores := make([]*Store, shards)
+			for i := range stores {
+				if stores[i], err = NewWithBackend(1<<10, b, i, nil); err != nil {
+					t.Fatal(err)
+				}
+				mustAppend(t, stores[i], dataEntry(uint64(i), 100))
+			}
+			shard, err := FlushAll(stores)
+			if shard != failing || !errors.Is(err, faultio.ErrInjected) {
+				t.Fatalf("FlushAll = shard %d, %v; want shard %d's injected sync failure", shard, err, failing)
+			}
+			for i, s := range stores {
+				want := i < failing || !ordered && i > failing
+				if got := s.Sealed() == 1; got != want || (s.Current() != nil) == want {
+					t.Errorf("shard %d: sealed %v, want %v", i, got, want)
+				}
+			}
+			if shard, err := FlushAll(stores); shard != -1 || err != nil {
+				t.Fatalf("retried FlushAll = shard %d, %v", shard, err)
+			}
+			if err := b.Close(); err != nil {
+				t.Fatal(err)
+			}
+			reopened, err := OpenFileBackendFS(m, "store")
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer reopened.Close()
+			for i := 0; i < shards; i++ {
+				c, err := reopened.Load(i, 0)
+				if err != nil || len(c.Entries) != 1 || !bytes.Equal(c.Entries[0].Data, dataEntry(uint64(i), 100).Data) {
+					t.Fatalf("shard %d after reopen: %v", i, err)
+				}
+				if _, err := reopened.Load(i, 1); !errors.Is(err, ErrNotFound) {
+					t.Fatalf("shard %d holds a second container: %v", i, err)
+				}
+			}
+		})
 	}
 }

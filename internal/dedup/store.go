@@ -387,6 +387,13 @@ func (s *Store) Close() error {
 // backup trades container packing density for per-backup durability —
 // that is the Repository front door's contract.
 //
+// A pass holds every shard lock and seals all open containers together
+// (container.FlushAll): on a FileBackend the records are serialized
+// concurrently, written in shard order, and their fsyncs overlapped
+// (vfs.StartSync), so the pass waits for the disk about once rather than
+// once per shard. A shard whose seal failed keeps its container open;
+// the others are sealed, and Sync reports the lowest failing shard.
+//
 // Concurrent Syncs coalesce: a flush pass that starts after a Sync call
 // arrives covers it, so N simultaneous callers share far fewer passes
 // (and per-shard fsyncs) than N. Sync returns only after a covering pass
@@ -397,15 +404,18 @@ func (s *Store) Sync() error {
 }
 
 // syncAllShards is the coalesced barrier: one pass sealing every shard's
-// open container.
+// open container. It holds every shard lock (lockAll, the global lock
+// order, which GC and Repair take too) while container.FlushAll seals
+// the open containers together.
 func (s *Store) syncAllShards() error {
+	s.lockAll()
+	defer s.unlockAll()
+	packers := make([]*container.Store, len(s.shards))
 	for i, sh := range s.shards {
-		sh.mu.Lock()
-		_, err := sh.containers.Flush()
-		sh.mu.Unlock()
-		if err != nil {
-			return fmt.Errorf("dedup: sync shard %d: %w", i, err)
-		}
+		packers[i] = sh.containers
+	}
+	if i, err := container.FlushAll(packers); err != nil {
+		return fmt.Errorf("dedup: sync shard %d: %w", i, err)
 	}
 	return nil
 }

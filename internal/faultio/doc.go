@@ -36,6 +36,19 @@
 // exactly as it would on a dying machine; the harness then reopens the
 // stack against CrashImage() and asserts the recovery invariants.
 //
+// MemFS declares its syncs ordered (vfs.SyncOrderer), and every wrapper
+// around it must forward the declaration: where the stack overlaps
+// fsyncs on the real disk (vfs.StartSync, the container seal pass), on
+// MemFS each sync runs inline and completes before the next operation,
+// so one workload has one operation sequence and the sweep is a function
+// of the plan alone. One linear order stands for every interleaving a
+// real disk could produce: recovery treats each file on its own (each
+// container shard recovers its torn tail alone), and the seal pass
+// acknowledges nothing until all its fsyncs have returned. A crash that
+// leaves any subset of the pass's records durable therefore recovers
+// like a crash in the serial order: each shard holds its new record or
+// drops it, and an unacknowledged record is unreferenced either way.
+//
 // Injector.SyncPoints records the clock value of every acknowledged
 // sync. These are the interesting crash points — between two syncs the
 // durable state does not change, so a sweep over sync points (plus the

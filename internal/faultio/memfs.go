@@ -223,6 +223,11 @@ func (m *MemFS) Glob(pattern string) ([]string, error) { return m.mem.Glob(patte
 // MkdirAll implements vfs.FS.
 func (m *MemFS) MkdirAll(path string, perm os.FileMode) error { return m.mem.MkdirAll(path, perm) }
 
+// SyncsOrdered implements vfs.SyncOrderer: vfs.StartSync runs a MemFS
+// sync inline, so the crash clock sees every sync before the caller's
+// next operation (see the package doc for why one order suffices).
+func (m *MemFS) SyncsOrdered() bool { return true }
+
 // memHandle is one open MemFS file (or directory, with a nil f): the
 // vfs.Mem handle under the injector, with the durable view beside it.
 type memHandle struct {

@@ -167,6 +167,10 @@ func (m *Mem) MkdirAll(path string, perm os.FileMode) error {
 	return nil
 }
 
+// SyncsOrdered implements SyncOrderer: a Mem sync is a no-op, so
+// StartSync runs it inline rather than on a goroutine.
+func (m *Mem) SyncsOrdered() bool { return true }
+
 // memHandle is one open Mem file, or a directory when f is nil.
 type memHandle struct {
 	fs       *Mem

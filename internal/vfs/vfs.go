@@ -10,6 +10,15 @@
 // os. Mem is the in-memory one, which internal/faultio extends. The
 // interface is deliberately minimal — exactly the operations the storage
 // stack uses, nothing speculative — so implementations stay small.
+//
+// StartSync is the one primitive beyond the interface: it starts a
+// file's fsync and hands back a PendingSync to wait on, so a commit that
+// makes many files durable (the container seal pass, store creation)
+// overlaps one file's flush with the next file's write. On OS the fsync
+// runs on its own goroutine. A filesystem that declares its syncs ordered
+// (SyncOrderer: Mem, where Sync is a no-op, and faultio.MemFS, whose
+// crash clock must see one operation sequence) runs it inline, so the
+// sync completes before the caller's next operation.
 package vfs
 
 import (
@@ -100,4 +109,65 @@ func SyncDir(fsys FS, dir string) error {
 	defer d.Close()
 	_ = d.Sync()
 	return nil
+}
+
+// SyncOrderer is implemented by a filesystem whose syncs StartSync must
+// run inline, in issue order, on the caller's goroutine. A wrapper
+// around another FS forwards the declaration of the FS it wraps:
+//
+//	func (w *wrapper) SyncsOrdered() bool { return vfs.SyncsOrdered(w.FS) }
+type SyncOrderer interface {
+	SyncsOrdered() bool
+}
+
+// SyncsOrdered reports whether fsys declares its syncs ordered.
+func SyncsOrdered(fsys FS) bool {
+	o, ok := fsys.(SyncOrderer)
+	return ok && o.SyncsOrdered()
+}
+
+// PendingSync is one fsync started by StartSync.
+type PendingSync struct {
+	done chan struct{} // closed once err is set; nil after an inline sync
+	err  error
+}
+
+// StartSync starts f.Sync, f being a file of fsys, and returns without
+// waiting for it unless fsys declares its syncs ordered. The caller must
+// Wait on every PendingSync it starts, and must not use f until then.
+func StartSync(fsys FS, f File) *PendingSync {
+	p := new(PendingSync)
+	if SyncsOrdered(fsys) {
+		p.err = f.Sync()
+		return p
+	}
+	p.done = make(chan struct{})
+	go func() {
+		p.err = f.Sync()
+		close(p.done)
+	}()
+	return p
+}
+
+// Wait blocks until the fsync has returned and reports its result: nil
+// is the durability acknowledgment, as from File.Sync.
+func (p *PendingSync) Wait() error {
+	if p.done != nil {
+		<-p.done
+	}
+	return p.err
+}
+
+// Failed reports, without blocking, whether the fsync has already
+// returned an error. After an inline sync the answer is final; a sync
+// still running reports false.
+func (p *PendingSync) Failed() bool {
+	if p.done != nil {
+		select {
+		case <-p.done:
+		default:
+			return false
+		}
+	}
+	return p.err != nil
 }

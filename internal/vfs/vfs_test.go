@@ -178,3 +178,56 @@ func TestConformance(t *testing.T) {
 		}
 	}
 }
+
+// gatedFile is a File whose Sync blocks until gate is closed and then
+// returns err.
+type gatedFile struct {
+	vfs.File
+	gate chan struct{}
+	err  error
+}
+
+func (f gatedFile) Sync() error {
+	<-f.gate
+	return f.err
+}
+
+// unordered hides its FS's sync-order declaration, as a wrapper that
+// does not forward it would.
+type unordered struct{ vfs.FS }
+
+// TestStartSync: a filesystem that declares its syncs ordered (Mem,
+// faultio.MemFS, and wrappers forwarding them) runs the fsync inline,
+// so it has returned by the time StartSync does; any other runs it on a
+// goroutine, and only Wait reports its result.
+func TestStartSync(t *testing.T) {
+	for _, fsys := range []vfs.FS{vfs.NewMem(), faultio.NewMemFS()} {
+		if !vfs.SyncsOrdered(fsys) {
+			t.Fatalf("%T does not declare its syncs ordered", fsys)
+		}
+	}
+	if vfs.SyncsOrdered(vfs.OS) || vfs.SyncsOrdered(unordered{vfs.NewMem()}) {
+		t.Fatal("an unordered filesystem declares its syncs ordered")
+	}
+
+	fail := errors.New("sync failed")
+	gate := make(chan struct{})
+	close(gate)
+	p := vfs.StartSync(vfs.NewMem(), gatedFile{gate: gate, err: fail})
+	if !p.Failed() || !errors.Is(p.Wait(), fail) {
+		t.Fatal("ordered StartSync did not run the failing fsync inline")
+	}
+
+	gate = make(chan struct{})
+	p = vfs.StartSync(unordered{vfs.NewMem()}, gatedFile{gate: gate, err: fail})
+	if p.Failed() {
+		t.Fatal("a blocked background fsync reports failure")
+	}
+	close(gate)
+	if !errors.Is(p.Wait(), fail) || !p.Failed() {
+		t.Fatal("Wait did not report the background fsync's failure")
+	}
+	if vfs.StartSync(vfs.OS, gatedFile{gate: gate}).Wait() != nil {
+		t.Fatal("a successful background fsync reported an error")
+	}
+}

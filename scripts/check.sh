@@ -84,6 +84,13 @@ go test -race -count=5 -run 'Cancel|Deterministic|Sink|Streaming|Teardown' ./int
 echo "== parallel boundary scan flake guard (-race -count=5)"
 go test -race -count=5 -run 'ParallelScan|Reference' ./internal/chunker/ || fail "parallel boundary scan flake guard"
 
+# The seal pass that ends every backup overlaps its shards' fsyncs on
+# goroutines on the real disk and runs them in order on the fault
+# filesystem; run its on-disk tests and the pinned crash clock five
+# times over.
+echo "== seal pass flake guard (-race -count=5)"
+go test -race -count=5 -run 'SealPass|CrashClock' . || fail "seal pass flake guard"
+
 if [ "${CHECK_SKIP_FAULTS:-0}" != "1" ]; then
 	echo "== crash-point sweep (exhaustive, -race)"
 	FAULTS_FULL=1 go test -race -run 'TestCrashSweep' . || fail "crash-point sweep"
