@@ -3,8 +3,7 @@
 // data series on the laptop-scale datasets and reports headline values as
 // custom metrics, so `go test -bench=. -benchmem` both times the
 // reproduction and surfaces the reproduced numbers. The full rendered
-// tables are printed by `go run ./cmd/attack -fig all` and
-// `go run ./cmd/defend -fig all`.
+// tables are printed by `go run ./cmd/defend -fig all`.
 package freqdedup
 
 import (

@@ -1,7 +1,12 @@
-// Command defend evaluates the paper's defenses (Section 7): MinHash
-// encryption and scrambling, inspects live repositories built with the
-// freqdedup.Repository API, and attacks their recorded upload traffic.
+// Command defend is the paper's attack and defense lab: it generates
+// backup traces, reproduces the attack (Section 5) and defense (Section 7)
+// figures, inspects live repositories built with the freqdedup.Repository
+// API, and attacks recorded or generated upload traffic.
 //
+//	defend gen -list        # enumerate the workload registry
+//	defend gen -workload all -out traces/ -tiny  # traces/<workload>.fdt
+//	defend -fig 1           # frequency distribution; -fig 4 to 9 and
+//	                        # -fig scaling are the attack figures (Sec 5)
 //	defend -fig 10          # defense effectiveness vs leakage rate
 //	defend -fig 11          # storage saving MLE vs combined
 //	defend -fig 13          # metadata access overhead, fingerprint cache
@@ -18,18 +23,19 @@
 //	defend -fig all -dataset repo:/path/to/repository
 //	                        # every figure from the repository's replayed
 //	                        # .fdt trace logs instead of the generators
-//	defend -fig all -dataset workload:teamshare
-//	                        # every figure on a registered workload
-//	defend -trace fsl.trace -scheme combined   # savings on a trace file
+//	defend -fig all -dataset workload:teamshare  # or traces/fsl.fdt
+//	defend -trace traces/fsl.fdt -scheme combined   # savings on a trace file
 //	defend -repo /path/to/repository           # snapshots, savings, verify
 //	defend -repo /path/to/repository -key "hunter2..."
 //	defend attack -repo /path/to/repository    # the full adversary loop:
 //	                        # replay taps, run every attack against every
-//	                        # scheme, report inference rates
+//	                        # scheme, report inference rates and each
+//	                        # run's pairs, stats, wall time and kchunks/s
 //	defend attack -repo /path/to/repository -view negotiation
 //	                        # same loop on the multi-tenant server's
 //	                        # negotiation transcript: what the wire leaks
 //	                        # before a single chunk is uploaded
+//	defend attack -trace traces/fsl.fdt -attack advanced -aux 2 -target 4
 //	defend fsck -repo /path/to/repository      # salvage-open, repair, and
 //	                        # report exactly which snapshots lost what
 package main
@@ -50,19 +56,18 @@ import (
 	"freqdedup/internal/eval"
 	"freqdedup/internal/trace"
 	"freqdedup/internal/tracelog"
+	"freqdedup/internal/workload"
 )
 
 func main() {
-	if len(os.Args) > 1 && os.Args[1] == "attack" {
-		runAttackCmd(os.Args[2:])
-		return
-	}
-	if len(os.Args) > 1 && os.Args[1] == "fsck" {
-		runFsckCmd(os.Args[2:])
-		return
+	if len(os.Args) > 1 {
+		if cmd, ok := subcommands[os.Args[1]]; ok {
+			cmd(os.Args[2:])
+			return
+		}
 	}
 	figFlag := flag.String("fig", "", "reproduce figures: "+figUsage)
-	dataset := flag.String("dataset", "", `figure dataset: empty = built-in generators, "repo:<dir>" = a repository's replayed trace logs, "workload:<name>" = a registered workload, else a tracegen file`)
+	dataset := flag.String("dataset", "", `figure dataset: empty = built-in generators, "repo:<dir>" = a repository's replayed trace logs, "workload:<name>" = a registered workload, else a trace file written by defend gen`)
 	tiny := flag.Bool("tiny", false, "run -fig scenarios at tiny smoke-test scale")
 	tracePath := flag.String("trace", "", "trace file to evaluate (single-run mode)")
 	schemeName := flag.String("scheme", "combined", "scheme: mle, minhash, or combined")
@@ -87,34 +92,28 @@ func main() {
 	}
 }
 
+// subcommands are the commands named by defend's first argument.
+var subcommands = map[string]func([]string){
+	"gen":    runGenCmd,
+	"attack": runAttackCmd,
+	"fsck":   runFsckCmd,
+}
+
 // loadDataset resolves a -dataset argument: a repository's replayed
 // adversary trace logs ("repo:<dir>"), a registered workload
-// ("workload:<name>", generated at its default scale), or a tracegen
-// file. Repository taps need no repository key — the trace log records exactly what the
+// ("workload:<name>", generated at its default scale), or a trace file
+// written by defend gen. Repository taps need no repository key — the trace log records exactly what the
 // adversary observed, which under convergent encryption is a 1-1
 // relabeling of the plaintext chunk stream preserving the frequencies,
 // sizes, and locality every figure depends on.
 func loadDataset(arg string) (*trace.Dataset, error) {
 	if dir, ok := strings.CutPrefix(arg, "repo:"); ok {
-		return repoTapDataset(dir)
+		return repoDataset(dir, "tap")
 	}
 	if name, ok := strings.CutPrefix(arg, "workload:"); ok {
 		return freqdedup.GenerateWorkload(name, freqdedup.WorkloadConfig{})
 	}
-	f, err := os.Open(arg)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	return trace.Read(f)
-}
-
-// repoTapDataset replays a repository's trace logs into a dataset: one
-// backup stream per committed tap, in commit order. The log is opened
-// read-only: the repository may still be live, and an inspection tool
-// must neither block it nor truncate an append it has in flight.
-func repoTapDataset(dir string) (*trace.Dataset, error) {
-	return repoDataset(dir, "tap")
+	return tracelog.ReadDataset(freqdedup.OSFileSystem, arg)
 }
 
 // repoDataset replays one of a repository's two adversary views. "tap"
@@ -123,7 +122,9 @@ func repoTapDataset(dir string) (*trace.Dataset, error) {
 // references every session offered during its negotiation rounds
 // (negotiation.fdt), with the server-to-client miss streams (the
 // "?misses" labels) dropped — the query streams alone carry the
-// frequency and locality structure the attacks consume.
+// frequency and locality structure the attacks consume. The log is read
+// read-only: the repository may still be live, and an inspection tool
+// must neither block it nor truncate an append it has in flight.
 func repoDataset(dir, view string) (*trace.Dataset, error) {
 	var logPath string
 	switch view {
@@ -159,17 +160,74 @@ func repoDataset(dir, view string) (*trace.Dataset, error) {
 	return d, nil
 }
 
-// runAttackCmd is the full adversary loop against a real repository:
-// open the trace log (no key — the adversary has none), replay the
-// recorded upload histories, simulate every defense scheme on the latest
-// backup's stream, and run every attack in both modes against each,
-// reporting inference rates. -view selects which adversary the loop
-// plays: the in-process upload tap, or the wire-level negotiation
-// transcript a multi-tenant server leaks before any chunk is uploaded.
+// runGenCmd generates workloads from the registry (internal/workload)
+// and writes each as <out>/<workload>.fdt, a trace log every -trace and
+// -dataset input reads. The registry covers the paper's three evaluation
+// datasets (fsl, synthetic, vm) and the modifier-chain scenarios.
+func runGenCmd(args []string) {
+	fs := flag.NewFlagSet("defend gen", flag.ExitOnError)
+	name := fs.String("workload", "all", `workload to generate (see -list), or "all"`)
+	list := fs.Bool("list", false, "list the registered workloads and exit")
+	out := fs.String("out", ".", "output directory")
+	seed := fs.Int64("seed", 0, "generator seed (0 = the workload's default)")
+	backups := fs.Int("backups", 0, "backup generations (0 = the workload's default)")
+	size := fs.Int("size", 0, "approximate initial logical size in bytes (0 = default)")
+	users := fs.Int("users", 0, "parallel user streams (0 = the workload's default)")
+	tiny := fs.Bool("tiny", false, "tiny smoke-test scale (3 backups, 2 MiB) unless overridden")
+	fs.Parse(args)
+	if *list {
+		fmt.Println(strings.Join(workload.List(), "\n"))
+		return
+	}
+	cfg := workload.Config{Seed: *seed, Backups: *backups, TotalBytes: *size, Users: *users}
+	if *tiny && cfg.Backups == 0 {
+		cfg.Backups = 3
+	}
+	if *tiny && cfg.TotalBytes == 0 {
+		cfg.TotalBytes = 2 << 20
+	}
+	names := workload.List()
+	if *name != "all" {
+		if _, err := workload.Lookup(*name); err != nil {
+			// The lookup error names every available workload.
+			fmt.Fprintln(os.Stderr, "defend gen:", err)
+			os.Exit(2)
+		}
+		names = []string{*name}
+	}
+	if err := os.MkdirAll(*out, 0o755); err != nil {
+		fatal(err)
+	}
+	for _, n := range names {
+		d, err := workload.Generate(n, cfg)
+		if err != nil {
+			fatal(err)
+		}
+		path := filepath.Join(*out, n+".fdt")
+		if err := tracelog.WriteDataset(freqdedup.OSFileSystem, path, d); err != nil {
+			fatal(err)
+		}
+		st := d.Stats()
+		fmt.Printf("%s: %d backups, %d chunks (%d unique), %.1fx dedup -> %s\n",
+			n, len(d.Backups), st.LogicalChunks, st.UniqueChunks, st.Ratio(), path)
+	}
+}
+
+// runAttackCmd is the full adversary loop against a real repository or
+// a trace file: replay the recorded upload histories (no key — the
+// adversary has none), simulate every defense scheme on the target
+// backup's stream, and run the attacks in both modes against each,
+// reporting inference rates and, per run, the inferred pairs, the walk's
+// stats and the attack's own cost, timed around Run only. -view selects
+// which adversary a repository loop plays: the in-process upload tap, or
+// the wire-level negotiation transcript a multi-tenant server leaks
+// before any chunk is uploaded.
 func runAttackCmd(args []string) {
 	fs := flag.NewFlagSet("defend attack", flag.ExitOnError)
-	repoPath := fs.String("repo", "", "repository directory whose trace logs to attack (required)")
+	repoPath := fs.String("repo", "", "repository directory whose trace logs to attack")
+	tracePath := fs.String("trace", "", "trace file to attack instead of -repo (written by defend gen)")
 	view := fs.String("view", "tap", "adversary view: tap (upload observer) or negotiation (server wire transcript)")
+	only := fs.String("attack", "all", "attacks to run: basic, locality, advanced, or all")
 	auxIdx := fs.Int("aux", 0, "auxiliary backup trace index")
 	targetIdx := fs.Int("target", -1, "target backup trace index (-1 = latest)")
 	leakage := fs.Float64("leakage", 0.002, "leakage rate for the known-plaintext rows")
@@ -179,27 +237,39 @@ func runAttackCmd(args []string) {
 	shards := fs.Int("shards", 0, "attack-engine table shards (0 = default)")
 	workers := fs.Int("workers", 0, "attack-engine counting workers (0 = GOMAXPROCS)")
 	fs.Parse(args)
-	if *repoPath == "" {
+	if (*repoPath == "") == (*tracePath == "") ||
+		(*only != "all" && *only != "basic" && *only != "locality" && *only != "advanced") {
 		fs.Usage()
 		os.Exit(2)
 	}
-	d, err := repoDataset(*repoPath, *view)
+	var d *trace.Dataset
+	var err error
+	if *repoPath != "" {
+		d, err = repoDataset(*repoPath, *view)
+	} else {
+		d, err = tracelog.ReadDataset(freqdedup.OSFileSystem, *tracePath)
+	}
 	if err != nil {
 		fatal(err)
 	}
 	if len(d.Backups) < 2 {
-		fatal(fmt.Errorf("need at least 2 backup traces to attack, repository has %d", len(d.Backups)))
+		fatal(fmt.Errorf("need at least 2 backup traces to attack, %s has %d", d.Name, len(d.Backups)))
 	}
 	if *targetIdx < 0 {
 		*targetIdx = len(d.Backups) - 1
 	}
 	if *auxIdx < 0 || *auxIdx >= len(d.Backups) || *targetIdx >= len(d.Backups) {
-		fatal(fmt.Errorf("backup trace index out of range (repository has %d traces)", len(d.Backups)))
+		fatal(fmt.Errorf("backup trace index out of range (%s has %d traces)", d.Name, len(d.Backups)))
 	}
 	aux, target := d.Backups[*auxIdx], d.Backups[*targetIdx]
 	params := attack.Params{Shards: *shards, Workers: *workers}
 
-	fmt.Printf("repository %s: %d backup traces replayed (%s view)\n", *repoPath, len(d.Backups), *view)
+	if *repoPath != "" {
+		fmt.Printf("repository %s: %d backup traces replayed (%s view)\n", *repoPath, len(d.Backups), *view)
+	} else {
+		fmt.Printf("trace %s: dataset %s, %d backup traces (aux index %d, target index %d)\n",
+			*tracePath, d.Name, len(d.Backups), *auxIdx, *targetIdx)
+	}
 	fmt.Printf("aux: %s (%d chunks), target: %s (%d chunks, %d unique)\n\n",
 		aux.Label, len(aux.Chunks), target.Label, len(target.Chunks), target.UniqueCount())
 
@@ -224,11 +294,15 @@ func runAttackCmd(args []string) {
 		encs[i] = enc
 		leaks[i] = attack.SampleLeaked(enc.Backup, enc.Truth, *leakage, 42)
 	}
+	var runs []string
 	for _, mode := range []attack.Mode{attack.CiphertextOnly, attack.KnownPlaintext} {
 		cfg := attack.Config{U: *u, V: *v, W: *w, Mode: mode}
 		for si, atk := range attack.Suite(cfg) {
+			if *only != "all" && *only != atk.Name() {
+				continue
+			}
 			ser := eval.Series{Name: fmt.Sprintf("%s (%s)", atk.Name(), mode)}
-			for i := range schemes {
+			for i, scheme := range schemes {
 				runAtk := atk
 				if mode == attack.KnownPlaintext {
 					// The leaked pairs depend on the scheme's ground
@@ -238,11 +312,23 @@ func runAttackCmd(args []string) {
 					runCfg.Leaked = leaks[i]
 					runAtk = attack.Suite(runCfg)[si]
 				}
+				start := time.Now()
 				res, err := runAtk.Run(attack.BackupSource(encs[i].Backup), attack.BackupSource(aux), params)
+				wall := time.Since(start)
 				if err != nil {
 					fatal(err)
 				}
-				ser.Y = append(ser.Y, res.InferenceRate(encs[i].Truth))
+				rate := res.InferenceRate(encs[i].Truth)
+				ser.Y = append(ser.Y, rate)
+				st := res.Stats
+				walk := ""
+				if atk.Name() != "basic" {
+					walk = fmt.Sprintf(", %d seeds, %d iterations, peak queue %d, %d dropped by w",
+						st.Seeds, st.Iterations, st.PeakQueue, st.DroppedByW)
+				}
+				chunks := len(encs[i].Backup.Chunks) + len(aux.Chunks)
+				runs = append(runs, fmt.Sprintf("%s on %s: %d pairs%s, inference rate %.4f%%, attack time %.3f s (%d chunks, %.1f kchunks/s)",
+					ser.Name, scheme, len(res.Pairs), walk, rate*100, wall.Seconds(), chunks, float64(chunks)/1e3/wall.Seconds()))
 			}
 			fig.Series = append(fig.Series, ser)
 		}
@@ -250,6 +336,7 @@ func runAttackCmd(args []string) {
 	fig.Notes = append(fig.Notes,
 		"schemes are simulated on the tapped (post-encryption) stream; under a convergent repository the tap preserves the plaintext stream's structure exactly",
 		fmt.Sprintf("known-plaintext rows use a %.2f%% leakage rate", *leakage*100))
+	fig.Notes = append(fig.Notes, runs...)
 	fig.Render(os.Stdout)
 }
 
@@ -374,6 +461,14 @@ var figures = []struct {
 	name string
 	run  func(eval.Datasets) ([]eval.Figure, error)
 }{
+	{"1", infallible(eval.Fig1FrequencyDistribution)},
+	{"4", infallible(eval.Fig4ParamSweep)},
+	{"5", infallible(eval.Fig5VaryAux)},
+	{"6", infallible(eval.Fig6VaryTarget)},
+	{"7", infallible(eval.Fig7SlidingWindow)},
+	{"8", infallible(func(ds eval.Datasets) []eval.Figure { return []eval.Figure{eval.Fig8KnownPlaintext(ds)} })},
+	{"9", infallible(eval.Fig9KPVaryAux)},
+	{"scaling", infallible(func(ds eval.Datasets) []eval.Figure { return []eval.Figure{eval.AttackScaling(ds.FSL)} })},
 	{"10", eval.Fig10Defense},
 	{"11", eval.Fig11StorageSaving},
 	{"ablations", func(ds eval.Datasets) ([]eval.Figure, error) {
@@ -395,7 +490,13 @@ var figures = []struct {
 	}},
 }
 
-const figUsage = "10, 11, ablations, 13, 14, restore, scenarios, or all"
+// infallible adapts an attack-figure runner, which cannot fail, to the
+// figures table.
+func infallible(run func(eval.Datasets) []eval.Figure) func(eval.Datasets) ([]eval.Figure, error) {
+	return func(ds eval.Datasets) ([]eval.Figure, error) { return run(ds), nil }
+}
+
+const figUsage = "1, 4, 5, 6, 7, 8, 9, scaling, 10, 11, ablations, 13, 14, restore, scenarios, or all"
 
 func validFig(which string) bool {
 	if which == "scenarios" || which == "all" {
@@ -463,12 +564,7 @@ func runScenarioMatrix(tiny bool) {
 }
 
 func runSingle(path, schemeName string) {
-	f, err := os.Open(path)
-	if err != nil {
-		fatal(err)
-	}
-	d, err := trace.Read(f)
-	f.Close()
+	d, err := tracelog.ReadDataset(freqdedup.OSFileSystem, path)
 	if err != nil {
 		fatal(err)
 	}

@@ -50,12 +50,36 @@ func runDefend(t *testing.T, args ...string) (string, int) {
 }
 
 func TestUnknownFigExits2(t *testing.T) {
-	out, code := runDefend(t, "-fig", "5")
+	out, code := runDefend(t, "-fig", "99")
 	if code != 2 {
-		t.Fatalf("defend -fig 5: exit %d, want 2; output:\n%s", code, out)
+		t.Fatalf("defend -fig 99: exit %d, want 2; output:\n%s", code, out)
 	}
-	if !strings.Contains(out, "unknown -fig") || !strings.Contains(out, "restore") {
-		t.Fatalf("defend -fig 5 does not list the accepted names:\n%s", out)
+	if !strings.Contains(out, "unknown -fig") || !strings.Contains(out, " 5,") || !strings.Contains(out, "restore") {
+		t.Fatalf("defend -fig 99 does not list the accepted names:\n%s", out)
+	}
+}
+
+// checkFigureGoldens runs `defend -fig name` for each name in parallel
+// and holds its output to testdata/fig-<name>.golden byte for byte.
+func checkFigureGoldens(t *testing.T, names ...string) {
+	// eval.Generate scales the datasets by FREQDEDUP_SCALE.
+	t.Setenv("FREQDEDUP_SCALE", "")
+	for _, fig := range names {
+		fig := fig
+		t.Run(fig, func(t *testing.T) {
+			t.Parallel()
+			want, err := os.ReadFile(filepath.Join("testdata", "fig-"+fig+".golden"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			out, code := runDefend(t, "-fig", fig)
+			if code != 0 {
+				t.Fatalf("defend -fig %s: exit %d; output:\n%s", fig, code, out)
+			}
+			if out != string(want) {
+				t.Errorf("defend -fig %s differs from testdata/fig-%s.golden:\n%s", fig, fig, out)
+			}
+		})
 	}
 }
 
@@ -64,17 +88,98 @@ func TestUnknownFigExits2(t *testing.T) {
 // goldens were recorded when the DDFS simulator still packed through
 // container.Store; they are a behaviour contract, never re-recorded.
 func TestMetadataFiguresGolden(t *testing.T) {
-	for _, fig := range []string{"13", "14", "restore"} {
-		want, err := os.ReadFile(filepath.Join("testdata", "fig-"+fig+".golden"))
+	checkFigureGoldens(t, "13", "14", "restore")
+}
+
+// TestAttackFiguresGolden holds the attack figures (Sections 3.3 and 5)
+// to the output the former standalone attack command printed, byte for
+// byte; like the metadata goldens they are never re-recorded.
+func TestAttackFiguresGolden(t *testing.T) {
+	checkFigureGoldens(t, "1", "4", "5", "6", "7", "8", "9", "scaling")
+}
+
+// genTrace runs `defend gen -workload synthetic -tiny -seed 7` into dir
+// and returns the written trace file's path.
+func genTrace(t *testing.T, dir string) string {
+	t.Helper()
+	out, code := runDefend(t, "gen", "-workload", "synthetic", "-tiny", "-seed", "7", "-out", dir)
+	if code != 0 {
+		t.Fatalf("defend gen: exit %d; output:\n%s", code, out)
+	}
+	return filepath.Join(dir, "synthetic.fdt")
+}
+
+// TestGenDeterministic: one seed generates a byte-identical trace file,
+// in another directory and when a re-run replaces the file in place.
+func TestGenDeterministic(t *testing.T) {
+	dir := t.TempDir()
+	a := genTrace(t, filepath.Join(dir, "a"))
+	first, err := os.ReadFile(a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, path := range []string{genTrace(t, filepath.Join(dir, "b")), genTrace(t, filepath.Join(dir, "a"))} {
+		again, err := os.ReadFile(path)
 		if err != nil {
 			t.Fatal(err)
 		}
-		out, code := runDefend(t, "-fig", fig)
-		if code != 0 {
-			t.Fatalf("defend -fig %s: exit %d; output:\n%s", fig, code, out)
+		if !bytes.Equal(first, again) {
+			t.Fatalf("%s differs from the first generation with the same seed", path)
 		}
-		if out != string(want) {
-			t.Errorf("defend -fig %s differs from testdata/fig-%s.golden:\n%s", fig, fig, out)
+	}
+	if entries, _ := os.ReadDir(filepath.Join(dir, "a")); len(entries) != 1 {
+		t.Fatalf("re-run left %d files in the output directory, want 1", len(entries))
+	}
+}
+
+// TestAttackTrace runs one attack on a generated trace: only its rows
+// are printed, and each run's pairs, walk stats and cost are in the
+// notes.
+func TestAttackTrace(t *testing.T) {
+	path := genTrace(t, t.TempDir())
+	out, code := runDefend(t, "attack", "-trace", path, "-attack", "locality")
+	if code != 0 {
+		t.Fatalf("defend attack -trace: exit %d; output:\n%s", code, out)
+	}
+	if strings.Contains(out, "basic (") || strings.Contains(out, "advanced (") {
+		t.Fatalf("-attack locality printed other attacks' rows:\n%s", out)
+	}
+	if n := strings.Count(out, "note: locality ("); n != 6 {
+		t.Fatalf("%d per-run notes, want 6 (2 modes x 3 schemes):\n%s", n, out)
+	}
+	for _, want := range []string{"dataset synthetic", "pairs, ", "seeds, ", "dropped by w", "inference rate ", "kchunks/s"} {
+		if !strings.Contains(out, want) {
+			t.Fatalf("output lacks %q:\n%s", want, out)
+		}
+	}
+}
+
+// TestCorruptTraceFails damages a generated trace — one byte flipped in
+// the middle, the last 3 bytes cut off, one byte of the final record
+// flipped — and then attacks it and draws a figure from it. Both must
+// fail and name the corruption, never run on fewer or different backups.
+func TestCorruptTraceFails(t *testing.T) {
+	clean, err := os.ReadFile(genTrace(t, t.TempDir()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, damage := range map[string]func([]byte) []byte{
+		"middle flip": func(b []byte) []byte { b[len(b)/2] ^= 0x01; return b },
+		"cut 3":       func(b []byte) []byte { return b[:len(b)-3] },
+		"last flip":   func(b []byte) []byte { b[len(b)-8] ^= 0x01; return b },
+	} {
+		path := filepath.Join(t.TempDir(), "synthetic.fdt")
+		if err := os.WriteFile(path, damage(append([]byte(nil), clean...)), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		for _, args := range [][]string{
+			{"attack", "-trace", path},
+			{"-fig", "1", "-dataset", path},
+		} {
+			out, code := runDefend(t, args...)
+			if code == 0 || !strings.Contains(out, "corrupt") {
+				t.Errorf("%s: defend %v: exit %d; output:\n%s", name, args, code, out)
+			}
 		}
 	}
 }

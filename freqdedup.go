@@ -208,8 +208,6 @@ var (
 	DefaultFSLParams       = trace.DefaultFSLParams
 	DefaultSyntheticParams = trace.DefaultSyntheticParams
 	DefaultVMParams        = trace.DefaultVMParams
-	ReadDataset            = trace.Read
-	WriteDataset           = trace.Write
 )
 
 // Attacks (Section 4), run by the streaming engine (internal/attack):

@@ -182,26 +182,6 @@ func TestFacadeKeyManagerRoundTrip(t *testing.T) {
 	}
 }
 
-// TestFacadeDatasetCodec round-trips a dataset through the facade.
-func TestFacadeDatasetCodec(t *testing.T) {
-	p := freqdedup.DefaultVMParams()
-	p.Students = 3
-	p.BaseImageBytes = 1 << 20
-	p.Weeks = 3
-	d := freqdedup.GenerateVM(p)
-	var buf bytes.Buffer
-	if err := freqdedup.WriteDataset(&buf, d); err != nil {
-		t.Fatal(err)
-	}
-	got, err := freqdedup.ReadDataset(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Name != d.Name || len(got.Backups) != len(d.Backups) {
-		t.Fatal("dataset codec round trip failed")
-	}
-}
-
 // ExampleNewBasicAttack demonstrates classical frequency analysis on a toy
 // stream (the paper's Figure 3 setting).
 func ExampleNewBasicAttack() {

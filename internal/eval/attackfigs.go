@@ -369,8 +369,8 @@ func Fig9KPVaryAux(ds Datasets) []Figure {
 // attack infers as the target stream grows (the first quarter, half and
 // all of d's MLE-encrypted latest backup against its second-last backup;
 // Section 5.2's performance discussion). It records inferred pairs only, not time: the
-// attack's cost is the wall time and kchunks/s that `attack -trace`
-// prints, timed around Run alone.
+// attack's cost is the wall time and kchunks/s that `defend attack -trace`
+// prints per run, timed around Run alone.
 func AttackScaling(d *trace.Dataset) Figure {
 	fig := Figure{
 		ID:     "Sec 5.2",

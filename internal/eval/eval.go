@@ -1,8 +1,8 @@
 // Package eval reproduces the paper's evaluation: every figure in Sections
 // 5 (attack evaluation) and 7 (defense evaluation) has a runner that
 // regenerates its data series on the laptop-scale datasets. The runners
-// are shared by the benchmark harness (bench_test.go) and the command-line
-// tools (cmd/attack, cmd/defend).
+// are shared by the benchmark harness (bench_test.go) and the
+// command-line tool (cmd/defend).
 package eval
 
 import (

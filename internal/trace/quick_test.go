@@ -1,7 +1,6 @@
 package trace
 
 import (
-	"bytes"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -10,7 +9,7 @@ import (
 )
 
 // randomDataset builds an arbitrary small dataset from a seed, for
-// property-based round-trip checks.
+// property-based checks.
 func randomDataset(seed int64) *Dataset {
 	rng := rand.New(rand.NewSource(seed))
 	d := &Dataset{Name: "prop"}
@@ -27,40 +26,6 @@ func randomDataset(seed int64) *Dataset {
 		d.Backups = append(d.Backups, bk)
 	}
 	return d
-}
-
-// TestCodecRoundTripProperty: Write then Read is the identity on arbitrary
-// datasets.
-func TestCodecRoundTripProperty(t *testing.T) {
-	f := func(seed int64) bool {
-		d := randomDataset(seed)
-		var buf bytes.Buffer
-		if err := Write(&buf, d); err != nil {
-			return false
-		}
-		got, err := Read(&buf)
-		if err != nil {
-			return false
-		}
-		if got.Name != d.Name || len(got.Backups) != len(d.Backups) {
-			return false
-		}
-		for i := range d.Backups {
-			if got.Backups[i].Label != d.Backups[i].Label ||
-				len(got.Backups[i].Chunks) != len(d.Backups[i].Chunks) {
-				return false
-			}
-			for j := range d.Backups[i].Chunks {
-				if got.Backups[i].Chunks[j] != d.Backups[i].Chunks[j] {
-					return false
-				}
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
-		t.Fatal(err)
-	}
 }
 
 // TestStatsInvariantsProperty: physical <= logical, unique <= logical

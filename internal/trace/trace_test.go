@@ -1,7 +1,6 @@
 package trace
 
 import (
-	"bytes"
 	"math/rand"
 	"testing"
 
@@ -235,53 +234,6 @@ func TestValidateRejectsBadData(t *testing.T) {
 				t.Fatal("Validate accepted bad dataset")
 			}
 		})
-	}
-}
-
-func TestCodecRoundTrip(t *testing.T) {
-	d := GenerateSynthetic(smallSynthetic())
-	var buf bytes.Buffer
-	if err := Write(&buf, d); err != nil {
-		t.Fatal(err)
-	}
-	got, err := Read(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Name != d.Name || len(got.Backups) != len(d.Backups) {
-		t.Fatalf("round trip lost structure: %q/%d", got.Name, len(got.Backups))
-	}
-	for i := range d.Backups {
-		if got.Backups[i].Label != d.Backups[i].Label {
-			t.Fatalf("backup %d label mismatch", i)
-		}
-		if len(got.Backups[i].Chunks) != len(d.Backups[i].Chunks) {
-			t.Fatalf("backup %d chunk count mismatch", i)
-		}
-		for j := range d.Backups[i].Chunks {
-			if got.Backups[i].Chunks[j] != d.Backups[i].Chunks[j] {
-				t.Fatalf("backup %d chunk %d mismatch", i, j)
-			}
-		}
-	}
-}
-
-func TestCodecRejectsGarbage(t *testing.T) {
-	if _, err := Read(bytes.NewReader([]byte("not a trace file at all"))); err == nil {
-		t.Fatal("Read accepted garbage")
-	}
-	if _, err := Read(bytes.NewReader(nil)); err == nil {
-		t.Fatal("Read accepted empty input")
-	}
-	// Truncated valid prefix.
-	d := &Dataset{Name: "t", Backups: []*Backup{{Label: "1", Chunks: []ChunkRef{{FP: fphash.FromUint64(1), Size: 1}}}}}
-	var buf bytes.Buffer
-	if err := Write(&buf, d); err != nil {
-		t.Fatal(err)
-	}
-	trunc := buf.Bytes()[:buf.Len()-3]
-	if _, err := Read(bytes.NewReader(trunc)); err == nil {
-		t.Fatal("Read accepted truncated input")
 	}
 }
 

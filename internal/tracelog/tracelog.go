@@ -34,6 +34,14 @@
 // truncated away. Structural damage anywhere else is ErrCorrupt: a
 // damaged observation history surfaces as an error, never as a silently
 // wrong attack input.
+//
+// The same format carries generated traces: WriteDataset stores a
+// dataset as one committed trace per backup, and ReadDataset reads a
+// closed log back, a generated one or a closed repository's. A closed
+// log ends on an end record, so ReadDataset treats any torn tail,
+// trailing bytes or unended trace as ErrCorrupt. OpenReadOnlyFS, for a
+// repository that may still be live, ignores a torn tail instead (it
+// may be an append in flight) and never repairs it.
 package tracelog
 
 import (
@@ -42,8 +50,10 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"io/fs"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 
 	"freqdedup/internal/attack"
@@ -105,6 +115,7 @@ type Log struct {
 	size     int64
 	nextSID  uint32
 	backups  []*BackupTrace
+	unended  int // sessions replay found begun but never ended
 	closed   bool
 	scratch  []byte
 
@@ -193,7 +204,8 @@ func OpenFS(fsys vfs.FS, path string) (*Log, error) {
 // simply be another process's in-flight append, not crash damage) is
 // ignored rather than truncated, and Begin is refused. This is the mode
 // for inspection tools (`defend attack -repo`, `-dataset repo:`) pointed
-// at a repository that may still be live.
+// at a repository that may still be live. ReadDataset opens a closed
+// log this way and then rejects what a tolerant replay skipped.
 func OpenReadOnlyFS(fsys vfs.FS, path string) (*Log, error) {
 	f, err := fsys.Open(path)
 	if err != nil {
@@ -336,6 +348,7 @@ func (l *Log) replay() error {
 		}
 	}
 	l.size = pos
+	l.unended = len(open)
 	return nil
 }
 
@@ -700,4 +713,91 @@ func (r *traceReader) load(e extent) error {
 func (r *traceReader) Close() error {
 	r.buf = nil
 	return nil
+}
+
+// datasetWindow is how many references WriteDataset hands ObserveUpload
+// at a time, so each backup spills in sessionSpillBytes records like a
+// tapped one instead of one record past maxPayload.
+const datasetWindow = 4096
+
+// WriteDataset stores d at path as a trace log: one committed trace per
+// backup, in order, labelled with the backup's label. The log is built
+// under path+".tmp" and renamed over path once every trace is committed,
+// so a re-run replaces the file and an interrupted run leaves no shorter,
+// valid-looking log under the final name.
+func WriteDataset(fsys vfs.FS, path string, d *trace.Dataset) error {
+	tmp := path + ".tmp"
+	if err := fsys.Remove(tmp); err != nil && !errors.Is(err, fs.ErrNotExist) {
+		return fmt.Errorf("tracelog: remove stale %s: %w", tmp, err)
+	}
+	l, err := CreateFS(fsys, tmp)
+	if err != nil {
+		return err
+	}
+	for _, b := range d.Backups {
+		if err = writeBackup(l, b); err != nil {
+			break
+		}
+	}
+	if cerr := l.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = fsys.Rename(tmp, path)
+	}
+	if err != nil {
+		fsys.Remove(tmp)
+		return err
+	}
+	return vfs.SyncDir(fsys, filepath.Dir(path))
+}
+
+func writeBackup(l *Log, b *trace.Backup) error {
+	s, err := l.Begin(b.Label)
+	if err != nil {
+		return err
+	}
+	for lo := 0; lo < len(b.Chunks); lo += datasetWindow {
+		if err := s.ObserveUpload(b.Chunks[lo:min(lo+datasetWindow, len(b.Chunks))]); err != nil {
+			return err
+		}
+	}
+	return s.Commit()
+}
+
+// ReadDataset reads a closed trace log, such as one WriteDataset wrote,
+// into a dataset named after the file: its base name without the
+// extension, so fileserver.fdt reads as "fileserver". A closed log ends
+// on its last end record, so any damage the CRC framing can see is
+// ErrCorrupt: a torn or unchecksummed tail, trailing bytes, or a backup
+// begun and never ended. Only a cut exactly between two backups reads
+// as the backups before it; the format records no backup count. A live
+// repository's log, whose tail may be an append in flight, is read with
+// OpenReadOnlyFS instead.
+func ReadDataset(fsys vfs.FS, path string) (*trace.Dataset, error) {
+	l, err := OpenReadOnlyFS(fsys, path)
+	if err != nil {
+		return nil, err
+	}
+	defer l.Close()
+	st, err := l.f.Stat()
+	if err != nil {
+		return nil, err
+	}
+	if tail := st.Size() - l.size; tail > 0 {
+		return nil, fmt.Errorf("%w: %s: %d bytes after the last complete record at offset %d", ErrCorrupt, path, tail, l.size)
+	}
+	if l.unended > 0 {
+		return nil, fmt.Errorf("%w: %s: %d backup traces begun and never ended", ErrCorrupt, path, l.unended)
+	}
+	base := filepath.Base(path)
+	d := &trace.Dataset{Name: strings.TrimSuffix(base, filepath.Ext(base))}
+	for _, t := range l.Backups() {
+		b, err := t.Materialize()
+		if err != nil {
+			return nil, err
+		}
+		d.Backups = append(d.Backups, b)
+	}
+	return d, nil
 }

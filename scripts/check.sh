@@ -116,10 +116,6 @@ if [ "${CHECK_SKIP_SCENARIOS:-0}" != "1" ]; then
 	go run ./cmd/defend -fig scenarios -tiny || fail "scenario matrix smoke"
 fi
 
-echo "== examples smoke (attackdemo, defensedemo)"
-go run ./examples/attackdemo >/dev/null || fail "examples smoke (attackdemo)"
-go run ./examples/defensedemo >/dev/null || fail "examples smoke (defensedemo)"
-
 if [ "${CHECK_SKIP_SERVER:-0}" != "1" ]; then
 	echo "== server smoke (4 loopback tenants through the wire protocol)"
 	go test -count=1 -run '^TestServerConcurrentTenantsMatchSerial$' . || fail "server smoke"

@@ -4,9 +4,11 @@ import (
 	"context"
 	"fmt"
 	"os"
+	"path/filepath"
 
 	"freqdedup/internal/eval"
 	"freqdedup/internal/trace"
+	"freqdedup/internal/tracelog"
 	"freqdedup/internal/workload"
 )
 
@@ -55,8 +57,8 @@ type (
 
 // ReplayRepositoryTaps is the real-stack TapPipeline: it materializes each
 // generated backup's byte stream, backs it up into a throwaway file-backed
-// Repository with the adversary tap enabled, then closes, reopens, and
-// replays the durable trace log (traces.fdt) — returning the dataset an
+// Repository with the adversary tap enabled, then closes it and replays
+// the durable trace log (traces.fdt) — returning the dataset an
 // adversary reconstructs from upload observations alone. The repository
 // encrypts convergently, so the replayed stream is a deterministic 1-1
 // relabeling of the (re-chunked) plaintext stream: frequencies, sizes,
@@ -84,29 +86,18 @@ func ReplayRepositoryTaps(d *trace.Dataset) (*trace.Dataset, error) {
 	if err := repo.Close(); err != nil {
 		return nil, err
 	}
-	// Reopen cold: the adversary view must replay from traces.fdt alone.
-	reopened, err := OpenRepository(dir)
+	// Replay cold, from traces.fdt alone and without the key.
+	out, err := tracelog.ReadDataset(OSFileSystem, filepath.Join(dir, tracelog.LogName))
 	if err != nil {
 		return nil, err
 	}
-	defer reopened.Close()
-	log := reopened.TraceLog()
-	if log == nil {
-		return nil, fmt.Errorf("freqdedup: reopened repository %q lost its trace log", dir)
+	if len(out.Backups) != len(d.Backups) {
+		return nil, fmt.Errorf("freqdedup: replayed %d taps, want %d", len(out.Backups), len(d.Backups))
 	}
-	taps := log.Backups()
-	if len(taps) != len(d.Backups) {
-		return nil, fmt.Errorf("freqdedup: replayed %d taps, want %d", len(taps), len(d.Backups))
-	}
-	out := &trace.Dataset{Name: d.Name + "-tap"}
-	for i, tap := range taps {
-		b, err := tap.Materialize()
-		if err != nil {
-			return nil, err
-		}
+	out.Name = d.Name + "-tap"
+	for i, b := range out.Backups {
 		// Restore the generator's label: consumers key figures on it.
 		b.Label = d.Backups[i].Label
-		out.Backups = append(out.Backups, b)
 	}
 	return out, nil
 }
