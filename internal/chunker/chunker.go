@@ -1,6 +1,7 @@
 package chunker
 
 import (
+	"crypto/sha256"
 	"errors"
 	"fmt"
 	"io"
@@ -323,7 +324,9 @@ func (l *lookahead) consume(n int) {
 // Each refill is scanned in pieces, on every core that is free (see
 // parallelScan), and a piece's candidates are queued when a cut needs
 // them. Only when Min < window do the few positions less than a window
-// into a chunk need a roll of their own.
+// into a chunk need a roll of their own. NextAt cuts a chunk whose length
+// a parent predicts without scanning it, and the Next calls right after
+// it scan serially, their own positions only (see the package comment).
 type ContentDefined struct {
 	la     lookahead
 	p      Params
@@ -333,9 +336,10 @@ type ContentDefined struct {
 	hash   *rabin.Hash
 	par    *parallelScan
 	// cands[head:] are the queued candidate cuts, ascending, as indices
-	// into la.buf laid out as at the last scan, when buf[0] sat at stream
-	// offset base. scanned is the first stream position no scan has
-	// covered; par may still hold the candidates of positions before it.
+	// into la.buf laid out as at the last rebase, when buf[0] sat at
+	// stream offset base. scanned is the first stream position no scan
+	// has covered; par may still hold the candidates of positions before
+	// it.
 	cands   []int
 	head    int
 	base    int64
@@ -343,6 +347,13 @@ type ContentDefined struct {
 	// candBuf backs cands until more than 64 candidates are pending at
 	// once, so the queue costs a new chunker no allocation of its own.
 	candBuf [64]int
+	// serial counts down the Next calls, after a cut by NextAt, that find
+	// their cut with serial steps of their own positions (see findCut)
+	// instead of a scan of the whole refill: while a caller's predictions
+	// are landing, most bytes are never scanned, and a refill-wide scan
+	// after each miss would scan ahead for nothing.
+	serial int
+	probe  [1]int // NextAt's one-position Matches result
 }
 
 var _ Chunker = (*ContentDefined)(nil)
@@ -371,30 +382,33 @@ func NewContentDefined(r io.Reader, p Params) (*ContentDefined, error) {
 	return c, nil
 }
 
-// scan starts a scan of the bytes buffered since the last one. A position
-// less than a window past the first unconsumed byte is skipped: its
-// fingerprint depends on where its chunk starts, so findCut rolls such
-// positions itself. No scan may be pending: the buffer it reads must not
-// have moved.
-func (c *ContentDefined) scan() {
-	la := &c.la
-	base := la.offset - int64(la.start)
+// rebase moves the queued candidates with the bytes when fill has
+// compacted the buffer since the queue was last used.
+func (c *ContentDefined) rebase() {
+	base := c.la.offset - int64(c.la.start)
 	if shift := int(base - c.base); shift != 0 {
-		// fill has compacted the buffer since the last scan: move the
-		// queued indices with the bytes.
 		for i := c.head; i < len(c.cands); i++ {
 			c.cands[i] -= shift
 		}
 		c.base = base
 	}
-	end := base + int64(la.end)
+}
+
+// scan starts a scan of the bytes buffered since the last one. A position
+// less than a window past the first unconsumed byte is skipped: its
+// fingerprint depends on where its chunk starts, so findCut rolls such
+// positions itself. No scan may be pending: the buffer it reads must not
+// have moved. The queue must be rebased.
+func (c *ContentDefined) scan() {
+	la := &c.la
+	end := c.base + int64(la.end)
 	from := max(c.scanned, la.offset+int64(c.window))
 	if from > end {
 		return
 	}
 	c.cands = c.cands[:copy(c.cands, c.cands[c.head:])]
 	c.head = 0
-	lo := int(from - base)
+	lo := int(from - c.base)
 	c.par.start(la.buf[:la.end], lo, pieces(lo, la.end))
 	c.scanned = end + 1
 }
@@ -428,7 +442,9 @@ func (c *ContentDefined) findCut(data []byte) int {
 	start := c.la.start
 	lo, hi := start+max(c.p.Min, c.window), start+len(data)
 	// Merge the scan's pieces only until the queue holds a candidate at or
-	// past lo, or has every candidate up to hi.
+	// past lo, or has every candidate up to hi. Positions no scan has
+	// covered are scanned here, serialStep at a time, up to the first
+	// candidate.
 	for {
 		for c.head < len(c.cands) && c.cands[c.head] < lo {
 			c.head++
@@ -439,11 +455,79 @@ func (c *ContentDefined) findCut(data []byte) int {
 			}
 			return len(data)
 		}
-		if !c.par.pending() || c.par.merged() > hi {
+		if c.par.pending() {
+			if c.par.merged() > hi {
+				return len(data)
+			}
+			c.cands = c.par.mergeNext(c.cands)
+			continue
+		}
+		from := max(int(c.scanned-c.base), lo)
+		if from > hi {
 			return len(data)
 		}
-		c.cands = c.par.mergeNext(c.cands)
+		to := min(from+serialStep-1, hi)
+		c.cands, c.head = c.hash.Matches(c.la.buf[:to], from, c.mask, c.magic, c.cands[:0]), 0
+		c.scanned = c.base + int64(to) + 1
 	}
+}
+
+// serialStep is how many positions findCut scans at a time where no scan
+// has covered them: a few KiB, so a chunk that cuts early is not scanned
+// much past its cut.
+const serialStep = 4 * 1024
+
+// NextAt returns the next chunk cut at exactly n bytes, and true, when
+// that is the cut Next would make; otherwise it returns false and consumes
+// nothing, so the caller calls Next. sum must be the SHA-256 of an n-byte
+// chunk that a chunker with the same Params cut: such a chunker found no
+// boundary at the positions from Min to n-1 of it, and neither does this
+// one if the next n bytes hash to sum, so the cut at n is Next's if n is
+// all Next may take (Max, or the rest of the stream) or if the window
+// ending at n is a boundary. That one position is tested first, and the n
+// bytes are hashed only if it passes. The bytes NextAt cuts are never
+// scanned, and the Next calls right after a cut here scan their own
+// positions only, serially.
+func (c *ContentDefined) NextAt(n int, sum [sha256.Size]byte) (Chunk, bool, error) {
+	if n < 1 || n > c.p.Max {
+		return Chunk{}, false, nil
+	}
+	if !c.la.full(c.p.Max) {
+		c.cands = c.par.drain(c.cands)
+	}
+	window, err := c.la.take(c.p.Max)
+	if err != nil {
+		return Chunk{}, false, err
+	}
+	if n > len(window) || n < len(window) && !c.boundary(window, n) {
+		return Chunk{}, false, nil
+	}
+	if sha256.Sum256(window[:n]) != sum {
+		return Chunk{}, false, nil
+	}
+	c.serial = serialSpan
+	return c.cut(window, n), true, nil
+}
+
+// serialSpan is how many Next calls after a cut by NextAt scan serially:
+// while one of the last few cuts was predicted, the next probably is too.
+const serialSpan = 8
+
+// boundary reports whether position n of data, the lookahead's unconsumed
+// bytes, is a boundary of a chunk starting at data[0]: at or past Min,
+// and the fingerprint there matches.
+func (c *ContentDefined) boundary(data []byte, n int) bool {
+	if n < c.p.Min {
+		return false
+	}
+	if n < c.window {
+		// As in findCut: a position less than a window into the chunk
+		// hashes the chunk's prefix.
+		c.hash.Reset()
+		return c.hash.Update(data[:n])&c.mask == c.magic
+	}
+	at := c.la.start + n
+	return len(c.hash.Matches(c.la.buf[:at], at, c.mask, c.magic, c.probe[:0])) == 1
 }
 
 // Next implements Chunker.
@@ -458,16 +542,26 @@ func (c *ContentDefined) Next() (Chunk, error) {
 	if err != nil {
 		return Chunk{}, err
 	}
-	c.scan()
-	cut := c.findCut(window)
-	data := getBuf(cut)
-	copy(data, window[:cut])
+	c.rebase()
+	if c.serial > 0 {
+		c.serial--
+	} else {
+		c.scan()
+	}
+	return c.cut(window, c.findCut(window)), nil
+}
+
+// cut consumes the first n bytes of window, the lookahead's unconsumed
+// bytes, as the next chunk.
+func (c *ContentDefined) cut(window []byte, n int) Chunk {
+	data := getBuf(n)
+	copy(data, window[:n])
 	ch := Chunk{Data: data, Offset: c.la.offset}
 	if !c.p.DeferFingerprint {
 		ch.Fingerprint = fphash.FromBytes(data)
 	}
-	c.la.consume(cut)
-	return ch, nil
+	c.la.consume(n)
+	return ch
 }
 
 // chunkCountHint estimates how many chunks remain, for All's preallocation.

@@ -44,6 +44,33 @@
 // move the buffer. A chunker its caller stops calling leaves only helpers
 // that scan the pieces still unclaimed and exit.
 //
+// # Predicted cuts
+//
+// A backup whose parent was chunked under the same Params can skip the
+// scan where the parent predicts the next chunk (RapidCDC, Ni and Jiang,
+// SoCC 2019, on the chunk locality of backup streams the paper's §4
+// attack exploits). ContentDefined.NextAt(n, sum) cuts exactly n bytes
+// when that is the cut Next would make. The argument: the parent's chunk
+// of n bytes was cut at the first boundary in [Min, n], so no position in
+// [Min, n) of it is a boundary. Whether a position is a boundary depends
+// only on the chunk's bytes up to it (the window ending there, or from
+// the chunk start when the position is less than a window in). So if the
+// next n bytes have the parent chunk's SHA-256, none of those positions
+// is a boundary here either, and the cut at n is Next's exactly when n is
+// all Next may take (Max, or the rest of the stream) or position n is a
+// boundary. NextAt tests that one position first, which turns away
+// almost every wrong prediction before any hashing, then compares the
+// SHA-256, which the dedup client needs anyway as the convergent key. Cut
+// points are bit-identical to Next's whatever the prediction; a
+// prediction from a parent chunked under other Params may cut wrongly,
+// which is why the caller must know the parent's Params. The bytes NextAt
+// cuts are never scanned, and no refill scan starts for them. For a few
+// Next calls after a cut by NextAt, findCut scans the chunk's own
+// positions, serially, a few KiB at a time up to the first boundary,
+// rather than the whole refill on every core: after a misprediction the
+// next prediction usually lands, and a refill-wide scan would scan ahead
+// for nothing.
+//
 // Each emitted chunk is copied exactly once, from the lookahead buffer into
 // its own buffer; the seed implementation's second copy (reader to
 // lookahead) is gone. A reader that returns neither data nor an error 100

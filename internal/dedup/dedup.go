@@ -106,7 +106,7 @@ type UploadObserver interface {
 // client's sink negotiates each window with a server instead.
 //
 // A window may hold reference-only chunks (PutChunk.Ref): the chunks of a
-// client given a ParentTable whose keys hit it, which were never
+// client given a parent (SetParent) whose keys hit it, which were never
 // encrypted. Each carries the fingerprint and size its ciphertext would
 // have, and its plaintext (PutChunk.Plain), whose SHA-256 is its key. The
 // call owns every such plaintext from the moment it is made, whatever it
@@ -119,13 +119,41 @@ type Sink interface {
 	PutBatchOwned(chunks []PutChunk) ([]bool, error)
 }
 
-// ParentTable is a convergent backup's dedup-before-encrypt table: the
-// recipe entries of a parent snapshot whose chunks the store holds, keyed
-// by chunk key. Under convergent encryption the key is the plaintext's
-// SHA-256, so it alone fixes the ciphertext, its fingerprint and its
-// size; a chunk whose key is in the table is uploaded as a reference-only
-// chunk, without encrypting or hashing it. Store.ParentTable builds one.
-type ParentTable map[mle.Key]mle.RecipeEntry
+// parentTable is a convergent backup's parent (see SetParent): the
+// parent recipe's entries in order, each key's first position among them,
+// which of them the store does not hold, and, when the backup may predict
+// its cuts from the parent, which chunk sizes the parent has. Under
+// convergent encryption the key is the plaintext's SHA-256, so it alone
+// fixes the ciphertext, its fingerprint and its size; a chunk whose key
+// the table holds is uploaded as a reference-only chunk, without
+// encrypting or hashing it.
+type parentTable struct {
+	entries []mle.RecipeEntry
+	pos     map[mle.Key]int32
+	lost    bitset // entry i's chunk is not held; nil when all are
+	sizes   bitset // some entry is n bytes long; nil: no predictions
+}
+
+// hit returns the parent's recipe entry for key when the parent has the
+// key and its chunk is held. A nil table has no hits.
+func (t *parentTable) hit(key mle.Key) (mle.RecipeEntry, bool) {
+	if t == nil {
+		return mle.RecipeEntry{}, false
+	}
+	i, ok := t.pos[key]
+	if !ok || t.lost.has(int(i)) {
+		return mle.RecipeEntry{}, false
+	}
+	return t.entries[i], true
+}
+
+// bitset is a set of small non-negative integers.
+type bitset []uint64
+
+func (b bitset) has(i int) bool { return i>>6 < len(b) && b[i>>6]&(1<<(i&63)) != 0 }
+
+// set adds i to b, which must have room for it.
+func (b bitset) set(i int) { b[i>>6] |= 1 << (i & 63) }
 
 // Client is the client side of Figure 2: chunk, encrypt, upload. A Client
 // is not safe for concurrent use (its scrambling RNG is stateful); run one
@@ -137,7 +165,11 @@ type Client struct {
 	store   *Store // what Restore reads; nil for a NewSinkClient client
 	rng     *rand.Rand
 	obsRefs []trace.ChunkRef // reused observation window (tap enabled only)
-	parent  ParentTable      // dedup-before-encrypt table; see SetParent
+	parent  *parentTable     // dedup-before-encrypt table; see SetParent
+
+	// predicted counts the bytes of the last backup that were cut where
+	// the parent predicted (see SetParent).
+	predicted atomic.Int64
 
 	// Test hooks of the restore window (restore_test.go): windowBudget,
 	// when positive, replaces the budget derived from store geometry, and
@@ -207,23 +239,70 @@ func NewSinkClient(sink Sink, cfg Config) (*Client, error) {
 	return &Client{cfg: cfg, sink: sink, rng: rand.New(rand.NewSource(seed))}, nil
 }
 
-// SetParent gives the client's convergent backups a dedup-before-encrypt
-// table (nil removes it). Only EncConvergent consults it. With a *Store
-// sink, every chunk it names must stay in the store until the backups
-// that use it finish: a reference to a chunk the store no longer holds
-// fails the backup with an error wrapping ErrNotFound. The network sink
-// needs no such promise: it encrypts a hit the server reports missing.
+// SetParent gives the client's convergent backups a parent, the recipe
+// of an earlier backup (nil removes it); other encryptions ignore it. It
+// saves two kinds of work.
+//
+// Encryption: a chunk whose key the parent has is uploaded as a
+// reference-only chunk, unencrypted. A NewClient client does so only for
+// the chunks its store holds when SetParent is called (Store.Contains),
+// and every such chunk must stay in the store until the backups that use
+// the parent finish: a reference to a chunk the store no longer holds
+// fails the backup with an error wrapping ErrNotFound. A NewSinkClient
+// client references every key the parent has; the network sink encrypts
+// a hit the server reports missing.
+//
+// Chunking, with predict: after a chunk the parent has, the chunker cuts
+// where the parent's next chunk ends, when the SHA-256 that is the
+// chunk's key anyway proves the cut right (chunker.ContentDefined.NextAt),
+// and scans for a boundary only where the prediction fails. The proof
+// holds only if the parent was chunked under the client's own
+// Config.Chunking: set predict only then. Gear chunking is never
+// predicted.
+//
 // Recipes, upload windows, the upload observer's stream and the store's
-// contents are identical with and without the table; only the encryption
-// work of the hits is saved.
-func (c *Client) SetParent(t ParentTable) { c.parent = t }
+// contents are identical with and without a parent.
+func (c *Client) SetParent(parent *mle.Recipe, predict bool) {
+	c.parent = nil
+	if parent == nil || c.cfg.Encryption != EncConvergent {
+		return
+	}
+	t := &parentTable{entries: parent.Entries, pos: make(map[mle.Key]int32, len(parent.Entries))}
+	for i, e := range parent.Entries {
+		if _, ok := t.pos[e.Key]; ok {
+			continue
+		}
+		t.pos[e.Key] = int32(i)
+		// An index lookup error counts as not held, so such a chunk is
+		// encrypted and stored again, as any put with a failed lookup
+		// would store it.
+		if c.store != nil && !c.store.Contains(e.Fingerprint) {
+			if t.lost == nil {
+				t.lost = make(bitset, len(parent.Entries)/64+1)
+			}
+			t.lost.set(i)
+		}
+	}
+	if predict {
+		limit := c.cfg.Chunking.Max
+		t.sizes = make(bitset, limit/64+1)
+		for _, e := range parent.Entries {
+			if int(e.Size) <= limit {
+				t.sizes.set(int(e.Size))
+			}
+		}
+	}
+	c.parent = t
+}
 
 // encJob is one chunk's slot in the pipeline: the chunk, its position in
-// the recipe and, for EncMinHash, its segment's key.
+// the recipe and, when keyed, its key: the convergent key the producer or
+// the segment stage computed already, or the segment's EncMinHash key.
 type encJob struct {
-	chunk  chunker.Chunk
-	idx    int
-	segKey mle.Key
+	chunk chunker.Chunk
+	idx   int
+	key   mle.Key
+	keyed bool
 }
 
 // uploadWindowChunks is how many chunks Backup hands the Sink at a time:
@@ -245,16 +324,17 @@ const chunkQueueDepth = 256
 // Backup is one streaming pipeline in every configuration, and it keeps
 // three kinds of goroutine busy at once. A producer goroutine runs the
 // content-defined chunker (deferring plaintext SHA-256 out of the serial
-// path) and hands over batches of chunkBatch chunks through a bounded
-// channel. A pool of Config.Workers goroutines, started once per backup
-// and joined before it returns, derives keys, encrypts and fingerprints
-// ciphertexts: the consumer passes each batch to the pool the moment it
-// arrives, so encryption runs while the chunker is still reading. The
-// consumer fills upload windows of uploadWindowChunks chunks; when one is
-// full (or the stream ends) it waits for that window's own batches only,
-// hands the window to the Sink with one PutBatchOwned and releases the
-// plaintext buffers back to the chunker pool, all but the parent-table
-// hits', which the Sink owns from that call on.
+// path, except where a parent predicts the cut: see SetParent) and hands
+// over batches of chunkBatch chunks through a bounded channel. A pool of
+// Config.Workers goroutines, started once per backup and joined before it
+// returns, derives keys, encrypts and fingerprints ciphertexts: the
+// consumer passes each batch to the pool the moment it arrives, so
+// encryption runs while the chunker is still reading. The consumer fills
+// upload windows of uploadWindowChunks chunks; when one is full (or the
+// stream ends) it waits for that window's own batches only, hands the
+// window to the Sink with one PutBatchOwned and releases the plaintext
+// buffers back to the chunker pool, all but the parent's hits, which the
+// Sink owns from that call on.
 //
 // Scrambling and MinHash encryption put a segment stage between the
 // handoff and the upload window: the pool fingerprints each batch's
@@ -304,18 +384,97 @@ func (c *Client) BackupContext(ctx context.Context, r io.Reader) (*mle.Recipe, e
 // wake-up per chunk cost a tenth of the pipeline's CPU time.
 const chunkBatch = 32
 
-// chunkMsg is one producer-to-consumer handoff: a batch of chunks, and the
-// chunking error that ended it.
+// chunkMsg is one producer-to-consumer handoff: a batch of chunks, with
+// the keys the producer computed, and the chunking error that ended it.
 type chunkMsg struct {
-	chunks [chunkBatch]chunker.Chunk
-	n      int
-	err    error
+	jobs [chunkBatch]encJob
+	n    int
+	err  error
 }
 
 func (m *chunkMsg) release() {
 	for i := 0; i < m.n; i++ {
-		m.chunks[i].Release()
+		m.jobs[i].chunk.Release()
 	}
+}
+
+// maxBackoff bounds how many scanned chunks a cutter lets pass between
+// two tries to find its place in the parent again.
+const maxBackoff = 32
+
+// cutter is a backup's chunker, with the cuts predicted from the parent
+// when the backup may predict them (see SetParent): after a chunk the
+// parent has, at position i, it offers the chunker the parent's chunk i+1
+// (chunker.ContentDefined.NextAt), and it keys each chunk so cut with the
+// parent's key. After a scanned chunk it looks for its place in the
+// parent again by hashing the chunk, but only if the chunk's size occurs
+// in the parent and a backoff allows: each try that finds nothing doubles
+// the number of scanned chunks to let pass before the next, and a hit
+// resets it. A chunk hashed to look it up keeps its key, so the pool does
+// not hash it again.
+type cutter struct {
+	cdc       chunker.Chunker
+	cd        *chunker.ContentDefined // nil: no predictions
+	t         *parentTable
+	next      int // the parent entry predicted next; -1: none
+	wait      int // scanned chunks to let pass before the next lookup
+	backoff   int
+	predicted *atomic.Int64
+}
+
+func (c *Client) newCutter(cdc chunker.Chunker) *cutter {
+	k := &cutter{cdc: cdc, next: -1, predicted: &c.predicted}
+	if c.parent != nil && c.parent.sizes != nil {
+		k.cd, _ = cdc.(*chunker.ContentDefined)
+		k.t = c.parent
+	}
+	return k
+}
+
+// cut fills job with the next chunk. An error leaves job without one.
+func (k *cutter) cut(job *encJob) error {
+	if k.next >= 0 {
+		e := &k.t.entries[k.next]
+		ch, ok, err := k.cd.NextAt(int(e.Size), e.Key)
+		if err != nil {
+			return err
+		}
+		if ok {
+			if k.next++; k.next == len(k.t.entries) {
+				k.next = -1
+			}
+			k.predicted.Add(int64(len(ch.Data)))
+			*job = encJob{chunk: ch, key: e.Key, keyed: true}
+			return nil
+		}
+		k.next = -1
+	}
+	ch, err := k.cdc.Next()
+	if err != nil {
+		return err
+	}
+	*job = encJob{chunk: ch}
+	if k.cd == nil {
+		return nil
+	}
+	if k.wait > 0 {
+		k.wait--
+		return nil
+	}
+	if !k.t.sizes.has(len(ch.Data)) {
+		return nil
+	}
+	job.key, job.keyed = mle.ConvergentKey(ch.Data), true
+	if i, ok := k.t.pos[job.key]; ok {
+		k.backoff = 0
+		if int(i)+1 < len(k.t.entries) {
+			k.next = int(i) + 1
+		}
+	} else {
+		k.backoff = min(max(2*k.backoff, 1), maxBackoff)
+		k.wait = k.backoff
+	}
+	return nil
 }
 
 // backupStreaming is the backup pipeline: producer goroutine, worker pool,
@@ -362,6 +521,8 @@ func (c *Client) backupStreaming(ctx context.Context, cdc chunker.Chunker) (*mle
 			}
 		}
 	}()
+	c.predicted.Store(0)
+	cut := c.newCutter(cdc)
 	go func() {
 		defer close(chunks)
 		var msg chunkMsg
@@ -379,10 +540,9 @@ func (c *Client) backupStreaming(ctx context.Context, cdc chunker.Chunker) (*mle
 				return
 			default:
 			}
-			ch, err := cdc.Next()
+			err := cut.cut(&msg.jobs[msg.n])
 			switch {
 			case err == nil:
-				msg.chunks[msg.n] = ch
 				if msg.n++; msg.n < chunkBatch {
 					continue
 				}
@@ -492,7 +652,7 @@ func (c *Client) backupStreaming(ctx context.Context, cdc chunker.Chunker) (*mle
 				return err
 			}
 			for i := range seg {
-				seg[i].segKey = key
+				seg[i].key, seg[i].keyed = key, true
 			}
 		}
 		if c.cfg.Scramble {
@@ -580,8 +740,9 @@ func (c *Client) backupStreaming(ctx context.Context, cdc chunker.Chunker) (*mle
 			break
 		}
 		in = inBuf[:0]
-		for _, ch := range msg.chunks[:msg.n] {
-			in = append(in, encJob{chunk: ch, idx: len(recipe.Entries)})
+		for _, job := range msg.jobs[:msg.n] {
+			job.idx = len(recipe.Entries)
+			in = append(in, job)
 			recipe.Entries = append(recipe.Entries, mle.RecipeEntry{})
 		}
 		if msg.err != nil {
@@ -694,13 +855,27 @@ func (p *workerPool) run(t poolTask) error {
 			return err
 		}
 		if t.puts == nil {
-			ch := &t.jobs[i].chunk
-			ch.Fingerprint = fphash.FromBytes(ch.Data)
+			p.fingerprint(&t.jobs[i])
 		} else if err := p.c.encryptOne(t.jobs[i], &t.puts[i], &t.entries[i]); err != nil {
 			return err
 		}
 	}
 	return nil
+}
+
+// fingerprint computes a job's plaintext fingerprint for the segment
+// stage. A convergent job gets its key first, if it has none yet, and the
+// fingerprint from it: fphash.FromBytes is a truncated SHA-256, and the
+// convergent key is the whole one, so the chunk is hashed once.
+func (p *workerPool) fingerprint(job *encJob) {
+	if p.c.cfg.Encryption != EncConvergent {
+		job.chunk.Fingerprint = fphash.FromBytes(job.chunk.Data)
+		return
+	}
+	if !job.keyed {
+		job.key, job.keyed = mle.ConvergentKey(job.chunk.Data), true
+	}
+	copy(job.chunk.Fingerprint[:], job.key[:])
 }
 
 // submit hands jobs to the workers in batches of at most chunkBatch (see
@@ -766,18 +941,22 @@ func (c *Client) observeWindow(entries []mle.RecipeEntry) error {
 // and ciphertext fingerprinting for one chunk. Plaintext fingerprinting
 // was deferred out of the chunker, so modes that need it (server-aided key
 // derivation) compute it here, on the worker pool; convergent encryption
-// never needs it at all. A convergent key found in the parent table (see
-// SetParent) skips the rest: the slot gets the table's recipe entry and a
-// reference-only put carrying the plaintext, with no encryption,
-// no ciphertext hash and no ciphertext buffer. Every put overwrites its
+// never needs it at all. A convergent job keyed already (by the producer
+// or the segment stage) is not hashed again. A convergent key whose chunk
+// the parent holds (see SetParent) skips the rest: the slot gets the
+// parent's recipe entry and a reference-only put carrying the plaintext,
+// with no encryption, no ciphertext hash and no ciphertext buffer. Every put overwrites its
 // whole slot, so no Data of an earlier window survives into a reference.
 func (c *Client) encryptOne(job encJob, put *PutChunk, entry *mle.RecipeEntry) error {
 	ch := job.chunk
 	var key mle.Key
 	switch c.cfg.Encryption {
 	case EncConvergent:
-		key = mle.ConvergentKey(ch.Data)
-		if e, ok := c.parent[key]; ok {
+		key = job.key
+		if !job.keyed {
+			key = mle.ConvergentKey(ch.Data)
+		}
+		if e, ok := c.parent.hit(key); ok {
 			*put = PutChunk{FP: e.Fingerprint, Ref: true, Size: e.Size, Plain: ch}
 			*entry = e
 			return nil
@@ -793,7 +972,7 @@ func (c *Client) encryptOne(job encJob, put *PutChunk, entry *mle.RecipeEntry) e
 			return fmt.Errorf("dedup: derive key: %w", err)
 		}
 	case EncMinHash:
-		key = job.segKey
+		key = job.key
 	}
 	ct := mle.EncryptDeterministic(key, ch.Data)
 	*put = PutChunk{FP: fphash.FromBytes(ct), Data: ct}

@@ -31,11 +31,11 @@
 //     a window of 1024 chunks is full the consumer waits for that window's
 //     own batches, uploads it with one call to the client's Sink, and
 //     releases the plaintext buffers to the chunker pool.
-//   - Dedup before encrypt. A convergent client may hold a ParentTable
-//     (Client.SetParent; Store.ParentTable builds one from a parent
-//     snapshot's recipe, keeping only chunks the store holds). A chunk's
+//   - Dedup before encrypt. A convergent client may hold a parent, an
+//     earlier backup's recipe (Client.SetParent; a NewClient client
+//     keeps as hits only the chunks its store holds). A chunk's
 //     convergent key is its plaintext SHA-256, so when the worker finds
-//     the key in the table the table's recipe entry is the chunk's: the
+//     the key in the parent the parent's recipe entry is the chunk's: the
 //     window slot gets that entry and a reference-only PutChunk (Ref,
 //     FP, Size, and the plaintext in Plain, no Data)
 //     instead of an AES encryption, a ciphertext SHA-256 and a fresh
@@ -45,7 +45,15 @@
 //     fingerprint and otherwise fails closed with ErrNotFound, recording
 //     nothing for it; it releases the plaintext unread. Recipes, windows,
 //     the upload observer's stream and the containers are the same with
-//     and without the table.
+//     and without the parent.
+//   - Predicted cuts. When the parent was chunked under the client's
+//     own chunking parameters, the producer offers the chunker the
+//     parent's next chunk after each chunk the parent has
+//     (chunker.ContentDefined.NextAt), which cuts it without a boundary
+//     scan if its SHA-256 matches; the SHA-256 is the chunk's key, which
+//     the handoff carries to the worker. After a scanned chunk the
+//     producer hashes it to find its place in the parent again, when the
+//     chunk's size occurs in the parent and a doubling backoff allows.
 //   - The Sink is the pipeline's only seam: a one-method interface
 //     (PutBatchOwned) with two implementations. *Store is the in-process
 //     sink (NewClient). The network client in internal/server is the

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"io"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -12,6 +13,7 @@ import (
 	"freqdedup/internal/fphash"
 	"freqdedup/internal/mle"
 	"freqdedup/internal/trace"
+	"freqdedup/internal/workload"
 )
 
 // parentChunking makes ~1 KiB chunks, so a few MiB of generation spans
@@ -71,73 +73,90 @@ func parentStores(t *testing.T) map[string]func(t *testing.T) *Store {
 
 // TestParentTableBitIdentical backs the same generation stream up twice,
 // into two stores of the same geometry: once plainly and once with each
-// generation's parent table. Recipes, the observed upload stream, Stats()
-// and every shard's container bytes must be equal, while the table run
-// really uploads references. Both stores build the table, so the index's
-// lookup counters see the same traffic; only the table run uses it.
+// generation's parent, its cuts predicted. Recipes, the observed upload
+// stream, Stats() and every shard's container bytes must be equal, while
+// the parent run really uploads references and cuts most bytes where the
+// parent predicts. Both clients are given the parent, so the index's
+// lookup counters see the same traffic; the plain one drops it again. The
+// scramble rows run the convergent segment stage.
 func TestParentTableBitIdentical(t *testing.T) {
 	gens := generations(7, 2<<20, 3)
-	for name, newStore := range parentStores(t) {
+	stores := parentStores(t)
+	for name, newStore := range stores {
 		for _, workers := range []int{1, 0} {
 			t.Run(fmt.Sprintf("%s/workers=%d", name, workers), func(t *testing.T) {
-				plain, table := &refCountingSink{Store: newStore(t)}, &refCountingSink{Store: newStore(t)}
-				var plainRecipe, tableRecipe *mle.Recipe
-				for g, data := range gens {
-					backup := func(sink *refCountingSink, prev *mle.Recipe, use bool) (*mle.Recipe, []trace.ChunkRef) {
-						var order []trace.ChunkRef
-						cfg := Config{Chunking: parentChunking, Workers: workers}
-						cfg.Observer = observerFunc(func(refs []trace.ChunkRef) error {
-							order = append(order, refs...)
-							return nil
-						})
-						client, err := NewSinkClient(sink, cfg)
-						if err != nil {
-							t.Fatal(err)
-						}
-						if prev != nil {
-							if pt := sink.ParentTable(prev); use {
-								client.SetParent(pt)
-							}
-						}
-						recipe, err := client.Backup(bytes.NewReader(data))
-						if err != nil {
-							t.Fatalf("gen %d: %v", g, err)
-						}
-						return recipe, order
-					}
-					var plainOrder, tableOrder []trace.ChunkRef
-					plainRecipe, plainOrder = backup(plain, plainRecipe, false)
-					refsBefore := table.refs
-					tableRecipe, tableOrder = backup(table, tableRecipe, true)
-					if !reflect.DeepEqual(tableRecipe, plainRecipe) {
-						t.Fatalf("gen %d: recipe differs with the parent table", g)
-					}
-					if !reflect.DeepEqual(tableOrder, plainOrder) {
-						t.Fatalf("gen %d: observed upload stream differs with the parent table", g)
-					}
-					if got, want := table.Stats(), plain.Stats(); got != want {
-						t.Fatalf("gen %d: stats %+v, want %+v", g, got, want)
-					}
-					for i := range plain.shards {
-						sameLayout(t, table.shards[i].containers, plain.shards[i].containers)
-					}
-					if hits := table.refs - refsBefore; g > 0 && hits < len(tableRecipe.Entries)/2 {
-						t.Fatalf("gen %d: %d of %d chunks uploaded as references", g, hits, len(tableRecipe.Entries))
-					}
-				}
-				if plain.refs != 0 {
-					t.Fatalf("the run without a table uploaded %d references", plain.refs)
-				}
-				var out bytes.Buffer
-				client, err := NewClient(table.Store, Config{Workers: workers})
-				if err != nil {
-					t.Fatal(err)
-				}
-				if err := client.Restore(tableRecipe, &out); err != nil || !bytes.Equal(out.Bytes(), gens[len(gens)-1]) {
-					t.Fatalf("restore of the last generation: %v, identical %v", err, bytes.Equal(out.Bytes(), gens[len(gens)-1]))
-				}
+				checkParentBitIdentical(t, gens, newStore, Config{Chunking: parentChunking, Workers: workers})
 			})
 		}
+	}
+	for _, workers := range []int{1, 0} {
+		t.Run(fmt.Sprintf("scramble/workers=%d", workers), func(t *testing.T) {
+			checkParentBitIdentical(t, gens, stores["persistent-16shard"],
+				Config{Chunking: parentChunking, Workers: workers, Scramble: true, ScrambleSeed: 5})
+		})
+	}
+}
+
+func checkParentBitIdentical(t *testing.T, gens [][]byte, newStore func(t *testing.T) *Store, cfg Config) {
+	plain, table := &refCountingSink{Store: newStore(t)}, &refCountingSink{Store: newStore(t)}
+	var plainRecipe, tableRecipe *mle.Recipe
+	for g, data := range gens {
+		backup := func(sink *refCountingSink, prev *mle.Recipe, use bool) (*mle.Recipe, []trace.ChunkRef, int64) {
+			var order []trace.ChunkRef
+			cfg := cfg
+			cfg.Observer = observerFunc(func(refs []trace.ChunkRef) error {
+				order = append(order, refs...)
+				return nil
+			})
+			client, err := NewClient(sink.Store, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			client.sink = sink // count the references on their way to the store
+			client.SetParent(prev, true)
+			if !use {
+				client.SetParent(nil, false)
+			}
+			recipe, err := client.Backup(bytes.NewReader(data))
+			if err != nil {
+				t.Fatalf("gen %d: %v", g, err)
+			}
+			return recipe, order, client.predicted.Load()
+		}
+		var plainOrder, tableOrder []trace.ChunkRef
+		var plainPredicted, tablePredicted int64
+		plainRecipe, plainOrder, plainPredicted = backup(plain, plainRecipe, false)
+		refsBefore := table.refs
+		tableRecipe, tableOrder, tablePredicted = backup(table, tableRecipe, true)
+		if !reflect.DeepEqual(tableRecipe, plainRecipe) {
+			t.Fatalf("gen %d: recipe differs with the parent table", g)
+		}
+		if !reflect.DeepEqual(tableOrder, plainOrder) {
+			t.Fatalf("gen %d: observed upload stream differs with the parent table", g)
+		}
+		if got, want := table.Stats(), plain.Stats(); got != want {
+			t.Fatalf("gen %d: stats %+v, want %+v", g, got, want)
+		}
+		for i := range plain.shards {
+			sameLayout(t, table.shards[i].containers, plain.shards[i].containers)
+		}
+		if hits := table.refs - refsBefore; g > 0 && hits < len(tableRecipe.Entries)/2 {
+			t.Fatalf("gen %d: %d of %d chunks uploaded as references", g, hits, len(tableRecipe.Entries))
+		}
+		if plainPredicted != 0 || g > 0 && tablePredicted < int64(len(data))/2 {
+			t.Fatalf("gen %d: %d of %d bytes cut as predicted (%d without a parent)", g, tablePredicted, len(data), plainPredicted)
+		}
+	}
+	if plain.refs != 0 {
+		t.Fatalf("the run without a table uploaded %d references", plain.refs)
+	}
+	var out bytes.Buffer
+	client, err := NewClient(table.Store, Config{Workers: cfg.Workers})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := client.Restore(tableRecipe, &out); err != nil || !bytes.Equal(out.Bytes(), gens[len(gens)-1]) {
+		t.Fatalf("restore of the last generation: %v, identical %v", err, bytes.Equal(out.Bytes(), gens[len(gens)-1]))
 	}
 }
 
@@ -176,13 +195,18 @@ func TestParentTableFailsClosed(t *testing.T) {
 			}
 
 			store, parent := newStore()
-			table := store.ParentTable(parent)
+			client, err := NewClient(store, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			client.SetParent(parent, true)
+			table := client.parent
 			// The failing chunk: the first occurrence, past the first
 			// window, of a chunk the table holds.
 			seen := map[mle.Key]bool{}
 			p := -1
 			for i, e := range child.Entries {
-				if _, ok := table[e.Key]; ok && !seen[e.Key] && i > uploadWindowChunks+10 {
+				if _, ok := table.hit(e.Key); ok && !seen[e.Key] && i > uploadWindowChunks+10 {
 					p = i
 					break
 				}
@@ -191,9 +215,8 @@ func TestParentTableFailsClosed(t *testing.T) {
 			if p < 0 {
 				t.Fatal("no repeated chunk past the first window")
 			}
-			bogus := table[child.Entries[p].Key]
+			bogus := &table.entries[table.pos[child.Entries[p].Key]]
 			bogus.Fingerprint = fphash.FromBytes([]byte("a chunk nobody stored"))
-			table[bogus.Key] = bogus
 
 			// What must have been recorded: the reference run's puts before
 			// the failing one, replayed onto a store holding the parent.
@@ -215,11 +238,6 @@ func TestParentTableFailsClosed(t *testing.T) {
 				t.Fatal(err)
 			}
 
-			client, err := NewClient(store, cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			client.SetParent(table)
 			if _, err := client.Backup(bytes.NewReader(gens[1])); !errors.Is(err, ErrNotFound) {
 				t.Fatalf("Backup with a dangling table entry = %v, want ErrNotFound", err)
 			}
@@ -270,9 +288,10 @@ func TestPutReferenceOnly(t *testing.T) {
 	}
 }
 
-// TestParentTableKeepsHeldChunksOnly checks Store.ParentTable's filter: an
-// entry whose chunk the store does not hold stays out of the table, so
-// its chunk is encrypted and stored again rather than referenced.
+// TestParentTableKeepsHeldChunksOnly checks the held filter of a
+// store's client: a parent entry whose chunk the store does not hold is
+// no hit, so its chunk is encrypted and stored again rather than
+// referenced. A sink client, which has no store to ask, hits every key.
 func TestParentTableKeepsHeldChunksOnly(t *testing.T) {
 	s := NewStore(0)
 	data := []byte("held chunk")
@@ -281,9 +300,82 @@ func TestParentTableKeepsHeldChunksOnly(t *testing.T) {
 	if _, err := s.Put(held.Fingerprint, data); err != nil {
 		t.Fatal(err)
 	}
-	table := s.ParentTable(&mle.Recipe{Entries: []mle.RecipeEntry{held, lost, held}})
-	if len(table) != 1 || table[held.Key] != held {
-		t.Fatalf("table %v, want only the held entry", table)
+	parent := &mle.Recipe{Entries: []mle.RecipeEntry{held, lost, held}}
+	c, err := NewClient(s, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.SetParent(parent, false)
+	if e, ok := c.parent.hit(held.Key); !ok || e != held {
+		t.Fatalf("held entry: %v, %v", e, ok)
+	}
+	if _, ok := c.parent.hit(lost.Key); ok {
+		t.Fatal("an entry the store does not hold is a hit")
+	}
+	sc, err := NewSinkClient(s, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sc.SetParent(parent, false)
+	if e, ok := sc.parent.hit(lost.Key); !ok || e != lost {
+		t.Fatalf("a sink client's parent entry: %v, %v", e, ok)
+	}
+}
+
+// TestPredictedCutsOnFileserver backs up a file-server generation shaped
+// like the benchmark's local-incr inputs with its parent: at least 85 %
+// of its bytes must be cut where the parent predicts, and the recipe must
+// equal a backup without one.
+func TestPredictedCutsOnFileserver(t *testing.T) {
+	d, err := workload.Generate("fileserver", workload.Config{Seed: 11, Backups: 3, TotalBytes: 16 << 20})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var parent *mle.Recipe
+	store := NewStoreWithShards(0, 16)
+	for g, b := range d.Backups {
+		data, err := io.ReadAll(workload.DataReader(b))
+		if err != nil {
+			t.Fatal(err)
+		}
+		plain, err := NewClient(NewStore(0), Config{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := plain.Backup(bytes.NewReader(data))
+		if err != nil {
+			t.Fatal(err)
+		}
+		c, err := NewClient(store, Config{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		c.SetParent(parent, true)
+		if parent, err = c.Backup(bytes.NewReader(data)); err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(parent, want) {
+			t.Fatalf("gen %d: recipe differs with the parent", g)
+		}
+		share := float64(c.predicted.Load()) / float64(len(data))
+		t.Logf("gen %d: %.1f %% of %d bytes cut as predicted", g, 100*share, len(data))
+		if g > 0 && share < 0.85 {
+			t.Fatalf("gen %d: %.1f %% of the bytes cut as predicted, want at least 85 %%", g, 100*share)
+		}
+	}
+}
+
+// TestFingerprintFromConvergentKey pins what the segment stage relies on
+// when it takes a convergent chunk's fingerprint from its key: the
+// fingerprint is the key's prefix.
+func TestFingerprintFromConvergentKey(t *testing.T) {
+	p := &workerPool{c: &Client{cfg: Config{Encryption: EncConvergent}}}
+	for _, data := range [][]byte{nil, []byte("a chunk"), randData(3, 9000)} {
+		job := encJob{chunk: chunker.Chunk{Data: data}}
+		p.fingerprint(&job)
+		if job.chunk.Fingerprint != fphash.FromBytes(data) || !job.keyed || job.key != mle.ConvergentKey(data) {
+			t.Fatalf("%d bytes: fingerprint %v key %v, want %v", len(data), job.chunk.Fingerprint, job.keyed, fphash.FromBytes(data))
+		}
 	}
 }
 

@@ -12,7 +12,6 @@ import (
 	"freqdedup/internal/fphash"
 	"freqdedup/internal/fpindex"
 	"freqdedup/internal/gcommit"
-	"freqdedup/internal/mle"
 	"freqdedup/internal/trace"
 	"freqdedup/internal/vfs"
 )
@@ -529,23 +528,6 @@ func (s *Store) Put(fp fphash.Fingerprint, data []byte) (duplicate bool, err err
 		err = sh.maybeFlush()
 	}
 	return dup, err
-}
-
-// ParentTable builds a convergent backup's dedup-before-encrypt table
-// from a parent snapshot's recipe (see Client.SetParent): every entry
-// whose fingerprint the store holds right now, keyed by chunk key. An
-// index lookup error counts as not held, so such a chunk is encrypted and
-// stored again, as any put with a failed lookup would store it. The
-// caller must keep GC from reclaiming the entries' chunks for as long as
-// the table is in use.
-func (s *Store) ParentTable(recipe *mle.Recipe) ParentTable {
-	t := make(ParentTable, len(recipe.Entries))
-	for _, e := range recipe.Entries {
-		if s.Contains(e.Fingerprint) {
-			t[e.Key] = e
-		}
-	}
-	return t
 }
 
 // PutChunk is one chunk of a PutBatch upload: either the chunk's bytes,

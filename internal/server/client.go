@@ -46,12 +46,15 @@ type DialConfig struct {
 // TCP session.
 //
 // After each committed backup the recipe the client just sent becomes
-// the pipeline's dedup.ParentTable (dedup.Client.SetParent), so the
-// session's next backup encrypts only what its last one did not hold: a
-// chunk whose key is in that recipe is negotiated with the fingerprint
-// and size its ciphertext has, and encrypted only if the server answers
-// miss. What the server sees — negotiations, uploads, the recipe — is the
-// same as without the table. The session's first backup has no parent.
+// the pipeline's parent (dedup.Client.SetParent), so the session's next
+// backup encrypts only what its last one did not hold: a chunk whose key
+// is in that recipe is negotiated with the fingerprint and size its
+// ciphertext has, and encrypted only if the server answers miss. The
+// client chunked that recipe itself, under its own parameters, so the
+// next backup also cuts where the recipe predicts and scans only where
+// the prediction fails. What the server sees — negotiations, uploads, the
+// recipe — is the same as without the parent. The session's first backup
+// has no parent.
 //
 // A Client is NOT safe for concurrent use: it multiplexes one connection
 // and runs one operation at a time (operations serialize internally).
@@ -570,24 +573,11 @@ func (c *Client) runBackupPipeline(ctx context.Context, src io.Reader, shared *b
 	<-shared.recvDone
 	select {
 	case info := <-shared.doneCh:
-		c.pipe.SetParent(parentTable(recipe))
+		c.pipe.SetParent(recipe, true)
 		return info, nil
 	default:
 		return wire.SnapshotInfo{}, shared.recvErr()
 	}
-}
-
-// parentTable turns the recipe of the session's last committed backup
-// into the next backup's dedup-before-encrypt table. The client built the
-// recipe itself, so every key in it is its own; whether a hit is still
-// held is the server's answer to its negotiation, and a hit it answers
-// miss is encrypted then.
-func parentTable(recipe *mle.Recipe) dedup.ParentTable {
-	t := make(dedup.ParentTable, len(recipe.Entries))
-	for _, e := range recipe.Entries {
-		t[e.Key] = e
-	}
-	return t
 }
 
 // Restore streams the named snapshot's plaintext to w. Bytes written to w

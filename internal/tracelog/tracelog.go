@@ -340,6 +340,16 @@ func (l *Log) replay() error {
 		// records: their backups were never acknowledged. A read-only
 		// replay leaves the tail alone — it may be another process's
 		// append in flight, and this opener owns nothing.
+		//
+		// An append tears only the last record, so a valid record past
+		// pos means the record at pos is damaged, not torn (a length
+		// field raised past the end of the file looks like a torn body):
+		// truncating would delete acknowledged traces.
+		if at, err := l.recordAfter(pos, size); err != nil {
+			return err
+		} else if at >= 0 {
+			return fmt.Errorf("%w: %s: damaged record at offset %d, a valid one follows at offset %d", ErrCorrupt, l.path, pos, at)
+		}
 		if err := l.f.Truncate(pos); err != nil {
 			return fmt.Errorf("tracelog: truncate torn tail: %w", err)
 		}
@@ -350,6 +360,52 @@ func (l *Log) replay() error {
 	l.size = pos
 	l.unended = len(open)
 	return nil
+}
+
+// recordAfter returns the offset of the first record past pos, up to
+// size, whose checksum holds, or -1 if there is none. It reads the file
+// in blocks and each candidate record once, so it stops early on a log
+// whose later records are intact.
+func (l *Log) recordAfter(pos, size int64) (int64, error) {
+	const block = 64 << 10
+	buf := make([]byte, block+3) // a magic may start in a block's last 3 bytes
+	for off := pos + 1; off+recHeaderLen+recTrailerLen <= size; off += block {
+		n := int(min(int64(len(buf)), size-off))
+		if _, err := l.f.ReadAt(buf[:n], off); err != nil {
+			return 0, err
+		}
+		for i := 0; i < block && i+4 <= n; i++ {
+			if binary.LittleEndian.Uint32(buf[i:]) != recMagic {
+				continue
+			}
+			if ok, err := l.validRecordAt(off+int64(i), size); err != nil || ok {
+				return off + int64(i), err
+			}
+		}
+	}
+	return -1, nil
+}
+
+// validRecordAt reports whether a whole record whose checksum holds
+// starts at offset at.
+func (l *Log) validRecordAt(at, size int64) (bool, error) {
+	var hdr [recHeaderLen]byte
+	if at+recHeaderLen > size {
+		return false, nil
+	}
+	if _, err := l.f.ReadAt(hdr[:], at); err != nil {
+		return false, err
+	}
+	n := int64(binary.LittleEndian.Uint32(hdr[12:]))
+	if n > maxPayload || at+recHeaderLen+n+recTrailerLen > size {
+		return false, nil
+	}
+	body := make([]byte, n+recTrailerLen)
+	if _, err := l.f.ReadAt(body, at+recHeaderLen); err != nil {
+		return false, err
+	}
+	crc := crc32.Update(crc32.ChecksumIEEE(hdr[:]), crc32.IEEETable, body[:n])
+	return crc == binary.LittleEndian.Uint32(body[n:]), nil
 }
 
 // Backups returns the committed backup traces in commit order. The

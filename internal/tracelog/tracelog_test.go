@@ -1,6 +1,8 @@
 package tracelog
 
 import (
+	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
@@ -207,6 +209,61 @@ func TestBadCRCTailTruncated(t *testing.T) {
 	}
 	if _, err := OpenFS(vfs.OS, path); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("mid-file corruption: err = %v, want ErrCorrupt", err)
+	}
+}
+
+// TestDamagedLengthNotTruncated raises the length field of a mid-file
+// record past the end of the file, which looks like a torn tail at that
+// record. Later records are intact, so the owner's open must fail with
+// ErrCorrupt and leave the file as it is, not truncate away the
+// acknowledged traces after the damage.
+func TestDamagedLengthNotTruncated(t *testing.T) {
+	path := logPath(t)
+	writeTraces(t, path, 64, 100, 100, 100)
+	full, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The second backup's first chunks record.
+	at, begins := int64(logHeaderLen), 0
+	for {
+		kind := binary.LittleEndian.Uint32(full[at+4:])
+		if kind == kindBegin {
+			begins++
+		} else if kind == kindChunks && begins == 2 {
+			break
+		}
+		at += recHeaderLen + int64(binary.LittleEndian.Uint32(full[at+12:])) + recTrailerLen
+	}
+	mut := append([]byte(nil), full...)
+	mut[at+14] ^= 0x01 // payload length + 64 KiB: past the end of the file
+	if err := os.WriteFile(path, mut, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := OpenFS(vfs.OS, path); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("OpenFS of a log with a damaged length = %v, want ErrCorrupt", err)
+	}
+	if got, err := os.ReadFile(path); err != nil || !bytes.Equal(got, mut) {
+		t.Fatalf("the failed open changed the file: %d bytes, want %d (%v)", len(got), len(mut), err)
+	}
+	// The same damage in the last record is a torn tail: the open
+	// recovers the backups before it.
+	mut = append([]byte(nil), full...)
+	last := int64(len(full)) - recHeaderLen - 8 - recTrailerLen
+	mut[last+14] ^= 0x01
+	if err := os.WriteFile(path, mut, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	l, err := OpenFS(vfs.OS, path)
+	if err != nil {
+		t.Fatalf("a torn final record must be recovered, got %v", err)
+	}
+	if got := len(l.Backups()); got != 2 {
+		t.Fatalf("replayed %d traces, want 2", got)
+	}
+	l.Close()
+	if fi, err := os.Stat(path); err != nil || fi.Size() != last {
+		t.Fatalf("torn tail truncated to %v, want %d (%v)", fi.Size(), last, err)
 	}
 }
 

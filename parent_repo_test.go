@@ -2,6 +2,8 @@ package freqdedup
 
 import (
 	"context"
+	"fmt"
+	"reflect"
 	"testing"
 
 	"freqdedup/internal/mle"
@@ -18,31 +20,33 @@ func parentGenerations() (g0, g1, g2 []byte) {
 	return g0, g1, g2
 }
 
-// checkParentTable asserts that the table name's backup would get comes
-// from want's recipe, and that it names only chunks the store holds.
-func checkParentTable(t *testing.T, r *Repository, name, want string) {
+// snapshotRecipe opens the named snapshot's recipe.
+func snapshotRecipe(t *testing.T, r *Repository, name string) *mle.Recipe {
 	t.Helper()
-	rec, ok := r.catalog.Get(want)
+	rec, ok := r.catalog.Get(name)
 	if !ok {
-		t.Fatalf("no snapshot %q", want)
+		t.Fatalf("no snapshot %q", name)
 	}
 	recipe, err := mle.OpenRecipe(rec.SealedRecipe, r.key)
 	if err != nil {
 		t.Fatal(err)
 	}
-	table := r.parentTable(name)
-	if len(table) == 0 {
-		t.Fatalf("backup %q gets no parent table, want %q's", name, want)
+	return recipe
+}
+
+// checkParentTable asserts that name's backup would get want's recipe as
+// its parent, and would predict its cuts from it only if predict.
+func checkParentTable(t *testing.T, r *Repository, name, want string, predict bool) {
+	t.Helper()
+	got, pred := r.parent(name)
+	if got == nil {
+		t.Fatalf("backup %q gets no parent, want %q", name, want)
 	}
-	for _, e := range recipe.Entries {
-		if got, ok := table[e.Key]; !ok || got != e {
-			t.Fatalf("backup %q: parent table is not %q's recipe", name, want)
-		}
+	if !reflect.DeepEqual(got.Entries, snapshotRecipe(t, r, want).Entries) {
+		t.Fatalf("backup %q: parent is not %q's recipe", name, want)
 	}
-	for _, e := range table {
-		if !r.store.Contains(e.Fingerprint) {
-			t.Fatalf("backup %q: parent table names chunk %v the store lost", name, e.Fingerprint)
-		}
+	if pred != predict {
+		t.Fatalf("backup %q: predicts from %q: %v, want %v", name, want, pred, predict)
 	}
 }
 
@@ -70,7 +74,7 @@ func TestBackupParentAfterGC(t *testing.T) {
 			}
 			defer func() { r.Close() }()
 			mustBackup(t, r, "g0", g0)
-			checkParentTable(t, r, "g1", "g0")
+			checkParentTable(t, r, "g1", "g0", true)
 			mustBackup(t, r, "g1", g1)
 			if err := r.Delete(ctx, "g1"); err != nil {
 				t.Fatal(err)
@@ -90,7 +94,7 @@ func TestBackupParentAfterGC(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			checkParentTable(t, r, "g2", "g0")
+			checkParentTable(t, r, "g2", "g0", !reopen)
 			mustBackup(t, r, "g2", g2)
 			mustRestore(t, r, "g2", g2)
 			mustRestore(t, r, "g0", g0)
@@ -111,15 +115,15 @@ func TestParentTableChoice(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer r.Close()
-	if r.parentTable("a") != nil {
+	if p, _ := r.parent("a"); p != nil {
 		t.Fatal("an empty repository gave a parent table")
 	}
 	mustBackup(t, r, "a", g0)
 	mustBackup(t, r, "b", g1)
 	mustBackup(t, r, "t/a", g2)
-	checkParentTable(t, r, "c", "b")
-	checkParentTable(t, r, "t/b", "t/a")
-	if r.parentTable("u/a") != nil {
+	checkParentTable(t, r, "c", "b", true)
+	checkParentTable(t, r, "t/b", "t/a", true)
+	if p, _ := r.parent("u/a"); p != nil {
 		t.Fatal("a namespace without snapshots got another namespace's table")
 	}
 
@@ -129,7 +133,54 @@ func TestParentTableChoice(t *testing.T) {
 	}
 	defer m.Close()
 	mustBackup(t, m, "a", g0)
-	if m.parentTable("b") != nil {
+	if p, _ := m.parent("b"); p != nil {
 		t.Fatal("a MinHash repository gave a parent table")
 	}
+}
+
+// TestParentPredictsOnlyOwnChunking is the gate on predicted cuts: a
+// recipe does not say how it was chunked, so a Repository predicts only
+// from a parent it backed up itself. g0 is backed up with a 4 KiB Min;
+// reopened with the default 2 KiB Min, g1's parent is g0 and is not
+// predicted from, and g1's recipe equals that of a backup without a
+// parent. g2's parent is g1, which this instance backed up, and it is
+// predicted from, with the same recipe as without it.
+func TestParentPredictsOnlyOwnChunking(t *testing.T) {
+	g0, g1, g2 := parentGenerations()
+	dir := t.TempDir()
+	var key Key
+	copy(key[:], "parent gate test key")
+	r, err := CreateRepository(dir, WithRepositoryKey(key), WithChunking(ChunkingParams{Min: 4 << 10, Avg: 8 << 10, Max: 16 << 10}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	mustBackup(t, r, "g0", g0)
+	if err := r.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if r, err = OpenRepository(dir, WithRepositoryKey(key)); err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	checkParentTable(t, r, "g1", "g0", false)
+	mustBackup(t, r, "g1", g1)
+	checkParentTable(t, r, "g2", "g1", true)
+	mustBackup(t, r, "g2", g2)
+	for i, data := range [][]byte{g1, g2} {
+		name := fmt.Sprintf("g%d", i+1)
+		plain, err := CreateRepository("")
+		if err != nil {
+			t.Fatal(err)
+		}
+		mustBackup(t, plain, name, data)
+		if !reflect.DeepEqual(snapshotRecipe(t, r, name), snapshotRecipe(t, plain, name)) {
+			t.Fatalf("%s: recipe differs from a backup without a parent", name)
+		}
+		plain.Close()
+		mustRestore(t, r, name, data)
+	}
+	if err := r.Delete(context.Background(), "g2"); err != nil {
+		t.Fatal(err)
+	}
+	checkParentTable(t, r, "g3", "g1", true)
 }

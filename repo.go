@@ -71,6 +71,11 @@ type Repository struct {
 	retOnce sync.Once
 	retErr  error
 
+	// own names the snapshots this instance's Backup made, under cfg's
+	// chunking: the parents a Backup may predict its cuts from.
+	ownMu sync.Mutex
+	own   map[string]struct{}
+
 	// closeMu/closed make Close idempotent and safe after partial failures.
 	closeMu sync.Mutex
 	closed  bool
@@ -331,6 +336,7 @@ func buildRepo(store *dedup.Store, catalog *dedup.Catalog, tapLog *tracelog.Log,
 		tapLog:  tapLog,
 		tapObs:  o.observer,
 		fsys:    o.fsys,
+		own:     map[string]struct{}{},
 	}, nil
 }
 
@@ -598,7 +604,7 @@ func (r *Repository) Backup(ctx context.Context, name string, src io.Reader) (Sn
 	if err != nil {
 		return abortTap(err)
 	}
-	client.SetParent(r.parentTable(name))
+	client.SetParent(r.parent(name))
 	recipe, err := client.BackupContext(ctx, src)
 	if err != nil {
 		return abortTap(err)
@@ -637,6 +643,9 @@ func (r *Repository) Backup(ctx context.Context, name string, src io.Reader) (Sn
 		_ = r.catalog.Delete(name)
 		return Snapshot{}, err
 	}
+	r.ownMu.Lock()
+	r.own[name] = struct{}{}
+	r.ownMu.Unlock()
 	return Snapshot{
 		Name:         name,
 		CreatedAt:    created,
@@ -645,19 +654,20 @@ func (r *Repository) Backup(ctx context.Context, name string, src io.Reader) (Sn
 	}, nil
 }
 
-// parentTable returns the dedup-before-encrypt table of a convergent
-// Backup named name (see dedup.Client.SetParent): the recipe of its
-// parent, the newest snapshot by (CreatedUnix, Name) in name's own tenant
-// namespace, restricted to the chunks the store holds. Keeping to the
+// parent returns the parent of a convergent Backup named name (see
+// dedup.Client.SetParent): the recipe of the newest snapshot by
+// (CreatedUnix, Name) in name's own tenant namespace. Keeping to the
 // namespace means a recipe a network tenant committed never vouches for
 // another namespace's chunks. It is nil for a non-convergent repository,
 // when no snapshot qualifies and when the parent's recipe does not open:
-// the table only saves work, so it never fails a backup. The caller holds
-// gcMu's read side, which keeps GC and Repair from dropping the table's
-// chunks until the backup is registered.
-func (r *Repository) parentTable(name string) dedup.ParentTable {
+// the parent only saves work, so it never fails a backup. Cuts are
+// predicted from it only if this instance backed it up, under its own
+// r.cfg.Chunking: a recipe does not say how it was chunked. The caller
+// holds gcMu's read side, which keeps GC and Repair from dropping the
+// parent's chunks until the backup is registered.
+func (r *Repository) parent(name string) (recipe *mle.Recipe, predict bool) {
 	if r.cfg.Encryption != 0 && r.cfg.Encryption != dedup.EncConvergent {
-		return nil
+		return nil, false
 	}
 	var parent *dedup.SnapshotRecord
 	tenant := tenantOf(name)
@@ -674,13 +684,16 @@ func (r *Repository) parentTable(name string) dedup.ParentTable {
 		}
 	}
 	if parent == nil {
-		return nil
+		return nil, false
 	}
 	recipe, err := mle.OpenRecipe(parent.SealedRecipe, r.key)
 	if err != nil {
-		return nil
+		return nil, false
 	}
-	return r.store.ParentTable(recipe)
+	r.ownMu.Lock()
+	_, predict = r.own[parent.Name]
+	r.ownMu.Unlock()
+	return recipe, predict
 }
 
 // Restore writes the named snapshot's original bytes to w: the restore is
@@ -734,6 +747,9 @@ func (r *Repository) Delete(ctx context.Context, name string) error {
 	if err := r.catalog.Delete(name); err != nil {
 		return err
 	}
+	r.ownMu.Lock()
+	delete(r.own, name)
+	r.ownMu.Unlock()
 	if err := r.store.DeleteBackup(name); err != nil && !errors.Is(err, dedup.ErrUnknownBackup) {
 		return err
 	}
