@@ -111,9 +111,13 @@ func firstDiff(a, b []int) int {
 // TestCDCSteadyStateAllocsParallel is TestCDCSteadyStateAllocs with the
 // fan-out live, which testing.AllocsPerRun cannot see because it pins
 // GOMAXPROCS to 1. At GOMAXPROCS 2 it counts runtime.MemStats.Mallocs
-// over several lookahead refills of a warm chunker and allows one
+// over a window of lookahead refills of a warm chunker and allows one
 // allocation per refill: the closure of the go statement that starts the
-// helper.
+// helper. Mallocs counts the whole process, so a window in which the
+// goroutine calling Next moved to another P also counts the runtime's
+// refills of that P's sync.Pool cache; the test measures up to eight
+// windows and passes on the first within the bound. A chunker that
+// allocates on every refill exceeds it in every window.
 func TestCDCSteadyStateAllocsParallel(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops Puts under the race detector")
@@ -123,8 +127,8 @@ func TestCDCSteadyStateAllocsParallel(t *testing.T) {
 	fanOutMin = fanOutMinDefault
 	p := DefaultParams()
 	la := lookaheadSize(p.Max)
-	const warm, measured = 160, 16
-	data := make([]byte, (warm+measured+2)*la)
+	const warm, measured, windows = 160, 16, 8
+	data := make([]byte, (warm+windows*measured+2)*la)
 	rand.New(rand.NewSource(41)).Read(data)
 	r := &countingReader{r: bytes.NewReader(data)}
 	c, err := NewContentDefined(r, p)
@@ -147,15 +151,21 @@ func TestCDCSteadyStateAllocsParallel(t *testing.T) {
 	runtime.GC()
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	drain(warm * la)
-	var before, after runtime.MemStats
-	reads := r.reads
-	runtime.ReadMemStats(&before)
-	drain(measured * la)
-	runtime.ReadMemStats(&after)
-	refills := r.reads - reads
-	if allocs := after.Mallocs - before.Mallocs; allocs > uint64(refills) {
-		t.Fatalf("%d allocations over %d lookahead refills, want at most one per refill", allocs, refills)
+	var seen []string
+	for w := 0; w < windows; w++ {
+		var before, after runtime.MemStats
+		reads := r.reads
+		runtime.ReadMemStats(&before)
+		drain(measured * la)
+		runtime.ReadMemStats(&after)
+		refills := r.reads - reads
+		allocs := after.Mallocs - before.Mallocs
+		if allocs <= uint64(refills) {
+			return
+		}
+		seen = append(seen, fmt.Sprintf("%d over %d", allocs, refills))
 	}
+	t.Fatalf("allocations over lookahead refills, per window: %v; want at most one per refill in some window", seen)
 }
 
 // countingReader counts the reads that reach r.

@@ -79,6 +79,9 @@
 //     mismatch surfaces as ErrCorrupt, never as silent wrong bytes.
 //   - A crash can only tear the file's tail (a partially appended record
 //     past the last acknowledged seal). OpenFileBackend detects the torn
-//     tail and truncates it; damage anywhere else is reported as
-//     ErrCorrupt.
+//     tail and truncates it, unless a whole record whose CRC verifies
+//     follows it: then the record only looks torn (a damaged length
+//     field runs it past the end of the file), and the open fails with
+//     ErrCorrupt and leaves the file unchanged, as it does for damage
+//     anywhere else. OpenFileBackendSalvage skips the damaged record.
 package container

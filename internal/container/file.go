@@ -13,6 +13,7 @@ import (
 	"sync/atomic"
 
 	"freqdedup/internal/fphash"
+	"freqdedup/internal/reclog"
 	"freqdedup/internal/vfs"
 )
 
@@ -330,8 +331,11 @@ func openShardFile(fsys vfs.FS, name string, shard int, salvage bool) (*shardFil
 		}
 		if salvage && (!headerOK || !inSequence) {
 			// Broken chain: scan forward for the next CRC-valid record.
-			next, nid, nend, ndb, found := resyncRecord(f, pos+1, size, lastDiskID)
-			if !found {
+			next, nid, nend, ndb, err := resyncRecord(f, pos+1, size, lastDiskID)
+			if err != nil {
+				return fail(err)
+			}
+			if next < 0 {
 				// Nothing parseable remains; everything from pos on is
 				// lost. Whether that region held zero or many records is
 				// unknowable — count bytes, not containers.
@@ -361,7 +365,16 @@ func openShardFile(fsys vfs.FS, name string, shard int, salvage bool) (*shardFil
 	}
 	if pos < size && !sf.salvaged {
 		// Discard the torn tail so future appends start at a record
-		// boundary.
+		// boundary. An append tears only the last record, so a whole
+		// record past pos means the one at pos is damaged, not torn (a
+		// length field raised past the end of the file looks like a torn
+		// body): truncating would delete acknowledged containers.
+		if at, _, _, _, err := resyncRecord(f, pos+1, size, lastDiskID); err != nil {
+			return fail(err)
+		} else if at >= 0 {
+			return fail(fmt.Errorf("%w: %s: damaged record at offset %d, a valid one follows at offset %d",
+				ErrCorrupt, name, pos, at))
+		}
 		if err := f.Truncate(pos); err != nil {
 			return fail(fmt.Errorf("container: truncate torn tail of %s: %w", name, err))
 		}
@@ -373,33 +386,38 @@ func openShardFile(fsys vfs.FS, name string, shard int, salvage bool) (*shardFil
 	return sf, capacity, sst, nil
 }
 
-// resyncRecord scans forward from pos for the next plausible container
-// record: header parses, ID exceeds lastID, and the CRC verifies (a
-// resync point must prove itself — the chain is already broken, so a
-// merely plausible header could be chunk data that happens to contain the
-// magic). It returns the record's offset, on-disk ID, and end.
-func resyncRecord(f vfs.File, pos, size int64, lastID int) (at int64, id int, end int64, dataBytes int64, ok bool) {
+// resyncRecord returns the first offset at or past pos where a whole
+// container record starts: its header parses, its ID exceeds lastID, and
+// its CRC verifies (a resync point must prove itself — the chain is
+// already broken, so a merely plausible header could be chunk data that
+// happens to contain the magic). It returns the record's offset, or -1,
+// with its on-disk ID, end and data bytes.
+func resyncRecord(f vfs.File, pos, size int64, lastID int) (at int64, id int, end, dataBytes int64, err error) {
 	var hdr [recordHeaderLen]byte
-	for ; pos+recordHeaderLen <= size; pos++ {
-		if _, err := f.ReadAt(hdr[:], pos); err != nil {
-			return 0, 0, 0, 0, false
+	var body []byte
+	at, err = reclog.Find(f, pos, size, recordMagic, func(at int64) (bool, error) {
+		if at+recordHeaderLen > size {
+			return false, nil
 		}
-		id, end, headerOK := parseRecordHeader(hdr[:], pos, size)
-		if !headerOK || id <= lastID {
-			continue
+		if _, err := f.ReadAt(hdr[:], at); err != nil {
+			return false, err
 		}
-		body := make([]byte, end-pos-recordHeaderLen)
-		if _, err := f.ReadAt(body, pos+recordHeaderLen); err != nil {
-			continue
+		var ok bool
+		if id, end, ok = parseRecordHeader(hdr[:], at, size); !ok || id <= lastID {
+			return false, nil
 		}
-		crc := crc32.ChecksumIEEE(hdr[:])
-		crc = crc32.Update(crc, crc32.IEEETable, body[:len(body)-recordTrailerLen])
-		if crc != binary.LittleEndian.Uint32(body[len(body)-recordTrailerLen:]) {
-			continue
+		n := end - at - recordHeaderLen
+		if int64(cap(body)) < n {
+			body = make([]byte, n)
 		}
-		return pos, id, end, int64(binary.LittleEndian.Uint32(hdr[12:])), true
-	}
-	return 0, 0, 0, 0, false
+		body = body[:n]
+		if _, err := f.ReadAt(body, at+recordHeaderLen); err != nil {
+			return false, err
+		}
+		crc := crc32.Update(crc32.ChecksumIEEE(hdr[:]), crc32.IEEETable, body[:n-recordTrailerLen])
+		return crc == binary.LittleEndian.Uint32(body[n-recordTrailerLen:]), nil
+	})
+	return at, id, end, int64(binary.LittleEndian.Uint32(hdr[12:])), err
 }
 
 // recordPool holds record serialization buffers (*[]byte). A seal or a

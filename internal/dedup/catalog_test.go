@@ -2,8 +2,11 @@ package dedup
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"errors"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"testing"
@@ -24,6 +27,15 @@ func testRecord(name string, seq byte) SnapshotRecord {
 func catalogPath(t *testing.T) string {
 	t.Helper()
 	return filepath.Join(t.TempDir(), CatalogName)
+}
+
+func fileSize(t *testing.T, path string) int64 {
+	t.Helper()
+	st, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return st.Size()
 }
 
 func TestCatalogRoundTrip(t *testing.T) {
@@ -112,11 +124,11 @@ func TestCatalogTornTail(t *testing.T) {
 	if err := c.Add(testRecord("keep", 1)); err != nil {
 		t.Fatal(err)
 	}
-	goodSize := c.size
+	goodSize := fileSize(t, path)
 	if err := c.Add(testRecord("torn", 2)); err != nil {
 		t.Fatal(err)
 	}
-	fullSize := c.size
+	fullSize := fileSize(t, path)
 	c.Close()
 
 	for cut := goodSize + 1; cut < fullSize; cut += (fullSize - goodSize - 2) / 3 {
@@ -166,7 +178,7 @@ func TestCatalogTailChecksumTreatedAsTorn(t *testing.T) {
 	if err := c.Add(testRecord("flipped", 2)); err != nil {
 		t.Fatal(err)
 	}
-	fullSize := c.size
+	fullSize := fileSize(t, path)
 	c.Close()
 
 	f, err := os.OpenFile(path, os.O_RDWR, 0)
@@ -200,7 +212,7 @@ func TestCatalogMidFileCorruptionDetected(t *testing.T) {
 	if err := c.Add(testRecord("first", 1)); err != nil {
 		t.Fatal(err)
 	}
-	firstEnd := c.size
+	firstEnd := fileSize(t, path)
 	if err := c.Add(testRecord("second", 2)); err != nil {
 		t.Fatal(err)
 	}
@@ -328,4 +340,167 @@ func TestMemCatalog(t *testing.T) {
 	if got := c.List(); len(got) != 1 || got[0].Name != "b" {
 		t.Fatalf("List() after reopen = %v", got)
 	}
+}
+
+// memBytes returns the bytes of path on fsys.
+func memBytes(t testing.TB, fsys vfs.FS, path string) []byte {
+	t.Helper()
+	f, err := fsys.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	st, err := f.Stat()
+	if err != nil {
+		t.Fatal(err)
+	}
+	data := make([]byte, st.Size())
+	if _, err := f.ReadAt(data, 0); err != nil && err != io.EOF {
+		t.Fatal(err)
+	}
+	return data
+}
+
+// TestCatalogBytesPinned builds a catalog from fixed inputs and holds the
+// file, at three points of its life, to SHA-256 sums recorded from the
+// format's first writer: a change here is an on-disk format change.
+func TestCatalogBytesPinned(t *testing.T) {
+	fsys := vfs.NewMem()
+	c, err := CreateCatalogFS(fsys, CatalogName)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	pin := func(stage, want string) {
+		t.Helper()
+		sum := sha256.Sum256(memBytes(t, fsys, CatalogName))
+		if got := hex.EncodeToString(sum[:]); got != want {
+			t.Errorf("%s: catalog sha256 %s, pinned %s", stage, got, want)
+		}
+	}
+	for i := 0; i < 12; i++ {
+		if err := c.Add(testRecord(fmt.Sprintf("snap-%02d", i), byte(i+1))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, i := range []int{3, 0, 7} {
+		if err := c.Delete(fmt.Sprintf("snap-%02d", i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	pin("12 adds, 3 deletes", "3d020e37583a8daa80e00400bd810f7f2eb569c33831d91adf0363462f896779")
+	// The eighth tombstone outnumbers the four live snapshots left, so
+	// this Delete compacts.
+	for _, i := range []int{1, 2, 4, 5, 6} {
+		if err := c.Delete(fmt.Sprintf("snap-%02d", i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if c.tombstones != 0 {
+		t.Fatalf("%d tombstones after the eighth delete, want a compaction", c.tombstones)
+	}
+	pin("auto-compacted", "673af1effee95a3af50a3f41a88c7dab5a19f70378e713003afa572f1b955542")
+	if err := c.Add(testRecord("after", 42)); err != nil {
+		t.Fatal(err)
+	}
+	pin("add after compaction", "fc5040aefb0bd3b1b107eb44446a937c662d0697192ad11c2e05366255aa4b70")
+}
+
+// FuzzCatalog damages a catalog built from a fixed sequence of
+// mutations — one XOR, a cut, appended bytes — and opens it as its
+// owner. The open must either fail with ErrCatalogCorrupt, leaving the
+// file as it found it, or replay exactly the state after some prefix of
+// the mutations, whose bytes are intact in the damaged file: damage may
+// cost records only at the tail, the torn append a crash leaves.
+func FuzzCatalog(f *testing.F) {
+	type op struct {
+		name string
+		seq  byte // 0 deletes name
+	}
+	ops := []op{{"a", 1}, {"b", 2}, {"c", 3}, {"b", 0}, {"d", 4}, {"a", 0}, {"b", 5}}
+	// states[k] and bounds[k] are the live snapshots and the file length
+	// after the first k mutations.
+	var states []string
+	var bounds []int
+	fsys := vfs.NewMem()
+	c, err := CreateCatalogFS(fsys, CatalogName)
+	if err != nil {
+		f.Fatal(err)
+	}
+	for k := 0; ; k++ {
+		states = append(states, catalogState(c.List()))
+		bounds = append(bounds, len(memBytes(f, fsys, CatalogName)))
+		if k == len(ops) {
+			break
+		}
+		if o := ops[k]; o.seq == 0 {
+			err = c.Delete(o.name)
+		} else {
+			err = c.Add(testRecord(o.name, o.seq))
+		}
+		if err != nil {
+			f.Fatal(err)
+		}
+	}
+	c.Close()
+	enc := memBytes(f, fsys, CatalogName)
+	n := uint32(len(enc))
+
+	f.Add(uint32(0), byte(0), uint32(0), []byte(nil))
+	// Byte 14 of the second record's header is in its payload length:
+	// raised past the end of the file, it looks like a torn tail.
+	f.Add(uint32(bounds[1]+14), byte(0x01), uint32(0), []byte(nil))
+	f.Add(uint32(bounds[3]+9), byte(0x80), uint32(0), []byte(nil))
+	f.Add(uint32(bounds[2]+20), byte(0x40), uint32(0), []byte(nil))
+	f.Add(uint32(0), byte(0), n-3, []byte(nil))
+	f.Add(uint32(0), byte(0), uint32(bounds[4]), []byte(nil))
+	f.Add(n-1, byte(1), uint32(0), []byte("tail"))
+	f.Add(uint32(2), byte(0x10), uint32(0), []byte(nil))
+	f.Add(uint32(12), byte(0x30), uint32(0), []byte(nil)) // a reserved header byte
+
+	f.Fuzz(func(t *testing.T, off uint32, xor byte, cut uint32, tail []byte) {
+		data := append([]byte(nil), enc...)
+		data[off%n] ^= xor
+		if cut > 0 && cut < n {
+			data = data[:cut]
+		}
+		data = append(data, tail...)
+		m := vfs.NewMem()
+		w, err := m.OpenFile(CatalogName, os.O_RDWR|os.O_CREATE, 0o644)
+		if err != nil {
+			t.Fatal(err)
+		}
+		w.Write(data)
+		w.Close()
+		c, err := OpenCatalogFS(m, CatalogName)
+		if err != nil {
+			if !errors.Is(err, ErrCatalogCorrupt) {
+				t.Fatalf("open failed with unexpected error class: %v", err)
+			}
+			if !bytes.Equal(memBytes(t, m, CatalogName), data) {
+				t.Fatal("a refused open changed the file")
+			}
+			return
+		}
+		defer c.Close()
+		got := catalogState(c.List())
+		for k := len(states) - 1; k >= 0; k-- {
+			if states[k] == got && len(data) >= bounds[k] && bytes.Equal(data[:bounds[k]], enc[:bounds[k]]) {
+				if size := len(memBytes(t, m, CatalogName)); size != bounds[k] {
+					t.Fatalf("replayed %d mutations but left %d bytes, want %d", k, size, bounds[k])
+				}
+				return
+			}
+		}
+		t.Fatalf("damaged catalog replayed %q, not the state after an intact prefix of the mutations", got)
+	})
+}
+
+// catalogState renders a snapshot listing for comparison.
+func catalogState(recs []SnapshotRecord) string {
+	var b bytes.Buffer
+	for _, r := range recs {
+		fmt.Fprintf(&b, "%s/%d/%d/%d/%x;", r.Name, r.CreatedUnix, r.LogicalBytes, r.Chunks, sha256.Sum256(r.SealedRecipe))
+	}
+	return b.String()
 }

@@ -130,9 +130,12 @@
 // Retention state, by contrast, is process-local: a reopened Store holds
 // no registrations, and its documented "unregistered = unreferenced" GC
 // rule reclaims everything. The snapshot Catalog (catalog.go) is the
-// durable complement — an append-only, CRC-protected, torn-tail-recovering
-// log of sealed snapshot recipes beside the container files, from which
-// the freqdedup.Repository front door rebuilds the registrations on open.
+// durable complement — a record log (internal/reclog) of sealed snapshot
+// recipes beside the container files, from which the
+// freqdedup.Repository front door rebuilds the registrations on open.
+// Its open truncates a torn last record; a damaged record with a whole
+// one after it is ErrCatalogCorrupt, the file left unchanged, and
+// OpenCatalogSalvage skips it instead.
 //
 // # Invariants
 //

@@ -14,11 +14,11 @@
 //
 // # On-disk format
 //
-// The file follows the same append-and-truncate discipline as the .fdc
-// container shards and the .fdr snapshot catalog: a 16-byte file header,
-// then self-contained records
+// The file is a record log (internal/reclog), the same framing as the
+// .fdr snapshot catalog: a 16-byte file header, then self-contained
+// records
 //
-//	record  = magic u32 | kind u32 | sid u32 | payloadLen u32 | payload | crc32
+//	record  = magic u32 | kind u32 | sid u32 | payloadLen u32 | payload | CRC-32 u32
 //	begin   (kind 1): payload = backup label (UTF-8)
 //	chunks  (kind 2): payload = n x (fingerprint [8] | size u32)
 //	end     (kind 3): payload = total chunk count u64
@@ -28,12 +28,12 @@
 // memory (spilling unsynced chunks records past a threshold), and the
 // end record is fsynced — one group-committed sync shared by concurrent
 // sessions — before a backup is acknowledged; a trace with no end record
-// (a crashed or
-// failed backup) is ignored on replay, and a record torn by a mid-append
-// crash — an incomplete tail, or a final record whose CRC fails — is
-// truncated away. Structural damage anywhere else is ErrCorrupt: a
-// damaged observation history surfaces as an error, never as a silently
-// wrong attack input.
+// (a crashed or failed backup) is ignored on replay, and a record torn
+// by a mid-append crash — an incomplete tail, or a final record whose
+// CRC fails — is truncated away. Damage anywhere else, including a
+// record that only looks torn because a valid one follows it, is
+// ErrCorrupt: a damaged observation history surfaces as an error, never
+// as a silently wrong attack input.
 //
 // The same format carries generated traces: WriteDataset stores a
 // dataset as one committed trace per backup, and ReadDataset reads a
@@ -48,17 +48,15 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"io/fs"
-	"os"
 	"path/filepath"
 	"strings"
 	"sync"
 
 	"freqdedup/internal/attack"
 	"freqdedup/internal/fphash"
-	"freqdedup/internal/gcommit"
+	"freqdedup/internal/reclog"
 	"freqdedup/internal/trace"
 	"freqdedup/internal/vfs"
 )
@@ -74,12 +72,11 @@ var ErrCorrupt = errors.New("tracelog: trace log corrupt")
 const (
 	logMagic     = 0x4644544C // "FDTL": freqdedup trace log
 	logVersion   = 1
-	logHeaderLen = 16 // magic + version + 2 reserved, u32 each
+	logHeaderLen = reclog.HeaderLen
 
-	recMagic = 0x46445431 // "FDT1": one trace record
-	// recHeaderLen is magic + kind + sid + payloadLen, u32 each.
-	recHeaderLen  = 16
-	recTrailerLen = 4 // CRC32 over header + payload
+	recMagic      = 0x46445431 // "FDT1": one trace record
+	recHeaderLen  = reclog.RecHeaderLen
+	recTrailerLen = reclog.TrailerLen
 
 	kindBegin  = 1
 	kindChunks = 2
@@ -95,7 +92,18 @@ const (
 	maxPayload = 64 << 20
 )
 
-// extent locates one committed chunks record: the payload offset in the
+// logFormat frames trace records: a is the session id, b the payload
+// length, and the body is the payload.
+var logFormat = &reclog.Format{
+	Name:     "tracelog",
+	Magic:    logMagic,
+	Version:  logVersion,
+	RecMagic: recMagic,
+	BodyLen:  func(_, n uint32) (int64, bool) { return int64(n), n <= maxPayload },
+	Corrupt:  ErrCorrupt,
+}
+
+// extent locates one committed chunks record: the record's offset in the
 // file and the number of references it holds.
 type extent struct {
 	off int64
@@ -106,76 +114,27 @@ type extent struct {
 // The zero value is not usable; construct with CreateFS or OpenFS.
 // A Log is safe for concurrent use — concurrent backup sessions
 // interleave records under one lock, and committed traces may be read
-// while new ones are appended.
+// while new ones are appended. The end records' fsync is group-committed:
+// concurrent sessions' Commits share it.
 type Log struct {
-	mu       sync.Mutex
-	f        vfs.File
+	mu       sync.Mutex // ordered before the record log's own locks
+	rl       *reclog.Log
 	path     string
 	readOnly bool
-	size     int64
 	nextSID  uint32
 	backups  []*BackupTrace
 	unended  int // sessions replay found begun but never ended
 	closed   bool
-	scratch  []byte
-
-	// Group commit for the end-record fsync: sessions buffer their chunk
-	// windows in memory (spilling unsynced records past a threshold), so
-	// the only durability barrier is at Commit — and concurrent commits
-	// share it. syncMu orders the committer's fsync against the handle
-	// teardown in Close (lock order: l.mu before syncMu).
-	syncMu  sync.Mutex
-	gc      *gcommit.Committer
-	seq     int64        // last assigned commit sequence
-	pending []logPending // committed-but-unsynced end records
-}
-
-// logPending maps a commit sequence to the file offset of its end record,
-// so a failed sync can truncate back to the durable boundary.
-type logPending struct {
-	seq int64
-	off int64
-}
-
-// initCommitter wires the log's group committer. Trace-log fsync failures
-// are sticky: the tail past the last successful sync is in an unknown
-// durable state, so the instance refuses further appends and the caller
-// reopens (replay truncates any torn tail).
-func (l *Log) initCommitter() {
-	l.gc = gcommit.New(func() error {
-		l.syncMu.Lock()
-		defer l.syncMu.Unlock()
-		return l.f.Sync()
-	}, true)
 }
 
 // CreateFS initializes a new, empty trace log file on fsys. It fails if
 // the file already exists.
 func CreateFS(fsys vfs.FS, path string) (*Log, error) {
-	f, err := fsys.OpenFile(path, os.O_RDWR|os.O_CREATE|os.O_EXCL, 0o644)
+	rl, err := reclog.Create(fsys, path, logFormat)
 	if err != nil {
-		return nil, fmt.Errorf("tracelog: create: %w", err)
-	}
-	var hdr [logHeaderLen]byte
-	binary.LittleEndian.PutUint32(hdr[0:], logMagic)
-	binary.LittleEndian.PutUint32(hdr[4:], logVersion)
-	_, err = f.Write(hdr[:])
-	if err == nil {
-		err = f.Sync()
-	}
-	if err != nil {
-		f.Close()
-		fsys.Remove(path)
-		return nil, fmt.Errorf("tracelog: write header: %w", err)
-	}
-	if err := vfs.SyncDir(fsys, filepath.Dir(path)); err != nil {
-		f.Close()
-		fsys.Remove(path)
 		return nil, err
 	}
-	l := &Log{f: f, path: path, size: logHeaderLen}
-	l.initCommitter()
-	return l, nil
+	return &Log{rl: rl, path: path}, nil
 }
 
 // OpenFS opens an existing trace log on fsys and replays its records,
@@ -186,17 +145,8 @@ func CreateFS(fsys vfs.FS, path string) (*Log, error) {
 // consumers must use OpenReadOnlyFS — OpenFS's tail truncation would
 // corrupt a log another process is still appending to.
 func OpenFS(fsys vfs.FS, path string) (*Log, error) {
-	f, err := fsys.OpenFile(path, os.O_RDWR, 0)
-	if err != nil {
-		return nil, fmt.Errorf("tracelog: open: %w", err)
-	}
-	l := &Log{f: f, path: path}
-	l.initCommitter()
-	if err := l.replay(); err != nil {
-		f.Close()
-		return nil, err
-	}
-	return l, nil
+	l, _, err := open(fsys, path, reclog.Owner)
+	return l, err
 }
 
 // OpenReadOnlyFS opens a trace log on fsys for replay without taking
@@ -207,205 +157,56 @@ func OpenFS(fsys vfs.FS, path string) (*Log, error) {
 // at a repository that may still be live. ReadDataset opens a closed
 // log this way and then rejects what a tolerant replay skipped.
 func OpenReadOnlyFS(fsys vfs.FS, path string) (*Log, error) {
-	f, err := fsys.Open(path)
-	if err != nil {
-		return nil, fmt.Errorf("tracelog: open: %w", err)
-	}
-	l := &Log{f: f, path: path, readOnly: true}
-	if err := l.replay(); err != nil {
-		f.Close()
-		return nil, err
-	}
-	return l, nil
+	l, _, err := open(fsys, path, reclog.ReadOnly)
+	return l, err
 }
 
-// replay scans the log file, rebuilding the committed-trace list and
-// truncating a torn tail.
-func (l *Log) replay() error {
-	st, err := l.f.Stat()
-	if err != nil {
-		return err
-	}
-	size := st.Size()
-	if size < logHeaderLen {
-		return fmt.Errorf("%w: %s shorter than its header", ErrCorrupt, l.path)
-	}
-	var hdr [logHeaderLen]byte
-	if _, err := l.f.ReadAt(hdr[:], 0); err != nil {
-		return err
-	}
-	if m := binary.LittleEndian.Uint32(hdr[0:]); m != logMagic {
-		return fmt.Errorf("%w: %s has bad magic %#x", ErrCorrupt, l.path, m)
-	}
-	if v := binary.LittleEndian.Uint32(hdr[4:]); v != logVersion {
-		return fmt.Errorf("%w: %s has unsupported version %d", ErrCorrupt, l.path, v)
-	}
-
+// open replays the log at path into its committed-trace list.
+func open(fsys vfs.FS, path string, mode reclog.Mode) (*Log, reclog.Stats, error) {
+	l := &Log{path: path, readOnly: mode == reclog.ReadOnly}
 	// One in-flight (begun, not yet ended) trace per session id.
-	type pending struct {
-		label   string
-		extents []extent
-		count   int64
-	}
-	open := make(map[uint32]*pending)
-
-	pos := int64(logHeaderLen)
-	var rec [recHeaderLen]byte
-	for pos < size {
-		if pos+recHeaderLen > size {
-			break // torn tail: header itself incomplete
-		}
-		if _, err := l.f.ReadAt(rec[:], pos); err != nil {
-			return err
-		}
-		if m := binary.LittleEndian.Uint32(rec[0:]); m != recMagic {
-			return fmt.Errorf("%w: %s: bad record magic %#x at offset %d", ErrCorrupt, l.path, m, pos)
-		}
-		kind := binary.LittleEndian.Uint32(rec[4:])
-		sid := binary.LittleEndian.Uint32(rec[8:])
-		payloadLen := int64(binary.LittleEndian.Uint32(rec[12:]))
-		if payloadLen > maxPayload {
-			return fmt.Errorf("%w: %s: absurd payload length %d at offset %d", ErrCorrupt, l.path, payloadLen, pos)
-		}
-		end := pos + recHeaderLen + payloadLen + recTrailerLen
-		if end > size {
-			break // torn tail: body incomplete
-		}
-		body := make([]byte, payloadLen+recTrailerLen)
-		if _, err := l.f.ReadAt(body, pos+recHeaderLen); err != nil {
-			return err
-		}
-		crc := crc32.ChecksumIEEE(rec[:])
-		crc = crc32.Update(crc, crc32.IEEETable, body[:payloadLen])
-		if stored := binary.LittleEndian.Uint32(body[payloadLen:]); crc != stored {
-			if end == size {
-				// The final record's bytes are all present but the
-				// checksum fails: a crash caught the append mid-write.
-				break
-			}
-			return fmt.Errorf("%w: %s: record checksum mismatch at offset %d", ErrCorrupt, l.path, pos)
+	inFlight := make(map[uint32]*BackupTrace)
+	rl, st, err := reclog.Open(fsys, path, logFormat, mode, func(r reclog.Record) error {
+		sid, n := r.A, int64(len(r.Body))
+		corrupt := func(format string, args ...any) error {
+			return fmt.Errorf("%w: %s: "+format+" at offset %d", append(append([]any{ErrCorrupt, path}, args...), r.Off)...)
 		}
 		if sid >= l.nextSID {
 			l.nextSID = sid + 1
 		}
-		payload := body[:payloadLen]
-		switch kind {
-		case kindBegin:
-			if payloadLen > maxLabel {
-				return fmt.Errorf("%w: %s: absurd label length %d at offset %d", ErrCorrupt, l.path, payloadLen, pos)
-			}
-			if _, ok := open[sid]; ok {
-				return fmt.Errorf("%w: %s: duplicate begin for session %d at offset %d", ErrCorrupt, l.path, sid, pos)
-			}
-			open[sid] = &pending{label: string(payload)}
-		case kindChunks:
-			p, ok := open[sid]
-			if !ok {
-				return fmt.Errorf("%w: %s: chunks record for unknown session %d at offset %d", ErrCorrupt, l.path, sid, pos)
-			}
-			if payloadLen%refLen != 0 {
-				return fmt.Errorf("%w: %s: chunks payload length %d not a multiple of %d at offset %d",
-					ErrCorrupt, l.path, payloadLen, refLen, pos)
-			}
-			n := int(payloadLen / refLen)
-			p.extents = append(p.extents, extent{off: pos + recHeaderLen, n: n})
-			p.count += int64(n)
-		case kindEnd:
-			p, ok := open[sid]
-			if !ok {
-				return fmt.Errorf("%w: %s: end record for unknown session %d at offset %d", ErrCorrupt, l.path, sid, pos)
-			}
-			if payloadLen != 8 {
-				return fmt.Errorf("%w: %s: end payload length %d at offset %d", ErrCorrupt, l.path, payloadLen, pos)
-			}
-			if want := int64(binary.LittleEndian.Uint64(payload)); want != p.count {
-				return fmt.Errorf("%w: %s: session %d ended with %d chunks, records hold %d",
-					ErrCorrupt, l.path, sid, want, p.count)
-			}
-			delete(open, sid)
-			l.backups = append(l.backups, &BackupTrace{
-				Label:   p.label,
-				Chunks:  p.count,
-				log:     l,
-				extents: p.extents,
-			})
+		t := inFlight[sid]
+		switch {
+		case r.Kind == kindBegin && n > maxLabel:
+			return corrupt("absurd label length %d", n)
+		case r.Kind == kindBegin && t != nil:
+			return corrupt("duplicate begin for session %d", sid)
+		case r.Kind == kindBegin:
+			inFlight[sid] = &BackupTrace{Label: string(r.Body), log: l}
+		case r.Kind != kindChunks && r.Kind != kindEnd:
+			return corrupt("unknown record kind %d", r.Kind)
+		case t == nil:
+			return corrupt("record of kind %d for unknown session %d", r.Kind, sid)
+		case r.Kind == kindChunks && n%refLen != 0:
+			return corrupt("chunks payload length %d not a multiple of %d", n, refLen)
+		case r.Kind == kindChunks:
+			t.extents = append(t.extents, extent{off: r.Off, n: int(n / refLen)})
+			t.Chunks += n / refLen
+		case n != 8:
+			return corrupt("end payload length %d", n)
+		case int64(binary.LittleEndian.Uint64(r.Body)) != t.Chunks:
+			return corrupt("session %d ended with %d chunks, records hold %d", sid, binary.LittleEndian.Uint64(r.Body), t.Chunks)
 		default:
-			return fmt.Errorf("%w: %s: unknown record kind %d at offset %d", ErrCorrupt, l.path, kind, pos)
+			delete(inFlight, sid)
+			l.backups = append(l.backups, t)
 		}
-		pos = end
+		return nil
+	})
+	if err != nil {
+		return nil, st, err
 	}
-	if pos < size && !l.readOnly {
-		// Discard the torn tail so future appends start at a record
-		// boundary. Unterminated sessions before the tail stay as dead
-		// records: their backups were never acknowledged. A read-only
-		// replay leaves the tail alone — it may be another process's
-		// append in flight, and this opener owns nothing.
-		//
-		// An append tears only the last record, so a valid record past
-		// pos means the record at pos is damaged, not torn (a length
-		// field raised past the end of the file looks like a torn body):
-		// truncating would delete acknowledged traces.
-		if at, err := l.recordAfter(pos, size); err != nil {
-			return err
-		} else if at >= 0 {
-			return fmt.Errorf("%w: %s: damaged record at offset %d, a valid one follows at offset %d", ErrCorrupt, l.path, pos, at)
-		}
-		if err := l.f.Truncate(pos); err != nil {
-			return fmt.Errorf("tracelog: truncate torn tail: %w", err)
-		}
-		if err := l.f.Sync(); err != nil {
-			return err
-		}
-	}
-	l.size = pos
-	l.unended = len(open)
-	return nil
-}
-
-// recordAfter returns the offset of the first record past pos, up to
-// size, whose checksum holds, or -1 if there is none. It reads the file
-// in blocks and each candidate record once, so it stops early on a log
-// whose later records are intact.
-func (l *Log) recordAfter(pos, size int64) (int64, error) {
-	const block = 64 << 10
-	buf := make([]byte, block+3) // a magic may start in a block's last 3 bytes
-	for off := pos + 1; off+recHeaderLen+recTrailerLen <= size; off += block {
-		n := int(min(int64(len(buf)), size-off))
-		if _, err := l.f.ReadAt(buf[:n], off); err != nil {
-			return 0, err
-		}
-		for i := 0; i < block && i+4 <= n; i++ {
-			if binary.LittleEndian.Uint32(buf[i:]) != recMagic {
-				continue
-			}
-			if ok, err := l.validRecordAt(off+int64(i), size); err != nil || ok {
-				return off + int64(i), err
-			}
-		}
-	}
-	return -1, nil
-}
-
-// validRecordAt reports whether a whole record whose checksum holds
-// starts at offset at.
-func (l *Log) validRecordAt(at, size int64) (bool, error) {
-	var hdr [recHeaderLen]byte
-	if at+recHeaderLen > size {
-		return false, nil
-	}
-	if _, err := l.f.ReadAt(hdr[:], at); err != nil {
-		return false, err
-	}
-	n := int64(binary.LittleEndian.Uint32(hdr[12:]))
-	if n > maxPayload || at+recHeaderLen+n+recTrailerLen > size {
-		return false, nil
-	}
-	body := make([]byte, n+recTrailerLen)
-	if _, err := l.f.ReadAt(body, at+recHeaderLen); err != nil {
-		return false, err
-	}
-	crc := crc32.Update(crc32.ChecksumIEEE(hdr[:]), crc32.IEEETable, body[:n])
-	return crc == binary.LittleEndian.Uint32(body[n:]), nil
+	l.rl = rl
+	l.unended = len(inFlight)
+	return l, st, nil
 }
 
 // Backups returns the committed backup traces in commit order. The
@@ -430,73 +231,7 @@ func (l *Log) Close() error {
 		return nil
 	}
 	l.closed = true
-	l.syncMu.Lock()
-	defer l.syncMu.Unlock()
-	return l.f.Close()
-}
-
-// buildRecord serializes one record into l.scratch (callers hold l.mu).
-func (l *Log) buildRecord(kind, sid uint32, payload []byte) []byte {
-	n := recHeaderLen + len(payload) + recTrailerLen
-	if cap(l.scratch) < n {
-		l.scratch = make([]byte, n)
-	}
-	buf := l.scratch[:n]
-	binary.LittleEndian.PutUint32(buf[0:], recMagic)
-	binary.LittleEndian.PutUint32(buf[4:], kind)
-	binary.LittleEndian.PutUint32(buf[8:], sid)
-	binary.LittleEndian.PutUint32(buf[12:], uint32(len(payload)))
-	off := recHeaderLen + copy(buf[recHeaderLen:], payload)
-	binary.LittleEndian.PutUint32(buf[off:], crc32.ChecksumIEEE(buf[:off]))
-	return buf
-}
-
-// appendRecord appends one record (callers hold l.mu), returning the
-// record's start offset. A failed write leaves the tail state unchanged —
-// the next append lands at the same offset. Durability is deferred to the
-// session's Commit, which runs the group-commit fsync.
-func (l *Log) appendRecord(kind, sid uint32, payload []byte) (int64, error) {
-	if err := l.gc.Err(); err != nil {
-		return 0, fmt.Errorf("tracelog: log poisoned by earlier sync failure: %w", err)
-	}
-	buf := l.buildRecord(kind, sid, payload)
-	at := l.size
-	if _, err := l.f.WriteAt(buf, at); err != nil {
-		return 0, fmt.Errorf("tracelog: append record: %w", err)
-	}
-	l.size += int64(len(buf))
-	return at, nil
-}
-
-// prunePendingLocked drops pending entries covered by durable sequence d.
-func (l *Log) prunePendingLocked(d int64) {
-	i := 0
-	for i < len(l.pending) && l.pending[i].seq <= d {
-		i++
-	}
-	if i > 0 {
-		l.pending = append(l.pending[:0], l.pending[i:]...)
-	}
-}
-
-// truncateToDurableLocked discards end records past the durable boundary
-// after a failed sync. Unsynced chunk records of other in-flight sessions
-// may survive past the boundary as dead space; the log is poisoned, so
-// nothing further appends behind them, and replay's torn-tail handling
-// cleans up after the reopen.
-func (l *Log) truncateToDurableLocked(d int64) {
-	l.prunePendingLocked(d)
-	boundary := l.size
-	if len(l.pending) > 0 {
-		boundary = l.pending[0].off
-	}
-	l.pending = l.pending[:0]
-	if boundary < l.size {
-		l.size = boundary
-	}
-	if l.f.Truncate(l.size) == nil {
-		_ = l.f.Sync()
-	}
+	return l.rl.Close()
 }
 
 // Begin starts recording one backup's upload trace. The returned Session
@@ -515,9 +250,9 @@ func (l *Log) Begin(label string) (*Session, error) {
 	if l.readOnly {
 		return nil, errors.New("tracelog: log is open read-only")
 	}
-	s := &Session{log: l, label: label, sid: l.nextSID}
+	s := &Session{t: &BackupTrace{Label: label, log: l}, sid: l.nextSID}
 	l.nextSID++
-	if _, err := l.appendRecord(kindBegin, s.sid, []byte(label)); err != nil {
+	if _, _, err := l.rl.Append(false, kindBegin, s.sid, uint32(len(label)), []byte(label)); err != nil {
 		return nil, err
 	}
 	return s, nil
@@ -539,13 +274,10 @@ const sessionSpillBytes = 4 << 20
 // the end record are appended, and the end-record fsync is shared with
 // concurrently committing sessions via group commit.
 type Session struct {
-	log     *Log
-	label   string
-	sid     uint32
-	count   int64
-	extents []extent
-	done    bool
-	buf     []byte // encoded refs not yet spilled to the file
+	t    *BackupTrace // the trace recorded so far; Commit publishes it
+	sid  uint32
+	done bool
+	buf  []byte // encoded refs not yet spilled to the file
 }
 
 // ObserveUpload appends one window of observed uploads: ciphertext
@@ -567,12 +299,12 @@ func (s *Session) ObserveUpload(refs []trace.ChunkRef) error {
 		binary.LittleEndian.PutUint32(s.buf[off+fphash.Size:], ref.Size)
 		off += refLen
 	}
-	s.count += int64(len(refs))
+	s.t.Chunks += int64(len(refs))
 	if len(s.buf) < sessionSpillBytes {
 		return nil
 	}
-	s.log.mu.Lock()
-	defer s.log.mu.Unlock()
+	s.t.log.mu.Lock()
+	defer s.t.log.mu.Unlock()
 	return s.spillLocked()
 }
 
@@ -582,15 +314,15 @@ func (s *Session) spillLocked() error {
 	if len(s.buf) == 0 {
 		return nil
 	}
-	l := s.log
+	l := s.t.log
 	if l.closed {
 		return errors.New("tracelog: log is closed")
 	}
-	at, err := l.appendRecord(kindChunks, s.sid, s.buf)
+	at, _, err := l.rl.Append(false, kindChunks, s.sid, uint32(len(s.buf)), s.buf)
 	if err != nil {
 		return err
 	}
-	s.extents = append(s.extents, extent{off: at + recHeaderLen, n: len(s.buf) / refLen})
+	s.t.extents = append(s.t.extents, extent{off: at, n: len(s.buf) / refLen})
 	s.buf = s.buf[:0]
 	return nil
 }
@@ -605,7 +337,7 @@ func (s *Session) Commit() error {
 		return errors.New("tracelog: session already committed or aborted")
 	}
 	s.done = true
-	l := s.log
+	l := s.t.log
 	l.mu.Lock()
 	if l.closed {
 		l.mu.Unlock()
@@ -616,32 +348,18 @@ func (s *Session) Commit() error {
 		return err
 	}
 	var payload [8]byte
-	binary.LittleEndian.PutUint64(payload[:], uint64(s.count))
-	at, err := l.appendRecord(kindEnd, s.sid, payload[:])
+	binary.LittleEndian.PutUint64(payload[:], uint64(s.t.Chunks))
+	_, seq, err := l.rl.Append(true, kindEnd, s.sid, uint32(len(payload)), payload[:])
+	l.mu.Unlock()
 	if err != nil {
-		l.mu.Unlock()
 		return err
 	}
-	l.seq++
-	seq := l.seq
-	l.pending = append(l.pending, logPending{seq: seq, off: at})
-	l.mu.Unlock()
-
-	err = l.gc.Commit(seq)
-	d := l.gc.Durable()
+	if err := l.rl.Commit(seq); err != nil {
+		return err
+	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if err != nil {
-		l.truncateToDurableLocked(d)
-		return fmt.Errorf("tracelog: sync: %w", err)
-	}
-	l.prunePendingLocked(d)
-	l.backups = append(l.backups, &BackupTrace{
-		Label:   s.label,
-		Chunks:  s.count,
-		log:     l,
-		extents: s.extents,
-	})
+	l.backups = append(l.backups, s.t)
 	return nil
 }
 
@@ -680,12 +398,12 @@ func (t *BackupTrace) ChunkCount() int64 { return t.Chunks }
 func (t *BackupTrace) Open() (attack.ChunkReader, error) {
 	l := t.log
 	l.mu.Lock()
-	f, closed := l.f, l.closed
+	closed := l.closed
 	l.mu.Unlock()
 	if closed {
 		return nil, errors.New("tracelog: log is closed")
 	}
-	return &traceReader{t: t, f: f}, nil
+	return &traceReader{t: t}, nil
 }
 
 // Materialize loads the whole trace as a backup stream — the bridge to
@@ -716,8 +434,8 @@ func (t *BackupTrace) Materialize() (*trace.Backup, error) {
 // same file) and CRC-checked before any reference is handed out.
 type traceReader struct {
 	t   *BackupTrace
-	f   vfs.File // captured at Open; a closed log fails reads cleanly
-	ext int      // next extent to load
+	ext int    // next extent to load
+	raw []byte // the last record read
 	buf []trace.ChunkRef
 	pos int
 }
@@ -740,34 +458,24 @@ func (r *traceReader) Read(buf []trace.ChunkRef) (int, error) {
 
 // load reads and verifies one chunks record, decoding it into r.buf.
 func (r *traceReader) load(e extent) error {
-	l := r.t.log
-	payloadLen := e.n * refLen
-	raw := make([]byte, recHeaderLen+payloadLen+recTrailerLen)
-	if _, err := r.f.ReadAt(raw, e.off-recHeaderLen); err != nil {
-		return fmt.Errorf("tracelog: read trace record: %w", err)
-	}
-	if m := binary.LittleEndian.Uint32(raw[0:]); m != recMagic {
-		return fmt.Errorf("%w: %s: bad record magic %#x at offset %d", ErrCorrupt, l.path, m, e.off-recHeaderLen)
-	}
-	crc := crc32.ChecksumIEEE(raw[:recHeaderLen+payloadLen])
-	if stored := binary.LittleEndian.Uint32(raw[recHeaderLen+payloadLen:]); crc != stored {
-		return fmt.Errorf("%w: %s: record checksum mismatch at offset %d", ErrCorrupt, l.path, e.off-recHeaderLen)
+	body, err := r.t.log.rl.ReadRecord(e.off, int64(e.n*refLen), &r.raw)
+	if err != nil {
+		return err
 	}
 	if cap(r.buf) < e.n {
 		r.buf = make([]trace.ChunkRef, e.n)
 	}
 	r.buf = r.buf[:e.n]
-	payload := raw[recHeaderLen : recHeaderLen+payloadLen]
 	for i := range r.buf {
-		off := i * refLen
-		copy(r.buf[i].FP[:], payload[off:off+fphash.Size])
-		r.buf[i].Size = binary.LittleEndian.Uint32(payload[off+fphash.Size:])
+		p := body[i*refLen:]
+		copy(r.buf[i].FP[:], p[:fphash.Size])
+		r.buf[i].Size = binary.LittleEndian.Uint32(p[fphash.Size:])
 	}
 	return nil
 }
 
 func (r *traceReader) Close() error {
-	r.buf = nil
+	r.buf, r.raw = nil, nil
 	return nil
 }
 
@@ -831,17 +539,13 @@ func writeBackup(l *Log, b *trace.Backup) error {
 // repository's log, whose tail may be an append in flight, is read with
 // OpenReadOnlyFS instead.
 func ReadDataset(fsys vfs.FS, path string) (*trace.Dataset, error) {
-	l, err := OpenReadOnlyFS(fsys, path)
+	l, st, err := open(fsys, path, reclog.ReadOnly)
 	if err != nil {
 		return nil, err
 	}
 	defer l.Close()
-	st, err := l.f.Stat()
-	if err != nil {
-		return nil, err
-	}
-	if tail := st.Size() - l.size; tail > 0 {
-		return nil, fmt.Errorf("%w: %s: %d bytes after the last complete record at offset %d", ErrCorrupt, path, tail, l.size)
+	if st.BytesSkipped > 0 {
+		return nil, fmt.Errorf("%w: %s: %d bytes after the last complete record", ErrCorrupt, path, st.BytesSkipped)
 	}
 	if l.unended > 0 {
 		return nil, fmt.Errorf("%w: %s: %d backup traces begun and never ended", ErrCorrupt, path, l.unended)

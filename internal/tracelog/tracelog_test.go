@@ -2,7 +2,9 @@ package tracelog
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"encoding/binary"
+	"encoding/hex"
 	"errors"
 	"fmt"
 	"io"
@@ -523,4 +525,55 @@ func bytesEqual(a, b []byte) bool {
 		}
 	}
 	return true
+}
+
+// TestTraceLogBytesPinned builds a trace log from fixed inputs — two
+// interleaved sessions that both spill past sessionSpillBytes, and an
+// aborted one — and holds the file to a SHA-256 sum recorded from the
+// format's first writer: a change here is an on-disk format change.
+func TestTraceLogBytesPinned(t *testing.T) {
+	m := vfs.NewMem()
+	l, err := CreateFS(m, LogName)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	begin := func(label string) *Session {
+		s, err := l.Begin(label)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s
+	}
+	a, b := begin("gen-a"), begin("gen-b")
+	refsA, refsB := testRefs(1, 400_000), testRefs(2, 370_000)
+	const w = 4096
+	for lo := 0; lo < len(refsA); lo += w {
+		if err := a.ObserveUpload(refsA[lo:min(lo+w, len(refsA))]); err != nil {
+			t.Fatal(err)
+		}
+		if lo < len(refsB) {
+			if err := b.ObserveUpload(refsB[lo:min(lo+w, len(refsB))]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if lo == 20*w {
+			dead := begin("aborted")
+			if err := dead.ObserveUpload(testRefs(3, 100)); err != nil {
+				t.Fatal(err)
+			}
+			dead.Abort()
+		}
+	}
+	if err := b.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	if err := a.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	data := memFile(t, m, LogName)
+	sum := sha256.Sum256(data)
+	if got, want := hex.EncodeToString(sum[:]), "609cea61f25ba5d3ff11eb5a13869feff503bb9d834467222ffe79f40fb3e066"; got != want {
+		t.Errorf("trace log (%d B) sha256 %s, pinned %s", len(data), got, want)
+	}
 }
