@@ -182,3 +182,97 @@ func TestShardDamagedLengthKeepsContainers(t *testing.T) {
 		t.Fatal("degraded restore differs outside the reported lost ranges")
 	}
 }
+
+// shardRecordStarts returns the offset of each record in a container
+// shard file: 16-byte file header, then magic | id | entries | dataBytes
+// | entries × 12-byte index | data | crc32 per record.
+func shardRecordStarts(t *testing.T, data []byte) []int {
+	t.Helper()
+	var starts []int
+	for pos := 16; pos < len(data); {
+		if pos+16 > len(data) {
+			t.Fatalf("shard cut inside a record header at %d", pos)
+		}
+		starts = append(starts, pos)
+		pos += 16 + 12*int(binary.LittleEndian.Uint32(data[pos+8:])) + int(binary.LittleEndian.Uint32(data[pos+12:])) + 4
+	}
+	return starts
+}
+
+// TestShardLastRecordFlipStaysError flips a data byte in the last record
+// of a closed repository's shard. That is media damage under an
+// acknowledged container, not a torn append: the open must keep the
+// record, a restore must report it, and Repair must quarantine it.
+func TestShardLastRecordFlipStaysError(t *testing.T) {
+	m := faultio.NewMemFS()
+	ctx := context.Background()
+	var key Key
+	copy(key[:], "last record flip key")
+	opts := []RepositoryOption{WithFileSystem(m), WithRepositoryKey(key), WithShards(1), WithContainerBytes(64 << 10)}
+	data := repoData(71, 1<<20)
+	repo, err := CreateRepository("repo", opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mustBackup(t, repo, "snap", data)
+	if err := repo.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	const path = "repo/shard-0000.fdc"
+	clean := readMemFile(t, m, path)
+	starts := shardRecordStarts(t, clean)
+	last := starts[len(starts)-1]
+	entries := int(binary.LittleEndian.Uint32(clean[last+8:]))
+	if err := m.CorruptAt(path, int64(last+16+12*entries+5), 0x01); err != nil {
+		t.Fatal(err)
+	}
+	damaged := readMemFile(t, m, path)
+
+	repo, err = OpenRepository("repo", opts...)
+	if err != nil {
+		t.Fatalf("open over a flipped last record: %v", err)
+	}
+	if !bytes.Equal(readMemFile(t, m, path), damaged) {
+		t.Fatal("the open changed the shard file")
+	}
+	if err := repo.Restore(ctx, "snap", &bytes.Buffer{}); !errors.Is(err, ErrStoreCorrupt) {
+		t.Fatalf("restore over a flipped last record: err = %v, want ErrStoreCorrupt", err)
+	}
+	if err := repo.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	repo, err = OpenRepository("repo", append(opts, WithDegradedRestore())...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer repo.Close()
+	var out bytes.Buffer
+	err = repo.Restore(ctx, "snap", &out)
+	var de *DegradedError
+	if !errors.As(err, &de) || de.BytesLost() == 0 {
+		t.Fatalf("degraded restore over a flipped last record: err = %v, want *DegradedError", err)
+	}
+	want := append([]byte(nil), data...)
+	for _, r := range de.Ranges {
+		clear(want[r.Offset : r.Offset+r.Length])
+	}
+	if !bytes.Equal(out.Bytes(), want) {
+		t.Fatal("degraded restore differs outside the reported lost ranges")
+	}
+
+	rep, err := repo.Repair(ctx)
+	if err != nil {
+		t.Fatalf("repair: %v", err)
+	}
+	if rep.ContainersQuarantined != 1 || len(rep.QuarantinePaths) != 1 {
+		t.Fatalf("repair %+v, want the last container quarantined", rep)
+	}
+	if got := readMemFile(t, m, rep.QuarantinePaths[0]); !bytes.Equal(got, damaged[last:]) {
+		t.Fatalf("%s does not hold the damaged record's raw bytes", rep.QuarantinePaths[0])
+	}
+	if got := readMemFile(t, m, path); !bytes.Equal(got, clean[:last]) {
+		t.Fatalf("repaired shard is %d bytes, want the %d bytes of the containers before the damaged one", len(got), last)
+	}
+}

@@ -382,3 +382,49 @@ func TestFlipBitNeverRestoresWrongBytes(t *testing.T) {
 		}
 	}
 }
+
+// TestCreateRepositoryFailsOnDirSyncFailure: creating the repository's
+// files is durable only once their directory entries are, so a failed
+// sync of the repository directory fails the create.
+func TestCreateRepositoryFailsOnDirSyncFailure(t *testing.T) {
+	m := faultio.NewMemFSPlan(faultio.Plan{Rules: []faultio.Rule{{Op: faultio.OpSync, PathGlob: "repo", Count: -1}}})
+	repo, err := CreateRepository("repo", WithFileSystem(m))
+	if err == nil {
+		repo.Close()
+		t.Fatal("CreateRepository succeeded with every sync of its directory failing")
+	}
+	if !errors.Is(err, faultio.ErrInjected) {
+		t.Fatalf("CreateRepository: err = %v, want the injected sync failure", err)
+	}
+}
+
+// TestIndexDirSyncFailureKeepsRepository: the fingerprint index commits
+// a manifest by renaming it into place, so a failed sync of the index
+// directory after that rename must not make the index delete the run the
+// committed manifest names. With every such sync failing, backups and
+// Close succeed and the repository reopens and restores.
+func TestIndexDirSyncFailureKeepsRepository(t *testing.T) {
+	m := faultio.NewMemFSPlan(faultio.Plan{Rules: []faultio.Rule{{Op: faultio.OpSync, PathGlob: "repo/fpindex", Count: -1}}})
+	fsys := newCountingFS(m)
+	opts := []RepositoryOption{WithFileSystem(fsys), WithShards(2), WithContainerBytes(16 << 10)}
+	repo, err := CreateRepository("repo", opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, b := repoData(81, 256<<10), repoData(82, 256<<10)
+	mustBackup(t, repo, "a", a)
+	mustBackup(t, repo, "b", b)
+	if err := repo.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+	if fsys.count("fpindex") == 0 {
+		t.Fatal("the index directory was never synced: the rule never fired")
+	}
+	repo, err = OpenRepository("repo", opts...)
+	if err != nil {
+		t.Fatalf("reopen: %v", err)
+	}
+	defer repo.Close()
+	mustRestore(t, repo, "a", a)
+	mustRestore(t, repo, "b", b)
+}

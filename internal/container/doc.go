@@ -43,7 +43,9 @@
 // # Sealed-container file format
 //
 // A FileBackend directory holds one file per shard, shard-NNNN.fdc, all
-// little-endian. Each file starts with a 16-byte header:
+// little-endian. Each is a reclog record log (internal/reclog, the
+// framing the snapshot catalog and the trace logs share), whose 16-byte
+// file header's reserved words hold the shard and the capacity:
 //
 //	u32 magic     "FDCF" (0x46444346)
 //	u32 version   1
@@ -51,7 +53,9 @@
 //	u32 capacity  the store's container byte capacity
 //
 // followed by zero or more container records, appended in seal order. A
-// record is self-contained:
+// record is a reclog record whose kind is the container ID, whose a and
+// b are the entry count and the data bytes, and whose body holds the
+// chunks:
 //
 //	u32 magic      "FDC1" (0x46444331)
 //	u32 id         container ID (dense, equals record position)
@@ -78,10 +82,17 @@
 //   - Records are verified by CRC when their data is read; a checksum
 //     mismatch surfaces as ErrCorrupt, never as silent wrong bytes.
 //   - A crash can only tear the file's tail (a partially appended record
-//     past the last acknowledged seal). OpenFileBackend detects the torn
-//     tail and truncates it, unless a whole record whose CRC verifies
-//     follows it: then the record only looks torn (a damaged length
-//     field runs it past the end of the file), and the open fails with
-//     ErrCorrupt and leaves the file unchanged, as it does for damage
-//     anywhere else. OpenFileBackendSalvage skips the damaged record.
+//     past the last acknowledged seal). The shard open replays record
+//     headers only, so it stays O(metadata): a record is whole when its
+//     header is well-formed, its ID follows the one before, and it ends
+//     inside the file. OpenFileBackend truncates a torn tail, unless a
+//     whole record whose CRC verifies follows it: then the record only
+//     looks torn (a damaged length field runs it past the end of the
+//     file), and the open fails with ErrCorrupt and leaves the file
+//     unchanged, as it does for damage anywhere else.
+//     OpenFileBackendSalvage skips the damaged record and leaves a torn
+//     tail in place, and either refuses Seal until Repair rewrites the
+//     shard. A whole last record whose CRC fails is kept, not truncated
+//     as a torn tail: it may be an acknowledged container under a flipped
+//     bit, so its Load reports ErrCorrupt and Repair quarantines it.
 package container

@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -32,17 +31,29 @@ var ErrSalvaged = errors.New("container: store opened in salvage mode; repair be
 const (
 	fileMagic   = 0x46444346 // "FDCF": freqdedup container file
 	fileVersion = 1
-	// fileHeaderLen is magic + version + shard + containerBytes, u32 each.
-	fileHeaderLen = 16
-
-	recordMagic = 0x46444331 // "FDC1": one sealed container record
-	// recordHeaderLen is magic + id + entryCount + dataBytes, u32 each.
-	recordHeaderLen = 16
+	// fileHeaderLen is magic + version + shard + capacity, u32 each.
+	fileHeaderLen = reclog.HeaderLen
+	recordMagic   = 0x46444331 // "FDC1": one sealed container record
 	// entryMetaLen is one index-header entry: fingerprint + u32 size.
 	entryMetaLen = fphash.Size + 4
-	// recordTrailerLen is the CRC32 over the whole record.
-	recordTrailerLen = 4
 )
+
+// shardFormat frames container records as reclog records: kind is the
+// container ID, a the entry count and b the data bytes. The file
+// header's reserved words hold the shard index and the capacity, which
+// each shard's open checks with its own copy of the format.
+var shardFormat = reclog.Format{
+	Name:     "container",
+	Magic:    fileMagic,
+	Version:  fileVersion,
+	RecMagic: recordMagic,
+	BodyLen: func(entries, dataBytes uint32) (int64, bool) {
+		return recordHead{entries, dataBytes}.bodyLen(), true
+	},
+	Corrupt:    ErrCorrupt,
+	Ordered:    true,
+	HeaderOnly: true,
+}
 
 // QuarantineDir is the subdirectory of a store directory that Quarantine
 // copies damaged container records into.
@@ -51,16 +62,23 @@ const QuarantineDir = "quarantine"
 // shardFileName returns the file holding a shard's containers.
 func shardFileName(shard int) string { return fmt.Sprintf("shard-%04d.fdc", shard) }
 
-// shardFile is one shard's append-only container file plus its in-memory
-// record index. mu serializes every file operation of the shard: appends
-// are naturally serial, and reads ride the same lock so a GC Rewrite can
-// swap the file handle without a reader holding the old one. Cross-shard
-// operations run fully in parallel.
+// recordHead is what a container record's header says of its body.
+type recordHead struct {
+	entries, dataBytes uint32
+}
+
+func (h recordHead) bodyLen() int64 { return int64(h.entries)*entryMetaLen + int64(h.dataBytes) }
+
+// shardFile is one shard's record log plus its in-memory record index.
+// mu serializes every operation of the shard: appends are naturally
+// serial, and reads ride the same lock so a GC Rewrite can swap the file
+// without a reader holding the old one. Cross-shard operations run fully
+// in parallel.
 type shardFile struct {
 	mu      sync.Mutex
-	f       vfs.File
-	offsets []int64 // byte offset of each sealed record, in ID order
-	size    int64   // current end-of-file offset
+	log     *reclog.Log
+	offsets []int64      // byte offset of each sealed record, in ID order
+	heads   []recordHead // each sealed record's header, in ID order
 	// dataBytes is the running total of chunk data bytes across the
 	// shard's records, maintained from the record headers already parsed
 	// at open and on every Seal/Rewrite — what lets SealedStats answer
@@ -68,21 +86,21 @@ type shardFile struct {
 	dataBytes int64
 
 	// salvaged marks a shard opened by OpenFileBackendSalvage whose file
-	// held structural damage: container IDs are renumbered in memory and
-	// unparseable regions remain on disk, so Seal is refused until a
-	// Rewrite produces a clean file.
+	// held structural damage or a torn tail: container IDs are renumbered
+	// in memory and unparseable regions remain on disk, so Seal is
+	// refused until a Rewrite produces a clean file.
 	salvaged bool
 }
 
 // FileBackend persists sealed containers in per-shard append-only files
-// under one directory. Each seal appends a self-contained record (a small
-// index header of fingerprints and sizes, then the chunk data, then a
-// CRC32) and fsyncs, so a container acknowledged as sealed survives a
-// crash; a record torn by a crash mid-append is detected and discarded on
-// Open. SealAll seals many shards in one pass whose fsyncs overlap each
-// other and the next shard's write. GC rewrites a shard by writing a
-// fresh file and renaming it over the old one, so compaction is atomic
-// too.
+// under one directory, each a reclog record log. Each seal appends a
+// self-contained record (a small index header of fingerprints and sizes,
+// then the chunk data, then a CRC32) and fsyncs, so a container
+// acknowledged as sealed survives a crash; a record torn by a crash
+// mid-append is detected and discarded on Open. SealAll seals many
+// shards in one pass whose fsyncs overlap each other and the next
+// shard's write. GC rewrites a shard by writing a fresh file and renaming
+// it over the old one, so compaction is atomic too.
 //
 // All file operations go through the backend's vfs.FS (vfs.OS in
 // production), so fault-injection harnesses (internal/faultio) exercise
@@ -122,26 +140,20 @@ func CreateFileBackendFS(fsys vfs.FS, dir string, shards, containerBytes int) (*
 	var err error
 	var syncs []*vfs.PendingSync
 	for i := range b.shards {
-		var f vfs.File
-		f, err = fsys.OpenFile(filepath.Join(dir, shardFileName(i)), os.O_RDWR|os.O_CREATE|os.O_EXCL, 0o644)
+		var l *reclog.Log
+		l, err = reclog.CreateUnsynced(fsys, filepath.Join(dir, shardFileName(i)), &shardFormat, uint32(i), uint32(containerBytes))
 		if err != nil {
-			err = fmt.Errorf("container: create shard file: %w", err)
 			break
 		}
-		b.shards[i] = &shardFile{f: f, size: fileHeaderLen}
-		hdr := fileHeader(i, containerBytes)
-		if _, err = f.Write(hdr[:]); err != nil {
-			err = fmt.Errorf("container: write shard header: %w", err)
-			break
-		}
-		syncs = append(syncs, vfs.StartSync(fsys, f))
+		b.shards[i] = &shardFile{log: l}
+		syncs = append(syncs, l.StartSync())
 		if syncs[i].Failed() {
 			break // reported below
 		}
 	}
 	for _, p := range syncs {
 		if serr := p.Wait(); serr != nil && err == nil {
-			err = fmt.Errorf("container: write shard header: %w", serr)
+			err = fmt.Errorf("container: sync shard header: %w", serr)
 		}
 	}
 	if err == nil {
@@ -152,16 +164,6 @@ func CreateFileBackendFS(fsys vfs.FS, dir string, shards, containerBytes int) (*
 		return nil, err
 	}
 	return b, nil
-}
-
-// fileHeader returns a shard file's header.
-func fileHeader(shard, containerBytes int) [fileHeaderLen]byte {
-	var hdr [fileHeaderLen]byte
-	binary.LittleEndian.PutUint32(hdr[0:], fileMagic)
-	binary.LittleEndian.PutUint32(hdr[4:], fileVersion)
-	binary.LittleEndian.PutUint32(hdr[8:], uint32(shard))
-	binary.LittleEndian.PutUint32(hdr[12:], uint32(containerBytes))
-	return hdr
 }
 
 // OpenFileBackend opens an existing store directory, validating every
@@ -227,197 +229,66 @@ func openFileBackend(fsys vfs.FS, dir string, salvage bool) (*FileBackend, Salva
 			b.Close()
 			return nil, stats, fmt.Errorf("%w: shard files not dense at %s", ErrCorrupt, name)
 		}
-		sf, capacity, sst, err := openShardFile(fsys, name, i, salvage)
+		sf, lost, err := b.openShard(name, i, salvage)
 		if err != nil {
 			b.Close()
 			return nil, stats, err
 		}
-		stats.ContainersLost += sst.ContainersLost
-		stats.BytesSkipped += sst.BytesSkipped
-		if i == 0 {
-			b.containerBytes = capacity
-		} else if capacity != b.containerBytes {
-			sf.f.Close()
-			b.Close()
-			return nil, stats, fmt.Errorf("%w: shard %d capacity %d, shard 0 has %d",
-				ErrCorrupt, i, capacity, b.containerBytes)
-		}
+		stats.ContainersLost += lost.ContainersLost
+		stats.BytesSkipped += lost.BytesSkipped
 		b.shards[i] = sf
 	}
 	return b, stats, nil
 }
 
-// parseRecordHeader validates a record header's plausibility at pos and
-// returns its fields and end offset. It does not verify the CRC.
-func parseRecordHeader(hdr []byte, pos, size int64) (id int, end int64, ok bool) {
-	if binary.LittleEndian.Uint32(hdr[0:]) != recordMagic {
-		return 0, 0, false
-	}
-	id = int(binary.LittleEndian.Uint32(hdr[4:]))
-	entries := int64(binary.LittleEndian.Uint32(hdr[8:]))
-	dataBytes := int64(binary.LittleEndian.Uint32(hdr[12:]))
-	end = pos + recordHeaderLen + entries*entryMetaLen + dataBytes + recordTrailerLen
-	if end < pos || end > size {
-		return 0, 0, false
-	}
-	return id, end, true
-}
-
-// openShardFile validates one shard file and builds its record index,
-// truncating a torn tail record left by a crash. In salvage mode a broken
-// record chain is skipped instead of failing the open; see
-// OpenFileBackendSalvage.
-func openShardFile(fsys vfs.FS, name string, shard int, salvage bool) (*shardFile, int, SalvageStats, error) {
-	var sst SalvageStats
-	flag := os.O_RDWR
-	f, err := fsys.OpenFile(name, flag, 0)
-	if err != nil {
-		return nil, 0, sst, err
-	}
-	fail := func(err error) (*shardFile, int, SalvageStats, error) {
-		f.Close()
-		return nil, 0, sst, err
-	}
-	st, err := f.Stat()
-	if err != nil {
-		return fail(err)
-	}
-	size := st.Size()
-	var hdr [fileHeaderLen]byte
-	if size < fileHeaderLen {
-		return fail(fmt.Errorf("%w: %s shorter than its header", ErrCorrupt, name))
-	}
-	if _, err := f.ReadAt(hdr[:], 0); err != nil {
-		return fail(err)
-	}
-	if m := binary.LittleEndian.Uint32(hdr[0:]); m != fileMagic {
-		return fail(fmt.Errorf("%w: %s has bad magic %#x", ErrCorrupt, name, m))
-	}
-	if v := binary.LittleEndian.Uint32(hdr[4:]); v != fileVersion {
-		return fail(fmt.Errorf("%w: %s has unsupported version %d", ErrCorrupt, name, v))
-	}
-	if s := binary.LittleEndian.Uint32(hdr[8:]); int(s) != shard {
-		return fail(fmt.Errorf("%w: %s labeled shard %d", ErrCorrupt, name, s))
-	}
-	capacity := int(binary.LittleEndian.Uint32(hdr[12:]))
-	if capacity <= 0 {
-		return fail(fmt.Errorf("%w: %s has capacity %d", ErrCorrupt, name, capacity))
-	}
-
-	sf := &shardFile{f: f}
-	pos := int64(fileHeaderLen)
-	lastDiskID := -1
-	var rec [recordHeaderLen]byte
-	for pos < size {
-		if pos+recordHeaderLen > size {
-			break // torn tail: header itself incomplete
+// openShard replays a shard's file into its record index. The replay
+// reads record headers only (reclog's HeaderOnly), so it costs
+// O(metadata); in salvage mode it renumbers the containers densely and
+// counts the IDs it skipped as lost.
+func (b *FileBackend) openShard(name string, shard int, salvage bool) (*shardFile, SalvageStats, error) {
+	var lost SalvageStats
+	fm := shardFormat
+	fm.Reserved = func(s, capacity uint32) error {
+		switch {
+		case int(s) != shard:
+			return fmt.Errorf("labeled shard %d", s)
+		case capacity == 0:
+			return errors.New("capacity 0")
+		case shard > 0 && int(capacity) != b.containerBytes:
+			return fmt.Errorf("capacity %d, shard 0 has %d", capacity, b.containerBytes)
 		}
-		if _, err := f.ReadAt(rec[:], pos); err != nil {
-			return fail(err)
-		}
-		id, end, headerOK := parseRecordHeader(rec[:], pos, size)
-		inSequence := headerOK && (salvage && id > lastDiskID || !salvage && id == len(sf.offsets))
-		if headerOK && !inSequence && !salvage {
-			return fail(fmt.Errorf("%w: %s: container %d at position %d", ErrCorrupt, name, id, len(sf.offsets)))
-		}
-		if !headerOK {
-			if binary.LittleEndian.Uint32(rec[0:]) != recordMagic && !salvage {
-				return fail(fmt.Errorf("%w: %s: bad record magic %#x at offset %d",
-					ErrCorrupt, name, binary.LittleEndian.Uint32(rec[0:]), pos))
-			}
+		b.containerBytes = int(capacity)
+		return nil
+	}
+	mode := reclog.Owner
+	if salvage {
+		mode = reclog.Salvage
+	}
+	sf := &shardFile{}
+	last := -1
+	l, st, err := reclog.Open(b.fsys, name, &fm, mode, func(r reclog.Record) error {
+		if gap := int(r.Kind) - last - 1; gap > 0 {
 			if !salvage {
-				break // torn tail: body incomplete
+				return fmt.Errorf("%w: %s: container %d at position %d", ErrCorrupt, name, r.Kind, len(sf.offsets))
 			}
-		}
-		if salvage && (!headerOK || !inSequence) {
-			// Broken chain: scan forward for the next CRC-valid record.
-			next, nid, nend, ndb, err := resyncRecord(f, pos+1, size, lastDiskID)
-			if err != nil {
-				return fail(err)
-			}
-			if next < 0 {
-				// Nothing parseable remains; everything from pos on is
-				// lost. Whether that region held zero or many records is
-				// unknowable — count bytes, not containers.
-				sst.BytesSkipped += size - pos
-				pos = size
-				break
-			}
-			sst.BytesSkipped += next - pos
-			sst.ContainersLost += nid - lastDiskID - 1
-			sf.salvaged = true
-			sf.offsets = append(sf.offsets, next)
-			sf.dataBytes += ndb
-			lastDiskID = nid
-			pos = nend
-			continue
-		}
-		if salvage && id != lastDiskID+1 {
-			// Parsable record but IDs skipped: the records between were
-			// overwritten or never made it. Renumber densely in memory.
-			sst.ContainersLost += id - lastDiskID - 1
+			lost.ContainersLost += gap
 			sf.salvaged = true
 		}
-		sf.offsets = append(sf.offsets, pos)
-		sf.dataBytes += int64(binary.LittleEndian.Uint32(rec[12:]))
-		lastDiskID = id
-		pos = end
-	}
-	if pos < size && !sf.salvaged {
-		// Discard the torn tail so future appends start at a record
-		// boundary. An append tears only the last record, so a whole
-		// record past pos means the one at pos is damaged, not torn (a
-		// length field raised past the end of the file looks like a torn
-		// body): truncating would delete acknowledged containers.
-		if at, _, _, _, err := resyncRecord(f, pos+1, size, lastDiskID); err != nil {
-			return fail(err)
-		} else if at >= 0 {
-			return fail(fmt.Errorf("%w: %s: damaged record at offset %d, a valid one follows at offset %d",
-				ErrCorrupt, name, pos, at))
-		}
-		if err := f.Truncate(pos); err != nil {
-			return fail(fmt.Errorf("container: truncate torn tail of %s: %w", name, err))
-		}
-		if err := f.Sync(); err != nil {
-			return fail(err)
-		}
-	}
-	sf.size = pos
-	return sf, capacity, sst, nil
-}
-
-// resyncRecord returns the first offset at or past pos where a whole
-// container record starts: its header parses, its ID exceeds lastID, and
-// its CRC verifies (a resync point must prove itself — the chain is
-// already broken, so a merely plausible header could be chunk data that
-// happens to contain the magic). It returns the record's offset, or -1,
-// with its on-disk ID, end and data bytes.
-func resyncRecord(f vfs.File, pos, size int64, lastID int) (at int64, id int, end, dataBytes int64, err error) {
-	var hdr [recordHeaderLen]byte
-	var body []byte
-	at, err = reclog.Find(f, pos, size, recordMagic, func(at int64) (bool, error) {
-		if at+recordHeaderLen > size {
-			return false, nil
-		}
-		if _, err := f.ReadAt(hdr[:], at); err != nil {
-			return false, err
-		}
-		var ok bool
-		if id, end, ok = parseRecordHeader(hdr[:], at, size); !ok || id <= lastID {
-			return false, nil
-		}
-		n := end - at - recordHeaderLen
-		if int64(cap(body)) < n {
-			body = make([]byte, n)
-		}
-		body = body[:n]
-		if _, err := f.ReadAt(body, at+recordHeaderLen); err != nil {
-			return false, err
-		}
-		crc := crc32.Update(crc32.ChecksumIEEE(hdr[:]), crc32.IEEETable, body[:n-recordTrailerLen])
-		return crc == binary.LittleEndian.Uint32(body[n-recordTrailerLen:]), nil
+		last = int(r.Kind)
+		sf.offsets = append(sf.offsets, r.Off)
+		sf.heads = append(sf.heads, recordHead{entries: r.A, dataBytes: r.B})
+		sf.dataBytes += int64(r.B)
+		return nil
 	})
-	return at, id, end, int64(binary.LittleEndian.Uint32(hdr[12:])), err
+	if err != nil {
+		return nil, lost, err
+	}
+	sf.log = l
+	// A salvage replay leaves what it skipped on disk, a torn tail
+	// included, so any skipped byte refuses Seal until Repair rewrites.
+	sf.salvaged = sf.salvaged || salvage && st.BytesSkipped > 0
+	lost.BytesSkipped = st.BytesSkipped
+	return sf, lost, nil
 }
 
 // recordPool holds record serialization buffers (*[]byte). A seal or a
@@ -426,41 +297,37 @@ func resyncRecord(f vfs.File, pos, size int64, lastID int) (at int64, id int, en
 // largest record alive.
 var recordPool sync.Pool
 
-// buildRecord serializes c as one container record into a buffer from
+// buildRecord frames c as one container record into a buffer from
 // recordPool; the caller puts it back once the record is written.
-func buildRecord(c *Container) (*[]byte, error) {
-	dataBytes := 0
+func buildRecord(c *Container) (*[]byte, recordHead, error) {
+	h := recordHead{entries: uint32(len(c.Entries))}
 	for _, e := range c.Entries {
 		if len(e.Data) != int(e.Size) {
-			return nil, fmt.Errorf("container: entry %v has %d data bytes, size says %d",
+			return nil, h, fmt.Errorf("container: entry %v has %d data bytes, size says %d",
 				e.FP, len(e.Data), e.Size)
 		}
-		dataBytes += int(e.Size)
+		h.dataBytes += e.Size
 	}
-	n := recordHeaderLen + len(c.Entries)*entryMetaLen + dataBytes + recordTrailerLen
 	bp, _ := recordPool.Get().(*[]byte)
-	if bp == nil || cap(*bp) < n {
-		b := make([]byte, n)
-		bp = &b
+	if bp == nil {
+		bp = new([]byte)
 	}
-	buf := (*bp)[:n]
-	*bp = buf
-	binary.LittleEndian.PutUint32(buf[0:], recordMagic)
-	binary.LittleEndian.PutUint32(buf[4:], uint32(c.ID))
-	binary.LittleEndian.PutUint32(buf[8:], uint32(len(c.Entries)))
-	binary.LittleEndian.PutUint32(buf[12:], uint32(dataBytes))
-	off := recordHeaderLen
-	for _, e := range c.Entries {
-		copy(buf[off:], e.FP[:])
-		binary.LittleEndian.PutUint32(buf[off+fphash.Size:], e.Size)
-		off += entryMetaLen
+	rec, err := shardFormat.Frame(*bp, uint32(c.ID), h.entries, h.dataBytes, func(body []byte) {
+		for _, e := range c.Entries {
+			copy(body, e.FP[:])
+			binary.LittleEndian.PutUint32(body[fphash.Size:], e.Size)
+			body = body[entryMetaLen:]
+		}
+		for _, e := range c.Entries {
+			body = body[copy(body, e.Data):]
+		}
+	})
+	*bp = rec
+	if err != nil {
+		recordPool.Put(bp)
+		return nil, h, err
 	}
-	for _, e := range c.Entries {
-		copy(buf[off:], e.Data)
-		off += len(e.Data)
-	}
-	binary.LittleEndian.PutUint32(buf[off:], crc32.ChecksumIEEE(buf[:off]))
-	return bp, nil
+	return bp, h, nil
 }
 
 // Seal appends the container's record to the shard file and fsyncs;
@@ -472,17 +339,16 @@ func (b *FileBackend) Seal(shard int, c *Container) error {
 	if err := sf.checkSeal(shard, c); err != nil {
 		return err
 	}
-	bp, err := buildRecord(c)
+	bp, h, err := buildRecord(c)
 	if err != nil {
 		return err
 	}
-	n := int64(len(*bp))
-	err = sf.appendRecord(c, *bp)
+	off, err := sf.appendRecord(*bp)
 	recordPool.Put(bp)
 	if err != nil {
 		return err
 	}
-	return sf.settle(c, n, sf.f.Sync())
+	return sf.settle(c, off, h, sf.log.Sync())
 }
 
 // errSealSkipped is SealAll's error for a shard it did not write because
@@ -520,7 +386,8 @@ func (b *FileBackend) SealAll(cs []*Container) []error {
 	defer builders.Wait()
 	built := buildRecords(cs, todo, &builders)
 	syncs := make([]*vfs.PendingSync, len(cs))
-	lens := make([]int64, len(cs))
+	offs := make([]int64, len(cs))
+	heads := make([]recordHead, len(cs))
 	stopped := false
 	for k, i := range todo {
 		r := <-built[k]
@@ -533,8 +400,8 @@ func (b *FileBackend) SealAll(cs []*Container) []error {
 		default:
 			errs[i] = sf.checkSeal(i, c)
 			if errs[i] == nil {
-				lens[i] = int64(len(*r.buf))
-				errs[i] = sf.appendRecord(c, *r.buf)
+				heads[i] = r.head
+				offs[i], errs[i] = sf.appendRecord(*r.buf)
 			}
 		}
 		if r.buf != nil {
@@ -544,12 +411,12 @@ func (b *FileBackend) SealAll(cs []*Container) []error {
 			stopped = true
 			continue
 		}
-		syncs[i] = vfs.StartSync(b.fsys, sf.f)
+		syncs[i] = sf.log.StartSync()
 		stopped = syncs[i].Failed()
 	}
 	for _, i := range todo {
 		if syncs[i] != nil {
-			errs[i] = b.shards[i].settle(cs[i], lens[i], syncs[i].Wait())
+			errs[i] = b.shards[i].settle(cs[i], offs[i], heads[i], syncs[i].Wait())
 		}
 	}
 	return errs
@@ -557,8 +424,9 @@ func (b *FileBackend) SealAll(cs []*Container) []error {
 
 // builtRecord is one record serialized by buildRecords.
 type builtRecord struct {
-	buf *[]byte // from recordPool; nil on error
-	err error
+	buf  *[]byte // from recordPool
+	head recordHead
+	err  error
 }
 
 // buildRecords serializes cs[todo[k]] into out[k] for every k, on up to
@@ -575,8 +443,8 @@ func buildRecords(cs []*Container, todo []int, wg *sync.WaitGroup) []chan builtR
 		go func() {
 			defer wg.Done()
 			for k := int(next.Add(1) - 1); k < len(todo); k = int(next.Add(1) - 1) {
-				buf, err := buildRecord(cs[todo[k]])
-				out[k] <- builtRecord{buf: buf, err: err}
+				buf, head, err := buildRecord(cs[todo[k]])
+				out[k] <- builtRecord{buf: buf, head: head, err: err}
 			}
 		}()
 	}
@@ -595,76 +463,54 @@ func (sf *shardFile) checkSeal(shard int, c *Container) error {
 	return nil
 }
 
-// appendRecord writes c's record at the end of the shard file,
-// discarding whatever a failed write left behind. The caller holds
-// sf.mu.
-func (sf *shardFile) appendRecord(c *Container, rec []byte) error {
-	if _, err := sf.f.WriteAt(rec, sf.size); err != nil {
-		sf.discardTail()
-		return fmt.Errorf("container: append container %d: %w", c.ID, err)
+// appendRecord writes a record at the end of the shard file and returns
+// its offset, discarding whatever a failed write left behind. The caller
+// holds sf.mu.
+func (sf *shardFile) appendRecord(rec []byte) (int64, error) {
+	off, err := sf.log.AppendFramed(rec)
+	if err != nil {
+		sf.log.Truncate(off)
 	}
-	return nil
+	return off, err
 }
 
-// settle finishes the seal of c, whose n-byte record was appended, with
+// settle finishes the seal of c, whose record was appended at off, with
 // the result of its fsync: on success the record joins the shard's
-// index; on failure the tail is discarded. The caller holds sf.mu.
-func (sf *shardFile) settle(c *Container, n int64, syncErr error) error {
+// index; on failure the tail is discarded, so a later successful Seal
+// does not bury it mid-file. The caller holds sf.mu.
+func (sf *shardFile) settle(c *Container, off int64, h recordHead, syncErr error) error {
 	if syncErr != nil {
-		sf.discardTail()
+		sf.log.Truncate(off)
 		return fmt.Errorf("container: sync container %d: %w", c.ID, syncErr)
 	}
-	sf.offsets = append(sf.offsets, sf.size)
-	sf.size += n
-	sf.dataBytes += int64(c.Bytes)
+	sf.offsets = append(sf.offsets, off)
+	sf.heads = append(sf.heads, h)
+	sf.dataBytes += int64(h.dataBytes)
 	return nil
 }
 
-// discardTail removes whatever a failed append left past the last good
-// record, so a later successful Seal does not bury garbage mid-file
-// (which Open would then reject as structural corruption instead of
-// recovering as a torn tail). Best-effort: if the truncate fails too,
-// Open's tail recovery still handles the case where nothing was
-// appended afterwards.
-func (sf *shardFile) discardTail() {
-	if sf.f.Truncate(sf.size) == nil {
-		_ = sf.f.Sync()
-	}
-}
-
-// readRecord reads and validates the record at offset, returning the
-// container. With withData false the data region is skipped and the CRC
-// (which covers it) is not verified. id is the container's logical ID:
-// equal to the on-disk ID for a normally opened shard, the dense renumber
-// for a salvaged one.
-func (sf *shardFile) readRecord(shard, id int, offset int64, withData bool) (*Container, error) {
-	var hdr [recordHeaderLen]byte
-	if _, err := sf.f.ReadAt(hdr[:], offset); err != nil {
-		return nil, fmt.Errorf("container: read record header: %w", err)
-	}
-	if m := binary.LittleEndian.Uint32(hdr[0:]); m != recordMagic {
-		return nil, fmt.Errorf("%w: bad record magic %#x", ErrCorrupt, m)
-	}
-	entries := int(binary.LittleEndian.Uint32(hdr[8:]))
-	dataBytes := int(binary.LittleEndian.Uint32(hdr[12:]))
-	metaLen := entries * entryMetaLen
-	bodyLen := metaLen + dataBytes + recordTrailerLen
-	if !withData {
-		bodyLen = metaLen
-	}
-	body := make([]byte, bodyLen)
-	if _, err := sf.f.ReadAt(body, offset+recordHeaderLen); err != nil {
-		return nil, fmt.Errorf("container: read record body: %w", err)
-	}
+// readRecord reads container id's record. With withData it reads the
+// whole record and verifies its CRC; without, only its index header of
+// fingerprints and sizes, which no CRC covers alone. id is the
+// container's logical ID: equal to the on-disk ID for a normally opened
+// shard, the dense renumber for a salvaged one.
+func (sf *shardFile) readRecord(shard, id int, withData bool) (*Container, error) {
+	off, h := sf.offsets[id], sf.heads[id]
+	metaLen := int(h.entries) * entryMetaLen
+	var body []byte
 	if withData {
-		stored := binary.LittleEndian.Uint32(body[metaLen+dataBytes:])
-		crc := crc32.ChecksumIEEE(hdr[:])
-		crc = crc32.Update(crc, crc32.IEEETable, body[:metaLen+dataBytes])
-		if crc != stored {
-			return nil, fmt.Errorf("%w: container %d checksum mismatch (shard %d)", ErrCorrupt, id, shard)
+		var buf []byte
+		var err error
+		if body, err = sf.log.ReadRecord(off, h.bodyLen(), &buf); err != nil {
+			return nil, fmt.Errorf("container %d (shard %d): %w", id, shard, err)
+		}
+	} else {
+		body = make([]byte, metaLen)
+		if _, err := sf.log.ReadAt(body, off+reclog.RecHeaderLen); err != nil {
+			return nil, fmt.Errorf("container: read record index: %w", err)
 		}
 	}
-	c := &Container{ID: id, Entries: make([]Entry, entries)}
+	c := &Container{ID: id, Entries: make([]Entry, h.entries)}
 	data := body[metaLen:]
 	dataOff := 0
 	for i := range c.Entries {
@@ -673,7 +519,7 @@ func (sf *shardFile) readRecord(shard, id int, offset int64, withData bool) (*Co
 		size := binary.LittleEndian.Uint32(body[i*entryMetaLen+fphash.Size:])
 		e := Entry{FP: fp, Size: size}
 		if withData {
-			if dataOff+int(size) > dataBytes {
+			if dataOff+int(size) > len(data) {
 				return nil, fmt.Errorf("%w: container %d entry sizes exceed data region", ErrCorrupt, id)
 			}
 			e.Data = data[dataOff : dataOff+int(size) : dataOff+int(size)]
@@ -682,8 +528,8 @@ func (sf *shardFile) readRecord(shard, id int, offset int64, withData bool) (*Co
 		c.Bytes += int(size)
 		c.Entries[i] = e
 	}
-	if withData && dataOff != dataBytes {
-		return nil, fmt.Errorf("%w: container %d entry sizes sum to %d, data region is %d", ErrCorrupt, id, dataOff, dataBytes)
+	if withData && dataOff != len(data) {
+		return nil, fmt.Errorf("%w: container %d entry sizes sum to %d, data region is %d", ErrCorrupt, id, dataOff, len(data))
 	}
 	return c, nil
 }
@@ -696,7 +542,7 @@ func (b *FileBackend) Load(shard, id int) (*Container, error) {
 	if id < 0 || id >= len(sf.offsets) {
 		return nil, ErrNotFound
 	}
-	return sf.readRecord(shard, id, sf.offsets[id], true)
+	return sf.readRecord(shard, id, true)
 }
 
 // Scan visits the shard's sealed containers in ID order. With withData
@@ -707,8 +553,8 @@ func (b *FileBackend) Scan(shard int, withData bool, fn func(*Container) error) 
 	sf := b.shards[shard]
 	sf.mu.Lock()
 	defer sf.mu.Unlock()
-	for id, off := range sf.offsets {
-		c, err := sf.readRecord(shard, id, off, withData)
+	for id := range sf.offsets {
+		c, err := sf.readRecord(shard, id, withData)
 		if err != nil {
 			return err
 		}
@@ -729,8 +575,8 @@ func (b *FileBackend) ScanTolerant(shard int, fn func(id int, c *Container, err 
 	sf := b.shards[shard]
 	sf.mu.Lock()
 	defer sf.mu.Unlock()
-	for id, off := range sf.offsets {
-		c, err := sf.readRecord(shard, id, off, true)
+	for id := range sf.offsets {
+		c, err := sf.readRecord(shard, id, true)
 		if err != nil {
 			c = nil
 		}
@@ -756,13 +602,8 @@ func (b *FileBackend) Quarantine(shard, id int) (string, error) {
 	if id < 0 || id >= len(sf.offsets) {
 		return "", ErrNotFound
 	}
-	start := sf.offsets[id]
-	end := sf.size
-	if id+1 < len(sf.offsets) {
-		end = sf.offsets[id+1]
-	}
-	raw := make([]byte, end-start)
-	if _, err := sf.f.ReadAt(raw, start); err != nil {
+	raw := make([]byte, reclog.RecHeaderLen+sf.heads[id].bodyLen()+reclog.TrailerLen)
+	if _, err := sf.log.ReadAt(raw, sf.offsets[id]); err != nil {
 		return "", fmt.Errorf("container: quarantine read: %w", err)
 	}
 	qdir := filepath.Join(b.dir, QuarantineDir)
@@ -792,72 +633,45 @@ func (b *FileBackend) Quarantine(shard, id int) (string, error) {
 	return name, nil
 }
 
-// Rewrite atomically replaces the shard's file with one holding cs: the
-// new generation is written to a temporary file, fsynced, and renamed
-// over the old file, so a crash mid-compaction leaves the previous
-// generation intact. Rewriting a salvaged shard produces a clean file and
-// clears its read-only (ErrSalvaged) condition.
+// Rewrite atomically replaces the shard's file with one holding cs
+// (reclog's rewrite: a temporary file, fsynced and renamed over the old
+// one), so a crash mid-compaction leaves the previous generation intact.
+// Rewriting a salvaged shard produces a clean file and clears its
+// read-only (ErrSalvaged) condition.
 func (b *FileBackend) Rewrite(shard int, cs []*Container) error {
 	sf := b.shards[shard]
 	sf.mu.Lock()
 	defer sf.mu.Unlock()
-
-	name := filepath.Join(b.dir, shardFileName(shard))
-	tmpName := name + ".rewrite"
-	tmp, err := b.fsys.OpenFile(tmpName, os.O_RDWR|os.O_CREATE|os.O_TRUNC, 0o644)
+	offsets := make([]int64, 0, len(cs))
+	heads := make([]recordHead, 0, len(cs))
+	var dataBytes int64
+	off := int64(fileHeaderLen)
+	err := sf.log.RewriteFramed(func(put func([]byte) error) error {
+		for i, c := range cs {
+			if c.ID != i {
+				return fmt.Errorf("container: rewrite container ID %d at position %d", c.ID, i)
+			}
+			bp, h, err := buildRecord(c)
+			if err != nil {
+				return err
+			}
+			n := int64(len(*bp))
+			err = put(*bp)
+			recordPool.Put(bp)
+			if err != nil {
+				return err
+			}
+			offsets = append(offsets, off)
+			heads = append(heads, h)
+			off += n
+			dataBytes += int64(h.dataBytes)
+		}
+		return nil
+	})
 	if err != nil {
-		return fmt.Errorf("container: rewrite shard %d: %w", shard, err)
-	}
-	abort := func(err error) error {
-		tmp.Close()
-		b.fsys.Remove(tmpName)
 		return err
 	}
-	hdr := fileHeader(shard, b.containerBytes)
-	if _, err := tmp.Write(hdr[:]); err != nil {
-		return abort(err)
-	}
-	offsets := make([]int64, 0, len(cs))
-	size := int64(fileHeaderLen)
-	var dataBytes int64
-	for i, c := range cs {
-		if c.ID != i {
-			return abort(fmt.Errorf("container: rewrite container ID %d at position %d", c.ID, i))
-		}
-		bp, err := buildRecord(c)
-		if err != nil {
-			return abort(err)
-		}
-		n := int64(len(*bp))
-		_, err = tmp.Write(*bp)
-		recordPool.Put(bp)
-		if err != nil {
-			return abort(err)
-		}
-		offsets = append(offsets, size)
-		size += n
-		for _, e := range c.Entries {
-			dataBytes += int64(e.Size)
-		}
-	}
-	if err := tmp.Sync(); err != nil {
-		return abort(err)
-	}
-	if err := b.fsys.Rename(tmpName, name); err != nil {
-		return abort(err)
-	}
-	// The rename is the commit point: from here the on-disk shard is the
-	// new generation, so the in-memory state must follow unconditionally
-	// — the renamed temp handle is the new shard file; retire the old
-	// one. The directory sync afterwards is best-effort, like every
-	// other directory sync here.
-	sf.f.Close()
-	sf.f = tmp
-	sf.offsets = offsets
-	sf.size = size
-	sf.dataBytes = dataBytes
-	sf.salvaged = false
-	_ = vfs.SyncDir(b.fsys, b.dir)
+	sf.offsets, sf.heads, sf.dataBytes, sf.salvaged = offsets, heads, dataBytes, false
 	return nil
 }
 
@@ -883,7 +697,7 @@ func (b *FileBackend) ScanFrom(shard, from int, withData bool, fn func(*Containe
 		from = 0
 	}
 	for id := from; id < len(sf.offsets); id++ {
-		c, err := sf.readRecord(shard, id, sf.offsets[id], withData)
+		c, err := sf.readRecord(shard, id, withData)
 		if err != nil {
 			return err
 		}
@@ -931,11 +745,11 @@ func (b *FileBackend) Close() error {
 			continue
 		}
 		sf.mu.Lock()
-		if sf.f != nil {
-			if err := sf.f.Close(); err != nil && first == nil {
+		if sf.log != nil {
+			if err := sf.log.Close(); err != nil && first == nil {
 				first = err
 			}
-			sf.f = nil
+			sf.log = nil
 		}
 		sf.mu.Unlock()
 	}

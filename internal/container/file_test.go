@@ -164,6 +164,93 @@ func TestFileBackendTornTailRecovered(t *testing.T) {
 	}
 }
 
+// TestFileBackendSalvageTornTailRefusesSeal: a salvage open leaves a torn
+// tail on disk, so the shard refuses Seal until Repair rewrites it; a
+// seal after the repair then survives an owner reopen. Were the seal
+// allowed, a record shorter than the garbage would leave the garbage's
+// rest after it, and the owner open would fail mid-file.
+func TestFileBackendSalvageTornTailRefusesSeal(t *testing.T) {
+	chunk := func(id uint64) Entry {
+		e := dataEntry(id, 40)
+		e.FP = fphash.FromBytes(e.Data)
+		return e
+	}
+	b, dir := newFileStore(t, 100, 1)
+	s, err := NewWithBackend(100, b, 0, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := uint64(0); i < 6; i++ {
+		mustAppend(t, s, chunk(i)) // 3 containers of 2
+	}
+	if _, err := s.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	b.Close()
+
+	// 200 bytes of garbage: no record parses there, and one 40-byte
+	// entry's record (72 bytes) is shorter.
+	name := filepath.Join(dir, shardFileName(0))
+	f, err := os.OpenFile(name, os.O_WRONLY|os.O_APPEND, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.Write(bytes.Repeat([]byte{0xab}, 200)); err != nil {
+		t.Fatal(err)
+	}
+	f.Close()
+
+	sb, st, err := OpenFileBackendSalvage(vfs.OS, dir)
+	if err != nil {
+		t.Fatalf("salvage open: %v", err)
+	}
+	defer sb.Close()
+	if st.ContainersLost != 0 || st.BytesSkipped != 200 || !sb.Salvaged() {
+		t.Fatalf("salvage open: %+v, Salvaged %v; want 200 bytes skipped and the shard salvaged", st, sb.Salvaged())
+	}
+	ss, err := NewWithBackend(100, sb, 0, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mustAppend(t, ss, chunk(6))
+	if _, err := ss.Flush(); !errors.Is(err, ErrSalvaged) {
+		t.Fatalf("Flush before repair: %v, want ErrSalvaged", err)
+	}
+	rst, err := ss.Repair(nil)
+	if err != nil {
+		t.Fatalf("repair: %v", err)
+	}
+	if rst.ContainersQuarantined != 0 || rst.EntriesLost != 0 || ss.Sealed() != 3 || sb.Salvaged() {
+		t.Fatalf("repair: %+v, %d sealed, Salvaged %v; want 3 containers kept and the shard clean",
+			rst, ss.Sealed(), sb.Salvaged())
+	}
+	if _, err := ss.Flush(); err != nil {
+		t.Fatalf("Flush after repair: %v", err)
+	}
+	sb.Close()
+
+	rb, err := OpenFileBackend(dir)
+	if err != nil {
+		t.Fatalf("owner reopen: %v", err)
+	}
+	defer rb.Close()
+	for id := 0; id < 4; id++ {
+		c, err := rb.Load(0, id)
+		if err != nil {
+			t.Fatalf("Load(%d): %v", id, err)
+		}
+		for i, e := range c.Entries {
+			want := chunk(uint64(2*id + i))
+			if e.FP != want.FP || !bytes.Equal(e.Data, want.Data) {
+				t.Fatalf("container %d entry %d differs from what was sealed", id, i)
+			}
+		}
+	}
+	if _, err := rb.Load(0, 4); !errors.Is(err, ErrNotFound) {
+		t.Fatalf("Load(4): %v, want ErrNotFound", err)
+	}
+}
+
 func TestFileBackendCorruptDataDetected(t *testing.T) {
 	b, dir := newFileStore(t, 100, 1)
 	s, err := NewWithBackend(100, b, 0, nil)

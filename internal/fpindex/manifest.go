@@ -113,7 +113,10 @@ func decodeManifest(data []byte, shard int) (*manifest, error) {
 
 // writeManifest commits the manifest atomically: temp file, fsync,
 // rename, directory sync. Every run the manifest references must already
-// be durable (writeRun fsyncs) before this is called.
+// be durable (writeRun fsyncs) before this is called. The rename is the
+// commit point: an error means the old manifest is still in place, so the
+// directory sync after it is best-effort, as callers delete the new run
+// on an error.
 func writeManifest(fsys vfs.FS, dir string, shard int, m *manifest) error {
 	name := filepath.Join(dir, manifestName(shard))
 	tmpName := name + ".tmp"
@@ -140,7 +143,8 @@ func writeManifest(fsys vfs.FS, dir string, shard int, m *manifest) error {
 		fsys.Remove(tmpName)
 		return fmt.Errorf("fpindex: commit manifest: %w", err)
 	}
-	return vfs.SyncDir(fsys, dir)
+	_ = vfs.SyncDir(fsys, dir)
+	return nil
 }
 
 // readManifest loads one shard's manifest; a missing file returns

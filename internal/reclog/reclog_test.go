@@ -121,7 +121,7 @@ func TestReplayModes(t *testing.T) {
 		{"torn read-only", torn, ReadOnly, "[1/10/one 2/20/two]", Stats{BytesSkipped: int64(len(torn) - ends[1])}, false, torn},
 		{"torn salvage", torn, Salvage, "[1/10/one 2/20/two]", Stats{BytesSkipped: int64(len(torn) - ends[1])}, false, torn},
 		{"damaged length owner", damaged, Owner, "", Stats{}, true, damaged},
-		{"damaged length read-only", damaged, ReadOnly, "[1/10/one]", Stats{BytesSkipped: int64(len(clean) - ends[0])}, false, damaged},
+		{"damaged length read-only", damaged, ReadOnly, "", Stats{}, true, damaged},
 		{"damaged length salvage", damaged, Salvage, "[1/10/one 3/30/three]", Stats{RecordsDropped: 1, BytesSkipped: int64(ends[1] - ends[0])}, false, damaged},
 		{"flipped owner", flipped, Owner, "", Stats{}, true, flipped},
 		{"flipped read-only", flipped, ReadOnly, "", Stats{}, true, flipped},

@@ -11,6 +11,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"freqdedup/internal/faultio"
 	"freqdedup/internal/fphash"
 	"freqdedup/internal/trace"
 	"freqdedup/internal/vfs"
@@ -106,6 +107,25 @@ func TestDatasetRoundTrip(t *testing.T) {
 		if _, err := m.Stat("dir/fileserver.fdt.tmp"); !errors.Is(err, fs.ErrNotExist) {
 			t.Fatalf("temporary file left behind: %v", err)
 		}
+	}
+}
+
+// TestWriteDatasetDirSyncAfterRename: once the rename has replaced the
+// file, WriteDataset has written the dataset, so a failed sync of the
+// directory after it (the second sync of "dir"; the first is the
+// temporary file's creation) is not reported.
+func TestWriteDatasetDirSyncAfterRename(t *testing.T) {
+	m := faultio.NewMemFSPlan(faultio.Plan{Rules: []faultio.Rule{{Op: faultio.OpSync, PathGlob: "dir", Nth: 2}}})
+	want := &trace.Dataset{Backups: []*trace.Backup{{Label: "b", Chunks: testRefs(1, 100)}}}
+	if err := WriteDataset(m, "dir/d.fdt", want); err != nil {
+		t.Fatalf("WriteDataset: %v", err)
+	}
+	got, err := ReadDataset(m, "dir/d.fdt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !sameBackups(got.Backups, want.Backups) {
+		t.Fatal("ReadDataset did not return the backups WriteDataset stored")
 	}
 }
 

@@ -152,7 +152,9 @@ func OpenFS(fsys vfs.FS, path string) (*Log, error) {
 // OpenReadOnlyFS opens a trace log on fsys for replay without taking
 // ownership: the file is opened read-only, an incomplete tail (which may
 // simply be another process's in-flight append, not crash damage) is
-// ignored rather than truncated, and Begin is refused. This is the mode
+// ignored rather than truncated, and Begin is refused. A damaged record
+// with a whole record after it is not an append in flight: it is
+// ErrCorrupt, as for OpenFS. This is the mode
 // for inspection tools (`defend attack -repo`, `-dataset repo:`) pointed
 // at a repository that may still be live. ReadDataset opens a closed
 // log this way and then rejects what a tolerant replay skipped.
@@ -513,7 +515,10 @@ func WriteDataset(fsys vfs.FS, path string, d *trace.Dataset) error {
 		fsys.Remove(tmp)
 		return err
 	}
-	return vfs.SyncDir(fsys, filepath.Dir(path))
+	// The rename replaced the file: report success, and leave the
+	// directory sync best-effort.
+	_ = vfs.SyncDir(fsys, filepath.Dir(path))
+	return nil
 }
 
 func writeBackup(l *Log, b *trace.Backup) error {

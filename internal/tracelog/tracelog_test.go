@@ -577,3 +577,33 @@ func TestTraceLogBytesPinned(t *testing.T) {
 		t.Errorf("trace log (%d B) sha256 %s, pinned %s", len(data), got, want)
 	}
 }
+
+// TestOpenReadOnlyDamagedLength raises the length field of the log's
+// second record past the end of the file. Whole records follow it, so
+// the damage is not an append in flight: a read-only replay must fail
+// with ErrCorrupt, not return the traces before it as the whole log, and
+// must leave the file as it is.
+func TestOpenReadOnlyDamagedLength(t *testing.T) {
+	path := logPath(t)
+	writeTraces(t, path, 64, 100, 100, 100)
+	full, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	second := logHeaderLen + recHeaderLen + int(binary.LittleEndian.Uint32(full[logHeaderLen+12:])) + recTrailerLen
+	mut := append([]byte(nil), full...)
+	mut[second+14] ^= 0x01 // payload length + 64 KiB: past the end of the file
+	if err := os.WriteFile(path, mut, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if l, err := OpenReadOnlyFS(vfs.OS, path); !errors.Is(err, ErrCorrupt) {
+		if err == nil {
+			t.Errorf("replayed %d traces", len(l.Backups()))
+			l.Close()
+		}
+		t.Fatalf("OpenReadOnlyFS of a log with a damaged length = %v, want ErrCorrupt", err)
+	}
+	if got, err := os.ReadFile(path); err != nil || !bytes.Equal(got, mut) {
+		t.Fatalf("the read-only open changed the file: %d bytes, want %d (%v)", len(got), len(mut), err)
+	}
+}

@@ -22,9 +22,11 @@
 package vfs
 
 import (
+	"errors"
 	"io"
 	"os"
 	"path/filepath"
+	"syscall"
 )
 
 // File is one open file. The storage stack reads and writes at explicit
@@ -98,17 +100,26 @@ func (osFS) Glob(pattern string) ([]string, error)        { return filepath.Glob
 func (osFS) MkdirAll(path string, perm os.FileMode) error { return os.MkdirAll(path, perm) }
 
 // SyncDir fsyncs a directory so renames and file creations within it are
-// durable. Directory fsync is best-effort on the OS filesystem — some
-// filesystems reject it — so only the open is reported; fault-injecting
-// filesystems count the sync as an operation regardless.
+// durable. A filesystem that does not support syncing a directory
+// (EINVAL, ENOTSUP) gives nothing to wait for, and that is not an error;
+// any other failure is.
 func SyncDir(fsys FS, dir string) error {
 	d, err := fsys.Open(dir)
 	if err != nil {
 		return err
 	}
-	defer d.Close()
-	_ = d.Sync()
-	return nil
+	err = d.Sync()
+	d.Close()
+	if unsupported(err) {
+		return nil
+	}
+	return err
+}
+
+// unsupported reports whether err is a platform's refusal to sync a
+// directory at all.
+func unsupported(err error) bool {
+	return errors.Is(err, syscall.EINVAL) || errors.Is(err, syscall.ENOTSUP)
 }
 
 // SyncOrderer is implemented by a filesystem whose syncs StartSync must
