@@ -187,8 +187,9 @@ func fslPair(b *testing.B) (aux, target *trace.Backup) {
 	return d.Backups[len(d.Backups)-2], d.Backups[len(d.Backups)-1]
 }
 
-// benchStreamAttack times one attack on the FSL trace pair at the
-// engine's default parallelism.
+// benchStreamAttack times one attack on the FSL trace pair and reports
+// the cores it kept busy: above 1 is the ciphertext and plaintext
+// streams counted concurrently.
 func benchStreamAttack(b *testing.B, a attack.Attack) {
 	b.Helper()
 	aux, target := fslPair(b)
@@ -196,11 +197,13 @@ func benchStreamAttack(b *testing.B, a attack.Attack) {
 	c, m := attack.BackupSource(enc.Backup), attack.BackupSource(aux)
 	b.ResetTimer()
 	b.ReportAllocs()
+	cpu0 := processCPUSeconds()
 	for i := 0; i < b.N; i++ {
 		if _, err := a.Run(c, m, attack.Params{}); err != nil {
 			b.Fatal(err)
 		}
 	}
+	b.ReportMetric((processCPUSeconds()-cpu0)/b.Elapsed().Seconds(), "cores")
 }
 
 func BenchmarkBasicAttackStreamFSL(b *testing.B) {

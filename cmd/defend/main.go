@@ -234,8 +234,6 @@ func runAttackCmd(args []string) {
 	u := fs.Int("u", 1, "seed pairs from frequency analysis (parameter u)")
 	v := fs.Int("v", 15, "pairs per neighbor analysis (parameter v)")
 	w := fs.Int("w", 200000, "inferred-set bound (parameter w, 0 = unbounded)")
-	shards := fs.Int("shards", 0, "attack-engine table shards (0 = default)")
-	workers := fs.Int("workers", 0, "attack-engine counting workers (0 = GOMAXPROCS)")
 	fs.Parse(args)
 	if (*repoPath == "") == (*tracePath == "") ||
 		(*only != "all" && *only != "basic" && *only != "locality" && *only != "advanced") {
@@ -262,7 +260,6 @@ func runAttackCmd(args []string) {
 		fatal(fmt.Errorf("backup trace index out of range (%s has %d traces)", d.Name, len(d.Backups)))
 	}
 	aux, target := d.Backups[*auxIdx], d.Backups[*targetIdx]
-	params := attack.Params{Shards: *shards, Workers: *workers}
 
 	if *repoPath != "" {
 		fmt.Printf("repository %s: %d backup traces replayed (%s view)\n", *repoPath, len(d.Backups), *view)
@@ -313,7 +310,7 @@ func runAttackCmd(args []string) {
 					runAtk = attack.Suite(runCfg)[si]
 				}
 				start := time.Now()
-				res, err := runAtk.Run(attack.BackupSource(encs[i].Backup), attack.BackupSource(aux), params)
+				res, err := runAtk.Run(attack.BackupSource(encs[i].Backup), attack.BackupSource(aux), attack.Params{})
 				wall := time.Since(start)
 				if err != nil {
 					fatal(err)

@@ -228,7 +228,8 @@ type (
 	// Attack is one pluggable inference attack (basic / locality /
 	// advanced x ciphertext-only / known-plaintext).
 	Attack = attack.Attack
-	// AttackParams sets the engine's table sharding and counting fan-out.
+	// AttackParams is Attack.Run's settings argument; it has no fields
+	// (pass AttackParams{}).
 	AttackParams = attack.Params
 	// AttackResult is one attack run's inferred pairs, stats, and
 	// inference-rate denominator.

@@ -3,7 +3,6 @@ package attack
 import (
 	"fmt"
 	"math/rand"
-	"runtime"
 	"slices"
 
 	"freqdedup/internal/fphash"
@@ -81,49 +80,11 @@ func DefaultConfig() Config {
 	return Config{U: 1, V: 15, W: 200000, Mode: CiphertextOnly}
 }
 
-// Params sets the engine's parallelism: how many fingerprint-prefix
-// shards the counting passes are partitioned into and how many
-// goroutines count them. Shards partition the counting only; the
-// neighbour rows and the walk are one table per stream, and resident
-// memory is the unique chunks plus the distinct adjacent pairs at every
-// setting. Attack results are bit-identical at every setting — sharding
-// and fan-out change wall-clock time only.
-type Params struct {
-	// Shards is the fingerprint-prefix shard count in [1, 256]
-	// (DefaultShards if zero).
-	Shards int
-	// Workers is the counting fan-out (GOMAXPROCS if zero, capped at
-	// Shards; 1 counts inline with no goroutines).
-	Workers int
-}
-
-// DefaultShards caps the table shard count chosen when Params.Shards is
-// zero — the same default partitioning as the dedup store.
-const DefaultShards = 16
-
-func (p Params) withDefaults() (Params, error) {
-	if p.Workers < 0 {
-		return p, fmt.Errorf("attack: negative worker count %d", p.Workers)
-	}
-	if p.Workers == 0 {
-		p.Workers = runtime.GOMAXPROCS(0)
-	}
-	if p.Shards == 0 {
-		// Sharding exists to give counting workers disjoint ownership;
-		// shards beyond a small multiple of the workers only cost table
-		// memory (and map-allocation overhead on serial runs), so the
-		// default scales with the fan-out. Results are identical at
-		// every setting, so the choice is purely a performance default.
-		p.Shards = 2 * p.Workers
-		if p.Shards > DefaultShards {
-			p.Shards = DefaultShards
-		}
-	}
-	if p.Shards < 1 || p.Shards > 256 {
-		return p, fmt.Errorf("attack: shard count %d out of range [1, 256]", p.Shards)
-	}
-	return p, nil
-}
+// Params is the engine's settings, of which it has none: each stream is
+// counted in one serial read per pass, and the two streams of a run
+// concurrently. Run keeps the argument so existing callers need not
+// change.
+type Params struct{}
 
 // Stats reports the internals of one attack run — the quantities behind
 // the paper's Section 5.2 cost discussion.
@@ -180,7 +141,7 @@ type Attack interface {
 	// Name identifies the attack ("basic", "locality", "advanced").
 	Name() string
 	// Run consumes both streams (each once per counting pass) and returns
-	// the inferred pairs. Results are independent of p's parallelism.
+	// the inferred pairs.
 	Run(c, m ChunkSource, p Params) (Result, error)
 }
 
@@ -216,20 +177,18 @@ type basicAttack struct{ cfg Config }
 
 func (a basicAttack) Name() string { return "basic" }
 
-func (a basicAttack) Run(c, m ChunkSource, p Params) (Result, error) {
-	p, err := p.withDefaults()
+func (a basicAttack) Run(c, m ChunkSource, _ Params) (Result, error) {
+	tc, tm, err := buildTablePair(c, m, nil)
 	if err != nil {
 		return Result{}, err
 	}
-	tc, tm, err := buildTablePair(c, m, p, nil)
-	if err != nil {
-		return Result{}, err
-	}
-	pairs := freqAnalysis(tc.flatAll(), tm.flatAll(), 0, a.cfg.SizeAware, false)
+	// Nothing reads the tables after this, so the arenas are ranked in
+	// place.
+	pairs := freqAnalysis(tc.ents, tm.ents, 0, a.cfg.SizeAware, false)
 	return Result{
 		Pairs:        pairs,
 		Stats:        Stats{Inferred: len(pairs)},
-		UniqueTarget: tc.unique(),
+		UniqueTarget: len(tc.ents),
 	}, nil
 }
 
@@ -242,16 +201,12 @@ func (a localityAttack) Name() string {
 	return "locality"
 }
 
-func (a localityAttack) Run(c, m ChunkSource, p Params) (Result, error) {
-	p, err := p.withDefaults()
-	if err != nil {
-		return Result{}, err
-	}
+func (a localityAttack) Run(c, m ChunkSource, _ Params) (Result, error) {
 	cfg := a.cfg
 	if cfg.Mode == 0 {
 		cfg.Mode = CiphertextOnly
 	}
-	tc, tm, err := buildTablePair(c, m, p, &rowOrder{sizeAware: cfg.SizeAware, posTies: !cfg.ArbitraryTies})
+	tc, tm, err := buildTablePair(c, m, &rowOrder{sizeAware: cfg.SizeAware, posTies: !cfg.ArbitraryTies})
 	if err != nil {
 		return Result{}, err
 	}
@@ -262,17 +217,17 @@ func (a localityAttack) Run(c, m ChunkSource, p Params) (Result, error) {
 	switch cfg.Mode {
 	case KnownPlaintext:
 		for _, pr := range cfg.Leaked {
-			ci, okc := tc.id(pr.C)
-			mi, okm := tm.id(pr.M)
+			ci, okc := tc.idx[pr.C]
+			mi, okm := tm.idx[pr.M]
 			if okc && okm {
 				g = append(g, idPair{ci, mi})
 			}
 		}
 	default:
-		for _, pr := range freqAnalysis(tc.flatAll(), tm.flatAll(), cfg.U, cfg.SizeAware, false) {
-			ci, _ := tc.id(pr.C)
-			mi, _ := tm.id(pr.M)
-			g = append(g, idPair{ci, mi})
+		// freqAnalysis ranks in place, so it gets copies: the arenas'
+		// order is the dense ids.
+		for _, pr := range freqAnalysis(slices.Clone(tc.ents), slices.Clone(tm.ents), cfg.U, cfg.SizeAware, false) {
+			g = append(g, idPair{tc.idx[pr.C], tm.idx[pr.M]})
 		}
 	}
 
@@ -322,7 +277,7 @@ func (a localityAttack) Run(c, m ChunkSource, p Params) (Result, error) {
 		}
 	}
 	slices.SortFunc(out, func(a, b Pair) int { return a.C.Compare(b.C) })
-	return Result{Pairs: out, Stats: stats, UniqueTarget: tc.unique()}, nil
+	return Result{Pairs: out, Stats: stats, UniqueTarget: len(tc.ents)}, nil
 }
 
 // idPair is a ciphertext-plaintext pair of dense chunk ids.

@@ -119,11 +119,11 @@ func TestBasicAttackWeakOnPaperExample(t *testing.T) {
 }
 
 // TestBasicAttackPairsUnique: rank-for-rank matching pairs each chunk at
-// most once and stops at min(|F_C|, |F_M|), on sharded streams with many
+// most once and stops at min(|F_C|, |F_M|), on streams with many
 // frequency ties.
 func TestBasicAttackPairsUnique(t *testing.T) {
 	ds := testStreams(t)
-	res := mustRun(t, NewBasic(Config{}), ds.c, ds.m, Params{Shards: 4, Workers: 2})
+	res := mustRun(t, NewBasic(Config{}), ds.c, ds.m, Params{})
 	seenC := make(map[fphash.Fingerprint]bool)
 	seenM := make(map[fphash.Fingerprint]bool)
 	for _, p := range res.Pairs {
@@ -399,11 +399,9 @@ func (r *erroringReader) Close() error { return nil }
 
 func TestSourceErrorPropagates(t *testing.T) {
 	_, m, _ := paperExample()
-	for _, workers := range []int{1, 4} {
-		_, err := NewLocality(DefaultConfig()).Run(erroringSource{}, BackupSource(m), Params{Shards: 4, Workers: workers})
-		if !errors.Is(err, errBoom) {
-			t.Fatalf("workers=%d: err = %v, want errBoom", workers, err)
-		}
+	_, err := NewLocality(DefaultConfig()).Run(erroringSource{}, BackupSource(m), Params{})
+	if !errors.Is(err, errBoom) {
+		t.Fatalf("err = %v, want errBoom", err)
 	}
 }
 
@@ -425,17 +423,15 @@ func (s replaySource) Open() (ChunkReader, error) {
 // instead of indexing the rows with it.
 func TestReplayMismatchFails(t *testing.T) {
 	_, m, _ := paperExample()
-	for _, workers := range []int{1, 4} {
-		opens := 0
-		_, err := NewLocality(DefaultConfig()).Run(replaySource{&opens}, BackupSource(m), Params{Shards: 4, Workers: workers})
-		if !errors.Is(err, errReplay) {
-			t.Fatalf("workers=%d: err = %v, want errReplay", workers, err)
-		}
+	opens := 0
+	_, err := NewLocality(DefaultConfig()).Run(replaySource{&opens}, BackupSource(m), Params{})
+	if !errors.Is(err, errReplay) {
+		t.Fatalf("err = %v, want errReplay", err)
 	}
 }
 
 // shortReadSource wraps a slice source but returns at most k refs per
-// Read, exercising the scan's batch-fill loop across read boundaries.
+// Read, exercising the scan across read boundaries.
 type shortReadSource struct {
 	refs []trace.ChunkRef
 	k    int
@@ -473,7 +469,7 @@ func TestShortReadsEquivalent(t *testing.T) {
 		res, err := NewLocality(Config{U: 1, V: 1}).Run(
 			shortReadSource{refs: c.Chunks, k: k},
 			shortReadSource{refs: m.Chunks, k: k},
-			Params{Shards: 4, Workers: 2},
+			Params{},
 		)
 		if err != nil {
 			t.Fatal(err)
@@ -497,29 +493,6 @@ func pairsEqual(a, b []Pair) bool {
 		}
 	}
 	return true
-}
-
-// TestShardWorkerInvariance pins the engine's central determinism claim:
-// identical pairs, stats, and unique counts at every shard and worker
-// combination.
-func TestShardWorkerInvariance(t *testing.T) {
-	ds := testStreams(t)
-	cfg := Config{U: 2, V: 5, W: 500, SizeAware: true}
-	base := mustRun(t, NewLocality(cfg), ds.c, ds.m, Params{Shards: 1, Workers: 1})
-	for _, shards := range []int{1, 3, 16, 64} {
-		for _, workers := range []int{1, 2, 8} {
-			res := mustRun(t, NewLocality(cfg), ds.c, ds.m, Params{Shards: shards, Workers: workers})
-			if !pairsEqual(res.Pairs, base.Pairs) {
-				t.Fatalf("shards=%d workers=%d: pairs differ", shards, workers)
-			}
-			if res.Stats != base.Stats {
-				t.Fatalf("shards=%d workers=%d: stats %+v != %+v", shards, workers, res.Stats, base.Stats)
-			}
-			if res.UniqueTarget != base.UniqueTarget {
-				t.Fatalf("shards=%d workers=%d: unique %d != %d", shards, workers, res.UniqueTarget, base.UniqueTarget)
-			}
-		}
-	}
 }
 
 type streams struct{ c, m *trace.Backup }
@@ -557,7 +530,7 @@ func TestConcurrentRuns(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			res, err := a.Run(BackupSource(ds.c), BackupSource(ds.m), Params{Shards: 8, Workers: 2})
+			res, err := a.Run(BackupSource(ds.c), BackupSource(ds.m), Params{})
 			if err != nil {
 				t.Error(err)
 				return
@@ -568,16 +541,6 @@ func TestConcurrentRuns(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-}
-
-func TestParamsValidation(t *testing.T) {
-	c, m, _ := paperExample()
-	if _, err := NewBasic(Config{}).Run(BackupSource(c), BackupSource(m), Params{Shards: 300}); err == nil {
-		t.Fatal("shards=300 must be rejected")
-	}
-	if _, err := NewBasic(Config{}).Run(BackupSource(c), BackupSource(m), Params{Workers: -1}); err == nil {
-		t.Fatal("workers=-1 must be rejected")
-	}
 }
 
 func TestSuite(t *testing.T) {

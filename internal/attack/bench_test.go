@@ -1,7 +1,6 @@
 package attack
 
 import (
-	"fmt"
 	"sync"
 	"testing"
 
@@ -29,35 +28,23 @@ func benchStreams() (c, m *trace.Backup) {
 	return benchC, benchM
 }
 
-// BenchmarkAttackStreaming measures the sharded two-pass counting core
-// and the ranked neighbour rows built from it — the throughput floor of
-// every locality attack — at increasing shard counts,
-// with the worker fan-out matched to the shards (capped by GOMAXPROCS
-// there is still one broadcast per batch, so single-core runs expose the
-// sharding overhead rather than hiding it). bytes/op is the logical
-// trace volume counted per run.
+// BenchmarkAttackStreaming measures the two-pass counting core and the
+// ranked neighbour rows built from it — the throughput floor of every
+// locality attack, with the ciphertext and plaintext streams counted
+// concurrently. bytes/op is the logical trace volume counted per run.
 func BenchmarkAttackStreaming(b *testing.B) {
 	c, m := benchStreams()
-	logical := int64(c.LogicalSize() + m.LogicalSize())
-	for _, shards := range []int{1, 4, 16} {
-		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
-			p, err := Params{Shards: shards, Workers: shards}.withDefaults()
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.SetBytes(logical)
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, _, err := buildTablePair(BackupSource(c), BackupSource(m), p, &rowOrder{posTies: true}); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
+	b.SetBytes(int64(c.LogicalSize() + m.LogicalSize()))
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, _, err := buildTablePair(BackupSource(c), BackupSource(m), &rowOrder{posTies: true}); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 
 // BenchmarkAttackStreamingLocality times the full streaming locality
-// attack (counting + walk) at the default engine parallelism.
+// attack (counting + walk).
 func BenchmarkAttackStreamingLocality(b *testing.B) {
 	c, m := benchStreams()
 	b.SetBytes(int64(c.LogicalSize() + m.LogicalSize()))

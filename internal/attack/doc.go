@@ -12,28 +12,23 @@
 // # Streaming two-pass architecture
 //
 // Each attack run counts its two streams (target ciphertext C, auxiliary
-// plaintext M) with sharded, parallel, two-pass counters:
+// plaintext M) concurrently, one goroutine per stream; each stream is
+// counted by two serial reads:
 //
-//	pass 1 (frequencies)  F_X: per-shard flat []freqEntry arenas, one
-//	                      entry per unique chunk (count, first position,
-//	                      size), fingerprint-prefix sharded exactly like
-//	                      dedup.Store (fphash.Fingerprint.Shard). The
-//	                      arenas concatenated in shard order give every
-//	                      unique chunk a dense int32 id.
+//	pass 1 (frequencies)  F_X: one flat []freqEntry arena, one entry per
+//	                      unique chunk (count, first position, size) in
+//	                      first-occurrence order, plus a fingerprint map
+//	                      into it. An entry's arena index is the chunk's
+//	                      dense int32 id.
 //	pass 2 (pairs)        only for the locality attacks: every distinct
 //	                      adjacent pair (left, cur) of ids, counted once
-//	                      on cur's shard. L_X[cur][left] and
+//	                      in one pair table. L_X[cur][left] and
 //	                      R_X[left][cur] are the same event, so one
 //	                      count (and first position) serves both rows.
 //
-// A scan goroutine reads the source in 4096-ref batches and broadcasts
-// each batch to Params.Workers counting goroutines; every worker
-// processes only the shards it owns, so counting is lock-free and each
-// shard observes the stream strictly in order (first-occurrence positions
-// and first-wins sizes match a serial count exactly). Shards partition
-// the counting only. The stream itself is never materialized: resident
-// memory is the unique chunks plus the distinct adjacent pairs, plus a
-// few in-flight batches, regardless of stream length.
+// Each pass reads the source in 4096-ref batches. The stream itself is
+// never materialized: resident memory is the unique chunks plus the
+// distinct adjacent pairs, plus one batch, regardless of stream length.
 //
 // After pass 2 the pairs are bucketed into two compressed sparse row
 // arrays, L and R, indexed by id, and every row is sorted once in the
@@ -46,16 +41,15 @@
 // with no hashing or sorting (the advanced attack pairs per size class,
 // a scan of the rows' class runs).
 //
-// Results are bit-identical at every shard and worker count because
-// every ranking uses a total order (count, then first position where
-// position ties are enabled, then fingerprint) — the ranked order is
-// independent of arena concatenation order and of the dense ids. The
-// golden-equivalence suite (golden_test.go) holds this engine, at three
-// shard/worker settings, to recorded outputs — pair count, pair-list
-// hash, stats, and the counts behind the inference rate — on the FSL, VM,
-// and synthetic generator traces: the materialized-slice reference
-// engine's for all three attacks in both modes, and the map-row engine's
-// for the locality attacks with 2 % of the target leaked.
+// Every ranking uses a total order (count, then first position where
+// position ties are enabled, then fingerprint), so the ranked order is
+// independent of the arena order and of the dense ids. The
+// golden-equivalence suite (golden_test.go) holds this engine to recorded
+// outputs — pair count, pair-list hash, stats, and the counts behind the
+// inference rate — on the FSL, VM, and synthetic generator traces: the
+// materialized-slice reference engine's for all three attacks in both
+// modes, and the map-row engine's for the locality attacks with 2 % of
+// the target leaked.
 // reference_test.go holds the walk to a fingerprint-keyed map reference
 // of Algorithms 2-3 on random streams and under fuzzing.
 package attack

@@ -1,9 +1,9 @@
 package attack_test
 
-// The golden-equivalence suite: the streaming sharded engine must
-// reproduce, bit for bit, what the materialized-slice reference engine it
-// replaced produced on the FSL, VM, and synthetic generator traces, for
-// all three attacks in both modes, at every shard/worker combination.
+// The golden-equivalence suite: the streaming engine must reproduce, bit
+// for bit, what the materialized-slice reference engine it replaced
+// produced on the FSL, VM, and synthetic generator traces, for all three
+// attacks in both modes.
 // This is the contract that lets the rest of the system run on the
 // streaming engine without re-validating a single figure.
 //
@@ -125,10 +125,10 @@ var goldenKPTable = []struct {
 // goldenTies is the reference output of TestGoldenEquivalenceArbitraryTies.
 var goldenTies = goldenOut{394, "5afafea1d93c274b4155ed1f264dfd7ec95bc35ed66936e56e88386bf48a0204", attack.Stats{Seeds: 1, Iterations: 394, PeakQueue: 4, Inferred: 394}, 0, 806}
 
-// checkGolden runs a at p and holds its output to the recorded want.
-func checkGolden(t *testing.T, name string, a attack.Attack, enc defense.Encrypted, aux *trace.Backup, p attack.Params, want goldenOut) {
+// checkGolden runs a and holds its output to the recorded want.
+func checkGolden(t *testing.T, name string, a attack.Attack, enc defense.Encrypted, aux *trace.Backup, want goldenOut) {
 	t.Helper()
-	res, err := a.Run(attack.BackupSource(enc.Backup), attack.BackupSource(aux), p)
+	res, err := a.Run(attack.BackupSource(enc.Backup), attack.BackupSource(aux), attack.Params{})
 	if err != nil {
 		t.Fatalf("%s: %v", name, err)
 	}
@@ -141,11 +141,6 @@ func checkGolden(t *testing.T, name string, a attack.Attack, enc defense.Encrypt
 }
 
 func TestGoldenEquivalence(t *testing.T) {
-	params := []attack.Params{
-		{Shards: 1, Workers: 1},
-		{Shards: 4, Workers: 2},
-		{Shards: 16, Workers: 8},
-	}
 	for _, d := range goldenDatasets() {
 		d := d
 		t.Run(d.Name, func(t *testing.T) {
@@ -177,10 +172,7 @@ func TestGoldenEquivalence(t *testing.T) {
 				if atk == nil {
 					t.Fatalf("no attack named %q", row.attack)
 				}
-				for _, p := range params {
-					name := fmt.Sprintf("%s/%s/shards=%d,workers=%d", row.attack, row.mode, p.Shards, p.Workers)
-					checkGolden(t, name, atk, enc, aux, p, row.want)
-				}
+				checkGolden(t, fmt.Sprintf("%s/%s", row.attack, row.mode), atk, enc, aux, row.want)
 			}
 			if rows != 6 {
 				t.Fatalf("%d recorded rows for %s, want 3 attacks × 2 modes", rows, d.Name)
@@ -198,10 +190,7 @@ func TestGoldenEquivalence(t *testing.T) {
 				if row.attack == "advanced" {
 					atk = attack.NewAdvanced(kp)
 				}
-				for _, p := range params {
-					name := fmt.Sprintf("%s/known-plaintext-2%%/shards=%d,workers=%d", row.attack, p.Shards, p.Workers)
-					checkGolden(t, name, atk, enc, aux, p, row.want)
-				}
+				checkGolden(t, row.attack+"/known-plaintext-2%", atk, enc, aux, row.want)
 			}
 			if rows != 2 {
 				t.Fatalf("%d recorded 2 %% known-plaintext rows for %s, want 2", rows, d.Name)
@@ -217,5 +206,5 @@ func TestGoldenEquivalenceArbitraryTies(t *testing.T) {
 	aux, target := d.Backups[0], d.Backups[len(d.Backups)-1]
 	enc := defense.EncryptMLE(target)
 	cfg := attack.Config{U: 1, V: 15, W: 1000, ArbitraryTies: true}
-	checkGolden(t, "locality/arbitrary-ties", attack.NewLocality(cfg), enc, aux, attack.Params{Shards: 8, Workers: 4}, goldenTies)
+	checkGolden(t, "locality/arbitrary-ties", attack.NewLocality(cfg), enc, aux, goldenTies)
 }

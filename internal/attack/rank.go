@@ -11,8 +11,7 @@ import "slices"
 // set, ties break by first stream occurrence (neighbor-table analyses);
 // otherwise by fingerprint (whole-stream analyses — arbitrary, as in the
 // paper). Fingerprint order is the final key either way, so the order is
-// total and the ranked result is independent of the input permutation —
-// which is what makes results identical at every shard count.
+// total and the ranked result is independent of the input permutation.
 func rankCompare(a, b freqEntry, posTies bool) int {
 	if d := b.stat.count - a.stat.count; d != 0 {
 		return int(d)

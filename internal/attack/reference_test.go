@@ -135,12 +135,12 @@ func refLocality(c, m []trace.ChunkRef, cfg Config) Result {
 	return Result{Pairs: out, Stats: stats, UniqueTarget: len(tc.freq)}
 }
 
-// checkAgainstReference runs the engine at p and compares it with the
+// checkAgainstReference runs the engine and compares it with the
 // reference on the same streams and configuration.
-func checkAgainstReference(t *testing.T, name string, c, m []trace.ChunkRef, cfg Config, p Params) Result {
+func checkAgainstReference(t *testing.T, name string, c, m []trace.ChunkRef, cfg Config) Result {
 	t.Helper()
 	want := refLocality(c, m, cfg)
-	got, err := NewLocality(cfg).Run(SliceSource(c), SliceSource(m), p)
+	got, err := NewLocality(cfg).Run(SliceSource(c), SliceSource(m), Params{})
 	if err != nil {
 		t.Fatalf("%s: %v", name, err)
 	}
@@ -207,11 +207,10 @@ func localityStreams(seed int64) (c, m []trace.ChunkRef, leaked []Pair) {
 }
 
 // TestLocalityMatchesReference holds both locality attacks, in both
-// modes, under both tie rules and at three shard/worker settings, to the
-// map-based reference on random streams with strong locality. W is small
-// so the inferred set's bound drops pairs.
+// modes and under both tie rules, to the map-based reference on random
+// streams with strong locality. W is small so the inferred set's bound
+// drops pairs.
 func TestLocalityMatchesReference(t *testing.T) {
-	params := []Params{{Shards: 1, Workers: 1}, {Shards: 4, Workers: 2}, {Shards: 16, Workers: 8}}
 	var dropped, seeded, inferred int
 	for seed := int64(1); seed <= 4; seed++ {
 		c, m, leaked := localityStreams(seed)
@@ -222,15 +221,12 @@ func TestLocalityMatchesReference(t *testing.T) {
 					if mode == KnownPlaintext {
 						cfg.Leaked = leaked
 					}
-					for _, p := range params {
-						name := fmt.Sprintf("seed=%d/size=%v/%s/arbitrary=%v/shards=%d,workers=%d",
-							seed, sizeAware, mode, ties, p.Shards, p.Workers)
-						res := checkAgainstReference(t, name, c, m, cfg, p)
-						dropped += res.Stats.DroppedByW
-						inferred += res.Stats.Inferred
-						if mode == KnownPlaintext {
-							seeded += res.Stats.Seeds
-						}
+					name := fmt.Sprintf("seed=%d/size=%v/%s/arbitrary=%v", seed, sizeAware, mode, ties)
+					res := checkAgainstReference(t, name, c, m, cfg)
+					dropped += res.Stats.DroppedByW
+					inferred += res.Stats.Inferred
+					if mode == KnownPlaintext {
+						seeded += res.Stats.Seeds
 					}
 				}
 			}
@@ -297,8 +293,6 @@ func FuzzLocalityMatchesReference(f *testing.F) {
 		if !ok {
 			return
 		}
-		for _, p := range []Params{{Shards: 1, Workers: 1}, {Shards: 4, Workers: 2}} {
-			checkAgainstReference(t, fmt.Sprintf("shards=%d,workers=%d", p.Shards, p.Workers), c, m, cfg, p)
-		}
+		checkAgainstReference(t, "fuzz", c, m, cfg)
 	})
 }

@@ -232,9 +232,7 @@ func attackFor(kind attackKind, cfg attack.Config) attack.Attack {
 }
 
 // runAttackOn runs the selected attack against an encrypted target stream
-// through the streaming engine and returns the inference rate. Engine
-// defaults (Params{}) are used: results are bit-identical at every shard
-// and worker count, so the figures do not depend on the machine.
+// through the streaming engine and returns the inference rate.
 func runAttackOn(kind attackKind, aux *trace.Backup, enc defense.Encrypted, cfg attack.Config) float64 {
 	res, err := attackFor(kind, cfg).Run(attack.BackupSource(enc.Backup), attack.BackupSource(aux), attack.Params{})
 	if err != nil {

@@ -24,10 +24,11 @@
 //
 // # Session flow
 //
-// A session opens with THello {version u32, tenant str, token bytes} and
-// is accepted with THelloOK {version u32, windowChunks u32, maxInflight
-// u32, maxChunkBytes u32} — the server's advertised limits, which the
-// client must respect — or rejected with TError {code u32, msg str}. The
+// A session opens with THello {version u32, tenant str (non-empty),
+// token bytes} and is accepted with THelloOK {version u32, windowChunks
+// u32, maxInflight u32, maxChunkBytes u32} — the server's advertised
+// limits, which the client must respect — or rejected with TError {code
+// u32, msg str}. The
 // token authenticates the tenant (bearer token, constant-time compared);
 // the transport itself is plaintext TCP, so production deployments put a
 // TLS terminator or trusted network segment in front (see the README's
@@ -39,7 +40,8 @@
 //	C: TBackupBegin {name str}
 //	S: TBackupReady {}
 //	C: TNegotiate {seq u32, n u32, n x (cfp [8]byte, ctSize u32)}
-//	S: TNegotiateReply {seq u32, n u32, missBitmap ceil(n/8) bytes}
+//	S: TNegotiateReply {seq u32, n u32, missBitmap ceil(n/8) bytes,
+//	                    padding bits zero}
 //	C: TChunkData {seq u32, m u32, m x (len u32, ciphertext)}
 //	S: TWindowAck {seq u32}
 //	... (windows pipeline: at most maxInflight unacknowledged seqs)

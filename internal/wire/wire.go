@@ -404,6 +404,9 @@ func ParseHello(p []byte) (Hello, error) {
 	if h.Tenant, err = d.str(); err != nil {
 		return Hello{}, err
 	}
+	if h.Tenant == "" {
+		return Hello{}, fmt.Errorf("%w: empty tenant", ErrCorruptFrame)
+	}
 	n, err := d.u8()
 	if err != nil {
 		return Hello{}, err
@@ -561,6 +564,9 @@ func ParseNegotiateReply(p []byte, miss []bool) (seq uint32, out []bool, err err
 	bitmap, err := d.bytes(int(n+7) / 8)
 	if err != nil {
 		return 0, nil, err
+	}
+	if n%8 != 0 && bitmap[len(bitmap)-1]>>(n%8) != 0 {
+		return 0, nil, fmt.Errorf("%w: miss bitmap padding bits set", ErrCorruptFrame)
 	}
 	out = miss[:0]
 	for i := uint32(0); i < n; i++ {
@@ -725,7 +731,9 @@ func ParseSnapshotList(p []byte) ([]SnapshotInfo, error) {
 	if err != nil {
 		return nil, err
 	}
-	if uint64(n) > uint64(len(p)) { // each entry is >= 1 byte
+	// Each entry is at least a name length, two u64 and a u32 on the
+	// wire, so a lying count cannot size the list past the payload.
+	if uint64(n)*(1+8+8+4) > uint64(len(p)-d.off) {
 		return nil, fmt.Errorf("%w: snapshot count %d", ErrCorruptFrame, n)
 	}
 	list := make([]SnapshotInfo, 0, n)

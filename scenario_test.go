@@ -123,7 +123,7 @@ func TestScenarioMatrixEndToEnd(t *testing.T) {
 			// The streaming .fdt source must agree with the materialized one.
 			cfgKP := attack.Config{U: 1, V: 15, W: 200000, Mode: attack.KnownPlaintext}
 			cfgKP.Leaked = attack.SampleLeaked(encMLE.Backup, encMLE.Truth, leakRate, 42)
-			direct, err := attack.NewLocality(cfgKP).Run(attack.BackupSource(encMLE.Backup), taps[0], attack.Params{Shards: 8, Workers: 4})
+			direct, err := attack.NewLocality(cfgKP).Run(attack.BackupSource(encMLE.Backup), taps[0], attack.Params{})
 			if err != nil {
 				t.Fatal(err)
 			}

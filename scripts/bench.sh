@@ -3,7 +3,7 @@
 # (backup pipeline, the multi-tenant server's loopback client sweep,
 # planned restore on an in-memory and a file-backed store,
 # sharded store, chunker, Rabin primitives, legacy and streaming attack
-# engines — BenchmarkAttackStreaming's shard sweep and the trace-log
+# engines — BenchmarkAttackStreaming's counting core and the trace-log
 # ingest/replay MB/s — plus the per-workload trace generators,
 # BenchmarkWorkloadGenerate) with -benchmem and writes the results as a dated
 # JSON baseline (BENCH_<date>.json) for regression tracking across PRs.

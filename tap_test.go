@@ -170,7 +170,7 @@ func TestTapEndToEndAttack(t *testing.T) {
 	// same attack straight off the .fdt source for the auxiliary side.
 	c := cfg
 	c.Leaked = attack.SampleLeaked(encMLE.Backup, encMLE.Truth, leakRate, 42)
-	direct, err := attack.NewLocality(c).Run(attack.BackupSource(encMLE.Backup), taps[0], attack.Params{Shards: 8, Workers: 4})
+	direct, err := attack.NewLocality(c).Run(attack.BackupSource(encMLE.Backup), taps[0], attack.Params{})
 	if err != nil {
 		t.Fatal(err)
 	}
