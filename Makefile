@@ -31,16 +31,18 @@ build:
 test:
 	$(GO) test ./...
 
-# The second to fifth lines are scripts/check.sh's flake guards, five
+# The second to sixth lines are scripts/check.sh's flake guards, five
 # runs each: the remote Backup's sender/receiver handoff, the backup
-# pipeline's worker pool (teardown, determinism, sinks, streaming), the
-# chunker's parallel boundary scan against its references, and the
+# pipeline's worker pool (teardown, determinism, sinks, streaming) and the
+# open container's arena views across a seal, the arena's block recycling,
+# the chunker's parallel boundary scan against its references, and the
 # overlapped seal pass (its fsyncs on the real disk, and its crash clock
 # on the fault filesystem).
 race:
 	$(GO) test -race ./...
 	$(GO) test -race -count=5 -run 'RoundTrip|Cancel|EmptyBackup|Inflight|ParentHit' ./internal/server/
-	$(GO) test -race -count=5 -run 'Cancel|Deterministic|Sink|Streaming|Teardown' ./internal/dedup/
+	$(GO) test -race -count=5 -run 'Cancel|Deterministic|Sink|Streaming|Teardown|ViewsSurviveSeal' ./internal/dedup/
+	$(GO) test -race -count=5 -run 'Arena|MemBackendStore' ./internal/container/
 	$(GO) test -race -count=5 -run 'ParallelScan|Reference' ./internal/chunker/
 	$(GO) test -race -count=5 -run 'SealPass|CrashClock' .
 

@@ -42,6 +42,16 @@
 //     benchgate -repeat 5          # more runs, lower flake floor
 //     benchgate -threshold 0.3     # tolerate 30%
 //     benchgate -input bench.txt   # gate a pre-recorded `go test -bench` output
+//
+// The pairs subcommand measures a change end to end instead: it checks a
+// base revision out into a git worktree under .bench_build/, runs the
+// end-to-end benchmark (bench/run.sh) of the base and of the working tree
+// in alternating pairs, and prints, per workload and BENCHMARK.json
+// end-to-end metric, each side's median and quartiles, the change of the
+// medians against the metric's bound, the pairs the working tree won, and
+// the failed operations of each side:
+//
+//	benchgate pairs -base HEAD~1 -workloads local-full -pairs 10 -seconds 6
 package main
 
 import (
@@ -233,6 +243,13 @@ func compare(baselines []*baseline, fresh map[string]float64, threshold float64)
 }
 
 func main() {
+	if len(os.Args) > 1 && os.Args[1] == "pairs" {
+		if err := runPairs(os.Args[2:], os.Stdout, os.Stderr); err != nil {
+			fmt.Fprintln(os.Stderr, "benchgate pairs:", err)
+			os.Exit(2)
+		}
+		return
+	}
 	benchtime := flag.String("benchtime", "10x", "go test -benchtime for each fresh run (pinned iterations keep the runtime bounded)")
 	repeat := flag.Int("repeat", 3, "fresh suite runs; each benchmark keeps its best run")
 	threshold := flag.Float64("threshold", 0.20, "fractional MB/s loss that fails the gate")

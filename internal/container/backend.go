@@ -32,8 +32,12 @@ type Backend interface {
 	Seal(shard int, c *Container) error
 
 	// Load reads a sealed container, data included. It returns ErrNotFound
-	// for an ID that was never sealed.
-	Load(shard, id int) (*Container, error)
+	// for an ID that was never sealed. A non-nil buf is the buffer the
+	// container is read into, grown as needed, and the entries' Data are
+	// views of *buf, valid until the caller reuses it; with a nil buf the
+	// container is read into memory of its own. A backend that holds its
+	// containers in memory (MemBackend) returns those and ignores buf.
+	Load(shard, id int, buf *[]byte) (*Container, error)
 
 	// Scan calls fn for every sealed container of a shard in ID order.
 	// With withData false the backend may leave Entry.Data nil (FP and
@@ -126,7 +130,7 @@ func ScanShardTolerant(b Backend, shard int, fn func(id int, c *Container, err e
 		return ts.ScanTolerant(shard, fn)
 	}
 	for id := 0; ; id++ {
-		c, err := b.Load(shard, id)
+		c, err := b.Load(shard, id, nil)
 		if errors.Is(err, ErrNotFound) {
 			return nil
 		}
@@ -175,8 +179,9 @@ func (b *MemBackend) Seal(shard int, c *Container) error {
 	return nil
 }
 
-// Load returns the sealed container; the caller must not mutate it.
-func (b *MemBackend) Load(shard, id int) (*Container, error) {
+// Load returns the sealed container, ignoring buf; the caller must not
+// mutate it.
+func (b *MemBackend) Load(shard, id int, buf *[]byte) (*Container, error) {
 	b.mu.RLock()
 	defer b.mu.RUnlock()
 	b.checkShard(shard)

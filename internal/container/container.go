@@ -3,6 +3,8 @@ package container
 import (
 	"errors"
 	"fmt"
+	"math/bits"
+	"sync"
 
 	"freqdedup/internal/fphash"
 )
@@ -43,6 +45,13 @@ type Container struct {
 // append-safe under concurrent writers without a lock here on every
 // Append. (Backends are safe for concurrent use; reads of sealed
 // containers may bypass the packer's lock.)
+//
+// Append copies each chunk into the open container's memory. On a
+// FileBackend that memory is an arena of pooled blocks, recycled once the
+// container is durably sealed, so its Data slices are views that are
+// valid only while the caller holds the Store's lock and the container is
+// open: whoever hands open-container bytes past that lock copies them
+// first (see Current).
 type Store struct {
 	capacity    int
 	backend     Backend
@@ -50,6 +59,7 @@ type Store struct {
 	sealed      int // sealed containers so far; also the next container ID
 	sealedBytes int
 	current     *Container
+	arena       arena // the open container's chunk bytes
 }
 
 // NewWithBackend returns a store packing shard's containers through the
@@ -69,6 +79,13 @@ func NewWithBackend(capacity int, b Backend, shard int, visit func(*Container) e
 		return nil, fmt.Errorf("container: shard %d out of range [0, %d)", shard, b.Shards())
 	}
 	s := &Store{capacity: capacity, backend: b, shard: shard}
+	// A FileBackend keeps nothing of a sealed container (its seal frames
+	// the chunks into a record buffer of its own), so the open container's
+	// bytes can be recycled after each seal. A MemBackend keeps the
+	// containers it seals, so each chunk gets a buffer of its own.
+	if _, ok := b.(*FileBackend); ok {
+		s.arena = newArena(capacity)
+	}
 	// With no visitor to feed, a backend that can report its sealed totals
 	// directly (SealedStater) spares the whole metadata scan — the fast
 	// path behind O(metadata) repository opens.
@@ -100,11 +117,12 @@ func NewWithBackend(capacity int, b Backend, shard int, visit func(*Container) e
 // Backend returns the store's backend.
 func (s *Store) Backend() Backend { return s.backend }
 
-// Append adds a chunk to the current container, sealing it through the
-// backend first if the chunk would not fit. It returns the chunk's
-// location. The returned location is stable until the next Compact. On a
-// backend seal error nothing is appended and the sealed-but-unwritten
-// container stays current, so the store remains consistent.
+// Append adds a copy of a chunk to the current container, sealing it
+// through the backend first if the chunk would not fit; the caller keeps
+// e.Data. It returns the chunk's location. The returned location is
+// stable until the next Compact. On a backend seal error nothing is
+// appended and the sealed-but-unwritten container stays current, so the
+// store remains consistent.
 func (s *Store) Append(e Entry) (Location, error) {
 	if s.current == nil {
 		s.current = &Container{ID: s.sealed}
@@ -116,6 +134,7 @@ func (s *Store) Append(e Entry) (Location, error) {
 		s.current = &Container{ID: s.sealed}
 	}
 	loc := Location{Container: s.current.ID, Index: len(s.current.Entries)}
+	e.Data = s.arena.copy(e.Data)
 	s.current.Entries = append(s.current.Entries, e)
 	s.current.Bytes += int(e.Size)
 	return loc, nil
@@ -123,8 +142,10 @@ func (s *Store) Append(e Entry) (Location, error) {
 
 // Flush seals the current container, if any, persisting it through the
 // backend. It returns the sealed container, or nil if the current
-// container is empty. When Flush returns a nil error the container is as
-// durable as the backend makes it (FileBackend: fsynced to disk).
+// container is empty; on a FileBackend the container's Data were recycled
+// with the seal, so only its metadata may be read. When Flush returns a
+// nil error the container is as durable as the backend makes it
+// (FileBackend: fsynced to disk).
 func (s *Store) Flush() (*Container, error) {
 	if s.current == nil || len(s.current.Entries) == 0 {
 		return nil, nil
@@ -137,11 +158,14 @@ func (s *Store) Flush() (*Container, error) {
 	return c, nil
 }
 
-// sealedCurrent records that the backend sealed the current container.
+// sealedCurrent records that the backend sealed the current container,
+// whose bytes the arena then recycles. Only a successful seal gets here: a
+// failed one keeps the container open, its bytes with it.
 func (s *Store) sealedCurrent() {
 	s.sealed++
 	s.sealedBytes += s.current.Bytes
 	s.current = nil
+	s.arena.release()
 }
 
 // FlushAll is Flush on every store of ss, which pack distinct shards of
@@ -209,13 +233,16 @@ func (s *Store) Container(id int) (*Container, error) {
 	if id < 0 || id >= s.sealed {
 		return nil, ErrNotFound
 	}
-	return s.backend.Load(s.shard, id)
+	return s.backend.Load(s.shard, id, nil)
 }
 
 // Current returns the in-progress container, or nil if none is open. The
 // caller must hold whatever lock guards the Store and must not mutate the
-// container; the sharded dedup store uses it to snapshot open-container
-// entries for a restore without a backend read.
+// container. Its Data slices are views of the Store's arena, which the
+// next seal recycles: they must not be read once the lock is released, so
+// a caller that hands chunk bytes past the lock (the sharded dedup store's
+// Get and restore reads) copies them first. Get and Container return the
+// same views for the open container.
 func (s *Store) Current() *Container { return s.current }
 
 // Sealed returns the number of sealed (durable) containers — also the
@@ -373,7 +400,7 @@ func (s *Store) Repair(moved func(Entry, Location)) (RepairStats, error) {
 	}
 	s.sealed = len(newSealed)
 	s.sealedBytes = newBytes
-	s.current = cur
+	s.reopen(cur)
 	return st, nil
 }
 
@@ -473,6 +500,84 @@ func (s *Store) Compact(keep func(Entry) bool, moved func(Entry, Location)) (Com
 	}
 	s.sealed = len(newSealed)
 	s.sealedBytes = newBytes
-	s.current = cur
+	s.reopen(cur)
 	return st, nil
+}
+
+// reopen makes cur, the survivors of the old open container after a
+// rewrite, the open container. Their Data are still views of the arena,
+// which keeps its blocks while cur holds any of them.
+func (s *Store) reopen(cur *Container) {
+	s.current = cur
+	if cur == nil {
+		s.arena.release()
+	}
+}
+
+// arenaBlockBytes is the size of the blocks an arena grows by: small
+// enough that the arena's residency tracks the bytes its container holds,
+// large enough that a block holds dozens of chunks.
+const (
+	arenaBlockShift = 18
+	arenaBlockBytes = 1 << arenaBlockShift
+)
+
+// arenaPools recycles arena blocks across every Store, one pool per
+// power-of-two block size (arenaBlockBytes, or a smaller capacity's
+// power-of-two ceiling). Blocks are boxed (*[]byte) once, at allocation,
+// so recycling them allocates nothing.
+var arenaPools [arenaBlockShift + 1]sync.Pool
+
+// arena holds the open container's chunk bytes. It grows in blocks from
+// arenaPools, copying each chunk into the last block, and a chunk larger
+// than a block gets a buffer of its own. release returns every block to
+// the pool at once, so it may be called only when no view of them is left:
+// after the container's durable seal. The zero arena (a MemBackend's)
+// gives every chunk a buffer of its own and recycles nothing.
+type arena struct {
+	pool   *sync.Pool // nil: no recycling
+	block  int        // block size
+	blocks []*[]byte  // blocks held; the last one is being filled
+	used   int        // bytes used of the last block
+}
+
+func newArena(capacity int) arena {
+	block := arenaBlockBytes
+	if capacity < block {
+		block = 1 << bits.Len(uint(capacity-1))
+	}
+	return arena{pool: &arenaPools[bits.Len(uint(block))-1], block: block}
+}
+
+// copy returns a copy of p in arena memory (never nil).
+func (a *arena) copy(p []byte) []byte {
+	n := len(p)
+	if a.pool == nil || n > a.block {
+		return append(make([]byte, 0, n), p...)
+	}
+	if len(a.blocks) == 0 || a.used+n > a.block {
+		bp, _ := a.pool.Get().(*[]byte)
+		if bp == nil {
+			b := make([]byte, a.block)
+			bp = &b
+		}
+		a.blocks = append(a.blocks, bp)
+		a.used = 0
+	}
+	b := (*a.blocks[len(a.blocks)-1])[a.used : a.used+n : a.used+n]
+	copy(b, p)
+	a.used += n
+	return b
+}
+
+// release returns every block to the pool.
+func (a *arena) release() {
+	if a.pool == nil {
+		return
+	}
+	for i, bp := range a.blocks {
+		a.pool.Put(bp)
+		a.blocks[i] = nil
+	}
+	a.blocks, a.used = a.blocks[:0], 0
 }

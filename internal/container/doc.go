@@ -29,6 +29,30 @@
 // the backend makes it. Chunks still in the open container live only in
 // memory; dedup.Store.Close seals them before shutdown.
 //
+// # Open-container memory
+//
+// Append copies each chunk; the caller keeps its buffer. Over a
+// FileBackend, which keeps nothing of a sealed container (its seal frames
+// the chunks into a pooled record buffer of its own), the copies go into
+// the open container's arena: 256 KiB blocks (a smaller capacity's
+// power-of-two ceiling) from a process-wide pool, filled in order, with a
+// chunk larger than a block in a buffer of its own. The arena grows one
+// block at a time, so it holds the container's bytes plus at most one
+// partly filled block, and it hands every block back to the pool only
+// when the container's seal succeeded; a failed seal keeps the container
+// open, bytes included. A GC or repair rewrite keeps the open container's
+// survivors in the arena, and gives the blocks back if none survives. A
+// MemBackend keeps the containers it seals, so there each chunk is copied
+// into a buffer of its own and nothing is recycled.
+//
+// So the open container's Entry.Data are views that die with the seal:
+// only the holder of the packer's lock may read them (Current, Get and
+// Container return them for the open container), and whoever hands them
+// past the lock copies them first. dedup.Store copies under its shard
+// lock in Get and in the restore's container read, and Verify hashes them
+// under it. A sealed container read back (Backend.Load) lives in the
+// buffer its caller passed, or in memory of its own for a nil buffer.
+//
 // FlushAll seals the open containers of many shards in one pass, the
 // barrier that ends every backup. FileBackend implements it
 // (BatchSealer.SealAll) by serializing the records concurrently into

@@ -297,6 +297,18 @@ func (b *FileBackend) openShard(name string, shard int, salvage bool) (*shardFil
 // largest record alive.
 var recordPool sync.Pool
 
+// growRecordBuf makes sure the reused record buffer *bp holds n bytes. A
+// buffer too small is replaced by one of n rounded up to whole arena
+// blocks: records of similar size then share one capacity, so a pooled
+// buffer grown once fits the records it meets next instead of growing
+// again for each slightly larger one, and holds less than a block more
+// than its record.
+func growRecordBuf(bp *[]byte, n int) {
+	if cap(*bp) < n {
+		*bp = make([]byte, 0, (n+arenaBlockBytes-1)/arenaBlockBytes*arenaBlockBytes)
+	}
+}
+
 // buildRecord frames c as one container record into a buffer from
 // recordPool; the caller puts it back once the record is written.
 func buildRecord(c *Container) (*[]byte, recordHead, error) {
@@ -312,6 +324,7 @@ func buildRecord(c *Container) (*[]byte, recordHead, error) {
 	if bp == nil {
 		bp = new([]byte)
 	}
+	growRecordBuf(bp, int(reclog.RecHeaderLen+h.bodyLen()+reclog.TrailerLen))
 	rec, err := shardFormat.Frame(*bp, uint32(c.ID), h.entries, h.dataBytes, func(body []byte) {
 		for _, e := range c.Entries {
 			copy(body, e.FP[:])
@@ -490,18 +503,23 @@ func (sf *shardFile) settle(c *Container, off int64, h recordHead, syncErr error
 }
 
 // readRecord reads container id's record. With withData it reads the
-// whole record and verifies its CRC; without, only its index header of
-// fingerprints and sizes, which no CRC covers alone. id is the
-// container's logical ID: equal to the on-disk ID for a normally opened
-// shard, the dense renumber for a salvaged one.
-func (sf *shardFile) readRecord(shard, id int, withData bool) (*Container, error) {
+// whole record into *buf (a fresh buffer when buf is nil) and verifies
+// its CRC; without, only its index header of fingerprints and sizes,
+// which no CRC covers alone. id is the container's logical ID: equal to
+// the on-disk ID for a normally opened shard, the dense renumber for a
+// salvaged one.
+func (sf *shardFile) readRecord(shard, id int, withData bool, buf *[]byte) (*Container, error) {
 	off, h := sf.offsets[id], sf.heads[id]
 	metaLen := int(h.entries) * entryMetaLen
 	var body []byte
 	if withData {
-		var buf []byte
+		if buf == nil {
+			buf = new([]byte)
+		} else {
+			growRecordBuf(buf, int(reclog.RecHeaderLen+h.bodyLen()+reclog.TrailerLen))
+		}
 		var err error
-		if body, err = sf.log.ReadRecord(off, h.bodyLen(), &buf); err != nil {
+		if body, err = sf.log.ReadRecord(off, h.bodyLen(), buf); err != nil {
 			return nil, fmt.Errorf("container %d (shard %d): %w", id, shard, err)
 		}
 	} else {
@@ -534,15 +552,16 @@ func (sf *shardFile) readRecord(shard, id int, withData bool) (*Container, error
 	return c, nil
 }
 
-// Load reads a sealed container from the shard file, verifying its CRC.
-func (b *FileBackend) Load(shard, id int) (*Container, error) {
+// Load reads a sealed container from the shard file into *buf (see
+// Backend.Load), verifying its CRC.
+func (b *FileBackend) Load(shard, id int, buf *[]byte) (*Container, error) {
 	sf := b.shards[shard]
 	sf.mu.Lock()
 	defer sf.mu.Unlock()
 	if id < 0 || id >= len(sf.offsets) {
 		return nil, ErrNotFound
 	}
-	return sf.readRecord(shard, id, true)
+	return sf.readRecord(shard, id, true, buf)
 }
 
 // Scan visits the shard's sealed containers in ID order. With withData
@@ -554,7 +573,7 @@ func (b *FileBackend) Scan(shard int, withData bool, fn func(*Container) error) 
 	sf.mu.Lock()
 	defer sf.mu.Unlock()
 	for id := range sf.offsets {
-		c, err := sf.readRecord(shard, id, withData)
+		c, err := sf.readRecord(shard, id, withData, nil)
 		if err != nil {
 			return err
 		}
@@ -576,7 +595,7 @@ func (b *FileBackend) ScanTolerant(shard int, fn func(id int, c *Container, err 
 	sf.mu.Lock()
 	defer sf.mu.Unlock()
 	for id := range sf.offsets {
-		c, err := sf.readRecord(shard, id, true)
+		c, err := sf.readRecord(shard, id, true, nil)
 		if err != nil {
 			c = nil
 		}
@@ -697,7 +716,7 @@ func (b *FileBackend) ScanFrom(shard, from int, withData bool, fn func(*Containe
 		from = 0
 	}
 	for id := from; id < len(sf.offsets); id++ {
-		c, err := sf.readRecord(shard, id, withData)
+		c, err := sf.readRecord(shard, id, withData, nil)
 		if err != nil {
 			return err
 		}

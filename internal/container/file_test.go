@@ -48,7 +48,7 @@ func TestFileBackendSealLoadRoundTrip(t *testing.T) {
 		}
 	}
 	// The other shard is untouched.
-	if _, err := b.Load(0, 0); !errors.Is(err, ErrNotFound) {
+	if _, err := b.Load(0, 0, nil); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("Load on empty shard: %v, want ErrNotFound", err)
 	}
 }
@@ -148,7 +148,7 @@ func TestFileBackendTornTailRecovered(t *testing.T) {
 		t.Fatalf("recovered store has %d containers, want 2", rs.Count())
 	}
 	for id := 0; id < 2; id++ {
-		c, err := rb.Load(0, id)
+		c, err := rb.Load(0, id, nil)
 		if err != nil || len(c.Entries) != 2 {
 			t.Fatalf("recovered container %d: %+v, %v", id, c, err)
 		}
@@ -235,7 +235,7 @@ func TestFileBackendSalvageTornTailRefusesSeal(t *testing.T) {
 	}
 	defer rb.Close()
 	for id := 0; id < 4; id++ {
-		c, err := rb.Load(0, id)
+		c, err := rb.Load(0, id, nil)
 		if err != nil {
 			t.Fatalf("Load(%d): %v", id, err)
 		}
@@ -246,7 +246,7 @@ func TestFileBackendSalvageTornTailRefusesSeal(t *testing.T) {
 			}
 		}
 	}
-	if _, err := rb.Load(0, 4); !errors.Is(err, ErrNotFound) {
+	if _, err := rb.Load(0, 4, nil); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("Load(4): %v, want ErrNotFound", err)
 	}
 }
@@ -280,7 +280,7 @@ func TestFileBackendCorruptDataDetected(t *testing.T) {
 		t.Fatalf("open scans only structure, should succeed: %v", err)
 	}
 	defer rb.Close()
-	if _, err := rb.Load(0, 0); !errors.Is(err, ErrCorrupt) {
+	if _, err := rb.Load(0, 0, nil); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("Load of corrupted container: %v, want ErrCorrupt", err)
 	}
 }
@@ -564,11 +564,11 @@ func TestFlushAllSealPass(t *testing.T) {
 			}
 			defer reopened.Close()
 			for i := 0; i < shards; i++ {
-				c, err := reopened.Load(i, 0)
+				c, err := reopened.Load(i, 0, nil)
 				if err != nil || len(c.Entries) != 1 || !bytes.Equal(c.Entries[0].Data, dataEntry(uint64(i), 100).Data) {
 					t.Fatalf("shard %d after reopen: %v", i, err)
 				}
-				if _, err := reopened.Load(i, 1); !errors.Is(err, ErrNotFound) {
+				if _, err := reopened.Load(i, 1, nil); !errors.Is(err, ErrNotFound) {
 					t.Fatalf("shard %d holds a second container: %v", i, err)
 				}
 			}

@@ -184,7 +184,7 @@ func FuzzContainerRecord(f *testing.F) {
 			t.Fatalf("opened %d containers (%v), %d were sealed", count, err, len(sealed))
 		}
 		for id := 0; id < count; id++ {
-			c, err := b.Load(1, id)
+			c, err := b.Load(1, id, nil)
 			if errors.Is(err, ErrCorrupt) {
 				continue
 			}

@@ -100,21 +100,23 @@ type UploadObserver interface {
 
 // Sink is where the backup pipeline uploads: one PutBatchOwned call per
 // upload window, from the pipeline's consumer goroutine, in upload order.
-// The call owns every chunk's Data (freshly allocated ciphertext the
-// pipeline never touches again) but only borrows the chunks slice. The
-// []bool result is ignored. *Store is the in-process sink; the network
-// client's sink negotiates each window with a server instead.
+// The call borrows the chunks slice but owns every chunk's pooled chunker
+// buffer (PutChunk.Buf) from the moment it is made, whatever it returns:
+// it must release each one exactly once, when it no longer needs it, and
+// the pipeline never touches them again. A chunk with bytes was encrypted
+// in place, so its Data is its Buf's; *Store releases it once the bytes
+// are copied into a container. The []bool result is ignored. *Store is the
+// in-process sink; the network client's sink negotiates each window with a
+// server instead and releases a buffer once its reply is handled: after
+// the ciphertext is written to the wire, or found held.
 //
 // A window may hold reference-only chunks (PutChunk.Ref): the chunks of a
 // client given a parent (SetParent) whose keys hit it, which were never
 // encrypted. Each carries the fingerprint and size its ciphertext would
-// have, and its plaintext (PutChunk.Plain), whose SHA-256 is its key. The
-// call owns every such plaintext from the moment it is made, whatever it
-// returns, and must release each one exactly once when it no longer needs
-// it; the pipeline never touches them again. *Store counts a reference
-// against the chunk its index holds, or fails closed; the network sink
-// negotiates it like any chunk and, if the server answers miss, encrypts
-// it then from its plaintext.
+// have, and its plaintext in Buf, whose SHA-256 is its key. *Store counts
+// a reference against the chunk its index holds, or fails closed; the
+// network sink negotiates it like any chunk and, if the server answers
+// miss, encrypts it then, in place.
 type Sink interface {
 	PutBatchOwned(chunks []PutChunk) ([]bool, error)
 }
@@ -331,10 +333,10 @@ const chunkQueueDepth = 256
 // consumer passes each batch to the pool the moment it arrives, so
 // encryption runs while the chunker is still reading. The consumer fills
 // upload windows of uploadWindowChunks chunks; when one is full (or the
-// stream ends) it waits for that window's own batches only, hands the
-// window to the Sink with one PutBatchOwned and releases the plaintext
-// buffers back to the chunker pool, all but the parent's hits, which the
-// Sink owns from that call on.
+// stream ends) it waits for that window's own batches only and hands the
+// window to the Sink with one PutBatchOwned, which owns every chunk's
+// buffer from that call on: the ciphertext the pool encrypted into it in
+// place, or a parent hit's plaintext.
 //
 // Scrambling and MinHash encryption put a segment stage between the
 // handoff and the upload window: the pool fingerprints each batch's
@@ -495,7 +497,7 @@ func (c *Client) backupStreaming(ctx context.Context, cdc chunker.Chunker) (*mle
 	var (
 		inBuf               [chunkBatch]encJob
 		in                  []encJob
-		win                 = newUploadWindow()
+		win                 = windowPool.Get().(*uploadWindow)
 		gather, pend, ready []encJob
 	)
 	// On any return, stop the producer, then join the pool (a worker may
@@ -520,6 +522,9 @@ func (c *Client) backupStreaming(ctx context.Context, cdc chunker.Chunker) (*mle
 				held[i].chunk.Release()
 			}
 		}
+		win.jobs = win.jobs[:0]
+		clear(win.puts)
+		windowPool.Put(win)
 	}()
 	c.predicted.Store(0)
 	cut := c.newCutter(cdc)
@@ -577,18 +582,14 @@ func (c *Client) backupStreaming(ctx context.Context, cdc chunker.Chunker) (*mle
 			return err
 		}
 		n := len(win.jobs)
-		// Ownership transfer: the ciphertexts were freshly allocated by the
-		// encrypt stage and are never touched again, so the store may keep
-		// them without its defensive copy. The store preserves batch order
+		// Ownership transfer: every put carries its chunk's pooled buffer
+		// (the ciphertext, encrypted in place, or a parent hit's
+		// plaintext), which the sink owns from this call on, on every
+		// path: the window forgets the chunks first, so the deferred
+		// cleanup does not release them. The store preserves batch order
 		// within a shard, so window boundaries do not show in the layout.
-		// A reference-only put carries its chunk's plaintext, which the
-		// sink owns from this call on, on every path: the window forgets
-		// it first, so neither the loop below nor the deferred cleanup
-		// releases it.
 		for i := range win.jobs {
-			if win.puts[i].Ref {
-				win.jobs[i].chunk = chunker.Chunk{}
-			}
+			win.jobs[i].chunk = chunker.Chunk{}
 		}
 		if _, err := c.sink.PutBatchOwned(win.puts[:n]); err != nil {
 			return fmt.Errorf("dedup: upload: %w", err)
@@ -598,9 +599,6 @@ func (c *Client) backupStreaming(ctx context.Context, cdc chunker.Chunker) (*mle
 		}
 		if err := c.observeWindow(win.entries[:n]); err != nil {
 			return err
-		}
-		for i := range win.jobs {
-			win.jobs[i].chunk.Release()
 		}
 		win.jobs = win.jobs[:0]
 		return nil
@@ -785,13 +783,15 @@ type uploadWindow struct {
 	pending sync.WaitGroup // the window's batches the pool has not finished
 }
 
-func newUploadWindow() *uploadWindow {
+// windowPool recycles upload windows across backups; a backup puts its
+// window back once its pool is joined and its chunks are released.
+var windowPool = sync.Pool{New: func() any {
 	return &uploadWindow{
 		jobs:    make([]encJob, 0, uploadWindowChunks),
 		puts:    make([]PutChunk, uploadWindowChunks),
 		entries: make([]mle.RecipeEntry, uploadWindowChunks),
 	}
-}
+}}
 
 // add appends jobs (at most the window's free room) and hands them to the
 // pool to encrypt.
@@ -942,11 +942,14 @@ func (c *Client) observeWindow(entries []mle.RecipeEntry) error {
 // was deferred out of the chunker, so modes that need it (server-aided key
 // derivation) compute it here, on the worker pool; convergent encryption
 // never needs it at all. A convergent job keyed already (by the producer
-// or the segment stage) is not hashed again. A convergent key whose chunk
-// the parent holds (see SetParent) skips the rest: the slot gets the
-// parent's recipe entry and a reference-only put carrying the plaintext,
-// with no encryption, no ciphertext hash and no ciphertext buffer. Every put overwrites its
-// whole slot, so no Data of an earlier window survives into a reference.
+// or the segment stage) is not hashed again. The chunk is encrypted in
+// place: its plaintext is dead once its key (and, where needed, its
+// fingerprint) exists, so its pooled buffer becomes the put's ciphertext.
+// A convergent key whose chunk the parent holds (see SetParent) skips the
+// rest: the slot gets the parent's recipe entry and a reference-only put
+// carrying the plaintext, with no encryption and no ciphertext hash. Every
+// put overwrites its whole slot, so no Data of an earlier window survives
+// into a reference.
 func (c *Client) encryptOne(job encJob, put *PutChunk, entry *mle.RecipeEntry) error {
 	ch := job.chunk
 	var key mle.Key
@@ -957,7 +960,7 @@ func (c *Client) encryptOne(job encJob, put *PutChunk, entry *mle.RecipeEntry) e
 			key = mle.ConvergentKey(ch.Data)
 		}
 		if e, ok := c.parent.hit(key); ok {
-			*put = PutChunk{FP: e.Fingerprint, Ref: true, Size: e.Size, Plain: ch}
+			*put = PutChunk{FP: e.Fingerprint, Ref: true, Size: e.Size, Buf: ch}
 			*entry = e
 			return nil
 		}
@@ -974,8 +977,8 @@ func (c *Client) encryptOne(job encJob, put *PutChunk, entry *mle.RecipeEntry) e
 	case EncMinHash:
 		key = job.key
 	}
-	ct := mle.EncryptDeterministic(key, ch.Data)
-	*put = PutChunk{FP: fphash.FromBytes(ct), Data: ct}
-	*entry = mle.RecipeEntry{Fingerprint: put.FP, Key: key, Size: uint32(len(ct))}
+	mle.EncryptDeterministicInto(key, ch.Data, ch.Data)
+	*put = PutChunk{FP: fphash.FromBytes(ch.Data), Data: ch.Data, Buf: ch}
+	*entry = mle.RecipeEntry{Fingerprint: put.FP, Key: key, Size: uint32(len(ch.Data))}
 	return nil
 }

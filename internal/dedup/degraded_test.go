@@ -30,14 +30,14 @@ func (b *corruptBackend) markBad(ref containerRef) {
 	b.bad[ref] = true
 }
 
-func (b *corruptBackend) Load(shard, id int) (*container.Container, error) {
+func (b *corruptBackend) Load(shard, id int, buf *[]byte) (*container.Container, error) {
 	b.mu.Lock()
 	bad := b.bad[containerRef{shard: shard, id: id}]
 	b.mu.Unlock()
 	if bad {
 		return nil, container.ErrCorrupt
 	}
-	return b.Backend.Load(shard, id)
+	return b.Backend.Load(shard, id, buf)
 }
 
 // degradedFixture backs up ~1 MiB into small containers, seals

@@ -27,23 +27,24 @@
 //     it returns, is the pipeline's one fan-out: the consumer passes it
 //     each batch as it arrives, and the workers derive keys, encrypt
 //     (AES-256-CTR, the hot path) and fingerprint ciphertexts into the
-//     slots of the current upload window while the chunker reads on. When
-//     a window of 1024 chunks is full the consumer waits for that window's
-//     own batches, uploads it with one call to the client's Sink, and
-//     releases the plaintext buffers to the chunker pool.
+//     slots of the current upload window while the chunker reads on. A
+//     chunk is encrypted in place: its pooled chunker buffer becomes its
+//     ciphertext, so no chunk allocates. When a window of 1024 chunks is
+//     full the consumer waits for that window's own batches and uploads it
+//     with one call to the client's Sink, which owns every chunk's buffer
+//     from that call on and hands it back to the chunker pool once done
+//     with it (PutChunk.Buf).
 //   - Dedup before encrypt. A convergent client may hold a parent, an
 //     earlier backup's recipe (Client.SetParent; a NewClient client
 //     keeps as hits only the chunks its store holds). A chunk's
 //     convergent key is its plaintext SHA-256, so when the worker finds
 //     the key in the parent the parent's recipe entry is the chunk's: the
 //     window slot gets that entry and a reference-only PutChunk (Ref,
-//     FP, Size, and the plaintext in Plain, no Data)
-//     instead of an AES encryption, a ciphertext SHA-256 and a fresh
-//     ciphertext buffer. The sink owns a reference's plaintext from the
-//     PutBatchOwned call on; the pipeline never releases it. The store
-//     counts a reference as a duplicate only if its index holds the
-//     fingerprint and otherwise fails closed with ErrNotFound, recording
-//     nothing for it; it releases the plaintext unread. Recipes, windows,
+//     FP, Size, and the plaintext in Buf, no Data) instead of an AES
+//     encryption and a ciphertext SHA-256. The store counts a reference
+//     as a duplicate only if its index holds the fingerprint and
+//     otherwise fails closed with ErrNotFound, recording nothing for it;
+//     it releases the plaintext unread. Recipes, windows,
 //     the upload observer's stream and the containers are the same with
 //     and without the parent.
 //   - Predicted cuts. When the parent was chunked under the client's
@@ -62,9 +63,21 @@
 //     misses, so local and remote backups run one pipeline — only
 //     EncConvergent goes over the wire. The network client's table is
 //     the recipe of its session's last committed backup. Its sink
-//     negotiates a reference like any chunk, holds its plaintext until
-//     the server's reply, and encrypts it then if the server answers
-//     miss.
+//     negotiates a reference like any chunk, holds every buffer until
+//     the server's reply is handled, encrypts a reference's plaintext in
+//     place if the server answers miss, and releases the window's
+//     buffers once its TChunkData frame is written.
+//   - Buffers, not allocations. The store copies each new chunk into its
+//     shard's open container; over a container.FileBackend that copy goes
+//     into a pooled arena the container recycles once it is durably
+//     sealed, so the open container's bytes are views that never leave
+//     the shard lock: Get and the restore's container read copy them
+//     under it. A restore reads every container into a pooled buffer the
+//     window owns and puts back when it drops the container, after the
+//     slabs that read its views are decrypted, on every path, error and
+//     cancellation included (RestoreBufsOutstanding counts them with the
+//     slabs). In steady state neither a backup nor a restore allocates per
+//     chunk or per container beyond AES's per-key state.
 //   - Scrambling and MinHash encryption add a segment stage between the
 //     handoff and the upload window: the pool fingerprints each batch's
 //     plaintexts as it arrives, and each gather of a window's worth of
@@ -92,8 +105,8 @@
 //     read again later; retained bytes stay within budget plus one
 //     container, and which containers are read, in which order, depends
 //     on the plan alone, never on timing. On any failure the restore
-//     drains: every in-flight pooled buffer is handed back, mirroring
-//     Backup's drain-on-error contract.
+//     drains: every in-flight pooled buffer, slab or container, is handed
+//     back, mirroring Backup's drain-on-error contract.
 //   - Retention (RegisterBackup / DeleteBackup / GC, see gc.go) is
 //     store-level under its own lock; GC additionally takes every shard
 //     lock in index order, the package's global lock order.

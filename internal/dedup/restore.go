@@ -139,7 +139,8 @@ func (c *Client) restoreBudget() int64 {
 // windowSlot is the window's state for one plan container. The
 // coordinator goroutine owns it; workers never see it.
 type windowSlot struct {
-	entries []container.Entry // the container's chunks while held
+	entries []container.Entry // the container's chunks while held, views of buf
+	buf     *[]byte           // the pooled buffer they were read into, while held
 	bytes   int64             // their data bytes, counted in retained while held
 	held    bool              // read and not yet dropped
 	// cached: at the admission frontier the container is in the window,
@@ -167,10 +168,11 @@ type restoreSlab struct {
 	err        error
 }
 
-// loadResult is one finished container read.
+// loadResult is one finished container read, into buf.
 type loadResult struct {
 	k       int
 	entries []container.Entry
+	buf     *[]byte
 	err     error
 }
 
@@ -261,8 +263,9 @@ func (c *Client) runRestore(ctx context.Context, plan *restorePlan, w io.Writer)
 		cancel()
 		for r.loadsOut > 0 || r.slabsOut > 0 {
 			select {
-			case <-r.loadsDone:
+			case res := <-r.loadsDone:
 				r.loadsOut--
+				containerBufPut(res.buf)
 			case s := <-r.slabsDone:
 				r.slabsOut--
 				restoreBufPut(s.buf)
@@ -270,6 +273,15 @@ func (c *Client) runRestore(ctx context.Context, plan *restorePlan, w io.Writer)
 		}
 		for _, s := range r.pending {
 			restoreBufPut(s.buf)
+		}
+	}
+	// Only now, with no slab left in flight to read their views, do the
+	// containers still held give their buffers back: a failed restore
+	// stops with some held, a finished one has dropped them all.
+	for k := range r.slots {
+		if s := &r.slots[k]; s.buf != nil {
+			containerBufPut(s.buf)
+			s.buf, s.entries = nil, nil
 		}
 	}
 	close(r.jobs)
@@ -393,10 +405,11 @@ func (r *restoreRun) admit(k int) bool {
 	r.reserved += r.plan.nominal
 	r.loadsOut++
 	ref := r.plan.containers[k].ref
+	buf := containerBufGet()
 	r.jobs <- func() {
-		res := loadResult{k: k, err: r.jobCtx.Err()}
+		res := loadResult{k: k, buf: buf, err: r.jobCtx.Err()}
 		if res.err == nil {
-			res.entries, res.err = r.c.store.readContainer(ref)
+			res.entries, res.err = r.c.store.readContainer(ref, buf)
 		}
 		r.loadsDone <- res
 	}
@@ -416,11 +429,17 @@ func (r *restoreRun) loaded(res loadResult) error {
 		// entry's point lookup decides its fate individually (it fails
 		// the same way and zero-fills).
 	default:
+		containerBufPut(res.buf)
 		ref := r.plan.containers[res.k].ref
 		return fmt.Errorf("dedup: restore: container %d (shard %d): %w", ref.id, ref.shard, res.err)
 	}
+	if res.err != nil {
+		// Held empty: nothing will read the buffer.
+		containerBufPut(res.buf)
+		res.buf = nil
+	}
 	s := &r.slots[res.k]
-	s.entries, s.bytes = res.entries, 0
+	s.entries, s.buf, s.bytes = res.entries, res.buf, 0
 	for _, e := range res.entries {
 		s.bytes += int64(len(e.Data))
 	}
@@ -475,12 +494,16 @@ func (r *restoreRun) uncache(k int) {
 	}
 }
 
-// drop releases k's bytes if nothing needs them any more.
+// drop releases k's bytes, and returns its buffer to the pool, if nothing
+// needs them any more: no slab still to be decrypted reads its views.
 func (r *restoreRun) drop(k int) {
 	s := &r.slots[k]
 	if s.held && !s.cached && s.outstanding == 0 {
 		r.retained -= s.bytes
-		s.entries, s.held = nil, false
+		if s.buf != nil {
+			containerBufPut(s.buf)
+		}
+		s.entries, s.buf, s.held = nil, nil, false
 	}
 }
 
@@ -578,16 +601,37 @@ func (r *restoreRun) decrypted(s *restoreSlab) error {
 // outgrew it, pow2-rounded so capacities cluster).
 var restorePool sync.Pool
 
-// restoreBufsOutstanding counts pool buffers currently handed out; the
-// drain-on-error tests assert it returns to its baseline after a failed
-// restore (no buffer is abandoned).
+// restoreBufsOutstanding counts pool buffers currently handed out, slab
+// and container buffers alike; the drain-on-error tests assert it returns
+// to its baseline after a failed restore (no buffer is abandoned).
 var restoreBufsOutstanding atomic.Int64
 
-// RestoreBufsOutstanding reports how many pooled restore buffers are
-// currently handed out. It is a test hook: harnesses (the crash-point
-// explorer, the drain-on-error tests) assert it returns to its baseline
-// after failed and degraded restores, proving no pooled buffer leaks.
+// RestoreBufsOutstanding reports how many pooled restore buffers (the
+// plaintext slabs and the window's container buffers) are currently
+// handed out. It is a test hook: harnesses (the crash-point explorer, the
+// drain-on-error tests) assert it returns to its baseline after failed
+// and degraded restores, proving no pooled buffer leaks.
 func RestoreBufsOutstanding() int64 { return restoreBufsOutstanding.Load() }
+
+// containerPool recycles the restore window's container buffers across
+// restores: each container is read into one (Store.readContainer), held
+// while the window needs it, and put back when the window drops it.
+var containerPool sync.Pool
+
+// containerBufGet returns a pooled container buffer, empty or not.
+func containerBufGet() *[]byte {
+	restoreBufsOutstanding.Add(1)
+	if bp, ok := containerPool.Get().(*[]byte); ok {
+		return bp
+	}
+	return new([]byte)
+}
+
+// containerBufPut returns a container buffer to the pool.
+func containerBufPut(bp *[]byte) {
+	restoreBufsOutstanding.Add(-1)
+	containerPool.Put(bp)
+}
 
 // restoreBufGet returns a pooled buffer of length n.
 func restoreBufGet(n int) []byte {

@@ -1,6 +1,7 @@
 package dedup
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -47,13 +48,13 @@ type shard struct {
 	logicalChunks int
 }
 
-// put is the single-shard Put body; the caller holds s.mu. When owned is
-// true the store takes ownership of c.Data and stores it without the
-// defensive copy. On a backend write error nothing is recorded and the
-// chunk is reported as an upload failure. A reference-only chunk is a
-// duplicate if the index holds its fingerprint; otherwise put fails
+// put is the single-shard Put body; the caller holds s.mu. The chunk's
+// bytes are copied into the shard's open container (container.Store.Append),
+// so the caller keeps c.Data. On a backend write error nothing is recorded
+// and the chunk is reported as an upload failure. A reference-only chunk
+// is a duplicate if the index holds its fingerprint; otherwise put fails
 // closed with an error wrapping ErrNotFound and records nothing.
-func (s *shard) put(c PutChunk, owned bool) (duplicate bool, err error) {
+func (s *shard) put(c PutChunk) (duplicate bool, err error) {
 	// A lookup error (a corrupt index block) degrades to a miss: the
 	// chunk is stored again and the insert repoints the index at the
 	// fresh copy — correctness over dedup ratio. A reference has no bytes
@@ -70,19 +71,15 @@ func (s *shard) put(c PutChunk, owned bool) (duplicate bool, err error) {
 	if c.Ref {
 		return false, fmt.Errorf("%w: reference-only chunk %v", ErrNotFound, c.FP)
 	}
-	buf := c.Data
-	if !owned {
-		buf = make([]byte, len(c.Data))
-		copy(buf, c.Data)
-	}
-	loc, err := s.containers.Append(container.Entry{FP: c.FP, Size: uint32(len(buf)), Data: buf})
+	n := uint64(len(c.Data))
+	loc, err := s.containers.Append(container.Entry{FP: c.FP, Size: uint32(n), Data: c.Data})
 	if err != nil {
 		return false, err
 	}
 	s.index.Insert(c.FP, loc)
 	s.logicalChunks++
-	s.logicalBytes += uint64(len(buf))
-	s.physicalBytes += uint64(len(buf))
+	s.logicalBytes += n
+	s.physicalBytes += n
 	return false, nil
 }
 
@@ -523,7 +520,7 @@ func (s *Store) Put(fp fphash.Fingerprint, data []byte) (duplicate bool, err err
 	sh := s.shardFor(fp)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	dup, err := sh.put(PutChunk{FP: fp, Data: data}, false)
+	dup, err := sh.put(PutChunk{FP: fp, Data: data})
 	if err == nil {
 		err = sh.maybeFlush()
 	}
@@ -536,8 +533,9 @@ func (s *Store) Put(fp fphash.Fingerprint, data []byte) (duplicate bool, err err
 type PutChunk struct {
 	// FP is the chunk's (ciphertext) fingerprint.
 	FP fphash.Fingerprint
-	// Data is the chunk content. The store copies it; the caller keeps
-	// ownership. It is ignored for a reference-only chunk.
+	// Data is the chunk content. The store copies it into its open
+	// container; PutBatch's caller keeps it, and PutBatchOwned's owns it
+	// through Buf. It is ignored for a reference-only chunk.
 	Data []byte
 	// Ref marks a reference-only chunk: the store counts it as a
 	// duplicate of the chunk its index holds under FP, or, if the index
@@ -548,13 +546,15 @@ type PutChunk struct {
 	// Size is a reference-only chunk's ciphertext size, the logical bytes
 	// it adds; for a chunk with bytes it is ignored and len(Data) counts.
 	Size uint32
-	// Plain is a reference-only chunk's plaintext, as the chunker
-	// produced it: a sink that finds the chunk missing encrypts it under
-	// its convergent key, mle.ConvergentKey(Plain.Data). PutBatchOwned
-	// owns Plain and hands it back to the chunker pool once it no longer
-	// needs it, on every path; PutBatch only borrows it. It is zero for a
-	// chunk with bytes.
-	Plain chunker.Chunk
+	// Buf is the pooled chunker buffer the put came from, when it came
+	// from the backup pipeline. A chunk with bytes was encrypted in place,
+	// so its Data is Buf.Data. A reference-only chunk carries its
+	// plaintext there, as the chunker produced it: a sink that finds the
+	// chunk missing encrypts it under its convergent key,
+	// mle.ConvergentKey(Buf.Data), in place. PutBatchOwned owns Buf and
+	// hands it back to the chunker pool once it no longer needs it, on
+	// every path; PutBatch ignores it.
+	Buf chunker.Chunk
 }
 
 // PutBatch stores a batch of ciphertext chunks, deduplicating each, and
@@ -564,28 +564,9 @@ type PutChunk struct {
 // order, so with a single shard the container layout is identical to
 // issuing the Puts sequentially. Shards are visited in index order. On
 // error, the chunks of earlier shards and those of the failing chunk's
-// shard before it remain stored (re-uploading them deduplicates).
+// shard before it remain stored (re-uploading them deduplicates). The
+// store copies what it keeps, so the caller keeps every Data.
 func (s *Store) PutBatch(chunks []PutChunk) ([]bool, error) {
-	return s.putBatch(chunks, false)
-}
-
-// PutBatchOwned is PutBatch with ownership transfer: the store keeps the
-// Data slices of non-duplicate chunks instead of copying them, so the
-// caller must not read or write any chunk's Data or Plain after the call.
-// The backup pipeline uses it for freshly encrypted ciphertexts it never
-// touches again, and for the reference-only chunks of a convergent backup
-// that found a chunk's key in its parent snapshot's recipe and so never
-// encrypted it: the store counts those by fingerprint and releases their
-// plaintexts unread. Callers that reuse their buffers must use PutBatch.
-func (s *Store) PutBatchOwned(chunks []PutChunk) ([]bool, error) {
-	dups, err := s.putBatch(chunks, true)
-	for _, c := range chunks {
-		c.Plain.Release()
-	}
-	return dups, err
-}
-
-func (s *Store) putBatch(chunks []PutChunk, owned bool) ([]bool, error) {
 	dups := make([]bool, len(chunks))
 	if len(chunks) == 0 {
 		return dups, nil
@@ -596,7 +577,7 @@ func (s *Store) putBatch(chunks []PutChunk, owned bool) ([]bool, error) {
 		defer sh.mu.Unlock()
 		for i, c := range chunks {
 			var err error
-			if dups[i], err = sh.put(c, owned); err != nil {
+			if dups[i], err = sh.put(c); err != nil {
 				return dups, err
 			}
 		}
@@ -619,7 +600,7 @@ func (s *Store) putBatch(chunks []PutChunk, owned bool) ([]bool, error) {
 		sh.mu.Lock()
 		for _, i := range idxs {
 			var err error
-			if dups[i], err = sh.put(chunks[i], owned); err != nil {
+			if dups[i], err = sh.put(chunks[i]); err != nil {
 				sh.mu.Unlock()
 				return dups, err
 			}
@@ -633,6 +614,19 @@ func (s *Store) putBatch(chunks []PutChunk, owned bool) ([]bool, error) {
 		}
 	}
 	return dups, nil
+}
+
+// PutBatchOwned is PutBatch for the backup pipeline's windows (the Sink
+// method): the call owns every chunk's Buf, and the store hands each one
+// back to the chunker pool once its bytes are copied into a container, or,
+// for a reference-only chunk, unread, on every path. The caller must not
+// touch any chunk's Data or Buf after the call.
+func (s *Store) PutBatchOwned(chunks []PutChunk) ([]bool, error) {
+	dups, err := s.PutBatch(chunks)
+	for _, c := range chunks {
+		c.Buf.Release()
+	}
+	return dups, err
 }
 
 // Get retrieves a stored ciphertext chunk by fingerprint. It returns
@@ -660,9 +654,11 @@ func (s *Store) Get(fp fphash.Fingerprint) ([]byte, error) {
 		return nil, ErrNotFound
 	}
 	if cur := sh.containers.Current(); cur != nil && cur.ID == loc.Container {
+		// The open container's bytes are recycled at its seal: copy them
+		// under the lock.
 		var data []byte
 		if loc.Index >= 0 && loc.Index < len(cur.Entries) {
-			data = cur.Entries[loc.Index].Data
+			data = bytes.Clone(cur.Entries[loc.Index].Data)
 		}
 		sh.mu.Unlock()
 		if data == nil {
@@ -678,7 +674,7 @@ func (s *Store) Get(fp fphash.Fingerprint) ([]byte, error) {
 // location is still current, with a locked retry for the GC race.
 func (s *Store) getSealed(sh *shard, fp fphash.Fingerprint, loc container.Location) ([]byte, error) {
 	shardIdx := fp.Shard(len(s.shards))
-	c, err := s.backend.Load(shardIdx, loc.Container)
+	c, err := s.backend.Load(shardIdx, loc.Container, nil)
 	if err == nil && loc.Index >= 0 && loc.Index < len(c.Entries) && c.Entries[loc.Index].FP == fp {
 		return c.Entries[loc.Index].Data, nil
 	}
@@ -708,7 +704,9 @@ func (s *Store) getSealed(sh *shard, fp fphash.Fingerprint, loc container.Locati
 		// container disagree (possible only under external damage).
 		return nil, ErrNotFound
 	}
-	return e.Data, nil
+	// The location may be in the open container now (GC moves survivors
+	// of the old one there), whose bytes do not outlive the lock.
+	return bytes.Clone(e.Data), nil
 }
 
 // containerRef names one container of one shard: the restore window's
@@ -737,23 +735,37 @@ func (s *Store) locate(fp fphash.Fingerprint) (containerRef, container.Location,
 	return containerRef{shard: si, id: loc.Container}, loc, true, nil
 }
 
-// readContainer fetches one container's entries for a restore.
-// The open container is snapshotted under the shard lock; sealed
-// containers are immutable and read from the backend outside it (backends
-// are safe for concurrent use), so container reads on different shards —
-// and, for MemBackend, on the same shard — overlap. A concurrent GC can
-// move chunks between a locate and this read; restore verifies each
-// entry's fingerprint and falls back to Get on a mismatch.
-func (s *Store) readContainer(ref containerRef) ([]container.Entry, error) {
+// readContainer fetches one container's entries for a restore into *buf,
+// which the caller owns (grown as needed): the entries' Data are views of
+// it, valid until the caller reuses it. The open container's bytes are
+// copied into *buf under the shard lock, since its seal recycles them;
+// sealed containers are immutable and read from the backend outside it
+// (backends are safe for concurrent use), so container reads on different
+// shards — and, for MemBackend, on the same shard — overlap. A concurrent
+// GC can move chunks between a locate and this read; restore verifies
+// each entry's fingerprint and falls back to Get on a mismatch.
+func (s *Store) readContainer(ref containerRef, buf *[]byte) ([]container.Entry, error) {
 	sh := s.shards[ref.shard]
 	sh.mu.Lock()
 	if cur := sh.containers.Current(); cur != nil && cur.ID == ref.id {
+		b := (*buf)[:0]
+		if cap(b) < cur.Bytes {
+			b = make([]byte, 0, cur.Bytes)
+		}
+		for _, e := range cur.Entries {
+			b = append(b, e.Data...)
+		}
 		entries := append([]container.Entry(nil), cur.Entries...)
 		sh.mu.Unlock()
+		*buf = b
+		for i := range entries {
+			n := len(entries[i].Data)
+			entries[i].Data, b = b[:n:n], b[n:]
+		}
 		return entries, nil
 	}
 	sh.mu.Unlock()
-	c, err := s.backend.Load(ref.shard, ref.id)
+	c, err := s.backend.Load(ref.shard, ref.id, buf)
 	if err != nil {
 		return nil, err
 	}

@@ -18,9 +18,9 @@ type countingBackend struct {
 	loads atomic.Int64
 }
 
-func (b *countingBackend) Load(shard, id int) (*container.Container, error) {
+func (b *countingBackend) Load(shard, id int, buf *[]byte) (*container.Container, error) {
 	b.loads.Add(1)
-	return b.Backend.Load(shard, id)
+	return b.Backend.Load(shard, id, buf)
 }
 
 // windowFixture backs up gens generations of a 2 MiB stream — the first
@@ -179,7 +179,7 @@ func TestRestoreWindowMatchesBelady(t *testing.T) {
 	size := make([]int64, len(plan.containers))
 	var largest, total int64
 	for k, pc := range plan.containers {
-		c, err := cb.Backend.Load(pc.ref.shard, pc.ref.id)
+		c, err := cb.Backend.Load(pc.ref.shard, pc.ref.id, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

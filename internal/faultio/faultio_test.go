@@ -182,7 +182,7 @@ func TestFileBackendOnMemFS(t *testing.T) {
 	}
 	defer fb2.Close()
 	for id := 0; id < 3; id++ {
-		c, err := fb2.Load(0, id)
+		c, err := fb2.Load(0, id, nil)
 		if err != nil {
 			t.Fatalf("load %d: %v", id, err)
 		}
@@ -197,7 +197,7 @@ func TestFileBackendOnMemFS(t *testing.T) {
 	if err := img.CorruptAt("store/shard-0000.fdc", 60, 0x10); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := fb2.Load(0, 0); !errors.Is(err, container.ErrCorrupt) {
+	if _, err := fb2.Load(0, 0, nil); !errors.Is(err, container.ErrCorrupt) {
 		t.Fatalf("load of corrupted container = %v, want ErrCorrupt", err)
 	}
 }

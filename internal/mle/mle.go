@@ -108,6 +108,17 @@ func ivFor(k Key) [aes.BlockSize]byte {
 // a key-derived IV. The output has the same length as the input and is a
 // deterministic function of (k, plaintext).
 func EncryptDeterministic(k Key, plaintext []byte) []byte {
+	out := make([]byte, len(plaintext))
+	EncryptDeterministicInto(k, plaintext, out)
+	return out
+}
+
+// EncryptDeterministicInto is EncryptDeterministic into dst, which must be
+// at least len(plaintext) bytes; the ciphertext occupies the first
+// len(plaintext) bytes of dst. dst may be plaintext itself: CTR mode
+// encrypts in place, which is how the backup pipeline turns a chunk's
+// pooled buffer into its ciphertext without a per-chunk allocation.
+func EncryptDeterministicInto(k Key, plaintext, dst []byte) {
 	block, err := aes.NewCipher(k[:])
 	if err != nil {
 		// aes.NewCipher only fails on invalid key sizes, which the Key type
@@ -115,9 +126,7 @@ func EncryptDeterministic(k Key, plaintext []byte) []byte {
 		panic(fmt.Sprintf("mle: aes: %v", err))
 	}
 	iv := ivFor(k)
-	out := make([]byte, len(plaintext))
-	cipher.NewCTR(block, iv[:]).XORKeyStream(out, plaintext)
-	return out
+	cipher.NewCTR(block, iv[:]).XORKeyStream(dst[:len(plaintext)], plaintext)
 }
 
 // DecryptDeterministic inverts EncryptDeterministic.
@@ -131,12 +140,7 @@ func DecryptDeterministic(k Key, ciphertext []byte) []byte {
 // len(ciphertext) bytes of dst. It exists so the restore pipeline can
 // decrypt into pooled buffers without a per-chunk allocation.
 func DecryptDeterministicInto(k Key, ciphertext, dst []byte) {
-	block, err := aes.NewCipher(k[:])
-	if err != nil {
-		panic(fmt.Sprintf("mle: aes: %v", err))
-	}
-	iv := ivFor(k)
-	cipher.NewCTR(block, iv[:]).XORKeyStream(dst, ciphertext)
+	EncryptDeterministicInto(k, ciphertext, dst)
 }
 
 // Convergent is the classical MLE scheme: per-chunk key = hash of content.

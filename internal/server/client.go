@@ -241,23 +241,22 @@ func (c *Client) watchCtx(ctx context.Context) func() bool {
 
 // cwindow is one in-flight backup window on the client side: the refs it
 // negotiated, and each chunk's put — its ciphertext or, for a
-// parent-table hit, its plaintext — until the server's reply is handled.
+// parent-table hit, its plaintext, in the chunk's pooled buffer — until
+// the server's reply is handled.
 type cwindow struct {
 	refs []trace.ChunkRef
 	puts []dedup.PutChunk
 }
 
-// releasePlain hands a parent-table hit's plaintext back to the chunker
-// pool. Tests swap it to poison each buffer as it goes back.
-var releasePlain = func(ch chunker.Chunk) { ch.Release() }
+// releaseBuf hands a put's pooled buffer back to the chunker pool. Tests
+// swap it to poison each buffer as it goes back.
+var releaseBuf = func(p dedup.PutChunk) { p.Buf.Release() }
 
-// release releases the hits' plaintexts in puts; the caller is the only
-// goroutine that can still read them.
+// release releases every put's buffer; the caller is the only goroutine
+// that can still read them.
 func release(puts []dedup.PutChunk) {
 	for _, p := range puts {
-		if p.Ref {
-			releasePlain(p.Plain)
-		}
+		releaseBuf(p)
 	}
 }
 
@@ -298,12 +297,12 @@ type wireSink struct{ cur *backupShared }
 // takes an in-flight slot, records the refs and puts the receiver answers
 // the server's reply from, and sends TNegotiate. A parent-table hit is
 // negotiated with the fingerprint and size its ciphertext has, exactly
-// like an encrypted chunk. Each put is kept until the reply is handled:
-// a ciphertext until its TChunkData frame is written, a hit's plaintext
-// until it is encrypted for that frame or found held. chunks itself is
-// only borrowed; on an error return the hits' plaintexts not yet
-// recorded are released here, and the recorded ones once the receiver
-// has exited.
+// like an encrypted chunk. Each put's buffer is kept until the reply is
+// handled: until the window's TChunkData frame is written, or the chunk
+// is found held; a missed hit's plaintext is encrypted in place for that
+// frame. chunks itself is only borrowed; on an error return the buffers
+// not yet recorded are released here, and the recorded ones once the
+// receiver has exited.
 func (w *wireSink) PutBatchOwned(chunks []dedup.PutChunk) ([]bool, error) {
 	s := w.cur
 	for len(chunks) > 0 {
@@ -395,18 +394,18 @@ func (s *backupShared) recvLoop() {
 				if p.Ref {
 					// A parent-table hit the server no longer holds (GC
 					// reclaimed it since the parent backup): encrypt it now,
-					// as the pipeline would have. The wire carries only
-					// convergent encryption, so its key is its SHA-256.
-					plain := p.Plain.Data
-					p.Data = mle.EncryptDeterministic(mle.ConvergentKey(plain), plain)
+					// in place, as the pipeline would have. The wire carries
+					// only convergent encryption, so its key is its SHA-256.
+					plain := p.Buf.Data
+					mle.EncryptDeterministicInto(mle.ConvergentKey(plain), plain, plain)
+					p.Data = plain
 				}
 				missed = append(missed, p.Data)
 			}
-			// Every plaintext is dead once the missed hits are encrypted,
-			// and the ciphertexts once the frame is written: TCP owns
-			// delivery, and a lost connection fails the whole backup.
-			release(w.puts)
-			w.puts = nil
+			// Every buffer is dead once the frame is written: TCP owns
+			// delivery, and a lost connection fails the whole backup. A
+			// failed write leaves the window pending, so its buffers are
+			// released once the receiver has exited.
 			err = s.c.wc.SendChunkData(seq, missed)
 			clear(missed)
 			missed = missed[:0]
@@ -414,6 +413,8 @@ func (s *backupShared) recvLoop() {
 				fail(err)
 				return
 			}
+			release(w.puts)
+			w.puts = nil
 		case wire.TWindowAck:
 			seq, err := wire.ParseSeq(p)
 			if err != nil {
@@ -531,9 +532,9 @@ func (c *Client) backup(ctx context.Context, name string, src io.Reader) (info w
 	c.sink.cur = nil
 	if err != nil {
 		// Unblock and collect the receiver before returning: markBroken
-		// closes the conn, which ends it. Only then are the plaintexts of
+		// closes the conn, which ends it. Only then are the buffers of
 		// windows whose reply it never handled released: until it exits,
-		// the receiver may be encrypting them.
+		// the receiver may be encrypting or sending them.
 		c.nc.Close()
 		<-shared.recvDone
 		for _, w := range shared.pending {

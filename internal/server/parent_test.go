@@ -38,25 +38,28 @@ func hitGenerations(n int) [][]byte {
 	return gens
 }
 
-// poisonReleases makes every release of a parent-table hit's plaintext
-// call before, then overwrite the buffer, and counts the releases. A
-// plaintext released while the receiver can still read it is then either
-// encrypted from poison, which the server's fingerprint check rejects,
-// or, under -race, reported as a race between the poisoning write and
-// the read.
+// poisonReleases makes every release of a put's buffer overwrite it, and
+// every release of a parent-table hit's plaintext call before first and
+// count it. A buffer released while the receiver can still read it (a
+// hit's plaintext it is yet to encrypt, or a ciphertext it is yet to
+// send) then reaches the server as poison, which its fingerprint check
+// rejects, or, under -race, is reported as a race between the poisoning
+// write and the read.
 func poisonReleases(t *testing.T, before func()) *atomic.Int64 {
 	t.Helper()
 	var n atomic.Int64
-	orig := releasePlain
-	releasePlain = func(ch chunker.Chunk) {
-		before()
-		for i := range ch.Data {
-			ch.Data[i] = 0xa5
+	orig := releaseBuf
+	releaseBuf = func(p dedup.PutChunk) {
+		if p.Ref {
+			before()
+			n.Add(1)
 		}
-		n.Add(1)
-		ch.Release()
+		for i := range p.Buf.Data {
+			p.Buf.Data[i] = 0xa5
+		}
+		p.Buf.Release()
 	}
-	t.Cleanup(func() { releasePlain = orig })
+	t.Cleanup(func() { releaseBuf = orig })
 	return &n
 }
 

@@ -282,11 +282,8 @@ func (c *Conn) Recv() (typ uint32, payload []byte, err error) {
 	if n > MaxPayload {
 		return 0, nil, fmt.Errorf("%w: payload length %d exceeds limit %d", ErrCorruptFrame, n, MaxPayload)
 	}
-	if cap(c.rbuf) < int(n)+4 {
-		c.rbuf = make([]byte, n+4)
-	}
-	buf := c.rbuf[:n+4]
-	if _, err := io.ReadFull(c.br, buf); err != nil {
+	buf, err := c.readPayload(int(n) + 4)
+	if err != nil {
 		return 0, nil, err
 	}
 	crc := crc32.ChecksumIEEE(c.hdr[:])
@@ -295,6 +292,47 @@ func (c *Conn) Recv() (typ uint32, payload []byte, err error) {
 		return 0, nil, fmt.Errorf("%w: checksum mismatch", ErrCorruptFrame)
 	}
 	return typ, buf[:n], nil
+}
+
+// recvStep is the least the receive buffer grows by at a time.
+const recvStep = 64 << 10
+
+// recvGrowth is the factor by which the receive buffer grows at a time.
+// A larger factor wastes less on an honest frame's smaller buffers, a
+// smaller one lets a lying header allocate less ahead of its bytes.
+const recvGrowth = 8
+
+// readPayload reads the next need bytes (a frame's payload and checksum)
+// into the reused receive buffer. The buffer grows only once the bytes
+// already fill it, never to the length a header claims up front: to the
+// smallest of need, need/8, need/64, ... that holds recvStep more. So an
+// honest frame's buffers add up to at most 8/7 of its length, and a frame
+// that lies about its length makes Recv allocate at most about ten times
+// what its peer really sent, plus ten steps.
+func (c *Conn) readPayload(need int) ([]byte, error) {
+	buf := c.rbuf[:0]
+	for len(buf) < need {
+		if len(buf) == cap(buf) {
+			size := need
+			for size/recvGrowth >= len(buf)+recvStep {
+				size /= recvGrowth
+			}
+			grown := make([]byte, len(buf), size)
+			copy(grown, buf)
+			buf = grown
+		}
+		k, err := io.ReadFull(c.br, buf[len(buf):min(cap(buf), need)])
+		buf = buf[:len(buf)+k]
+		if err != nil {
+			c.rbuf = buf[:0]
+			if err == io.EOF && len(buf) > 0 {
+				err = io.ErrUnexpectedEOF
+			}
+			return nil, err
+		}
+	}
+	c.rbuf = buf
+	return buf, nil
 }
 
 // ---- payload encoding ----

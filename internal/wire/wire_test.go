@@ -2,6 +2,7 @@ package wire
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"io"
 	"testing"
@@ -39,6 +40,60 @@ func TestFrameRoundTrip(t *testing.T) {
 	roundTrip(t, THello, []byte("payload"))
 	roundTrip(t, TBackupReady, nil)
 	roundTrip(t, TRestoreData, bytes.Repeat([]byte{0xab}, 1<<20))
+}
+
+// TestRecvLyingLengthAllocatesLittle sends Recv a 12-byte header that
+// claims a MaxPayload frame and then ends: Recv must fail without
+// allocating the claimed length, since the server reads a connection's
+// first frame this way before it authenticates anyone.
+func TestRecvLyingLengthAllocatesLittle(t *testing.T) {
+	hdr := binary.BigEndian.AppendUint32(nil, Magic)
+	hdr = binary.BigEndian.AppendUint32(hdr, THello)
+	hdr = binary.BigEndian.AppendUint32(hdr, MaxPayload)
+	c := NewConn(bytes.NewBuffer(hdr))
+	before := allocatedBytes()
+	_, _, err := c.Recv()
+	grew := allocatedBytes() - before
+	if !errors.Is(err, io.EOF) {
+		t.Fatalf("Recv = %v, want io.EOF", err)
+	}
+	if grew >= 1<<20 {
+		t.Fatalf("a 12-byte frame claiming %d bytes made Recv allocate %d bytes", MaxPayload, grew)
+	}
+}
+
+// TestRecvEverySize round-trips frames around the receive buffer's growth
+// steps on one connection, growing and shrinking, so the buffer is both
+// grown mid-frame and reused for smaller frames; a frame cut anywhere in
+// its payload is io.ErrUnexpectedEOF.
+func TestRecvEverySize(t *testing.T) {
+	sizes := []int{0, 1, recvStep - 5, recvStep - 4, recvStep - 3, recvStep, recvStep + 1,
+		2*recvStep + 7, 5*recvStep - 4, 3, 1<<20 + 9, recvStep, 4 << 20}
+	var p pipeConn
+	c := NewConn(&p)
+	for i, n := range sizes {
+		payload := make([]byte, n)
+		for j := range payload {
+			payload[j] = byte(i + j*7)
+		}
+		if err := c.Send(TRestoreData, payload); err != nil {
+			t.Fatal(err)
+		}
+		typ, got, err := c.Recv()
+		if err != nil || typ != TRestoreData || !bytes.Equal(got, payload) {
+			t.Fatalf("%d-byte frame: type %d, %d bytes, equal %v, err %v", n, typ, len(got), bytes.Equal(got, payload), err)
+		}
+	}
+	var whole pipeConn
+	if err := NewConn(&whole).Send(TRestoreData, make([]byte, 3*recvStep)); err != nil {
+		t.Fatal(err)
+	}
+	for _, cut := range []int{HeaderLen + 1, HeaderLen + recvStep, HeaderLen + recvStep + 1, whole.Len() - 1} {
+		_, _, err := NewConn(bytes.NewBuffer(whole.Bytes()[:cut])).Recv()
+		if !errors.Is(err, io.ErrUnexpectedEOF) {
+			t.Errorf("frame cut at %d: err = %v, want ErrUnexpectedEOF", cut, err)
+		}
+	}
 }
 
 func TestFrameCorruption(t *testing.T) {

@@ -74,9 +74,15 @@ go test -race ./... || fail "go test -race"
 # The backup pipeline's worker pool, producer and consumer hand chunks,
 # batches and windows to each other; run the tests that drive those
 # handoffs (teardown, determinism across worker counts, sinks, streaming
-# readers, cancellation) five times over.
+# readers, cancellation) five times over, with the test that holds the
+# open container's arena views to copies across a seal.
 echo "== backup pipeline flake guard (-race -count=5)"
-go test -race -count=5 -run 'Cancel|Deterministic|Sink|Streaming|Teardown' ./internal/dedup/ || fail "backup pipeline flake guard"
+go test -race -count=5 -run 'Cancel|Deterministic|Sink|Streaming|Teardown|ViewsSurviveSeal' ./internal/dedup/ || fail "backup pipeline flake guard"
+
+# The open container's arena recycles its blocks only after a durable
+# seal and keeps them through a failed one or a compaction.
+echo "== container arena flake guard (-race -count=5)"
+go test -race -count=5 -run 'Arena|MemBackendStore' ./internal/container/ || fail "container arena flake guard"
 
 # The chunker scans each lookahead refill in pieces on helper goroutines
 # that claim pieces against the caller; run the parallel scan's tests and
