@@ -37,14 +37,15 @@ test:
 # open container's arena views across a seal, the arena's block recycling,
 # the chunker's parallel boundary scan against its references, and the
 # overlapped seal pass (its fsyncs on the real disk, and its crash clock
-# on the fault filesystem).
+# on the fault filesystem). scripts/race-guard.sh fails a guard whose
+# -run pattern has an alternative that lists no test.
 race:
 	$(GO) test -race ./...
-	$(GO) test -race -count=5 -run 'RoundTrip|Cancel|EmptyBackup|Inflight|ParentHit' ./internal/server/
-	$(GO) test -race -count=5 -run 'Cancel|Deterministic|Sink|Streaming|Teardown|ViewsSurviveSeal' ./internal/dedup/
-	$(GO) test -race -count=5 -run 'Arena|MemBackendStore' ./internal/container/
-	$(GO) test -race -count=5 -run 'ParallelScan|Reference' ./internal/chunker/
-	$(GO) test -race -count=5 -run 'SealPass|CrashClock' .
+	GO=$(GO) scripts/race-guard.sh 'RoundTrip|Cancel|EmptyBackup|Inflight|ParentHit' ./internal/server/
+	GO=$(GO) scripts/race-guard.sh 'Cancel|Deterministic|Sink|Streaming|Teardown|ViewsSurviveSeal' ./internal/dedup/
+	GO=$(GO) scripts/race-guard.sh 'Arena|MemBackendStore' ./internal/container/
+	GO=$(GO) scripts/race-guard.sh 'ParallelScan|Reference' ./internal/chunker/
+	GO=$(GO) scripts/race-guard.sh 'SealPass|CrashClock' .
 
 # Exhaustive crash-point sweep under the race detector: crash the
 # scripted backup/delete/GC/backup scenario at EVERY mutating filesystem

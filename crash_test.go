@@ -2,6 +2,7 @@ package freqdedup
 
 import (
 	"crypto/sha256"
+	"encoding/binary"
 	"encoding/hex"
 	"fmt"
 	"os"
@@ -64,13 +65,14 @@ func TestCrashSweepGear(t *testing.T) {
 }
 
 // TestCrashSweepPersistentIndex reruns the sync-point sweep with the
-// fingerprint index's memtable cut to 8 entries, so crash points land
-// inside run flushes and compactions during the backups, not only in the
-// index flush at Close and the GC layout-change marker protocol. The invariant set is unchanged: whatever the index
-// files say after a crash, every acknowledged snapshot must list,
-// restore byte-identically, and survive a GC — the containers are the
-// index's write-ahead log, so no index state is ever load-bearing for
-// durability.
+// fingerprint index's memtable cut to 4 entries, so crash points land
+// inside run flushes and a merge during the backups, not only in the
+// index flush at Close and the GC layout-change marker protocol
+// (TestCrashScenarioMerges checks that a merge commits). The invariant
+// set is unchanged: whatever the index files say after a crash, every
+// acknowledged snapshot must list, restore byte-identically, and survive
+// a GC — the containers are the index's write-ahead log, so no index
+// state is ever load-bearing for durability.
 func TestCrashSweepPersistentIndex(t *testing.T) {
 	maxPoints := 24
 	if testing.Short() {
@@ -94,6 +96,52 @@ func TestCrashSweepPersistentIndex(t *testing.T) {
 		t.Errorf("crash at op %d/%d: %v", f.Op, res.TotalOps, f.Err)
 	}
 	t.Logf("swept %d persistent-index sync-point crashes across %d mutating ops", len(res.PointsTested), res.TotalOps)
+}
+
+// TestCrashScenarioMerges holds the persistent-index scenario to its
+// claim that its sweeps crash inside a compaction: at least one merge
+// commits. The scenario is crashed right after each of its sync points
+// until a crash image holds a shard manifest (doc.go's version-2 layout)
+// that lists a run on level 1 or above, which only a merge writes.
+func TestCrashScenarioMerges(t *testing.T) {
+	sc := CrashScenario{Seed: 5, PersistentIndex: true}
+	clean := faultio.NewMemFSPlan(faultio.Plan{Seed: sc.Seed})
+	if _, err := sc.run(clean); err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range clean.Injector().SyncPoints() {
+		m := faultio.NewMemFSPlan(faultio.Plan{Seed: sc.Seed, CrashAtOp: p + 1})
+		sc.run(m) // fails with the crash
+		img := m.CrashImage()
+		names, err := img.Glob("repo/" + IndexDirName + "/shard-*.mf")
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, name := range names {
+			f, err := img.Open(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			st, err := f.Stat()
+			if err != nil {
+				t.Fatal(err)
+			}
+			data := make([]byte, st.Size())
+			_, err = f.ReadAt(data, 0)
+			f.Close()
+			if err != nil || len(data) < 36 {
+				t.Fatalf("%s: %d bytes, %v", name, len(data), err)
+			}
+			runs := int(binary.LittleEndian.Uint32(data[12:]))
+			for i := 0; i < runs && 32+20*i+20 <= len(data); i++ {
+				if level := binary.LittleEndian.Uint32(data[32+20*i+8:]); level >= 1 {
+					t.Logf("%s lists a level-%d run after sync point %d", name, level, p)
+					return
+				}
+			}
+		}
+	}
+	t.Fatal("no crash image lists a merged run: the persistent-index sweep never crashes inside a compaction")
 }
 
 // TestCrashSweepDefended reruns the sync-point sweep with MinHash
@@ -270,7 +318,7 @@ func TestCrashClockPinned(t *testing.T) {
 	}{
 		{"seed1", CrashScenario{Seed: 1}, 182, 63, "be99c3462737e830"},
 		{"gear", CrashScenario{Seed: 3, GearChunking: true}, 188, 64, "2bbbc9e0c4f06ddc"},
-		{"pindex", CrashScenario{Seed: 5, PersistentIndex: true}, 182, 60, "c1d805a1a17c4fc9"},
+		{"pindex", CrashScenario{Seed: 5, PersistentIndex: true}, 286, 85, "4f6a6f5ba3a58f64"},
 		{"defended", CrashScenario{Seed: 9, Defended: true}, 178, 63, "3d95d6f5d47d99cb"},
 		{"16shards", CrashScenario{Seed: 1, Shards: 16, ContainerBytes: 4 << 20, SnapshotBytes: 1 << 20}, 745, 240, "cccae90502f26eb1"},
 	}

@@ -56,10 +56,12 @@ type CrashScenario struct {
 	// crash injection.
 	GearChunking bool
 	// PersistentIndex gives the scenario's fingerprint index a
-	// deliberately tiny 8-entry memtable and synchronous compaction, so
-	// crash points land inside run flushes and compactions during the
-	// backups, not only in the index flush at Close and the GC
-	// layout-change marker protocol that every scenario crosses.
+	// deliberately tiny 4-entry memtable and backs up one more distinct
+	// snapshot before the delete, so crash points land inside run
+	// flushes and a level-0 merge during the backups, and the GC rebuilds
+	// an index holding a merged run — not only in the index flush at
+	// Close and the GC layout-change marker protocol that every scenario
+	// crosses.
 	PersistentIndex bool
 	// Defended runs the scenario under the paper's combined defence:
 	// MinHash encryption with a local deriver plus scrambling seeded from
@@ -126,13 +128,9 @@ func (sc CrashScenario) repoOptions(m *faultio.MemFS) []RepositoryOption {
 		opts = append(opts, WithChunking(p))
 	}
 	if sc.PersistentIndex {
-		// An 8-entry memtable makes every backup cross many run flushes
-		// and tiered compactions; synchronous compaction keeps the op
-		// sequence deterministic for the crash clock.
 		opts = append(opts, WithIndexTuning(IndexTuning{
-			MemtableEntries: 8,
+			MemtableEntries: 4,
 			CacheBytes:      1 << 20,
-			SyncCompaction:  true,
 		}))
 	}
 	if sc.Defended {
@@ -183,6 +181,14 @@ func (sc CrashScenario) run(m *faultio.MemFS) (*crashExpect, error) {
 	}
 	if err := backup("snap-distinct", distinct); err != nil {
 		return expect, err
+	}
+	if sc.PersistentIndex {
+		// At the default sizes this backup's flush is one shard's fourth
+		// level-0 run, so a merge commits before the GC below
+		// (TestCrashScenarioMerges holds Seed 5 to it).
+		if err := backup("snap-more", crashData(sc.Seed+5, sc.SnapshotBytes/2)); err != nil {
+			return expect, err
+		}
 	}
 	// Delete one snapshot; its durable effect must survive a crash the
 	// moment Delete acknowledges.

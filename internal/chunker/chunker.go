@@ -62,45 +62,63 @@ var bufsOutstanding atomic.Int64
 // streaming consumers; production code has no reason to call it.
 func BufsOutstanding() int64 { return bufsOutstanding.Load() }
 
-// getBuf returns a buffer of length n from the pool of n's size class,
-// allocating a fresh one (with power-of-two capacity) on a pool miss.
+// getBuf returns a chunk buffer of length n from poolGet, counted in
+// bufsOutstanding until putBuf hands it back.
 func getBuf(n int) []byte {
+	buf, pooled := poolGet(n)
+	if pooled {
+		bufsOutstanding.Add(1)
+	}
+	return buf
+}
+
+// putBuf hands a chunk buffer back to poolPut.
+func putBuf(buf []byte) {
+	if poolPut(buf) {
+		bufsOutstanding.Add(-1)
+	}
+}
+
+// poolGet returns a buffer of length n from the pool of n's size class,
+// allocating a fresh one (with power-of-two capacity) on a pool miss. It
+// reports whether n has a pooled class.
+func poolGet(n int) ([]byte, bool) {
 	if n == 0 {
-		return []byte{}
+		return []byte{}, false
 	}
 	k := bits.Len(uint(n - 1))
 	if k >= len(bufPools) {
 		// Beyond the largest pooled class (>4 GiB): plain allocation,
 		// never pooled.
-		return make([]byte, n)
+		return make([]byte, n), false
 	}
-	bufsOutstanding.Add(1)
 	if h, ok := bufPools[k].Get().(*[]byte); ok {
 		buf := (*h)[:n]
 		*h = nil
 		holderPool.Put(h)
-		return buf
+		return buf, true
 	}
-	return make([]byte, n, 1<<k)
+	return make([]byte, n, 1<<k), true
 }
 
-// putBuf hands a buffer back to the pool of its capacity's size class.
-func putBuf(buf []byte) {
+// poolPut hands a buffer back to the pool of its capacity's size class,
+// reporting whether it was pooled.
+func poolPut(buf []byte) bool {
 	c := cap(buf)
 	if c == 0 {
-		return
+		return false
 	}
 	if uint64(c) > 1<<32 {
-		// Beyond the largest pooled class — from getBuf's unpooled path
+		// Beyond the largest pooled class — from poolGet's unpooled path
 		// (which rejects requests over 4 GiB); never pooled, or a multi-GiB
 		// allocation would circulate serving much smaller requests.
-		return
+		return false
 	}
-	bufsOutstanding.Add(-1)
 	k := bits.Len(uint(c)) - 1 // floor(log2(c)): every buffer here has cap >= 1<<k
 	h := holderPool.Get().(*[]byte)
 	*h = buf[:0]
 	bufPools[k].Put(h)
+	return true
 }
 
 // Chunker cuts a stream into chunks.
@@ -243,8 +261,19 @@ type lookahead struct {
 	eof    bool
 }
 
+// newLookahead takes its buffer from the size-class pools; release hands
+// it back. The buffer is not counted in BufsOutstanding: a chunker that
+// is cancelled or fails keeps it.
 func newLookahead(r io.Reader, size int) lookahead {
-	return lookahead{r: r, buf: make([]byte, size)}
+	buf, _ := poolGet(size)
+	return lookahead{r: r, buf: buf}
+}
+
+// release hands the buffer back once take has reported io.EOF, for the
+// next chunker to reuse. Nothing may read the buffer afterwards.
+func (l *lookahead) release() {
+	poolPut(l.buf)
+	l.buf = nil
 }
 
 // maxEmptyReads is how many reads in a row may return no data and no
@@ -492,10 +521,7 @@ func (c *ContentDefined) NextAt(n int, sum [sha256.Size]byte) (Chunk, bool, erro
 	if n < 1 || n > c.p.Max {
 		return Chunk{}, false, nil
 	}
-	if !c.la.full(c.p.Max) {
-		c.cands = c.par.drain(c.cands)
-	}
-	window, err := c.la.take(c.p.Max)
+	window, err := c.take()
 	if err != nil {
 		return Chunk{}, false, err
 	}
@@ -532,13 +558,7 @@ func (c *ContentDefined) boundary(data []byte, n int) bool {
 
 // Next implements Chunker.
 func (c *ContentDefined) Next() (Chunk, error) {
-	if !c.la.full(c.p.Max) {
-		// take is about to read, and may compact the buffer: the scan's
-		// pieces must all be done with it first.
-		c.cands = c.par.drain(c.cands)
-	}
-	// Ensure a full Max-sized lookahead (or the stream remainder).
-	window, err := c.la.take(c.p.Max)
+	window, err := c.take()
 	if err != nil {
 		return Chunk{}, err
 	}
@@ -549,6 +569,22 @@ func (c *ContentDefined) Next() (Chunk, error) {
 		c.scan()
 	}
 	return c.cut(window, c.findCut(window)), nil
+}
+
+// take ensures a full Max-sized lookahead (or the stream remainder) and
+// returns it. A pending scan is drained first when the lookahead is about
+// to read, which may compact the buffer, and at the end of the stream,
+// before the buffer goes back to the pool.
+func (c *ContentDefined) take() ([]byte, error) {
+	if !c.la.full(c.p.Max) {
+		c.cands = c.par.drain(c.cands)
+	}
+	window, err := c.la.take(c.p.Max)
+	if errors.Is(err, io.EOF) {
+		c.cands = c.par.drain(c.cands)
+		c.la.release()
+	}
+	return window, err
 }
 
 // cut consumes the first n bytes of window, the lookahead's unconsumed

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"io"
 	"math/rand"
+	"runtime"
 	"testing"
 	"testing/quick"
 
@@ -417,6 +418,54 @@ func TestCDCSteadyStateAllocs(t *testing.T) {
 	})
 	if allocs > 0 {
 		t.Fatalf("%.0f allocations per lookahead buffer of chunks, want 0", allocs)
+	}
+}
+
+// TestLookaheadRecycledAfterEOF holds both content-defined chunkers to
+// handing their lookahead buffer back at io.EOF: a chunker created after
+// another one read its stream to the end allocates less than a lookahead.
+// It passes on the first of up to eight tries: sync.Pool keeps a Put in
+// its P's private slot, which a Get after a P migration does not see.
+func TestLookaheadRecycledAfterEOF(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops Puts under the race detector")
+	}
+	for _, algo := range []Algorithm{AlgoRabin, AlgoGear} {
+		p := DefaultParams()
+		p.Algorithm = algo
+		la := lookaheadSize(p.Max)
+		data := randBytes(43, 3*la)
+		var got uint64
+		for try := 0; try < 8; try++ {
+			c, err := New(bytes.NewReader(data), p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for {
+				ch, err := c.Next()
+				if errors.Is(err, io.EOF) {
+					break
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+				ch.Release()
+			}
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			next, err := New(bytes.NewReader(data), p)
+			runtime.ReadMemStats(&after)
+			if err != nil {
+				t.Fatal(err)
+			}
+			runtime.KeepAlive(next)
+			if got = after.TotalAlloc - before.TotalAlloc; got < uint64(la) {
+				break
+			}
+		}
+		if got >= uint64(la) {
+			t.Errorf("%v: a chunker created after another reached EOF allocated %d bytes, want < %d (no lookahead)", algo, got, la)
+		}
 	}
 }
 

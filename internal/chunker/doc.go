@@ -93,6 +93,12 @@
 // likewise a caller bug. Sub-slices of Data share the buffer, so they die
 // with it at Release.
 //
+// The lookahead buffer comes from the same pools. A content-defined
+// chunker that reaches io.EOF hands it back, after draining any pending
+// scan whose helpers may still read it, so a chunker created after
+// another one finished allocates no lookahead. A chunker that is
+// cancelled or fails keeps its buffer for the garbage collector.
+//
 // # Deferred fingerprinting
 //
 // By default Next computes Chunk.Fingerprint (truncated SHA-256 of the

@@ -1,6 +1,7 @@
 package chunker
 
 import (
+	"errors"
 	"fmt"
 	"io"
 	"math/bits"
@@ -146,6 +147,9 @@ func NewGear(r io.Reader, p Params) (*Gear, error) {
 // Next implements Chunker.
 func (g *Gear) Next() (Chunk, error) {
 	data, err := g.la.take(g.p.Max)
+	if errors.Is(err, io.EOF) {
+		g.la.release()
+	}
 	if err != nil {
 		return Chunk{}, err
 	}

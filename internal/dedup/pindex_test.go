@@ -13,14 +13,12 @@ import (
 
 // persistentOptions returns StoreOptions that keep the index on disk in
 // dir and exercise the fpindex paths hard: a tiny memtable so ordinary
-// tests cross flush and compaction boundaries, and synchronous compaction
-// so failures surface in the calling test rather than at Close.
+// tests cross flush and compaction boundaries.
 func persistentOptions(dir string) StoreOptions {
 	return StoreOptions{
 		IndexDir:        filepath.Join(dir, "fpindex"),
 		MemtableEntries: 8,
 		CacheBytes:      1 << 20,
-		SyncCompaction:  true,
 	}
 }
 

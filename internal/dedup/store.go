@@ -112,8 +112,8 @@ type Store struct {
 	backend        container.Backend
 	containerBytes int
 
-	// index owns the run files, block cache and compaction worker behind
-	// every shard's *fpindex.Shard.
+	// index owns the run files and block cache behind every shard's
+	// *fpindex.Shard.
 	index *fpindex.Index
 
 	// Retention state (per-backup chunk references and per-chunk counts),
@@ -190,11 +190,10 @@ type StoreOptions struct {
 	// Fault-injection harnesses pass the same faulty FS the container
 	// backend uses.
 	FS vfs.FS
-	// MemtableEntries, CacheBytes, SyncCompaction tune the index; zero
-	// values select fpindex defaults.
+	// MemtableEntries and CacheBytes tune the index; zero values select
+	// fpindex defaults.
 	MemtableEntries int
 	CacheBytes      int64
-	SyncCompaction  bool
 	// RebuildIndex discards any existing index state and rebuilds from
 	// container metadata — the recovery lever after external damage, and
 	// what repository open uses after a salvage.
@@ -236,7 +235,6 @@ func NewStoreWithOptions(backend container.Backend, opts StoreOptions) (*Store, 
 		Shards:          shards,
 		MemtableEntries: opts.MemtableEntries,
 		CacheBytes:      opts.CacheBytes,
-		SyncCompaction:  opts.SyncCompaction,
 		ForceRebuild:    opts.RebuildIndex,
 	}
 	s := &Store{

@@ -77,6 +77,17 @@ func TestCrashImageDurability(t *testing.T) {
 	}
 }
 
+// An empty file that was synced is durable: it survives a crash, and a
+// crash of the crash image, as an empty file.
+func TestCrashImageKeepsEmptySyncedFile(t *testing.T) {
+	m := NewMemFS()
+	writeFile(t, m, "dir/marker", nil, true)
+	img := m.CrashImage().CrashImage()
+	if got := readFile(t, img, "dir/marker"); len(got) != 0 {
+		t.Fatalf("marker content = %q, want empty", got)
+	}
+}
+
 // A write-error rule fires on the Nth match and wraps ErrInjected.
 func TestRuleInjection(t *testing.T) {
 	m := NewMemFSPlan(Plan{Seed: 1, Rules: []Rule{

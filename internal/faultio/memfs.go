@@ -88,7 +88,7 @@ func (m *MemFS) CrashImage() *MemFS {
 		h, _ := img.mem.OpenFile(name, os.O_RDWR|os.O_TRUNC, 0)
 		h.WriteAt(f.synced, 0)
 		h.Close()
-		img.files[name] = &memFile{synced: append([]byte(nil), f.synced...)}
+		img.files[name] = &memFile{synced: append([]byte{}, f.synced...)}
 	}
 	return img
 }
@@ -315,6 +315,11 @@ func (h *memHandle) Sync() error {
 	data := make([]byte, st.Size())
 	if _, err := h.File.ReadAt(data, 0); err != nil && err != io.EOF {
 		return err
+	}
+	if h.f.synced == nil {
+		// Non-nil even when empty: an empty synced file (a marker) is
+		// durable, not never-synced.
+		h.f.synced = []byte{}
 	}
 	synced := append(h.f.synced[:0], data...)
 	h.f.synced = synced

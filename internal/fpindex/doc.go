@@ -14,12 +14,14 @@
 // An Index owns one Shard per dedup-store shard. Insertions land in the
 // shard's memtable; when it reaches its threshold the dedup store flushes
 // postings whose containers are sealed into a new level-0 run. When a
-// level accumulates Fanout runs, they are k-way merged into one run on
-// the next level — tiered compaction, performed off the shard lock so
-// lookups proceed while it runs, by a worker goroutine started at the
-// first compaction. A lookup checks the memtable, then each run
-// newest-to-oldest (filter, fence, one block read through the shared
-// cache); a lookup that reads no block counts as a Bloom negative.
+// level accumulates fanout (4) runs, they are k-way merged into one run
+// on the next level — tiered compaction, performed by the flush that
+// filled the level, on its goroutine and under the shard lock, so a
+// merge never overlaps a lookup, a flush or a layout change of its
+// shard, and the index owns no goroutine. A failed merge leaves the runs
+// as they were; Close reports it. A lookup checks the memtable, then
+// each run newest-to-oldest (filter, fence, one block read through the
+// shared cache); a lookup that reads no block counts as a Bloom negative.
 //
 // A store without an index directory runs the same index on a private
 // in-memory filesystem, rebuilt from its containers on every open.

@@ -23,7 +23,10 @@ const (
 	// Option defaults.
 	defaultMemtableEntries = 1 << 15
 	defaultCacheBytes      = 8 << 20
-	defaultFanout          = 4
+
+	// fanout is how many runs accumulate on one level before they are
+	// merged into one run on the next.
+	fanout = 4
 )
 
 // Options configures an Index. Zero values select the defaults above.
@@ -36,12 +39,6 @@ type Options struct {
 	MemtableEntries int
 	// CacheBytes bounds the shared hot-block LRU cache.
 	CacheBytes int64
-	// SyncCompaction runs compaction inline on the flushing goroutine
-	// instead of in the background — deterministic, for crash sweeps.
-	SyncCompaction bool
-	// Fanout is how many runs accumulate on one level before they are
-	// merged into the next.
-	Fanout int
 	// ForceRebuild distrusts all on-disk index state, as if every shard
 	// carried a layout-change marker — used after container salvage,
 	// which renumbers containers and invalidates run locations.
@@ -57,9 +54,6 @@ func (o *Options) fill() {
 	}
 	if o.CacheBytes <= 0 {
 		o.CacheBytes = defaultCacheBytes
-	}
-	if o.Fanout <= 1 {
-		o.Fanout = defaultFanout
 	}
 }
 
@@ -88,8 +82,9 @@ type blockKey struct {
 
 // Index is a persistent, memory-bounded fingerprint index: per-shard
 // memtables over immutable on-disk sorted runs, each fronted by its own
-// Bloom filter, with a shared hot-block cache and tiered background
-// compaction. See doc.go for the on-disk format and crash-safety argument.
+// Bloom filter, with a shared hot-block cache and tiered compaction run
+// inline by the flush that fills a level. See doc.go for the on-disk
+// format and crash-safety argument.
 type Index struct {
 	fsys   vfs.FS
 	dir    string
@@ -103,14 +98,6 @@ type Index struct {
 	memHits    atomic.Uint64
 	cacheHits  atomic.Uint64
 	diskProbes atomic.Uint64
-
-	// The compaction worker starts on the first scheduleCompact, so an
-	// index that never compacts owns no goroutine.
-	compactMu sync.Mutex
-	compactCh chan *Shard
-	started   bool
-	closed    bool
-	wg        sync.WaitGroup
 }
 
 // Shard is one index shard: a memtable of recent insertions over the
@@ -127,10 +114,7 @@ type Shard struct {
 	// open.
 	watermark int
 	nextSeq   uint64
-	// layoutGen invalidates in-flight background compactions whenever the
-	// run set is replaced wholesale (layout change / rebuild).
-	layoutGen  uint64
-	compacting bool
+	// compactErr is the last failed merge, reported by Close.
 	compactErr error
 }
 
@@ -145,12 +129,11 @@ func Open(fsys vfs.FS, dir string, opts Options) (*Index, error) {
 		return nil, fmt.Errorf("fpindex: create index dir: %w", err)
 	}
 	ix := &Index{
-		fsys:      fsys,
-		dir:       dir,
-		opts:      opts,
-		shards:    make([]*Shard, opts.Shards),
-		cache:     lru.New[blockKey, []byte](uint64(opts.CacheBytes), nil),
-		compactCh: make(chan *Shard, opts.Shards),
+		fsys:   fsys,
+		dir:    dir,
+		opts:   opts,
+		shards: make([]*Shard, opts.Shards),
+		cache:  lru.New[blockKey, []byte](uint64(opts.CacheBytes), nil),
 	}
 	for i := range ix.shards {
 		s, err := ix.openShard(i)
@@ -293,19 +276,10 @@ func (ix *Index) CacheUsed() uint64 {
 	return ix.cache.Used()
 }
 
-// Close stops background compaction and closes every run file. It does
-// not flush memtables — the dedup store flushes each shard against its
-// sealed-container count before closing the index.
+// Close closes every run file and reports a failed merge of any shard.
+// It does not flush memtables — the dedup store flushes each shard
+// against its sealed-container count before closing the index.
 func (ix *Index) Close() error {
-	ix.compactMu.Lock()
-	if ix.closed {
-		ix.compactMu.Unlock()
-		return nil
-	}
-	ix.closed = true
-	close(ix.compactCh)
-	ix.compactMu.Unlock()
-	ix.wg.Wait()
 	var first error
 	for _, s := range ix.shards {
 		s.mu.Lock()
@@ -318,35 +292,6 @@ func (ix *Index) Close() error {
 		s.mu.Unlock()
 	}
 	return first
-}
-
-// scheduleCompact queues a background compaction for s, starting the
-// worker on first use, or runs it inline in SyncCompaction mode. Dropped
-// sends are fine: the need is re-detected at the next flush.
-func (ix *Index) scheduleCompact(s *Shard) {
-	if ix.opts.SyncCompaction {
-		s.compact()
-		return
-	}
-	ix.compactMu.Lock()
-	defer ix.compactMu.Unlock()
-	if ix.closed {
-		return
-	}
-	if !ix.started {
-		ix.started = true
-		ix.wg.Add(1)
-		go func() {
-			defer ix.wg.Done()
-			for s := range ix.compactCh {
-				s.compact()
-			}
-		}()
-	}
-	select {
-	case ix.compactCh <- s:
-	default:
-	}
 }
 
 // cachedBlock reads run block bi through the shared LRU cache.
@@ -478,19 +423,26 @@ func (s *Shard) RunCount() int {
 // their container could still lose a crash race, and the container
 // rescan would restore them anyway. On error the memtable is unchanged
 // and any partial run file is a stray removed at the next open.
+//
+// A flush that fills a level merges it before returning, on the caller's
+// goroutine and under the shard lock. A failed merge does not fail the
+// flush, which has committed; Close reports it.
 func (s *Shard) Flush(sealed int) error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	if err := s.flushLocked(sealed); err != nil {
 		return err
 	}
-	if s.needsCompact() {
-		s.ix.scheduleCompact(s)
+	for level := s.pickLevelLocked(); level >= 0; level = s.pickLevelLocked() {
+		if err := s.mergeLocked(level); err != nil {
+			s.compactErr = err
+			break
+		}
 	}
 	return nil
 }
 
 func (s *Shard) flushLocked(sealed int) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	if sealed < s.watermark {
 		return fmt.Errorf("fpindex: flush watermark moved backwards: %d < %d", sealed, s.watermark)
 	}
@@ -547,132 +499,57 @@ func (s *Shard) manifestLocked() *manifest {
 	return m
 }
 
-// needsCompact reports whether any level holds Fanout or more runs.
-func (s *Shard) needsCompact() bool {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.pickLevelLocked() >= 0
-}
-
+// pickLevelLocked returns a level holding fanout or more runs, or -1.
 func (s *Shard) pickLevelLocked() int {
 	counts := map[int]int{}
 	for _, r := range s.runs {
 		counts[r.level]++
 	}
 	for level, n := range counts {
-		if n >= s.ix.opts.Fanout {
+		if n >= fanout {
 			return level
 		}
 	}
 	return -1
 }
 
-// compact merges every run on an over-full level into one run on the
-// next level, repeating until no level is over-full. The merge reads
-// immutable runs without holding the shard lock, so lookups proceed
-// throughout; only the final swap and manifest commit lock the shard.
-func (s *Shard) compact() {
-	for {
-		merged, err := s.compactOnce()
-		if err != nil {
-			s.mu.Lock()
-			s.compactErr = err
-			s.mu.Unlock()
-			return
-		}
-		if !merged {
-			return
-		}
+// mergeLocked k-way merges every run on level into one run on the next
+// level and commits it. Runs are newest-first with non-decreasing
+// levels, so the victims are one contiguous stretch of s.runs and the
+// merged run takes their place. The merged run's sequence number is
+// consumed even if the merge fails, so it is never reused.
+func (s *Shard) mergeLocked(level int) error {
+	lo := 0
+	for s.runs[lo].level != level {
+		lo++
 	}
-}
-
-func (s *Shard) compactOnce() (bool, error) {
-	s.mu.Lock()
-	if s.compacting {
-		s.mu.Unlock()
-		return false, nil
+	hi := lo
+	for hi < len(s.runs) && s.runs[hi].level == level {
+		hi++
 	}
-	level := s.pickLevelLocked()
-	if level < 0 {
-		s.mu.Unlock()
-		return false, nil
-	}
-	var victims []*run
-	for _, r := range s.runs {
-		if r.level == level {
-			victims = append(victims, r)
-		}
-	}
-	gen := s.layoutGen
+	victims := s.runs[lo:hi]
 	seq := s.nextSeq
-	s.nextSeq++ // reserve; persisted with the manifest below
-	s.compacting = true
-	s.mu.Unlock()
-	done := func() {
-		s.mu.Lock()
-		s.compacting = false
-		s.mu.Unlock()
-	}
-
+	s.nextSeq++
 	merged, err := writeRun(s.ix.fsys, s.ix.dir, s.id, seq, level+1, newMergeSource(victims))
 	if err != nil {
-		done()
-		return false, err
-	}
-
-	s.mu.Lock()
-	if s.layoutGen != gen {
-		// The run set was replaced wholesale while we merged (GC or
-		// repair rebuild); the merged run describes a dead layout.
-		s.mu.Unlock()
-		done()
-		merged.close()
-		s.ix.fsys.Remove(merged.path)
-		return true, nil
-	}
-	// Splice: drop exactly the victims (a concurrent flush may have
-	// prepended a fresh level-0 run, which must survive), inserting the
-	// merged run at the first victim's position to keep runs newest-first
-	// with non-decreasing levels.
-	victim := make(map[*run]bool, len(victims))
-	for _, r := range victims {
-		victim[r] = true
-	}
-	newRuns := make([]*run, 0, len(s.runs)-len(victims)+1)
-	inserted := false
-	for _, r := range s.runs {
-		if victim[r] {
-			if !inserted {
-				newRuns = append(newRuns, merged)
-				inserted = true
-			}
-			continue
-		}
-		newRuns = append(newRuns, r)
-	}
-	if !inserted {
-		newRuns = append(newRuns, merged)
+		return err
 	}
 	old := s.runs
-	s.runs = newRuns
-	m := s.manifestLocked()
-	if err := writeManifest(s.ix.fsys, s.ix.dir, s.id, m); err != nil {
+	runs := append(make([]*run, 0, len(old)-len(victims)+1), old[:lo]...)
+	s.runs = append(append(runs, merged), old[hi:]...)
+	if err := writeManifest(s.ix.fsys, s.ix.dir, s.id, s.manifestLocked()); err != nil {
 		s.runs = old
-		s.mu.Unlock()
-		done()
 		merged.close()
 		s.ix.fsys.Remove(merged.path)
-		return false, err
+		return err
 	}
-	s.mu.Unlock()
-	done()
 	// The manifest no longer references the victims; removing them is
 	// cleanup, and a crash here leaves strays for the next open.
 	for _, r := range victims {
 		r.close()
 		s.ix.fsys.Remove(r.path)
 	}
-	return true, nil
+	return nil
 }
 
 // BeginLayoutChange durably marks the shard before a container layout
@@ -699,7 +576,6 @@ func (s *Shard) AbortLayoutChange() error {
 func (s *Shard) CompleteLayoutChange(live map[fphash.Fingerprint]container.Location, sealed int) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.layoutGen++
 	oldRuns := s.runs
 	s.runs = nil
 	s.mem = live

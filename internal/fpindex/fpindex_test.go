@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+	"time"
 
 	"freqdedup/internal/container"
 	"freqdedup/internal/fphash"
@@ -14,14 +15,12 @@ import (
 )
 
 // testOptions keeps memtables tiny so flushes and compactions happen in
-// small tests, and compaction synchronous so tests are deterministic.
+// small tests.
 func testOptions(shards int) Options {
 	return Options{
 		Shards:          shards,
 		MemtableEntries: 16,
 		CacheBytes:      1 << 20,
-		SyncCompaction:  true,
-		Fanout:          3,
 	}
 }
 
@@ -154,8 +153,8 @@ func TestCompactionMergesRuns(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := ix.Shard(0)
-	// Ten flush cycles of 64 postings: with fanout 3 and sync compaction,
-	// runs must collapse well below ten.
+	// Ten flush cycles of 64 postings: with a fanout of 4, the runs must
+	// collapse to four (two level-0, two level-1).
 	const batch = 64
 	for round := 0; round < 10; round++ {
 		for i := round * batch; i < (round+1)*batch; i++ {
@@ -166,8 +165,8 @@ func TestCompactionMergesRuns(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if rc := s.RunCount(); rc >= 10 || rc == 0 {
-		t.Fatalf("RunCount = %d after 10 flushes with fanout 3, compaction not running", rc)
+	if rc := s.RunCount(); rc != 4 {
+		t.Fatalf("RunCount = %d after 10 flushes, want 4", rc)
 	}
 	if err := errors.Join(checkAll(s, 10*batch), ix.Close()); err != nil {
 		t.Fatal(err)
@@ -462,5 +461,69 @@ func TestFlushWatermarkOnlyAdvance(t *testing.T) {
 	}
 	if err := ix2.Shard(0).Flush(3); err == nil {
 		t.Fatal("flush accepted a watermark moving backwards")
+	}
+}
+
+// slowRunFS delays every ReadAt on a run file by delay, so a merge that
+// reads its victims block by block is still reading when the test acts.
+type slowRunFS struct {
+	vfs.FS
+	delay time.Duration
+}
+
+func (s slowRunFS) OpenFile(name string, flag int, perm os.FileMode) (vfs.File, error) {
+	f, err := s.FS.OpenFile(name, flag, perm)
+	if err != nil || filepath.Ext(name) != ".fdi" {
+		return f, err
+	}
+	return slowRunFile{File: f, delay: s.delay}, nil
+}
+
+type slowRunFile struct {
+	vfs.File
+	delay time.Duration
+}
+
+func (f slowRunFile) ReadAt(p []byte, off int64) (int, error) {
+	time.Sleep(f.delay)
+	return f.File.ReadAt(p, off)
+}
+
+// TestLayoutChangeAfterMergeKeepsClose holds a layout change (what GC and
+// Repair run) right after a flush that merged runs: the merge must be
+// finished with its victims before CompleteLayoutChange closes them, so
+// Close reports no error and every posting is still found. Each run
+// spans several blocks, and each block read takes 2 ms.
+func TestLayoutChangeAfterMergeKeepsClose(t *testing.T) {
+	ix, err := Open(slowRunFS{FS: vfs.OS, delay: 2 * time.Millisecond}, t.TempDir(), Options{Shards: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := ix.Shard(0)
+	const batch = 2*blockEntries + 1000 // three blocks per run
+	const flushes = 4                   // one level-0 merge
+	for round := 0; round < flushes; round++ {
+		for i := round * batch; i < (round+1)*batch; i++ {
+			fp, loc := testPosting(i)
+			s.Insert(fp, loc)
+		}
+		if err := s.Flush((round + 1) * batch / 8); err != nil {
+			t.Fatal(err)
+		}
+	}
+	const n = flushes * batch
+	live := make(map[fphash.Fingerprint]container.Location, n)
+	for i := 0; i < n; i++ {
+		fp, loc := testPosting(i)
+		live[fp] = loc
+	}
+	if err := s.BeginLayoutChange(); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.CompleteLayoutChange(live, n/8); err != nil {
+		t.Fatal(err)
+	}
+	if err := errors.Join(checkAll(s, n), ix.Close()); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -153,7 +153,7 @@ func TestRepositoryPersistentIndexInMemory(t *testing.T) {
 	repo, err := CreateRepository("",
 		WithRepositoryKey(key),
 		WithContainerBytes(256<<10),
-		WithIndexTuning(IndexTuning{MemtableEntries: 64, SyncCompaction: true}))
+		WithIndexTuning(IndexTuning{MemtableEntries: 64}))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -135,16 +135,14 @@ type repoOptions struct {
 }
 
 // IndexTuning adjusts the fingerprint index's memory knobs; see
-// WithIndexTuning. Zero fields select fpindex defaults.
+// WithIndexTuning. Zero fields select fpindex defaults. Compaction has no
+// knob: a flush that fills a level merges it inline.
 type IndexTuning struct {
 	// MemtableEntries is the per-shard memtable capacity before a flush
 	// to an on-disk sorted run.
 	MemtableEntries int
 	// CacheBytes bounds the shared hot-block cache.
 	CacheBytes int64
-	// SyncCompaction runs compactions inline instead of in the
-	// background — deterministic, so fault harnesses use it.
-	SyncCompaction bool
 }
 
 // IndexDirName is the subdirectory of a repository path holding the
@@ -177,8 +175,8 @@ func WithContainerBytes(n int) RepositoryOption {
 	return func(o *repoOptions) { o.containerBytes = n }
 }
 
-// WithIndexTuning adjusts the fingerprint index's memory and compaction
-// knobs (see IndexDirName). Benchmarks and fault harnesses shrink the
+// WithIndexTuning adjusts the fingerprint index's memory knobs (see
+// IndexDirName). Benchmarks and fault harnesses shrink the
 // memtable to force run flushes and compactions; production repositories
 // normally keep the defaults.
 func WithIndexTuning(t IndexTuning) RepositoryOption {
@@ -318,7 +316,6 @@ func newRepoStore(path string, backend container.Backend, o *repoOptions, rebuil
 		RebuildIndex:    rebuild,
 		MemtableEntries: o.indexTuning.MemtableEntries,
 		CacheBytes:      o.indexTuning.CacheBytes,
-		SyncCompaction:  o.indexTuning.SyncCompaction,
 	})
 }
 

@@ -71,31 +71,34 @@ echo "== bench module vet + build"
 echo "== go test -race"
 go test -race ./... || fail "go test -race"
 
+# Each flake guard below runs through scripts/race-guard.sh, which first
+# fails the guard if an alternative of its -run pattern lists no test.
+
 # The backup pipeline's worker pool, producer and consumer hand chunks,
 # batches and windows to each other; run the tests that drive those
 # handoffs (teardown, determinism across worker counts, sinks, streaming
 # readers, cancellation) five times over, with the test that holds the
 # open container's arena views to copies across a seal.
 echo "== backup pipeline flake guard (-race -count=5)"
-go test -race -count=5 -run 'Cancel|Deterministic|Sink|Streaming|Teardown|ViewsSurviveSeal' ./internal/dedup/ || fail "backup pipeline flake guard"
+scripts/race-guard.sh 'Cancel|Deterministic|Sink|Streaming|Teardown|ViewsSurviveSeal' ./internal/dedup/ || fail "backup pipeline flake guard"
 
 # The open container's arena recycles its blocks only after a durable
 # seal and keeps them through a failed one or a compaction.
 echo "== container arena flake guard (-race -count=5)"
-go test -race -count=5 -run 'Arena|MemBackendStore' ./internal/container/ || fail "container arena flake guard"
+scripts/race-guard.sh 'Arena|MemBackendStore' ./internal/container/ || fail "container arena flake guard"
 
 # The chunker scans each lookahead refill in pieces on helper goroutines
 # that claim pieces against the caller; run the parallel scan's tests and
 # the reference comparisons, which drive it, five times over.
 echo "== parallel boundary scan flake guard (-race -count=5)"
-go test -race -count=5 -run 'ParallelScan|Reference' ./internal/chunker/ || fail "parallel boundary scan flake guard"
+scripts/race-guard.sh 'ParallelScan|Reference' ./internal/chunker/ || fail "parallel boundary scan flake guard"
 
 # The seal pass that ends every backup overlaps its shards' fsyncs on
 # goroutines on the real disk and runs them in order on the fault
 # filesystem; run its on-disk tests and the pinned crash clock five
 # times over.
 echo "== seal pass flake guard (-race -count=5)"
-go test -race -count=5 -run 'SealPass|CrashClock' . || fail "seal pass flake guard"
+scripts/race-guard.sh 'SealPass|CrashClock' . || fail "seal pass flake guard"
 
 if [ "${CHECK_SKIP_FAULTS:-0}" != "1" ]; then
 	echo "== crash-point sweep (exhaustive, -race)"
@@ -129,7 +132,7 @@ if [ "${CHECK_SKIP_SERVER:-0}" != "1" ]; then
 	# hand windows, slots and the final TBackupDone to each other; a race
 	# there has shown up in 1 run of 15, so run the handoff tests 5 times.
 	echo "== server handoff flake guard (-race -count=5)"
-	go test -race -count=5 -run 'RoundTrip|Cancel|EmptyBackup|Inflight|ParentHit' ./internal/server/ || fail "server handoff flake guard"
+	scripts/race-guard.sh 'RoundTrip|Cancel|EmptyBackup|Inflight|ParentHit' ./internal/server/ || fail "server handoff flake guard"
 fi
 
 echo "check: OK"
