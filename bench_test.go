@@ -240,20 +240,6 @@ func BenchmarkEncryptCombinedTrace(b *testing.B) {
 	}
 }
 
-func BenchmarkGenerateFSL(b *testing.B) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		trace.GenerateFSL(trace.DefaultFSLParams())
-	}
-}
-
-func BenchmarkGenerateVM(b *testing.B) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		trace.GenerateVM(trace.DefaultVMParams())
-	}
-}
-
 // --- Ablation benchmarks (design-choice decompositions; see DESIGN.md).
 
 func BenchmarkAblationDefenseComponents(b *testing.B) {

@@ -3,6 +3,7 @@ package main
 import (
 	"bufio"
 	"bytes"
+	"debug/elf"
 	"encoding/json"
 	"errors"
 	"flag"
@@ -103,7 +104,51 @@ func runPairs(args []string, stdout, stderr io.Writer) error {
 	}
 	fmt.Fprintf(stdout, "base %s against the working tree of %s: %d pairs of %g s per workload\n", *base, *dir, *pairs, *seconds)
 	printPairs(stdout, rows)
+	printLayout(stdout, layoutSymbol, filepath.Join(baseDir, ".bench_build", "bench"), filepath.Join(*dir, ".bench_build", "bench"))
 	return nil
+}
+
+// layoutSymbol marks the bench binary's code layout. local-full's
+// setup_s is mostly math/rand's Read over the inputs, and it has read
+// 20-30 % slower when this function moved (code linked ahead of it grew),
+// with no library work changed.
+const layoutSymbol = "math/rand.read"
+
+// printLayout prints the named symbol's address in each side's bench
+// binary and marks a difference, so a setup_s change can be told from a
+// layout shift.
+func printLayout(w io.Writer, name, basePath, headPath string) {
+	base, berr := symbolAddr(basePath, name)
+	head, herr := symbolAddr(headPath, name)
+	if berr != nil || herr != nil {
+		fmt.Fprintf(w, "layout: %s: base %v, head %v\n", name, berr, herr)
+		return
+	}
+	verdict := "same"
+	if base != head {
+		verdict = "MOVED: setup_s may measure the layout, not the change"
+	}
+	fmt.Fprintf(w, "layout: %s at %#x (base), %#x (head): %s\n", name, base, head, verdict)
+}
+
+// symbolAddr returns the address of the named symbol in the ELF file at
+// path.
+func symbolAddr(path, name string) (uint64, error) {
+	f, err := elf.Open(path)
+	if err != nil {
+		return 0, err
+	}
+	defer f.Close()
+	syms, err := f.Symbols()
+	if err != nil {
+		return 0, fmt.Errorf("%s: %w", path, err)
+	}
+	for _, sym := range syms {
+		if sym.Name == name {
+			return sym.Value, nil
+		}
+	}
+	return 0, fmt.Errorf("%s: no symbol %s", path, name)
 }
 
 // loadSpec reads BENCHMARK.json.

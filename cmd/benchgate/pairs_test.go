@@ -3,6 +3,8 @@ package main
 import (
 	"bytes"
 	"math"
+	"os/exec"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -136,5 +138,30 @@ func TestLastLine(t *testing.T) {
 	}
 	if _, err := lastLine([]byte("build failed\n")); err == nil {
 		t.Fatal("a run without a result line parsed")
+	}
+}
+
+// TestSymbolAddr looks symbols up in a build of this command (go test
+// links its test binary without a symbol table): a function it links has
+// a nonzero address, and a name it lacks is an error.
+func TestSymbolAddr(t *testing.T) {
+	bin := filepath.Join(t.TempDir(), "benchgate")
+	if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
+		t.Fatalf("go build: %v\n%s", err, out)
+	}
+	addr, err := symbolAddr(bin, "main.symbolAddr")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if addr == 0 {
+		t.Fatal("main.symbolAddr at address 0")
+	}
+	if _, err := symbolAddr(bin, "main.noSuchFunction"); err == nil {
+		t.Fatal("a missing symbol returned no error")
+	}
+	var out bytes.Buffer
+	printLayout(&out, "main.symbolAddr", bin, bin)
+	if !strings.HasSuffix(out.String(), ": same\n") {
+		t.Fatalf("printLayout on one binary twice: %q", out.String())
 	}
 }

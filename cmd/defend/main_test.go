@@ -84,16 +84,17 @@ func checkFigureGoldens(t *testing.T, names ...string) {
 }
 
 // TestMetadataFiguresGolden holds the §7.4 metadata-access figures and the
-// restore-locality table to their recorded output, byte for byte. The
-// goldens were recorded when the DDFS simulator still packed through
-// container.Store; they are a behaviour contract, never re-recorded.
+// restore-locality table to their recorded output, byte for byte. They
+// are a behaviour contract of the DDFS simulator, re-recorded only when
+// the datasets themselves changed: once, when FSL, synthetic and VM
+// became workload compositions with a seed-salted fingerprint minter.
 func TestMetadataFiguresGolden(t *testing.T) {
 	checkFigureGoldens(t, "13", "14", "restore")
 }
 
 // TestAttackFiguresGolden holds the attack figures (Sections 3.3 and 5)
-// to the output the former standalone attack command printed, byte for
-// byte; like the metadata goldens they are never re-recorded.
+// to their recorded output, byte for byte; like the metadata goldens they
+// move only with the datasets.
 func TestAttackFiguresGolden(t *testing.T) {
 	checkFigureGoldens(t, "1", "4", "5", "6", "7", "8", "9", "scaling")
 }

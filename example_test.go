@@ -145,9 +145,10 @@ func ExampleRepository_Backup() {
 // chunks than classical frequency analysis; the advanced variant adds
 // chunk-size classification on top.
 func ExampleNewLocalityAttack() {
-	params := freqdedup.DefaultSyntheticParams()
-	params.Snapshots = 6
-	dataset := freqdedup.GenerateSynthetic(params)
+	dataset, err := freqdedup.GenerateWorkload("synthetic", freqdedup.WorkloadConfig{Seed: 1, Backups: 7})
+	if err != nil {
+		log.Fatal(err)
+	}
 
 	stats := dataset.Stats()
 	fmt.Printf("synthetic dataset: %d backups, %d chunks (%d unique), %.1fx dedup\n\n",
@@ -182,18 +183,18 @@ func ExampleNewLocalityAttack() {
 			aux.Label, basic*100, locality*100, advanced*100)
 	}
 	// Output:
-	// synthetic dataset: 7 backups, 48062 chunks (7034 unique), 6.8x dedup
+	// synthetic dataset: 7 backups, 48409 chunks (7112 unique), 6.8x dedup
 	//
-	// target: backup 6 (6985 unique ciphertext chunks)
+	// target: backup 6 (7064 unique ciphertext chunks)
 	//
 	// auxiliary  | basic    | locality  | advanced
 	// -----------+----------+-----------+----------
-	// 0          |   0.086% |    26.89% |    49.55%
-	// 1          |   0.100% |     3.31% |    51.35%
-	// 2          |   0.072% |     3.39% |    54.36%
-	// 3          |   0.100% |     2.59% |    57.29%
-	// 4          |   0.086% |     8.26% |    63.29%
-	// 5          |   0.086% |    79.03% |    73.80%
+	// 0          |   0.057% |    29.61% |    59.31%
+	// 1          |   0.113% |     0.01% |    56.74%
+	// 2          |   0.113% |     0.01% |    58.62%
+	// 3          |   0.099% |     0.01% |    59.92%
+	// 4          |   0.099% |    54.37% |    65.43%
+	// 5          |   0.127% |    71.84% |    76.88%
 }
 
 // ExampleEncryptWithScheme shows how MinHash encryption and scrambling
@@ -202,9 +203,10 @@ func ExampleNewLocalityAttack() {
 // combined scheme suppresses the attack by orders of magnitude while
 // giving up only a small slice of deduplication saving.
 func ExampleEncryptWithScheme() {
-	params := freqdedup.DefaultFSLParams()
-	params.PerUserBytes = 8 << 20
-	dataset := freqdedup.GenerateFSL(params)
+	dataset, err := freqdedup.GenerateWorkload("fsl", freqdedup.WorkloadConfig{Seed: 2, TotalBytes: 6 * 8 << 20})
+	if err != nil {
+		log.Fatal(err)
+	}
 
 	n := len(dataset.Backups)
 	aux := dataset.Backups[n-2]
@@ -249,15 +251,15 @@ func ExampleEncryptWithScheme() {
 		fmt.Printf("  %-10s %.2f%%\n", scheme, savings[len(savings)-1]*100)
 	}
 	// Output:
-	// FSL-like dataset, aux = Apr 21, target = May 21, leakage = 0.2%
+	// FSL-like dataset, aux = 3, target = 4, leakage = 0.2%
 	//
 	// scheme                 | inference rate
 	// -----------------------+---------------
-	// MLE                    |       85.994%
-	// MinHash                |       57.600%
-	// Combined               |        0.329%
+	// MLE                    |       86.754%
+	// MinHash                |       59.979%
+	// Combined               |        0.506%
 	//
 	// Storage saving after all backups:
-	//   MLE        77.50%
-	//   Combined   70.22%
+	//   MLE        76.85%
+	//   Combined   70.69%
 }

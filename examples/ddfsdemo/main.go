@@ -18,9 +18,11 @@ import (
 )
 
 func main() {
-	params := freqdedup.DefaultFSLParams()
-	params.PerUserBytes = 8 << 20 // keep the demo quick
-	dataset := freqdedup.GenerateFSL(params)
+	// Six users' homes of 8 MiB each keep the demo quick.
+	dataset, err := freqdedup.GenerateWorkload("fsl", freqdedup.WorkloadConfig{Seed: 2, TotalBytes: 6 * 8 << 20})
+	if err != nil {
+		log.Fatal(err)
+	}
 
 	var expected uint64
 	for _, b := range dataset.Backups {

@@ -20,8 +20,9 @@
 //     AttackResult.InferenceRate.
 //   - Defenses: EncryptMLE / EncryptMinHash / scheme-driven Encrypt, plus
 //     StorageSavings for the efficiency evaluation.
-//   - Workloads: Dataset / Backup and the three generators
-//     (GenerateFSL, GenerateSynthetic, GenerateVM).
+//   - Workloads: Dataset / Backup, generated by GenerateWorkload from
+//     the workload registry: the paper's "fsl", "synthetic" and "vm"
+//     datasets and six further scenarios.
 //   - Byte-level building blocks: chunkers, MLE schemes, and
 //     NewKeyServer / DialKeyManager for server-aided MLE over TCP.
 //   - Experiments: the eval runners regenerate each of the paper's
@@ -190,7 +191,7 @@ var ErrStoreCorrupt = container.ErrCorrupt
 // GCStats reports what a garbage-collection pass reclaimed.
 type GCStats = dedup.GCStats
 
-// Workload model and generators (Section 5.1).
+// Workload model (Section 5.1); GenerateWorkload generates the datasets.
 type (
 	// Backup is one full backup's chunk stream in logical order.
 	Backup = trace.Backup
@@ -200,21 +201,11 @@ type (
 	Dataset = trace.Dataset
 )
 
-// Dataset generators and their parameter types.
-var (
-	GenerateFSL            = trace.GenerateFSL
-	GenerateSynthetic      = trace.GenerateSynthetic
-	GenerateVM             = trace.GenerateVM
-	DefaultFSLParams       = trace.DefaultFSLParams
-	DefaultSyntheticParams = trace.DefaultSyntheticParams
-	DefaultVMParams        = trace.DefaultVMParams
-)
-
 // Attacks (Section 4), run by the streaming engine (internal/attack):
-// pluggable Attack values consuming replayable AttackSource streams
-// through sharded, parallel, two-pass counters, so the same attacks run
-// on in-memory generator traces and on repository trace logs far larger
-// than RAM, with results bit-identical at every shard and worker count.
+// pluggable Attack values consuming replayable AttackSource streams, each
+// stream counted in one pass into a compact table, so the same attacks
+// run on in-memory generated traces and on repository trace logs far
+// larger than RAM.
 type (
 	// Pair is one inferred ciphertext-plaintext chunk pair.
 	Pair = attack.Pair

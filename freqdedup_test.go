@@ -102,10 +102,10 @@ func TestByteLevelEndToEndAttack(t *testing.T) {
 // the facade: encrypt a backup under each scheme and verify the attack
 // ordering MLE > MinHash > Combined.
 func TestFacadeDefensePipeline(t *testing.T) {
-	p := freqdedup.DefaultSyntheticParams()
-	p.InitialBytes = 8 << 20
-	p.Snapshots = 4
-	d := freqdedup.GenerateSynthetic(p)
+	d, err := freqdedup.GenerateWorkload("synthetic", freqdedup.WorkloadConfig{Seed: 1, Backups: 5, TotalBytes: 8 << 20})
+	if err != nil {
+		t.Fatal(err)
+	}
 	aux := d.Backups[len(d.Backups)-2]
 	target := d.Backups[len(d.Backups)-1]
 

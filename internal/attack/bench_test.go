@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"freqdedup/internal/trace"
+	"freqdedup/internal/workload"
 )
 
 var (
@@ -17,11 +18,10 @@ var (
 // benchmark in the package.
 func benchStreams() (c, m *trace.Backup) {
 	benchOnce.Do(func() {
-		p := trace.DefaultSyntheticParams()
-		p.InitialBytes = 24 << 20
-		p.NewDataBytes = 256 << 10
-		p.Snapshots = 2
-		d := trace.GenerateSynthetic(p)
+		d, err := workload.Generate("synthetic", workload.Config{Seed: 1, Backups: 3, TotalBytes: 24 << 20})
+		if err != nil {
+			panic(err)
+		}
 		benchC = d.Backups[len(d.Backups)-1]
 		benchM = d.Backups[0]
 	})

@@ -9,7 +9,7 @@ package attack_test
 //
 // The reference engine is gone; its outputs stay, recorded in goldenTable
 // from internal/core at commit 4aafda9 (core.BasicAttack and
-// core.LocalityAttackWithStats on exactly the inputs built below, passed
+// core.LocalityAttackWithStats on exactly the inputs read below, passed
 // through summarize). A change that moves a row changes every figure: it
 // needs a reason, not a re-record.
 
@@ -17,34 +17,33 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
+	"path/filepath"
 	"testing"
 
 	"freqdedup/internal/attack"
 	"freqdedup/internal/defense"
 	"freqdedup/internal/trace"
+	"freqdedup/internal/tracelog"
+	"freqdedup/internal/vfs"
 )
 
-// goldenDatasets builds reduced generator datasets (the same scaling
-// approach as the eval tests) — real frequency skew and locality, small
-// enough to sweep the full equivalence matrix quickly.
-func goldenDatasets() []*trace.Dataset {
-	fsl := trace.DefaultFSLParams()
-	fsl.Users = 2
-	fsl.PerUserBytes = 2 << 20
-	syn := trace.DefaultSyntheticParams()
-	syn.InitialBytes = 3 << 20
-	syn.NewDataBytes = 48 << 10
-	syn.Snapshots = 3
-	vm := trace.DefaultVMParams()
-	vm.Students = 3
-	vm.BaseImageBytes = 1 << 20
-	vm.Weeks = 4
-	vm.HeavyStart, vm.HeavyEnd = 2, 3
-	return []*trace.Dataset{
-		trace.GenerateFSL(fsl),
-		trace.GenerateSynthetic(syn),
-		trace.GenerateVM(vm),
+// goldenDatasets reads the inputs goldenTable was recorded on: reduced
+// FSL (2 users × 2 MiB), synthetic (3 MiB, 4 snapshots) and VM (3
+// students × 1 MiB, 4 weeks) datasets from the dataset generators of the
+// time, frozen as trace files so the rows stay comparable as the
+// generators evolve.
+func goldenDatasets(t *testing.T) []*trace.Dataset {
+	t.Helper()
+	var out []*trace.Dataset
+	for _, name := range []string{"fsl", "synthetic", "vm"} {
+		d, err := tracelog.ReadDataset(vfs.OS, filepath.Join("testdata", "golden-"+name+".fdt"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		d.Name = name
+		out = append(out, d)
 	}
+	return out
 }
 
 // goldenOut is one attack run's recorded output: the pair count, a SHA-256
@@ -141,7 +140,7 @@ func checkGolden(t *testing.T, name string, a attack.Attack, enc defense.Encrypt
 }
 
 func TestGoldenEquivalence(t *testing.T) {
-	for _, d := range goldenDatasets() {
+	for _, d := range goldenDatasets(t) {
 		d := d
 		t.Run(d.Name, func(t *testing.T) {
 			n := len(d.Backups)
@@ -202,7 +201,7 @@ func TestGoldenEquivalence(t *testing.T) {
 // TestGoldenEquivalenceArbitraryTies covers the tie-breaking ablation
 // knob on one dataset.
 func TestGoldenEquivalenceArbitraryTies(t *testing.T) {
-	d := goldenDatasets()[0]
+	d := goldenDatasets(t)[0]
 	aux, target := d.Backups[0], d.Backups[len(d.Backups)-1]
 	enc := defense.EncryptMLE(target)
 	cfg := attack.Config{U: 1, V: 15, W: 1000, ArbitraryTies: true}

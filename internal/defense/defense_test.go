@@ -6,6 +6,7 @@ import (
 	"freqdedup/internal/attack"
 	"freqdedup/internal/fphash"
 	"freqdedup/internal/trace"
+	"freqdedup/internal/workload"
 )
 
 // inferenceRate runs a against enc with aux as the auxiliary backup and
@@ -21,12 +22,11 @@ func inferenceRate(t *testing.T, a attack.Attack, enc Encrypted, aux *trace.Back
 
 func synthetic(t *testing.T) *trace.Dataset {
 	t.Helper()
-	p := trace.DefaultSyntheticParams()
-	p.InitialBytes = 6 << 20
-	p.MeanFileBytes = 48 << 10
-	p.NewDataBytes = 64 << 10
-	p.Snapshots = 4
-	return trace.GenerateSynthetic(p)
+	d, err := workload.Generate("synthetic", workload.Config{Seed: 1, Backups: 5, TotalBytes: 6 << 20, MeanObjectBytes: 48 << 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return d
 }
 
 func TestEncryptMLEDeterministicMapping(t *testing.T) {

@@ -7,6 +7,7 @@ import (
 	"freqdedup/internal/defense"
 	"freqdedup/internal/fphash"
 	"freqdedup/internal/segment"
+	"freqdedup/internal/trace"
 )
 
 // AblationDefenseComponents decomposes the combined defense on the FSL
@@ -34,8 +35,7 @@ func AblationDefenseComponents(ds Datasets) (Figure, error) {
 		if err != nil {
 			return Figure{}, err
 		}
-		leaked := attack.SampleLeaked(enc.Backup, enc.Truth, leakage, 23)
-		cfg := kpConfig(leaked)
+		cfg := kpConfig(leakSame(s.target, enc, leakage, 23))
 		cfg.SizeAware = true
 		rate := runAttackOn(attackLocality, s.aux, enc, cfg)
 		fig.X = append(fig.X, scheme.String())
@@ -83,8 +83,7 @@ func AblationSegmentSize(ds Datasets) (Figure, error) {
 		if err != nil {
 			return Figure{}, err
 		}
-		leaked := attack.SampleLeaked(enc.Backup, enc.Truth, leakage, 23)
-		cfg := kpConfig(leaked)
+		cfg := kpConfig(leakSame(s.target, enc, leakage, 23))
 		cfg.SizeAware = true
 		rate := runAttackOn(attackLocality, s.aux, enc, cfg)
 
@@ -98,6 +97,35 @@ func AblationSegmentSize(ds Datasets) (Figure, error) {
 	}
 	fig.Series = []Series{rateSer, lossSer}
 	return fig, nil
+}
+
+// leakSame draws the leaked pairs for one encryption of target so that
+// every scheme leaks the same plaintext chunks: the sample is MLE's
+// (attack.SampleLeaked over the MLE ciphertexts, in its order), and each
+// sampled plaintext is paired with the ciphertext at its first position in
+// enc's recipe order. Sampling each scheme's own ciphertexts instead would
+// leak different chunks per scheme, and a comparison across schemes would
+// measure the samples rather than the schemes.
+func leakSame(target *trace.Backup, enc defense.Encrypted, rate float64, seed int64) []attack.Pair {
+	mle := encryptMLE(target)
+	sample := attack.SampleLeaked(mle.Backup, mle.Truth, rate, seed)
+	first := make(map[fphash.Fingerprint]fphash.Fingerprint, len(sample))
+	for _, p := range sample {
+		first[p.M] = fphash.Fingerprint{}
+	}
+	for _, ch := range enc.RecipeOrder {
+		m := enc.Truth[ch.FP]
+		if c, ok := first[m]; ok && c.IsZero() {
+			first[m] = ch.FP
+		}
+	}
+	out := make([]attack.Pair, 0, len(sample))
+	for _, p := range sample {
+		if c := first[p.M]; !c.IsZero() {
+			out = append(out, attack.Pair{C: c, M: p.M})
+		}
+	}
+	return out
 }
 
 // combinedSavingWith computes the FSL dataset's final cumulative saving

@@ -16,6 +16,7 @@ import (
 	"freqdedup/internal/attack"
 	"freqdedup/internal/defense"
 	"freqdedup/internal/trace"
+	"freqdedup/internal/workload"
 )
 
 // Series is one line of a figure: a named sequence of y-values aligned
@@ -138,8 +139,10 @@ var (
 	genData Datasets
 )
 
-// Generate builds the default laptop-scale datasets. Results are cached:
-// the generators are deterministic, and every figure runner uses the same
+// Generate builds the default laptop-scale datasets: the registered fsl,
+// synthetic and vm workloads at the figure seeds 2, 1 and 3, with FSL's
+// backups labelled by month and VM's by week. Results are cached: the
+// generators are deterministic, and every figure runner uses the same
 // three datasets, as the paper does.
 //
 // Setting FREQDEDUP_SCALE to a positive number multiplies the dataset byte
@@ -153,17 +156,26 @@ func Generate() Datasets {
 				scale = f
 			}
 		}
-		fsl := trace.DefaultFSLParams()
-		fsl.PerUserBytes = int(float64(fsl.PerUserBytes) * scale)
-		syn := trace.DefaultSyntheticParams()
-		syn.InitialBytes = int(float64(syn.InitialBytes) * scale)
-		syn.NewDataBytes = int(float64(syn.NewDataBytes) * scale)
-		vm := trace.DefaultVMParams()
-		vm.BaseImageBytes = int(float64(vm.BaseImageBytes) * scale)
+		gen := func(name string, seed int64, totalBytes int) *trace.Dataset {
+			// At least one chunk, the smallest size a workload accepts, so
+			// no scale makes the fixed configurations below invalid.
+			totalBytes = max(int(float64(totalBytes)*scale), 1<<12)
+			d, err := workload.Generate(name, workload.Config{Seed: seed, TotalBytes: totalBytes})
+			if err != nil {
+				panic(err) // a bug: every size and default here is valid
+			}
+			return d
+		}
 		genData = Datasets{
-			FSL:       trace.GenerateFSL(fsl),
-			Synthetic: trace.GenerateSynthetic(syn),
-			VM:        trace.GenerateVM(vm),
+			FSL:       gen("fsl", 2, 6*20<<20),
+			Synthetic: gen("synthetic", 1, 48<<20),
+			VM:        gen("vm", 3, 20*10<<20),
+		}
+		for i, month := range []string{"Jan 22", "Feb 22", "Mar 22", "Apr 21", "May 21"} {
+			genData.FSL.Backups[i].Label = month
+		}
+		for i, b := range genData.VM.Backups {
+			b.Label = strconv.Itoa(i + 1)
 		}
 	})
 	return genData

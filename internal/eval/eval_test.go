@@ -6,28 +6,24 @@ import (
 	"testing"
 
 	"freqdedup/internal/trace"
+	"freqdedup/internal/workload"
 )
 
 // smallDatasets builds reduced datasets so the figure runners can be
 // exercised quickly in unit tests (the full-scale runs live in the
 // benchmark harness).
 func smallDatasets() Datasets {
-	fsl := trace.DefaultFSLParams()
-	fsl.Users = 3
-	fsl.PerUserBytes = 3 << 20
-	syn := trace.DefaultSyntheticParams()
-	syn.InitialBytes = 6 << 20
-	syn.NewDataBytes = 64 << 10
-	syn.Snapshots = 5
-	vm := trace.DefaultVMParams()
-	vm.Students = 5
-	vm.BaseImageBytes = 2 << 20
-	vm.Weeks = 6
-	vm.HeavyStart, vm.HeavyEnd = 3, 4
+	gen := func(name string, cfg workload.Config) *trace.Dataset {
+		d, err := workload.Generate(name, cfg)
+		if err != nil {
+			panic(err)
+		}
+		return d
+	}
 	return Datasets{
-		FSL:       trace.GenerateFSL(fsl),
-		Synthetic: trace.GenerateSynthetic(syn),
-		VM:        trace.GenerateVM(vm),
+		FSL:       gen("fsl", workload.Config{Seed: 2, Users: 3, TotalBytes: 9 << 20}),
+		Synthetic: gen("synthetic", workload.Config{Seed: 1, Backups: 6, TotalBytes: 6 << 20}),
+		VM:        gen("vm", workload.Config{Seed: 3, Users: 5, Backups: 6, TotalBytes: 10 << 20}),
 	}
 }
 

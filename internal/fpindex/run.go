@@ -152,28 +152,6 @@ func searchBlock(block []byte, fp fphash.Fingerprint) (container.Location, bool)
 	return container.Location{}, false
 }
 
-// iterate streams the run's postings in fingerprint order, verifying each
-// block's CRC — the compaction merge's read path. A non-nil error from fn
-// aborts the iteration.
-func (r *run) iterate(fn func(Posting) error) error {
-	for i := 0; i < r.blocks(); i++ {
-		block, err := r.readBlock(i)
-		if err != nil {
-			return err
-		}
-		for o := 0; o+entryLen <= len(block); o += entryLen {
-			var p Posting
-			copy(p.FP[:], block[o:])
-			p.Loc.Container = int(binary.LittleEndian.Uint32(block[o+fphash.Size:]))
-			p.Loc.Index = int(binary.LittleEndian.Uint32(block[o+fphash.Size+4:]))
-			if err := fn(p); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
-}
-
 func (r *run) close() error {
 	if r.f == nil {
 		return nil

@@ -15,6 +15,7 @@ import (
 	"freqdedup/internal/fphash"
 	"freqdedup/internal/trace"
 	"freqdedup/internal/vfs"
+	"freqdedup/internal/workload"
 )
 
 // memFile returns the bytes of path on m.
@@ -79,10 +80,10 @@ func sameBackups(got, want []*trace.Backup) bool {
 // backups unchanged and names the dataset after the file; a second write
 // replaces the file and leaves no temporary behind.
 func TestDatasetRoundTrip(t *testing.T) {
-	sp := trace.DefaultSyntheticParams()
-	sp.Snapshots = 3
-	sp.InitialBytes = 1 << 20
-	d := trace.GenerateSynthetic(sp)
+	d, err := workload.Generate("synthetic", workload.Config{Seed: 1, Backups: 4, TotalBytes: 1 << 20})
+	if err != nil {
+		t.Fatal(err)
+	}
 	// Two backups large enough to spill several chunks records each.
 	big := &trace.Dataset{Backups: []*trace.Backup{
 		{Label: "big-0", Chunks: testRefs(1, 3*sessionSpillBytes/refLen)},
@@ -218,19 +219,19 @@ func TestReadDatasetForgedChunkCount(t *testing.T) {
 // a cut that falls exactly between two backups, which the format cannot
 // tell from a log that never held more.
 func FuzzTraceLog(f *testing.F) {
-	sp := trace.DefaultSyntheticParams()
-	sp.Snapshots = 2
-	sp.InitialBytes = 1 << 16
-	sp.NewDataBytes = 1 << 12
-	fp := trace.DefaultFSLParams()
-	fp.Users = 2
-	fp.Labels = []string{"a", "b"}
-	fp.PerUserBytes = 1 << 15
+	syn, err := workload.Generate("synthetic", workload.Config{Seed: 1, Backups: 3, TotalBytes: 1 << 16})
+	if err != nil {
+		f.Fatal(err)
+	}
+	fsl, err := workload.Generate("fsl", workload.Config{Seed: 2, Users: 2, Backups: 2, TotalBytes: 1 << 16})
+	if err != nil {
+		f.Fatal(err)
+	}
 	hand := &trace.Dataset{Backups: []*trace.Backup{
 		{Label: "only", Chunks: []trace.ChunkRef{{FP: [8]byte{1}, Size: 4096}, {FP: [8]byte{2}, Size: 512}}},
 		{Label: "", Chunks: nil},
 	}}
-	seeds := []*trace.Dataset{trace.GenerateSynthetic(sp), trace.GenerateFSL(fp), hand}
+	seeds := []*trace.Dataset{syn, fsl, hand}
 	encs := make([][]byte, len(seeds))
 	// bounds[i][k] is the length of seed i's encoding cut after k backups.
 	bounds := make([][]int, len(seeds))

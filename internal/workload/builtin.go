@@ -1,15 +1,11 @@
 package workload
 
-import (
-	"fmt"
+import "freqdedup/internal/trace"
 
-	"freqdedup/internal/trace"
-)
-
-// Builtin workloads. Six modifier-chain scenarios exercise distinct
-// churn mechanics; three adapters expose the classic internal/trace
-// generators (the paper's synthetic, FSL-like, and VM datasets) under the
-// same registry so every consumer enumerates one namespace.
+// Builtin workloads: six scenarios that exercise distinct churn
+// mechanics, and the paper's three evaluation datasets (Section 5.1) —
+// FSL home directories, the synthetic snapshot chain and weekly VM
+// images — all compositions over the same State.
 //
 // Factories receive the caller's raw Config: a zero field means "not
 // set", letting scenario factories supply their own defaults (user
@@ -22,9 +18,9 @@ func init() {
 	Register("media", newMedia)
 	Register("compressed", newCompressed)
 	Register("teamshare", newTeamshare)
-	Register("synthetic", newSyntheticAdapter)
-	Register("fsl", newFSLAdapter)
-	Register("vm", newVMAdapter)
+	Register("synthetic", newSynthetic)
+	Register("fsl", newFSL)
+	Register("vm", newVM)
 }
 
 // fileserver: a general-purpose file server — shared-library duplication,
@@ -74,6 +70,7 @@ func newVMFarm(cfg Config) (Source, error) {
 		},
 		VMLayer{
 			ChurnFrac:        0.08,
+			MaxRegions:       3,
 			VolatileZoneFrac: 0.35,
 			RelocateFrac:     0.15,
 			LayerFrac:        0.06,
@@ -184,100 +181,130 @@ func newTeamshare(cfg Config) (Source, error) {
 	)
 }
 
-// newSyntheticAdapter exposes the paper's synthetic snapshot-chain
-// generator (trace.GenerateSynthetic). Config knobs map onto the trace
-// params only when set, so the zero Config reproduces the classic default
-// dataset exactly (aside from seed).
-func newSyntheticAdapter(cfg Config) (Source, error) {
-	if _, err := cfg.withDefaults(); err != nil {
-		return nil, err
+// The paper's FSL and VM traces are not redistributable at full fidelity,
+// so fsl and vm synthesize workloads with the statistics the attacks and
+// defenses depend on — skewed chunk frequency (Figure 1), chunk locality
+// across backup versions, clustered updates — at laptop scale; synthetic
+// follows the paper's own published method.
+
+// fsl: FSL-like home directories (Fslhomes: 6 users, 5 monthly backups,
+// 8 KB average variable-size chunks, heavily duplicated shared content).
+// Backup t concatenates every user's home at month t.
+func newFSL(cfg Config) (Source, error) {
+	if cfg.Users == 0 {
+		cfg.Users = 6
 	}
-	p := trace.DefaultSyntheticParams()
-	// A zero seed keeps the classic default, so the registry reproduces
-	// the historical dataset bit for bit with a zero Config.
-	if cfg.Seed != 0 {
-		p.Seed = cfg.Seed
+	if cfg.Backups == 0 {
+		cfg.Backups = 5
 	}
-	p.Rng = cfg.Rng
-	if cfg.Backups != 0 {
-		p.Snapshots = cfg.Backups - 1
+	if cfg.TotalBytes == 0 {
+		cfg.TotalBytes = cfg.Users * (20 << 20)
 	}
-	if cfg.TotalBytes != 0 {
-		// Keep the paper's new-data ratio when rescaling the image.
-		p.NewDataBytes = int(float64(p.NewDataBytes) * float64(cfg.TotalBytes) / float64(p.InitialBytes))
-		p.InitialBytes = cfg.TotalBytes
+	if cfg.MeanObjectBytes == 0 {
+		cfg.MeanObjectBytes = 128 << 10
 	}
-	if cfg.MeanObjectBytes != 0 {
-		p.MeanFileBytes = cfg.MeanObjectBytes
-	}
-	if cfg.Chunk != (trace.ChunkSizeModel{}) {
-		p.Chunk = cfg.Chunk
-	}
-	return sourceFunc(func() (*trace.Dataset, error) {
-		return trace.GenerateSynthetic(p), nil
-	}), nil
+	per := cfg.TotalBytes / cfg.Users
+	return NewGenerator("fsl", cfg,
+		func(st *State) {
+			st.InitLibrary(6, 320, 48<<10)
+			for _, s := range st.Users() {
+				st.fillDirs(s, per, 12, 0.08, 0.50, 0.55)
+			}
+		},
+		DirChurn{
+			DeleteFrac:  0.01,
+			ModifyFrac:  0.10,
+			ContentFrac: 0.45,
+			GrowBytes:   int(float64(per) * 0.04),
+			HotFrac:     0.08,
+			ReuseFrac:   0.50,
+			ShuffleFrac: 0.02,
+		},
+	)
 }
 
-// newFSLAdapter exposes the FSL-like multi-user home-directory generator
-// (trace.GenerateFSL).
-func newFSLAdapter(cfg Config) (Source, error) {
-	if _, err := cfg.withDefaults(); err != nil {
-		return nil, err
+// synthetic: the paper's snapshot chain after Lillibridge et al.: an
+// initial snapshot, then versions that each modify 2 % of the files,
+// rewriting 2.5 % of each one's content, and add new data — 10 MB per
+// 1.1 GB image in the paper, kept here as 448 KiB per 48 MiB.
+func newSynthetic(cfg Config) (Source, error) {
+	if cfg.Backups == 0 {
+		cfg.Backups = 11
 	}
-	p := trace.DefaultFSLParams()
-	if cfg.Seed != 0 {
-		p.Seed = cfg.Seed
+	if cfg.TotalBytes == 0 {
+		cfg.TotalBytes = 48 << 20
 	}
-	p.Rng = cfg.Rng
-	if cfg.Users != 0 {
-		p.Users = cfg.Users
+	if cfg.MeanObjectBytes == 0 {
+		cfg.MeanObjectBytes = 160 << 10
 	}
-	if cfg.Backups != 0 {
-		labels := make([]string, cfg.Backups)
-		for i := range labels {
-			labels[i] = fmt.Sprintf("%d", i)
-		}
-		p.Labels = labels
+	if cfg.Users == 0 {
+		cfg.Users = 1
 	}
-	if cfg.TotalBytes != 0 {
-		p.PerUserBytes = cfg.TotalBytes / p.Users
-	}
-	if cfg.MeanObjectBytes != 0 {
-		p.MeanFileBytes = cfg.MeanObjectBytes
-	}
-	if cfg.Chunk != (trace.ChunkSizeModel{}) {
-		p.Chunk = cfg.Chunk
-	}
-	return sourceFunc(func() (*trace.Dataset, error) {
-		return trace.GenerateFSL(p), nil
-	}), nil
+	per := cfg.TotalBytes / cfg.Users
+	return NewGenerator("synthetic", cfg,
+		func(st *State) {
+			st.InitLibrary(6, 512, 40<<10)
+			for _, s := range st.Users() {
+				st.fillDirs(s, per, 12, 0.08, 0.28, 0.55)
+			}
+		},
+		DirChurn{
+			ModifyFrac:  0.02,
+			ContentFrac: 0.025,
+			GrowBytes:   int(int64(per) * (448 << 10) / (48 << 20)),
+			HotFrac:     0.08,
+			ReuseFrac:   0.28,
+			ShuffleFrac: 0.05,
+		},
+	)
 }
 
-// newVMAdapter exposes the VM-image weekly-snapshot generator
-// (trace.GenerateVM). The trace generator uses fixed-size chunks; a
-// Config chunk model contributes only its average.
-func newVMAdapter(cfg Config) (Source, error) {
-	if _, err := cfg.withDefaults(); err != nil {
-		return nil, err
+// vm: students' VM images installed from one OS base and snapshotted
+// weekly (4 KB fixed-size chunks, very high dedup ratio). Users make big
+// changes in a mid-semester window, transitions 5–8 of 13, after which
+// storage saving drops; the window scales with Backups. Each user is one
+// image.
+func newVM(cfg Config) (Source, error) {
+	if cfg.Users == 0 {
+		cfg.Users = 20
 	}
-	p := trace.DefaultVMParams()
-	if cfg.Seed != 0 {
-		p.Seed = cfg.Seed
+	if cfg.Backups == 0 {
+		cfg.Backups = 13
 	}
-	p.Rng = cfg.Rng
-	if cfg.Users != 0 {
-		p.Students = cfg.Users
+	if cfg.TotalBytes == 0 {
+		cfg.TotalBytes = cfg.Users * (10 << 20)
 	}
-	if cfg.Backups != 0 {
-		p.Weeks = cfg.Backups
+	if cfg.MeanObjectBytes == 0 {
+		cfg.MeanObjectBytes = 64 << 10 // base-image objects, twice the library mean
 	}
-	if cfg.TotalBytes != 0 {
-		p.BaseImageBytes = cfg.TotalBytes / p.Students
+	if cfg.Chunk == (trace.ChunkSizeModel{}) {
+		cfg.Chunk = trace.ChunkSizeModel{Min: 4096, Avg: 4096, Max: 4096}
 	}
-	if cfg.Chunk != (trace.ChunkSizeModel{}) {
-		p.ChunkSize = cfg.Chunk.Avg
-	}
-	return sourceFunc(func() (*trace.Dataset, error) {
-		return trace.GenerateVM(p), nil
-	}), nil
+	return NewGenerator("vm", cfg,
+		func(st *State) {
+			st.InitLibrary(6, 128, 32<<10)
+			// The shared base image: library copies give it internal
+			// duplication, and the dataset its frequency skew.
+			dirs := &Stream{}
+			st.fillDirs(dirs, st.Cfg.TotalBytes/st.Cfg.Users, 16, 0.06, 0.45, 1)
+			base := &Extent{vol: 1}
+			for _, e := range dirs.extents {
+				base.chunks = append(base.chunks, e.chunks...)
+			}
+			for _, s := range st.Users() {
+				img := base.clone()
+				st.churn(img, 0.10, 0.35, 4) // initial per-image drift
+				s.extents = []*Extent{img}
+			}
+		},
+		VMLayer{
+			ChurnFrac:        0.07,
+			MaxRegions:       4,
+			HeavyChurnFrac:   0.50,
+			HeavyFrom:        5 * cfg.Backups / 13,
+			HeavyTo:          8 * cfg.Backups / 13,
+			VolatileZoneFrac: 0.35,
+			RelocateFrac:     0.18,
+		},
+	)
 }

@@ -20,13 +20,17 @@
 // A Config carries the scenario-independent knobs — seed (or an injected
 // *rand.Rand), backup count, logical size, mean object size, user count,
 // and the chunk-size model — validated and defaulted by withDefaults. A
-// Factory turns a Config into a Source; most builtin factories build a
+// Factory turns a Config into a Source; every builtin factory builds a
 // *Generator: an initial state constructor plus an ordered list of
 // composable Modifier instances applied, in order, between backup
-// generations. Modifiers are small and scenario-agnostic (file churn,
-// VM-image layering with relocation, database page updates, media-blob
-// append, compress-then-backup re-cutting, multi-user overlap), so a new
-// scenario is usually just a new composition, not new mechanics:
+// generations. The paper's three datasets (Section 5.1) are compositions
+// like the rest: fsl and synthetic fill directory trees (fillDirs) and
+// churn them with DirChurn, vm clones one base image per user and
+// evolves it with VMLayer. Modifiers are small and scenario-agnostic
+// (file churn, directory-tree churn, VM-image churn with relocation and
+// layering, database page updates, media-blob append, compress-then-
+// backup re-cutting, multi-user overlap), so a new scenario is usually
+// just a new composition, not new mechanics:
 //
 //	workload.Register("my-scenario", func(cfg workload.Config) (workload.Source, error) {
 //		return workload.NewGenerator("my-scenario", cfg,
@@ -39,8 +43,9 @@
 // # Modifier composition contract
 //
 // Modifiers run in registration order once per generation and communicate
-// only through the *State they are handed: the per-user extent streams,
-// the shared duplication library, and the fingerprint minter. A modifier
+// only through the *State they are handed: the per-user extent streams
+// (extents may be grouped into directories), the shared duplication
+// library, and the fingerprint minter. A modifier
 // must not retain state across Apply calls — everything a generation
 // depends on lives in State, which is what makes compositions reorderable
 // and datasets reproducible.

@@ -64,6 +64,44 @@ func (c FileChurn) Apply(st *State, gen int) {
 	}
 }
 
+// DirChurn models the month-to-month churn of a directory tree built by
+// fillDirs (the FSL home directories and the synthetic snapshot chain):
+// deletions from the most volatile directory, modifications drawn by
+// volatility and rewritten in one clustered region each, new data grown
+// into one or two volatile directories, and objects moved within their
+// volatile directories.
+type DirChurn struct {
+	// DeleteFrac and ModifyFrac are the fractions of a stream's objects
+	// deleted and modified per generation (at least one is modified).
+	DeleteFrac, ModifyFrac float64
+	// ContentFrac is the fraction of a modified object's chunks rewritten.
+	ContentFrac float64
+	// GrowBytes is the new data per stream per generation.
+	GrowBytes int
+	// HotFrac/ReuseFrac set the library-draw mix for new objects.
+	HotFrac, ReuseFrac float64
+	// ShuffleFrac is the fraction of each volatile directory's objects
+	// moved per generation.
+	ShuffleFrac float64
+}
+
+func (DirChurn) Name() string { return "dir-churn" }
+
+func (c DirChurn) Apply(st *State, gen int) {
+	for _, s := range st.Users() {
+		st.deleteFromDir(s, int(float64(len(s.extents))*c.DeleteFrac+0.5))
+		nMod := int(float64(len(s.extents))*c.ModifyFrac + 0.5)
+		if nMod < 1 {
+			nMod = 1
+		}
+		for _, idx := range st.weightedSample(s, nMod) {
+			st.rewriteRegion(s.extents[idx], c.ContentFrac, 0)
+		}
+		st.growDirs(s, c.GrowBytes, c.HotFrac, c.ReuseFrac)
+		st.shuffleDirs(s, c.ShuffleFrac)
+	}
+}
+
 // VMLayer models VM-image evolution: clustered content churn concentrated
 // in a volatile leading zone (logs, caches, home directories), local
 // relocation of block runs (defragmentation, package reinstalls), and
@@ -71,8 +109,15 @@ func (c FileChurn) Apply(st *State, gen int) {
 // appended every LayerEvery generations (package installs, OS updates).
 // It treats each user's whole stream as one image.
 type VMLayer struct {
-	// ChurnFrac is the total content churn per generation.
-	ChurnFrac float64
+	// ChurnFrac is the total content churn per generation, rewritten in 1
+	// to MaxRegions clustered regions.
+	ChurnFrac  float64
+	MaxRegions int
+	// HeavyChurnFrac replaces ChurnFrac in generations HeavyFrom through
+	// HeavyTo: a window of big changes, after which backups share little
+	// content with the ones before it.
+	HeavyChurnFrac     float64
+	HeavyFrom, HeavyTo int
 	// VolatileZoneFrac concentrates churn in the leading fraction of the
 	// image.
 	VolatileZoneFrac float64
@@ -95,15 +140,11 @@ func (m VMLayer) Apply(st *State, gen int) {
 			continue
 		}
 		img := s.extents[0] // the image is one extent per user
-		// Clustered churn: a few regions per generation, biased into the
-		// volatile zone.
-		if m.ChurnFrac > 0 {
-			regions := 1 + st.Rng.Intn(3)
-			per := m.ChurnFrac / float64(regions)
-			for i := 0; i < regions; i++ {
-				st.rewriteRegion(img, per, m.VolatileZoneFrac)
-			}
+		frac := m.ChurnFrac
+		if gen >= m.HeavyFrom && gen <= m.HeavyTo {
+			frac = m.HeavyChurnFrac
 		}
+		st.churn(img, frac, m.VolatileZoneFrac, m.MaxRegions)
 		relocateChunks(st, img, m.RelocateFrac)
 		if m.LayerEvery > 0 && gen%m.LayerEvery == 0 && m.LayerFrac > 0 {
 			target := int(float64(img.bytes()) * m.LayerFrac)

@@ -45,6 +45,10 @@ type Extent struct {
 	// vol is the extent's churn propensity; 0 marks the immutable stable
 	// backbone that survives across many generations.
 	vol float64
+	// dir names the directory the extent lives in (0: none). A
+	// directory's extents are adjacent in the stream and share one vol;
+	// see fillDirs.
+	dir int
 }
 
 func (e *Extent) clone() *Extent {
@@ -82,10 +86,15 @@ func (s *Stream) chunkCount() int {
 	return n
 }
 
-// library is the shared duplication pool, mirroring internal/trace's
-// two-tier fileLibrary: a tiny hot head copied at geometrically separated
-// rates (the stable frequency head the ciphertext-only attacks seed from)
-// and a broad tail of ordinary extents copied uniformly.
+// library is the shared duplication pool. Whole objects are copied —
+// within a stream, across users, across generations — so duplication is
+// sequence-preserving: a popular chunk recurs with the same neighbours,
+// the structure chunk locality rests on (Section 4.2). It has two tiers,
+// the two features of Figure 1's frequency distribution: a tiny hot head
+// of single chunks copied at geometrically separated rates (the extreme,
+// rank-stable head the ciphertext-only attacks seed from), and a broad
+// tail of ordinary extents copied uniformly, so most duplicated objects
+// have few copies and neighbour tables stay small.
 type library struct {
 	hot  []*Extent
 	tail []*Extent
@@ -104,6 +113,7 @@ type State struct {
 	mint  minter
 	users []*Stream
 	lib   *library
+	dirs  int // directory names handed out so far
 }
 
 func newState(cfg Config) *State {
@@ -322,4 +332,154 @@ func (st *State) weightedSample(s *Stream, k int) []int {
 		cands = cands[:len(cands)-1]
 	}
 	return out
+}
+
+// churn rewrites frac of e's chunks in 1 to maxRegions clustered regions
+// biased into the leading zoneFrac (see rewriteRegion): image edits
+// cluster in filesystem regions but land in more than one place per
+// generation.
+func (st *State) churn(e *Extent, frac, zoneFrac float64, maxRegions int) {
+	if frac <= 0 {
+		return
+	}
+	regions := 1 + st.Rng.Intn(maxRegions)
+	per := frac / float64(regions)
+	for i := 0; i < regions; i++ {
+		st.rewriteRegion(e, per, zoneFrac)
+	}
+}
+
+// Directories. Real churn clusters: logs, caches and active projects live
+// together, cold archives live together. fillDirs groups a stream's
+// objects into directories that share one volatility, so most dedup
+// segments stay stable across backups (which MinHash encryption's storage
+// efficiency depends on, Section 6.1), while volatile directories sit
+// between stable ones throughout the stream, so global stream positions
+// still shift between backups.
+
+// fillDirs grows s by approximately targetBytes of objects (see newObject)
+// in new directories of about dirFiles objects each. Each directory draws
+// one volatility (stableFrac of them immutable) that its objects share.
+func (st *State) fillDirs(s *Stream, targetBytes, dirFiles int, hotFrac, reuseFrac, stableFrac float64) {
+	var added, left, dir int
+	var vol float64
+	for added < targetBytes {
+		if left == 0 {
+			vol = st.drawVolatility(stableFrac)
+			st.dirs++
+			dir = st.dirs
+			left = 1 + dirFiles/2 + st.Rng.Intn(dirFiles)
+		}
+		e := st.newObject(st.Cfg.MeanObjectBytes, hotFrac, reuseFrac)
+		e.vol, e.dir = vol, dir
+		s.extents = append(s.extents, e)
+		left--
+		added += e.bytes()
+	}
+}
+
+// volatileDirs returns the [start, end) extent ranges of s's volatile
+// directories, in stream order.
+func (s *Stream) volatileDirs() [][2]int {
+	var out [][2]int
+	for i := 0; i < len(s.extents); {
+		j := i + 1
+		for j < len(s.extents) && s.extents[j].dir == s.extents[i].dir {
+			j++
+		}
+		if s.extents[i].vol > 0 {
+			out = append(out, [2]int{i, j})
+		}
+		i = j
+	}
+	return out
+}
+
+// deleteFromDir removes up to k objects from the most volatile directory
+// of s: deletions cluster the way real cleanups do.
+func (st *State) deleteFromDir(s *Stream, k int) {
+	vol := s.volatileDirs()
+	if len(vol) == 0 || k <= 0 {
+		return
+	}
+	best := vol[0]
+	for _, d := range vol[1:] {
+		if s.extents[d[0]].vol > s.extents[best[0]].vol {
+			best = d
+		}
+	}
+	for n := best[1] - best[0]; k > 0 && n > 0; k, n = k-1, n-1 {
+		j := best[0] + st.Rng.Intn(n)
+		s.extents = append(s.extents[:j], s.extents[j+1:]...)
+	}
+}
+
+// growDirs adds approximately targetBytes of new objects to s, all into
+// one or two volatile directories (picked uniformly, possibly the same one
+// twice) plus, a quarter of the time or when none is volatile, a new
+// directory at the end of the stream: new data accumulates in a handful of
+// active projects. Scattered insertions would move segment boundaries all
+// over the stream and re-key far more MinHash segments than real
+// workloads do.
+func (st *State) growDirs(s *Stream, targetBytes int, hotFrac, reuseFrac float64) {
+	type target struct {
+		dir int
+		vol float64
+	}
+	var targets []target
+	if vol := s.volatileDirs(); len(vol) > 0 {
+		pick := func() target {
+			e := s.extents[vol[st.Rng.Intn(len(vol))][0]]
+			return target{e.dir, e.vol}
+		}
+		targets = append(targets, pick())
+		if len(vol) > 1 && st.Rng.Float64() < 0.5 {
+			targets = append(targets, pick())
+		}
+	}
+	if len(targets) == 0 || st.Rng.Float64() < 0.25 {
+		st.dirs++
+		targets = append(targets, target{st.dirs, st.Rng.ExpFloat64() + 0.05})
+	}
+	for added := 0; added < targetBytes; {
+		t := targets[st.Rng.Intn(len(targets))]
+		e := st.newObject(st.Cfg.MeanObjectBytes, hotFrac, reuseFrac)
+		e.vol, e.dir = t.vol, t.dir
+		// After the directory's last object; a new directory's first
+		// object goes to the end of the stream.
+		i := len(s.extents)
+		for i > 0 && s.extents[i-1].dir != t.dir {
+			i--
+		}
+		if i == 0 {
+			i = len(s.extents)
+		}
+		s.extents = append(s.extents, nil)
+		copy(s.extents[i+1:], s.extents[i:])
+		s.extents[i] = e
+		added += e.bytes()
+	}
+}
+
+// shuffleDirs moves approximately frac of each volatile directory's
+// objects to a random position within the same directory (renames and
+// moves inside a working directory). The stable backbone never moves.
+func (st *State) shuffleDirs(s *Stream, frac float64) {
+	for _, d := range s.volatileDirs() {
+		objs := s.extents[d[0]:d[1]]
+		if len(objs) < 2 {
+			continue
+		}
+		k := int(float64(len(objs))*frac + 0.5)
+		for i := 0; i < k; i++ {
+			a, b := st.Rng.Intn(len(objs)), st.Rng.Intn(len(objs))
+			e := objs[a]
+			if a < b {
+				copy(objs[a:b], objs[a+1:b+1])
+			} else {
+				copy(objs[b+1:a+1], objs[b:a])
+			}
+			objs[b] = e
+		}
+	}
 }

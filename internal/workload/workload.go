@@ -12,9 +12,10 @@ import (
 
 // Config carries the scenario-independent generation knobs. The zero value
 // selects laptop-scale defaults; withDefaults fills and validates them.
-// Factories may interpret a knob loosely where the scenario demands it
-// (e.g. the database workload forces a fixed-size chunk model when none is
-// set), but every factory honors Seed/Rng, Backups, and TotalBytes.
+// Factories may set their own defaults for zero knobs (the database and
+// vm workloads default to fixed-size chunks; fsl, synthetic and vm to
+// the paper's laptop-scale user counts, backup counts and sizes), but
+// every factory honors Seed/Rng, Backups, and TotalBytes.
 type Config struct {
 	// Seed seeds the generator's private random stream.
 	Seed int64
@@ -90,12 +91,6 @@ func (c Config) rng() *rand.Rand {
 type Source interface {
 	Generate() (*trace.Dataset, error)
 }
-
-// sourceFunc adapts a function to Source (used by the classic-generator
-// adapters).
-type sourceFunc func() (*trace.Dataset, error)
-
-func (f sourceFunc) Generate() (*trace.Dataset, error) { return f() }
 
 // Factory builds a Source for one Config.
 type Factory func(cfg Config) (Source, error)
