@@ -35,16 +35,16 @@ test:
 # runs each: the remote Backup's sender/receiver handoff, the backup
 # pipeline's worker pool (teardown, determinism, sinks, streaming) and the
 # open container's arena views across a seal, the arena's block recycling,
-# the chunker's parallel boundary scan against its references, and the
-# overlapped seal pass (its fsyncs on the real disk, and its crash clock
-# on the fault filesystem). scripts/race-guard.sh fails a guard whose
+# the chunker's parallel boundary scan against its references and its
+# parallel check of predicted runs, and the overlapped seal pass (its
+# fsyncs on the real disk, and its crash clock on the fault filesystem). scripts/race-guard.sh fails a guard whose
 # -run pattern has an alternative that lists no test.
 race:
 	$(GO) test -race ./...
 	GO=$(GO) scripts/race-guard.sh 'RoundTrip|Cancel|EmptyBackup|Inflight|ParentHit' ./internal/server/
 	GO=$(GO) scripts/race-guard.sh 'Cancel|Deterministic|Sink|Streaming|Teardown|ViewsSurviveSeal' ./internal/dedup/
 	GO=$(GO) scripts/race-guard.sh 'Arena|MemBackendStore' ./internal/container/
-	GO=$(GO) scripts/race-guard.sh 'ParallelScan|Reference' ./internal/chunker/
+	GO=$(GO) scripts/race-guard.sh 'ParallelScan|Reference|Predict' ./internal/chunker/
 	GO=$(GO) scripts/race-guard.sh 'SealPass|CrashClock' .
 
 # Exhaustive crash-point sweep under the race detector: crash the

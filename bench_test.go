@@ -9,6 +9,7 @@ package freqdedup
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
 	"errors"
 	"fmt"
 	"io"
@@ -23,6 +24,7 @@ import (
 	"testing"
 
 	"freqdedup/internal/attack"
+	"freqdedup/internal/chunker"
 	"freqdedup/internal/dedup"
 	"freqdedup/internal/defense"
 	"freqdedup/internal/eval"
@@ -353,6 +355,19 @@ func BenchmarkBackupParallel(b *testing.B) { benchBackup(b, runtime.GOMAXPROCS(0
 // the encrypt pool.
 func BenchmarkBackupGear(b *testing.B) { benchBackup(b, runtime.GOMAXPROCS(0), AlgoGear) }
 
+// incrementalStreams returns a 16 MiB parent backup stream and a child
+// generation of it with 40 regions of 16 KiB rewritten.
+func incrementalStreams() (parent, child []byte) {
+	parent = benchStream(16 << 20)
+	child = append([]byte(nil), parent...)
+	rng := rand.New(rand.NewSource(7))
+	for i := 0; i < 40; i++ {
+		at := rng.Intn(len(child) - 16<<10)
+		rng.Read(child[at : at+16<<10])
+	}
+	return parent, child
+}
+
 // BenchmarkBackupIncremental times the backup a backup system mostly
 // runs: a child generation that repeats over 90 % of its parent's chunks,
 // into a fresh file-backed repository holding only the parent, which is
@@ -362,13 +377,7 @@ func BenchmarkBackupGear(b *testing.B) { benchBackup(b, runtime.GOMAXPROCS(0), A
 // benchBackup, the cores the timed backups kept busy.
 func BenchmarkBackupIncremental(b *testing.B) {
 	ctx := context.Background()
-	parent := benchStream(16 << 20)
-	child := append([]byte(nil), parent...)
-	rng := rand.New(rand.NewSource(7))
-	for i := 0; i < 40; i++ {
-		at := rng.Intn(len(child) - 16<<10)
-		rng.Read(child[at : at+16<<10])
-	}
+	parent, child := incrementalStreams()
 	b.SetBytes(int64(len(child)))
 	b.ReportAllocs()
 	var cpu float64
@@ -516,6 +525,81 @@ func BenchmarkChunkerCDC(b *testing.B) {
 		}
 		if n != int64(len(data)) {
 			b.Fatalf("chunked %d of %d bytes", n, len(data))
+		}
+	}
+	b.ReportMetric((processCPUSeconds()-cpu0)/b.Elapsed().Seconds(), "cores")
+}
+
+// BenchmarkChunkerPredicted is the chunker stage of
+// BenchmarkBackupIncremental: it cuts the child stream with predictions
+// from the parent's chunks, as a backup with a parent does. After a chunk
+// the parent has, it offers NextRun a run of the parent's next chunks,
+// the dedup client's batch of 32, and after a run cut short it calls Next
+// and hashes that chunk to find its place in the parent again. It
+// reports MB/s and, like BenchmarkChunkerCDC, the cores kept busy: above 1
+// is NextRun's hashes checked on several cores.
+func BenchmarkChunkerPredicted(b *testing.B) {
+	const run = 32
+	parentData, child := incrementalStreams()
+	params := DefaultChunkingParams()
+	params.DeferFingerprint = true
+	pc, err := chunker.NewContentDefined(bytes.NewReader(parentData), params)
+	if err != nil {
+		b.Fatal(err)
+	}
+	parent, err := chunker.All(pc)
+	if err != nil {
+		b.Fatal(err)
+	}
+	sizes := make([]int, len(parent))
+	sums := make([][sha256.Size]byte, len(parent))
+	at := make(map[[sha256.Size]byte]int, len(parent))
+	for i, ch := range parent {
+		sizes[i], sums[i] = ch.Size(), sha256.Sum256(ch.Data)
+		at[sums[i]] = i
+	}
+	out := make([]chunker.Chunk, run)
+	b.SetBytes(int64(len(child)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	cpu0 := processCPUSeconds()
+	for i := 0; i < b.N; i++ {
+		c, err := chunker.NewContentDefined(bytes.NewReader(child), params)
+		if err != nil {
+			b.Fatal(err)
+		}
+		var cut int64
+		for next := -1; ; {
+			if next >= 0 {
+				end := min(next+run, len(parent))
+				n, err := c.NextRun(sizes[next:end], sums[next:end], out)
+				if err != nil {
+					break
+				}
+				for _, ch := range out[:n] {
+					cut += int64(ch.Size())
+					ch.Release()
+				}
+				// A run cut short, or the parent's end, stops predicting.
+				if next += n; next < end || next == len(parent) {
+					next = -1
+				}
+				if n > 0 {
+					continue
+				}
+			}
+			ch, err := c.Next()
+			if err != nil {
+				break
+			}
+			if j, ok := at[sha256.Sum256(ch.Data)]; ok && j+1 < len(parent) {
+				next = j + 1
+			}
+			cut += int64(ch.Size())
+			ch.Release()
+		}
+		if cut != int64(len(child)) {
+			b.Fatalf("chunked %d of %d bytes", cut, len(child))
 		}
 	}
 	b.ReportMetric((processCPUSeconds()-cpu0)/b.Elapsed().Seconds(), "cores")

@@ -1,7 +1,6 @@
 package chunker
 
 import (
-	"crypto/sha256"
 	"errors"
 	"fmt"
 	"io"
@@ -353,9 +352,10 @@ func (l *lookahead) consume(n int) {
 // Each refill is scanned in pieces, on every core that is free (see
 // parallelScan), and a piece's candidates are queued when a cut needs
 // them. Only when Min < window do the few positions less than a window
-// into a chunk need a roll of their own. NextAt cuts a chunk whose length
-// a parent predicts without scanning it, and the Next calls right after
-// it scan serially, their own positions only (see the package comment).
+// into a chunk need a roll of their own. NextRun cuts a run of chunks
+// whose lengths a parent predicts without scanning them, verifying their
+// SHA-256s on every core that is free, and the Next calls right after it
+// scan serially, their own positions only (see the package comment).
 type ContentDefined struct {
 	la     lookahead
 	p      Params
@@ -376,13 +376,15 @@ type ContentDefined struct {
 	// candBuf backs cands until more than 64 candidates are pending at
 	// once, so the queue costs a new chunker no allocation of its own.
 	candBuf [64]int
-	// serial counts down the Next calls, after a cut by NextAt, that find
+	// serial counts down the Next calls, after a cut by NextRun, that find
 	// their cut with serial steps of their own positions (see findCut)
 	// instead of a scan of the whole refill: while a caller's predictions
 	// are landing, most bytes are never scanned, and a refill-wide scan
 	// after each miss would scan ahead for nothing.
 	serial int
-	probe  [1]int // NextAt's one-position Matches result
+	// check verifies the SHA-256s of NextRun's chunks; nil until the
+	// first run.
+	check *runCheck
 }
 
 var _ Chunker = (*ContentDefined)(nil)
@@ -506,59 +508,9 @@ func (c *ContentDefined) findCut(data []byte) int {
 // much past its cut.
 const serialStep = 4 * 1024
 
-// NextAt returns the next chunk cut at exactly n bytes, and true, when
-// that is the cut Next would make; otherwise it returns false and consumes
-// nothing, so the caller calls Next. sum must be the SHA-256 of an n-byte
-// chunk that a chunker with the same Params cut: such a chunker found no
-// boundary at the positions from Min to n-1 of it, and neither does this
-// one if the next n bytes hash to sum, so the cut at n is Next's if n is
-// all Next may take (Max, or the rest of the stream) or if the window
-// ending at n is a boundary. That one position is tested first, and the n
-// bytes are hashed only if it passes. The bytes NextAt cuts are never
-// scanned, and the Next calls right after a cut here scan their own
-// positions only, serially.
-func (c *ContentDefined) NextAt(n int, sum [sha256.Size]byte) (Chunk, bool, error) {
-	if n < 1 || n > c.p.Max {
-		return Chunk{}, false, nil
-	}
-	window, err := c.take()
-	if err != nil {
-		return Chunk{}, false, err
-	}
-	if n > len(window) || n < len(window) && !c.boundary(window, n) {
-		return Chunk{}, false, nil
-	}
-	if sha256.Sum256(window[:n]) != sum {
-		return Chunk{}, false, nil
-	}
-	c.serial = serialSpan
-	return c.cut(window, n), true, nil
-}
-
-// serialSpan is how many Next calls after a cut by NextAt scan serially:
-// while one of the last few cuts was predicted, the next probably is too.
-const serialSpan = 8
-
-// boundary reports whether position n of data, the lookahead's unconsumed
-// bytes, is a boundary of a chunk starting at data[0]: at or past Min,
-// and the fingerprint there matches.
-func (c *ContentDefined) boundary(data []byte, n int) bool {
-	if n < c.p.Min {
-		return false
-	}
-	if n < c.window {
-		// As in findCut: a position less than a window into the chunk
-		// hashes the chunk's prefix.
-		c.hash.Reset()
-		return c.hash.Update(data[:n])&c.mask == c.magic
-	}
-	at := c.la.start + n
-	return len(c.hash.Matches(c.la.buf[:at], at, c.mask, c.magic, c.probe[:0])) == 1
-}
-
 // Next implements Chunker.
 func (c *ContentDefined) Next() (Chunk, error) {
-	window, err := c.take()
+	window, err := c.take(c.p.Max)
 	if err != nil {
 		return Chunk{}, err
 	}
@@ -571,15 +523,15 @@ func (c *ContentDefined) Next() (Chunk, error) {
 	return c.cut(window, c.findCut(window)), nil
 }
 
-// take ensures a full Max-sized lookahead (or the stream remainder) and
-// returns it. A pending scan is drained first when the lookahead is about
-// to read, which may compact the buffer, and at the end of the stream,
-// before the buffer goes back to the pool.
-func (c *ContentDefined) take() ([]byte, error) {
-	if !c.la.full(c.p.Max) {
+// take ensures a lookahead of limit bytes (or the stream remainder), at
+// most the buffer's size, and returns it. A pending scan is drained first
+// when the lookahead is about to read, which may compact the buffer, and
+// at the end of the stream, before the buffer goes back to the pool.
+func (c *ContentDefined) take(limit int) ([]byte, error) {
+	if !c.la.full(limit) {
 		c.cands = c.par.drain(c.cands)
 	}
-	window, err := c.la.take(c.p.Max)
+	window, err := c.la.take(limit)
 	if errors.Is(err, io.EOF) {
 		c.cands = c.par.drain(c.cands)
 		c.la.release()
@@ -592,11 +544,17 @@ func (c *ContentDefined) take() ([]byte, error) {
 func (c *ContentDefined) cut(window []byte, n int) Chunk {
 	data := getBuf(n)
 	copy(data, window[:n])
+	return c.emit(data)
+}
+
+// emit consumes the next len(data) unconsumed bytes as a chunk, data
+// their copy in a pooled buffer.
+func (c *ContentDefined) emit(data []byte) Chunk {
 	ch := Chunk{Data: data, Offset: c.la.offset}
 	if !c.p.DeferFingerprint {
 		ch.Fingerprint = fphash.FromBytes(data)
 	}
-	c.la.consume(n)
+	c.la.consume(len(data))
 	return ch
 }
 

@@ -42,34 +42,54 @@
 // free core the scan is as serial as before, and it never waits for a
 // helper to be scheduled. Every piece is done before the next refill may
 // move the buffer. A chunker its caller stops calling leaves only helpers
-// that scan the pieces still unclaimed and exit.
+// that scan the pieces still unclaimed and exit. Where a parent predicts
+// the cuts, the expensive stage is the SHA-256 that proves each one, and
+// NextRun splits it the same way (see Predicted cuts).
 //
 // # Predicted cuts
 //
 // A backup whose parent was chunked under the same Params can skip the
-// scan where the parent predicts the next chunk (RapidCDC, Ni and Jiang,
+// scan where the parent predicts the next chunks (RapidCDC, Ni and Jiang,
 // SoCC 2019, on the chunk locality of backup streams the paper's §4
-// attack exploits). ContentDefined.NextAt(n, sum) cuts exactly n bytes
-// when that is the cut Next would make. The argument: the parent's chunk
-// of n bytes was cut at the first boundary in [Min, n], so no position in
-// [Min, n) of it is a boundary. Whether a position is a boundary depends
-// only on the chunk's bytes up to it (the window ending there, or from
-// the chunk start when the position is less than a window in). So if the
-// next n bytes have the parent chunk's SHA-256, none of those positions
-// is a boundary here either, and the cut at n is Next's exactly when n is
-// all Next may take (Max, or the rest of the stream) or position n is a
-// boundary. NextAt tests that one position first, which turns away
-// almost every wrong prediction before any hashing, then compares the
-// SHA-256, which the dedup client needs anyway as the convergent key. Cut
-// points are bit-identical to Next's whatever the prediction; a
-// prediction from a parent chunked under other Params may cut wrongly,
-// which is why the caller must know the parent's Params. The bytes NextAt
-// cuts are never scanned, and no refill scan starts for them. For a few
-// Next calls after a cut by NextAt, findCut scans the chunk's own
-// positions, serially, a few KiB at a time up to the first boundary,
-// rather than the whole refill on every core: after a misprediction the
-// next prediction usually lands, and a refill-wide scan would scan ahead
-// for nothing.
+// attack exploits). ContentDefined.NextRun(sizes, sums, out) takes a run
+// of the parent's next chunks and cuts the longest prefix of it whose
+// cuts are the ones Next would make. The argument, chunk by chunk: the
+// parent's chunk of n bytes was cut at the first boundary in [Min, n], so
+// no position in [Min, n) of it is a boundary. Whether a position is a
+// boundary depends only on the chunk's bytes up to it (the window ending
+// there, or from the chunk start when the position is less than a window
+// in). So if the next n bytes have the parent chunk's SHA-256, none of
+// those positions is a boundary here either, and the cut at n is Next's
+// exactly when n is all Next may take (Max, or the rest of the stream) or
+// position n is a boundary. Accepting chunk i only once chunks 0..i-1 are
+// accepted applies that argument i times, so cut points are bit-identical
+// to Next's whatever the predictions; a prediction from a parent chunked
+// under other Params may cut wrongly, which is why the caller must know
+// the parent's Params.
+//
+// NextRun verifies a run in groups that fit the lookahead without moving
+// the bytes it holds, in the same speculate-then-accept split as the
+// scan: the cheap tests serially, the expensive ones on every free core.
+// It first tests each chunk's end position, serially, which turns away
+// almost every wrong prediction before any hashing, and stops at the
+// first that fails. Then the caller and helper goroutines claim the
+// chunks that passed in ascending order, copy each into its own buffer
+// and compare its SHA-256 (which the dedup client needs anyway as the
+// convergent key), and stop claiming at the first mismatch; the caller
+// cuts the chunks before it and leaves the rest unconsumed. The caller
+// waits only for chunks a helper is hashing, so a helper that gets no
+// core delays nothing, and at GOMAXPROCS 1 no helper starts. Since a
+// goroutine can take longer to get an idle core than a group takes to
+// hash, a group's helpers are started when the group before it is
+// published; they wait for it, yielding their core, for a bounded time,
+// and a run that stops lets them go at once.
+//
+// The bytes NextRun cuts are never scanned, and no refill scan starts for
+// them. For a few Next calls after a cut by NextRun, findCut scans the
+// chunk's own positions, serially, a few KiB at a time up to the first
+// boundary, rather than the whole refill on every core: after a
+// misprediction the next prediction usually lands, and a refill-wide scan
+// would scan ahead for nothing.
 //
 // Each emitted chunk is copied exactly once, from the lookahead buffer into
 // its own buffer; the seed implementation's second copy (reader to

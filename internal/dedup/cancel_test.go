@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"io"
+	"math/rand"
 	"runtime"
 	"strings"
 	"sync"
@@ -66,23 +67,64 @@ func (c *ctxCancellingReader) Read(p []byte) (int, error) {
 	return n, nil
 }
 
+// cancelConfig is one pipeline shape. predict gives the client a
+// parent it predicts cuts from (see newCancelClient).
+type cancelConfig struct {
+	name    string
+	cfg     Config
+	predict bool
+}
+
 // cancelConfigs are the pipeline shapes cancellation is tested on: no
-// segment stage (convergent encryption, at two worker counts), scrambling
-// alone, and the paper's combined defence.
-var cancelConfigs = []struct {
-	name string
-	cfg  Config
-}{
-	{"streaming-1w", Config{Workers: 1}},
-	{"streaming-4w", Config{Workers: 4}},
-	{"scramble-4w", Config{Workers: 4, Scramble: true, ScrambleSeed: 5}},
-	{"minhash-scramble-4w", Config{
+// segment stage (convergent encryption, at two worker counts, and with a
+// parent predicting the cuts), scrambling alone, and the paper's combined
+// defence.
+var cancelConfigs = []cancelConfig{
+	{name: "streaming-1w", cfg: Config{Workers: 1}},
+	{name: "streaming-4w", cfg: Config{Workers: 4}},
+	{name: "predicted-4w", cfg: Config{Workers: 4}, predict: true},
+	{name: "scramble-4w", cfg: Config{Workers: 4, Scramble: true, ScrambleSeed: 5}},
+	{name: "minhash-scramble-4w", cfg: Config{
 		Workers:      4,
 		Encryption:   EncMinHash,
 		Deriver:      mle.NewLocalDeriver([]byte("cancel")),
 		Scramble:     true,
 		ScrambleSeed: 5,
 	}},
+}
+
+// newCancelClient returns a client with configuration cfg on a fresh
+// store. For a predicted shape it first backs up a parent, stream with a
+// few regions overwritten, under the shape's own configuration into the
+// same store, and gives the client its recipe with predictions, so that
+// backing up stream verifies runs of predicted cuts. A configuration
+// other than convergent ignores the parent.
+func newCancelClient(t *testing.T, tc cancelConfig, cfg Config, stream []byte) *Client {
+	t.Helper()
+	store := NewStore(0)
+	client, err := NewClient(store, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !tc.predict {
+		return client
+	}
+	parent := append([]byte(nil), stream...)
+	rng := rand.New(rand.NewSource(int64(len(stream))))
+	for i := 0; i < 8 && len(parent) > 4096; i++ {
+		at := rng.Intn(len(parent) - 4096)
+		rng.Read(parent[at : at+4096])
+	}
+	pc, err := NewClient(store, tc.cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	recipe, err := pc.Backup(bytes.NewReader(parent))
+	if err != nil {
+		t.Fatal(err)
+	}
+	client.SetParent(recipe, true)
+	return client
 }
 
 // TestBackupCancelDrainsPooledBuffers cancels mid-Backup with and without
@@ -95,17 +137,19 @@ func TestBackupCancelDrainsPooledBuffers(t *testing.T) {
 	data := randData(41, 16<<20)
 	for _, tc := range cancelConfigs {
 		t.Run(tc.name, func(t *testing.T) {
-			baseline := chunker.BufsOutstanding()
-			client, err := NewClient(NewStore(0), tc.cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
+			goroutines, baseline := runtime.NumGoroutine(), chunker.BufsOutstanding()
+			client := newCancelClient(t, tc, tc.cfg, data)
 			ctx, cancel := context.WithCancel(context.Background())
 			defer cancel()
 			src := &ctxCancellingReader{data: data, cancelAt: 8 << 20, cancel: cancel}
 			if _, err := client.BackupContext(ctx, src); !errors.Is(err, context.Canceled) {
 				t.Fatalf("BackupContext err = %v, want context.Canceled", err)
 			}
+			// The cancellation fires inside the producer's read, which may
+			// go on to cut a run of predicted chunks before the producer
+			// sees it: the count of buffers can pass the baseline on the
+			// way. Only once the producer is gone are they all back.
+			waitForGoroutines(t, goroutines)
 			waitForBufs(t, baseline)
 		})
 	}
@@ -176,12 +220,12 @@ func TestBackupTeardown(t *testing.T) {
 					src = &ctxCancellingReader{data: data, cancelAt: 3 << 20, cancel: cancel}
 					want = context.Canceled
 				}
-				client, err := NewClient(NewStore(0), cfg)
-				if err != nil {
-					t.Fatal(err)
-				}
+				client := newCancelClient(t, tc, cfg, data)
 				if _, err := client.BackupContext(ctx, src); !errors.Is(err, want) {
 					t.Fatalf("BackupContext err = %v, want %v", err, want)
+				}
+				if tc.predict && outcome == "success" && client.predicted.Load() == 0 {
+					t.Fatal("no cut was predicted from the parent")
 				}
 				waitForGoroutines(t, goroutines)
 				waitForBufs(t, bufs)
@@ -207,11 +251,9 @@ func TestBackupNoProgressReader(t *testing.T) {
 	for _, tc := range cancelConfigs {
 		t.Run(tc.name, func(t *testing.T) {
 			goroutines, bufs := runtime.NumGoroutine(), chunker.BufsOutstanding()
-			client, err := NewClient(NewStore(0), tc.cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			_, err = client.BackupContext(context.Background(), &stalledReader{data: randData(45, 1<<20)})
+			data := randData(45, 1<<20)
+			client := newCancelClient(t, tc, tc.cfg, data)
+			_, err := client.BackupContext(context.Background(), &stalledReader{data: data})
 			if !errors.Is(err, io.ErrNoProgress) || !strings.HasPrefix(err.Error(), "dedup: chunking: ") {
 				t.Fatalf("BackupContext err = %v, want io.ErrNoProgress wrapped as a chunking error", err)
 			}
@@ -243,10 +285,8 @@ func TestBackupCancelWhileReaderBlocked(t *testing.T) {
 	for _, tc := range cancelConfigs {
 		t.Run(tc.name, func(t *testing.T) {
 			baseline := chunker.BufsOutstanding()
-			client, err := NewClient(NewStore(0), tc.cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
+			// The reader delivers nothing, so no cut is predicted.
+			client := newCancelClient(t, tc, tc.cfg, nil)
 			src := &blockingReader{parked: make(chan struct{}), release: make(chan struct{})}
 			// Release the reader on every exit, so a Backup that ignores the
 			// cancellation fails the test instead of wedging it.

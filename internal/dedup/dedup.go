@@ -3,6 +3,7 @@ package dedup
 import (
 	"context"
 	crand "crypto/rand"
+	"crypto/sha256"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -255,12 +256,13 @@ func NewSinkClient(sink Sink, cfg Config) (*Client, error) {
 // a hit the server reports missing.
 //
 // Chunking, with predict: after a chunk the parent has, the chunker cuts
-// where the parent's next chunk ends, when the SHA-256 that is the
-// chunk's key anyway proves the cut right (chunker.ContentDefined.NextAt),
-// and scans for a boundary only where the prediction fails. The proof
-// holds only if the parent was chunked under the client's own
-// Config.Chunking: set predict only then. Gear chunking is never
-// predicted.
+// where the parent's next chunks end, a run of them at a time, when the
+// SHA-256s that are the chunks' keys anyway prove the cuts right
+// (chunker.ContentDefined.NextRun). It checks a run's hashes on every
+// free core, keeps the longest prefix that matches, and scans for a
+// boundary only where a prediction fails. The proof holds only if the
+// parent was chunked under the client's own Config.Chunking: set predict
+// only then. Gear chunking is never predicted.
 //
 // Recipes, upload windows, the upload observer's stream and the store's
 // contents are identical with and without a parent.
@@ -406,14 +408,14 @@ const maxBackoff = 32
 
 // cutter is a backup's chunker, with the cuts predicted from the parent
 // when the backup may predict them (see SetParent): after a chunk the
-// parent has, at position i, it offers the chunker the parent's chunk i+1
-// (chunker.ContentDefined.NextAt), and it keys each chunk so cut with the
-// parent's key. After a scanned chunk it looks for its place in the
-// parent again by hashing the chunk, but only if the chunk's size occurs
-// in the parent and a backoff allows: each try that finds nothing doubles
-// the number of scanned chunks to let pass before the next, and a hit
-// resets it. A chunk hashed to look it up keeps its key, so the pool does
-// not hash it again.
+// parent has, at position i, it offers the chunker a run of the parent's
+// chunks from i+1 (chunker.ContentDefined.NextRun), as many as the jobs
+// it fills, and it keys each chunk so cut with the parent's key. After a
+// scanned chunk it looks for its place in the parent again by hashing the
+// chunk, but only if the chunk's size occurs in the parent and a backoff
+// allows: each try that finds nothing doubles the number of scanned
+// chunks to let pass before the next, and a hit resets it. A chunk hashed
+// to look it up keeps its key, so the pool does not hash it again.
 type cutter struct {
 	cdc       chunker.Chunker
 	cd        *chunker.ContentDefined // nil: no predictions
@@ -422,6 +424,10 @@ type cutter struct {
 	wait      int // scanned chunks to let pass before the next lookup
 	backoff   int
 	predicted *atomic.Int64
+	// The run offered to the chunker, and the chunks it cut.
+	sizes [chunkBatch]int
+	sums  [chunkBatch][sha256.Size]byte
+	run   [chunkBatch]chunker.Chunk
 }
 
 func (c *Client) newCutter(cdc chunker.Chunker) *cutter {
@@ -433,38 +439,46 @@ func (c *Client) newCutter(cdc chunker.Chunker) *cutter {
 	return k
 }
 
-// cut fills job with the next chunk. An error leaves job without one.
-func (k *cutter) cut(job *encJob) error {
+// cut fills the first of jobs, at most chunkBatch, with the next chunks
+// and returns how many it filled: at least one unless it returns an
+// error, which may follow chunks cut before a failed read.
+func (k *cutter) cut(jobs []encJob) (int, error) {
 	if k.next >= 0 {
-		e := &k.t.entries[k.next]
-		ch, ok, err := k.cd.NextAt(int(e.Size), e.Key)
-		if err != nil {
-			return err
+		run := k.t.entries[k.next:min(k.next+len(jobs), len(k.t.entries))]
+		for i, e := range run {
+			k.sizes[i], k.sums[i] = int(e.Size), e.Key
 		}
-		if ok {
-			if k.next++; k.next == len(k.t.entries) {
-				k.next = -1
-			}
-			k.predicted.Add(int64(len(ch.Data)))
-			*job = encJob{chunk: ch, key: e.Key, keyed: true}
-			return nil
+		n, err := k.cd.NextRun(k.sizes[:len(run)], k.sums[:len(run)], k.run[:len(run)])
+		var predicted int64
+		for i, ch := range k.run[:n] {
+			jobs[i] = encJob{chunk: ch, key: run[i].Key, keyed: true}
+			predicted += int64(len(ch.Data))
 		}
-		k.next = -1
+		k.predicted.Add(predicted)
+		// A run cut short stops the predictions, as a run cut whole does
+		// at the parent's end; the next cut scans.
+		if k.next += n; n < len(run) || k.next == len(k.t.entries) {
+			k.next = -1
+		}
+		if n > 0 || err != nil {
+			return n, err
+		}
 	}
 	ch, err := k.cdc.Next()
 	if err != nil {
-		return err
+		return 0, err
 	}
+	job := &jobs[0]
 	*job = encJob{chunk: ch}
 	if k.cd == nil {
-		return nil
+		return 1, nil
 	}
 	if k.wait > 0 {
 		k.wait--
-		return nil
+		return 1, nil
 	}
 	if !k.t.sizes.has(len(ch.Data)) {
-		return nil
+		return 1, nil
 	}
 	job.key, job.keyed = mle.ConvergentKey(ch.Data), true
 	if i, ok := k.t.pos[job.key]; ok {
@@ -476,7 +490,7 @@ func (k *cutter) cut(job *encJob) error {
 		k.backoff = min(max(2*k.backoff, 1), maxBackoff)
 		k.wait = k.backoff
 	}
-	return nil
+	return 1, nil
 }
 
 // backupStreaming is the backup pipeline: producer goroutine, worker pool,
@@ -545,10 +559,11 @@ func (c *Client) backupStreaming(ctx context.Context, cdc chunker.Chunker) (*mle
 				return
 			default:
 			}
-			err := cut.cut(&msg.jobs[msg.n])
+			n, err := cut.cut(msg.jobs[msg.n:])
+			msg.n += n
 			switch {
 			case err == nil:
-				if msg.n++; msg.n < chunkBatch {
+				if msg.n < chunkBatch {
 					continue
 				}
 			case !errors.Is(err, io.EOF):

@@ -48,11 +48,13 @@
 //     the upload observer's stream and the containers are the same with
 //     and without the parent.
 //   - Predicted cuts. When the parent was chunked under the client's
-//     own chunking parameters, the producer offers the chunker the
-//     parent's next chunk after each chunk the parent has
-//     (chunker.ContentDefined.NextAt), which cuts it without a boundary
-//     scan if its SHA-256 matches; the SHA-256 is the chunk's key, which
-//     the handoff carries to the worker. After a scanned chunk the
+//     own chunking parameters, the producer offers the chunker a run of
+//     the parent's next chunks after each chunk the parent has, as many
+//     as its handoff batch has room for (chunker.ContentDefined.NextRun),
+//     which cuts the longest prefix whose SHA-256s match without a
+//     boundary scan, checking the hashes on every free core; the SHA-256
+//     is the chunk's key, which the handoff carries to the worker. After
+//     a run cut short, the producer scans. After a scanned chunk the
 //     producer hashes it to find its place in the parent again, when the
 //     chunk's size occurs in the parent and a doubling backoff allows.
 //   - The Sink is the pipeline's only seam: a one-method interface

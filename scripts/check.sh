@@ -88,10 +88,12 @@ echo "== container arena flake guard (-race -count=5)"
 scripts/race-guard.sh 'Arena|MemBackendStore' ./internal/container/ || fail "container arena flake guard"
 
 # The chunker scans each lookahead refill in pieces on helper goroutines
-# that claim pieces against the caller; run the parallel scan's tests and
-# the reference comparisons, which drive it, five times over.
-echo "== parallel boundary scan flake guard (-race -count=5)"
-scripts/race-guard.sh 'ParallelScan|Reference' ./internal/chunker/ || fail "parallel boundary scan flake guard"
+# that claim pieces against the caller, and checks the hashes of a run of
+# predicted cuts the same way; run the parallel scan's tests, the
+# reference comparisons, which drive it, and the predicted-cut tests, at
+# GOMAXPROCS 1 and 4, five times over.
+echo "== parallel boundary scan and run check flake guard (-race -count=5)"
+scripts/race-guard.sh 'ParallelScan|Reference|Predict' ./internal/chunker/ || fail "parallel boundary scan and run check flake guard"
 
 # The seal pass that ends every backup overlaps its shards' fsyncs on
 # goroutines on the real disk and runs them in order on the fault
