@@ -33,8 +33,9 @@ test:
 
 # The second to sixth lines are scripts/check.sh's flake guards, five
 # runs each: the remote Backup's sender/receiver handoff, the backup
-# pipeline's worker pool (teardown, determinism, sinks, streaming) and the
-# open container's arena views across a seal, the arena's block recycling,
+# pipeline's worker pool (teardown, determinism, sinks, streaming), the
+# parent table, whose sums the consumer writes and pool workers read, and
+# the open container's arena views across a seal, the arena's block recycling,
 # the chunker's parallel boundary scan against its references and its
 # parallel check of predicted runs, and the overlapped seal pass (its
 # fsyncs on the real disk, and its crash clock on the fault filesystem). scripts/race-guard.sh fails a guard whose
@@ -42,7 +43,7 @@ test:
 race:
 	$(GO) test -race ./...
 	GO=$(GO) scripts/race-guard.sh 'RoundTrip|Cancel|EmptyBackup|Inflight|ParentHit' ./internal/server/
-	GO=$(GO) scripts/race-guard.sh 'Cancel|Deterministic|Sink|Streaming|Teardown|ViewsSurviveSeal' ./internal/dedup/
+	GO=$(GO) scripts/race-guard.sh 'Cancel|Deterministic|Sink|Streaming|Teardown|ParentTable|ViewsSurviveSeal' ./internal/dedup/
 	GO=$(GO) scripts/race-guard.sh 'Arena|MemBackendStore' ./internal/container/
 	GO=$(GO) scripts/race-guard.sh 'ParallelScan|Reference|Predict' ./internal/chunker/
 	GO=$(GO) scripts/race-guard.sh 'SealPass|CrashClock' .

@@ -371,11 +371,20 @@ func incrementalStreams() (parent, child []byte) {
 // BenchmarkBackupIncremental times the backup a backup system mostly
 // runs: a child generation that repeats over 90 % of its parent's chunks,
 // into a fresh file-backed repository holding only the parent, which is
-// backed up untimed. Under convergent encryption the repeated chunks are
-// found in the parent's recipe and never encrypted, so allocs/op sit far
-// below BenchmarkBackupParallel's. It reports MB/s of the child and, like
+// backed up untimed. The repeated chunks are found in the parent's recipe
+// and never encrypted, so allocs/op sit far below
+// BenchmarkBackupParallel's. It reports MB/s of the child and, like
 // benchBackup, the cores the timed backups kept busy.
-func BenchmarkBackupIncremental(b *testing.B) {
+func BenchmarkBackupIncremental(b *testing.B) { benchIncremental(b) }
+
+// BenchmarkBackupIncrementalMinHash is BenchmarkBackupIncremental under
+// the paper's defence, MinHash encryption with scrambling: the child finds
+// its parent's chunks by plaintext SHA-256 and segment key.
+func BenchmarkBackupIncrementalMinHash(b *testing.B) {
+	benchIncremental(b, WithEncryption(EncMinHash), WithKeyDeriver(NewLocalDeriver([]byte("bench"))), WithScramble(1))
+}
+
+func benchIncremental(b *testing.B, opts ...RepositoryOption) {
 	ctx := context.Background()
 	parent, child := incrementalStreams()
 	b.SetBytes(int64(len(child)))
@@ -383,7 +392,7 @@ func BenchmarkBackupIncremental(b *testing.B) {
 	var cpu float64
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
-		repo, err := CreateRepository(filepath.Join(b.TempDir(), "repo"))
+		repo, err := CreateRepository(filepath.Join(b.TempDir(), "repo"), opts...)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -97,8 +97,9 @@ var cancelConfigs = []cancelConfig{
 // store. For a predicted shape it first backs up a parent, stream with a
 // few regions overwritten, under the shape's own configuration into the
 // same store, and gives the client its recipe with predictions, so that
-// backing up stream verifies runs of predicted cuts. A configuration
-// other than convergent ignores the parent.
+// backing up stream verifies runs of predicted cuts. A cfg whose
+// encryption is not the shape's (the encrypt-error rows' server-aided
+// keys) gets no table: the convergent parent kept no sums.
 func newCancelClient(t *testing.T, tc cancelConfig, cfg Config, stream []byte) *Client {
 	t.Helper()
 	store := NewStore(0)
@@ -123,7 +124,7 @@ func newCancelClient(t *testing.T, tc cancelConfig, cfg Config, stream []byte) *
 	if err != nil {
 		t.Fatal(err)
 	}
-	client.SetParent(recipe, true)
+	client.SetParent(recipe, pc.Sums(), true)
 	return client
 }
 

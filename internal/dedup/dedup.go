@@ -112,39 +112,48 @@ type UploadObserver interface {
 // the ciphertext is written to the wire, or found held.
 //
 // A window may hold reference-only chunks (PutChunk.Ref): the chunks of a
-// client given a parent (SetParent) whose keys hit it, which were never
+// client given a parent (SetParent) that hit it, which were never
 // encrypted. Each carries the fingerprint and size its ciphertext would
-// have, and its plaintext in Buf, whose SHA-256 is its key. *Store counts
-// a reference against the chunk its index holds, or fails closed; the
-// network sink negotiates it like any chunk and, if the server answers
-// miss, encrypts it then, in place.
+// have, and its plaintext in Buf. *Store counts a reference against the
+// chunk its index holds, or fails closed; the network sink, whose client
+// is convergent, negotiates it like any chunk and, if the server answers
+// miss, encrypts it then, in place, under its SHA-256.
 type Sink interface {
 	PutBatchOwned(chunks []PutChunk) ([]bool, error)
 }
 
-// parentTable is a convergent backup's parent (see SetParent): the
-// parent recipe's entries in order, each key's first position among them,
-// which of them the store does not hold, and, when the backup may predict
-// its cuts from the parent, which chunk sizes the parent has. Under
-// convergent encryption the key is the plaintext's SHA-256, so it alone
-// fixes the ciphertext, its fingerprint and its size; a chunk whose key
-// the table holds is uploaded as a reference-only chunk, without
-// encrypting or hashing it.
+// parentTable is a backup's parent (see SetParent): the parent recipe's
+// entries in order, their plaintext SHA-256s, each sum's first position
+// among them, which of them the store does not hold, and, when the backup
+// may predict its cuts from the parent, which chunk sizes the parent has.
+// A chunk whose sum and key are an entry's has that entry's ciphertext,
+// fingerprint and size, since the encryption is deterministic; it is
+// uploaded as a reference-only chunk, without encrypting it.
 type parentTable struct {
 	entries []mle.RecipeEntry
+	sums    []mle.Key // entry i's plaintext SHA-256; nil: the keys are the sums
 	pos     map[mle.Key]int32
 	lost    bitset // entry i's chunk is not held; nil when all are
 	sizes   bitset // some entry is n bytes long; nil: no predictions
 }
 
-// hit returns the parent's recipe entry for key when the parent has the
-// key and its chunk is held. A nil table has no hits.
-func (t *parentTable) hit(key mle.Key) (mle.RecipeEntry, bool) {
+// sum returns entry i's plaintext SHA-256.
+func (t *parentTable) sum(i int) mle.Key {
+	if t.sums == nil {
+		return t.entries[i].Key
+	}
+	return t.sums[i]
+}
+
+// hit returns the parent's recipe entry for a chunk with plaintext
+// SHA-256 sum encrypted under key, when the parent's first entry with that
+// sum has that key too and its chunk is held. A nil table has no hits.
+func (t *parentTable) hit(sum, key mle.Key) (mle.RecipeEntry, bool) {
 	if t == nil {
 		return mle.RecipeEntry{}, false
 	}
-	i, ok := t.pos[key]
-	if !ok || t.lost.has(int(i)) {
+	i, ok := t.pos[sum]
+	if !ok || t.lost.has(int(i)) || t.entries[i].Key != key {
 		return mle.RecipeEntry{}, false
 	}
 	return t.entries[i], true
@@ -169,6 +178,7 @@ type Client struct {
 	rng     *rand.Rand
 	obsRefs []trace.ChunkRef // reused observation window (tap enabled only)
 	parent  *parentTable     // dedup-before-encrypt table; see SetParent
+	sums    []mle.Key        // the last backup's plaintext SHA-256s; see Sums
 
 	// predicted counts the bytes of the last backup that were cut where
 	// the parent predicted (see SetParent).
@@ -242,22 +252,28 @@ func NewSinkClient(sink Sink, cfg Config) (*Client, error) {
 	return &Client{cfg: cfg, sink: sink, rng: rand.New(rand.NewSource(seed))}, nil
 }
 
-// SetParent gives the client's convergent backups a parent, the recipe
-// of an earlier backup (nil removes it); other encryptions ignore it. It
-// saves two kinds of work.
+// SetParent gives the client's backups a parent, the recipe of an earlier
+// backup under the client's encryption (nil removes it), with the
+// plaintext SHA-256 of each of its entries: sums, what that backup's Sums
+// returned. Under convergent encryption the keys are the sums, and sums
+// may be nil; under the other encryptions a nil or mismatched sums gives
+// no parent. It saves two kinds of work, by one rule for every scheme.
 //
-// Encryption: a chunk whose key the parent has is uploaded as a
-// reference-only chunk, unencrypted. A NewClient client does so only for
-// the chunks its store holds when SetParent is called (Store.Contains),
-// and every such chunk must stay in the store until the backups that use
-// the parent finish: a reference to a chunk the store no longer holds
-// fails the backup with an error wrapping ErrNotFound. A NewSinkClient
-// client references every key the parent has; the network sink encrypts
-// a hit the server reports missing.
+// Encryption: a chunk whose SHA-256 is a parent entry's sum and whose key
+// in this backup is that entry's key (its convergent key, its segment's
+// MinHash key, or its derived key) has the entry's ciphertext, since the
+// encryption is deterministic, and is uploaded as a reference-only chunk,
+// unencrypted. A NewClient client does so only for the chunks its store
+// holds when SetParent is called (Store.Contains), and every such chunk
+// must stay in the store until the backups that use the parent finish: a
+// reference to a chunk the store no longer holds fails the backup with an
+// error wrapping ErrNotFound. A NewSinkClient client references every
+// entry the parent has; the network sink, whose clients are convergent,
+// encrypts a hit the server reports missing.
 //
 // Chunking, with predict: after a chunk the parent has, the chunker cuts
 // where the parent's next chunks end, a run of them at a time, when the
-// SHA-256s that are the chunks' keys anyway prove the cuts right
+// SHA-256s that the chunks need anyway prove the cuts right
 // (chunker.ContentDefined.NextRun). It checks a run's hashes on every
 // free core, keeps the longest prefix that matches, and scans for a
 // boundary only where a prediction fails. The proof holds only if the
@@ -266,17 +282,19 @@ func NewSinkClient(sink Sink, cfg Config) (*Client, error) {
 //
 // Recipes, upload windows, the upload observer's stream and the store's
 // contents are identical with and without a parent.
-func (c *Client) SetParent(parent *mle.Recipe, predict bool) {
+func (c *Client) SetParent(parent *mle.Recipe, sums []mle.Key, predict bool) {
 	c.parent = nil
-	if parent == nil || c.cfg.Encryption != EncConvergent {
+	if parent == nil || sums == nil && c.cfg.Encryption != EncConvergent ||
+		sums != nil && len(sums) != len(parent.Entries) {
 		return
 	}
-	t := &parentTable{entries: parent.Entries, pos: make(map[mle.Key]int32, len(parent.Entries))}
+	t := &parentTable{entries: parent.Entries, sums: sums, pos: make(map[mle.Key]int32, len(parent.Entries))}
 	for i, e := range parent.Entries {
-		if _, ok := t.pos[e.Key]; ok {
+		sum := t.sum(i)
+		if _, ok := t.pos[sum]; ok {
 			continue
 		}
-		t.pos[e.Key] = int32(i)
+		t.pos[sum] = int32(i)
 		// An index lookup error counts as not held, so such a chunk is
 		// encrypted and stored again, as any put with a failed lookup
 		// would store it.
@@ -299,14 +317,23 @@ func (c *Client) SetParent(parent *mle.Recipe, predict bool) {
 	c.parent = t
 }
 
+// Sums returns the plaintext SHA-256 of each entry of the last backup's
+// recipe, in recipe order: what SetParent needs to make that recipe a
+// later backup's parent. It is nil under convergent encryption, whose keys
+// are the sums, and after a failed backup. The sums are the chunks'
+// convergent keys, which the other encryptions exist to hide: they are
+// for memory only, never to be stored or sent.
+func (c *Client) Sums() []mle.Key { return c.sums }
+
 // encJob is one chunk's slot in the pipeline: the chunk, its position in
-// the recipe and, when keyed, its key: the convergent key the producer or
-// the segment stage computed already, or the segment's EncMinHash key.
+// the recipe, its plaintext SHA-256 once summed (by the producer, the
+// segment stage or the worker) and, under EncMinHash, its segment's key.
 type encJob struct {
-	chunk chunker.Chunk
-	idx   int
-	key   mle.Key
-	keyed bool
+	chunk  chunker.Chunk
+	idx    int
+	sum    mle.Key
+	key    mle.Key
+	summed bool
 }
 
 // uploadWindowChunks is how many chunks Backup hands the Sink at a time:
@@ -410,12 +437,12 @@ const maxBackoff = 32
 // when the backup may predict them (see SetParent): after a chunk the
 // parent has, at position i, it offers the chunker a run of the parent's
 // chunks from i+1 (chunker.ContentDefined.NextRun), as many as the jobs
-// it fills, and it keys each chunk so cut with the parent's key. After a
+// it fills, and each chunk so cut carries the parent's sum. After a
 // scanned chunk it looks for its place in the parent again by hashing the
 // chunk, but only if the chunk's size occurs in the parent and a backoff
 // allows: each try that finds nothing doubles the number of scanned
 // chunks to let pass before the next, and a hit resets it. A chunk hashed
-// to look it up keeps its key, so the pool does not hash it again.
+// to look it up keeps its sum, so the pool does not hash it again.
 type cutter struct {
 	cdc       chunker.Chunker
 	cd        *chunker.ContentDefined // nil: no predictions
@@ -446,12 +473,12 @@ func (k *cutter) cut(jobs []encJob) (int, error) {
 	if k.next >= 0 {
 		run := k.t.entries[k.next:min(k.next+len(jobs), len(k.t.entries))]
 		for i, e := range run {
-			k.sizes[i], k.sums[i] = int(e.Size), e.Key
+			k.sizes[i], k.sums[i] = int(e.Size), k.t.sum(k.next+i)
 		}
 		n, err := k.cd.NextRun(k.sizes[:len(run)], k.sums[:len(run)], k.run[:len(run)])
 		var predicted int64
 		for i, ch := range k.run[:n] {
-			jobs[i] = encJob{chunk: ch, key: run[i].Key, keyed: true}
+			jobs[i] = encJob{chunk: ch, sum: k.sums[i], summed: true}
 			predicted += int64(len(ch.Data))
 		}
 		k.predicted.Add(predicted)
@@ -480,8 +507,8 @@ func (k *cutter) cut(jobs []encJob) (int, error) {
 	if !k.t.sizes.has(len(ch.Data)) {
 		return 1, nil
 	}
-	job.key, job.keyed = mle.ConvergentKey(ch.Data), true
-	if i, ok := k.t.pos[job.key]; ok {
+	job.sum, job.summed = mle.ConvergentKey(ch.Data), true
+	if i, ok := k.t.pos[job.sum]; ok {
 		k.backoff = 0
 		if int(i)+1 < len(k.t.entries) {
 			k.next = int(i) + 1
@@ -541,6 +568,7 @@ func (c *Client) backupStreaming(ctx context.Context, cdc chunker.Chunker) (*mle
 		windowPool.Put(win)
 	}()
 	c.predicted.Store(0)
+	c.sums = nil
 	cut := c.newCutter(cdc)
 	go func() {
 		defer close(chunks)
@@ -585,8 +613,11 @@ func (c *Client) backupStreaming(ctx context.Context, cdc chunker.Chunker) (*mle
 
 	// Recipe entries are in stream order — each job's entry is copied to
 	// the index it was received at once its window is done — while uploads
-	// may be scrambled. Only this goroutine touches recipe.Entries.
+	// may be scrambled, and so are the sums Sums returns. Only this
+	// goroutine touches recipe.Entries and sums.
 	recipe := &mle.Recipe{}
+	var sums []mle.Key
+	keepSums := c.cfg.Encryption != EncConvergent
 	// flush uploads the window once the pool has finished its batches.
 	flush := func() error {
 		if len(win.jobs) == 0 {
@@ -611,6 +642,9 @@ func (c *Client) backupStreaming(ctx context.Context, cdc chunker.Chunker) (*mle
 		}
 		for i, job := range win.jobs {
 			recipe.Entries[job.idx] = win.entries[i]
+			if keepSums {
+				sums[job.idx] = job.sum
+			}
 		}
 		if err := c.observeWindow(win.entries[:n]); err != nil {
 			return err
@@ -665,7 +699,7 @@ func (c *Client) backupStreaming(ctx context.Context, cdc chunker.Chunker) (*mle
 				return err
 			}
 			for i := range seg {
-				seg[i].key, seg[i].keyed = key, true
+				seg[i].key = key
 			}
 		}
 		if c.cfg.Scramble {
@@ -757,6 +791,9 @@ func (c *Client) backupStreaming(ctx context.Context, cdc chunker.Chunker) (*mle
 			job.idx = len(recipe.Entries)
 			in = append(in, job)
 			recipe.Entries = append(recipe.Entries, mle.RecipeEntry{})
+			if keepSums {
+				sums = append(sums, mle.Key{})
+			}
 		}
 		if msg.err != nil {
 			return nil, msg.err
@@ -783,6 +820,7 @@ func (c *Client) backupStreaming(ctx context.Context, cdc chunker.Chunker) (*mle
 	} else if err := drain(true); err != nil {
 		return nil, err
 	}
+	c.sums = sums
 	return recipe, nil
 }
 
@@ -835,7 +873,8 @@ type workerPool struct {
 
 // poolTask is one batch: with puts nil the worker fingerprints each job's
 // plaintext in place; otherwise it encrypts jobs[i] into puts[i] and
-// entries[i]. done counts the batch until the worker is through with it.
+// entries[i], summing jobs[i] in place if it was not. done counts the
+// batch until the worker is through with it.
 type poolTask struct {
 	jobs    []encJob
 	puts    []PutChunk
@@ -871,7 +910,7 @@ func (p *workerPool) run(t poolTask) error {
 		}
 		if t.puts == nil {
 			p.fingerprint(&t.jobs[i])
-		} else if err := p.c.encryptOne(t.jobs[i], &t.puts[i], &t.entries[i]); err != nil {
+		} else if err := p.c.encryptOne(&t.jobs[i], &t.puts[i], &t.entries[i]); err != nil {
 			return err
 		}
 	}
@@ -879,18 +918,13 @@ func (p *workerPool) run(t poolTask) error {
 }
 
 // fingerprint computes a job's plaintext fingerprint for the segment
-// stage. A convergent job gets its key first, if it has none yet, and the
-// fingerprint from it: fphash.FromBytes is a truncated SHA-256, and the
-// convergent key is the whole one, so the chunk is hashed once.
+// stage from its sum, summing it first if it has none yet: fphash.FromBytes
+// is a truncated SHA-256, so the chunk is hashed once.
 func (p *workerPool) fingerprint(job *encJob) {
-	if p.c.cfg.Encryption != EncConvergent {
-		job.chunk.Fingerprint = fphash.FromBytes(job.chunk.Data)
-		return
+	if !job.summed {
+		job.sum, job.summed = mle.ConvergentKey(job.chunk.Data), true
 	}
-	if !job.keyed {
-		job.key, job.keyed = mle.ConvergentKey(job.chunk.Data), true
-	}
-	copy(job.chunk.Fingerprint[:], job.key[:])
+	copy(job.chunk.Fingerprint[:], job.sum[:])
 }
 
 // submit hands jobs to the workers in batches of at most chunkBatch (see
@@ -952,45 +986,40 @@ func (c *Client) observeWindow(entries []mle.RecipeEntry) error {
 	return nil
 }
 
-// encryptOne processes one job: key derivation, deterministic encryption,
-// and ciphertext fingerprinting for one chunk. Plaintext fingerprinting
-// was deferred out of the chunker, so modes that need it (server-aided key
-// derivation) compute it here, on the worker pool; convergent encryption
-// never needs it at all. A convergent job keyed already (by the producer
-// or the segment stage) is not hashed again. The chunk is encrypted in
-// place: its plaintext is dead once its key (and, where needed, its
-// fingerprint) exists, so its pooled buffer becomes the put's ciphertext.
-// A convergent key whose chunk the parent holds (see SetParent) skips the
+// encryptOne processes one job: plaintext SHA-256, key derivation,
+// deterministic encryption, and ciphertext fingerprinting for one chunk.
+// The sum was deferred out of the chunker, so it is computed here, on the
+// worker pool, unless the producer or the segment stage summed the job
+// already; it is the convergent key, and the server-aided fingerprint is
+// its prefix. The chunk is encrypted in place: its plaintext is dead once
+// its key exists, so its pooled buffer becomes the put's ciphertext. A
+// chunk the parent holds under the same key (see SetParent) skips the
 // rest: the slot gets the parent's recipe entry and a reference-only put
 // carrying the plaintext, with no encryption and no ciphertext hash. Every
 // put overwrites its whole slot, so no Data of an earlier window survives
 // into a reference.
-func (c *Client) encryptOne(job encJob, put *PutChunk, entry *mle.RecipeEntry) error {
+func (c *Client) encryptOne(job *encJob, put *PutChunk, entry *mle.RecipeEntry) error {
 	ch := job.chunk
-	var key mle.Key
+	if !job.summed {
+		job.sum, job.summed = mle.ConvergentKey(ch.Data), true
+	}
+	key := job.key // EncMinHash
 	switch c.cfg.Encryption {
 	case EncConvergent:
-		key = job.key
-		if !job.keyed {
-			key = mle.ConvergentKey(ch.Data)
-		}
-		if e, ok := c.parent.hit(key); ok {
-			*put = PutChunk{FP: e.Fingerprint, Ref: true, Size: e.Size, Buf: ch}
-			*entry = e
-			return nil
-		}
+		key = job.sum
 	case EncServerAided:
-		fp := ch.Fingerprint
-		if fp.IsZero() {
-			fp = fphash.FromBytes(ch.Data)
-		}
+		var fp fphash.Fingerprint
+		copy(fp[:], job.sum[:])
 		var err error
 		key, err = c.cfg.Deriver.DeriveKey(fp)
 		if err != nil {
 			return fmt.Errorf("dedup: derive key: %w", err)
 		}
-	case EncMinHash:
-		key = job.key
+	}
+	if e, ok := c.parent.hit(job.sum, key); ok {
+		*put = PutChunk{FP: e.Fingerprint, Ref: true, Size: e.Size, Buf: ch}
+		*entry = e
+		return nil
 	}
 	mle.EncryptDeterministicInto(key, ch.Data, ch.Data)
 	*put = PutChunk{FP: fphash.FromBytes(ch.Data), Data: ch.Data, Buf: ch}

@@ -34,26 +34,31 @@
 //     with one call to the client's Sink, which owns every chunk's buffer
 //     from that call on and hands it back to the chunker pool once done
 //     with it (PutChunk.Buf).
-//   - Dedup before encrypt. A convergent client may hold a parent, an
-//     earlier backup's recipe (Client.SetParent; a NewClient client
-//     keeps as hits only the chunks its store holds). A chunk's
-//     convergent key is its plaintext SHA-256, so when the worker finds
-//     the key in the parent the parent's recipe entry is the chunk's: the
-//     window slot gets that entry and a reference-only PutChunk (Ref,
-//     FP, Size, and the plaintext in Buf, no Data) instead of an AES
-//     encryption and a ciphertext SHA-256. The store counts a reference
-//     as a duplicate only if its index holds the fingerprint and
-//     otherwise fails closed with ErrNotFound, recording nothing for it;
-//     it releases the plaintext unread. Recipes, windows,
-//     the upload observer's stream and the containers are the same with
-//     and without the parent.
+//   - Dedup before encrypt. A client may hold a parent, an earlier
+//     backup's recipe with each entry's plaintext SHA-256
+//     (Client.SetParent; a NewClient client keeps as hits only the
+//     chunks its store holds). One rule serves every scheme: encryption
+//     is deterministic, so when the worker finds the chunk's SHA-256 in
+//     the parent under the key this backup uses for it, the parent's
+//     recipe entry is the chunk's: the window slot gets that entry and a
+//     reference-only PutChunk (Ref, FP, Size, and the plaintext in Buf,
+//     no Data) instead of an AES encryption and a ciphertext SHA-256.
+//     Under convergent encryption the keys are the sums. Under MinHash
+//     and server-aided encryption the sums are the convergent keys those
+//     schemes hide, so no recipe carries them: Client.Sums hands the
+//     last backup's to the caller, who keeps them in memory only. The
+//     store counts a reference as a duplicate only if its index holds
+//     the fingerprint and otherwise fails closed with ErrNotFound,
+//     recording nothing for it; it releases the plaintext unread.
+//     Recipes, windows, the upload observer's stream and the containers
+//     are the same with and without the parent.
 //   - Predicted cuts. When the parent was chunked under the client's
 //     own chunking parameters, the producer offers the chunker a run of
 //     the parent's next chunks after each chunk the parent has, as many
 //     as its handoff batch has room for (chunker.ContentDefined.NextRun),
 //     which cuts the longest prefix whose SHA-256s match without a
 //     boundary scan, checking the hashes on every free core; the SHA-256
-//     is the chunk's key, which the handoff carries to the worker. After
+//     is the chunk's sum, which the handoff carries to the worker. After
 //     a run cut short, the producer scans. After a scanned chunk the
 //     producer hashes it to find its place in the parent again, when the
 //     chunk's size occurs in the parent and a doubling backoff allows.

@@ -12,6 +12,7 @@ import (
 	"freqdedup/internal/chunker"
 	"freqdedup/internal/fphash"
 	"freqdedup/internal/mle"
+	"freqdedup/internal/segment"
 	"freqdedup/internal/trace"
 	"freqdedup/internal/workload"
 )
@@ -78,7 +79,9 @@ func parentStores(t *testing.T) map[string]func(t *testing.T) *Store {
 // the parent run really uploads references and cuts most bytes where the
 // parent predicts. Both clients are given the parent, so the index's
 // lookup counters see the same traffic; the plain one drops it again. The
-// scramble rows run the convergent segment stage.
+// scramble rows run the convergent segment stage; the MinHash rows (with
+// scrambling) and the server-aided rows hit by sum and key, from the sums
+// the parent's backup kept.
 func TestParentTableBitIdentical(t *testing.T) {
 	gens := generations(7, 2<<20, 3)
 	stores := parentStores(t)
@@ -95,13 +98,27 @@ func TestParentTableBitIdentical(t *testing.T) {
 				Config{Chunking: parentChunking, Workers: workers, Scramble: true, ScrambleSeed: 5})
 		})
 	}
+	deriver := mle.NewLocalDeriver([]byte("parent table"))
+	for _, workers := range []int{1, 0} {
+		for name, cfg := range map[string]Config{
+			"minhash-scramble": {Encryption: EncMinHash, Scramble: true, ScrambleSeed: 5,
+				Segments: segment.Params{MinBytes: 64 << 10, AvgBytes: 128 << 10, MaxBytes: 256 << 10}},
+			"server-aided": {Encryption: EncServerAided},
+		} {
+			cfg.Chunking, cfg.Workers, cfg.Deriver = parentChunking, workers, deriver
+			t.Run(fmt.Sprintf("%s/workers=%d", name, workers), func(t *testing.T) {
+				checkParentBitIdentical(t, gens, stores["persistent-16shard"], cfg)
+			})
+		}
+	}
 }
 
 func checkParentBitIdentical(t *testing.T, gens [][]byte, newStore func(t *testing.T) *Store, cfg Config) {
 	plain, table := &refCountingSink{Store: newStore(t)}, &refCountingSink{Store: newStore(t)}
 	var plainRecipe, tableRecipe *mle.Recipe
+	var plainSums, tableSums []mle.Key
 	for g, data := range gens {
-		backup := func(sink *refCountingSink, prev *mle.Recipe, use bool) (*mle.Recipe, []trace.ChunkRef, int64) {
+		backup := func(sink *refCountingSink, prev *mle.Recipe, sums []mle.Key, use bool) (*mle.Recipe, []mle.Key, []trace.ChunkRef, int64) {
 			var order []trace.ChunkRef
 			cfg := cfg
 			cfg.Observer = observerFunc(func(refs []trace.ChunkRef) error {
@@ -113,24 +130,25 @@ func checkParentBitIdentical(t *testing.T, gens [][]byte, newStore func(t *testi
 				t.Fatal(err)
 			}
 			client.sink = sink // count the references on their way to the store
-			client.SetParent(prev, true)
+			client.SetParent(prev, sums, true)
 			if !use {
-				client.SetParent(nil, false)
+				client.SetParent(nil, nil, false)
 			}
 			recipe, err := client.Backup(bytes.NewReader(data))
 			if err != nil {
 				t.Fatalf("gen %d: %v", g, err)
 			}
-			return recipe, order, client.predicted.Load()
+			return recipe, client.Sums(), order, client.predicted.Load()
 		}
 		var plainOrder, tableOrder []trace.ChunkRef
 		var plainPredicted, tablePredicted int64
-		plainRecipe, plainOrder, plainPredicted = backup(plain, plainRecipe, false)
+		plainRecipe, plainSums, plainOrder, plainPredicted = backup(plain, plainRecipe, plainSums, false)
 		refsBefore := table.refs
-		tableRecipe, tableOrder, tablePredicted = backup(table, tableRecipe, true)
+		tableRecipe, tableSums, tableOrder, tablePredicted = backup(table, tableRecipe, tableSums, true)
 		if !reflect.DeepEqual(tableRecipe, plainRecipe) {
 			t.Fatalf("gen %d: recipe differs with the parent table", g)
 		}
+		checkSums(t, tableSums, tableRecipe, data, cfg.Encryption)
 		if !reflect.DeepEqual(tableOrder, plainOrder) {
 			t.Fatalf("gen %d: observed upload stream differs with the parent table", g)
 		}
@@ -140,7 +158,9 @@ func checkParentBitIdentical(t *testing.T, gens [][]byte, newStore func(t *testi
 		for i := range plain.shards {
 			sameLayout(t, table.shards[i].containers, plain.shards[i].containers)
 		}
-		if hits := table.refs - refsBefore; g > 0 && hits < len(tableRecipe.Entries)/2 {
+		hits := table.refs - refsBefore
+		t.Logf("gen %d: %d of %d chunks uploaded as references, %d of %d bytes cut as predicted", g, hits, len(tableRecipe.Entries), tablePredicted, len(data))
+		if g > 0 && hits < len(tableRecipe.Entries)/2 {
 			t.Fatalf("gen %d: %d of %d chunks uploaded as references", g, hits, len(tableRecipe.Entries))
 		}
 		if plainPredicted != 0 || g > 0 && tablePredicted < int64(len(data))/2 {
@@ -157,6 +177,28 @@ func checkParentBitIdentical(t *testing.T, gens [][]byte, newStore func(t *testi
 	}
 	if err := client.Restore(tableRecipe, &out); err != nil || !bytes.Equal(out.Bytes(), gens[len(gens)-1]) {
 		t.Fatalf("restore of the last generation: %v, identical %v", err, bytes.Equal(out.Bytes(), gens[len(gens)-1]))
+	}
+}
+
+// checkSums holds a backup's Sums to its recipe and data: nil under
+// convergent encryption, and otherwise each entry's plaintext SHA-256.
+func checkSums(t *testing.T, sums []mle.Key, recipe *mle.Recipe, data []byte, enc Encryption) {
+	t.Helper()
+	if enc == 0 || enc == EncConvergent {
+		if sums != nil {
+			t.Fatalf("a convergent backup kept %d sums", len(sums))
+		}
+		return
+	}
+	if len(sums) != len(recipe.Entries) {
+		t.Fatalf("%d sums for %d recipe entries", len(sums), len(recipe.Entries))
+	}
+	off := 0
+	for i, e := range recipe.Entries {
+		if sums[i] != mle.ConvergentKey(data[off:off+int(e.Size)]) {
+			t.Fatalf("sum %d is not its chunk's SHA-256", i)
+		}
+		off += int(e.Size)
 	}
 }
 
@@ -199,14 +241,14 @@ func TestParentTableFailsClosed(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			client.SetParent(parent, true)
+			client.SetParent(parent, nil, true)
 			table := client.parent
 			// The failing chunk: the first occurrence, past the first
 			// window, of a chunk the table holds.
 			seen := map[mle.Key]bool{}
 			p := -1
 			for i, e := range child.Entries {
-				if _, ok := table.hit(e.Key); ok && !seen[e.Key] && i > uploadWindowChunks+10 {
+				if _, ok := table.hit(e.Key, e.Key); ok && !seen[e.Key] && i > uploadWindowChunks+10 {
 					p = i
 					break
 				}
@@ -292,6 +334,8 @@ func TestPutReferenceOnly(t *testing.T) {
 // store's client: a parent entry whose chunk the store does not hold is
 // no hit, so its chunk is encrypted and stored again rather than
 // referenced. A sink client, which has no store to ask, hits every key.
+// Under MinHash a hit needs the sums, and the entry's key as well as its
+// sum.
 func TestParentTableKeepsHeldChunksOnly(t *testing.T) {
 	s := NewStore(0)
 	data := []byte("held chunk")
@@ -305,20 +349,87 @@ func TestParentTableKeepsHeldChunksOnly(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c.SetParent(parent, false)
-	if e, ok := c.parent.hit(held.Key); !ok || e != held {
+	c.SetParent(parent, nil, false)
+	if e, ok := c.parent.hit(held.Key, held.Key); !ok || e != held {
 		t.Fatalf("held entry: %v, %v", e, ok)
 	}
-	if _, ok := c.parent.hit(lost.Key); ok {
+	if _, ok := c.parent.hit(lost.Key, lost.Key); ok {
 		t.Fatal("an entry the store does not hold is a hit")
 	}
 	sc, err := NewSinkClient(s, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	sc.SetParent(parent, false)
-	if e, ok := sc.parent.hit(lost.Key); !ok || e != lost {
+	sc.SetParent(parent, nil, false)
+	if e, ok := sc.parent.hit(lost.Key, lost.Key); !ok || e != lost {
 		t.Fatalf("a sink client's parent entry: %v, %v", e, ok)
+	}
+
+	m, err := NewClient(s, Config{Encryption: EncMinHash, Deriver: mle.NewLocalDeriver([]byte("k"))})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m.SetParent(parent, nil, false); m.parent != nil {
+		t.Fatal("a MinHash client took a parent without its sums")
+	}
+	if m.SetParent(parent, make([]mle.Key, 2), false); m.parent != nil {
+		t.Fatal("a MinHash client took a parent with too few sums")
+	}
+	sum := mle.ConvergentKey(data)
+	m.SetParent(parent, []mle.Key{sum, {}, sum}, false)
+	if e, ok := m.parent.hit(sum, held.Key); !ok || e != held {
+		t.Fatalf("held entry by sum and key: %v, %v", e, ok)
+	}
+	if _, ok := m.parent.hit(sum, lost.Key); ok {
+		t.Fatal("a chunk under another key is a hit")
+	}
+	if _, ok := m.parent.hit(held.Key, held.Key); ok {
+		t.Fatal("an entry's key is taken for its sum")
+	}
+}
+
+// TestParentTableNeedsSameKey gives a MinHash backup a parent whose every
+// sum it repeats but under another key manager's keys: the cuts are still
+// predicted, since the sums prove them, but no chunk is a hit, and the
+// recipe equals a backup without a parent.
+func TestParentTableNeedsSameKey(t *testing.T) {
+	data := generations(13, 1<<20, 1)[0]
+	cfg := func(secret string) Config {
+		return Config{Chunking: parentChunking, Encryption: EncMinHash, Deriver: mle.NewLocalDeriver([]byte(secret))}
+	}
+	store := NewStore(0)
+	pc, err := NewClient(store, cfg("old"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	parent, err := pc.Backup(bytes.NewReader(data))
+	if err != nil {
+		t.Fatal(err)
+	}
+	plain, err := NewClient(NewStore(0), cfg("new"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := plain.Backup(bytes.NewReader(data))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sink := &refCountingSink{Store: store}
+	c, err := NewClient(store, cfg("new"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.sink = sink
+	c.SetParent(parent, pc.Sums(), true)
+	got, err := c.Backup(bytes.NewReader(data))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatal("recipe differs with a parent under other keys")
+	}
+	if sink.refs != 0 || c.predicted.Load() < int64(len(data))/2 {
+		t.Fatalf("%d references, %d of %d bytes cut as predicted", sink.refs, c.predicted.Load(), len(data))
 	}
 }
 
@@ -350,7 +461,7 @@ func TestPredictedCutsOnFileserver(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		c.SetParent(parent, true)
+		c.SetParent(parent, nil, true)
 		if parent, err = c.Backup(bytes.NewReader(data)); err != nil {
 			t.Fatal(err)
 		}
@@ -366,15 +477,17 @@ func TestPredictedCutsOnFileserver(t *testing.T) {
 }
 
 // TestFingerprintFromConvergentKey pins what the segment stage relies on
-// when it takes a convergent chunk's fingerprint from its key: the
-// fingerprint is the key's prefix.
+// when it takes a chunk's fingerprint from its sum, the convergent key:
+// the fingerprint is the sum's prefix, under every encryption.
 func TestFingerprintFromConvergentKey(t *testing.T) {
-	p := &workerPool{c: &Client{cfg: Config{Encryption: EncConvergent}}}
-	for _, data := range [][]byte{nil, []byte("a chunk"), randData(3, 9000)} {
-		job := encJob{chunk: chunker.Chunk{Data: data}}
-		p.fingerprint(&job)
-		if job.chunk.Fingerprint != fphash.FromBytes(data) || !job.keyed || job.key != mle.ConvergentKey(data) {
-			t.Fatalf("%d bytes: fingerprint %v key %v, want %v", len(data), job.chunk.Fingerprint, job.keyed, fphash.FromBytes(data))
+	for _, enc := range []Encryption{EncConvergent, EncMinHash, EncServerAided} {
+		p := &workerPool{c: &Client{cfg: Config{Encryption: enc}}}
+		for _, data := range [][]byte{nil, []byte("a chunk"), randData(3, 9000)} {
+			job := encJob{chunk: chunker.Chunk{Data: data}}
+			p.fingerprint(&job)
+			if job.chunk.Fingerprint != fphash.FromBytes(data) || !job.summed || job.sum != mle.ConvergentKey(data) {
+				t.Fatalf("encryption %d, %d bytes: fingerprint %v summed %v, want %v", enc, len(data), job.chunk.Fingerprint, job.summed, fphash.FromBytes(data))
+			}
 		}
 	}
 }

@@ -574,7 +574,7 @@ func (c *Client) runBackupPipeline(ctx context.Context, src io.Reader, shared *b
 	<-shared.recvDone
 	select {
 	case info := <-shared.doneCh:
-		c.pipe.SetParent(recipe, true)
+		c.pipe.SetParent(recipe, nil, true)
 		return info, nil
 	default:
 		return wire.SnapshotInfo{}, shared.recvErr()

@@ -72,9 +72,13 @@ type Repository struct {
 	retErr  error
 
 	// own names the snapshots this instance's Backup made, under cfg's
-	// chunking: the parents a Backup may predict its cuts from.
+	// chunking: the parents a Backup may predict its cuts from. Under an
+	// encryption other than convergent, sums holds by tenant the newest
+	// one's plaintext SHA-256s (dedup.Client.Sums), which its table needs;
+	// they live in memory only.
 	ownMu sync.Mutex
 	own   map[string]struct{}
+	sums  map[string]ownSums
 
 	// closeMu/closed make Close idempotent and safe after partial failures.
 	closeMu sync.Mutex
@@ -334,6 +338,7 @@ func buildRepo(store *dedup.Store, catalog *dedup.Catalog, tapLog *tracelog.Log,
 		tapObs:  o.observer,
 		fsys:    o.fsys,
 		own:     map[string]struct{}{},
+		sums:    map[string]ownSums{},
 	}, nil
 }
 
@@ -642,6 +647,9 @@ func (r *Repository) Backup(ctx context.Context, name string, src io.Reader) (Sn
 	}
 	r.ownMu.Lock()
 	r.own[name] = struct{}{}
+	if sums := client.Sums(); sums != nil {
+		r.sums[tenantOf(name)] = ownSums{name, sums}
+	}
 	r.ownMu.Unlock()
 	return Snapshot{
 		Name:         name,
@@ -651,21 +659,28 @@ func (r *Repository) Backup(ctx context.Context, name string, src io.Reader) (Sn
 	}, nil
 }
 
-// parent returns the parent of a convergent Backup named name (see
+// ownSums is the plaintext SHA-256 of each entry of the named snapshot's
+// recipe, in recipe order.
+type ownSums struct {
+	name string
+	sums []mle.Key
+}
+
+// parent returns the parent of a Backup named name, with its entries'
+// plaintext SHA-256s when they are not its keys (see
 // dedup.Client.SetParent): the recipe of the newest snapshot by
 // (CreatedUnix, Name) in name's own tenant namespace. Keeping to the
 // namespace means a recipe a network tenant committed never vouches for
-// another namespace's chunks. It is nil for a non-convergent repository,
-// when no snapshot qualifies and when the parent's recipe does not open:
-// the parent only saves work, so it never fails a backup. Cuts are
-// predicted from it only if this instance backed it up, under its own
-// r.cfg.Chunking: a recipe does not say how it was chunked. The caller
-// holds gcMu's read side, which keeps GC and Repair from dropping the
-// parent's chunks until the backup is registered.
-func (r *Repository) parent(name string) (recipe *mle.Recipe, predict bool) {
-	if r.cfg.Encryption != 0 && r.cfg.Encryption != dedup.EncConvergent {
-		return nil, false
-	}
+// another namespace's chunks. It is nil when no snapshot qualifies, when
+// the parent's recipe does not open, and, under an encryption other than
+// convergent, when this instance holds no sums for the parent: it holds
+// them only for the newest snapshot it backed up in each namespace, and
+// none after a reopen. The parent only saves work, so it never fails a
+// backup. Cuts are predicted from it only if this instance backed it up,
+// under its own r.cfg.Chunking: a recipe does not say how it was chunked.
+// The caller holds gcMu's read side, which keeps GC and Repair from
+// dropping the parent's chunks until the backup is registered.
+func (r *Repository) parent(name string) (recipe *mle.Recipe, sums []mle.Key, predict bool) {
 	var parent *dedup.SnapshotRecord
 	tenant := tenantOf(name)
 	recs := r.catalog.List()
@@ -681,16 +696,23 @@ func (r *Repository) parent(name string) (recipe *mle.Recipe, predict bool) {
 		}
 	}
 	if parent == nil {
-		return nil, false
-	}
-	recipe, err := mle.OpenRecipe(parent.SealedRecipe, r.key)
-	if err != nil {
-		return nil, false
+		return nil, nil, false
 	}
 	r.ownMu.Lock()
 	_, predict = r.own[parent.Name]
+	own := r.sums[tenant]
 	r.ownMu.Unlock()
-	return recipe, predict
+	if r.cfg.Encryption != 0 && r.cfg.Encryption != dedup.EncConvergent {
+		if own.name != parent.Name {
+			return nil, nil, false
+		}
+		sums = own.sums
+	}
+	recipe, err := mle.OpenRecipe(parent.SealedRecipe, r.key)
+	if err != nil {
+		return nil, nil, false
+	}
+	return recipe, sums, predict
 }
 
 // Restore writes the named snapshot's original bytes to w: the restore is
@@ -746,6 +768,9 @@ func (r *Repository) Delete(ctx context.Context, name string) error {
 	}
 	r.ownMu.Lock()
 	delete(r.own, name)
+	if t := tenantOf(name); r.sums[t].name == name {
+		delete(r.sums, t)
+	}
 	r.ownMu.Unlock()
 	if err := r.store.DeleteBackup(name); err != nil && !errors.Is(err, dedup.ErrUnknownBackup) {
 		return err

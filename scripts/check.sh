@@ -77,10 +77,12 @@ go test -race ./... || fail "go test -race"
 # The backup pipeline's worker pool, producer and consumer hand chunks,
 # batches and windows to each other; run the tests that drive those
 # handoffs (teardown, determinism across worker counts, sinks, streaming
-# readers, cancellation) five times over, with the test that holds the
-# open container's arena views to copies across a seal.
+# readers, cancellation) five times over, with the parent table's tests
+# (the consumer records the sums a later table holds, which pool workers
+# read and write beside the chunks) and the test that holds the open
+# container's arena views to copies across a seal.
 echo "== backup pipeline flake guard (-race -count=5)"
-scripts/race-guard.sh 'Cancel|Deterministic|Sink|Streaming|Teardown|ViewsSurviveSeal' ./internal/dedup/ || fail "backup pipeline flake guard"
+scripts/race-guard.sh 'Cancel|Deterministic|Sink|Streaming|Teardown|ParentTable|ViewsSurviveSeal' ./internal/dedup/ || fail "backup pipeline flake guard"
 
 # The open container's arena recycles its blocks only after a durable
 # seal and keeps them through a failed one or a compaction.
