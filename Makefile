@@ -31,11 +31,12 @@ build:
 test:
 	$(GO) test ./...
 
-# The second to sixth lines are scripts/check.sh's flake guards, five
+# The second to seventh lines are scripts/check.sh's flake guards, five
 # runs each: the remote Backup's sender/receiver handoff, the backup
 # pipeline's worker pool (teardown, determinism, sinks, streaming), the
 # parent table, whose sums the consumer writes and pool workers read, and
-# the open container's arena views across a seal, the arena's block recycling,
+# the open container's arena views across a seal, the arena's block recycling
+# and its release on Close, the buffer pool's size classes and leak count,
 # the chunker's parallel boundary scan against its references and its
 # parallel check of predicted runs, and the overlapped seal pass (its
 # fsyncs on the real disk, and its crash clock on the fault filesystem). scripts/race-guard.sh fails a guard whose
@@ -44,7 +45,8 @@ race:
 	$(GO) test -race ./...
 	GO=$(GO) scripts/race-guard.sh 'RoundTrip|Cancel|EmptyBackup|Inflight|ParentHit' ./internal/server/
 	GO=$(GO) scripts/race-guard.sh 'Cancel|Deterministic|Sink|Streaming|Teardown|ParentTable|ViewsSurviveSeal' ./internal/dedup/
-	GO=$(GO) scripts/race-guard.sh 'Arena|MemBackendStore' ./internal/container/
+	GO=$(GO) scripts/race-guard.sh 'Arena|MemBackendStore|CloseAfterFailedSeal' ./internal/container/
+	GO=$(GO) scripts/race-guard.sh 'Class|Leak' ./internal/bufpool/
 	GO=$(GO) scripts/race-guard.sh 'ParallelScan|Reference|Predict' ./internal/chunker/
 	GO=$(GO) scripts/race-guard.sh 'SealPass|CrashClock' .
 

@@ -10,7 +10,7 @@ import (
 	"runtime/debug"
 	"testing"
 
-	"freqdedup/internal/dedup"
+	"freqdedup/internal/bufpool"
 )
 
 // steadySnapshotBytes is the size of each never-seen snapshot the
@@ -85,7 +85,7 @@ func TestBackupRestoreSteadyStateAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer repo.Close()
-	baseline := dedup.RestoreBufsOutstanding()
+	baseline := bufpool.Outstanding()
 	var out bytes.Buffer
 	out.Grow(steadySnapshotBytes)
 	seen, passed = nil, false
@@ -109,7 +109,7 @@ func TestBackupRestoreSteadyStateAllocs(t *testing.T) {
 	if !passed {
 		t.Fatalf("restore allocations per byte, per window: %v; want under %.1f in some window", seen, restoreLimit)
 	}
-	if got := dedup.RestoreBufsOutstanding(); got != baseline {
-		t.Fatalf("%d pooled restore buffers outstanding after the restores, want %d", got, baseline)
+	if got := bufpool.Outstanding(); got != baseline {
+		t.Fatalf("%+v pooled buffers outstanding after the restores, want %+v", got, baseline)
 	}
 }

@@ -16,20 +16,23 @@ import (
 	"freqdedup/internal/vfs"
 )
 
-// countingFS wraps a vfs.FS and counts Sync calls per file base name, so
-// a test can learn deterministically how many syncs a setup phase costs
-// and arm a fault at exactly the next one. A nonzero syncDelay stretches
-// every Sync, as a slow disk would, so concurrent commits pile up behind
-// an in-flight fsync.
+// countingFS wraps a vfs.FS and counts Sync and WriteAt calls per file
+// base name, so a test can learn deterministically how many syncs a setup
+// phase costs and arm a fault at exactly the next one. A nonzero
+// syncDelay stretches every Sync, as a slow disk would, so concurrent
+// commits pile up behind an in-flight fsync; a non-nil gate runs before
+// each Sync reaches the wrapped file, with the file's base name.
 type countingFS struct {
 	vfs.FS
 	syncDelay time.Duration
+	gate      func(base string)
 	mu        sync.Mutex
 	syncs     map[string]int
+	writes    map[string]int
 }
 
 func newCountingFS(inner vfs.FS) *countingFS {
-	return &countingFS{FS: inner, syncs: make(map[string]int)}
+	return &countingFS{FS: inner, syncs: make(map[string]int), writes: make(map[string]int)}
 }
 
 func (c *countingFS) OpenFile(name string, flag int, perm os.FileMode) (vfs.File, error) {
@@ -58,11 +61,28 @@ func (c *countingFS) synced(name string) {
 	c.mu.Unlock()
 }
 
+func (c *countingFS) wrote(name string) {
+	c.mu.Lock()
+	c.writes[filepath.Base(name)]++
+	c.mu.Unlock()
+}
+
+// count returns the Syncs of the files whose base names match pattern.
 func (c *countingFS) count(pattern string) int {
+	return c.tally(c.syncs, pattern)
+}
+
+// writeCount returns the WriteAts of the files whose base names match
+// pattern.
+func (c *countingFS) writeCount(pattern string) int {
+	return c.tally(c.writes, pattern)
+}
+
+func (c *countingFS) tally(calls map[string]int, pattern string) int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	n := 0
-	for base, k := range c.syncs {
+	for base, k := range calls {
 		if ok, _ := filepath.Match(pattern, base); ok {
 			n += k
 		}
@@ -78,8 +98,17 @@ type countingFile struct {
 
 func (f countingFile) Sync() error {
 	f.fs.synced(f.name)
+	if f.fs.gate != nil {
+		f.fs.gate(filepath.Base(f.name))
+	}
 	time.Sleep(f.fs.syncDelay)
 	return f.File.Sync()
+}
+
+func (f countingFile) WriteAt(p []byte, off int64) (int, error) {
+	n, err := f.File.WriteAt(p, off)
+	f.fs.wrote(f.name)
+	return n, err
 }
 
 // TestBackupNotAckedOnSyncFailure is the fsync-propagation audit: for

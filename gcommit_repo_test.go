@@ -32,7 +32,11 @@ func gcTestOptions(fs FileSystem) []RepositoryOption {
 // TestGroupCommitBatchesSyncs: N concurrent Backups against a slow disk
 // must share durability rounds by absorption alone — strictly fewer seal
 // passes, catalog fsyncs and trace-log fsyncs than backups — while every
-// backup still acks and restores.
+// backup still acks and restores. The backups' first catalog fsync waits
+// until every backup has appended its catalog record, so the catalog's
+// commits overlap whatever the scheduling; the wait is bounded, so a
+// batcher that holds the appends back behind that fsync fails the test
+// instead of hanging it.
 func TestGroupCommitBatchesSyncs(t *testing.T) {
 	const n = 8
 	ctx := context.Background()
@@ -47,6 +51,24 @@ func TestGroupCommitBatchesSyncs(t *testing.T) {
 	preSeal := repo.store.SealSyncs()
 	preCat := cfs.count("catalog.fdr")
 	preTrace := cfs.count("traces.fdt")
+	preCatWrites := cfs.writeCount("catalog.fdr")
+	var gated sync.Once
+	cfs.gate = func(base string) {
+		if base != "catalog.fdr" {
+			return
+		}
+		gated.Do(func() {
+			deadline := time.Now().Add(10 * time.Second)
+			for cfs.writeCount("catalog.fdr")-preCatWrites < n {
+				if time.Now().After(deadline) {
+					t.Errorf("the first catalog fsync waited 10s for %d catalog appends, saw %d",
+						n, cfs.writeCount("catalog.fdr")-preCatWrites)
+					return
+				}
+				time.Sleep(time.Millisecond)
+			}
+		})
+	}
 
 	datas := make([][]byte, n)
 	for i := range datas {

@@ -4,10 +4,8 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math/bits"
-	"sync"
-	"sync/atomic"
 
+	"freqdedup/internal/bufpool"
 	"freqdedup/internal/fphash"
 	"freqdedup/internal/rabin"
 )
@@ -30,94 +28,13 @@ type Chunk struct {
 // Size returns the chunk size in bytes.
 func (c Chunk) Size() int { return len(c.Data) }
 
-// Release returns the chunk's buffer to the package pool. The chunk's Data
-// (and any sub-slice of it) must not be touched afterwards. Calling Release
-// is optional — unreleased buffers are garbage collected — but streaming
+// Release returns the chunk's buffer to the buffer pool (package
+// bufpool). The chunk's Data (and any sub-slice of it) must not be touched
+// afterwards. Calling Release is optional — unreleased buffers are garbage
+// collected, though still counted outstanding — but streaming
 // consumers that release every chunk run allocation-free in steady state.
 func (c Chunk) Release() {
-	putBuf(c.Data)
-}
-
-// bufPools recycles chunk data buffers, one pool per power-of-two size
-// class so a released small buffer never blocks reuse for a larger chunk
-// (content-defined chunk sizes span Min..Max). Class k holds buffers with
-// capacity at least 1<<k; buffers are allocated with exact power-of-two
-// capacity and classed by floor(log2(cap)) on release, so a pooled buffer
-// always satisfies the whole class it sits in. holderPool recycles the
-// *[]byte boxes so neither getBuf nor putBuf allocates in steady state.
-var (
-	bufPools   [33]sync.Pool
-	holderPool = sync.Pool{New: func() any { return new([]byte) }}
-)
-
-// bufsOutstanding counts pooled buffers currently handed out (getBuf minus
-// putBuf, pooled size classes only). The dedup pipelines' drain-on-error
-// and drain-on-cancel tests assert it returns to its baseline, proving no
-// code path abandons a pooled chunk buffer.
-var bufsOutstanding atomic.Int64
-
-// BufsOutstanding reports how many pooled chunk buffers are currently
-// checked out of the pool. It exists for leak assertions in tests of
-// streaming consumers; production code has no reason to call it.
-func BufsOutstanding() int64 { return bufsOutstanding.Load() }
-
-// getBuf returns a chunk buffer of length n from poolGet, counted in
-// bufsOutstanding until putBuf hands it back.
-func getBuf(n int) []byte {
-	buf, pooled := poolGet(n)
-	if pooled {
-		bufsOutstanding.Add(1)
-	}
-	return buf
-}
-
-// putBuf hands a chunk buffer back to poolPut.
-func putBuf(buf []byte) {
-	if poolPut(buf) {
-		bufsOutstanding.Add(-1)
-	}
-}
-
-// poolGet returns a buffer of length n from the pool of n's size class,
-// allocating a fresh one (with power-of-two capacity) on a pool miss. It
-// reports whether n has a pooled class.
-func poolGet(n int) ([]byte, bool) {
-	if n == 0 {
-		return []byte{}, false
-	}
-	k := bits.Len(uint(n - 1))
-	if k >= len(bufPools) {
-		// Beyond the largest pooled class (>4 GiB): plain allocation,
-		// never pooled.
-		return make([]byte, n), false
-	}
-	if h, ok := bufPools[k].Get().(*[]byte); ok {
-		buf := (*h)[:n]
-		*h = nil
-		holderPool.Put(h)
-		return buf, true
-	}
-	return make([]byte, n, 1<<k), true
-}
-
-// poolPut hands a buffer back to the pool of its capacity's size class,
-// reporting whether it was pooled.
-func poolPut(buf []byte) bool {
-	c := cap(buf)
-	if c == 0 {
-		return false
-	}
-	if uint64(c) > 1<<32 {
-		// Beyond the largest pooled class — from poolGet's unpooled path
-		// (which rejects requests over 4 GiB); never pooled, or a multi-GiB
-		// allocation would circulate serving much smaller requests.
-		return false
-	}
-	k := bits.Len(uint(c)) - 1 // floor(log2(c)): every buffer here has cap >= 1<<k
-	h := holderPool.Get().(*[]byte)
-	*h = buf[:0]
-	bufPools[k].Put(h)
-	return true
+	bufpool.Put(c.Data)
 }
 
 // Chunker cuts a stream into chunks.
@@ -126,6 +43,16 @@ type Chunker interface {
 	// returned. A trailing partial chunk (shorter than the minimum size) is
 	// returned as a final chunk rather than discarded.
 	Next() (Chunk, error)
+}
+
+// Release hands back the lookahead buffer a content-defined chunker holds
+// until io.EOF, for a consumer that stops before; c must not be used
+// afterwards. Only the goroutine calling c's Next may call it, never
+// during a Next, which may be blocked in a Read into the buffer.
+func Release(c Chunker) {
+	if r, ok := c.(interface{ release() }); ok {
+		r.release()
+	}
 }
 
 // Fixed cuts the input into fixed-size chunks. The last chunk may be short.
@@ -155,7 +82,7 @@ func (f *Fixed) Next() (Chunk, error) {
 	// Pooled buffer: a full chunk reuses it as-is, and the final short
 	// chunk just slices it down instead of pinning a full-size allocation
 	// the way the seed implementation did.
-	buf := getBuf(f.size)
+	buf := bufpool.Get(f.size)
 	n, err := io.ReadFull(f.r, buf)
 	switch {
 	case err == nil:
@@ -165,10 +92,10 @@ func (f *Fixed) Next() (Chunk, error) {
 		buf = buf[:n]
 	case errors.Is(err, io.EOF):
 		f.done = true
-		putBuf(buf)
+		bufpool.Put(buf)
 		return Chunk{}, io.EOF
 	default:
-		putBuf(buf)
+		bufpool.Put(buf)
 		return Chunk{}, fmt.Errorf("chunker: read: %w", err)
 	}
 	c := Chunk{Data: buf, Offset: f.offset, Fingerprint: fphash.FromBytes(buf)}
@@ -260,18 +187,16 @@ type lookahead struct {
 	eof    bool
 }
 
-// newLookahead takes its buffer from the size-class pools; release hands
-// it back. The buffer is not counted in BufsOutstanding: a chunker that
-// is cancelled or fails keeps it.
+// newLookahead takes its buffer from the buffer pool; release hands it
+// back.
 func newLookahead(r io.Reader, size int) lookahead {
-	buf, _ := poolGet(size)
-	return lookahead{r: r, buf: buf}
+	return lookahead{r: r, buf: bufpool.Get(size)}
 }
 
-// release hands the buffer back once take has reported io.EOF, for the
-// next chunker to reuse. Nothing may read the buffer afterwards.
+// release hands the buffer back, for the next chunker to reuse. Nothing
+// may read it afterwards; a second release is a no-op.
 func (l *lookahead) release() {
-	poolPut(l.buf)
+	bufpool.Put(l.buf)
 	l.buf = nil
 }
 
@@ -533,16 +458,21 @@ func (c *ContentDefined) take(limit int) ([]byte, error) {
 	}
 	window, err := c.la.take(limit)
 	if errors.Is(err, io.EOF) {
-		c.cands = c.par.drain(c.cands)
-		c.la.release()
+		c.release()
 	}
 	return window, err
+}
+
+// release hands the lookahead back to the pool once no scan reads it.
+func (c *ContentDefined) release() {
+	c.cands = c.par.drain(c.cands)
+	c.la.release()
 }
 
 // cut consumes the first n bytes of window, the lookahead's unconsumed
 // bytes, as the next chunk.
 func (c *ContentDefined) cut(window []byte, n int) Chunk {
-	data := getBuf(n)
+	data := bufpool.Get(n)
 	copy(data, window[:n])
 	return c.emit(data)
 }
@@ -591,10 +521,11 @@ func All(c Chunker) ([]Chunk, error) {
 		}
 		if err != nil {
 			// The accumulated chunks are unreachable to the caller; hand
-			// their buffers back to the pool.
+			// their buffers back to the pool, and the lookahead with them.
 			for _, prev := range out {
 				prev.Release()
 			}
+			Release(c)
 			return nil, err
 		}
 		out = append(out, ch)

@@ -98,11 +98,13 @@
 //
 // # Buffer ownership and pooling
 //
-// Chunk.Data buffers are drawn from a package-level sync.Pool. A chunk's
-// buffer is owned by the caller from the moment Next returns it:
+// Chunk.Data buffers are drawn from the process-wide buffer pool (package
+// bufpool), which counts every buffer handed out. A chunk's buffer is
+// owned by the caller from the moment Next returns it:
 //
 //   - Callers that keep chunks (chunker.All, tests) simply let the garbage
-//     collector reclaim them; no Release is required for correctness.
+//     collector reclaim them; no Release is required for correctness,
+//     though an unreleased buffer stays on the pool's count.
 //   - Streaming consumers (the dedup client's backup pipeline) should call
 //     Chunk.Release once the chunk's bytes are no longer referenced. The
 //     buffer returns to the pool and is handed out by a later Next call,
@@ -113,11 +115,12 @@
 // likewise a caller bug. Sub-slices of Data share the buffer, so they die
 // with it at Release.
 //
-// The lookahead buffer comes from the same pools. A content-defined
+// The lookahead buffer comes from the same pool. A content-defined
 // chunker that reaches io.EOF hands it back, after draining any pending
 // scan whose helpers may still read it, so a chunker created after
-// another one finished allocates no lookahead. A chunker that is
-// cancelled or fails keeps its buffer for the garbage collector.
+// another one finished allocates no lookahead. A consumer that stops
+// before io.EOF hands it back with Release (the backup pipeline's
+// producer, as it exits).
 //
 // # Deferred fingerprinting
 //

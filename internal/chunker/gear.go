@@ -6,6 +6,7 @@ import (
 	"io"
 	"math/bits"
 
+	"freqdedup/internal/bufpool"
 	"freqdedup/internal/fphash"
 )
 
@@ -148,13 +149,13 @@ func NewGear(r io.Reader, p Params) (*Gear, error) {
 func (g *Gear) Next() (Chunk, error) {
 	data, err := g.la.take(g.p.Max)
 	if errors.Is(err, io.EOF) {
-		g.la.release()
+		g.release()
 	}
 	if err != nil {
 		return Chunk{}, err
 	}
 	cut := gearCut(data, g.p.Min, g.mask)
-	buf := getBuf(cut)
+	buf := bufpool.Get(cut)
 	copy(buf, data[:cut])
 	ch := Chunk{Data: buf, Offset: g.la.offset}
 	if !g.p.DeferFingerprint {
@@ -163,6 +164,9 @@ func (g *Gear) Next() (Chunk, error) {
 	g.la.consume(cut)
 	return ch, nil
 }
+
+// release hands the lookahead back to the pool.
+func (g *Gear) release() { g.la.release() }
 
 // chunkCountHint estimates how many chunks remain, for All's preallocation.
 func (g *Gear) chunkCountHint() int {

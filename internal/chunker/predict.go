@@ -7,6 +7,8 @@ import (
 	"runtime"
 	"sync/atomic"
 	"time"
+
+	"freqdedup/internal/bufpool"
 )
 
 // NextRun cuts the next chunks where a parent predicts them, and returns
@@ -256,7 +258,7 @@ func (r *runCheck) run(data []byte, sums [][sha256.Size]byte) int {
 	s := r.state.Load()
 	ok, claimed := int(s>>32&0xffff), int(s>>48)
 	for _, buf := range r.bufs[ok:claimed] {
-		putBuf(buf)
+		bufpool.Put(buf)
 	}
 	return ok
 }
@@ -279,7 +281,7 @@ func (r *runCheck) claim() (int, bool) {
 // lowering end to i on a mismatch. It reports whether that ended the
 // check.
 func (r *runCheck) finish(i int) bool {
-	buf := getBuf(r.bounds[i+1] - r.bounds[i])
+	buf := bufpool.Get(r.bounds[i+1] - r.bounds[i])
 	copy(buf, r.data[r.bounds[i]:])
 	r.bufs[i] = buf
 	match := sha256.Sum256(buf) == r.sums[i]

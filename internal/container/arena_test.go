@@ -3,6 +3,8 @@ package container
 import (
 	"bytes"
 	"testing"
+
+	"freqdedup/internal/bufpool"
 )
 
 // TestArenaCopiesAndGrowsInBlocks: Append copies a chunk into the open
@@ -146,7 +148,33 @@ func TestMemBackendStoreCopiesWithoutArena(t *testing.T) {
 	if err != nil || !bytes.Equal(c.Entries[0].Data, want) {
 		t.Fatalf("sealed container: %v, bytes equal %v", err, err == nil && bytes.Equal(c.Entries[0].Data, want))
 	}
-	if s.arena.pool != nil || len(s.arena.blocks) != 0 {
+	if s.arena.block != 0 || len(s.arena.blocks) != 0 {
 		t.Fatal("a MemBackend store packs into an arena")
+	}
+}
+
+// TestCloseAfterFailedSealReturnsArena: a failed seal keeps the open
+// container's blocks, and Close hands them back, so the buffer pool's
+// count is at its baseline once the store is closed.
+func TestCloseAfterFailedSealReturnsArena(t *testing.T) {
+	base := bufpool.Outstanding()
+	b, _ := newFileStore(t, 1<<20, 1)
+	s, err := NewWithBackend(1<<20, b, 0, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := uint64(0); i < 200; i++ {
+		mustAppend(t, s, dataEntry(i, 3000))
+	}
+	mustAppend(t, s, Entry{FP: dataEntry(999, 40).FP, Size: 40})
+	if _, err := s.Flush(); err == nil {
+		t.Fatal("a seal of a metadata-only entry succeeded")
+	}
+	if got := bufpool.Outstanding(); got.Bufs != base.Bufs+int64(len(s.arena.blocks)) || len(s.arena.blocks) < 2 {
+		t.Fatalf("Outstanding = %+v with %d arena blocks held, baseline %+v", got, len(s.arena.blocks), base)
+	}
+	s.Close()
+	if got := bufpool.Outstanding(); got != base {
+		t.Fatalf("Outstanding = %+v after Close, want the baseline %+v", got, base)
 	}
 }

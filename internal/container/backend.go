@@ -32,9 +32,10 @@ type Backend interface {
 	Seal(shard int, c *Container) error
 
 	// Load reads a sealed container, data included. It returns ErrNotFound
-	// for an ID that was never sealed. A non-nil buf is the buffer the
-	// container is read into, grown as needed, and the entries' Data are
-	// views of *buf, valid until the caller reuses it; with a nil buf the
+	// for an ID that was never sealed. With a non-nil buf, *buf (empty or
+	// from package bufpool) is put back and replaced by the pooled buffer
+	// the container is read into; the entries' Data are views of it,
+	// valid until the caller puts it back, on error too. With a nil buf the
 	// container is read into memory of its own. A backend that holds its
 	// containers in memory (MemBackend) returns those and ignores buf.
 	Load(shard, id int, buf *[]byte) (*Container, error)

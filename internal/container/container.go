@@ -4,8 +4,8 @@ import (
 	"errors"
 	"fmt"
 	"math/bits"
-	"sync"
 
+	"freqdedup/internal/bufpool"
 	"freqdedup/internal/fphash"
 )
 
@@ -164,6 +164,15 @@ func (s *Store) Flush() (*Container, error) {
 func (s *Store) sealedCurrent() {
 	s.sealed++
 	s.sealedBytes += s.current.Bytes
+	s.current = nil
+	s.arena.release()
+}
+
+// Close hands the open container's arena blocks back to the buffer pool,
+// whether or not its seal succeeded: a closed store is never read again,
+// nor are the views of its open container. The backend stays open for its
+// owner to close.
+func (s *Store) Close() {
 	s.current = nil
 	s.arena.release()
 }
@@ -514,31 +523,23 @@ func (s *Store) reopen(cur *Container) {
 	}
 }
 
-// arenaBlockBytes is the size of the blocks an arena grows by: small
-// enough that the arena's residency tracks the bytes its container holds,
-// large enough that a block holds dozens of chunks.
-const (
-	arenaBlockShift = 18
-	arenaBlockBytes = 1 << arenaBlockShift
-)
-
-// arenaPools recycles arena blocks across every Store, one pool per
-// power-of-two block size (arenaBlockBytes, or a smaller capacity's
-// power-of-two ceiling). Blocks are boxed (*[]byte) once, at allocation,
-// so recycling them allocates nothing.
-var arenaPools [arenaBlockShift + 1]sync.Pool
+// arenaBlockBytes is the size of the blocks an arena grows by, the
+// buffer pool's block: small enough that the arena's residency tracks the
+// bytes its container holds, large enough that a block holds dozens of
+// chunks.
+const arenaBlockBytes = bufpool.BlockBytes
 
 // arena holds the open container's chunk bytes. It grows in blocks from
-// arenaPools, copying each chunk into the last block, and a chunk larger
-// than a block gets a buffer of its own. release returns every block to
-// the pool at once, so it may be called only when no view of them is left:
-// after the container's durable seal. The zero arena (a MemBackend's)
-// gives every chunk a buffer of its own and recycles nothing.
+// the buffer pool (package bufpool), copying each chunk into the last
+// block, and a chunk larger than a block gets a buffer of its own.
+// release returns every block to the pool at once, so it may be called
+// only when no view of them is left: after the container's durable seal,
+// or once the store is closed. The zero arena (a MemBackend's) gives every
+// chunk a buffer of its own and recycles nothing.
 type arena struct {
-	pool   *sync.Pool // nil: no recycling
-	block  int        // block size
-	blocks []*[]byte  // blocks held; the last one is being filled
-	used   int        // bytes used of the last block
+	block  int      // block size; 0: no recycling
+	blocks [][]byte // blocks held; the last one is being filled
+	used   int      // bytes used of the last block
 }
 
 func newArena(capacity int) arena {
@@ -546,25 +547,20 @@ func newArena(capacity int) arena {
 	if capacity < block {
 		block = 1 << bits.Len(uint(capacity-1))
 	}
-	return arena{pool: &arenaPools[bits.Len(uint(block))-1], block: block}
+	return arena{block: block}
 }
 
 // copy returns a copy of p in arena memory (never nil).
 func (a *arena) copy(p []byte) []byte {
 	n := len(p)
-	if a.pool == nil || n > a.block {
+	if n > a.block {
 		return append(make([]byte, 0, n), p...)
 	}
 	if len(a.blocks) == 0 || a.used+n > a.block {
-		bp, _ := a.pool.Get().(*[]byte)
-		if bp == nil {
-			b := make([]byte, a.block)
-			bp = &b
-		}
-		a.blocks = append(a.blocks, bp)
+		a.blocks = append(a.blocks, bufpool.Get(a.block))
 		a.used = 0
 	}
-	b := (*a.blocks[len(a.blocks)-1])[a.used : a.used+n : a.used+n]
+	b := a.blocks[len(a.blocks)-1][a.used : a.used+n : a.used+n]
 	copy(b, p)
 	a.used += n
 	return b
@@ -572,11 +568,8 @@ func (a *arena) copy(p []byte) []byte {
 
 // release returns every block to the pool.
 func (a *arena) release() {
-	if a.pool == nil {
-		return
-	}
-	for i, bp := range a.blocks {
-		a.pool.Put(bp)
+	for i, b := range a.blocks {
+		bufpool.Put(b)
 		a.blocks[i] = nil
 	}
 	a.blocks, a.used = a.blocks[:0], 0

@@ -33,14 +33,15 @@
 //
 // Append copies each chunk; the caller keeps its buffer. Over a
 // FileBackend, which keeps nothing of a sealed container (its seal frames
-// the chunks into a pooled record buffer of its own), the copies go into
-// the open container's arena: 256 KiB blocks (a smaller capacity's
-// power-of-two ceiling) from a process-wide pool, filled in order, with a
-// chunk larger than a block in a buffer of its own. The arena grows one
-// block at a time, so it holds the container's bytes plus at most one
-// partly filled block, and it hands every block back to the pool only
-// when the container's seal succeeded; a failed seal keeps the container
-// open, bytes included. A GC or repair rewrite keeps the open container's
+// the chunks into a record buffer of its own, from the buffer pool, of at
+// least a full container's record), the copies go into the open
+// container's arena: 256 KiB blocks (a smaller capacity's power-of-two
+// ceiling) from the process-wide buffer pool (package bufpool), filled in
+// order, with a chunk larger than a block in a buffer of its own. The
+// arena grows one block at a time, so it holds the container's bytes plus
+// at most one partly filled block, and it hands every block back to the
+// pool when the container's seal succeeded, or when the store is closed;
+// a failed seal keeps the container open, bytes included. A GC or repair rewrite keeps the open container's
 // survivors in the arena, and gives the blocks back if none survives. A
 // MemBackend keeps the containers it seals, so there each chunk is copied
 // into a buffer of its own and nothing is recycled.

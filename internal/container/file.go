@@ -11,6 +11,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"freqdedup/internal/bufpool"
 	"freqdedup/internal/fphash"
 	"freqdedup/internal/reclog"
 	"freqdedup/internal/vfs"
@@ -291,27 +292,18 @@ func (b *FileBackend) openShard(name string, shard int, salvage bool) (*shardFil
 	return sf, lost, nil
 }
 
-// recordPool holds record serialization buffers (*[]byte). A seal or a
-// rewrite borrows one for the span of its write, so the buffers are
-// shared by every shard and backend instead of each shard keeping its
-// largest record alive.
-var recordPool sync.Pool
-
-// growRecordBuf makes sure the reused record buffer *bp holds n bytes. A
-// buffer too small is replaced by one of n rounded up to whole arena
-// blocks: records of similar size then share one capacity, so a pooled
-// buffer grown once fits the records it meets next instead of growing
-// again for each slightly larger one, and holds less than a block more
-// than its record.
-func growRecordBuf(bp *[]byte, n int) {
-	if cap(*bp) < n {
-		*bp = make([]byte, 0, (n+arenaBlockBytes-1)/arenaBlockBytes*arenaBlockBytes)
-	}
+// recordBuf returns a pooled buffer for the record framing h, which the
+// caller puts back once the record is written or read. It asks for at
+// least a full container's record, so a shard's records share one size
+// class and a full container's buffer serves a partial one.
+func (b *FileBackend) recordBuf(h recordHead) []byte {
+	n := int(reclog.RecHeaderLen + h.bodyLen() + reclog.TrailerLen)
+	return bufpool.Get(max(n, reclog.RecHeaderLen+b.containerBytes+reclog.TrailerLen))[:n]
 }
 
 // buildRecord frames c as one container record into a buffer from
-// recordPool; the caller puts it back once the record is written.
-func buildRecord(c *Container) (*[]byte, recordHead, error) {
+// recordBuf; the caller puts it back once the record is written.
+func (b *FileBackend) buildRecord(c *Container) ([]byte, recordHead, error) {
 	h := recordHead{entries: uint32(len(c.Entries))}
 	for _, e := range c.Entries {
 		if len(e.Data) != int(e.Size) {
@@ -320,12 +312,8 @@ func buildRecord(c *Container) (*[]byte, recordHead, error) {
 		}
 		h.dataBytes += e.Size
 	}
-	bp, _ := recordPool.Get().(*[]byte)
-	if bp == nil {
-		bp = new([]byte)
-	}
-	growRecordBuf(bp, int(reclog.RecHeaderLen+h.bodyLen()+reclog.TrailerLen))
-	rec, err := shardFormat.Frame(*bp, uint32(c.ID), h.entries, h.dataBytes, func(body []byte) {
+	buf := b.recordBuf(h)
+	rec, err := shardFormat.Frame(buf, uint32(c.ID), h.entries, h.dataBytes, func(body []byte) {
 		for _, e := range c.Entries {
 			copy(body, e.FP[:])
 			binary.LittleEndian.PutUint32(body[fphash.Size:], e.Size)
@@ -335,12 +323,11 @@ func buildRecord(c *Container) (*[]byte, recordHead, error) {
 			body = body[copy(body, e.Data):]
 		}
 	})
-	*bp = rec
 	if err != nil {
-		recordPool.Put(bp)
+		bufpool.Put(buf)
 		return nil, h, err
 	}
-	return bp, h, nil
+	return rec, h, nil
 }
 
 // Seal appends the container's record to the shard file and fsyncs;
@@ -352,12 +339,12 @@ func (b *FileBackend) Seal(shard int, c *Container) error {
 	if err := sf.checkSeal(shard, c); err != nil {
 		return err
 	}
-	bp, h, err := buildRecord(c)
+	rec, h, err := b.buildRecord(c)
 	if err != nil {
 		return err
 	}
-	off, err := sf.appendRecord(*bp)
-	recordPool.Put(bp)
+	off, err := sf.appendRecord(rec)
+	bufpool.Put(rec)
 	if err != nil {
 		return err
 	}
@@ -397,7 +384,7 @@ func (b *FileBackend) SealAll(cs []*Container) []error {
 	}
 	var builders sync.WaitGroup
 	defer builders.Wait()
-	built := buildRecords(cs, todo, &builders)
+	built := b.buildRecords(cs, todo, &builders)
 	syncs := make([]*vfs.PendingSync, len(cs))
 	offs := make([]int64, len(cs))
 	heads := make([]recordHead, len(cs))
@@ -414,12 +401,10 @@ func (b *FileBackend) SealAll(cs []*Container) []error {
 			errs[i] = sf.checkSeal(i, c)
 			if errs[i] == nil {
 				heads[i] = r.head
-				offs[i], errs[i] = sf.appendRecord(*r.buf)
+				offs[i], errs[i] = sf.appendRecord(r.buf)
 			}
 		}
-		if r.buf != nil {
-			recordPool.Put(r.buf)
-		}
+		bufpool.Put(r.buf)
 		if errs[i] != nil {
 			stopped = true
 			continue
@@ -437,7 +422,7 @@ func (b *FileBackend) SealAll(cs []*Container) []error {
 
 // builtRecord is one record serialized by buildRecords.
 type builtRecord struct {
-	buf  *[]byte // from recordPool
+	buf  []byte // from recordBuf
 	head recordHead
 	err  error
 }
@@ -445,7 +430,7 @@ type builtRecord struct {
 // buildRecords serializes cs[todo[k]] into out[k] for every k, on up to
 // GOMAXPROCS goroutines that claim the records in order, so the first
 // records are ready first. wg is done once every goroutine has exited.
-func buildRecords(cs []*Container, todo []int, wg *sync.WaitGroup) []chan builtRecord {
+func (b *FileBackend) buildRecords(cs []*Container, todo []int, wg *sync.WaitGroup) []chan builtRecord {
 	out := make([]chan builtRecord, len(todo))
 	for k := range out {
 		out[k] = make(chan builtRecord, 1)
@@ -456,7 +441,7 @@ func buildRecords(cs []*Container, todo []int, wg *sync.WaitGroup) []chan builtR
 		go func() {
 			defer wg.Done()
 			for k := int(next.Add(1) - 1); k < len(todo); k = int(next.Add(1) - 1) {
-				buf, head, err := buildRecord(cs[todo[k]])
+				buf, head, err := b.buildRecord(cs[todo[k]])
 				out[k] <- builtRecord{buf: buf, head: head, err: err}
 			}
 		}()
@@ -515,8 +500,6 @@ func (sf *shardFile) readRecord(shard, id int, withData bool, buf *[]byte) (*Con
 	if withData {
 		if buf == nil {
 			buf = new([]byte)
-		} else {
-			growRecordBuf(buf, int(reclog.RecHeaderLen+h.bodyLen()+reclog.TrailerLen))
 		}
 		var err error
 		if body, err = sf.log.ReadRecord(off, h.bodyLen(), buf); err != nil {
@@ -553,13 +536,18 @@ func (sf *shardFile) readRecord(shard, id int, withData bool, buf *[]byte) (*Con
 }
 
 // Load reads a sealed container from the shard file into *buf (see
-// Backend.Load), verifying its CRC.
+// Backend.Load), verifying its CRC: *buf is put back and replaced by a
+// recordBuf.
 func (b *FileBackend) Load(shard, id int, buf *[]byte) (*Container, error) {
 	sf := b.shards[shard]
 	sf.mu.Lock()
 	defer sf.mu.Unlock()
 	if id < 0 || id >= len(sf.offsets) {
 		return nil, ErrNotFound
+	}
+	if buf != nil {
+		bufpool.Put(*buf)
+		*buf = b.recordBuf(sf.heads[id])
 	}
 	return sf.readRecord(shard, id, true, buf)
 }
@@ -670,13 +658,13 @@ func (b *FileBackend) Rewrite(shard int, cs []*Container) error {
 			if c.ID != i {
 				return fmt.Errorf("container: rewrite container ID %d at position %d", c.ID, i)
 			}
-			bp, h, err := buildRecord(c)
+			rec, h, err := b.buildRecord(c)
 			if err != nil {
 				return err
 			}
-			n := int64(len(*bp))
-			err = put(*bp)
-			recordPool.Put(bp)
+			n := int64(len(rec))
+			err = put(rec)
+			bufpool.Put(rec)
 			if err != nil {
 				return err
 			}

@@ -2,8 +2,12 @@ package dedup
 
 import (
 	"bytes"
+	"errors"
 	"testing"
 
+	"freqdedup/internal/bufpool"
+	"freqdedup/internal/container"
+	"freqdedup/internal/faultio"
 	"freqdedup/internal/fphash"
 )
 
@@ -88,5 +92,45 @@ func TestOpenContainerViewsSurviveSeal(t *testing.T) {
 	}
 	if fphash.FromBytes(got) != fp {
 		t.Fatal("a Get of an open-container chunk changed once the container was sealed and its memory reused")
+	}
+}
+
+// TestCloseAfterFailedSealReturnsBuffers: a file-backed store whose every
+// shard fsync fails keeps its open containers' arena blocks through the
+// failed seals, and Close hands them back all the same, so the buffer
+// pool's count is at its baseline once the store is closed.
+func TestCloseAfterFailedSealReturnsBuffers(t *testing.T) {
+	const shards = 4
+	base := bufpool.Outstanding()
+	// Every shard fsync past the shard files' creation, one each, fails.
+	m := faultio.NewMemFSPlan(faultio.Plan{Rules: []faultio.Rule{{
+		Op: faultio.OpSync, PathGlob: "shard-*", Nth: shards + 1, Count: -1,
+	}}})
+	backend, err := container.CreateFileBackendFS(m, "store", shards, 1<<20)
+	if err != nil {
+		t.Fatal(err)
+	}
+	store, err := NewStoreWithBackend(1<<20, backend)
+	if err != nil {
+		t.Fatal(err)
+	}
+	client, err := NewClient(store, Config{Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := client.Backup(bytes.NewReader(randData(73, 2<<20))); err != nil {
+		t.Fatal(err)
+	}
+	if err := store.Sync(); !errors.Is(err, faultio.ErrInjected) {
+		t.Fatalf("Sync with every shard fsync failing: err = %v, want the injected failure", err)
+	}
+	if got := bufpool.Outstanding(); got.Bufs <= base.Bufs {
+		t.Fatalf("Outstanding = %+v after failed seals, want the open containers' blocks above %+v", got, base)
+	}
+	if err := store.Close(); err == nil {
+		t.Fatal("Close sealed what every fsync fails")
+	}
+	if got := bufpool.Outstanding(); got != base {
+		t.Fatalf("Outstanding = %+v after Close, want the baseline %+v", got, base)
 	}
 }

@@ -13,27 +13,19 @@ import (
 	"testing"
 	"time"
 
-	"freqdedup/internal/chunker"
+	"freqdedup/internal/bufpool"
 	"freqdedup/internal/fphash"
 	"freqdedup/internal/mle"
 )
 
-// waitForBufs polls until the chunker pool's outstanding-buffer count
-// returns to want, failing the test if it does not settle: a cancelled
-// pipeline's producer may still be releasing its final in-flight chunk
-// for a moment after the consumer returned.
-func waitForBufs(t *testing.T, want int64) {
+// waitForBufs waits until the buffer pool's outstanding count returns to
+// want, failing the test if it does not settle: a cancelled pipeline's
+// producer may still be releasing its final in-flight chunk, and its
+// lookahead, for a moment after the consumer returned.
+func waitForBufs(t *testing.T, want bufpool.Count) {
 	t.Helper()
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		got := chunker.BufsOutstanding()
-		if got == want {
-			return
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("%d pooled chunk buffers outstanding, want %d (leaked by cancellation)", got, want)
-		}
-		time.Sleep(time.Millisecond)
+	if got := bufpool.Settle(want, 5*time.Second); got != want {
+		t.Fatalf("%+v pooled buffers outstanding, want %+v (leaked by cancellation)", got, want)
 	}
 }
 
@@ -138,7 +130,7 @@ func TestBackupCancelDrainsPooledBuffers(t *testing.T) {
 	data := randData(41, 16<<20)
 	for _, tc := range cancelConfigs {
 		t.Run(tc.name, func(t *testing.T) {
-			goroutines, baseline := runtime.NumGoroutine(), chunker.BufsOutstanding()
+			goroutines, baseline := runtime.NumGoroutine(), bufpool.Outstanding()
 			client := newCancelClient(t, tc, tc.cfg, data)
 			ctx, cancel := context.WithCancel(context.Background())
 			defer cancel()
@@ -200,7 +192,7 @@ func TestBackupTeardown(t *testing.T) {
 	for _, tc := range cancelConfigs {
 		for _, outcome := range []string{"success", "encrypt-error", "cancel"} {
 			t.Run(tc.name+"/"+outcome, func(t *testing.T) {
-				goroutines, bufs := runtime.NumGoroutine(), chunker.BufsOutstanding()
+				goroutines, bufs := runtime.NumGoroutine(), bufpool.Outstanding()
 				cfg := tc.cfg
 				ctx, cancel := context.WithCancel(context.Background())
 				defer cancel()
@@ -251,7 +243,7 @@ func (s *stalledReader) Read(p []byte) (int, error) {
 func TestBackupNoProgressReader(t *testing.T) {
 	for _, tc := range cancelConfigs {
 		t.Run(tc.name, func(t *testing.T) {
-			goroutines, bufs := runtime.NumGoroutine(), chunker.BufsOutstanding()
+			goroutines, bufs := runtime.NumGoroutine(), bufpool.Outstanding()
 			data := randData(45, 1<<20)
 			client := newCancelClient(t, tc, tc.cfg, data)
 			_, err := client.BackupContext(context.Background(), &stalledReader{data: data})
@@ -285,7 +277,7 @@ func (b *blockingReader) Read(p []byte) (int, error) {
 func TestBackupCancelWhileReaderBlocked(t *testing.T) {
 	for _, tc := range cancelConfigs {
 		t.Run(tc.name, func(t *testing.T) {
-			baseline := chunker.BufsOutstanding()
+			baseline := bufpool.Outstanding()
 			// The reader delivers nothing, so no cut is predicted.
 			client := newCancelClient(t, tc, tc.cfg, nil)
 			src := &blockingReader{parked: make(chan struct{}), release: make(chan struct{})}
@@ -335,7 +327,7 @@ func TestRestoreCancelDrainsPooledBuffers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	baseline := restoreBufsOutstanding.Load()
+	baseline := bufpool.Outstanding()
 	for _, cancelAt := range []int{0, 64 << 10, 1 << 20} {
 		ctx, cancel := context.WithCancel(context.Background())
 		w := &cancelAtWriter{n: cancelAt, cancel: cancel}
@@ -344,8 +336,8 @@ func TestRestoreCancelDrainsPooledBuffers(t *testing.T) {
 		if !errors.Is(err, context.Canceled) {
 			t.Fatalf("cancelAt=%d: RestoreContext err = %v, want context.Canceled", cancelAt, err)
 		}
-		if got := restoreBufsOutstanding.Load(); got != baseline {
-			t.Fatalf("cancelAt=%d: %d pooled restore buffers outstanding, want %d", cancelAt, got, baseline)
+		if got := bufpool.Outstanding(); got != baseline {
+			t.Fatalf("cancelAt=%d: %+v pooled buffers outstanding, want %+v", cancelAt, got, baseline)
 		}
 	}
 	// A clean restore still works afterwards.
@@ -356,8 +348,8 @@ func TestRestoreCancelDrainsPooledBuffers(t *testing.T) {
 	if !bytes.Equal(out.Bytes(), data) {
 		t.Fatal("restore after cancellations mismatched")
 	}
-	if got := restoreBufsOutstanding.Load(); got != baseline {
-		t.Fatalf("%d pooled restore buffers outstanding after clean restore", got)
+	if got := bufpool.Outstanding(); got != baseline {
+		t.Fatalf("%+v pooled buffers outstanding after clean restore, want %+v", got, baseline)
 	}
 }
 

@@ -572,6 +572,9 @@ func (c *Client) backupStreaming(ctx context.Context, cdc chunker.Chunker) (*mle
 	cut := c.newCutter(cdc)
 	go func() {
 		defer close(chunks)
+		// Only this goroutine may hand back the chunker's lookahead: its
+		// last Next may be a Read into it that outlives the consumer.
+		defer chunker.Release(cdc)
 		var msg chunkMsg
 		defer func() { msg.release() }() // a batch the consumer bailed on
 		for {
@@ -837,7 +840,8 @@ type uploadWindow struct {
 }
 
 // windowPool recycles upload windows across backups; a backup puts its
-// window back once its pool is joined and its chunks are released.
+// window back once its pool is joined and its chunks are released. It
+// holds no bytes, so it stays out of package bufpool and its count.
 var windowPool = sync.Pool{New: func() any {
 	return &uploadWindow{
 		jobs:    make([]encJob, 0, uploadWindowChunks),

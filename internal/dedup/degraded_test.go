@@ -6,6 +6,7 @@ import (
 	"sync"
 	"testing"
 
+	"freqdedup/internal/bufpool"
 	"freqdedup/internal/container"
 	"freqdedup/internal/fphash"
 	"freqdedup/internal/mle"
@@ -119,7 +120,7 @@ func TestRestoreCorruptContainerStrict(t *testing.T) {
 	} {
 		t.Run(mode.name, func(t *testing.T) {
 			client, recipe, _, _ := degradedFixture(t, mode.cfg)
-			baseline := RestoreBufsOutstanding()
+			baseline := bufpool.Outstanding()
 			var out bytes.Buffer
 			err := client.Restore(recipe, &out)
 			if !errors.Is(err, container.ErrCorrupt) {
@@ -129,8 +130,8 @@ func TestRestoreCorruptContainerStrict(t *testing.T) {
 			if errors.As(err, &de) {
 				t.Fatal("strict restore returned a DegradedError")
 			}
-			if got := RestoreBufsOutstanding(); got != baseline {
-				t.Fatalf("%d pooled restore buffers outstanding after failed restore, want %d", got, baseline)
+			if got := bufpool.Outstanding(); got != baseline {
+				t.Fatalf("%+v pooled buffers outstanding after failed restore, want %+v", got, baseline)
 			}
 		})
 	}
@@ -156,7 +157,7 @@ func TestRestoreDegraded(t *testing.T) {
 			if mode.noWindow {
 				forceWindow(client, 0)
 			}
-			baseline := RestoreBufsOutstanding()
+			baseline := bufpool.Outstanding()
 			var out bytes.Buffer
 			err := client.Restore(recipe, &out)
 			var de *DegradedError
@@ -172,8 +173,8 @@ func TestRestoreDegraded(t *testing.T) {
 				}
 			}
 			checkDegradedOutput(t, data, out.Bytes(), lost)
-			if got := RestoreBufsOutstanding(); got != baseline {
-				t.Fatalf("%d pooled restore buffers outstanding after degraded restore, want %d", got, baseline)
+			if got := bufpool.Outstanding(); got != baseline {
+				t.Fatalf("%+v pooled buffers outstanding after degraded restore, want %+v", got, baseline)
 			}
 		})
 	}

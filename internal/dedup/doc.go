@@ -82,8 +82,8 @@
 //     under it. A restore reads every container into a pooled buffer the
 //     window owns and puts back when it drops the container, after the
 //     slabs that read its views are decrypted, on every path, error and
-//     cancellation included (RestoreBufsOutstanding counts them with the
-//     slabs). In steady state neither a backup nor a restore allocates per
+//     cancellation included (bufpool.Outstanding counts them with the
+//     slabs and every other pooled buffer). In steady state neither a backup nor a restore allocates per
 //     chunk or per container beyond AES's per-key state.
 //   - Scrambling and MinHash encryption add a segment stage between the
 //     handoff and the upload window: the pool fingerprints each batch's

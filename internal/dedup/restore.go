@@ -5,10 +5,9 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math/bits"
 	"sync"
-	"sync/atomic"
 
+	"freqdedup/internal/bufpool"
 	"freqdedup/internal/container"
 	"freqdedup/internal/mle"
 )
@@ -140,7 +139,7 @@ func (c *Client) restoreBudget() int64 {
 // coordinator goroutine owns it; workers never see it.
 type windowSlot struct {
 	entries []container.Entry // the container's chunks while held, views of buf
-	buf     *[]byte           // the pooled buffer they were read into, while held
+	buf     []byte            // the pooled buffer they were read into, while held
 	bytes   int64             // their data bytes, counted in retained while held
 	held    bool              // read and not yet dropped
 	// cached: at the admission frontier the container is in the window,
@@ -172,7 +171,7 @@ type restoreSlab struct {
 type loadResult struct {
 	k       int
 	entries []container.Entry
-	buf     *[]byte
+	buf     []byte
 	err     error
 }
 
@@ -265,14 +264,14 @@ func (c *Client) runRestore(ctx context.Context, plan *restorePlan, w io.Writer)
 			select {
 			case res := <-r.loadsDone:
 				r.loadsOut--
-				containerBufPut(res.buf)
+				bufpool.Put(res.buf)
 			case s := <-r.slabsDone:
 				r.slabsOut--
-				restoreBufPut(s.buf)
+				bufpool.Put(s.buf)
 			}
 		}
 		for _, s := range r.pending {
-			restoreBufPut(s.buf)
+			bufpool.Put(s.buf)
 		}
 	}
 	// Only now, with no slab left in flight to read their views, do the
@@ -280,7 +279,7 @@ func (c *Client) runRestore(ctx context.Context, plan *restorePlan, w io.Writer)
 	// stops with some held, a finished one has dropped them all.
 	for k := range r.slots {
 		if s := &r.slots[k]; s.buf != nil {
-			containerBufPut(s.buf)
+			bufpool.Put(s.buf)
 			s.buf, s.entries = nil, nil
 		}
 	}
@@ -405,11 +404,10 @@ func (r *restoreRun) admit(k int) bool {
 	r.reserved += r.plan.nominal
 	r.loadsOut++
 	ref := r.plan.containers[k].ref
-	buf := containerBufGet()
 	r.jobs <- func() {
-		res := loadResult{k: k, buf: buf, err: r.jobCtx.Err()}
+		res := loadResult{k: k, err: r.jobCtx.Err()}
 		if res.err == nil {
-			res.entries, res.err = r.c.store.readContainer(ref, buf)
+			res.entries, res.buf, res.err = r.c.store.readContainer(ref)
 		}
 		r.loadsDone <- res
 	}
@@ -429,13 +427,13 @@ func (r *restoreRun) loaded(res loadResult) error {
 		// entry's point lookup decides its fate individually (it fails
 		// the same way and zero-fills).
 	default:
-		containerBufPut(res.buf)
+		bufpool.Put(res.buf)
 		ref := r.plan.containers[res.k].ref
 		return fmt.Errorf("dedup: restore: container %d (shard %d): %w", ref.id, ref.shard, res.err)
 	}
 	if res.err != nil {
 		// Held empty: nothing will read the buffer.
-		containerBufPut(res.buf)
+		bufpool.Put(res.buf)
 		res.buf = nil
 	}
 	s := &r.slots[res.k]
@@ -501,7 +499,7 @@ func (r *restoreRun) drop(k int) {
 	if s.held && !s.cached && s.outstanding == 0 {
 		r.retained -= s.bytes
 		if s.buf != nil {
-			containerBufPut(s.buf)
+			bufpool.Put(s.buf)
 		}
 		s.entries, s.buf, s.held = nil, nil, false
 	}
@@ -519,7 +517,9 @@ func (r *restoreRun) dispatch() {
 	s := r.cur
 	r.cur = nil
 	r.streamOff += uint64(s.bytes)
-	s.buf = restoreBufGet(s.bytes)
+	// Every slab asks for a full slab's class, so any slab buffer serves
+	// the next slab; only a chunk that outgrew a slab asks for more.
+	s.buf = bufpool.Get(max(s.bytes, restoreSlabBytes))[:s.bytes]
 	r.slabsOut++
 	r.jobs <- func() {
 		if s.err = r.jobCtx.Err(); s.err == nil {
@@ -567,7 +567,7 @@ func (c *Client) decryptSlab(entries []mle.RecipeEntry, s *restoreSlab) {
 // every slab whose turn has come is written.
 func (r *restoreRun) decrypted(s *restoreSlab) error {
 	if s.err != nil {
-		restoreBufPut(s.buf)
+		bufpool.Put(s.buf)
 		return s.err
 	}
 	for i := s.start; i < s.end; i++ {
@@ -585,7 +585,7 @@ func (r *restoreRun) decrypted(s *restoreSlab) error {
 		delete(r.pending, r.nextWrite)
 		r.nextWrite++
 		_, err := r.w.Write(s.buf)
-		restoreBufPut(s.buf)
+		bufpool.Put(s.buf)
 		if err != nil {
 			return fmt.Errorf("dedup: restore: write: %w", err)
 		}
@@ -593,65 +593,4 @@ func (r *restoreRun) decrypted(s *restoreSlab) error {
 		// stream order too.
 		r.lost = append(r.lost, s.lost...)
 	}
-}
-
-// restorePool recycles slab buffers across restores, so a long restore
-// allocates a steady-state set of buffers instead of one per slab. Every
-// buffer holds at least a full slab (a larger one only for a chunk that
-// outgrew it, pow2-rounded so capacities cluster).
-var restorePool sync.Pool
-
-// restoreBufsOutstanding counts pool buffers currently handed out, slab
-// and container buffers alike; the drain-on-error tests assert it returns
-// to its baseline after a failed restore (no buffer is abandoned).
-var restoreBufsOutstanding atomic.Int64
-
-// RestoreBufsOutstanding reports how many pooled restore buffers (the
-// plaintext slabs and the window's container buffers) are currently
-// handed out. It is a test hook: harnesses (the crash-point explorer, the
-// drain-on-error tests) assert it returns to its baseline after failed
-// and degraded restores, proving no pooled buffer leaks.
-func RestoreBufsOutstanding() int64 { return restoreBufsOutstanding.Load() }
-
-// containerPool recycles the restore window's container buffers across
-// restores: each container is read into one (Store.readContainer), held
-// while the window needs it, and put back when the window drops it.
-var containerPool sync.Pool
-
-// containerBufGet returns a pooled container buffer, empty or not.
-func containerBufGet() *[]byte {
-	restoreBufsOutstanding.Add(1)
-	if bp, ok := containerPool.Get().(*[]byte); ok {
-		return bp
-	}
-	return new([]byte)
-}
-
-// containerBufPut returns a container buffer to the pool.
-func containerBufPut(bp *[]byte) {
-	restoreBufsOutstanding.Add(-1)
-	containerPool.Put(bp)
-}
-
-// restoreBufGet returns a pooled buffer of length n.
-func restoreBufGet(n int) []byte {
-	restoreBufsOutstanding.Add(1)
-	if v := restorePool.Get(); v != nil {
-		buf := *(v.(*[]byte))
-		if cap(buf) >= n {
-			return buf[:n]
-		}
-	}
-	capacity := restoreSlabBytes
-	if n > capacity {
-		capacity = 1 << bits.Len(uint(n-1))
-	}
-	return make([]byte, n, capacity)
-}
-
-// restoreBufPut returns a buffer to the pool.
-func restoreBufPut(buf []byte) {
-	restoreBufsOutstanding.Add(-1)
-	b := buf[:0]
-	restorePool.Put(&b)
 }

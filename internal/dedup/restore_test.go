@@ -8,6 +8,7 @@ import (
 	"path/filepath"
 	"testing"
 
+	"freqdedup/internal/bufpool"
 	"freqdedup/internal/container"
 	"freqdedup/internal/mle"
 )
@@ -403,14 +404,14 @@ func TestRestoreWriterErrorReleasesPooledBuffers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	baseline := restoreBufsOutstanding.Load()
+	baseline := bufpool.Outstanding()
 	for _, failAt := range []int{0, 100, 128 << 10, 768 << 10} {
 		err := client.Restore(recipe, &failAfterWriter{n: failAt})
 		if !errors.Is(err, errBoom) {
 			t.Fatalf("restore with writer failing at %d: %v, want errBoom", failAt, err)
 		}
-		if got := restoreBufsOutstanding.Load(); got != baseline {
-			t.Fatalf("failAt=%d: %d pooled restore buffers outstanding, want %d",
+		if got := bufpool.Outstanding(); got != baseline {
+			t.Fatalf("failAt=%d: %+v pooled buffers outstanding, want %+v",
 				failAt, got, baseline)
 		}
 	}
@@ -422,8 +423,8 @@ func TestRestoreWriterErrorReleasesPooledBuffers(t *testing.T) {
 	if !bytes.Equal(out.Bytes(), data) {
 		t.Fatal("restore after writer-error drains mismatched")
 	}
-	if got := restoreBufsOutstanding.Load(); got != baseline {
-		t.Fatalf("%d pooled restore buffers outstanding after clean restore", got)
+	if got := bufpool.Outstanding(); got != baseline {
+		t.Fatalf("%+v pooled buffers outstanding after clean restore, want %+v", got, baseline)
 	}
 }
 

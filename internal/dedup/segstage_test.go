@@ -7,6 +7,7 @@ import (
 	"reflect"
 	"testing"
 
+	"freqdedup/internal/bufpool"
 	"freqdedup/internal/chunker"
 	"freqdedup/internal/fphash"
 	"freqdedup/internal/mle"
@@ -42,12 +43,13 @@ func TestDefendedBackupResidencyBounded(t *testing.T) {
 		sizes = sizes[:1]
 	}
 	for _, size := range sizes {
-		baseline := chunker.BufsOutstanding()
+		baseline := bufpool.Outstanding()
 		var peak int64
 		var uploaded int
 		cfg.Observer = observerFunc(func(refs []trace.ChunkRef) error {
 			uploaded += len(refs)
-			if held := chunker.BufsOutstanding() - baseline; held > peak {
+			// Less the chunker's lookahead, which the count includes.
+			if held := bufpool.Outstanding().Bufs - baseline.Bufs - 1; held > peak {
 				peak = held
 			}
 			return nil

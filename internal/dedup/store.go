@@ -8,6 +8,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"freqdedup/internal/bufpool"
 	"freqdedup/internal/chunker"
 	"freqdedup/internal/container"
 	"freqdedup/internal/fphash"
@@ -360,6 +361,9 @@ func (s *Store) Close() error {
 			// never claim coverage of containers that are not durable.
 			err = sh.index.Flush(sh.containers.Sealed())
 		}
+		// Sealed or not, the open container is never read again: its
+		// arena blocks go back to the pool.
+		sh.containers.Close()
 		sh.mu.Unlock()
 		if err != nil && first == nil {
 			first = err
@@ -733,41 +737,40 @@ func (s *Store) locate(fp fphash.Fingerprint) (containerRef, container.Location,
 	return containerRef{shard: si, id: loc.Container}, loc, true, nil
 }
 
-// readContainer fetches one container's entries for a restore into *buf,
-// which the caller owns (grown as needed): the entries' Data are views of
-// it, valid until the caller reuses it. The open container's bytes are
-// copied into *buf under the shard lock, since its seal recycles them;
-// sealed containers are immutable and read from the backend outside it
-// (backends are safe for concurrent use), so container reads on different
-// shards — and, for MemBackend, on the same shard — overlap. A concurrent
-// GC can move chunks between a locate and this read; restore verifies
-// each entry's fingerprint and falls back to Get on a mismatch.
-func (s *Store) readContainer(ref containerRef, buf *[]byte) ([]container.Entry, error) {
+// readContainer fetches one container's entries for a restore into a
+// buffer from the buffer pool, which it returns, on error too, for the
+// caller to put back: the entries' Data are views of it, valid until then.
+// The open container's bytes are copied into it under the shard lock,
+// since its seal recycles them; sealed containers are immutable and read
+// from the backend outside it (backends are safe for concurrent use), so
+// container reads on different shards — and, for MemBackend, on the same
+// shard — overlap. A concurrent GC can move chunks between a locate and
+// this read; restore verifies each entry's fingerprint and falls back to
+// Get on a mismatch.
+func (s *Store) readContainer(ref containerRef) ([]container.Entry, []byte, error) {
 	sh := s.shards[ref.shard]
 	sh.mu.Lock()
 	if cur := sh.containers.Current(); cur != nil && cur.ID == ref.id {
-		b := (*buf)[:0]
-		if cap(b) < cur.Bytes {
-			b = make([]byte, 0, cur.Bytes)
-		}
+		buf := bufpool.Get(max(cur.Bytes, s.containerBytes))[:0]
 		for _, e := range cur.Entries {
-			b = append(b, e.Data...)
+			buf = append(buf, e.Data...)
 		}
 		entries := append([]container.Entry(nil), cur.Entries...)
 		sh.mu.Unlock()
-		*buf = b
+		b := buf
 		for i := range entries {
 			n := len(entries[i].Data)
 			entries[i].Data, b = b[:n:n], b[n:]
 		}
-		return entries, nil
+		return entries, buf, nil
 	}
 	sh.mu.Unlock()
-	c, err := s.backend.Load(ref.shard, ref.id, buf)
+	var buf []byte
+	c, err := s.backend.Load(ref.shard, ref.id, &buf)
 	if err != nil {
-		return nil, err
+		return nil, buf, err
 	}
-	return c.Entries, nil
+	return c.Entries, buf, nil
 }
 
 // Stats reports deduplication effectiveness of everything stored so far,

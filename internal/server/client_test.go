@@ -13,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"freqdedup/internal/bufpool"
 	"freqdedup/internal/chunker"
 	"freqdedup/internal/wire"
 )
@@ -52,7 +53,7 @@ func TestRemoteBackupCancelWhileReaderBlocked(t *testing.T) {
 	}
 	defer c.Close()
 
-	baseline := chunker.BufsOutstanding()
+	baseline := bufpool.Outstanding()
 	first := make([]byte, 64<<10)
 	for i := range first {
 		first[i] = byte(i * 7)
@@ -86,13 +87,7 @@ func TestRemoteBackupCancelWhileReaderBlocked(t *testing.T) {
 		t.Fatalf("cancelled Backup still blocked on the stalled reader after 2s (then returned %v)", <-errc)
 	}
 	release() // let the parked producer exit and drain
-	deadline := time.Now().Add(5 * time.Second)
-	for chunker.BufsOutstanding() != baseline {
-		if time.Now().After(deadline) {
-			t.Fatalf("%d pooled chunk buffers outstanding, want %d", chunker.BufsOutstanding(), baseline)
-		}
-		time.Sleep(time.Millisecond)
-	}
+	waitBufs(t, baseline)
 	backend.waitAborts(t, 1)
 	if backend.snapCount() != 0 {
 		t.Fatal("cancelled backup registered a snapshot")
@@ -233,7 +228,7 @@ func TestBackupRejectsRepeatedReply(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	baseline := chunker.BufsOutstanding()
+	baseline := bufpool.Outstanding()
 	data := make([]byte, 256<<10)
 	rand.New(rand.NewSource(3)).Read(data)
 	if _, err := c.Backup(context.Background(), "snap", bytes.NewReader(data)); err == nil ||

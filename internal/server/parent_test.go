@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"freqdedup/internal/bufpool"
 	"freqdedup/internal/chunker"
 	"freqdedup/internal/dedup"
 	"freqdedup/internal/trace"
@@ -63,16 +64,12 @@ func poisonReleases(t *testing.T, before func()) *atomic.Int64 {
 	return &n
 }
 
-// waitBufs waits for the pooled chunk buffers to return to baseline: the
+// waitBufs waits for the pooled buffers to return to baseline: the
 // pipeline's producer drains asynchronously after a failed backup.
-func waitBufs(t *testing.T, baseline int64) {
+func waitBufs(t *testing.T, baseline bufpool.Count) {
 	t.Helper()
-	deadline := time.Now().Add(5 * time.Second)
-	for chunker.BufsOutstanding() != baseline {
-		if time.Now().After(deadline) {
-			t.Fatalf("%d pooled chunk buffers outstanding, want %d", chunker.BufsOutstanding(), baseline)
-		}
-		time.Sleep(time.Millisecond)
+	if got := bufpool.Settle(baseline, 5*time.Second); got != baseline {
+		t.Fatalf("%+v pooled buffers outstanding, want %+v", got, baseline)
 	}
 }
 
@@ -105,7 +102,7 @@ func TestParentHitCancelInFlight(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	baseline := chunker.BufsOutstanding()
+	baseline := bufpool.Outstanding()
 	gens := hitGenerations(3)
 
 	if _, err := c.Backup(ctx, "g0", bytes.NewReader(gens[0])); err != nil {

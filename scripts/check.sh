@@ -85,9 +85,15 @@ echo "== backup pipeline flake guard (-race -count=5)"
 scripts/race-guard.sh 'Cancel|Deterministic|Sink|Streaming|Teardown|ParentTable|ViewsSurviveSeal' ./internal/dedup/ || fail "backup pipeline flake guard"
 
 # The open container's arena recycles its blocks only after a durable
-# seal and keeps them through a failed one or a compaction.
+# seal, keeps them through a failed one or a compaction, and hands them
+# back on Close whatever the seal did.
 echo "== container arena flake guard (-race -count=5)"
-scripts/race-guard.sh 'Arena|MemBackendStore' ./internal/container/ || fail "container arena flake guard"
+scripts/race-guard.sh 'Arena|MemBackendStore|CloseAfterFailedSeal' ./internal/container/ || fail "container arena flake guard"
+
+# The buffer pool's size classes and its one outstanding count, which
+# every leak check reads, from whatever goroutine gets and puts.
+echo "== buffer pool flake guard (-race -count=5)"
+scripts/race-guard.sh 'Class|Leak' ./internal/bufpool/ || fail "buffer pool flake guard"
 
 # The chunker scans each lookahead refill in pieces on helper goroutines
 # that claim pieces against the caller, and checks the hashes of a run of
